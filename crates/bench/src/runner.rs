@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 use typefuse::pipeline::MapPath;
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_engine::{ReducePlan, Runtime};
-use typefuse_infer::{
-    fuse_into, fuse_with, infer_type, streaming, DedupAcc, FuseConfig, ShapeCache,
-};
+use typefuse_infer::{infer_type, streaming, DedupMode, FuseConfig, SchemaAcc, ShapeCache};
 use typefuse_json::ParserOptions;
 use typefuse_obs::Recorder;
 use typefuse_types::Type;
@@ -134,7 +132,12 @@ struct PartitionAcc {
 }
 
 impl PartitionAcc {
-    fn empty(dedup: bool) -> Self {
+    fn empty(config: &ScaleConfig) -> Self {
+        let dedup = if config.dedup {
+            DedupMode::On
+        } else {
+            DedupMode::Off
+        };
         PartitionAcc {
             records: 0,
             bytes: 0,
@@ -142,47 +145,9 @@ impl PartitionAcc {
             min_size: usize::MAX,
             max_size: 0,
             size_sum: 0,
-            schema: if dedup {
-                SchemaAcc::Dedup(Box::new(DedupAcc::new()))
-            } else {
-                SchemaAcc::Plain(Type::Bottom)
-            },
+            schema: SchemaAcc::new(dedup, config.fuse_config),
             infer_time: Duration::ZERO,
             fuse_time: Duration::ZERO,
-        }
-    }
-}
-
-/// The per-partition reduce state: the plain running fold, or the
-/// shape-dedup accumulator (interner + per-shape counts + memo cache).
-#[derive(Debug, Clone)]
-enum SchemaAcc {
-    Plain(Type),
-    Dedup(Box<DedupAcc>),
-}
-
-impl SchemaAcc {
-    fn absorb(&mut self, cfg: FuseConfig, ty: &Type) {
-        match self {
-            SchemaAcc::Plain(schema) => fuse_into(cfg, schema, ty),
-            SchemaAcc::Dedup(acc) => acc.absorb_type(cfg, ty),
-        }
-    }
-
-    fn merge(&mut self, cfg: FuseConfig, other: &SchemaAcc) {
-        match (self, other) {
-            (SchemaAcc::Plain(mine), SchemaAcc::Plain(theirs)) => {
-                *mine = fuse_with(cfg, mine, theirs);
-            }
-            (SchemaAcc::Dedup(mine), SchemaAcc::Dedup(theirs)) => mine.merge(cfg, theirs),
-            _ => unreachable!("every partition uses the run's reduce strategy"),
-        }
-    }
-
-    fn schema(&self) -> Type {
-        match self {
-            SchemaAcc::Plain(schema) => schema.clone(),
-            SchemaAcc::Dedup(acc) => acc.schema(),
         }
     }
 }
@@ -332,9 +297,8 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         })
         .collect();
 
-    let cfg = config.fuse_config;
     let (accs, metrics) = runtime.run_indexed(&ranges, |_, &(start, end)| {
-        let mut acc = PartitionAcc::empty(config.dedup);
+        let mut acc = PartitionAcc::empty(config);
         // Partition-local signature cache for the shape route, warm for
         // the whole range — the deployment shape of `MapPath::Shape`.
         let mut shape_cache = ShapeCache::new();
@@ -395,7 +359,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
             acc.records += 1;
 
             let t1 = Instant::now();
-            acc.schema.absorb(cfg, ty);
+            acc.schema.absorb_type(ty);
             acc.fuse_time += t1.elapsed();
         }
         acc
@@ -418,7 +382,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
 
     // Merge: distinct sets union, min/max/sum fold, schemas fuse (the
     // cheap final step the paper highlights).
-    let mut merged = PartitionAcc::empty(config.dedup);
+    let mut merged = PartitionAcc::empty(config);
     for acc in accs {
         merged.records += acc.records;
         merged.bytes += acc.bytes;
@@ -429,7 +393,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         merged.infer_time += acc.infer_time;
         merged.fuse_time += acc.fuse_time;
         let t = Instant::now();
-        merged.schema.merge(cfg, &acc.schema);
+        merged.schema.merge(&acc.schema);
         merged.fuse_time += t.elapsed();
     }
     let _ = ReducePlan::default(); // topology ablations live in the benches

@@ -5,13 +5,12 @@ use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
-use typefuse::pipeline::{dedup_auto_sample, DedupMode, MapPath, Source};
-use typefuse::splits::IngestOptions;
+use typefuse::fold::{for_each_line, Origin, RecordFold};
+use typefuse::pipeline::{dedup_auto_sample, DedupMode, MapPath, SchemaJob, Source};
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
 use typefuse_engine::{Dataset, ReducePlan};
 use typefuse_infer::{ArrayFusion, Counting, CountingFuser, DedupCounting, FuseConfig, Fuser};
-use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Position, Value};
+use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
 use typefuse_types::export::to_json_schema_document;
 
@@ -74,36 +73,10 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             "--dedup on has no effect on the profiled pass; drop --profile-json or --dedup",
         ));
     }
-    if dedup == DedupMode::On && streaming {
+    if streaming && (stats || counting) {
         return Err(CliError::usage(
-            "--dedup on needs the partitioned reduce; drop --streaming or --dedup",
+            "--streaming is incompatible with --stats/--counting",
         ));
-    }
-
-    if streaming {
-        if stats || counting {
-            return Err(CliError::usage(
-                "--streaming is incompatible with --stats/--counting",
-            ));
-        }
-        let outcome = run_streaming(
-            input.as_deref(),
-            positional_arrays,
-            &policy,
-            &parser_options,
-            max_line_bytes,
-            &recorder,
-        );
-        if let Some(hb) = heartbeat {
-            hb.finish();
-        }
-        let (schema, errors) = outcome?;
-        print_schema(&schema, &format)?;
-        report_skipped(&errors, &policy);
-        // Streaming has no pipeline stages; the report is the
-        // recorder's own counters, histograms, spans and trace.
-        write_observability(&recorder.snapshot(), &recorder, &metrics_json, &trace_json)?;
-        return Ok(());
     }
 
     let mut config = flags.config(recorder.clone());
@@ -119,6 +92,20 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         config = config.without_type_stats();
     }
     let job = config.build();
+
+    if streaming {
+        let outcome = run_streaming(input.as_deref(), &job);
+        if let Some(hb) = heartbeat {
+            hb.finish();
+        }
+        let (schema, errors) = outcome?;
+        print_schema(&schema, &format)?;
+        report_skipped(&errors, &policy);
+        // Streaming has no pipeline stages; the report is the
+        // recorder's own counters, histograms, spans and trace.
+        write_observability(&recorder.snapshot(), &recorder, &metrics_json, &trace_json)?;
+        return Ok(());
+    }
 
     // The profiled route replaces the plain pipeline entirely: one
     // fused Map+Reduce pass produces the schema, the per-path profile
@@ -383,127 +370,38 @@ fn print_schema(schema: &typefuse_types::Type, format: &str) -> CliResult {
     Ok(())
 }
 
-/// Constant-memory path: infer each line's type directly from its text
-/// (no value tree) and fuse it into a running schema. Real files are
-/// processed with parallel byte-range splits (`typefuse::splits`);
-/// stdin falls back to a sequential line loop.
+/// Constant-memory path: fold each line straight into a running
+/// [`RecordFold`] under the job's Map route, dedup mode and fuse
+/// configuration. Real files are processed with parallel byte-range
+/// splits (`typefuse::splits`); stdin is one sequential fold.
 fn run_streaming(
     input: Option<&str>,
-    positional_arrays: bool,
-    policy: &ErrorPolicy,
-    parser: &ParserOptions,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
+    job: &SchemaJob,
 ) -> Result<(typefuse_types::Type, ErrorReport), CliError> {
     if let Some(path) = input.filter(|p| *p != "-") {
-        if positional_arrays {
-            return Err(CliError::usage(
-                "--positional-arrays is not supported with file-parallel --streaming",
-            ));
-        }
-        if max_line_bytes.is_some() {
-            return Err(CliError::usage(
-                "--max-line-bytes is not supported with file-parallel --streaming \
-                 (the line-size guard would desynchronise split ownership)",
-            ));
-        }
-        let options = IngestOptions {
-            policy: policy.clone(),
-            retry: RetryPolicy::default(),
-            parser: parser.clone(),
-        };
-        let fs = typefuse::splits::infer_file_schema_with(
-            std::path::Path::new(path),
-            &typefuse_engine::Runtime::default(),
-            &options,
-            recorder,
-        )
-        .map_err(|e| {
+        let fs = typefuse::splits::infer_file(std::path::Path::new(path), job).map_err(|e| {
             let mapped = crate::ingest_error(e);
             CliError::with_code(format!("{path}: {}", mapped.message), mapped.code)
         })?;
         return Ok((fs.schema, fs.errors));
     }
-    let reader: Box<dyn Read> = Box::new(io::stdin());
-    let mut cfg = FuseConfig::default();
-    if positional_arrays {
-        cfg.array_fusion = ArrayFusion::PositionalWhenAligned;
-    }
-    let mut acc = typefuse_infer::Incremental::with_config(cfg);
-    let mut reader = BufReader::new(reader);
-    let mut line: Vec<u8> = Vec::new();
-    let mut line_no = 0u64;
-    let mut report = ErrorReport::new();
-    let keeps_text = policy.keeps_text();
-    let note_bad = |report: &mut ErrorReport,
-                    line_no: u64,
-                    error: typefuse_json::Error,
-                    text: &[u8]|
-     -> Result<(), CliError> {
-        recorder.add("json.parse_errors", 1);
-        if policy.is_fail_fast() {
-            return Err(crate::ingest_error(typefuse::Error::Parse(error)));
-        }
-        report.note(BadRecord {
-            at: line_no,
-            error,
-            text: keeps_text.then(|| String::from_utf8_lossy(text).into_owned()),
-        });
-        Ok(())
-    };
-    loop {
-        line.clear();
-        let raw = read_line_bounded(
-            &mut reader,
-            &mut line,
-            max_line_bytes,
-            RetryPolicy::default(),
-            recorder,
-        )
-        .map_err(|e| {
-            crate::ingest_error(typefuse::Error::io_at(e, IoSite::line(line_no as u32 + 1)))
-        })?;
-        if raw.consumed == 0 {
-            break;
-        }
-        recorder.add("json.bytes", raw.consumed as u64);
-        line_no += 1;
-        if raw.truncated {
-            let cap = max_line_bytes.unwrap_or(usize::MAX);
-            let error = typefuse_json::Error::at(
-                ErrorKind::RecordTooLarge(cap),
-                Position {
-                    offset: 0,
-                    line: line_no as u32,
-                    column: 1,
-                },
-            );
-            note_bad(&mut report, line_no, error, &line)?;
-            continue;
-        }
-        let trimmed = trim_ascii_bytes(&line);
-        if trimmed.is_empty() {
-            continue;
-        }
-        match typefuse_infer::streaming::infer_with_options(trimmed, parser.clone()) {
-            Ok(ty) => {
-                recorder.add("json.records", 1);
-                acc.absorb_type(ty);
-            }
-            Err(e) => {
-                // Re-anchor at the stream line for actionable messages.
-                let mut pos = e.span().start;
-                pos.line = line_no as u32;
-                let anchored = typefuse_json::Error::at(e.kind().clone(), pos);
-                note_bad(&mut report, line_no, anchored, trimmed)?;
-            }
-        }
-    }
-    policy
-        .enforce(&report, recorder)
+    let rec = &job.recorder;
+    let mut fold = RecordFold::new(job.fold_config(false), rec.clone());
+    for_each_line(
+        &mut BufReader::new(io::stdin()),
+        job.max_line_bytes,
+        job.retry,
+        rec,
+        |line, bytes, truncated| fold.absorb_noting(Origin::Line(line), bytes, truncated),
+    )
+    .map_err(crate::ingest_error)?;
+    fold.flush_counters();
+    let (schema, records, report, _) = fold.finish();
+    job.error_policy
+        .enforce(&report, rec)
         .map_err(crate::ingest_error)?;
-    recorder.add("records", acc.count());
-    Ok((acc.into_schema(), report))
+    rec.add("records", records);
+    Ok((schema, report))
 }
 
 /// Open NDJSON input (file path, `-`, or absent = stdin) as a buffered
@@ -524,13 +422,7 @@ pub(crate) fn read_values(
     input: Option<&str>,
     recorder: &Recorder,
 ) -> Result<Vec<Value>, CliError> {
-    let reader: Box<dyn Read> = match input {
-        None | Some("-") => Box::new(io::stdin()),
-        Some(path) => Box::new(
-            File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?,
-        ),
-    };
-    NdjsonReader::new(BufReader::new(reader))
+    NdjsonReader::new(open_input(input)?)
         .with_recorder(recorder.clone())
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| CliError::runtime(format!("parse error: {e}")))

@@ -109,7 +109,10 @@ COMMANDS:
                            either way (default: auto)
         --positional-arrays  keep aligned positional arrays (ablation)
         --sequential-reduce  fold partials sequentially instead of tree
-        --streaming          constant-memory single pass (no value trees)
+        --streaming          constant-memory fold, no materialised reduce:
+                             byte-range splits on a file, one pass on
+                             stdin; honours --map-path, --dedup,
+                             --positional-arrays and --max-line-bytes
         --maplike            summarise ids-as-keys records as {<key>: T}
         --profile-json F     run the profiled pipeline and write the
                              per-path dataset profile (presence, kinds,

@@ -377,6 +377,61 @@ fn streaming_file_uses_parallel_splits() {
     assert_eq!(stdout(&parallel), stdout(&batch));
 }
 
+/// Flag combinations `--streaming` used to reject or ignore: each must
+/// now be accepted on a file (splits) and on stdin (one fold), and agree
+/// with the non-streaming run of the same flags.
+#[test]
+fn streaming_honours_dedup_map_path_fuse_config_and_the_line_guard() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-streaming-flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("data.ndjson");
+    // Aligned positional arrays (so --positional-arrays changes the
+    // schema) and one line over the 64-byte cap used below.
+    let mut contents: String = (0..200)
+        .map(|i| format!("{{\"n\":{i},\"p\":[{i},\"s\"],\"t\":{}}}\n", i % 2 == 0))
+        .collect();
+    contents.push_str(&format!("{{\"pad\":\"{}\"}}\n", "x".repeat(80)));
+    std::fs::write(&path, &contents).unwrap();
+    let file = path.to_str().unwrap();
+
+    for flags in [
+        &["--dedup", "on"][..],
+        &["--dedup", "off"],
+        &["--map-path", "shape"],
+        &["--map-path", "value", "--dedup", "on"],
+        &["--positional-arrays"],
+        &["--max-line-bytes", "64", "--on-error", "skip"],
+    ] {
+        let run = |input: &str, streaming: bool| {
+            let mut args = vec!["infer", input, "--format", "text"];
+            args.extend(streaming.then_some("--streaming"));
+            args.extend(flags);
+            let out = typefuse(&args, (input == "-").then_some(&contents));
+            assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+            (stdout(&out), stderr(&out))
+        };
+        let batch = run(file, false);
+        assert_eq!(run(file, true), batch, "splits {flags:?}");
+        assert_eq!(run("-", true), batch, "stdin {flags:?}");
+    }
+    let positional = typefuse(
+        &[
+            "infer",
+            file,
+            "--format",
+            "text",
+            "--streaming",
+            "--positional-arrays",
+        ],
+        None,
+    );
+    assert!(
+        stdout(&positional).contains("p: [Num, Str]"),
+        "{}",
+        stdout(&positional)
+    );
+}
+
 #[test]
 fn registry_publish_and_gate() {
     let dir = std::env::temp_dir().join("typefuse-cli-test-registry");

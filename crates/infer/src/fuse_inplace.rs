@@ -13,7 +13,7 @@
 //! bit-identical to the by-reference fusion (property-tested), because
 //! both implement the same Figure 6 specification.
 
-use crate::fuse::{fuse_with, FuseConfig};
+use crate::fuse::{fuse_with, ArrayFusion, FuseConfig};
 use typefuse_types::{ArrayType, Field, RecordType, Type};
 
 /// Fuse `other` into `acc` in place: `*acc = Fuse(*acc, other)`, moving
@@ -60,6 +60,14 @@ fn lfuse_owned(cfg: FuseConfig, left: Type, right: &Type) -> Type {
         (Type::Array(a1), Type::Star(b2)) => {
             let collapsed = collapse_owned(cfg, a1);
             Type::star(fuse_owned(cfg, collapsed, b2))
+        }
+        (Type::Array(a1), Type::Array(a2))
+            if cfg.array_fusion == ArrayFusion::PositionalWhenAligned && a1.len() == a2.len() =>
+        {
+            let elems = a1.into_elems().into_iter().zip(a2.elems());
+            Type::Array(ArrayType::new(
+                elems.map(|(x, y)| fuse_owned(cfg, x, y)).collect(),
+            ))
         }
         (Type::Array(a1), Type::Array(a2)) => {
             let collapsed = collapse_owned(cfg, a1);

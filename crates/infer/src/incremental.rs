@@ -84,7 +84,13 @@ impl Incremental {
     /// Absorb an already inferred type. Uses in-place fusion, so the
     /// running schema's untouched subtrees are never copied.
     pub fn absorb_type(&mut self, ty: Type) {
-        fuse_into(self.config, &mut self.schema, &ty);
+        self.absorb_type_ref(&ty);
+    }
+
+    /// [`absorb_type`](Self::absorb_type) by reference, for callers that
+    /// keep the type (fusion only ever reads it).
+    pub fn absorb_type_ref(&mut self, ty: &Type) {
+        fuse_into(self.config, &mut self.schema, ty);
         self.count += 1;
     }
 

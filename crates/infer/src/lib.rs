@@ -20,6 +20,8 @@
 //!   ablation bench;
 //! * [`Incremental`] — the incremental schema maintenance sketched in
 //!   Section 7 ("fusion is incremental by essence");
+//! * [`SchemaAcc`] — the one schema accumulator record folds feed:
+//!   plain or shape-dedup fusion behind one absorb/merge interface;
 //! * [`counting`] — the statistics enrichment named as future work in
 //!   Section 7: a fused schema annotated with per-field presence counts;
 //! * [`profile`] — the full data-plane profiler: per-path presence,
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod acc;
 pub mod counting;
 pub mod dedup;
 mod fuse;
@@ -48,6 +51,7 @@ mod project;
 pub mod shape;
 pub mod streaming;
 
+pub use acc::{dedup_auto_sample, AutoSample, DedupMode, SchemaAcc};
 pub use counting::{type_paths, CountedField, CountedSchema, Counting, CountingFuser};
 pub use dedup::{fuse_ids, DedupAcc, DedupCounting, DedupCountingAcc, DedupFuser, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};

@@ -48,7 +48,7 @@ use crate::fuser::Fuser;
 use crate::incremental::Incremental;
 use std::collections::{BTreeMap, BTreeSet};
 use typefuse_json::events::{Event, EventParser};
-use typefuse_json::{ErrorKind, ParserOptions, Value};
+use typefuse_json::{ErrorKind, Parser, ParserOptions, Value};
 use typefuse_obs::{JsonWriter, LogHistogram};
 use typefuse_types::{ArrayType, Field, RecordType, Type, TypeKind};
 
@@ -305,11 +305,20 @@ impl ProfileAcc {
     /// Absorb one already-materialised value observed at `line`
     /// (1-based; for in-memory sources the record ordinal).
     pub fn absorb_value_at(&mut self, line: u64, value: &Value) {
+        self.absorb_value_typed(line, value);
+    }
+
+    /// [`absorb_value_at`](Self::absorb_value_at), handing back the
+    /// record's inferred type so a caller that also feeds a schema
+    /// accumulator does not infer it twice.
+    pub fn absorb_value_typed(&mut self, line: u64, value: &Value) -> Type {
         let mut facts = Facts::new();
         let mut path = String::from("$");
         observe_value(value, &mut path, &mut facts);
-        self.schema.absorb(value);
+        let ty = crate::infer::infer_type(value);
+        self.schema.absorb_type_ref(&ty);
         self.apply_facts(line, facts);
+        ty
     }
 
     /// Absorb one NDJSON line through the event fold — no `Value` tree
@@ -317,16 +326,34 @@ impl ProfileAcc {
     /// (mergeable, earliest line wins) rather than returned, so the
     /// partition fold keeps its infallible `absorb` shape.
     pub fn absorb_line(&mut self, line: u64, text: &str) {
-        let mut facts = Facts::new();
-        let mut parser = EventParser::with_options(text.as_bytes(), ParserOptions::default());
-        let folded = observe_events_root(&mut parser, &mut facts);
-        match folded.and_then(|ty| parser.finish().map(|()| ty)) {
-            Ok(ty) => {
-                self.schema.absorb_type(ty);
-                self.apply_facts(line, facts);
-            }
-            Err(e) => self.note_error(line, e),
+        if let Err(e) = self.absorb_line_typed(line, text.as_bytes(), &ParserOptions::default()) {
+            self.note_error(line, e);
         }
+    }
+
+    /// The event fold of [`absorb_line`](Self::absorb_line) under the
+    /// caller's parser options: one tokenisation yields both the
+    /// observation and the record's type, which is handed back. A parse
+    /// failure is returned and leaves the accumulator untouched.
+    pub fn absorb_line_typed(
+        &mut self,
+        line: u64,
+        input: &[u8],
+        options: &ParserOptions,
+    ) -> typefuse_json::Result<Type> {
+        if options.allow_duplicate_keys {
+            // The event observer assumes strict keys; lenient input goes
+            // through the value tree, where last-wins is settled.
+            let value = Parser::with_options(input, options.clone()).parse_complete()?;
+            return Ok(self.absorb_value_typed(line, &value));
+        }
+        let mut facts = Facts::new();
+        let mut parser = EventParser::with_options(input, options.clone());
+        let ty = observe_events_root(&mut parser, &mut facts)?;
+        parser.finish()?;
+        self.schema.absorb_type_ref(&ty);
+        self.apply_facts(line, facts);
+        Ok(ty)
     }
 
     /// Absorb one NDJSON line by materialising the `Value` tree first —

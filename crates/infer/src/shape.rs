@@ -279,7 +279,7 @@ fn hex4(s: &[u8], at: usize) -> Option<u32> {
 /// Interning the cached types through the shared hash-consing
 /// [`TypeInterner`] keeps structurally equal types (reached via
 /// different signatures) at one allocation.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ShapeCache {
     interner: TypeInterner,
     map: FxHashMap<u64, (TypeId, Type)>,

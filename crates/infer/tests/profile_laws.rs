@@ -142,3 +142,19 @@ proptest! {
         prop_assert_eq!(profile.records, values.len() as u64);
     }
 }
+
+/// The event observer assumes strict keys; under lenient options the
+/// typed fold must settle last-wins through the value walk instead.
+#[test]
+fn lenient_duplicate_keys_are_folded_not_a_panic() {
+    let options = typefuse_json::ParserOptions {
+        allow_duplicate_keys: true,
+        ..Default::default()
+    };
+    let mut acc = ProfileAcc::new();
+    let ty = acc
+        .absorb_line_typed(1, br#"{"a": 1, "a": "x"}"#, &options)
+        .unwrap();
+    assert_eq!(ty.to_string(), "{a: Str}");
+    assert_eq!(acc.finish().get("$.a").unwrap().count, 1);
+}

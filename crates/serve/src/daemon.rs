@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use typefuse::pipeline::DedupMode;
+use typefuse::fold::FoldConfig;
 use typefuse::JobConfig;
 use typefuse_engine::{spawn_periodic, BackgroundTask};
 use typefuse_json::{RetryPolicy, TailLine, TailReader, TailStatus};
@@ -301,7 +301,7 @@ impl Shared {
                     &s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
                 )
             }),
-            Request::Profile { source } => self.source(source).map(|s| {
+            Request::Profile { source } => self.source(source).and_then(|s| {
                 protocol::profile_response(
                     &s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
                 )
@@ -476,16 +476,13 @@ impl Daemon {
 
         let hub = TelemetryHub::new();
 
-        let dedup = match config.job.dedup {
-            DedupMode::On | DedupMode::Auto => true,
-            DedupMode::Off => false,
-        };
+        let fold_config = crate::fold::fold_config(&config.job);
         if let Some(dir) = &config.checkpoint_dir {
             std::fs::create_dir_all(dir)?;
         }
         let mut sources = BTreeMap::new();
         for spec in &config.sources {
-            let state = load_or_new_state(spec, &config, dedup, &recorder, &events);
+            let state = load_or_new_state(spec, &config, &fold_config, &recorder, &events);
             if sources
                 .insert(spec.name.clone(), Arc::new(Mutex::new(state)))
                 .is_some()
@@ -652,17 +649,14 @@ impl Daemon {
 fn load_or_new_state(
     spec: &SourceSpec,
     config: &ServeConfig,
-    dedup: bool,
+    fold_config: &FoldConfig,
     recorder: &Recorder,
     events: &EventLog,
 ) -> SourceState {
     let fresh = || {
         SourceState::new(
             &spec.name,
-            dedup,
-            config.job.map_path,
-            config.job.fuse_config,
-            config.job.parser_options.clone(),
+            fold_config.clone(),
             config.job.error_policy.clone(),
             recorder.clone(),
             events.clone(),
@@ -685,10 +679,7 @@ fn load_or_new_state(
             }
             match SourceState::restore(
                 &spec.name,
-                dedup,
-                config.job.map_path,
-                config.job.fuse_config,
-                config.job.parser_options.clone(),
+                fold_config.clone(),
                 config.job.error_policy.clone(),
                 recorder.clone(),
                 events.clone(),
@@ -1118,7 +1109,7 @@ fn spawn_source_poller(
                     state.publish(registry.as_mut(), compat);
                 }
                 m_records.add(absorbed);
-                m_skipped.set(state.report.skipped());
+                m_skipped.set(state.report().skipped());
                 m_quarantined.set(state.quarantined);
                 m_shapes.set(state.distinct_shapes());
                 m_version.set(state.version.unwrap_or(0));

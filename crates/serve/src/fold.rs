@@ -10,29 +10,25 @@
 //! inference cost once per distinct shape, not once per record.
 
 use std::path::PathBuf;
-use typefuse::pipeline::MapPath;
-use typefuse::{BadRecord, ErrorPolicy, ErrorReport};
-use typefuse_infer::{infer_type, DedupAcc, FuseConfig, Incremental, ProfileAcc, ShapeCache};
-use typefuse_json::{Map, Parser, ParserOptions, Value};
+use typefuse::fold::{Absorbed, FoldConfig, Origin, RecordFold};
+use typefuse::pipeline::{DedupMode, MapPath};
+use typefuse::{BadRecord, ErrorPolicy, ErrorReport, JobConfig};
+use typefuse_infer::ShapeCache;
+use typefuse_json::{Map, Value};
 use typefuse_obs::{EventLog, Level, Recorder};
 use typefuse_registry::{CompatMode, RegistryStore};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
 
-/// The warm schema accumulator: shape-dedup or plain incremental.
-enum Acc {
-    /// Hash-consed interner + memoized fusion, carried across batches.
-    Dedup(Box<DedupAcc>),
-    /// Plain running fusion.
-    Plain(Incremental),
-}
-
-/// One successfully parsed record, in whichever form the Map route
-/// produced it: a value tree (events/values routes) or a bare type
-/// (shape route).
-enum Folded {
-    Value(Value),
-    Type(Type),
+/// The fold every source of a daemon runs under `job`. A resident fold
+/// has no leading sample to wait for, so `auto` means dedup; the shape
+/// route never reads record values, so it cannot feed a profile.
+pub(crate) fn fold_config(job: &JobConfig) -> FoldConfig {
+    let mut config = job.build().fold_config(job.map_path != MapPath::Shape);
+    if config.dedup == DedupMode::Auto {
+        config.dedup = DedupMode::On;
+    }
+    config
 }
 
 /// A source's health, as reported by the protocol.
@@ -52,11 +48,10 @@ pub enum SourceStatus {
 /// mutates it behind a mutex; protocol sessions read it.
 pub(crate) struct SourceState {
     pub(crate) name: String,
-    acc: Acc,
-    profile: ProfileAcc,
-    pub(crate) report: ErrorReport,
-    /// 1-based input line counter (bad lines included, like batch).
-    lines: u64,
+    /// The warm record fold: schema accumulator, profile (every route
+    /// but `shape`), error report, line counter and the shape route's
+    /// signature cache — all kept across poll batches.
+    fold: RecordFold,
     /// Latest registry version holding this source's schema.
     pub(crate) version: Option<u64>,
     /// Drift alerts, oldest first: one rendered line per structural
@@ -78,39 +73,36 @@ pub(crate) struct SourceState {
     /// Bumped on every change worth persisting; the checkpointer skips
     /// sources whose revision it has already written.
     pub(crate) ckpt_rev: u64,
-    fuse_config: FuseConfig,
-    parser: ParserOptions,
     policy: ErrorPolicy,
     recorder: Recorder,
     events: EventLog,
-    /// Signature → type memo for the shape route (`--map-path shape`),
-    /// kept warm across poll batches — steady-state feeds are the most
-    /// shape-redundant input there is. `None` on the other routes.
-    shape: Option<ShapeCache>,
+    /// The per-source record counter's name, `ingest.records.<name>`.
+    records_key: String,
 }
 
 impl SourceState {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         name: &str,
-        dedup: bool,
-        map_path: MapPath,
-        fuse_config: FuseConfig,
-        parser: ParserOptions,
+        config: FoldConfig,
+        policy: ErrorPolicy,
+        recorder: Recorder,
+        events: EventLog,
+    ) -> Self {
+        let fold = RecordFold::new(config, recorder.clone());
+        Self::around(name, fold, policy, recorder, events)
+    }
+
+    /// A fresh, active source around `fold`.
+    fn around(
+        name: &str,
+        fold: RecordFold,
         policy: ErrorPolicy,
         recorder: Recorder,
         events: EventLog,
     ) -> Self {
         SourceState {
             name: name.to_string(),
-            acc: if dedup {
-                Acc::Dedup(Box::new(DedupAcc::new()))
-            } else {
-                Acc::Plain(Incremental::with_config(fuse_config))
-            },
-            profile: ProfileAcc::with_config(fuse_config),
-            report: ErrorReport::new(),
-            lines: 0,
+            fold,
             version: None,
             drift: Vec::new(),
             status: SourceStatus::Active,
@@ -120,43 +112,45 @@ impl SourceState {
             tail_pending: Vec::new(),
             tail_pending_overflow: false,
             ckpt_rev: 0,
-            fuse_config,
-            parser,
             policy,
             recorder,
             events,
-            shape: (map_path == MapPath::Shape).then(ShapeCache::new),
+            records_key: format!("ingest.records.{name}"),
         }
     }
 
     /// The current fused schema.
     pub(crate) fn schema(&self) -> Type {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.schema(),
-            Acc::Plain(acc) => acc.schema().clone(),
-        }
+        self.fold.schema()
     }
 
     /// Records successfully folded so far.
     pub(crate) fn records(&self) -> u64 {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.records(),
-            Acc::Plain(acc) => acc.count(),
-        }
+        self.fold.records()
     }
 
-    /// A point-in-time profile report (presence, kinds, provenance).
-    pub(crate) fn profile_report(&self) -> typefuse_infer::ProfileReport {
-        self.profile.clone().finish()
+    /// The bad records skipped or quarantined so far.
+    pub(crate) fn report(&self) -> &ErrorReport {
+        self.fold.report()
+    }
+
+    /// A point-in-time profile report (presence, kinds, provenance), or
+    /// why this source has none: the shape route folds types off a
+    /// signature cache and never reads the values a profile is made of.
+    pub(crate) fn profile_report(&self) -> Result<typefuse_infer::ProfileReport, String> {
+        match self.fold.profile() {
+            Some(profile) => Ok(profile.clone().finish()),
+            None => Err(format!(
+                "source `{}` keeps no profile: --map-path shape never reads record values",
+                self.name
+            )),
+        }
     }
 
     /// Distinct interned shapes held by the dedup accumulator (0 on the
     /// plain route, which does not track shapes).
     pub(crate) fn distinct_shapes(&self) -> u64 {
-        match &self.acc {
-            Acc::Dedup(acc) => acc.distinct_shapes() as u64,
-            Acc::Plain(_) => 0,
-        }
+        self.fold.distinct_shapes()
     }
 
     pub(crate) fn is_active(&self) -> bool {
@@ -166,7 +160,7 @@ impl SourceState {
     /// 1-based count of input lines consumed so far (bad lines
     /// included) — the line counter a resumed tail reader continues.
     pub(crate) fn lines(&self) -> u64 {
-        self.lines
+        self.fold.lines()
     }
 
     /// Mirror the poller's tail position into the state (see the field
@@ -191,30 +185,22 @@ impl SourceState {
     }
 
     /// Serialize everything a restart needs to resume this source
-    /// exactly: the accumulator (schema + record count), profile, error
-    /// report, line/tail position, and publish bookkeeping. All `u64`s
-    /// travel as decimal strings (see `typefuse_json::codec`) so values
-    /// above 2^53 survive the JSON round trip.
+    /// exactly: the fold (schema + record count, profile, error report,
+    /// line count), the tail position, and publish bookkeeping. All
+    /// `u64`s travel as decimal strings (see `typefuse_json::codec`) so
+    /// values above 2^53 survive the JSON round trip.
     pub(crate) fn checkpoint_value(&self) -> Value {
         use typefuse_json::codec::u64_to_value;
         let mut m = Map::new();
         m.insert("v", Value::from(1i64));
         m.insert("name", Value::from(self.name.clone()));
-        m.insert("lines", u64_to_value(self.lines));
+        self.fold.checkpoint_into(&mut m);
         m.insert("tail_offset", u64_to_value(self.tail_offset));
         m.insert("tail_pending", Value::from(to_hex(&self.tail_pending)));
         m.insert(
             "tail_pending_overflow",
             Value::Bool(self.tail_pending_overflow),
         );
-        m.insert("dedup", Value::Bool(matches!(self.acc, Acc::Dedup(_))));
-        m.insert(
-            "schema",
-            Value::from(typefuse_types::wire::to_wire(&self.schema())),
-        );
-        m.insert("records", u64_to_value(self.records()));
-        m.insert("profile", self.profile.checkpoint_value());
-        m.insert("report", self.report.checkpoint_value());
         if let Some(version) = self.version {
             m.insert("version", u64_to_value(version));
         }
@@ -239,19 +225,14 @@ impl SourceState {
     }
 
     /// Rebuild a source from a checkpoint payload. Takes the same
-    /// configuration as [`SourceState::new`] — the fuse config, parser
-    /// options and error policy are *not* persisted; a resumed daemon
-    /// must run the same job configuration as the one that wrote the
-    /// checkpoint, or the incremental ≡ batch law breaks. The dedup
-    /// route and shape cache restart cold (pure perf state); the fused
-    /// schema, profile and error report resume exactly.
-    #[allow(clippy::too_many_arguments)]
+    /// configuration as [`SourceState::new`] — the fold configuration
+    /// and error policy are *not* persisted; a resumed daemon must run
+    /// the same job configuration as the one that wrote the checkpoint,
+    /// or the incremental ≡ batch law breaks (see
+    /// [`RecordFold::restore`]).
     pub(crate) fn restore(
         name: &str,
-        dedup: bool,
-        map_path: MapPath,
-        fuse_config: FuseConfig,
-        parser: ParserOptions,
+        config: FoldConfig,
         policy: ErrorPolicy,
         recorder: Recorder,
         events: EventLog,
@@ -274,7 +255,7 @@ impl SourceState {
                 "checkpoint belongs to source `{stored_name}`, not `{name}`"
             ));
         }
-        let lines = u64_from_value(payload.get("lines").ok_or("missing lines")?)?;
+        let fold = RecordFold::restore(config, recorder.clone(), payload)?;
         let tail_offset = u64_from_value(payload.get("tail_offset").ok_or("missing tail_offset")?)?;
         let tail_pending = from_hex(
             payload
@@ -286,19 +267,6 @@ impl SourceState {
             .get("tail_pending_overflow")
             .and_then(Value::as_bool)
             .ok_or("missing tail_pending_overflow")?;
-        let schema = typefuse_types::wire::from_wire(
-            payload
-                .get("schema")
-                .and_then(Value::as_str)
-                .ok_or("missing schema")?,
-        )?;
-        let records = u64_from_value(payload.get("records").ok_or("missing records")?)?;
-        let profile = ProfileAcc::from_checkpoint_value(
-            payload.get("profile").ok_or("missing profile")?,
-            fuse_config,
-        )?;
-        let report =
-            ErrorReport::from_checkpoint_value(payload.get("report").ok_or("missing report")?)?;
         let version = opt_u64_from_value(payload.get("version"))?;
         let quarantined = u64_from_value(payload.get("quarantined").ok_or("missing quarantined")?)?;
         let drift = payload
@@ -326,15 +294,6 @@ impl SourceState {
         };
         let last_activity_ms = opt_u64_from_value(payload.get("last_activity_ms"))?;
         Ok(SourceState {
-            name: name.to_string(),
-            acc: if dedup {
-                Acc::Dedup(Box::new(DedupAcc::resume(&schema, records)))
-            } else {
-                Acc::Plain(Incremental::resume(schema, records, fuse_config))
-            },
-            profile,
-            report,
-            lines,
             version,
             drift,
             status,
@@ -343,13 +302,7 @@ impl SourceState {
             tail_offset,
             tail_pending,
             tail_pending_overflow,
-            ckpt_rev: 0,
-            fuse_config,
-            parser,
-            policy,
-            recorder,
-            events,
-            shape: (map_path == MapPath::Shape).then(ShapeCache::new),
+            ..Self::around(name, fold, policy, recorder, events)
         })
     }
 
@@ -367,94 +320,30 @@ impl SourceState {
             if !self.is_active() {
                 break;
             }
-            self.lines += 1;
-            if line.truncated {
-                let error = typefuse_json::Error::at(
-                    typefuse_json::ErrorKind::RecordTooLarge(line.content.len()),
-                    typefuse_json::Position {
-                        offset: 0,
-                        line: self.lines as u32,
-                        column: 1,
-                    },
-                );
-                self.note_bad(error, &line.content);
-                continue;
-            }
-            let trimmed = typefuse_json::ndjson::trim_ascii_bytes(&line.content);
-            if trimmed.is_empty() {
-                continue;
-            }
-            // Shape route: the warm signature cache infers the type
-            // without materialising a value (misses replay the event
-            // fold), so the accumulator absorbs the type directly. The
-            // profiler needs materialised values, so on this route the
-            // `profile` op reports an empty profile — the trade the
-            // route makes for hash-lookup steady state.
-            let outcome = if let Some(cache) = self.shape.as_mut() {
-                cache
-                    .infer_line(trimmed, &self.parser, &self.recorder)
-                    .map(Folded::Type)
-            } else {
-                Parser::with_options(trimmed, self.parser.clone())
-                    .parse_complete()
-                    .map(Folded::Value)
-            };
-            match outcome {
-                Ok(Folded::Value(value)) => {
-                    self.absorb(&value);
+            // Anchor errors at the stream line so alerts point at the
+            // right append.
+            let origin = Origin::Line(self.fold.lines() + 1);
+            match self.fold.absorb_line(origin, &line.content, line.truncated) {
+                Absorbed::Record(()) => {
                     absorbed += 1;
+                    self.recorder.add("ingest.records", 1);
+                    self.recorder.add(&self.records_key, 1);
                 }
-                Ok(Folded::Type(ty)) => {
-                    self.absorb_type(ty);
-                    absorbed += 1;
-                }
-                Err(e) => {
-                    // Re-anchor the error at the stream line so alerts
-                    // point at the right append.
-                    let mut pos = e.span().start;
-                    pos.line = self.lines as u32;
-                    let anchored = typefuse_json::Error::at(e.kind().clone(), pos);
-                    self.note_bad(anchored, trimmed);
-                }
+                Absorbed::Blank => {}
+                Absorbed::Bad(bad) => self.note_bad(bad),
             }
         }
         absorbed
     }
 
-    fn absorb(&mut self, value: &Value) {
-        let line = self.lines;
-        match &mut self.acc {
-            Acc::Dedup(acc) => acc.absorb_type(self.fuse_config, &infer_type(value)),
-            Acc::Plain(acc) => acc.absorb(value),
-        }
-        self.profile.absorb_value_at(line, value);
-        self.count_record();
-    }
-
-    /// Absorb an already inferred type (shape route): same accumulator
-    /// fold and counters as [`SourceState::absorb`], no value profile.
-    fn absorb_type(&mut self, ty: Type) {
-        match &mut self.acc {
-            Acc::Dedup(acc) => acc.absorb_type(self.fuse_config, &ty),
-            Acc::Plain(acc) => acc.absorb_type(ty),
-        }
-        self.count_record();
-    }
-
-    fn count_record(&mut self) {
-        self.recorder.add("ingest.records", 1);
-        self.recorder
-            .add(&format!("ingest.records.{}", self.name), 1);
-    }
-
     /// Signature-cache hits so far (0 off the shape route).
     pub(crate) fn shape_hits(&self) -> u64 {
-        self.shape.as_ref().map_or(0, ShapeCache::hits)
+        self.fold.shape_cache().map_or(0, ShapeCache::hits)
     }
 
     /// Signature-cache misses so far (0 off the shape route).
     pub(crate) fn shape_misses(&self) -> u64 {
-        self.shape.as_ref().map_or(0, ShapeCache::misses)
+        self.fold.shape_cache().map_or(0, ShapeCache::misses)
     }
 
     /// Apply the error policy to one bad record. Mirrors the batch
@@ -462,18 +351,12 @@ impl SourceState {
     /// daemon has no "end of run": fail-fast marks the source failed,
     /// skip drops, quarantine appends the record to the sidecar, and an
     /// exhausted `max_errors` budget fails the source.
-    fn note_bad(&mut self, error: typefuse_json::Error, text: &[u8]) {
+    fn note_bad(&mut self, bad: BadRecord) {
         self.recorder.add("ingest.parse_errors", 1);
         if self.policy.is_fail_fast() {
-            self.fail(format!("parse error: {error}"));
+            self.fail(format!("parse error: {}", bad.error));
             return;
         }
-        let keeps_text = self.policy.keeps_text();
-        let bad = BadRecord {
-            at: self.lines,
-            error,
-            text: keeps_text.then(|| String::from_utf8_lossy(text).into_owned()),
-        };
         match &self.policy {
             ErrorPolicy::Quarantine { sink, .. } => match append_quarantine(sink, &bad) {
                 Ok(()) => {
@@ -494,18 +377,12 @@ impl SourceState {
             "ingest",
             format!("bad record at line {}: {}", bad.at, bad.error),
         );
-        self.report.note(bad);
-        let budget = match &self.policy {
-            ErrorPolicy::Skip { max_errors } | ErrorPolicy::Quarantine { max_errors, .. } => {
-                *max_errors
-            }
-            ErrorPolicy::FailFast => None,
-        };
-        if let Some(limit) = budget {
-            if self.report.skipped() > limit {
+        self.fold.note(bad);
+        if let Some(limit) = self.policy.max_errors() {
+            let skipped = self.fold.report().skipped();
+            if skipped > limit {
                 self.fail(format!(
-                    "error budget exhausted: {} bad records (limit {limit})",
-                    self.report.skipped()
+                    "error budget exhausted: {skipped} bad records (limit {limit})"
                 ));
             }
         }
@@ -640,13 +517,15 @@ mod tests {
         state_on(dedup, MapPath::Events, policy)
     }
 
+    fn fold_config(dedup: bool, map_path: MapPath) -> FoldConfig {
+        let dedup = if dedup { DedupMode::On } else { DedupMode::Off };
+        super::fold_config(&JobConfig::new().map_path(map_path).dedup(dedup))
+    }
+
     fn state_on(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> SourceState {
         SourceState::new(
             "s",
-            dedup,
-            map_path,
-            FuseConfig::default(),
-            ParserOptions::default(),
+            fold_config(dedup, map_path),
             policy,
             Recorder::enabled(),
             EventLog::new(64, Level::Debug),
@@ -706,7 +585,7 @@ mod tests {
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "not json", r#"{"a": 2}"#]));
         assert!(s.is_active());
         assert_eq!(s.records(), 2);
-        assert_eq!(s.report.skipped(), 1);
+        assert_eq!(s.report().skipped(), 1);
         assert_eq!(s.shape_hits(), 1, "bad record never pollutes the cache");
     }
 
@@ -733,7 +612,7 @@ mod tests {
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "bad", r#"{"a": 2}"#]));
         assert!(s.is_active());
         assert_eq!(s.records(), 2);
-        assert_eq!(s.report.skipped(), 1);
+        assert_eq!(s.report().skipped(), 1);
         s.fold_batch(&lines(&["worse"]));
         assert!(
             matches!(s.status, SourceStatus::Failed(_)),
@@ -833,10 +712,7 @@ mod tests {
                     let payload = head.checkpoint_value();
                     let mut resumed = SourceState::restore(
                         "s",
-                        dedup,
-                        map_path,
-                        FuseConfig::default(),
-                        ParserOptions::default(),
+                        fold_config(dedup, map_path),
                         policy(),
                         Recorder::enabled(),
                         EventLog::new(64, Level::Debug),
@@ -855,13 +731,13 @@ mod tests {
                     );
                     assert_eq!(resumed.records(), full.records(), "records ({ctx})");
                     assert_eq!(
-                        resumed.report.checkpoint_value(),
-                        full.report.checkpoint_value(),
+                        resumed.report().checkpoint_value(),
+                        full.report().checkpoint_value(),
                         "report ({ctx})"
                     );
                     assert_eq!(
-                        resumed.profile_report().to_json(),
-                        full.profile_report().to_json(),
+                        resumed.profile_report().map(|p| p.to_json()),
+                        full.profile_report().map(|p| p.to_json()),
                         "profile ({ctx})"
                     );
                 }
@@ -927,10 +803,7 @@ mod tests {
                 let payload = head.checkpoint_value();
                 let mut resumed = SourceState::restore(
                     "s",
-                    dedup,
-                    map_path,
-                    FuseConfig::default(),
-                    ParserOptions::default(),
+                    fold_config(dedup, map_path),
                     policy(),
                     Recorder::enabled(),
                     EventLog::new(64, Level::Debug),
@@ -948,12 +821,12 @@ mod tests {
                 );
                 prop_assert_eq!(resumed.records(), full.records());
                 prop_assert_eq!(
-                    resumed.report.checkpoint_value(),
-                    full.report.checkpoint_value()
+                    resumed.report().checkpoint_value(),
+                    full.report().checkpoint_value()
                 );
                 prop_assert_eq!(
-                    resumed.profile_report().to_json(),
-                    full.profile_report().to_json()
+                    resumed.profile_report().map(|p| p.to_json()),
+                    full.profile_report().map(|p| p.to_json())
                 );
             }
         }
@@ -967,10 +840,7 @@ mod tests {
         let restore = |name: &str, payload: &Value| {
             SourceState::restore(
                 name,
-                false,
-                MapPath::Events,
-                FuseConfig::default(),
-                ParserOptions::default(),
+                fold_config(false, MapPath::Events),
                 ErrorPolicy::FailFast,
                 Recorder::enabled(),
                 EventLog::new(64, Level::Debug),
@@ -1001,10 +871,7 @@ mod tests {
         assert!(matches!(s.status, SourceStatus::Failed(_)));
         let resumed = SourceState::restore(
             "s",
-            false,
-            MapPath::Events,
-            FuseConfig::default(),
-            ParserOptions::default(),
+            fold_config(false, MapPath::Events),
             ErrorPolicy::FailFast,
             Recorder::enabled(),
             EventLog::new(64, Level::Debug),

@@ -193,20 +193,21 @@ pub(crate) fn schema_response(state: &SourceState) -> String {
         None => w.raw("null"),
     }
     w.key("skipped");
-    w.number(state.report.skipped());
+    w.number(state.report().skipped());
     w.end_object();
     envelope("schema", &w.finish())
 }
 
-/// The `profile` response: the full per-path report.
-pub(crate) fn profile_response(state: &SourceState) -> String {
-    envelope("profile", &state.profile_report().to_json())
+/// The `profile` response: the full per-path report, or why the source
+/// keeps none.
+pub(crate) fn profile_response(state: &SourceState) -> Result<String, String> {
+    Ok(envelope("profile", &state.profile_report()?.to_json()))
 }
 
 /// The `explain` response: presence, optionality and union-branch
 /// provenance at one path.
 pub(crate) fn explain_response(state: &SourceState, path: &str) -> Result<String, String> {
-    let report = state.profile_report();
+    let report = state.profile_report()?;
     let profile = report.get(path).ok_or_else(|| {
         format!(
             "path {path} does not occur in source {} ({} records, {} paths)",
@@ -257,7 +258,7 @@ pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
     w.key("records");
     w.number(state.records());
     w.key("skipped");
-    w.number(state.report.skipped());
+    w.number(state.report().skipped());
     w.key("quarantined");
     w.number(state.quarantined);
     w.key("version");

@@ -572,3 +572,64 @@ fn session_limit_rejects_and_idle_sessions_are_closed() {
     daemon.shutdown();
     std::fs::remove_file(&feed).ok();
 }
+
+/// `fixtures/events-c6bb7d04.ckpt` is the checkpoint file a daemon of
+/// the last release before the record-fold kernel (hand-written `v: 1`
+/// payload) left behind on clean shutdown, `--on-error skip`, after the
+/// first 55 bytes of the feed below: three lines folded, a fourth
+/// half-read.
+#[test]
+fn a_checkpoint_file_written_before_the_fold_kernel_resumes_byte_identically() {
+    let feed = temp_path("legacy.ndjson");
+    let ckpt = fresh_dir("legacy-ckpt");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/events-c6bb7d04.ckpt");
+    std::fs::copy(&fixture, ckpt.join("events-c6bb7d04.ckpt")).unwrap();
+    std::fs::write(
+        &feed,
+        "{\"a\": 1}\nnot json\n{\"a\": \"x\", \"b\": [1, null]}\n{\"b\": {\"c\": 1.5}}\nnor this\n{\"d\": []}\n",
+    )
+    .unwrap();
+
+    let recorder = Recorder::enabled();
+    let job = || JobConfig::new().on_error(typefuse::ErrorPolicy::skip());
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(job().recorder(recorder.clone()))
+            .watch_file("events", &feed)
+            .checkpoint_dir(&ckpt),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    let served = client.wait_for_records("events", 4).payload;
+
+    let read = || BufReader::new(std::fs::File::open(&feed).unwrap());
+    let batch = job().build().run_ndjson(read()).unwrap();
+    assert_eq!(
+        served.get("schema").and_then(Value::as_str).unwrap(),
+        batch.schema.to_string()
+    );
+    assert_eq!(served.get("skipped").and_then(Value::as_i64), Some(2));
+    assert_eq!(served.get("version").and_then(Value::as_i64), Some(2));
+    let counters = recorder.snapshot().counters;
+    assert_eq!(counters["serve.checkpoint_resumed"], 1);
+    assert_eq!(
+        counters["ingest.records"], 2,
+        "the first 55 bytes are not re-read"
+    );
+
+    // The profile resumed too: provenance lines span both incarnations.
+    let profiled = job()
+        .build()
+        .run_profiled(typefuse::pipeline::Source::ndjson(read()))
+        .unwrap();
+    let text = client.request(r#"{"op":"profile","source":"events"}"#);
+    assert!(
+        text.contains(&profiled.profile.to_json()),
+        "served {text}\n batch {}",
+        profiled.profile.to_json()
+    );
+
+    daemon.shutdown();
+    std::fs::remove_file(&feed).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}

@@ -428,3 +428,34 @@ fn watched_file_may_not_exist_yet_and_quarantine_collects_bad_records() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&sink).ok();
 }
+
+#[test]
+fn shape_route_answers_profile_and_explain_with_the_reason_not_an_empty_report() {
+    let path = temp_path("shape.ndjson");
+    std::fs::write(&path, "{\"a\":1}\n{\"a\":2}\n").unwrap();
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(JobConfig::new().map_path(typefuse::pipeline::MapPath::Shape))
+            .watch_file("events", &path),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    client.wait_for_records("events", 2);
+
+    for request in [
+        r#"{"op":"profile","source":"events"}"#,
+        r#"{"op":"explain","source":"events","path":"$.a"}"#,
+    ] {
+        let env = Envelope::expect_kind(&client.request(request), "error").unwrap();
+        let message = env.payload.get("message").and_then(Value::as_str).unwrap();
+        assert!(
+            message.contains("keeps no profile") && message.contains("--map-path shape"),
+            "{request}: {message}"
+        );
+    }
+    // The session survives the error and the schema is still served.
+    client.wait_for_records("events", 2);
+
+    daemon.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -10,9 +10,6 @@
 //! ([`JobConfig::build`]) and to warm incremental accumulators alike,
 //! and every consumer honors the same options the same way.
 //!
-//! The old per-call setters on [`SchemaJob`] are deprecated; they
-//! survive one release for migration.
-//!
 //! ```
 //! use typefuse::prelude::*;
 //! use typefuse::JobConfig;
@@ -179,12 +176,6 @@ impl JobConfig {
             max_line_bytes: self.max_line_bytes,
             chaos_panic_at: self.chaos_panic_at,
         }
-    }
-}
-
-impl From<&JobConfig> for SchemaJob {
-    fn from(config: &JobConfig) -> SchemaJob {
-        config.build()
     }
 }
 

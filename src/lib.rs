@@ -40,6 +40,7 @@
 pub mod config;
 pub mod error;
 pub mod faults;
+pub mod fold;
 pub mod pipeline;
 pub mod splits;
 

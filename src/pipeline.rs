@@ -22,25 +22,28 @@
 //! stays available as [`MapPath::Values`] for differential testing —
 //! both produce byte-identical schemas (property-tested).
 //!
-//! The legacy entry points ([`SchemaJob::run_values`],
-//! [`SchemaJob::run_dataset`], [`SchemaJob::run_ndjson`]) remain as thin
-//! wrappers over `run`.
+//! The per-line step of every text route — size guard, trim, blank
+//! test, route dispatch, error anchoring, counters — is the
+//! [record-fold kernel](crate::fold); this module only reads, partitions
+//! and reduces.
 
 use std::collections::HashSet;
 use std::io::BufRead;
 use std::time::{Duration, Instant};
 
-use crate::error::{Error, IoSite};
-use crate::faults::{BadRecord, ErrorPolicy, ErrorReport};
+use crate::error::Error;
+use crate::faults::{ErrorPolicy, ErrorReport};
+use crate::fold::{for_each_line, Absorbed, FoldConfig, LineTyper, Origin, RecordFold};
 use typefuse_engine::{Dataset, ReducePlan, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    infer_type_recorded, streaming, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
-    RecordedFuser, ShapeCache,
+    infer_type_recorded, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
+    RecordedFuser,
 };
-use typefuse_json::ndjson::read_line_bounded;
-use typefuse_json::{ErrorKind, Parser, ParserOptions, Position, RetryPolicy, Value};
+use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
 use typefuse_types::Type;
+
+pub use typefuse_infer::{dedup_auto_sample, DedupMode};
 
 /// An input for [`SchemaJob::run`]: where the records come from.
 ///
@@ -99,41 +102,6 @@ pub enum MapPath {
     /// replay the event fold, so output is byte-identical to
     /// [`MapPath::Events`].
     Shape,
-}
-
-/// Whether the Reduce phase rides the shape-dedup route
-/// ([`DedupFuser`]): hash-consed type interning plus memoized fusion, so
-/// each distinct `schema ⊔ shape` step is computed once and duplicates
-/// replay it O(1). Output is byte-identical to the plain route either
-/// way; the modes only trade constant factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupMode {
-    /// Sample the first records and dedup when the data looks redundant —
-    /// see [`dedup_auto_sample`]. The default.
-    #[default]
-    Auto,
-    /// Always dedup.
-    On,
-    /// Never dedup (the classic [`RecordedFuser`] reduce).
-    Off,
-}
-
-/// The `--dedup auto` heuristic: inspect up to the first 512 inferred
-/// types and pick the dedup route when at least 64 were seen and at most
-/// half of them are distinct. Tiny inputs and structurally unique
-/// streams (every record its own shape, e.g. Wikidata's ids-as-keys
-/// records) stay on the plain route, where interning would only add
-/// overhead.
-pub fn dedup_auto_sample<'a>(types: impl IntoIterator<Item = &'a Type>) -> bool {
-    const SAMPLE: usize = 512;
-    const MIN_SAMPLE: usize = 64;
-    let mut distinct: HashSet<&Type> = HashSet::new();
-    let mut seen = 0usize;
-    for ty in types.into_iter().take(SAMPLE) {
-        seen += 1;
-        distinct.insert(ty);
-    }
-    seen >= MIN_SAMPLE && distinct.len() * 2 <= seen
 }
 
 /// Configuration of a schema-inference run.
@@ -211,106 +179,19 @@ impl SchemaJob {
         }
     }
 
-    /// Set the worker count.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.runtime = Runtime::new(workers);
-        self
-    }
-
-    /// Set the partition count.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions.max(1);
-        self
-    }
-
-    /// Set the reduce topology.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn reduce_plan(mut self, plan: ReducePlan) -> Self {
-        self.reduce_plan = plan;
-        self
-    }
-
-    /// Set the fusion configuration.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn fuse_config(mut self, cfg: FuseConfig) -> Self {
-        self.fuse_config = cfg;
-        self
-    }
-
-    /// Set the Map-phase route for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn map_path(mut self, path: MapPath) -> Self {
-        self.map_path = path;
-        self
-    }
-
-    /// Set the Reduce-phase dedup mode.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn dedup(mut self, mode: DedupMode) -> Self {
-        self.dedup = mode;
-        self
-    }
-
-    /// Disable per-record type statistics for maximum throughput.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn without_type_stats(mut self) -> Self {
-        self.collect_type_stats = false;
-        self
-    }
-
-    /// Attach an observability recorder. Clones share state, so hold on
-    /// to one clone and snapshot it (or call
-    /// [`SchemaResult::run_report`]) after the run.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Set the error policy for records that fail to parse.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn on_error(mut self, policy: ErrorPolicy) -> Self {
-        self.error_policy = policy;
-        self
-    }
-
-    /// Set the retry policy for transient I/O errors on text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Set the full parser options for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn parser_options(mut self, options: ParserOptions) -> Self {
-        self.parser_options = options;
-        self
-    }
-
-    /// Set the parser's recursion limit for text sources.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.parser_options.max_depth = depth;
-        self
-    }
-
-    /// Cap a single input line at `cap` bytes; longer lines degrade
-    /// into `RecordTooLarge` parse errors handled per the error policy.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn max_line_bytes(mut self, cap: usize) -> Self {
-        self.max_line_bytes = Some(cap);
-        self
-    }
-
-    /// Fault injection: panic in the Map phase at this 1-based input
-    /// line (text sources), to exercise [`Error::Worker`] isolation.
-    #[deprecated(note = "configure via `typefuse::JobConfig` and `build()` instead")]
-    pub fn chaos_panic_at(mut self, line: u32) -> Self {
-        self.chaos_panic_at = Some(line);
-        self
+    /// The record-fold kernel's view of this job. `profile` is the
+    /// driver's choice: on for the profiled pass and for resident folds
+    /// that answer `profile` / `explain`, off for plain inference.
+    pub fn fold_config(&self, profile: bool) -> FoldConfig {
+        FoldConfig {
+            map_path: self.map_path,
+            dedup: self.dedup,
+            fuse_config: self.fuse_config,
+            parser: self.parser_options.clone(),
+            keeps_text: self.error_policy.keeps_text(),
+            max_line_bytes: self.max_line_bytes,
+            profile,
+        }
     }
 
     /// Run the pipeline over any [`Source`].
@@ -365,9 +246,11 @@ impl SchemaJob {
     /// and Map route (`job.map_path` picks the event fold or the tree
     /// walk for text sources; both observe identically).
     ///
-    /// Parse failures are carried *through* the reduce as mergeable
-    /// accumulator state, so the reported error is the earliest bad
-    /// line in input order, exactly like [`SchemaJob::run`].
+    /// Text sources fold one profile-carrying
+    /// [`RecordFold`] per partition and
+    /// merge them by the job's [`ReducePlan`]; bad lines ride the merged
+    /// [`ErrorReport`], so the job's [`ErrorPolicy`] sees them in input
+    /// order, exactly like [`SchemaJob::run`].
     pub fn run_profiled(&self, source: Source<'_>) -> Result<ProfiledResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
@@ -376,29 +259,8 @@ impl SchemaJob {
         };
         match source {
             Source::Values(values) => {
-                let numbered: Vec<(u64, Value)> = values
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as u64 + 1, v))
-                    .collect();
-                let dataset = Dataset::from_vec(numbered, self.partitions);
-                let (acc, fold_metrics) = {
-                    let _span = rec.span("pipeline.profile");
-                    dataset.reduce_items(
-                        &self.runtime,
-                        self.reduce_plan,
-                        &fuser,
-                        rec,
-                        |_, acc, (line, v): &(u64, Value)| acc.absorb_value_at(*line, v),
-                    )
-                };
-                self.finish_profiled(
-                    acc,
-                    dataset.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    false,
-                )
+                let dataset = Dataset::from_vec(values, self.partitions);
+                self.run_profiled(Source::Dataset(&dataset))
             }
             Source::Dataset(dataset) => {
                 // Keep the caller's partitioning; number records by their
@@ -427,77 +289,61 @@ impl SchemaJob {
                         |_, acc, (line, v): &(u64, &Value)| acc.absorb_value_at(*line, v),
                     )
                 };
-                self.finish_profiled(
-                    acc,
-                    numbered.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    false,
-                )
+                self.finish_profiled(acc, numbered.num_partitions(), fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
-                let lines: Vec<(u32, String)> = {
-                    let _span = rec.span("pipeline.read");
-                    read_lines(reader, rec)?
-                };
-                let dataset = Dataset::from_vec(lines, self.partitions);
-                let map_path = self.map_path;
-                let (acc, fold_metrics) = {
-                    let _span = rec.span("pipeline.profile");
-                    dataset.reduce_items(
-                        &self.runtime,
-                        self.reduce_plan,
-                        &fuser,
-                        rec,
-                        move |_, acc, (line, text): &(u32, String)| match map_path {
-                            // Profiling must observe every record's
-                            // values, so the shape route cannot shortcut
-                            // it: fold events like the default route.
-                            MapPath::Events | MapPath::Shape => {
-                                acc.absorb_line(u64::from(*line), text)
-                            }
-                            MapPath::Values => acc.absorb_line_as_value(u64::from(*line), text),
-                        },
-                    )
-                };
-                self.finish_profiled(
-                    acc,
-                    dataset.num_partitions(),
-                    fold_metrics,
-                    wall_start,
-                    true,
-                )
+                let dataset = Dataset::from_vec(self.read_records(reader)?, self.partitions);
+                let config = self.fold_config(true);
+                let span = rec.span("pipeline.profile");
+                let (folds, fold_metrics) = self.runtime.try_run_indexed(
+                    dataset.partitions(),
+                    |_, part: &Vec<RawRecord>| {
+                        let mut fold = RecordFold::new(config.clone(), rec.clone());
+                        for record in part {
+                            let origin = Origin::Line(record.line.into());
+                            fold.absorb_noting(origin, &record.bytes, record.truncated);
+                        }
+                        fold
+                    },
+                );
+                let folds: Vec<RecordFold> = self
+                    .surface_worker(folds)?
+                    .into_iter()
+                    .filter(|fold| fold.lines() > 0)
+                    .collect();
+                let merged = self.reduce_plan.try_combine_recorded(
+                    &self.runtime,
+                    folds,
+                    |a, b| {
+                        let mut merged = a.clone();
+                        merged.merge(b);
+                        merged
+                    },
+                    rec,
+                );
+                drop(span);
+                let (_, _, report, profile) = self
+                    .surface_worker(merged)?
+                    .unwrap_or_else(|| RecordFold::new(config.clone(), rec.clone()))
+                    .finish();
+                self.error_policy.enforce(&report, rec)?;
+                self.finish_profiled(profile, dataset.num_partitions(), fold_metrics, wall_start)
             }
         }
     }
 
-    /// Shared tail of the profiled routes: surface the earliest parse
-    /// error (re-anchored at its input line) or finish the profile.
+    /// Shared tail of the profiled routes.
     fn finish_profiled(
         &self,
         acc: Option<ProfileAcc>,
         partitions: usize,
         fold_metrics: StageMetrics,
         wall_start: Instant,
-        count_json_records: bool,
     ) -> Result<ProfiledResult, Error> {
-        let rec = &self.recorder;
         let acc = acc.unwrap_or_else(|| ProfileAcc::with_config(self.fuse_config));
-        if let Some((line, e)) = acc.first_error() {
-            rec.add("json.parse_errors", 1);
-            let mut pos = e.span().start;
-            pos.line = line as u32;
-            return Err(Error::Parse(typefuse_json::Error::at(
-                e.kind().clone(),
-                pos,
-            )));
-        }
         let profile = acc.finish();
         let records = profile.records;
-        if count_json_records {
-            rec.add("json.records", records);
-        }
-        rec.add("records", records);
+        self.recorder.add("records", records);
         Ok(ProfiledResult {
             profile,
             records,
@@ -528,193 +374,84 @@ impl SchemaJob {
         )
     }
 
-    /// The unified text route for every Map path: read lines (with
-    /// retry and the line-size guard), parse/infer each in parallel —
-    /// [`MapPath::Events`] folds the token stream straight into a type,
-    /// [`MapPath::Values`] materialises the `Value` tree first,
-    /// [`MapPath::Shape`] serves repeated raw shapes from a
-    /// per-partition signature cache (flushing `infer.shape_hits` /
-    /// `infer.shape_misses` as each partition completes) and replays the
-    /// event fold on misses — then
-    /// apply the error policy to whatever failed. Counters:
-    /// `json.bytes` / `json.lines` at read time, `json.records` /
-    /// `json.parse_errors` at parse time (the event fold additionally
-    /// counts `infer.events` and the `infer.frames` histogram), and
-    /// `ingest.skipped` / `ingest.quarantined` / `ingest.retries` /
-    /// `ingest.worker_panics` for the fault-tolerance layer.
+    /// The text route for every Map path: read lines (retry, line-size
+    /// guard), type each in parallel through the kernel's per-line half
+    /// (one [`LineTyper`] per partition, so the shape route's cache is
+    /// partition-local), then apply the error policy to whatever failed.
+    /// Counters: `json.bytes` / `json.lines` at read time; the kernel's
+    /// at parse time; `ingest.skipped` / `ingest.quarantined` /
+    /// `ingest.retries` / `ingest.worker_panics` for fault tolerance.
     fn run_lines(&self, reader: Box<dyn BufRead + '_>) -> Result<SchemaResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
-        let lines: Vec<RawRecord> = {
-            let _span = rec.span("pipeline.read");
-            self.read_raw_lines(reader)?
-        };
-        let dataset = Dataset::from_vec(lines, self.partitions);
+        let dataset = Dataset::from_vec(self.read_records(reader)?, self.partitions);
 
         let map_start = Instant::now();
-        let map_path = self.map_path;
+        let config = self.fold_config(false);
         let chaos = self.chaos_panic_at;
-        let options = &self.parser_options;
-        // Shared per-record tail for every route: chaos injection, the
-        // reader's pre-errors, record/error counters and error
-        // re-anchoring at the record's input line (the column within the
-        // line is preserved).
-        let infer_record =
-            |record: &RawRecord,
-             infer: &mut dyn FnMut(&RawRecord) -> Result<Type, typefuse_json::Error>|
-             -> Result<Type, typefuse_json::Error> {
-                if chaos == Some(record.line) {
-                    panic!("injected chaos panic at line {}", record.line);
-                }
-                if let Some(e) = &record.pre_error {
-                    rec.add("json.parse_errors", 1);
-                    return Err(e.clone());
-                }
-                match infer(record) {
-                    Ok(ty) => {
-                        rec.add("json.records", 1);
-                        Ok(ty)
-                    }
-                    Err(e) => {
-                        rec.add("json.parse_errors", 1);
-                        let mut pos = e.span().start;
-                        pos.line = record.line;
-                        Err(typefuse_json::Error::at(e.kind().clone(), pos))
-                    }
-                }
-            };
         let (typed, map_metrics) = {
             let _span = rec.span("pipeline.map");
-            match map_path {
-                // The shape route holds a per-partition signature cache,
-                // so it maps whole partitions; hit/miss totals flush to
-                // the recorder as the partition finishes.
-                MapPath::Shape => dataset.try_map_partitions_metered(&self.runtime, |_, part| {
-                    let mut cache = ShapeCache::new();
-                    let out = part
-                        .iter()
-                        .map(|record| {
-                            infer_record(record, &mut |r: &RawRecord| {
-                                cache.infer_line(r.text.as_bytes(), options, rec)
-                            })
-                        })
-                        .collect();
-                    cache.flush_counters(rec);
-                    out
-                }),
-                MapPath::Events => dataset.try_map_metered(&self.runtime, |record: &RawRecord| {
-                    infer_record(record, &mut |r: &RawRecord| {
-                        streaming::infer_with_options_recorded(
-                            r.text.as_bytes(),
-                            options.clone(),
-                            rec,
-                        )
+            dataset.try_map_partitions_metered(&self.runtime, |_, part| {
+                let mut typer = LineTyper::new(config.clone(), rec.clone());
+                let out = part
+                    .iter()
+                    .map(|record: &RawRecord| {
+                        if chaos == Some(record.line) {
+                            panic!("injected chaos panic at line {}", record.line);
+                        }
+                        let origin = Origin::Line(record.line.into());
+                        typer.type_line(origin, &record.bytes, record.truncated, None)
                     })
-                }),
-                MapPath::Values => dataset.try_map_metered(&self.runtime, |record: &RawRecord| {
-                    infer_record(record, &mut |r: &RawRecord| {
-                        Parser::with_options(r.text.as_bytes(), options.clone())
-                            .parse_complete()
-                            .map(|v| infer_type_recorded(&v, rec))
-                    })
-                }),
-            }
+                    .collect();
+                typer.flush_counters();
+                out
+            })
         };
         let typed = self.surface_worker(typed)?;
         let map_time = map_start.elapsed();
 
         // Partition the outcomes into clean types and the error report
         // (one commutative monoid, like the schema itself), then let the
-        // policy decide.
-        let keeps_text = self.error_policy.keeps_text();
+        // policy decide — on the *merged* report, so the verdict is
+        // independent of worker count and partitioning.
         let mut types: Vec<Type> = Vec::new();
         let mut report = ErrorReport::new();
-        for (outcome, record) in typed.collect().into_iter().zip(dataset.iter()) {
+        for outcome in typed.collect() {
             match outcome {
-                Ok(ty) => types.push(ty),
-                Err(e) => report.note(BadRecord {
-                    at: u64::from(record.line),
-                    error: e,
-                    text: keeps_text.then(|| record.text.clone()),
-                }),
+                Absorbed::Record(ty) => types.push(ty),
+                Absorbed::Bad(bad) => report.note(bad),
+                Absorbed::Blank => {}
             }
         }
-        self.apply_policy(&report)?;
+        self.error_policy.enforce(&report, rec)?;
 
         let records = types.len() as u64;
         let types = Dataset::from_vec(types, self.partitions);
         self.finish(types, records, report, wall_start, map_time, map_metrics)
     }
 
-    /// Read the raw lines of a text source, retrying transient I/O
-    /// errors and enforcing the line-size guard. Oversized and
-    /// non-UTF-8 lines come back as records with a `pre_error` (so the
-    /// error policy sees them in input order); an unrecoverable read
-    /// error aborts with the line it happened at.
-    fn read_raw_lines(&self, mut reader: Box<dyn BufRead + '_>) -> Result<Vec<RawRecord>, Error> {
+    /// Read the raw lines of a text source under a `pipeline.read` span,
+    /// counting `json.lines`. Every line is kept, blank or oversized:
+    /// what a line *is* gets decided by the kernel, in input order.
+    fn read_records(&self, mut reader: Box<dyn BufRead + '_>) -> Result<Vec<RawRecord>, Error> {
         let rec = &self.recorder;
+        let _span = rec.span("pipeline.read");
         let mut out = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut line_no: u32 = 0;
-        loop {
-            buf.clear();
-            let raw =
-                read_line_bounded(&mut reader, &mut buf, self.max_line_bytes, self.retry, rec)
-                    .map_err(|e| Error::io_at(e, IoSite::line(line_no + 1)))?;
-            if raw.consumed == 0 {
-                return Ok(out);
-            }
-            rec.add("json.bytes", raw.consumed as u64);
-            line_no += 1;
-            rec.add("json.lines", 1);
-            let pre_error = |kind: ErrorKind| {
-                typefuse_json::Error::at(
-                    kind,
-                    Position {
-                        offset: 0,
-                        line: line_no,
-                        column: 1,
-                    },
-                )
-            };
-            if raw.truncated {
-                let cap = self.max_line_bytes.unwrap_or(usize::MAX);
+        for_each_line(
+            &mut reader,
+            self.max_line_bytes,
+            self.retry,
+            rec,
+            |line, bytes, truncated| {
+                rec.add("json.lines", 1);
                 out.push(RawRecord {
-                    line: line_no,
-                    text: String::from_utf8_lossy(&buf).into_owned(),
-                    pre_error: Some(pre_error(ErrorKind::RecordTooLarge(cap))),
+                    line: line as u32,
+                    bytes: bytes.to_vec(),
+                    truncated,
                 });
-                continue;
-            }
-            match std::str::from_utf8(&buf) {
-                Ok(text) => {
-                    let trimmed = text.trim();
-                    if !trimmed.is_empty() {
-                        out.push(RawRecord {
-                            line: line_no,
-                            text: trimmed.to_string(),
-                            pre_error: None,
-                        });
-                    }
-                }
-                // A non-UTF-8 line is a malformed *record*, not a dead
-                // stream: report it per policy and keep reading.
-                Err(_) => out.push(RawRecord {
-                    line: line_no,
-                    text: String::from_utf8_lossy(&buf).into_owned(),
-                    pre_error: Some(pre_error(ErrorKind::InvalidUtf8)),
-                }),
-            }
-        }
-    }
-
-    /// Decide what the collected bad records mean under this job's
-    /// [`ErrorPolicy`]: fail fast on the earliest one, or skip (and
-    /// quarantine) them subject to the error budget. The budget is
-    /// checked on the *merged* report, so the verdict is independent of
-    /// worker count and partitioning.
-    fn apply_policy(&self, report: &ErrorReport) -> Result<(), Error> {
-        self.error_policy.enforce(report, &self.recorder)
+            },
+        )?;
+        Ok(out)
     }
 
     /// Count and convert an isolated worker panic.
@@ -792,43 +529,14 @@ impl SchemaJob {
     }
 }
 
-/// One raw input line, pre-checked at read time: `pre_error` carries a
-/// read-level defect (oversized, non-UTF-8) so the Map phase and the
-/// error policy see every bad record in input order.
+/// One raw input line as read: content without its newline, capped by
+/// the line-size guard when `truncated`.
 #[derive(Debug, Clone)]
 struct RawRecord {
     /// 1-based input line number.
     line: u32,
-    /// Trimmed line content (lossy UTF-8 and capped when `pre_error`).
-    text: String,
-    /// A defect detected while reading, if any.
-    pre_error: Option<typefuse_json::Error>,
-}
-
-/// Read an NDJSON stream into `(line_no, trimmed_line)` pairs, skipping
-/// blanks, with the same byte/line accounting as
-/// [`NdjsonReader`](typefuse_json::NdjsonReader).
-fn read_lines(
-    mut reader: Box<dyn BufRead + '_>,
-    rec: &Recorder,
-) -> Result<Vec<(u32, String)>, Error> {
-    let mut lines = Vec::new();
-    let mut buf = String::new();
-    let mut line_no: u32 = 0;
-    loop {
-        buf.clear();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            return Ok(lines);
-        }
-        rec.add("json.bytes", n as u64);
-        line_no += 1;
-        rec.add("json.lines", 1);
-        let trimmed = buf.trim();
-        if !trimmed.is_empty() {
-            lines.push((line_no, trimmed.to_string()));
-        }
-    }
+    bytes: Vec<u8>,
+    truncated: bool,
 }
 
 /// Distinct-type statistics — the "Inferred types size" columns of

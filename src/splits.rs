@@ -7,31 +7,34 @@
 //! on one big file without first loading it into memory:
 //!
 //! * [`plan_splits`] — cut `[0, len)` into `n` ranges;
-//! * [`read_split`] — the snap-to-newline rule: a split owns every line
-//!   that *starts* within its range (the first split also owns offset 0);
-//! * [`infer_file_schema`] — per-split streaming inference (text → type,
-//!   no value trees) fused across splits; the result is identical for
-//!   any split count, by associativity.
-//! * [`infer_file_schema_with`] — the same, with an [`IngestOptions`]
-//!   bundle of error policy, transient-I/O retry and parser limits. Bad
-//!   records are collected per split into an [`ErrorReport`] and merged,
-//!   so skip/quarantine outcomes are byte-identical for any split count.
+//! * [`read_split_with`] — the snap-to-newline rule: a split owns every
+//!   line that *starts* within its range (the first split also owns
+//!   offset 0);
+//! * [`infer_file`] — one [`RecordFold`] per split (the job's Map
+//!   route, dedup mode, fuse configuration, parser limits and line-size
+//!   guard; memory stays O(schema) per split), merged in range order.
+//!   Bad records ride each fold's [`ErrorReport`] and the policy is
+//!   enforced on the merged report, so schema and skip/quarantine
+//!   outcomes are byte-identical for any split count, by associativity.
+//! * [`infer_file_schema_with`] — the same over an [`IngestOptions`]
+//!   bundle (error policy, transient-I/O retry, parser limits) with
+//!   every other knob at its default.
 //!
-//! The NDJSON line-size guard (`max_line_bytes`) is deliberately *not*
-//! part of [`IngestOptions`]: a capped line would desynchronise the
-//! snap-to-newline ownership rule between neighbouring splits. Oversized
-//! lines in split mode surface as parse errors of their own accord.
+//! The line-size guard composes with split ownership: a capped line is
+//! still consumed to its newline (only the buffer is bounded), so the
+//! next line starts where it would without the cap.
 
 use std::fs::File;
 use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::error::{Error, IoSite};
-use crate::faults::{BadRecord, ErrorPolicy, ErrorReport, RetryPolicy};
+use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
+use crate::fold::{Origin, RecordFold};
+use crate::pipeline::SchemaJob;
 use typefuse_engine::Runtime;
-use typefuse_infer::{streaming, Incremental};
-use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ParserOptions, Position};
+use typefuse_json::ndjson::read_line_bounded;
+use typefuse_json::ParserOptions;
 use typefuse_obs::{span, Recorder};
 use typefuse_types::Type;
 
@@ -83,41 +86,21 @@ pub struct IngestOptions {
 /// `[start, end)`. A split with `start > 0` first skips the tail of the
 /// line that began in the previous split; a line straddling `end` is
 /// still read to completion by its owner.
-pub fn read_split(
-    path: &Path,
-    split: Split,
-    mut on_line: impl FnMut(u64, &str) -> Result<(), Error>,
-) -> Result<(), Error> {
-    read_split_with(
-        path,
-        split,
-        RetryPolicy::none(),
-        &Recorder::disabled(),
-        |offset, bytes| {
-            let text = std::str::from_utf8(bytes).map_err(|e| {
-                Error::io_at(
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e),
-                    IoSite::offset(offset),
-                )
-            })?;
-            on_line(offset, text)
-        },
-    )
-}
-
-/// [`read_split`] with transient-I/O retry and byte-level lines. Each
-/// read failure is retried per `retry` (counting `ingest.retries` on
-/// `rec`) before surfacing as [`Error::Io`] with the byte offset of the
-/// failed read. Lines are handed to `on_line` untrimmed of their
-/// content but stripped of surrounding ASCII whitespace; blank lines
-/// are skipped. Invalid UTF-8 reaches `on_line` verbatim, so the parser
-/// reports it as a positioned parse error instead of a bare I/O error.
+///
+/// Each read failure is retried per `retry` (counting `ingest.retries`
+/// on `rec`) before surfacing as [`Error::Io`] with the byte offset of
+/// the failed read. `on_line` gets the line's absolute offset, its
+/// content as read, without the newline (blank lines included; capped
+/// at `max_line_bytes`) and whether the cap cut it. Invalid UTF-8
+/// arrives verbatim, so the parser reports it as a positioned parse
+/// error instead of a bare I/O error.
 pub fn read_split_with(
     path: &Path,
     split: Split,
+    max_line_bytes: Option<usize>,
     retry: RetryPolicy,
     rec: &Recorder,
-    mut on_line: impl FnMut(u64, &[u8]) -> Result<(), Error>,
+    mut on_line: impl FnMut(u64, &[u8], bool),
 ) -> Result<(), Error> {
     let file = File::open(path).map_err(|e| Error::io_at(e, IoSite::offset(split.start)))?;
     let mut reader = BufReader::new(file);
@@ -138,17 +121,13 @@ pub fn read_split_with(
     let mut line = Vec::new();
     while pos < split.end {
         line.clear();
-        let raw = read_line_bounded(&mut reader, &mut line, None, retry, rec)
+        let raw = read_line_bounded(&mut reader, &mut line, max_line_bytes, retry, rec)
             .map_err(|e| Error::io_at(e, IoSite::offset(pos)))?;
         if raw.consumed == 0 {
             break; // EOF
         }
-        let line_start = pos;
+        on_line(pos, &line, raw.truncated);
         pos += raw.consumed as u64;
-        let trimmed = trim_ascii_bytes(&line);
-        if !trimmed.is_empty() {
-            on_line(line_start, trimmed)?;
-        }
     }
     Ok(())
 }
@@ -169,16 +148,13 @@ pub struct FileSchema {
 }
 
 /// Infer the schema of an NDJSON file with `runtime.workers()` parallel
-/// splits, using streaming inference (no value trees; memory stays
-/// O(schema) per split).
+/// splits and default job settings (memory stays O(schema) per split).
 pub fn infer_file_schema(path: &Path, runtime: &Runtime) -> Result<FileSchema, Error> {
     infer_file_schema_recorded(path, runtime, &Recorder::disabled())
 }
 
-/// [`infer_file_schema`] with observability: counts `streaming.splits`
-/// and per-split `json.bytes` / `json.records`, and wraps each split in
-/// a `split.N` span so the trace shows how evenly the byte ranges load
-/// the workers. A disabled recorder costs nothing.
+/// [`infer_file_schema`] with observability (see [`infer_file`] for the
+/// counters and spans). A disabled recorder costs nothing.
 pub fn infer_file_schema_recorded(
     path: &Path,
     runtime: &Runtime,
@@ -192,86 +168,81 @@ pub fn infer_file_schema_recorded(
     infer_file_schema_with(path, runtime, &options, rec)
 }
 
-/// [`infer_file_schema_recorded`] with fault tolerance: the
-/// [`IngestOptions`] error policy decides whether a bad record aborts
-/// the run (fail-fast, the default), is dropped, or is quarantined;
-/// transient read errors are retried per the retry policy; and a
-/// panicking split worker surfaces as [`Error::Worker`] instead of
-/// tearing down the process.
-///
-/// Per-split [`ErrorReport`]s are merged before the policy budget is
-/// evaluated, so — like the fused schema itself — the skip/quarantine
-/// outcome is byte-identical for every worker and split count.
+/// [`infer_file`] for callers that hold an [`IngestOptions`] bundle
+/// instead of a job: every other knob is [`SchemaJob::new`]'s default.
 pub fn infer_file_schema_with(
     path: &Path,
     runtime: &Runtime,
     options: &IngestOptions,
     rec: &Recorder,
 ) -> Result<FileSchema, Error> {
+    let job = SchemaJob {
+        runtime: runtime.clone(),
+        recorder: rec.clone(),
+        error_policy: options.policy.clone(),
+        retry: options.retry,
+        parser_options: options.parser.clone(),
+        ..SchemaJob::new()
+    };
+    infer_file(path, &job)
+}
+
+/// Infer the schema of an NDJSON file over `4 × workers` byte-range
+/// splits of `job.runtime`, one [`RecordFold`] per split, configured
+/// like the batch route (`map_path`, `dedup`, `fuse_config`,
+/// `parser_options`, `max_line_bytes`, `retry`).
+///
+/// The job's error policy decides whether a bad record aborts the run
+/// (fail-fast, the default), is dropped, or is quarantined. Per-split
+/// [`ErrorReport`]s are merged before the policy is enforced, so — like
+/// the fused schema itself — the outcome is byte-identical for every
+/// worker and split count; [`BadRecord::at`](crate::BadRecord::at) is
+/// the line's absolute byte offset. A panicking split worker surfaces
+/// as [`Error::Worker`] instead of tearing down the process.
+///
+/// Counts `streaming.splits`, per-split `json.bytes` / `json.records`
+/// and the final `records`, and wraps each split in a `split.N` span so
+/// the trace shows how evenly the byte ranges load the workers.
+pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
+    let rec = &job.recorder;
     let len = std::fs::metadata(path)
         .map_err(|e| Error::io_at(e, IoSite::default()))?
         .len();
-    let splits = plan_splits(len, runtime.workers() * 4);
+    let splits = plan_splits(len, job.runtime.workers() * 4);
     rec.add("streaming.splits", splits.len() as u64);
-    let fail_fast = options.policy.is_fail_fast();
-    let keeps_text = options.policy.keeps_text();
-    let (outcome, _) = runtime.try_run_indexed(&splits, |i, &split| {
+    let config = job.fold_config(false);
+    let (outcome, _) = job.runtime.try_run_indexed(&splits, |i, &split| {
         let _span = span!(rec, "split", i);
-        let mut acc = Incremental::new();
-        let mut report = ErrorReport::new();
-        let result = read_split_with(path, split, options.retry, rec, |offset, line| {
-            match streaming::infer_with_options(line, options.parser.clone()) {
-                Ok(ty) => {
-                    rec.add("json.records", 1);
-                    acc.absorb_type(ty);
-                    Ok(())
-                }
-                Err(e) => {
-                    rec.add("json.parse_errors", 1);
-                    // Re-anchor at the file offset for actionable messages.
-                    let anchored = typefuse_json::Error::at(
-                        e.kind().clone(),
-                        Position {
-                            offset: offset as usize + e.span().start.offset,
-                            line: 1,
-                            column: (e.span().start.offset + 1) as u32,
-                        },
-                    );
-                    if fail_fast {
-                        Err(Error::Parse(anchored))
-                    } else {
-                        report.note(BadRecord {
-                            at: offset,
-                            error: anchored,
-                            text: keeps_text.then(|| String::from_utf8_lossy(line).into_owned()),
-                        });
-                        Ok(())
-                    }
-                }
-            }
-        });
+        let mut fold = RecordFold::new(config.clone(), rec.clone());
+        let result = read_split_with(
+            path,
+            split,
+            job.max_line_bytes,
+            job.retry,
+            rec,
+            |offset, line, truncated| fold.absorb_noting(Origin::Offset(offset), line, truncated),
+        );
+        fold.flush_counters();
         rec.add("json.bytes", split.end - split.start);
-        result.map(|()| (acc, report))
+        result.map(|()| fold)
     });
-    let accs = outcome.map_err(|p| {
+    let folds = outcome.map_err(|p| {
         rec.add("ingest.worker_panics", p.panics as u64);
         Error::Worker(p)
     })?;
-    let mut total = Incremental::new();
-    let mut errors = ErrorReport::new();
-    let split_count = accs.len();
-    // Splits are ordered by byte range, so taking the first per-split
-    // error yields the earliest failure in the file deterministically.
-    for acc in accs {
-        let (acc, report) = acc?;
-        total.merge(&acc);
-        errors.merge(&report);
+    let split_count = folds.len();
+    // Splits are ordered by byte range, so the first per-split I/O error
+    // is the earliest failure in the file deterministically.
+    let mut total = RecordFold::new(config, rec.clone());
+    for fold in folds {
+        total.merge(&fold?);
     }
-    options.policy.enforce(&errors, rec)?;
-    rec.add("records", total.count());
+    let (schema, records, errors, _) = total.finish();
+    job.error_policy.enforce(&errors, rec)?;
+    rec.add("records", records);
     Ok(FileSchema {
-        schema: total.schema().clone(),
-        records: total.count(),
+        schema,
+        records,
         splits: split_count,
         errors,
     })
@@ -291,6 +262,15 @@ mod tests {
         let mut f = File::create(&path).unwrap();
         f.write_all(contents.as_bytes()).unwrap();
         path
+    }
+
+    /// The lines a split owns, uncapped, as text.
+    fn read_all(path: &Path, split: Split, mut on_line: impl FnMut(u64, &str)) {
+        let (retry, rec) = (RetryPolicy::none(), Recorder::disabled());
+        read_split_with(path, split, None, retry, &rec, |offset, line, _| {
+            on_line(offset, std::str::from_utf8(line).unwrap())
+        })
+        .unwrap();
     }
 
     #[test]
@@ -315,11 +295,7 @@ mod tests {
             let splits = plan_splits(contents.len() as u64, parts);
             let mut seen: Vec<u64> = Vec::new();
             for split in splits {
-                read_split(&path, split, |offset, _| {
-                    seen.push(offset);
-                    Ok(())
-                })
-                .unwrap();
+                read_all(&path, split, |offset, _| seen.push(offset));
             }
             seen.sort_unstable();
             assert_eq!(seen.len(), 50, "parts = {parts}");
@@ -338,15 +314,13 @@ mod tests {
             let splits = plan_splits(contents.len() as u64, parts);
             let mut count = 0;
             for split in splits {
-                read_split(&path, split, |_, line| {
+                read_all(&path, split, |_, line| {
                     assert!(
                         typefuse_json::parse_value(line).is_ok(),
                         "torn line {line:?}"
                     );
                     count += 1;
-                    Ok(())
-                })
-                .unwrap();
+                });
             }
             assert_eq!(count, 3, "parts = {parts}");
         }

@@ -371,6 +371,56 @@ fn oversized_lines_follow_the_policy() {
 }
 
 #[test]
+fn an_over_cap_line_straddling_split_boundaries_keeps_ownership_intact() {
+    use typefuse::splits::{plan_splits, read_split_with};
+    // One 400-byte line in the middle of short ones: with 7 or 13 parts
+    // it spans several whole splits. The cap bounds only the buffer, so
+    // its owner still consumes it to the newline and every other line
+    // starts where it would without a cap.
+    let short = |i: usize| format!("{{\"n\":{i}}}\n");
+    let long = format!("{{\"pad\":\"{}\"}}\n", "x".repeat(390));
+    let contents: String = (0..20)
+        .map(short)
+        .chain([long])
+        .chain((20..40).map(short))
+        .collect();
+    let path = std::env::temp_dir().join(format!("typefuse-capped-{}.ndjson", std::process::id()));
+    std::fs::write(&path, &contents).unwrap();
+    for parts in [1, 2, 3, 7, 13] {
+        let mut seen: Vec<(u64, bool)> = Vec::new();
+        for split in plan_splits(contents.len() as u64, parts) {
+            let (retry, rec) = (RetryPolicy::none(), Recorder::disabled());
+            read_split_with(&path, split, Some(16), retry, &rec, |offset, line, cut| {
+                assert!(line.len() <= 16);
+                seen.push((offset, cut));
+            })
+            .unwrap();
+        }
+        assert_eq!(seen.len(), 41, "parts = {parts}");
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 41, "duplicate ownership with {parts} parts");
+        let truncated = seen.iter().filter(|(_, cut)| *cut).count();
+        assert_eq!(truncated, 1, "parts = {parts}");
+    }
+    // The same file through the whole split driver: 40 records, the
+    // capped line skipped with the configured cap in its error.
+    for workers in [1, 3] {
+        let job = JobConfig::new()
+            .workers(workers)
+            .max_line_bytes(16)
+            .on_error(ErrorPolicy::skip())
+            .build();
+        let file = typefuse::splits::infer_file(&path, &job).unwrap();
+        assert_eq!((file.records, file.errors.skipped()), (40, 1));
+        let bad = file.errors.first().unwrap();
+        assert_eq!(bad.error.kind(), &ErrorKind::RecordTooLarge(16));
+        assert_eq!(bad.at, 10 * 8 + 10 * 9, "byte offset of the long line");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn io_site_formats_all_coordinates() {
     let err = Error::io_at(
         std::io::Error::other("boom"),
