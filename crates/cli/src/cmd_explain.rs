@@ -103,9 +103,9 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         };
         println!("  branch {kind}: introduced at line {line} ({count} {noun})");
     }
-    print_histogram("str length", &profile_entry.str_len);
-    print_histogram("array length", &profile_entry.arr_len);
-    print_histogram("record width", &profile_entry.rec_width);
+    print_histogram("str length", profile_entry.str_len());
+    print_histogram("array length", profile_entry.arr_len());
+    print_histogram("record width", profile_entry.rec_width());
     if let (Some(min), Some(max)) = (profile_entry.num_min, profile_entry.num_max) {
         println!("  num range: [{min}, {max}]");
     }

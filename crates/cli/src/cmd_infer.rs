@@ -34,7 +34,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
     let map_path = flags.map_path;
     let dedup = flags.dedup;
-    let max_depth = flags.max_depth;
     let max_line_bytes = flags.max_line_bytes;
     let policy = flags.policy.clone();
     let parser_options = flags.parser_options();
@@ -56,16 +55,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         return Err(CliError::usage(
             "--profile-json runs its own fused pass and is incompatible with \
              --streaming/--counting/--stats (the profile report supersedes them)",
-        ));
-    }
-    if profile_json.is_some() && !policy.is_fail_fast() {
-        return Err(CliError::usage(
-            "the profiled pass is fail-fast; drop --on-error/--quarantine or --profile-json",
-        ));
-    }
-    if profile_json.is_some() && (max_depth.is_some() || max_line_bytes.is_some()) {
-        return Err(CliError::usage(
-            "--max-depth/--max-line-bytes are not supported with --profile-json",
         ));
     }
     if dedup == DedupMode::On && profile_json.is_some() {
@@ -130,6 +119,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         } else {
             print_schema(&profiled.profile.schema, &format)?;
         }
+        report_skipped(&profiled.errors, &policy);
         crate::job_args::write_envelope(&profile_path, "profile", &profiled.profile.to_json())?;
         write_observability(
             &profiled.run_report(&recorder),

@@ -117,7 +117,10 @@ COMMANDS:
         --profile-json F     run the profiled pipeline and write the
                              per-path dataset profile (presence, kinds,
                              length histograms, provenance lines) to F;
-                             byte-identical for any --workers/--map-path
+                             byte-identical for any --workers/--map-path;
+                             honours --on-error/--quarantine, --max-depth
+                             and --max-line-bytes (a skipped line leaves
+                             no trace in the profile)
         --metrics-json F     write a structured run report (counters,
                              histograms, per-task timings) as JSON to F
         --trace-json F       write a Chrome trace to F (load in Perfetto

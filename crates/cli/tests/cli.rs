@@ -791,6 +791,67 @@ fn profile_json_is_identical_across_workers_and_map_paths() {
     assert!(reports[0].contains("\"records\":4"));
 }
 
+/// The profiled pass honours the job's error policy and parser guards:
+/// a skipped line leaves no trace in the profile, and provenance keeps
+/// the *input* line numbers of the records around it.
+#[test]
+fn profile_json_honours_on_error_max_depth_and_max_line_bytes() {
+    // Each case puts one bad line after PROVENANCE_DATA's first.
+    let deep = "{\"a\":{\"b\":{\"c\":1}}}";
+    let long = format!("{{\"pad\":\"{}\"}}", "x".repeat(64));
+    let quarantine = std::env::temp_dir().join(format!("typefuse-test-pq-{}", std::process::id()));
+    // (the bad line, the guard that makes it bad, the lenient policy)
+    let cases: [(&str, &[&str], &[&str]); 4] = [
+        ("not json", &[], &["--on-error", "skip"]),
+        (deep, &["--max-depth", "2"], &["--on-error", "skip"]),
+        (&long, &["--max-line-bytes", "32"], &["--on-error", "skip"]),
+        ("[1,", &[], &["--quarantine", quarantine.to_str().unwrap()]),
+    ];
+    let mut reports = Vec::new();
+    for (i, (bad, guard, policy)) in cases.iter().enumerate() {
+        let data = PROVENANCE_DATA.replacen('\n', &format!("\n{bad}\n"), 1);
+        let path = std::env::temp_dir().join(format!(
+            "typefuse-test-profile-lenient-{}-{i}.json",
+            std::process::id()
+        ));
+        let mut args = vec!["infer", "-", "--format", "text", "--workers", "2"];
+        args.extend_from_slice(&["--profile-json", path.to_str().unwrap()]);
+        args.extend_from_slice(guard);
+        // Under the default policy the bad line fails the run.
+        let out = typefuse(&args, Some(&data));
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {}", stderr(&out));
+
+        args.extend_from_slice(policy);
+        let out = typefuse(&args, Some(&data));
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out).trim(), "{a: Num + Str, b: Bool?}", "{args:?}");
+        assert!(
+            stderr(&out).contains("skipped 1 bad record(s)"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        reports.push(std::fs::read_to_string(&path).expect("profile written"));
+        let _ = std::fs::remove_file(&path);
+    }
+    let quarantined = std::fs::read_to_string(&quarantine).expect("sidecar written");
+    let _ = std::fs::remove_file(&quarantine);
+    assert!(quarantined.contains("[1,"), "{quarantined}");
+    // Whatever the bad line was, the profile is that of the four good
+    // records at input lines 1, 3, 4, 5.
+    for report in &reports {
+        assert_eq!(report, &reports[0]);
+        assert!(report.contains("\"records\":4"), "{report}");
+        assert!(report.contains("\"first_absent_line\":3"), "{report}");
+        assert!(
+            report.contains("\"Str\":{\"count\":1,\"first_line\":5}"),
+            "{report}"
+        );
+        for trace in ["pad", "$.a.b", "not json"] {
+            assert!(!report.contains(trace), "{trace} in {report}");
+        }
+    }
+}
+
 #[test]
 fn profile_json_conflicts_with_streaming_counting_stats() {
     for extra in ["--streaming", "--counting", "--stats"] {
@@ -935,14 +996,6 @@ fn contradictory_error_flags_are_usage_errors() {
             "q.ndjson",
         ],
         vec!["infer", "-", "--on-error", "nonsense"],
-        vec![
-            "infer",
-            "-",
-            "--on-error",
-            "skip",
-            "--profile-json",
-            "p.json",
-        ],
     ] {
         let out = typefuse(&args, Some("{}\n"));
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -19,6 +19,21 @@
 //! The result is independent of partitioning and thread count, and the
 //! serialized report is byte-identical across runs.
 //!
+//! ## The path trie
+//!
+//! The statistics hang on the schema tree's own nodes (as JSONoid's
+//! do), not on a path-string index: an arena of nodes, each with its
+//! profile, its known children (`key → node`, looked up by `&str`) and
+//! its `[]` element node. An observer walks the trie beside the token
+//! stream or the `Value` and logs `(node, fact)` per value; only a
+//! record that parses to its end is replayed into the nodes, so a
+//! truncated line leaves no trace, and a warm accumulator absorbs a
+//! known-shape record without allocating. A node's identity is its
+//! *rendered* path — the key `a.b` under `$` and the key `b` under
+//! `$.a` share the node `$.a.b`, as they share a line of the report —
+//! and the `rendered path → node` map, consulted when a child index
+//! misses, orders every output (DESIGN §9).
+//!
 //! ## The absence monoid
 //!
 //! "Missing at line N" is the subtle part: a partition that has never
@@ -37,7 +52,9 @@
 //! in only one side, the other side's record occurrences at the parent
 //! all lacked it, so its first record line is an absence candidate. All
 //! candidates combine by minimum, which is what makes the merge a true
-//! monoid (verified by the `profile_laws` property tests).
+//! monoid (verified by the `profile_laws` property tests). Each rule is
+//! a loop over one node's children; "seen in this record" is an epoch
+//! stamp on the child edge, bumped per record, never cleared.
 //!
 //! Absence is only counted against *record* occurrences at the parent:
 //! a `Num` at `$.a` does not demote `$.a.b` — matching fusion, where
@@ -46,7 +63,7 @@
 use crate::fuse::FuseConfig;
 use crate::fuser::Fuser;
 use crate::incremental::Incremental;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use typefuse_json::events::{Event, EventParser};
 use typefuse_json::{ErrorKind, Parser, ParserOptions, Value};
 use typefuse_obs::{JsonWriter, LogHistogram};
@@ -56,6 +73,11 @@ const KINDS: usize = TypeKind::ALL.len();
 const KIND_RECORD: usize = TypeKind::Record as usize;
 /// Sentinel for "kind not seen yet" in the first-line table.
 const NO_LINE: u64 = u64::MAX;
+/// A length histogram, allocated by its first sample (a path uses one
+/// or two of the three, a scalar path none) and read as [`NO_SAMPLES`]
+/// until then.
+type LazyHistogram = Option<Box<LogHistogram>>;
+static NO_SAMPLES: LogHistogram = LogHistogram::new();
 
 /// The mergeable per-path statistics and provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,12 +93,10 @@ pub struct PathProfile {
     /// Smallest line at which a record occurrence of the parent lacked
     /// this key; `None` means the path was never absent (mandatory).
     pub first_absent_line: Option<u64>,
-    /// String value byte lengths.
-    pub str_len: LogHistogram,
-    /// Array value element counts.
-    pub arr_len: LogHistogram,
-    /// Record value field counts.
-    pub rec_width: LogHistogram,
+    // `Some` only with at least one sample, so derived `==` is exact.
+    str_len: LazyHistogram,
+    arr_len: LazyHistogram,
+    rec_width: LazyHistogram,
     /// Smallest numeric value seen.
     pub num_min: Option<f64>,
     /// Largest numeric value seen.
@@ -90,9 +110,9 @@ impl Default for PathProfile {
             kind_counts: [0; KINDS],
             kind_first_line: [NO_LINE; KINDS],
             first_absent_line: None,
-            str_len: LogHistogram::new(),
-            arr_len: LogHistogram::new(),
-            rec_width: LogHistogram::new(),
+            str_len: None,
+            arr_len: None,
+            rec_width: None,
             num_min: None,
             num_max: None,
         }
@@ -129,6 +149,21 @@ impl PathProfile {
         self.first_absent_line.is_some()
     }
 
+    /// String value byte lengths.
+    pub fn str_len(&self) -> &LogHistogram {
+        self.str_len.as_deref().unwrap_or(&NO_SAMPLES)
+    }
+
+    /// Array value element counts.
+    pub fn arr_len(&self) -> &LogHistogram {
+        self.arr_len.as_deref().unwrap_or(&NO_SAMPLES)
+    }
+
+    /// Record value field counts.
+    pub fn rec_width(&self) -> &LogHistogram {
+        self.rec_width.as_deref().unwrap_or(&NO_SAMPLES)
+    }
+
     /// The union branches present at this path: each seen kind with its
     /// occurrence count and introducing line, in paper kind order.
     pub fn branches(&self) -> Vec<(TypeKind, u64, u64)> {
@@ -149,6 +184,27 @@ impl PathProfile {
         self.first_absent_line = Some(self.first_absent_line.map_or(line, |l| l.min(line)));
     }
 
+    /// Count one value of `fact`'s kind seen at `line`.
+    fn note(&mut self, line: u64, fact: Fact) {
+        let (kind, length) = match fact {
+            Fact::Null => (TypeKind::Null, None),
+            Fact::Bool => (TypeKind::Bool, None),
+            Fact::Num(n) => {
+                self.num_min = merge_opt(self.num_min, Some(n), f64::min);
+                self.num_max = merge_opt(self.num_max, Some(n), f64::max);
+                (TypeKind::Num, None)
+            }
+            Fact::Str(len) => (TypeKind::Str, Some((&mut self.str_len, len))),
+            Fact::Array(len) => (TypeKind::Array, Some((&mut self.arr_len, len))),
+            Fact::Record(width) => (TypeKind::Record, Some((&mut self.rec_width, width))),
+        };
+        if let Some((hist, n)) = length {
+            hist.get_or_insert_with(Box::default).record(n);
+        }
+        self.kind_counts[kind as usize] += 1;
+        self.kind_first_line[kind as usize] = self.kind_first_line[kind as usize].min(line);
+    }
+
     fn merge(&mut self, other: &PathProfile) {
         self.count += other.count;
         for k in 0..KINDS {
@@ -158,9 +214,15 @@ impl PathProfile {
         if let Some(line) = other.first_absent_line {
             self.note_absent(line);
         }
-        self.str_len.merge_from(&other.str_len);
-        self.arr_len.merge_from(&other.arr_len);
-        self.rec_width.merge_from(&other.rec_width);
+        for (mine, theirs) in [
+            (&mut self.str_len, &other.str_len),
+            (&mut self.arr_len, &other.arr_len),
+            (&mut self.rec_width, &other.rec_width),
+        ] {
+            if let Some(theirs) = theirs {
+                mine.get_or_insert_with(Box::default).merge_from(theirs);
+            }
+        }
         self.num_min = merge_opt(self.num_min, other.num_min, f64::min);
         self.num_max = merge_opt(self.num_max, other.num_max, f64::max);
     }
@@ -198,9 +260,9 @@ impl PathProfile {
         }
         w.end_object();
         for (name, hist) in [
-            ("str_len", &self.str_len),
-            ("arr_len", &self.arr_len),
-            ("rec_width", &self.rec_width),
+            ("str_len", self.str_len()),
+            ("arr_len", self.arr_len()),
+            ("rec_width", self.rec_width()),
         ] {
             if !hist.is_empty() {
                 w.key(name);
@@ -225,66 +287,111 @@ fn merge_opt(a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64) -> Optio
     }
 }
 
-/// Per-record observation of one path, before it is folded into the
-/// accumulator. Built identically by the value walk and the event fold
-/// (property-tested), which is what makes the two Map routes produce
-/// byte-identical profiles.
-#[derive(Debug, Default)]
-struct RecordFacts {
-    kinds: [u64; KINDS],
-    str_lens: Vec<u64>,
-    arr_lens: Vec<u64>,
-    rec_widths: Vec<u64>,
-    num_min: Option<f64>,
-    num_max: Option<f64>,
-    /// For record occurrences: key → occurrences containing it.
-    present: BTreeMap<String, u64>,
+/// One value an observer saw, logged against its node until the record
+/// is known to parse. The value walk and the event fold log the same
+/// facts (property-tested), so both Map routes profile byte-identically.
+#[derive(Debug, Clone, Copy)]
+enum Fact {
+    Null,
+    Bool,
+    Num(f64),
+    Str(u64),
+    Array(u64),
+    Record(u64),
 }
 
-impl RecordFacts {
-    fn note_num(&mut self, value: f64) {
-        self.num_min = merge_opt(self.num_min, Some(value), f64::min);
-        self.num_max = merge_opt(self.num_max, Some(value), f64::max);
+/// A known child key of a record path.
+#[derive(Debug, Clone)]
+struct Kid {
+    node: u32,
+    /// Object occurrences of the parent holding this key in the record
+    /// of epoch `seen_in` (scratch; stale once the epoch moves on).
+    seen: u64,
+    seen_in: u64,
+}
+
+impl Kid {
+    fn to(node: u32) -> Kid {
+        Kid {
+            node,
+            seen: 0,
+            seen_in: 0,
+        }
     }
 }
 
-type Facts = BTreeMap<String, RecordFacts>;
+/// One path of the trie.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    /// The rendered path — the node's identity.
+    path: String,
+    profile: PathProfile,
+    /// Key names ever seen present in a record here (rule 1 of the
+    /// absence monoid needs the *known* children), with their nodes.
+    kids: BTreeMap<Box<str>, Kid>,
+    /// The `[]` node, once an array here has been walked.
+    elem: Option<u32>,
+    /// Per-record replay scratch, valid while `epoch` is the
+    /// accumulator's: object occurrences in this record, and the first
+    /// record line as it stood before this record.
+    epoch: u64,
+    occurrences: u64,
+    prior_record_line: u64,
+}
 
-/// The [`Profiling`] accumulator: a fused schema plus per-path profiles
-/// and the provenance index. Merge is associative and commutative.
-#[derive(Debug, Clone, PartialEq)]
+/// The [`Profiling`] accumulator: a fused schema plus the path trie of
+/// per-path profiles and provenance. Merge is associative and
+/// commutative; `==` compares what a report or checkpoint can show.
+#[derive(Debug, Clone, Default)]
 pub struct ProfileAcc {
     schema: Incremental,
-    paths: BTreeMap<String, PathProfile>,
-    /// Record paths → child key names ever seen present under them
-    /// (rule 1 of the absence monoid needs the *known* children).
-    children: BTreeMap<String, BTreeSet<String>>,
+    nodes: Vec<Node>,
+    /// Rendered path → node: the authority on identity and order.
+    by_path: BTreeMap<String, u32>,
     /// Earliest malformed line, kept mergeable so a profiled run over
     /// parallel partitions reports the same first error as a sequential
     /// one.
     first_error: Option<(u64, typefuse_json::Error)>,
+    /// Per-record scratch, empty between records: the stamp of the
+    /// record being observed, its observation log, and the child index
+    /// entries it added as `(parent, key — None for a `[]` link, child)`:
+    /// undone if the record fails to parse, rule 2's new keys if not.
+    epoch: u64,
+    log: Vec<(u32, Fact)>,
+    new_edges: Vec<(u32, Option<Box<str>>, u32)>,
 }
 
-impl Default for ProfileAcc {
-    fn default() -> Self {
-        Self::new()
+impl PartialEq for ProfileAcc {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema
+            && self.first_error == other.first_error
+            && self.by_path.len() == other.by_path.len()
+            && self.sorted().zip(other.sorted()).all(|(a, b)| {
+                a.path == b.path && a.profile == b.profile && a.kids.keys().eq(b.kids.keys())
+            })
     }
 }
 
 impl ProfileAcc {
     /// An empty accumulator with the default fusion configuration.
     pub fn new() -> Self {
-        Self::with_config(FuseConfig::default())
+        Self::default()
     }
 
     /// An empty accumulator with an explicit fusion configuration.
     pub fn with_config(config: FuseConfig) -> Self {
         ProfileAcc {
             schema: Incremental::with_config(config),
-            paths: BTreeMap::new(),
-            children: BTreeMap::new(),
-            first_error: None,
+            ..Self::default()
         }
+    }
+
+    /// The same path statistics beside a schema and record count fused
+    /// elsewhere: a fold that only [observes](Self::observe_line) fuses
+    /// once, in its own schema accumulator, and hands the result over.
+    pub fn with_schema(mut self, schema: Type, records: u64) -> Self {
+        self.schema = Incremental::resume(schema, records, self.schema.config());
+        self
     }
 
     /// Records absorbed (across merges).
@@ -305,20 +412,8 @@ impl ProfileAcc {
     /// Absorb one already-materialised value observed at `line`
     /// (1-based; for in-memory sources the record ordinal).
     pub fn absorb_value_at(&mut self, line: u64, value: &Value) {
-        self.absorb_value_typed(line, value);
-    }
-
-    /// [`absorb_value_at`](Self::absorb_value_at), handing back the
-    /// record's inferred type so a caller that also feeds a schema
-    /// accumulator does not infer it twice.
-    pub fn absorb_value_typed(&mut self, line: u64, value: &Value) -> Type {
-        let mut facts = Facts::new();
-        let mut path = String::from("$");
-        observe_value(value, &mut path, &mut facts);
-        let ty = crate::infer::infer_type(value);
+        let ty = self.observe_value(line, value);
         self.schema.absorb_type_ref(&ty);
-        self.apply_facts(line, facts);
-        ty
     }
 
     /// Absorb one NDJSON line through the event fold — no `Value` tree
@@ -333,26 +428,17 @@ impl ProfileAcc {
 
     /// The event fold of [`absorb_line`](Self::absorb_line) under the
     /// caller's parser options: one tokenisation yields both the
-    /// observation and the record's type, which is handed back. A parse
-    /// failure is returned and leaves the accumulator untouched.
+    /// observation and the record's type, which is fused in and handed
+    /// back. A parse failure is returned and leaves the accumulator
+    /// untouched.
     pub fn absorb_line_typed(
         &mut self,
         line: u64,
         input: &[u8],
         options: &ParserOptions,
     ) -> typefuse_json::Result<Type> {
-        if options.allow_duplicate_keys {
-            // The event observer assumes strict keys; lenient input goes
-            // through the value tree, where last-wins is settled.
-            let value = Parser::with_options(input, options.clone()).parse_complete()?;
-            return Ok(self.absorb_value_typed(line, &value));
-        }
-        let mut facts = Facts::new();
-        let mut parser = EventParser::with_options(input, options.clone());
-        let ty = observe_events_root(&mut parser, &mut facts)?;
-        parser.finish()?;
+        let ty = self.observe_line(line, input, options)?;
         self.schema.absorb_type_ref(&ty);
-        self.apply_facts(line, facts);
         Ok(ty)
     }
 
@@ -365,10 +451,41 @@ impl ProfileAcc {
         }
     }
 
-    /// Absorb an already inferred type: counts the record and fuses the
-    /// schema but contributes no path statistics (they need the value).
-    pub fn absorb_type_only(&mut self, ty: &Type) {
-        self.schema.absorb_type(ty.clone());
+    /// Observe one line's path statistics through the event fold and
+    /// hand back its type *without* fusing or counting it (see
+    /// [`with_schema`](Self::with_schema)). A parse failure is returned
+    /// and leaves the accumulator untouched.
+    pub fn observe_line(
+        &mut self,
+        line: u64,
+        input: &[u8],
+        options: &ParserOptions,
+    ) -> typefuse_json::Result<Type> {
+        if options.allow_duplicate_keys {
+            // The event observer assumes strict keys; lenient input goes
+            // through the value tree, where last-wins is settled.
+            let value = Parser::with_options(input, options.clone()).parse_complete()?;
+            return Ok(self.observe_value(line, &value));
+        }
+        let mut parser = EventParser::with_options(input, options.clone());
+        let arena_len = self.nodes.len();
+        let root = self.begin_record();
+        let typed = next_or_eof(&mut parser)
+            .and_then(|first| self.observe_event_value(&mut parser, first, root))
+            .and_then(|ty| parser.finish().map(|()| ty));
+        match typed {
+            Ok(_) => self.commit_record(line),
+            Err(_) => self.abandon_record(arena_len),
+        }
+        typed
+    }
+
+    /// The tree-walk twin of [`observe_line`](Self::observe_line).
+    pub fn observe_value(&mut self, line: u64, value: &Value) -> Type {
+        let root = self.begin_record();
+        self.observe_tree(value, root);
+        self.commit_record(line);
+        crate::infer::infer_type(value)
     }
 
     fn note_error(&mut self, line: u64, error: typefuse_json::Error) {
@@ -381,77 +498,128 @@ impl ProfileAcc {
         }
     }
 
-    /// Fold one record's observation in. Absence (phase A) is computed
-    /// against the accumulator state *before* this record's presence
-    /// lands (phase B), because rule 2 needs the parent's prior first
-    /// record line.
-    fn apply_facts(&mut self, line: u64, facts: Facts) {
-        // Phase A: absence candidates.
-        let mut absences: Vec<(String, u64)> = Vec::new();
-        for (parent, f) in &facts {
-            let obj_occ = f.kinds[KIND_RECORD];
-            if obj_occ == 0 {
-                continue;
-            }
-            let known = self.children.get(parent);
-            let prior_record_first = self
-                .paths
-                .get(parent)
-                .and_then(PathProfile::record_first_line);
-            let mut names: BTreeSet<&str> = f.present.keys().map(String::as_str).collect();
-            if let Some(known) = known {
-                names.extend(known.iter().map(String::as_str));
-            }
-            for name in names {
-                let present = f.present.get(name).copied().unwrap_or(0);
-                let is_new = known.is_none_or(|s| !s.contains(name));
-                // Rule 1: absent from some occurrence in this record.
-                let mut candidate = (present < obj_occ).then_some(line);
-                // Rule 2: new key, but the parent had earlier objects —
-                // all of them lacked it.
-                if is_new {
-                    if let Some(earlier) = prior_record_first {
-                        candidate = Some(candidate.map_or(earlier, |c| c.min(earlier)));
-                    }
+    /// Nodes in rendered-path order.
+    fn sorted(&self) -> impl Iterator<Item = &Node> {
+        self.by_path.values().map(|&id| &self.nodes[id as usize])
+    }
+
+    /// The node for a rendered path, created empty if the path is new.
+    fn node_at(&mut self, path: &str) -> u32 {
+        if let Some(&id) = self.by_path.get(path) {
+            return id;
+        }
+        let id = self.nodes.len() as u32;
+        self.by_path.insert(path.to_string(), id);
+        let path = path.to_string();
+        self.nodes.push(Node {
+            path,
+            ..Node::default()
+        });
+        id
+    }
+
+    /// Stamp a new record and return the root node.
+    fn begin_record(&mut self) -> u32 {
+        self.epoch += 1;
+        self.node_at("$")
+    }
+
+    /// The node of `key` under the record at `parent`, counting one more
+    /// occurrence holding it in this record.
+    fn kid(&mut self, parent: u32, key: &str) -> u32 {
+        let epoch = self.epoch;
+        loop {
+            if let Some(kid) = self.nodes[parent as usize].kids.get_mut(key) {
+                if kid.seen_in != epoch {
+                    (kid.seen, kid.seen_in) = (0, epoch);
                 }
-                if let Some(c) = candidate {
-                    absences.push((child_path(parent, name), c));
+                kid.seen += 1;
+                return kid.node;
+            }
+            self.link(parent, Some(key));
+        }
+    }
+
+    /// The `[]` node under the array at `parent`.
+    fn elem(&mut self, parent: u32) -> u32 {
+        match self.nodes[parent as usize].elem {
+            Some(node) => node,
+            None => self.link(parent, None),
+        }
+    }
+
+    /// A child index missed: find or create the child by its rendered
+    /// path, index it, and keep the new edge for the end of the record.
+    fn link(&mut self, parent: u32, key: Option<&str>) -> u32 {
+        let path = &self.nodes[parent as usize].path;
+        let path = match key {
+            Some(key) => format!("{path}.{key}"),
+            None => format!("{path}[]"),
+        };
+        let child = self.node_at(&path);
+        let node = &mut self.nodes[parent as usize];
+        match key {
+            Some(key) => drop(node.kids.insert(key.into(), Kid::to(child))),
+            None => node.elem = Some(child),
+        }
+        self.new_edges.push((parent, key.map(Box::from), child));
+        child
+    }
+
+    /// Replay the record's log into the nodes. Absence is computed
+    /// against the state *before* this record's presence landed: rule 2
+    /// needs the parent's prior first record line, which the first
+    /// touch of a node in this epoch sets aside.
+    fn commit_record(&mut self, line: u64) {
+        let epoch = self.epoch;
+        for &(id, fact) in &self.log {
+            let node = &mut self.nodes[id as usize];
+            if node.epoch != epoch {
+                node.epoch = epoch;
+                node.occurrences = 0;
+                node.prior_record_line = node.profile.kind_first_line[KIND_RECORD];
+                node.profile.count += 1;
+            }
+            node.occurrences += u64::from(matches!(fact, Fact::Record(_)));
+            node.profile.note(line, fact);
+        }
+        // Rule 1: a known key held by fewer occurrences than there were.
+        for (id, _) in self.log.drain(..) {
+            let occurrences = std::mem::take(&mut self.nodes[id as usize].occurrences);
+            if occurrences == 0 {
+                continue; // not a record here, or already done
+            }
+            let kids = std::mem::take(&mut self.nodes[id as usize].kids);
+            for kid in kids.values() {
+                if kid.seen_in != epoch || kid.seen < occurrences {
+                    self.nodes[kid.node as usize].profile.note_absent(line);
                 }
+            }
+            self.nodes[id as usize].kids = kids;
+        }
+        // Rule 2: a new key, but the parent had earlier objects — all of
+        // them lacked it.
+        for (parent, key, child) in self.new_edges.drain(..) {
+            let earlier = self.nodes[parent as usize].prior_record_line;
+            if key.is_some() && earlier != NO_LINE {
+                self.nodes[child as usize].profile.note_absent(earlier);
             }
         }
-        // Phase B: presence.
-        for (path, f) in facts {
-            if f.kinds[KIND_RECORD] > 0 {
-                let kids = self.children.entry(path.clone()).or_default();
-                for name in f.present.keys() {
-                    kids.insert(name.clone());
-                }
+    }
+
+    /// Forget a record that failed to parse: its log, the index entries
+    /// it added and the nodes it created (the arena's tail).
+    fn abandon_record(&mut self, arena_len: usize) {
+        self.log.clear();
+        for (parent, key, _) in self.new_edges.drain(..) {
+            let parent = &mut self.nodes[parent as usize];
+            match key {
+                Some(key) => drop(parent.kids.remove(&key)),
+                None => parent.elem = None,
             }
-            let entry = self.paths.entry(path).or_default();
-            entry.count += 1;
-            for k in 0..KINDS {
-                entry.kind_counts[k] += f.kinds[k];
-                if f.kinds[k] > 0 {
-                    entry.kind_first_line[k] = entry.kind_first_line[k].min(line);
-                }
-            }
-            for &len in &f.str_lens {
-                entry.str_len.record(len);
-            }
-            for &len in &f.arr_lens {
-                entry.arr_len.record(len);
-            }
-            for &width in &f.rec_widths {
-                entry.rec_width.record(width);
-            }
-            entry.num_min = merge_opt(entry.num_min, f.num_min, f64::min);
-            entry.num_max = merge_opt(entry.num_max, f.num_max, f64::max);
         }
-        // Phase C: the candidates refer to paths that now exist.
-        for (path, line) in absences {
-            if let Some(entry) = self.paths.get_mut(&path) {
-                entry.note_absent(line);
-            }
+        for node in self.nodes.drain(arena_len..) {
+            self.by_path.remove(&node.path);
         }
     }
 
@@ -460,58 +628,40 @@ impl ProfileAcc {
     /// one side was absent from every record occurrence of its parent
     /// on the other side, whose first record line becomes a candidate.
     pub fn merge(&mut self, other: &ProfileAcc) {
-        let mut fixes: Vec<(String, u64)> = Vec::new();
-        for (parent, names) in &other.children {
-            if let Some(line) = self
-                .paths
-                .get(parent)
-                .and_then(PathProfile::record_first_line)
-            {
-                for name in names {
-                    let child = child_path(parent, name);
-                    if !self.paths.contains_key(&child) {
-                        fixes.push((child, line));
-                    }
-                }
+        // Paths new to this side land at `arena_len..`.
+        let arena_len = self.nodes.len() as u32;
+        let ids: Vec<u32> = other.nodes.iter().map(|n| self.node_at(&n.path)).collect();
+        let mut absent: Vec<(u32, u64)> = Vec::new();
+        for (theirs, &id) in other.nodes.iter().zip(&ids) {
+            let mine = &self.nodes[id as usize];
+            if let Some(line) = mine.profile.record_first_line() {
+                let only_theirs = theirs.kids.values().map(|kid| ids[kid.node as usize]);
+                absent.extend(only_theirs.filter(|&c| c >= arena_len).map(|c| (c, line)));
             }
-        }
-        for (parent, names) in &self.children {
-            if let Some(line) = other
-                .paths
-                .get(parent)
-                .and_then(PathProfile::record_first_line)
-            {
-                for name in names {
-                    let child = child_path(parent, name);
-                    if !other.paths.contains_key(&child) {
-                        fixes.push((child, line));
-                    }
-                }
+            if let Some(line) = theirs.profile.record_first_line() {
+                let in_theirs = |c: &u32| other.by_path.contains_key(&self.nodes[*c as usize].path);
+                let only_mine = mine.kids.values().map(|kid| kid.node);
+                absent.extend(only_mine.filter(|c| !in_theirs(c)).map(|c| (c, line)));
             }
-        }
-        for (path, profile) in &other.paths {
-            self.paths.entry(path.clone()).or_default().merge(profile);
-        }
-        for (path, names) in &other.children {
-            self.children
-                .entry(path.clone())
-                .or_default()
-                .extend(names.iter().cloned());
+            for (child, line) in absent.drain(..) {
+                self.nodes[child as usize].profile.note_absent(line);
+            }
+            let mine = &mut self.nodes[id as usize];
+            mine.profile.merge(&theirs.profile);
+            for (key, kid) in &theirs.kids {
+                let kid = Kid::to(ids[kid.node as usize]);
+                mine.kids.entry(key.clone()).or_insert(kid);
+            }
         }
         self.schema.merge(&other.schema);
         if let Some((line, e)) = &other.first_error {
             self.note_error(*line, e.clone());
         }
-        for (path, line) in fixes {
-            if let Some(entry) = self.paths.get_mut(&path) {
-                entry.note_absent(line);
-            }
-        }
     }
 
     /// Whether nothing (not even an error) has been absorbed.
     pub fn is_empty(&self) -> bool {
-        self.records() == 0 && self.paths.is_empty() && self.first_error.is_none()
+        self.records() == 0 && self.nodes.is_empty() && self.first_error.is_none()
     }
 
     /// Serialize the full accumulator state for a crash-recovery
@@ -524,15 +674,18 @@ impl ProfileAcc {
     /// restores a `==`-identical accumulator and the resumed fold is
     /// byte-identical to an uninterrupted one.
     pub fn checkpoint_value(&self) -> Value {
+        self.checkpoint_with(self.schema.schema(), self.schema.count())
+    }
+
+    /// [`checkpoint_value`](Self::checkpoint_value) with the schema and
+    /// record count of [`with_schema`](Self::with_schema), uncloned.
+    pub fn checkpoint_with(&self, schema: &Type, records: u64) -> Value {
         use typefuse_json::codec::{error_to_value, u64_to_value};
         use typefuse_json::Map;
         let join = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         let mut obj = Map::new();
-        obj.insert(
-            "schema",
-            Value::from(typefuse_types::wire::to_wire(self.schema.schema())),
-        );
-        obj.insert("records", u64_to_value(self.schema.count()));
+        obj.insert("schema", Value::from(typefuse_types::wire::to_wire(schema)));
+        obj.insert("records", u64_to_value(records));
         if let Some((line, error)) = &self.first_error {
             let mut fe = Map::new();
             fe.insert("line", u64_to_value(*line));
@@ -540,13 +693,14 @@ impl ProfileAcc {
             obj.insert("first_error", Value::Object(fe));
         }
         let mut children = Map::new();
-        for (parent, names) in &self.children {
-            let names: Vec<Value> = names.iter().map(|n| Value::from(n.clone())).collect();
-            children.insert(parent.clone(), Value::Array(names));
-        }
-        obj.insert("children", Value::Object(children));
         let mut paths = Map::new();
-        for (path, p) in &self.paths {
+        for node in self.sorted() {
+            let p = &node.profile;
+            // Every path that was ever a record lists its keys, `{}` none.
+            if p.kind_counts[KIND_RECORD] > 0 {
+                let names = node.kids.keys().map(|k| Value::from(k.to_string()));
+                children.insert(node.path.clone(), Value::Array(names.collect()));
+            }
             let mut entry = Map::new();
             entry.insert("count", u64_to_value(p.count));
             entry.insert("kinds", Value::from(join(&p.kind_counts)));
@@ -554,17 +708,18 @@ impl ProfileAcc {
             if let Some(line) = p.first_absent_line {
                 entry.insert("absent", u64_to_value(line));
             }
-            entry.insert("str_len", Value::from(p.str_len.to_compact()));
-            entry.insert("arr_len", Value::from(p.arr_len.to_compact()));
-            entry.insert("rec_width", Value::from(p.rec_width.to_compact()));
+            entry.insert("str_len", Value::from(p.str_len().to_compact()));
+            entry.insert("arr_len", Value::from(p.arr_len().to_compact()));
+            entry.insert("rec_width", Value::from(p.rec_width().to_compact()));
             if let Some(min) = p.num_min {
                 entry.insert("num_min", u64_to_value(min.to_bits()));
             }
             if let Some(max) = p.num_max {
                 entry.insert("num_max", u64_to_value(max.to_bits()));
             }
-            paths.insert(path.clone(), Value::Object(entry));
+            paths.insert(node.path.clone(), Value::Object(entry));
         }
+        obj.insert("children", Value::Object(children));
         obj.insert("paths", Value::Object(paths));
         Value::Object(obj)
     }
@@ -593,6 +748,10 @@ impl ProfileAcc {
                 .map(String::from)
                 .ok_or_else(|| format!("profile path missing `{name}`"))
         };
+        let histogram = |v: &Value, name: &str| -> Result<LazyHistogram, String> {
+            let hist = LogHistogram::from_compact(&str_field(v, name)?)?;
+            Ok((!hist.is_empty()).then(|| Box::new(hist)))
+        };
         let schema = typefuse_types::wire::from_wire(
             v.get("schema")
                 .and_then(Value::as_str)
@@ -602,44 +761,25 @@ impl ProfileAcc {
             .get("records")
             .ok_or_else(|| "profile missing `records`".to_string())
             .and_then(u64_from_value)?;
-        let first_error = match v.get("first_error") {
-            None | Some(Value::Null) => None,
-            Some(fe) => {
-                let line = fe
-                    .get("line")
-                    .ok_or_else(|| "first_error missing `line`".to_string())
-                    .and_then(u64_from_value)?;
-                let error = fe
-                    .get("error")
-                    .ok_or_else(|| "first_error missing `error`".to_string())
-                    .and_then(error_from_value)?;
-                Some((line, error))
-            }
-        };
-        let mut children = BTreeMap::new();
-        if let Some(map) = v.get("children").and_then(Value::as_object) {
-            for (parent, names) in map.iter() {
-                let names = names
-                    .as_array()
-                    .ok_or_else(|| "children value is not an array".to_string())?;
-                let mut set = BTreeSet::new();
-                for name in names {
-                    set.insert(
-                        name.as_str()
-                            .ok_or_else(|| "child name is not a string".to_string())?
-                            .to_string(),
-                    );
-                }
-                children.insert(parent.to_string(), set);
-            }
+        let mut acc = Self::with_config(config).with_schema(schema, records);
+        if let Some(fe) = v.get("first_error").filter(|fe| !matches!(fe, Value::Null)) {
+            let line = fe
+                .get("line")
+                .ok_or_else(|| "first_error missing `line`".to_string())
+                .and_then(u64_from_value)?;
+            let error = fe
+                .get("error")
+                .ok_or_else(|| "first_error missing `error`".to_string())
+                .and_then(error_from_value)?;
+            acc.first_error = Some((line, error));
         }
-        let mut paths = BTreeMap::new();
         let path_map = v
             .get("paths")
             .and_then(Value::as_object)
             .ok_or_else(|| "profile missing `paths`".to_string())?;
         for (path, entry) in path_map.iter() {
-            let profile = PathProfile {
+            let id = acc.node_at(path);
+            acc.nodes[id as usize].profile = PathProfile {
                 count: entry
                     .get("count")
                     .ok_or_else(|| "profile path missing `count`".to_string())
@@ -647,34 +787,40 @@ impl ProfileAcc {
                 kind_counts: split(&str_field(entry, "kinds")?)?,
                 kind_first_line: split(&str_field(entry, "first")?)?,
                 first_absent_line: opt_u64_from_value(entry.get("absent"))?,
-                str_len: LogHistogram::from_compact(&str_field(entry, "str_len")?)?,
-                arr_len: LogHistogram::from_compact(&str_field(entry, "arr_len")?)?,
-                rec_width: LogHistogram::from_compact(&str_field(entry, "rec_width")?)?,
+                str_len: histogram(entry, "str_len")?,
+                arr_len: histogram(entry, "arr_len")?,
+                rec_width: histogram(entry, "rec_width")?,
                 num_min: opt_u64_from_value(entry.get("num_min"))?.map(f64::from_bits),
                 num_max: opt_u64_from_value(entry.get("num_max"))?.map(f64::from_bits),
             };
-            paths.insert(path.to_string(), profile);
         }
-        Ok(ProfileAcc {
-            schema: Incremental::resume(schema, records, config),
-            paths,
-            children,
-            first_error,
-        })
+        // The child indexes come back through the path map (`[]` links
+        // the same way, on their first miss).
+        let children = v.get("children").and_then(Value::as_object);
+        for (parent, names) in children.iter().flat_map(|map| map.iter()) {
+            for name in names.as_array().ok_or("children value is not an array")? {
+                let name = name.as_str().ok_or("child name is not a string")?;
+                let node = |path: &str| {
+                    let id = acc.by_path.get(path).copied();
+                    id.ok_or_else(|| format!("child index names unprofiled path `{path}`"))
+                };
+                let (parent, node) = (node(parent)?, node(&format!("{parent}.{name}"))?);
+                let kids = &mut acc.nodes[parent as usize].kids;
+                kids.insert(name.into(), Kid::to(node));
+            }
+        }
+        Ok(acc)
     }
 
     /// Finish into the immutable dataset profile.
     pub fn finish(self) -> ProfileReport {
+        let nodes = self.nodes.into_iter();
         ProfileReport {
             records: self.schema.count(),
             schema: self.schema.into_schema(),
-            paths: self.paths,
+            paths: nodes.map(|n| (n.path, n.profile)).collect(),
         }
     }
-}
-
-fn child_path(parent: &str, name: &str) -> String {
-    format!("{parent}.{name}")
 }
 
 /// The profiling Reduce strategy: plug into the engine's trait-driven
@@ -700,8 +846,10 @@ impl Fuser for Profiling {
         ProfileAcc::with_config(self.config)
     }
 
+    /// Counts the record and fuses the schema, but contributes no path
+    /// statistics: they need the value.
     fn absorb_type(&self, acc: &mut ProfileAcc, ty: &Type) {
-        acc.absorb_type_only(ty);
+        acc.schema.absorb_type_ref(ty);
     }
 
     fn absorb_value(&self, acc: &mut ProfileAcc, value: &Value) {
@@ -777,74 +925,92 @@ impl ProfileReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Observation builders: one per Map route, equal by property test.
-// ---------------------------------------------------------------------
-
-/// Tree route: walk a materialised value, collecting facts per path.
-fn observe_value(v: &Value, path: &mut String, facts: &mut Facts) {
-    match v {
-        Value::Null => facts.entry(path.clone()).or_default().kinds[TypeKind::Null as usize] += 1,
-        Value::Bool(_) => {
-            facts.entry(path.clone()).or_default().kinds[TypeKind::Bool as usize] += 1
-        }
-        Value::Number(n) => {
-            let f = facts.entry(path.clone()).or_default();
-            f.kinds[TypeKind::Num as usize] += 1;
-            f.note_num(n.as_f64());
-        }
-        Value::String(s) => {
-            let f = facts.entry(path.clone()).or_default();
-            f.kinds[TypeKind::Str as usize] += 1;
-            f.str_lens.push(s.len() as u64);
-        }
-        Value::Object(map) => {
-            {
-                let f = facts.entry(path.clone()).or_default();
-                f.kinds[KIND_RECORD] += 1;
-                f.rec_widths.push(map.len() as u64);
-                for (key, _) in map.iter() {
-                    *f.present.entry(key.to_string()).or_insert(0) += 1;
+/// Observers: one per Map route, equal by property test. Each walks the
+/// trie beside its input and logs one fact per value.
+impl ProfileAcc {
+    /// Tree route: walk a materialised value.
+    fn observe_tree(&mut self, v: &Value, node: u32) {
+        let fact = match v {
+            Value::Null => Fact::Null,
+            Value::Bool(_) => Fact::Bool,
+            Value::Number(n) => Fact::Num(n.as_f64()),
+            Value::String(s) => Fact::Str(s.len() as u64),
+            Value::Object(map) => {
+                for (key, child) in map.iter() {
+                    let kid = self.kid(node, key);
+                    self.observe_tree(child, kid);
                 }
+                Fact::Record(map.len() as u64)
             }
-            for (key, child) in map.iter() {
-                let len = path.len();
-                path.push('.');
-                path.push_str(key);
-                observe_value(child, path, facts);
-                path.truncate(len);
+            Value::Array(elems) => {
+                for child in elems {
+                    // Per element: an empty array has no `[]` path.
+                    let elem = self.elem(node);
+                    self.observe_tree(child, elem);
+                }
+                Fact::Array(elems.len() as u64)
             }
-        }
-        Value::Array(elems) => {
-            {
-                let f = facts.entry(path.clone()).or_default();
-                f.kinds[TypeKind::Array as usize] += 1;
-                f.arr_lens.push(elems.len() as u64);
-            }
-            let len = path.len();
-            path.push_str("[]");
-            for child in elems {
-                observe_value(child, path, facts);
-            }
-            path.truncate(len);
-        }
+        };
+        self.log.push((node, fact));
     }
-}
 
-/// Event route: fold the token stream into the record's type (exactly
-/// like [`crate::streaming`]) while collecting the same facts as
-/// [`observe_value`] — still no `Value` tree.
-///
-/// Assumes strict parser options (the pipeline default): duplicate keys
-/// error out before they could desynchronise the two observation
-/// builders.
-fn observe_events_root(
-    events: &mut EventParser<'_>,
-    facts: &mut Facts,
-) -> typefuse_json::Result<Type> {
-    let first = next_or_eof(events)?;
-    let mut path = String::from("$");
-    observe_event_value(events, first, &mut path, facts)
+    /// Event route: fold the token stream into the record's type
+    /// (exactly like [`crate::streaming`]) while logging the same facts
+    /// as [`observe_tree`](Self::observe_tree) — still no `Value` tree.
+    ///
+    /// Assumes strict parser options (the pipeline default): duplicate
+    /// keys error out before they could desynchronise the two observers.
+    fn observe_event_value<'a>(
+        &mut self,
+        events: &mut EventParser<'a>,
+        event: Event<'a>,
+        node: u32,
+    ) -> typefuse_json::Result<Type> {
+        let (fact, ty) = match event {
+            Event::Null => (Fact::Null, Type::Null),
+            Event::Bool(_) => (Fact::Bool, Type::Bool),
+            Event::Number(n) => (Fact::Num(n.as_f64()), Type::Num),
+            Event::String(s) => (Fact::Str(s.len() as u64), Type::Str),
+            Event::ObjectStart => {
+                let mut fields: Vec<Field> = Vec::with_capacity(8);
+                loop {
+                    match next_or_eof(events)? {
+                        Event::ObjectEnd => break,
+                        Event::Key(name) => {
+                            let first = next_or_eof(events)?;
+                            let kid = self.kid(node, &name);
+                            let ty = self.observe_event_value(events, first, kid)?;
+                            fields.push(Field::required(name.into_owned(), ty));
+                        }
+                        _ => unreachable!("parser yields only Key or ObjectEnd inside an object"),
+                    }
+                }
+                let width = fields.len() as u64;
+                let record =
+                    RecordType::new(fields).expect("strict parser enforces key uniqueness");
+                (Fact::Record(width), Type::Record(record))
+            }
+            Event::ArrayStart => {
+                let mut elems: Vec<Type> = Vec::new();
+                loop {
+                    match next_or_eof(events)? {
+                        Event::ArrayEnd => break,
+                        e => {
+                            let elem = self.elem(node);
+                            elems.push(self.observe_event_value(events, e, elem)?);
+                        }
+                    }
+                }
+                let len = elems.len() as u64;
+                (Fact::Array(len), Type::Array(ArrayType::new(elems)))
+            }
+            Event::Key(_) | Event::ObjectEnd | Event::ArrayEnd => {
+                unreachable!("parser yields structurally balanced events")
+            }
+        };
+        self.log.push((node, fact));
+        Ok(ty)
+    }
 }
 
 fn next_or_eof<'a>(events: &mut EventParser<'a>) -> typefuse_json::Result<Event<'a>> {
@@ -855,84 +1021,6 @@ fn next_or_eof<'a>(events: &mut EventParser<'a>) -> typefuse_json::Result<Event<
             events.source_position(),
         )),
     }
-}
-
-fn observe_event_value<'a>(
-    events: &mut EventParser<'a>,
-    event: Event<'a>,
-    path: &mut String,
-    facts: &mut Facts,
-) -> typefuse_json::Result<Type> {
-    Ok(match event {
-        Event::Null => {
-            facts.entry(path.clone()).or_default().kinds[TypeKind::Null as usize] += 1;
-            Type::Null
-        }
-        Event::Bool(_) => {
-            facts.entry(path.clone()).or_default().kinds[TypeKind::Bool as usize] += 1;
-            Type::Bool
-        }
-        Event::Number(n) => {
-            let f = facts.entry(path.clone()).or_default();
-            f.kinds[TypeKind::Num as usize] += 1;
-            f.note_num(n.as_f64());
-            Type::Num
-        }
-        Event::String(s) => {
-            let f = facts.entry(path.clone()).or_default();
-            f.kinds[TypeKind::Str as usize] += 1;
-            f.str_lens.push(s.len() as u64);
-            Type::Str
-        }
-        Event::ObjectStart => {
-            let mut fields: Vec<Field> = Vec::with_capacity(8);
-            loop {
-                match next_or_eof(events)? {
-                    Event::ObjectEnd => break,
-                    Event::Key(name) => {
-                        let first = next_or_eof(events)?;
-                        let len = path.len();
-                        path.push('.');
-                        path.push_str(&name);
-                        let ty = observe_event_value(events, first, path, facts)?;
-                        path.truncate(len);
-                        fields.push(Field::required(name.into_owned(), ty));
-                    }
-                    _ => unreachable!("parser yields only Key or ObjectEnd inside an object"),
-                }
-            }
-            {
-                let f = facts.entry(path.clone()).or_default();
-                f.kinds[KIND_RECORD] += 1;
-                f.rec_widths.push(fields.len() as u64);
-                for field in &fields {
-                    *f.present.entry(field.name.clone()).or_insert(0) += 1;
-                }
-            }
-            Type::Record(RecordType::new(fields).expect("strict parser enforces key uniqueness"))
-        }
-        Event::ArrayStart => {
-            let mut elems: Vec<Type> = Vec::new();
-            let len = path.len();
-            path.push_str("[]");
-            loop {
-                match next_or_eof(events)? {
-                    Event::ArrayEnd => break,
-                    e => elems.push(observe_event_value(events, e, path, facts)?),
-                }
-            }
-            path.truncate(len);
-            {
-                let f = facts.entry(path.clone()).or_default();
-                f.kinds[TypeKind::Array as usize] += 1;
-                f.arr_lens.push(elems.len() as u64);
-            }
-            Type::Array(ArrayType::new(elems))
-        }
-        Event::Key(_) | Event::ObjectEnd | Event::ArrayEnd => {
-            unreachable!("parser yields structurally balanced events")
-        }
-    })
 }
 
 #[cfg(test)]
@@ -962,10 +1050,10 @@ mod tests {
         assert!(!a.is_optional(), "a is present in every record");
         let b = profile.get("$.b").unwrap();
         assert_eq!(b.count, 1);
-        assert_eq!(b.str_len.count(), 1);
+        assert_eq!(b.str_len().count(), 1);
         let root = profile.get("$").unwrap();
         assert_eq!(root.count, 3);
-        assert_eq!(root.rec_width.count(), 3);
+        assert_eq!(root.rec_width().count(), 3);
     }
 
     #[test]
@@ -1082,7 +1170,7 @@ mod tests {
         assert_eq!(n.num_min, Some(-1.5));
         assert_eq!(n.num_max, Some(3.0));
         let s = profile.get("$.s").unwrap();
-        let lens = s.str_len.report();
+        let lens = s.str_len().report();
         assert_eq!((lens.count, lens.min, lens.max), (2, 0, 4));
     }
 

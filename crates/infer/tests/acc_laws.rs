@@ -5,8 +5,9 @@
 //! rides along with it), and that is the whole reason batch, split,
 //! streaming and resident folds agree. [`assert_acc_laws`] checks the
 //! monoid laws for anything that implements [`LawAcc`]; it is
-//! instantiated here for [`SchemaAcc`] on every reduce route, and is
-//! meant to take `ProfileAcc` and `CountingFuser` next.
+//! instantiated here for [`SchemaAcc`] on every reduce route and for
+//! [`ProfileAcc`] on both of its observers, and is meant to take
+//! `CountingFuser` next.
 //!
 //! On top of the generic laws, `SchemaAcc` promises that its routes are
 //! indistinguishable: plain ≡ dedup ≡ auto byte for byte (including an
@@ -14,7 +15,7 @@
 //! the rest of a stream ≡ never having stopped.
 
 use proptest::prelude::*;
-use typefuse_infer::{infer_type, ArrayFusion, DedupMode, FuseConfig, SchemaAcc};
+use typefuse_infer::{infer_type, ArrayFusion, DedupMode, FuseConfig, ProfileAcc, SchemaAcc};
 use typefuse_types::testkit::arb_value;
 use typefuse_types::Type;
 
@@ -86,6 +87,38 @@ impl LawAcc for SchemaAcc {
     }
 }
 
+/// A numbered input line for the event fold (`true`) or the value walk.
+/// Its number travels with it, as through any partitioning of one input.
+impl LawAcc for ProfileAcc {
+    type Item = (u64, String, bool);
+    fn absorb(&mut self, (line, text, events): &Self::Item) {
+        match events {
+            true => self.absorb_line(*line, text),
+            false => self.absorb_line_as_value(*line, text),
+        }
+    }
+    fn merge(&mut self, other: &Self) {
+        ProfileAcc::merge(self, other);
+    }
+    /// The checkpoint shows everything kept (schema, count, first
+    /// error, child indexes, every statistic), the report what is served.
+    fn observe(&self) -> String {
+        let report = self.clone().finish().to_json();
+        format!("{}\n{report}", self.checkpoint_value())
+    }
+}
+
+/// A record's text, one time in eight cut short (usually malformed then).
+fn arb_line() -> impl Strategy<Value = String> {
+    (arb_value(), any::<prop::sample::Index>(), 0u8..8).prop_map(|(value, cut, roll)| {
+        let text = value.to_string();
+        match roll {
+            0 => text.chars().take(cut.index(text.chars().count())).collect(),
+            _ => text,
+        }
+    })
+}
+
 const MODES: [DedupMode; 3] = [DedupMode::Off, DedupMode::On, DedupMode::Auto];
 
 fn configs() -> [FuseConfig; 2] {
@@ -131,6 +164,23 @@ proptest! {
             for mode in MODES {
                 assert_acc_laws(&SchemaAcc::new(mode, config), &types, i, j)?;
             }
+        }
+    }
+
+    #[test]
+    fn profile_acc_is_a_commutative_monoid(
+        lines in prop::collection::vec((arb_line(), any::<bool>()), 0..12),
+        i in any::<prop::sample::Index>(),
+        j in any::<prop::sample::Index>(),
+    ) {
+        let (i, j) = (i.index(lines.len() + 1), j.index(lines.len() + 1));
+        let items: Vec<(u64, String, bool)> = lines
+            .into_iter()
+            .enumerate()
+            .map(|(n, (text, events))| (n as u64 + 1, text, events))
+            .collect();
+        for config in configs() {
+            assert_acc_laws(&ProfileAcc::with_config(config), &items, i, j)?;
         }
     }
 

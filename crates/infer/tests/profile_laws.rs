@@ -158,3 +158,85 @@ fn lenient_duplicate_keys_are_folded_not_a_panic() {
     assert_eq!(ty.to_string(), "{a: Str}");
     assert_eq!(acc.finish().get("$.a").unwrap().count, 1);
 }
+
+/// Every strict prefix of a record fails to parse somewhere mid-stream —
+/// after the observer has walked (and, for new keys, grown) part of the
+/// trie. None of it may stay behind.
+#[test]
+fn a_record_that_fails_mid_stream_leaves_the_accumulator_untouched() {
+    let options = typefuse_json::ParserOptions::default();
+    let record = r#"{"id": 7, "user": {"name": "x", "tags": ["a", {"k": null}], "geo": {"lat": 1.5}}, "new": {"deep": [[1, {}]]}, "id.x": []}"#;
+    // Cold, then warm on a record that knows `id`, `user.name` and
+    // `user.tags` but none of `user.tags[]`, `user.geo`, `new`, `id.x`.
+    for warm in [
+        None,
+        Some(r#"{"id": 1, "user": {"name": "y", "tags": []}}"#),
+    ] {
+        let mut acc = ProfileAcc::new();
+        if let Some(line) = warm {
+            acc.absorb_line(1, line);
+        }
+        let mut clean = acc.clone();
+        for cut in 0..record.len() {
+            let before = acc.clone();
+            let outcome = acc.absorb_line_typed(9, &record.as_bytes()[..cut], &options);
+            assert!(outcome.is_err(), "prefix of {cut} bytes parsed");
+            assert!(acc == before, "prefix of {cut} bytes left a trace");
+            assert_eq!(
+                acc.checkpoint_value().to_string(),
+                before.checkpoint_value().to_string(),
+                "prefix of {cut} bytes"
+            );
+        }
+        // Nor does a failure change what the next good record does.
+        acc.absorb_line(9, record);
+        clean.absorb_line(9, record);
+        assert!(acc == clean);
+        assert_eq!(finish(&acc).to_json(), finish(&clean).to_json());
+    }
+}
+
+/// A node is its *rendered* path: the key `a.b` under `$` and the key
+/// `b` under `$.a` are one line of the report, as are the key `x[]` and
+/// the elements of `x`. Every route has to alias them the same way.
+#[test]
+fn keys_that_render_like_nested_paths_alias_identically_on_every_route() {
+    let lines = [
+        r#"{"a.b": 1, "a": {"b": 2}}"#,
+        r#"{"x[]": 1, "x": [2]}"#,
+        r#"{"a": {"b": "s"}, "x": []}"#,
+        r#"{"a.b": null, "x[]": {"y": true}, "x": [{"y": 1}, {}]}"#,
+    ];
+    let fold = |range: std::ops::Range<usize>, events: bool| {
+        let mut acc = ProfileAcc::new();
+        for i in range {
+            match events {
+                true => acc.absorb_line(i as u64 + 1, lines[i]),
+                false => acc.absorb_line_as_value(i as u64 + 1, lines[i]),
+            }
+        }
+        acc
+    };
+    let via_events = fold(0..lines.len(), true);
+    let observed = |acc: &ProfileAcc| (acc.checkpoint_value().to_string(), finish(acc).to_json());
+    assert!(fold(0..lines.len(), false) == via_events);
+    assert_eq!(
+        observed(&fold(0..lines.len(), false)),
+        observed(&via_events)
+    );
+    for cut in 0..=lines.len() {
+        for events in [true, false] {
+            let (left, right) = (fold(0..cut, events), fold(cut..lines.len(), !events));
+            assert!(merged(&left, &right) == via_events, "cut {cut}");
+            assert_eq!(observed(&merged(&right, &left)), observed(&via_events));
+        }
+    }
+    let report = finish(&via_events);
+    let aliased = report.get("$.a.b").unwrap();
+    assert_eq!((aliased.count, aliased.first_absent_line), (3, Some(2)));
+    assert_eq!(aliased.kind_count(typefuse_types::TypeKind::Num), 2);
+    let elems = report.get("$.x[]").unwrap();
+    assert_eq!(elems.kind_count(typefuse_types::TypeKind::Num), 2);
+    assert_eq!(elems.kind_count(typefuse_types::TypeKind::Record), 3);
+    assert_eq!(report.get("$.x[].y").unwrap().first_absent_line, Some(4));
+}

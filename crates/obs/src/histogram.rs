@@ -106,6 +106,13 @@ pub struct LogHistogram {
 
 impl Default for LogHistogram {
     fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LogHistogram {
+    /// An empty histogram (the merge identity).
+    pub const fn new() -> Self {
         LogHistogram {
             buckets: [0; BUCKETS],
             count: 0,
@@ -113,13 +120,6 @@ impl Default for LogHistogram {
             min: u64::MAX,
             max: 0,
         }
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram (the merge identity).
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// Record one sample.

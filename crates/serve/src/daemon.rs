@@ -1232,6 +1232,9 @@ fn spawn_accept_loop(
                     break;
                 }
                 let _ = stream.set_write_timeout(shared.write_timeout);
+                // Responses and `watch` snapshots are whole messages:
+                // nothing to coalesce, so never wait for an ACK to send.
+                let _ = stream.set_nodelay(true);
                 let at_capacity = {
                     let mut sessions = sessions.lock().expect("sessions lock");
                     // Reap finished sessions so the vec stays bounded.
@@ -1395,9 +1398,10 @@ fn run_watch(writer: &mut TcpStream, shared: &Shared, interval: Duration) {
     }
 }
 
+/// One response line in one write: two segments on a socket would cost
+/// an ordinary client a delayed-ACK period (≈ 40 ms) per request.
 fn write_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
-    writer.write_all(response.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{response}\n").as_bytes())?;
     writer.flush()
 }
 

@@ -139,7 +139,7 @@ impl SourceState {
     /// signature cache and never reads the values a profile is made of.
     pub(crate) fn profile_report(&self) -> Result<typefuse_infer::ProfileReport, String> {
         match self.fold.profile() {
-            Some(profile) => Ok(profile.clone().finish()),
+            Some(profile) => Ok(profile.finish()),
             None => Err(format!(
                 "source `{}` keeps no profile: --map-path shape never reads record values",
                 self.name
@@ -324,14 +324,16 @@ impl SourceState {
             // right append.
             let origin = Origin::Line(self.fold.lines() + 1);
             match self.fold.absorb_line(origin, &line.content, line.truncated) {
-                Absorbed::Record(()) => {
-                    absorbed += 1;
-                    self.recorder.add("ingest.records", 1);
-                    self.recorder.add(&self.records_key, 1);
-                }
+                Absorbed::Record(()) => absorbed += 1,
                 Absorbed::Blank => {}
                 Absorbed::Bad(bad) => self.note_bad(bad),
             }
+        }
+        // Once per batch, not per record: a one-shot add is a mutex, a
+        // `String` and a map probe.
+        if absorbed > 0 {
+            self.recorder.add("ingest.records", absorbed);
+            self.recorder.add(&self.records_key, absorbed);
         }
         absorbed
     }

@@ -459,3 +459,35 @@ fn shape_route_answers_profile_and_explain_with_the_reason_not_an_empty_report()
     daemon.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// A response leaves in one segment on a `TCP_NODELAY` socket. Written
+/// as body then `\n`, the second write waits for the client's ACK of
+/// the first, which an ordinary client (no `TCP_QUICKACK`) delays by
+/// about 40 ms — on every request.
+#[test]
+fn an_ordinary_client_does_not_wait_out_a_delayed_ack_per_request() {
+    let path = temp_path("rtt.ndjson");
+    std::fs::write(&path, "{\"a\":1}\n").unwrap();
+    let daemon = Daemon::start(fast(ServeConfig::new().watch_file("events", &path))).unwrap();
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    let started = Instant::now();
+    for _ in 0..20 {
+        writer.write_all(b"{\"op\":\"health\"}\n").unwrap();
+        response.clear();
+        reader.read_line(&mut response).unwrap();
+        Envelope::expect_kind(response.trim(), "health").unwrap();
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(20 * 40 / 2),
+        "20 health round trips took {elapsed:?}"
+    );
+    daemon.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -26,7 +26,7 @@ use typefuse_infer::{
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
 use typefuse_json::{ErrorKind, Map, Parser, ParserOptions, Position, Value};
-use typefuse_obs::Recorder;
+use typefuse_obs::{Counter, Recorder};
 use typefuse_types::Type;
 
 /// Where a line sits in its input: what errors are re-anchored at and
@@ -105,6 +105,8 @@ pub struct LineTyper {
     /// The shape route's memo, warm for this typer's lifetime (a
     /// partition, a split, a daemon source).
     shape: Option<ShapeCache>,
+    /// `json.records`; registered by the first record, so an idle typer leaves no zero.
+    records: Option<Counter>,
 }
 
 impl LineTyper {
@@ -115,12 +117,14 @@ impl LineTyper {
             config,
             recorder,
             shape,
+            records: None,
         }
     }
 
     /// Type one raw line (content without its newline; `truncated` as
     /// the reader reported it). A `profile` observes the record in the
-    /// same tokenisation: its own fold yields the type.
+    /// same tokenisation: its own fold yields the type, which it leaves
+    /// to the caller to fuse.
     pub fn type_line(
         &mut self,
         origin: Origin,
@@ -145,9 +149,9 @@ impl LineTyper {
         let parse_value = || Parser::with_options(line, parser.clone()).parse_complete();
         let typed = match (profile, self.config.map_path) {
             (Some(profile), MapPath::Values) => {
-                parse_value().map(|v| profile.absorb_value_typed(origin.at(), &v))
+                parse_value().map(|v| profile.observe_value(origin.at(), &v))
             }
-            (Some(profile), _) => profile.absorb_line_typed(origin.at(), line, parser),
+            (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
             (None, MapPath::Values) => parse_value().map(|v| infer_type_recorded(&v, rec)),
             (None, MapPath::Events) => {
                 streaming::infer_with_options_recorded(line, parser.clone(), rec)
@@ -160,7 +164,9 @@ impl LineTyper {
         };
         match typed {
             Ok(ty) => {
-                rec.add("json.records", 1);
+                let records = &mut self.records;
+                let records = records.get_or_insert_with(|| rec.counter("json.records"));
+                records.inc(1);
                 Absorbed::Record(ty)
             }
             Err(e) => self.bad(origin, e.kind().clone(), e.span().start, line),
@@ -189,7 +195,10 @@ impl LineTyper {
 }
 
 /// The whole kernel: a [`LineTyper`] feeding a schema accumulator, an
-/// optional profile, an error report and a line counter. Folds merge
+/// optional profile, an error report and a line counter. A record is
+/// fused once, into the schema accumulator; the profile only observes,
+/// and takes schema and count along when it leaves the fold
+/// ([`ProfileAcc::with_schema`]). Folds merge
 /// like the fusion underneath — associatively and commutatively — so
 /// any split of the input over any folds yields the same state.
 #[derive(Debug, Clone)]
@@ -275,9 +284,10 @@ impl RecordFold {
         &self.report
     }
 
-    /// The profile component, if this fold carries one.
-    pub fn profile(&self) -> Option<&ProfileAcc> {
-        self.profile.as_ref()
+    /// A copy of the profile component, if this fold carries one.
+    pub fn profile(&self) -> Option<ProfileAcc> {
+        let profile = self.profile.clone()?;
+        Some(profile.with_schema(self.schema(), self.records()))
     }
 
     /// Distinct shapes held by the dedup route (0 on the plain route).
@@ -297,27 +307,26 @@ impl RecordFold {
 
     /// Take the fold apart once the input is exhausted.
     pub fn finish(self) -> (Type, u64, ErrorReport, Option<ProfileAcc>) {
-        (
-            self.acc.schema(),
-            self.acc.records(),
-            self.report,
-            self.profile,
-        )
+        let (schema, records) = (self.acc.schema(), self.acc.records());
+        let profile = self.profile.map(|p| p.with_schema(schema.clone(), records));
+        (schema, records, self.report, profile)
     }
 
     /// Write the resumable state into a checkpoint object: line count,
     /// schema (lossless wire form), record count, route, profile and
     /// report; `u64`s as decimal strings (`typefuse_json::codec`).
     pub fn checkpoint_into(&self, m: &mut Map) {
+        let schema = self.schema();
         m.insert("lines", u64_to_value(self.lines));
         m.insert("dedup", Value::Bool(self.acc.is_dedup()));
         m.insert(
             "schema",
-            Value::from(typefuse_types::wire::to_wire(&self.schema())),
+            Value::from(typefuse_types::wire::to_wire(&schema)),
         );
         m.insert("records", u64_to_value(self.records()));
         if let Some(profile) = &self.profile {
-            m.insert("profile", profile.checkpoint_value());
+            let profile = profile.checkpoint_with(&schema, self.records());
+            m.insert("profile", profile);
         }
         m.insert("report", self.report.checkpoint_value());
     }
@@ -336,11 +345,12 @@ impl RecordFold {
             field("schema")?.as_str().ok_or("schema is not a string")?,
         )?;
         let records = u64_from_value(field("records")?)?;
+        // The profile's own copy of the schema is the one just read.
         let profile = match config.profile {
-            true => Some(ProfileAcc::from_checkpoint_value(
-                field("profile")?,
-                config.fuse_config,
-            )?),
+            true => Some(
+                ProfileAcc::from_checkpoint_value(field("profile")?, config.fuse_config)?
+                    .with_schema(Type::Bottom, 0),
+            ),
             false => None,
         };
         Ok(RecordFold {

@@ -289,7 +289,8 @@ impl SchemaJob {
                         |_, acc, (line, v): &(u64, &Value)| acc.absorb_value_at(*line, v),
                     )
                 };
-                self.finish_profiled(acc, numbered.num_partitions(), fold_metrics, wall_start)
+                let (errors, parts) = (ErrorReport::new(), numbered.num_partitions());
+                self.finish_profiled(acc, errors, parts, fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
                 let dataset = Dataset::from_vec(self.read_records(reader)?, self.partitions);
@@ -327,7 +328,8 @@ impl SchemaJob {
                     .unwrap_or_else(|| RecordFold::new(config.clone(), rec.clone()))
                     .finish();
                 self.error_policy.enforce(&report, rec)?;
-                self.finish_profiled(profile, dataset.num_partitions(), fold_metrics, wall_start)
+                let parts = dataset.num_partitions();
+                self.finish_profiled(profile, report, parts, fold_metrics, wall_start)
             }
         }
     }
@@ -336,6 +338,7 @@ impl SchemaJob {
     fn finish_profiled(
         &self,
         acc: Option<ProfileAcc>,
+        errors: ErrorReport,
         partitions: usize,
         fold_metrics: StageMetrics,
         wall_start: Instant,
@@ -350,6 +353,7 @@ impl SchemaJob {
             partitions,
             wall: wall_start.elapsed(),
             fold_metrics,
+            errors,
         })
     }
 
@@ -671,6 +675,9 @@ pub struct ProfiledResult {
     pub wall: Duration,
     /// Per-partition metrics of the profiled fold.
     pub fold_metrics: StageMetrics,
+    /// The bad records a lenient [`ErrorPolicy`] skipped (text sources
+    /// only; they leave no trace in the profile).
+    pub errors: ErrorReport,
 }
 
 impl ProfiledResult {
