@@ -53,7 +53,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             };
 
             let mut reg = open(&log)?;
-            match reg.publish(&subject, &schema, mode) {
+            match reg.publish(&subject, schema, mode) {
                 Ok(outcome) if outcome.unchanged => {
                     println!("{subject}: unchanged (version {})", outcome.version);
                 }

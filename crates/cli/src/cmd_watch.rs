@@ -4,7 +4,8 @@
 //! Connects to a `typefuse serve` protocol address, subscribes with
 //! `{"op":"watch","interval_ms":N}` and renders each streamed
 //! `telemetry` envelope as a per-source table (records, records/s, tail
-//! lag, skipped/quarantined, distinct shapes, published version) plus
+//! lag, skipped/quarantined, distinct shapes, published version, the
+//! last batch's fold-to-published time) plus
 //! the daemon-level series. `--raw` prints the envelopes verbatim
 //! instead, one JSON line per snapshot — the form scripts want.
 
@@ -29,6 +30,7 @@ struct SourceRow {
     shape_hits: u64,
     shape_misses: u64,
     version: u64,
+    publish_us: u64,
     breaker: u64,
     restarts: u64,
     ckpt_bytes: Option<u64>,
@@ -139,6 +141,7 @@ fn render_snapshot(payload: &Value) -> String {
                         "typefuse_source_shape_hits" => row.shape_hits = value,
                         "typefuse_source_shape_misses" => row.shape_misses = value,
                         "typefuse_source_version" => row.version = value,
+                        "typefuse_source_publish_us" => row.publish_us = value,
                         "typefuse_source_breaker" => row.breaker = value,
                         "typefuse_source_restarts" => row.restarts = value,
                         "typefuse_source_checkpoint_bytes" => row.ckpt_bytes = Some(value),
@@ -166,7 +169,7 @@ fn render_snapshot(payload: &Value) -> String {
             .unwrap_or(0),
     ));
     out.push_str(&format!(
-        "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
+        "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
         "SOURCE",
         "RECORDS",
         "REC/S",
@@ -176,6 +179,7 @@ fn render_snapshot(payload: &Value) -> String {
         "SHAPES",
         "HIT%",
         "VERSION",
+        "PUB(µs)",
         "BREAKER",
         "RESTARTS",
         "CKPT(B)",
@@ -183,7 +187,7 @@ fn render_snapshot(payload: &Value) -> String {
     ));
     for (source, row) in &rows {
         out.push_str(&format!(
-            "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
+            "{:<20} {:>10} {:>8} {:>12} {:>8} {:>12} {:>8} {:>6} {:>8} {:>8} {:>8} {:>8} {:>9} {:>11}\n",
             source,
             row.records,
             row.rate,
@@ -193,6 +197,7 @@ fn render_snapshot(payload: &Value) -> String {
             row.shapes,
             row.hit_rate(),
             row.version,
+            row.publish_us,
             row.breaker_state(),
             row.restarts,
             SourceRow::opt(row.ckpt_bytes),
@@ -255,6 +260,7 @@ mod tests {
                           "typefuse_source_checkpoint_bytes{source=\"events\"}":77,
                           "typefuse_source_version{source=\"events\"}":2},
                 "approx":{"typefuse_uptime_ms":5500,
+                          "typefuse_source_publish_us{source=\"events\"}":913,
                           "typefuse_source_records_per_sec{source=\"events\"}":6}}"#,
         )
         .unwrap();
@@ -267,6 +273,7 @@ mod tests {
         assert!(row.contains('6'), "{row}");
         assert!(row.contains("backoff"), "{row}");
         assert!(row.contains("77"), "{row}");
+        assert!(table.contains("PUB(µs)") && row.contains("913"), "{table}");
         // No checkpoint-age series in the payload → placeholder.
         assert!(row.trim_end().ends_with('-'), "{row}");
     }

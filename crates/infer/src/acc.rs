@@ -147,6 +147,16 @@ impl SchemaAcc {
         }
     }
 
+    /// A token that moves iff the fused schema changed, where the route
+    /// can tell without resolving the schema: the dedup route's interned
+    /// schema id. `None` on the plain route.
+    pub fn revision(&self) -> Option<u64> {
+        match self {
+            SchemaAcc::Plain(..) => None,
+            SchemaAcc::Dedup(acc, _) => Some(acc.schema_id().index() as u64),
+        }
+    }
+
     /// Records absorbed (across merges and resumes).
     pub fn records(&self) -> u64 {
         match self {

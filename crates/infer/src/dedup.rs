@@ -391,6 +391,12 @@ impl DedupAcc {
         self.interner.resolve(self.schema)
     }
 
+    /// The fused schema's id in [`interner`](Self::interner). Shapes
+    /// are hash-consed, so it moves iff the schema changed.
+    pub fn schema_id(&self) -> TypeId {
+        self.schema
+    }
+
     /// The distinct shapes with their multiplicities, resolved to owned
     /// types. Iteration order is unspecified.
     pub fn shape_counts(&self) -> impl Iterator<Item = (Type, u64)> + '_ {

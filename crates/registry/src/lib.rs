@@ -34,12 +34,12 @@
 //! let v1 = parse_type("{id: Num, name: Str}").unwrap();
 //! let v2 = parse_type("{id: Num, name: Str, tags: [Str*]?}").unwrap();
 //!
-//! assert_eq!(reg.publish("events", &v1, CompatMode::Backward).unwrap().version, 1);
+//! assert_eq!(reg.publish("events", v1, CompatMode::Backward).unwrap().version, 1);
 //! // Adding an optional field is backward compatible:
-//! assert_eq!(reg.publish("events", &v2, CompatMode::Backward).unwrap().version, 2);
+//! assert_eq!(reg.publish("events", v2, CompatMode::Backward).unwrap().version, 2);
 //! // Dropping a field is not:
 //! let narrowed = parse_type("{id: Num}").unwrap();
-//! assert!(reg.publish("events", &narrowed, CompatMode::Backward).is_err());
+//! assert!(reg.publish("events", narrowed, CompatMode::Backward).is_err());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,4 +49,6 @@ mod memory;
 mod store;
 
 pub use memory::MemoryRegistry;
-pub use store::{CompatMode, Entry, PublishOutcome, Registry, RegistryError, RegistryStore};
+pub use store::{
+    CompatMode, Entry, PublishOutcome, Registry, RegistryError, RegistryStats, RegistryStore,
+};

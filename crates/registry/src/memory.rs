@@ -7,7 +7,7 @@
 //! [`Registry`](crate::Registry), with nothing persisted.
 
 use crate::store::{
-    CompatMode, Entry, Index, Prepared, PublishOutcome, RegistryError, RegistryStore,
+    CompatMode, Entry, Index, PublishOutcome, RegistryError, RegistryStats, RegistryStore,
 };
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
@@ -31,16 +31,12 @@ impl RegistryStore for MemoryRegistry {
         self.index.names().into_iter().map(str::to_string).collect()
     }
 
-    fn latest_entry(&self, name: &str) -> Option<Entry> {
-        self.index.latest(name).cloned()
-    }
-
     fn entry(&self, name: &str, version: u64) -> Option<Entry> {
-        self.index.get(name, version).cloned()
+        self.index.get(name, version)
     }
 
     fn entries(&self, name: &str) -> Result<Vec<Entry>, RegistryError> {
-        self.index.history(name).map(<[Entry]>::to_vec)
+        self.index.history(name)
     }
 
     fn changes(&self, name: &str, from: u64, to: u64) -> Result<Vec<SchemaChange>, RegistryError> {
@@ -50,23 +46,18 @@ impl RegistryStore for MemoryRegistry {
     fn publish_schema(
         &mut self,
         name: &str,
-        schema: &Type,
+        schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError> {
-        match self.index.prepare_publish(name, schema, mode)? {
-            Prepared::Unchanged(version) => Ok(PublishOutcome {
-                version,
-                unchanged: true,
-            }),
-            Prepared::New(entry) => {
-                let version = entry.version;
-                self.index.commit(entry);
-                Ok(PublishOutcome {
-                    version,
-                    unchanged: false,
-                })
-            }
-        }
+        self.index.publish(name, schema, mode, |_, _| Ok(()))
+    }
+
+    fn latest_version(&self, name: &str) -> Option<u64> {
+        self.index.latest_version(name)
+    }
+
+    fn stats(&self) -> RegistryStats {
+        self.index.stats()
     }
 }
 
@@ -83,7 +74,7 @@ mod tests {
     fn mirrors_on_disk_semantics() {
         let mut reg = MemoryRegistry::new();
         assert_eq!(
-            reg.publish_schema("a", &t("{x: Num}"), CompatMode::Backward)
+            reg.publish_schema("a", t("{x: Num}"), CompatMode::Backward)
                 .unwrap(),
             PublishOutcome {
                 version: 1,
@@ -92,19 +83,19 @@ mod tests {
         );
         // Equivalent republish dedups.
         assert!(
-            reg.publish_schema("a", &t("{x: Num}"), CompatMode::Backward)
+            reg.publish_schema("a", t("{x: Num}"), CompatMode::Backward)
                 .unwrap()
                 .unchanged
         );
         // Widening passes the backward gate, narrowing does not.
         assert_eq!(
-            reg.publish_schema("a", &t("{x: Num, y: Str?}"), CompatMode::Backward)
+            reg.publish_schema("a", t("{x: Num, y: Str?}"), CompatMode::Backward)
                 .unwrap()
                 .version,
             2
         );
         assert!(matches!(
-            reg.publish_schema("a", &t("{x: Num}"), CompatMode::Backward),
+            reg.publish_schema("a", t("{x: Num}"), CompatMode::Backward),
             Err(RegistryError::Incompatible {
                 against_version: 2,
                 ..

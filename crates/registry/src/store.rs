@@ -9,8 +9,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use typefuse_json::{Map, Value};
-use typefuse_types::diff::{diff, SchemaChange};
-use typefuse_types::{is_subtype, parse_type, Type};
+use typefuse_types::diff::{diff_ids, SchemaChange};
+use typefuse_types::{is_subtype, parse_type, Type, TypeId, TypeInterner};
 
 /// Compatibility gate applied at publish time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,22 +141,38 @@ impl From<std::io::Error> for RegistryError {
     }
 }
 
-/// What a publish must do, as decided by the shared gate logic.
+/// How many versions and distinct shapes a registry holds — what its
+/// memory is proportional to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RegistryStats {
+    /// Versions across all subjects.
+    pub versions: u64,
+    /// Distinct interned type shapes behind them. Consecutive versions
+    /// of a drifting feed share all but the shapes on the changed paths.
+    pub shapes: u64,
+}
+
+/// One subject: every version as a shape id, plus the latest version as
+/// a tree for the equivalence and compatibility walks.
 #[derive(Debug)]
-pub(crate) enum Prepared {
-    /// The schema is equivalent to the latest version: no new entry.
-    Unchanged(u64),
-    /// Append this new entry.
-    New(Entry),
+struct Subject {
+    versions: Vec<TypeId>,
+    latest: Type,
 }
 
 /// The in-memory version index plus the compatibility gate — the part
 /// of a registry that is independent of where entries persist. Both the
 /// on-disk [`Registry`] and [`MemoryRegistry`](crate::MemoryRegistry)
 /// are thin shells around it.
+///
+/// Versions are ids into one hash-consing [`TypeInterner`], so a version
+/// costs the shapes it does not share with the others, "same schema" is
+/// an id comparison, and a diff descends only where two versions differ.
+/// [`Entry`]s are resolved on demand.
 #[derive(Debug, Default)]
 pub(crate) struct Index {
-    subjects: BTreeMap<String, Vec<Entry>>,
+    interner: TypeInterner,
+    subjects: BTreeMap<String, Subject>,
 }
 
 impl Index {
@@ -164,23 +180,31 @@ impl Index {
         self.subjects.keys().map(String::as_str).collect()
     }
 
-    pub(crate) fn latest(&self, name: &str) -> Option<&Entry> {
-        self.subjects.get(name).and_then(|v| v.last())
+    pub(crate) fn latest_version(&self, name: &str) -> Option<u64> {
+        self.subjects.get(name).map(|s| s.versions.len() as u64)
     }
 
-    pub(crate) fn get(&self, name: &str, version: u64) -> Option<&Entry> {
-        self.subjects
-            .get(name)
-            .and_then(|v| v.get(version.checked_sub(1)? as usize))
+    pub(crate) fn get(&self, name: &str, version: u64) -> Option<Entry> {
+        let id = self.id(name, version)?;
+        Some(Entry {
+            name: name.to_string(),
+            version,
+            schema: self.interner.resolve(id),
+        })
     }
 
-    pub(crate) fn history(&self, name: &str) -> Result<&[Entry], RegistryError> {
-        self.subjects
-            .get(name)
-            .map(Vec::as_slice)
+    fn id(&self, name: &str, version: u64) -> Option<TypeId> {
+        let versions = &self.subjects.get(name)?.versions;
+        versions.get(version.checked_sub(1)? as usize).copied()
+    }
+
+    pub(crate) fn history(&self, name: &str) -> Result<Vec<Entry>, RegistryError> {
+        let latest = self
+            .latest_version(name)
             .ok_or_else(|| RegistryError::NotFound {
                 name: name.to_string(),
-            })
+            })?;
+        Ok((1..=latest).filter_map(|v| self.get(name, v)).collect())
     }
 
     pub(crate) fn diff(
@@ -189,69 +213,95 @@ impl Index {
         from: u64,
         to: u64,
     ) -> Result<Vec<SchemaChange>, RegistryError> {
-        let a = self
-            .get(name, from)
-            .ok_or_else(|| RegistryError::NotFound {
-                name: format!("{name} v{from}"),
-            })?;
-        let b = self.get(name, to).ok_or_else(|| RegistryError::NotFound {
-            name: format!("{name} v{to}"),
-        })?;
-        Ok(diff(&a.schema, &b.schema))
+        let id = |version| {
+            self.id(name, version)
+                .ok_or_else(|| RegistryError::NotFound {
+                    name: format!("{name} v{version}"),
+                })
+        };
+        Ok(diff_ids(&self.interner, id(from)?, id(to)?))
+    }
+
+    pub(crate) fn stats(&self) -> RegistryStats {
+        RegistryStats {
+            versions: self
+                .subjects
+                .values()
+                .map(|s| s.versions.len() as u64)
+                .sum(),
+            shapes: self.interner.len() as u64,
+        }
     }
 
     /// Load one already-versioned entry (from a log); versions must
     /// arrive in sequence per subject.
     pub(crate) fn insert_loaded(&mut self, entry: Entry) -> Result<(), String> {
-        let versions = self.subjects.entry(entry.name.clone()).or_default();
-        if entry.version != versions.len() as u64 + 1 {
+        let expected = self.latest_version(&entry.name).map_or(1, |v| v + 1);
+        if entry.version != expected {
             return Err(format!(
-                "version {} out of sequence (expected {})",
-                entry.version,
-                versions.len() + 1
+                "version {} out of sequence (expected {expected})",
+                entry.version
             ));
         }
-        versions.push(entry);
+        let id = self.interner.intern(&entry.schema);
+        self.commit(&entry.name, id, entry.schema);
         Ok(())
     }
 
-    /// Decide what publishing `schema` under `name` with gate `mode`
-    /// means: a no-op (schema equivalent to latest), a new entry, or an
-    /// incompatibility error. Does not mutate the index — backends
-    /// persist the entry first, then [`commit`](Index::commit) it.
-    pub(crate) fn prepare_publish(
-        &self,
+    /// Publish `schema` under `name` with gate `mode`: a no-op (schema
+    /// equivalent to the latest version), an incompatibility error, or a
+    /// new version — which `persist` must accept (version, schema) before
+    /// the index records it.
+    pub(crate) fn publish(
+        &mut self,
         name: &str,
-        schema: &Type,
+        schema: Type,
         mode: CompatMode,
-    ) -> Result<Prepared, RegistryError> {
-        if let Some(latest) = self.latest(name) {
-            let equivalent = latest.schema == *schema
-                || (is_subtype(&latest.schema, schema) && is_subtype(schema, &latest.schema));
+        persist: impl FnOnce(u64, &Type) -> Result<(), RegistryError>,
+    ) -> Result<PublishOutcome, RegistryError> {
+        let id = self.interner.intern(&schema);
+        let mut version = 1;
+        if let Some(subject) = self.subjects.get(name) {
+            let against_version = subject.versions.len() as u64;
+            let latest_id = *subject.versions.last().expect("a subject has a version");
+            // Equal ids are equal trees; different ids may still be two
+            // spellings of one schema (`[ε*]` and `[]`). Fusion only
+            // widens, so of the two inclusions `new <: latest` is the
+            // one that usually fails, and fails early.
+            let equivalent = id == latest_id
+                || (is_subtype(&schema, &subject.latest) && is_subtype(&subject.latest, &schema));
             if equivalent {
-                return Ok(Prepared::Unchanged(latest.version));
-            }
-            if !mode.allows(&latest.schema, schema) {
-                return Err(RegistryError::Incompatible {
-                    mode,
-                    against_version: latest.version,
-                    changes: diff(&latest.schema, schema),
+                return Ok(PublishOutcome {
+                    version: against_version,
+                    unchanged: true,
                 });
             }
+            if !mode.allows(&subject.latest, &schema) {
+                return Err(RegistryError::Incompatible {
+                    mode,
+                    against_version,
+                    changes: diff_ids(&self.interner, latest_id, id),
+                });
+            }
+            version = against_version + 1;
         }
-        Ok(Prepared::New(Entry {
-            name: name.to_string(),
-            version: self.latest(name).map_or(1, |e| e.version + 1),
-            schema: schema.clone(),
-        }))
+        persist(version, &schema)?;
+        self.commit(name, id, schema);
+        Ok(PublishOutcome {
+            version,
+            unchanged: false,
+        })
     }
 
-    /// Record an entry produced by [`prepare_publish`](Index::prepare_publish).
-    pub(crate) fn commit(&mut self, entry: Entry) {
-        self.subjects
-            .entry(entry.name.clone())
-            .or_default()
-            .push(entry);
+    fn commit(&mut self, name: &str, id: TypeId, schema: Type) {
+        if let Some(subject) = self.subjects.get_mut(name) {
+            subject.versions.push(id);
+            subject.latest = schema;
+        } else {
+            let (versions, latest) = (vec![id], schema);
+            let subject = Subject { versions, latest };
+            self.subjects.insert(name.to_string(), subject);
+        }
     }
 }
 
@@ -261,15 +311,16 @@ impl Index {
 /// in an on-disk log ([`Registry`]) or stay resident
 /// ([`MemoryRegistry`](crate::MemoryRegistry)).
 ///
-/// Methods return owned data (unlike the ref-returning inherent
-/// accessors on [`Registry`]) so the trait stays object-safe and
-/// implementations remain free to synthesize entries on demand.
+/// Methods return owned data: versions are stored as interned shapes
+/// and entries are resolved on demand.
 pub trait RegistryStore {
     /// All subject names, sorted.
     fn subject_names(&self) -> Vec<String>;
 
     /// The latest entry of a subject.
-    fn latest_entry(&self, name: &str) -> Option<Entry>;
+    fn latest_entry(&self, name: &str) -> Option<Entry> {
+        self.entry(name, self.latest_version(name)?)
+    }
 
     /// A specific version of a subject.
     fn entry(&self, name: &str, version: u64) -> Option<Entry>;
@@ -281,20 +332,22 @@ pub trait RegistryStore {
     fn changes(&self, name: &str, from: u64, to: u64) -> Result<Vec<SchemaChange>, RegistryError>;
 
     /// Publish a schema under `name`, gated by `mode` against the
-    /// latest version, deduplicating equivalent schemas.
+    /// latest version, deduplicating equivalent schemas. The schema is
+    /// taken by value: a new version keeps it as the subject's latest.
     fn publish_schema(
         &mut self,
         name: &str,
-        schema: &Type,
+        schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError>;
 
     /// The latest version number of a subject — the watch primitive: a
     /// poller remembers the last version it saw and treats an increase
     /// as "schema drifted, diff the two versions".
-    fn latest_version(&self, name: &str) -> Option<u64> {
-        self.latest_entry(name).map(|e| e.version)
-    }
+    fn latest_version(&self, name: &str) -> Option<u64>;
+
+    /// How much the registry holds.
+    fn stats(&self) -> RegistryStats;
 }
 
 /// The on-disk registry: an in-memory index over an append-only NDJSON
@@ -395,17 +448,17 @@ impl Registry {
     }
 
     /// The latest entry of a subject.
-    pub fn latest(&self, name: &str) -> Option<&Entry> {
-        self.index.latest(name)
+    pub fn latest(&self, name: &str) -> Option<Entry> {
+        self.index.get(name, self.index.latest_version(name)?)
     }
 
     /// A specific version of a subject.
-    pub fn get(&self, name: &str, version: u64) -> Option<&Entry> {
+    pub fn get(&self, name: &str, version: u64) -> Option<Entry> {
         self.index.get(name, version)
     }
 
     /// Every version of a subject, oldest first.
-    pub fn history(&self, name: &str) -> Result<&[Entry], RegistryError> {
+    pub fn history(&self, name: &str) -> Result<Vec<Entry>, RegistryError> {
         self.index.history(name)
     }
 
@@ -422,40 +475,26 @@ impl Registry {
     pub fn publish(
         &mut self,
         name: &str,
-        schema: &Type,
+        schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError> {
-        match self.index.prepare_publish(name, schema, mode)? {
-            Prepared::Unchanged(version) => Ok(PublishOutcome {
-                version,
-                unchanged: true,
-            }),
-            Prepared::New(entry) => {
-                self.append(&entry)?;
-                let version = entry.version;
-                self.index.commit(entry);
-                Ok(PublishOutcome {
-                    version,
-                    unchanged: false,
-                })
-            }
-        }
+        let path = &self.path;
+        self.index.publish(name, schema, mode, |version, schema| {
+            append(path, name, version, schema)
+        })
     }
+}
 
-    fn append(&self, entry: &Entry) -> Result<(), RegistryError> {
-        let mut m = Map::new();
-        m.insert("name", entry.name.clone());
-        m.insert("version", entry.version as i64);
-        m.insert("schema", entry.schema.to_string());
-        let line = typefuse_json::to_string(&Value::Object(m));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        Ok(())
-    }
+fn append(path: &Path, name: &str, version: u64, schema: &Type) -> Result<(), RegistryError> {
+    let mut m = Map::new();
+    m.insert("name", name.to_string());
+    m.insert("version", version as i64);
+    m.insert("schema", schema.to_string());
+    let line = typefuse_json::to_string(&Value::Object(m));
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    file.write_all(line.as_bytes())?;
+    file.write_all(b"\n")?;
+    Ok(())
 }
 
 impl RegistryStore for Registry {
@@ -463,16 +502,12 @@ impl RegistryStore for Registry {
         self.names().into_iter().map(str::to_string).collect()
     }
 
-    fn latest_entry(&self, name: &str) -> Option<Entry> {
-        self.latest(name).cloned()
-    }
-
     fn entry(&self, name: &str, version: u64) -> Option<Entry> {
-        self.get(name, version).cloned()
+        self.get(name, version)
     }
 
     fn entries(&self, name: &str) -> Result<Vec<Entry>, RegistryError> {
-        self.history(name).map(<[Entry]>::to_vec)
+        self.history(name)
     }
 
     fn changes(&self, name: &str, from: u64, to: u64) -> Result<Vec<SchemaChange>, RegistryError> {
@@ -482,10 +517,18 @@ impl RegistryStore for Registry {
     fn publish_schema(
         &mut self,
         name: &str,
-        schema: &Type,
+        schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError> {
         self.publish(name, schema, mode)
+    }
+
+    fn latest_version(&self, name: &str) -> Option<u64> {
+        self.index.latest_version(name)
+    }
+
+    fn stats(&self) -> RegistryStats {
+        self.index.stats()
     }
 }
 
@@ -534,20 +577,20 @@ mod tests {
     fn publish_assigns_sequential_versions() {
         let mut reg = Registry::open(fresh("seq.ndjson")).unwrap();
         assert_eq!(
-            reg.publish("a", &t("{x: Num}"), CompatMode::None).unwrap(),
+            reg.publish("a", t("{x: Num}"), CompatMode::None).unwrap(),
             PublishOutcome {
                 version: 1,
                 unchanged: false
             }
         );
         assert_eq!(
-            reg.publish("a", &t("{x: Num, y: Str?}"), CompatMode::None)
+            reg.publish("a", t("{x: Num, y: Str?}"), CompatMode::None)
                 .unwrap()
                 .version,
             2
         );
         assert_eq!(
-            reg.publish("b", &t("Num"), CompatMode::None)
+            reg.publish("b", t("Num"), CompatMode::None)
                 .unwrap()
                 .version,
             1
@@ -558,10 +601,10 @@ mod tests {
     #[test]
     fn identical_schema_is_a_noop() {
         let mut reg = Registry::open(fresh("noop.ndjson")).unwrap();
-        reg.publish("a", &t("{x: Num}"), CompatMode::Backward)
+        reg.publish("a", t("{x: Num}"), CompatMode::Backward)
             .unwrap();
         let again = reg
-            .publish("a", &t("{x: Num}"), CompatMode::Backward)
+            .publish("a", t("{x: Num}"), CompatMode::Backward)
             .unwrap();
         assert_eq!(
             again,
@@ -576,14 +619,14 @@ mod tests {
     #[test]
     fn backward_gate() {
         let mut reg = Registry::open(fresh("backward.ndjson")).unwrap();
-        reg.publish("a", &t("{x: Num}"), CompatMode::Backward)
+        reg.publish("a", t("{x: Num}"), CompatMode::Backward)
             .unwrap();
         // Widening is fine…
-        reg.publish("a", &t("{x: Null + Num, y: Str?}"), CompatMode::Backward)
+        reg.publish("a", t("{x: Null + Num, y: Str?}"), CompatMode::Backward)
             .unwrap();
         // …but narrowing is rejected, with the changes attached.
         let err = reg
-            .publish("a", &t("{x: Num}"), CompatMode::Backward)
+            .publish("a", t("{x: Num}"), CompatMode::Backward)
             .unwrap_err();
         match err {
             RegistryError::Incompatible {
@@ -602,17 +645,17 @@ mod tests {
     #[test]
     fn forward_and_full_gates() {
         let mut reg = Registry::open(fresh("forward.ndjson")).unwrap();
-        reg.publish("a", &t("{x: Num, y: Str?}"), CompatMode::None)
+        reg.publish("a", t("{x: Num, y: Str?}"), CompatMode::None)
             .unwrap();
         // Forward allows narrowing…
-        reg.publish("a", &t("{x: Num}"), CompatMode::Forward)
+        reg.publish("a", t("{x: Num}"), CompatMode::Forward)
             .unwrap();
         // …but not widening.
         assert!(reg
-            .publish("a", &t("{x: Num, z: Bool?}"), CompatMode::Forward)
+            .publish("a", t("{x: Num, z: Bool?}"), CompatMode::Forward)
             .is_err());
         // Full only allows equivalents (e.g. [ε*] vs []).
-        reg.publish("b", &t("{x: []}"), CompatMode::None).unwrap();
+        reg.publish("b", t("{x: []}"), CompatMode::None).unwrap();
         let starred = Type::Record(
             typefuse_types::RecordType::new(vec![typefuse_types::Field::required(
                 "x",
@@ -620,11 +663,11 @@ mod tests {
             )])
             .unwrap(),
         );
-        let outcome = reg.publish("b", &starred, CompatMode::Full).unwrap();
+        let outcome = reg.publish("b", starred, CompatMode::Full).unwrap();
         assert!(outcome.unchanged, "equivalent schemas dedup");
         assert_eq!(outcome.version, 1);
         assert!(reg
-            .publish("b", &t("{x: [], y: Num?}"), CompatMode::Full)
+            .publish("b", t("{x: [], y: Num?}"), CompatMode::Full)
             .is_err());
     }
 
@@ -633,8 +676,8 @@ mod tests {
         let path = fresh("reopen.ndjson");
         {
             let mut reg = Registry::open(&path).unwrap();
-            reg.publish("a", &t("{x: Num}"), CompatMode::None).unwrap();
-            reg.publish("a", &t("{x: Num, y: Str?}"), CompatMode::None)
+            reg.publish("a", t("{x: Num}"), CompatMode::None).unwrap();
+            reg.publish("a", t("{x: Num, y: Str?}"), CompatMode::None)
                 .unwrap();
         }
         let reg = Registry::open(&path).unwrap();
@@ -643,15 +686,15 @@ mod tests {
         assert_eq!(reg.history("a").unwrap().len(), 2);
         // The gate still works across restarts.
         let mut reg = reg;
-        assert!(reg.publish("a", &t("Num"), CompatMode::Backward).is_err());
+        assert!(reg.publish("a", t("Num"), CompatMode::Backward).is_err());
     }
 
     #[test]
     fn diff_between_versions() {
         let path = fresh("diff.ndjson");
         let mut reg = Registry::open(&path).unwrap();
-        reg.publish("a", &t("{x: Num}"), CompatMode::None).unwrap();
-        reg.publish("a", &t("{x: Str}"), CompatMode::None).unwrap();
+        reg.publish("a", t("{x: Num}"), CompatMode::None).unwrap();
+        reg.publish("a", t("{x: Str}"), CompatMode::None).unwrap();
         let changes = reg.diff("a", 1, 2).unwrap();
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].to_string(), "~ $.x: Num → Str");
@@ -693,8 +736,8 @@ mod tests {
         // hand-truncating the final record.
         {
             let mut reg = Registry::open(&path).unwrap();
-            reg.publish("a", &t("{x: Num}"), CompatMode::None).unwrap();
-            reg.publish("a", &t("{x: Str}"), CompatMode::None).unwrap();
+            reg.publish("a", t("{x: Num}"), CompatMode::None).unwrap();
+            reg.publish("a", t("{x: Str}"), CompatMode::None).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         let cut = full.len() - 7;
@@ -712,7 +755,7 @@ mod tests {
         // record boundary.
         let mut reg = Registry::open(&path).unwrap();
         assert!(reg.recovered().is_none());
-        reg.publish("a", &t("{x: Str}"), CompatMode::None).unwrap();
+        reg.publish("a", t("{x: Str}"), CompatMode::None).unwrap();
         let reg = Registry::open(&path).unwrap();
         assert!(reg.recovered().is_none());
         assert_eq!(reg.latest("a").unwrap().version, 2);
@@ -743,10 +786,10 @@ mod tests {
         let path = fresh("dyn.ndjson");
         let mut store: Box<dyn RegistryStore + Send> = Box::new(Registry::open(&path).unwrap());
         store
-            .publish_schema("a", &t("{x: Num}"), CompatMode::Backward)
+            .publish_schema("a", t("{x: Num}"), CompatMode::Backward)
             .unwrap();
         store
-            .publish_schema("a", &t("{x: Num, y: Str?}"), CompatMode::Backward)
+            .publish_schema("a", t("{x: Num, y: Str?}"), CompatMode::Backward)
             .unwrap();
         assert_eq!(store.latest_version("a"), Some(2));
         assert_eq!(store.subject_names(), vec!["a".to_string()]);
@@ -767,7 +810,7 @@ mod tests {
         for profile in Profile::ALL {
             let values: Vec<_> = profile.generate(5, 100).collect();
             let schema = fuse_all(&values.iter().map(infer_type).collect::<Vec<_>>());
-            reg.publish(profile.name(), &schema, CompatMode::None)
+            reg.publish(profile.name(), schema, CompatMode::None)
                 .unwrap();
         }
         let reopened = Registry::open(&path).unwrap();

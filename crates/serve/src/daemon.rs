@@ -298,7 +298,7 @@ impl Shared {
         let result = match request {
             Request::Schema { source } => self.source(source).map(|s| {
                 protocol::schema_response(
-                    &s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+                    &mut s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
                 )
             }),
             Request::Profile { source } => self.source(source).and_then(|s| {
@@ -859,6 +859,14 @@ fn spawn_source_poller(
         .hub
         .gauge(source_series("typefuse_source_distinct_shapes"));
     let m_version = shared.hub.gauge(source_series("typefuse_source_version"));
+    let m_publish_skipped = shared
+        .hub
+        .gauge(source_series("typefuse_source_publish_skipped"));
+    let m_publish_us = shared
+        .hub
+        .approx_gauge(source_series("typefuse_source_publish_us"));
+    let m_registry_versions = shared.hub.gauge("typefuse_registry_versions");
+    let m_registry_shapes = shared.hub.gauge("typefuse_registry_shapes");
     let m_shape_hits = shared
         .hub
         .gauge(source_series("typefuse_source_shape_hits"));
@@ -917,6 +925,19 @@ fn spawn_source_poller(
                 Err(e) => return Exit::Crash(format!("cannot reopen source: {e}")),
             },
         };
+        let publish = |state: &mut SourceState| {
+            let mut registry = incarnation_shared
+                .registry
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let before = state.version;
+            state.publish(registry.as_mut(), compat);
+            if state.version != before {
+                let stats = registry.stats();
+                m_registry_versions.set(stats.versions);
+                m_registry_shapes.set(stats.shapes);
+            }
+        };
         // Re-publish a restored schema so a fresh (in-memory) registry
         // sees it before any new record arrives; idempotent when the
         // registry already holds it.
@@ -925,11 +946,7 @@ fn spawn_source_poller(
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if state.records() > 0 && state.is_active() {
-                let mut registry = incarnation_shared
-                    .registry
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.publish(registry.as_mut(), compat);
+                publish(&mut state);
             }
         }
         let mut last_synced_offset = u64::MAX;
@@ -1086,6 +1103,7 @@ fn spawn_source_poller(
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 let _span = trace_spans.then(|| poll_recorder.span(format!("serve.fold.{name}")));
                 let absorbed = state.fold_batch(&lines);
+                let folded = Instant::now();
                 // Pair the folded schema with the exact tail position
                 // it covers, under the same lock the checkpointer
                 // serializes under.
@@ -1102,11 +1120,7 @@ fn spawn_source_poller(
                     SourceTail::PendingFile(_) => {}
                 }
                 if absorbed > 0 {
-                    let mut registry = incarnation_shared
-                        .registry
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    state.publish(registry.as_mut(), compat);
+                    publish(&mut state);
                 }
                 m_records.add(absorbed);
                 m_skipped.set(state.report().skipped());
@@ -1115,6 +1129,8 @@ fn spawn_source_poller(
                 m_version.set(state.version.unwrap_or(0));
                 m_shape_hits.set(state.shape_hits());
                 m_shape_misses.set(state.shape_misses());
+                m_publish_skipped.set(state.publish_skipped);
+                m_publish_us.set(folded.elapsed().as_micros() as u64);
                 if !state.is_active() {
                     return Exit::Stop;
                 }

@@ -9,6 +9,7 @@
 //! and memoized fuse cache carry over, so a redundant feed pays the
 //! inference cost once per distinct shape, not once per record.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use typefuse::fold::{Absorbed, FoldConfig, Origin, RecordFold};
 use typefuse::pipeline::{DedupMode, MapPath};
@@ -30,6 +31,10 @@ pub(crate) fn fold_config(job: &JobConfig) -> FoldConfig {
     }
     config
 }
+
+/// How many drift alerts a source keeps (the most recent ones); older
+/// alerts survive only in its `drift_total` count and the event log.
+pub(crate) const DRIFT_ALERTS_KEPT: usize = 256;
 
 /// A source's health, as reported by the protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,9 +59,20 @@ pub(crate) struct SourceState {
     fold: RecordFold,
     /// Latest registry version holding this source's schema.
     pub(crate) version: Option<u64>,
-    /// Drift alerts, oldest first: one rendered line per structural
-    /// change between consecutive published versions.
-    pub(crate) drift: Vec<String>,
+    /// The most recent [`DRIFT_ALERTS_KEPT`] drift alerts, oldest
+    /// first: one rendered line per structural change between
+    /// consecutive published versions.
+    pub(crate) drift: VecDeque<String>,
+    /// Alerts ever raised, the ones `drift` has dropped included.
+    pub(crate) drift_total: u64,
+    /// The fold's schema revision the registry last answered for; a
+    /// batch that leaves it in place has nothing to publish.
+    published: Option<u64>,
+    /// Batches whose publish was a no-op (the schema had not changed).
+    pub(crate) publish_skipped: u64,
+    /// The schema in the paper's notation, and the revision it was
+    /// rendered for (`None`: not reusable).
+    schema_text: (Option<u64>, String),
     pub(crate) status: SourceStatus,
     /// Records written to the quarantine sidecar for this source.
     pub(crate) quarantined: u64,
@@ -104,7 +120,11 @@ impl SourceState {
             name: name.to_string(),
             fold,
             version: None,
-            drift: Vec::new(),
+            drift: VecDeque::new(),
+            drift_total: 0,
+            published: None,
+            publish_skipped: 0,
+            schema_text: (None, String::new()),
             status: SourceStatus::Active,
             quarantined: 0,
             last_activity_ms: None,
@@ -122,6 +142,17 @@ impl SourceState {
     /// The current fused schema.
     pub(crate) fn schema(&self) -> Type {
         self.fold.schema()
+    }
+
+    /// The current fused schema in the paper's notation. On the dedup
+    /// route the text is rendered once per schema revision and served
+    /// from the cache until the schema moves.
+    pub(crate) fn schema_text(&mut self) -> &str {
+        let revision = self.fold.schema_revision();
+        if revision.is_none() || revision != self.schema_text.0 {
+            self.schema_text = (revision, self.schema().to_string());
+        }
+        &self.schema_text.1
     }
 
     /// Records successfully folded so far.
@@ -209,6 +240,9 @@ impl SourceState {
             "drift",
             Value::Array(self.drift.iter().map(|d| Value::from(d.clone())).collect()),
         );
+        if self.drift_total > self.drift.len() as u64 {
+            m.insert("drift_total", u64_to_value(self.drift_total));
+        }
         let (status, reason) = match &self.status {
             SourceStatus::Active => ("active", None),
             SourceStatus::Closed => ("closed", None),
@@ -269,17 +303,23 @@ impl SourceState {
             .ok_or("missing tail_pending_overflow")?;
         let version = opt_u64_from_value(payload.get("version"))?;
         let quarantined = u64_from_value(payload.get("quarantined").ok_or("missing quarantined")?)?;
-        let drift = payload
+        // A payload without `drift_total` lists every alert raised; one
+        // written before the list was bounded may list more than are kept.
+        let listed = payload
             .get("drift")
             .and_then(Value::as_array)
-            .ok_or("missing drift")?
+            .ok_or("missing drift")?;
+        let drift_total = opt_u64_from_value(payload.get("drift_total"))?
+            .unwrap_or(listed.len() as u64)
+            .max(listed.len() as u64);
+        let drift = listed[listed.len().saturating_sub(DRIFT_ALERTS_KEPT)..]
             .iter()
             .map(|d| {
                 d.as_str()
                     .map(str::to_string)
                     .ok_or_else(|| "non-string drift alert".to_string())
             })
-            .collect::<Result<Vec<String>, String>>()?;
+            .collect::<Result<VecDeque<String>, String>>()?;
         let status = match payload.get("status").and_then(Value::as_str) {
             Some("active") => SourceStatus::Active,
             Some("closed") => SourceStatus::Closed,
@@ -296,6 +336,7 @@ impl SourceState {
         Ok(SourceState {
             version,
             drift,
+            drift_total,
             status,
             quarantined,
             last_activity_ms,
@@ -399,19 +440,29 @@ impl SourceState {
 
     /// Publish the current schema as a new registry snapshot and record
     /// drift. Idempotent: an unchanged schema publishes as the existing
-    /// version with no new entry and no alert. A compatibility
-    /// rejection becomes a drift alert (the feed *did* drift — in a way
-    /// the gate forbids) but keeps the source folding.
+    /// version with no new entry and no alert — and when the fold's
+    /// schema revision has not moved since the registry last answered,
+    /// without resolving the schema or asking the registry at all. A
+    /// compatibility rejection becomes a drift alert (the feed *did*
+    /// drift — in a way the gate forbids) but keeps the source folding,
+    /// and is retried by the next batch.
     pub(crate) fn publish(&mut self, registry: &mut dyn RegistryStore, compat: CompatMode) {
+        let revision = self.fold.schema_revision();
+        if revision.is_some() && revision == self.published {
+            self.skip_publish();
+            return;
+        }
         let schema = self.schema();
         if schema == Type::Bottom {
             return;
         }
         let previous = self.version;
-        match registry.publish_schema(&self.name, &schema, compat) {
+        match registry.publish_schema(&self.name, schema, compat) {
             Ok(outcome) => {
                 self.version = Some(outcome.version);
+                self.published = revision;
                 if outcome.unchanged {
+                    self.skip_publish();
                     return;
                 }
                 self.recorder.add("serve.publishes", 1);
@@ -432,9 +483,14 @@ impl SourceState {
                 let alert = format!("publish rejected ({compat:?}): {e}");
                 self.events
                     .log(Level::Warn, &self.name, "publish", alert.clone());
-                self.drift.push(alert);
+                self.alert(alert);
             }
         }
+    }
+
+    fn skip_publish(&mut self) {
+        self.recorder.add("serve.publish_skipped", 1);
+        self.publish_skipped += 1;
     }
 
     fn record_drift(&mut self, from: u64, to: u64, changes: &[SchemaChange]) {
@@ -443,8 +499,16 @@ impl SourceState {
             let alert = format!("v{from}→v{to}: {change}");
             self.events
                 .log(Level::Warn, &self.name, "drift", alert.clone());
-            self.drift.push(alert);
+            self.alert(alert);
         }
+    }
+
+    fn alert(&mut self, alert: String) {
+        if self.drift.len() == DRIFT_ALERTS_KEPT {
+            self.drift.pop_front();
+        }
+        self.drift.push_back(alert);
+        self.drift_total += 1;
     }
 }
 
@@ -885,6 +949,112 @@ mod tests {
     }
 
     #[test]
+    fn an_unmoved_revision_skips_the_publish_and_serves_the_cached_text() {
+        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut s = state(true, ErrorPolicy::FailFast);
+        s.fold_batch(&lines(&[r#"{"id": 1}"#]));
+        s.publish(&mut registry, CompatMode::None);
+        assert_eq!((s.version, s.publish_skipped), (Some(1), 0));
+        let rendered = s.schema_text().as_ptr();
+
+        // Same shape again: the revision stays, so the registry is not
+        // asked and the text is the one already rendered.
+        s.fold_batch(&lines(&[r#"{"id": 2}"#]));
+        s.publish(&mut registry, CompatMode::None);
+        assert_eq!((s.version, s.publish_skipped), (Some(1), 1));
+        assert_eq!(s.recorder.counter_value("serve.publishes"), 1);
+        assert_eq!(s.recorder.counter_value("serve.publish_skipped"), 1);
+        assert_eq!(s.schema_text().as_ptr(), rendered);
+        assert_eq!(s.schema_text(), "{id: Num}");
+
+        s.fold_batch(&lines(&[r#"{"id": 3, "tag": "x"}"#]));
+        s.publish(&mut registry, CompatMode::None);
+        assert_eq!((s.version, s.publish_skipped), (Some(2), 1));
+        assert_eq!(s.schema_text(), "{id: Num, tag: Str?}");
+
+        // The plain route has no revision: the registry answers
+        // "unchanged" by id, and that counts as a skip too.
+        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut plain = state(false, ErrorPolicy::FailFast);
+        plain.fold_batch(&lines(&[r#"{"id": 1}"#]));
+        plain.publish(&mut registry, CompatMode::None);
+        plain.fold_batch(&lines(&[r#"{"id": 2}"#]));
+        plain.publish(&mut registry, CompatMode::None);
+        assert_eq!((plain.version, plain.publish_skipped), (Some(1), 1));
+        assert_eq!(plain.schema_text(), "{id: Num}");
+    }
+
+    #[test]
+    fn drift_alerts_are_a_ring_with_a_total() {
+        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut s = state(true, ErrorPolicy::FailFast);
+        s.fold_batch(&lines(&[r#"{"k0": 1}"#]));
+        s.publish(&mut registry, CompatMode::None);
+        // One alert per batch: a new optional field each time.
+        for k in 1..=(DRIFT_ALERTS_KEPT + 10) {
+            s.fold_batch(&lines(&[&format!(r#"{{"k0": 1, "n{k:04}": 1}}"#)]));
+            s.publish(&mut registry, CompatMode::None);
+        }
+        assert_eq!(s.drift.len(), DRIFT_ALERTS_KEPT);
+        assert_eq!(s.drift_total, DRIFT_ALERTS_KEPT as u64 + 10);
+        assert!(s.drift[0].ends_with("+ $.n0011 (new)"), "{}", s.drift[0]);
+
+        let payload = s.checkpoint_value();
+        assert_eq!(
+            payload
+                .get("drift")
+                .and_then(Value::as_array)
+                .unwrap()
+                .len(),
+            DRIFT_ALERTS_KEPT
+        );
+        let restore = |payload: &Value| {
+            SourceState::restore(
+                "s",
+                fold_config(true, MapPath::Events),
+                ErrorPolicy::FailFast,
+                Recorder::enabled(),
+                EventLog::new(64, Level::Debug),
+                payload,
+            )
+            .unwrap()
+        };
+        let resumed = restore(&payload);
+        assert_eq!(
+            (&resumed.drift, resumed.drift_total),
+            (&s.drift, s.drift_total)
+        );
+
+        // A payload from before the list was bounded carries every
+        // alert and no total: its tail is kept, its length is the total.
+        let Value::Object(mut unbounded) = payload else {
+            panic!("checkpoint payloads are objects")
+        };
+        let all: Vec<Value> = (0..1000)
+            .map(|i| Value::from(format!("alert {i}")))
+            .collect();
+        unbounded.insert("drift", Value::Array(all));
+        unbounded.remove("drift_total");
+        let resumed = restore(&Value::Object(unbounded));
+        assert_eq!(resumed.drift_total, 1000);
+        assert_eq!(resumed.drift.len(), DRIFT_ALERTS_KEPT);
+        assert_eq!(
+            resumed.drift[0],
+            format!("alert {}", 1000 - DRIFT_ALERTS_KEPT)
+        );
+
+        // Below the bound nothing is dropped and no total is written.
+        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut few = state(true, ErrorPolicy::FailFast);
+        few.fold_batch(&lines(&[r#"{"a": 1}"#]));
+        few.publish(&mut registry, CompatMode::None);
+        few.fold_batch(&lines(&[r#"{"a": 1, "b": 2}"#]));
+        few.publish(&mut registry, CompatMode::None);
+        assert!(few.drift_total > 0);
+        assert!(few.checkpoint_value().get("drift_total").is_none());
+    }
+
+    #[test]
     fn compat_rejection_becomes_a_drift_alert_and_folding_continues() {
         let mut registry = typefuse_registry::MemoryRegistry::new();
         let mut s = state(false, ErrorPolicy::FailFast);
@@ -900,5 +1070,17 @@ mod tests {
         assert_eq!(s.version, Some(1), "rejected publish keeps the old version");
         assert!(s.drift.iter().any(|d| d.contains("publish rejected")));
         assert!(s.is_active());
+        // The gate is asked again by every batch, moved revision or not.
+        for dedup in [false, true] {
+            let mut registry = typefuse_registry::MemoryRegistry::new();
+            let mut s = state(dedup, ErrorPolicy::FailFast);
+            s.fold_batch(&lines(&[r#"{"id": 1}"#]));
+            s.publish(&mut registry, CompatMode::Backward);
+            for rejections in 1..=2 {
+                s.fold_batch(&lines(&[r#"{"id": 2, "extra": true}"#]));
+                s.publish(&mut registry, CompatMode::Forward);
+                assert_eq!(s.drift_total, rejections, "dedup={dedup}");
+            }
+        }
     }
 }

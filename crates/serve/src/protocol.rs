@@ -178,13 +178,13 @@ pub fn error_response(message: &str) -> String {
 }
 
 /// The `schema` response payload for one source.
-pub(crate) fn schema_response(state: &SourceState) -> String {
+pub(crate) fn schema_response(state: &mut SourceState) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("source");
     w.string(&state.name);
     w.key("schema");
-    w.string(&state.schema().to_string());
+    w.string(state.schema_text());
     w.key("records");
     w.number(state.records());
     w.key("version");
@@ -277,6 +277,10 @@ pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
         w.string(alert);
     }
     w.end_array();
+    if state.drift_total > state.drift.len() as u64 {
+        w.key("drift_total");
+        w.number(state.drift_total);
+    }
     w.key("status");
     match &state.status {
         SourceStatus::Active => w.string("active"),

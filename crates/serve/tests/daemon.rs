@@ -491,3 +491,84 @@ fn an_ordinary_client_does_not_wait_out_a_delayed_ack_per_request() {
     daemon.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_batch_that_leaves_the_schema_alone_publishes_nothing() {
+    let path = temp_path("steady.ndjson");
+    std::fs::write(
+        &path,
+        "{\"id\":1,\"tags\":[\"a\"]}\n{\"id\":2,\"tags\":[]}\n",
+    )
+    .unwrap();
+    let recorder = Recorder::enabled();
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(JobConfig::new().recorder(recorder.clone()))
+            .watch_file("steady", &path),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    let schema_of = |env: &Envelope| {
+        env.payload
+            .get("schema")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
+    let before = client.wait_for_records("steady", 2);
+    let (publishes, skipped) = (
+        recorder.counter_value("serve.publishes"),
+        recorder.counter_value("serve.publish_skipped"),
+    );
+    assert_eq!(publishes, 1);
+
+    // A record of a known shape: folded, counted, nothing to publish.
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    file.write_all(b"{\"id\":3,\"tags\":[\"b\",\"c\"]}\n")
+        .unwrap();
+    file.flush().unwrap();
+    let after = client.wait_for_records("steady", 3);
+    assert_eq!(recorder.counter_value("serve.publishes"), publishes);
+    assert_eq!(recorder.counter_value("serve.publish_skipped"), skipped + 1);
+    assert_eq!(after.payload.get("version"), before.payload.get("version"));
+    assert_eq!(schema_of(&after), schema_of(&before));
+    assert_eq!(
+        schema_of(&after).as_deref(),
+        Some("{id: Num, tags: [Str*]}")
+    );
+
+    // The skip is on the telemetry plane too, with the registry's size
+    // and the last batch's fold-to-published time.
+    let text = client.request(r#"{"op":"metrics"}"#);
+    let telemetry = Envelope::expect_kind(&text, "telemetry").unwrap();
+    let gauge = |family: &str, key: &str| {
+        let series = telemetry.payload.get(family).and_then(|f| f.get(key));
+        series
+            .and_then(Value::as_i64)
+            .unwrap_or_else(|| panic!("no {family} {key} in {text}"))
+    };
+    assert_eq!(
+        gauge(
+            "gauges",
+            r#"typefuse_source_publish_skipped{source="steady"}"#
+        ) as u64,
+        skipped + 1
+    );
+    assert_eq!(gauge("gauges", "typefuse_registry_versions"), 1);
+    assert!(gauge("gauges", "typefuse_registry_shapes") > 5);
+    gauge("approx", r#"typefuse_source_publish_us{source="steady"}"#);
+
+    // A widening record moves the revision: one more publish.
+    file.write_all(b"{\"id\":4,\"tags\":[],\"geo\":null}\n")
+        .unwrap();
+    file.flush().unwrap();
+    let widened = client.wait_for_records("steady", 4);
+    assert_eq!(recorder.counter_value("serve.publishes"), publishes + 1);
+    assert_eq!(
+        schema_of(&widened).as_deref(),
+        Some("{geo: Null?, id: Num, tags: [Str*]}")
+    );
+    daemon.shutdown();
+}

@@ -9,9 +9,10 @@
 //! between an old and a new schema — the operational tool behind
 //! `typefuse diff`.
 
+use crate::intern::{FieldShape, ShapeRef, TypeId, TypeInterner};
 use crate::kind::TypeKind;
 use crate::ty::Type;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One detected change at a path.
@@ -93,8 +94,23 @@ fn write_kinds(f: &mut fmt::Formatter<'_>, kinds: &[TypeKind]) -> fmt::Result {
 /// in the kinds possible at a shared path, and every optionality flip.
 /// Changes are sorted by path.
 pub fn diff(old: &Type, new: &Type) -> Vec<SchemaChange> {
-    let mut changes = Vec::new();
-    diff_at(old, new, "$", &mut changes);
+    let mut interner = TypeInterner::new();
+    let (old, new) = (interner.intern(old), interner.intern(new));
+    diff_ids(&interner, old, new)
+}
+
+/// [`diff`] over two shapes of one interner. Hash-consing makes "same
+/// subtree" an id comparison, so the walk only descends where the two
+/// schemas differ and only renders the paths it reports: the cost is
+/// proportional to the change, not to the schemas.
+pub fn diff_ids(interner: &TypeInterner, old: TypeId, new: TypeId) -> Vec<SchemaChange> {
+    let mut walk = Walk {
+        interner,
+        path: String::from("$"),
+        out: Vec::new(),
+    };
+    walk.diff_at(walk.view(old), walk.view(new));
+    let mut changes = walk.out;
     changes.sort_by(|a, b| {
         a.path()
             .cmp(b.path())
@@ -112,132 +128,185 @@ fn order_key(c: &SchemaChange) -> u8 {
     }
 }
 
-fn kinds_of(t: &Type) -> Vec<TypeKind> {
-    t.addends().iter().filter_map(Type::kind).collect()
+/// What a path admits: its (kind-unique) addends, indexed by kind code.
+/// `ε` is the empty view.
+type View = [Option<TypeId>; 6];
+
+fn kinds_of(view: &View) -> Vec<TypeKind> {
+    let present = TypeKind::ALL.into_iter().zip(view);
+    present.filter_map(|(k, a)| a.map(|_| k)).collect()
 }
 
-fn diff_at(old: &Type, new: &Type, path: &str, out: &mut Vec<SchemaChange>) {
-    let (old_kinds, new_kinds) = (kinds_of(old), kinds_of(new));
-    if old_kinds != new_kinds {
-        out.push(SchemaChange::KindsChanged {
-            path: path.to_string(),
-            old: old_kinds.clone(),
-            new: new_kinds.clone(),
+struct Walk<'a> {
+    interner: &'a TypeInterner,
+    /// The path of the node being compared; segments are pushed on the
+    /// way down and truncated on the way up.
+    path: String,
+    out: Vec<SchemaChange>,
+}
+
+impl<'a> Walk<'a> {
+    fn view(&self, id: TypeId) -> View {
+        let mut view = View::default();
+        match self.interner.shape(id) {
+            ShapeRef::Bottom => {}
+            ShapeRef::Union(addends) => {
+                for &a in addends {
+                    view[self.kind_index(a)] = Some(a);
+                }
+            }
+            _ => view[self.kind_index(id)] = Some(id),
+        }
+        view
+    }
+
+    fn kind_index(&self, addend: TypeId) -> usize {
+        self.interner.kind(addend).expect("addends are kinded") as usize
+    }
+
+    fn fields(&self, view: &View) -> Option<&'a [FieldShape]> {
+        match self.interner.shape(view[TypeKind::Record as usize]?) {
+            ShapeRef::Record(fields) => Some(fields),
+            _ => unreachable!("the record slot holds a record"),
+        }
+    }
+
+    /// A uniform element view of the array addend, if any: `[T*]` is
+    /// viewed through `T`, a positional array through the first addend
+    /// of each kind among its elements, `[]` through `ε`.
+    fn elements(&self, view: &View) -> Option<View> {
+        match self.interner.shape(view[TypeKind::Array as usize]?) {
+            ShapeRef::Star(body) => Some(self.view(body)),
+            ShapeRef::Array(elems) => {
+                let mut first = View::default();
+                for &elem in elems {
+                    for (slot, addend) in first.iter_mut().zip(self.view(elem)) {
+                        *slot = slot.or(addend);
+                    }
+                }
+                Some(first)
+            }
+            _ => unreachable!("the array slot holds an array"),
+        }
+    }
+
+    /// Run `f` with `segment` appended to the path.
+    fn under(&mut self, dot: bool, segment: &str, f: impl FnOnce(&mut Self)) {
+        let len = self.path.len();
+        if dot {
+            self.path.push('.');
+        }
+        self.path.push_str(segment);
+        f(self);
+        self.path.truncate(len);
+    }
+
+    fn under_field(&mut self, field: &FieldShape, f: impl FnOnce(&mut Self)) {
+        let name = self.interner.name(field.0);
+        self.under(true, name, f)
+    }
+
+    /// Report `field` and every record path below it as added or removed.
+    fn field_as(&mut self, field: &FieldShape, change: fn(String) -> SchemaChange) {
+        self.under_field(field, |w| {
+            w.push(change);
+            w.collect_paths_as(w.view(field.1), change);
         });
     }
 
-    // Records: compare field sets on the record addend of each side.
-    let old_rec = record_addend(old);
-    let new_rec = record_addend(new);
-    if let (Some(o), Some(n)) = (old_rec, new_rec) {
-        let old_keys: BTreeSet<&str> = o.fields().iter().map(|f| f.name.as_str()).collect();
-        let new_keys: BTreeSet<&str> = n.fields().iter().map(|f| f.name.as_str()).collect();
-        for key in old_keys.difference(&new_keys) {
-            let child = format!("{path}.{key}");
-            out.push(SchemaChange::Removed {
-                path: child.clone(),
-            });
-            collect_paths_as(&o.field(key).expect("present").ty, &child, false, out);
-        }
-        for key in new_keys.difference(&old_keys) {
-            let child = format!("{path}.{key}");
-            out.push(SchemaChange::Added {
-                path: child.clone(),
-            });
-            collect_paths_as(&n.field(key).expect("present").ty, &child, true, out);
-        }
-        for key in old_keys.intersection(&new_keys) {
-            let (fo, fn_) = (
-                o.field(key).expect("present"),
-                n.field(key).expect("present"),
-            );
-            let child_path = format!("{path}.{key}");
-            if fo.optional != fn_.optional {
-                out.push(SchemaChange::OptionalityChanged {
-                    path: child_path.clone(),
-                    was_optional: fo.optional,
-                });
-            }
-            diff_at(&fo.ty, &fn_.ty, &child_path, out);
-        }
-    } else if let (None, Some(n)) = (old_rec, new_rec) {
-        for f in n.fields() {
-            out.push(SchemaChange::Added {
-                path: format!("{path}.{}", f.name),
-            });
-        }
-    } else if let (Some(o), None) = (old_rec, new_rec) {
-        for f in o.fields() {
-            out.push(SchemaChange::Removed {
-                path: format!("{path}.{}", f.name),
-            });
-        }
+    fn push(&mut self, change: fn(String) -> SchemaChange) {
+        self.out.push(change(self.path.clone()));
     }
 
-    // Arrays: recurse into the collapsed element views.
-    match (array_body(old), array_body(new)) {
-        (Some(o), Some(n)) => diff_at(&o, &n, &format!("{path}[]"), out),
-        (None, Some(n)) => {
-            // An array became possible here; its inner structure is new.
-            if !matches!(n, Type::Bottom) {
-                collect_paths_as(&n, &format!("{path}[]"), true, out);
-            }
+    fn diff_at(&mut self, old: View, new: View) {
+        if old == new {
+            return;
         }
-        (Some(o), None) => {
-            if !matches!(o, Type::Bottom) {
-                collect_paths_as(&o, &format!("{path}[]"), false, out);
-            }
+        let (old_kinds, new_kinds) = (kinds_of(&old), kinds_of(&new));
+        if old_kinds != new_kinds {
+            self.out.push(SchemaChange::KindsChanged {
+                path: self.path.clone(),
+                old: old_kinds,
+                new: new_kinds,
+            });
         }
-        (None, None) => {}
-    }
-}
 
-fn record_addend(t: &Type) -> Option<&crate::ty::RecordType> {
-    t.addends().iter().find_map(|a| match a {
-        Type::Record(rt) => Some(rt),
-        _ => None,
-    })
-}
-
-/// A uniform element view of the array addend, if any: positional arrays
-/// are viewed through the union of their element kinds' paths (without
-/// fusing, to stay allocation-light we approximate with a collapsed
-/// clone).
-fn array_body(t: &Type) -> Option<Type> {
-    t.addends().iter().find_map(|a| match a {
-        Type::Star(body) => Some((**body).clone()),
-        Type::Array(at) if !at.is_empty() => {
-            // Build a best-effort union view: first element per kind.
-            let mut by_kind: [Option<&Type>; 6] = Default::default();
-            for elem in at.elems() {
-                for addend in elem.addends() {
-                    let k = addend.kind().expect("kinded") as usize;
-                    by_kind[k].get_or_insert(addend);
+        // Records: merge-join the (name-sorted) field lists.
+        match (self.fields(&old), self.fields(&new)) {
+            (Some(o), Some(n)) => self.diff_fields(o, n),
+            (None, Some(n)) => {
+                for f in n {
+                    self.under_field(f, |w| w.push(added));
                 }
             }
-            Type::union(by_kind.into_iter().flatten().cloned()).ok()
+            (Some(o), None) => {
+                for f in o {
+                    self.under_field(f, |w| w.push(removed));
+                }
+            }
+            (None, None) => {}
         }
-        Type::Array(_) => Some(Type::Bottom),
-        _ => None,
-    })
+
+        // Arrays: recurse into the element views.
+        match (self.elements(&old), self.elements(&new)) {
+            (Some(o), Some(n)) => self.under(false, "[]", |w| w.diff_at(o, n)),
+            // An array became possible (or impossible) here; its inner
+            // structure is new (or gone).
+            (None, Some(n)) => self.under(false, "[]", |w| w.collect_paths_as(n, added)),
+            (Some(o), None) => self.under(false, "[]", |w| w.collect_paths_as(o, removed)),
+            (None, None) => {}
+        }
+    }
+
+    fn diff_fields(&mut self, old: &[FieldShape], new: &[FieldShape]) {
+        let (mut o, mut n) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            let order = match (o.peek(), n.peek()) {
+                (None, None) => return,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(fo), Some(fn_)) if fo.0 == fn_.0 => Ordering::Equal,
+                (Some(fo), Some(fn_)) => self.interner.name(fo.0).cmp(self.interner.name(fn_.0)),
+            };
+            match order {
+                Ordering::Less => self.field_as(o.next().expect("peeked"), removed),
+                Ordering::Greater => self.field_as(n.next().expect("peeked"), added),
+                Ordering::Equal => {
+                    let (fo, fn_) = (o.next().expect("peeked"), n.next().expect("peeked"));
+                    if (fo.1, fo.2) == (fn_.1, fn_.2) {
+                        continue;
+                    }
+                    self.under_field(fo, |w| {
+                        if fo.2 != fn_.2 {
+                            w.out.push(SchemaChange::OptionalityChanged {
+                                path: w.path.clone(),
+                                was_optional: fo.2,
+                            });
+                        }
+                        w.diff_at(w.view(fo.1), w.view(fn_.1));
+                    });
+                }
+            }
+        }
+    }
+
+    /// Record all record paths under `view` as added or removed.
+    fn collect_paths_as(&mut self, view: View, change: fn(String) -> SchemaChange) {
+        for f in self.fields(&view).unwrap_or_default() {
+            self.field_as(f, change);
+        }
+        if let Some(elements) = self.elements(&view) {
+            self.under(false, "[]", |w| w.collect_paths_as(elements, change));
+        }
+    }
 }
 
-/// Record all record paths under `t` as Added or Removed.
-fn collect_paths_as(t: &Type, prefix: &str, added: bool, out: &mut Vec<SchemaChange>) {
-    if let Some(rt) = record_addend(t) {
-        for f in rt.fields() {
-            let path = format!("{prefix}.{}", f.name);
-            out.push(if added {
-                SchemaChange::Added { path: path.clone() }
-            } else {
-                SchemaChange::Removed { path: path.clone() }
-            });
-            collect_paths_as(&f.ty, &path, added, out);
-        }
-    }
-    if let Some(body) = array_body(t) {
-        collect_paths_as(&body, &format!("{prefix}[]"), added, out);
-    }
+fn added(path: String) -> SchemaChange {
+    SchemaChange::Added { path }
+}
+
+fn removed(path: String) -> SchemaChange {
+    SchemaChange::Removed { path }
 }
 
 #[cfg(test)]

@@ -182,7 +182,12 @@ pub enum ShapeRef<'a> {
 pub struct TypeInterner {
     shapes: Vec<Shape>,
     hashes: Vec<u64>,
-    shape_ids: FxHashMap<Shape, TypeId>,
+    /// Structural hash → the newest shape with that hash; `same_hash`
+    /// links each shape to the previous one sharing its hash. The arena
+    /// is the only owner of a shape: a wide record costs its field list
+    /// once, not once more as a map key.
+    by_hash: FxHashMap<u64, TypeId>,
+    same_hash: Vec<Option<TypeId>>,
     names: Vec<Arc<str>>,
     name_ids: FxHashMap<Arc<str>, NameId>,
 }
@@ -200,7 +205,8 @@ impl TypeInterner {
         let mut interner = TypeInterner {
             shapes: Vec::new(),
             hashes: Vec::new(),
-            shape_ids: FxHashMap::default(),
+            by_hash: FxHashMap::default(),
+            same_hash: Vec::new(),
             names: Vec::new(),
             name_ids: FxHashMap::default(),
         };
@@ -235,17 +241,21 @@ impl TypeInterner {
     }
 
     fn intern_shape(&mut self, shape: Shape) -> TypeId {
-        if let Some(&id) = self.shape_ids.get(&shape) {
-            return id;
+        use std::hash::BuildHasher;
+        let hash = FxBuildHasher::default().hash_one(&shape);
+        let newest = self.by_hash.get(&hash).copied();
+        let mut candidate = newest;
+        while let Some(id) = candidate {
+            if self.shapes[id.index()] == shape {
+                return id;
+            }
+            candidate = self.same_hash[id.index()];
         }
-        let hash = {
-            use std::hash::BuildHasher;
-            self.shape_ids.hasher().hash_one(&shape)
-        };
         let id = TypeId(u32::try_from(self.shapes.len()).expect("type arena overflow"));
-        self.shapes.push(shape.clone());
+        self.shapes.push(shape);
         self.hashes.push(hash);
-        self.shape_ids.insert(shape, id);
+        self.same_hash.push(newest);
+        self.by_hash.insert(hash, id);
         id
     }
 

@@ -10,6 +10,7 @@
 //! from inference or fusion.
 
 use crate::ty::Type;
+use std::cmp::Ordering;
 
 /// Sound syntactic check of `⟦sub⟧ ⊆ ⟦sup⟧`.
 pub fn is_subtype(sub: &Type, sup: &Type) -> bool {
@@ -33,13 +34,24 @@ fn simple_subtype(t: &Type, u: &Type) -> bool {
         (Type::Record(r1), Type::Record(r2)) => {
             // Every possible key of r1 must be declared in r2 with a
             // super-type; every mandatory key of r2 must be guaranteed
-            // (mandatory) in r1.
-            r1.fields().iter().all(|f1| {
-                r2.field(&f1.name)
-                    .is_some_and(|f2| is_subtype(&f1.ty, &f2.ty))
-            }) && r2
-                .required_fields()
-                .all(|f2| r1.field(&f2.name).is_some_and(|f1| !f1.optional))
+            // (mandatory) in r1. Both field lists are sorted by key, so
+            // one merge pass decides it.
+            let mut declared = r2.fields().iter();
+            for f1 in r1.fields() {
+                let matched = declared
+                    .by_ref()
+                    .find_map(|f2| match f2.name.cmp(&f1.name) {
+                        Ordering::Less if f2.optional => None,
+                        Ordering::Less | Ordering::Greater => Some(false),
+                        Ordering::Equal => {
+                            Some((f2.optional || !f1.optional) && is_subtype(&f1.ty, &f2.ty))
+                        }
+                    });
+                if matched != Some(true) {
+                    return false;
+                }
+            }
+            declared.all(|f2| f2.optional)
         }
 
         (Type::Array(a1), Type::Array(a2)) => {

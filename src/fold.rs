@@ -269,6 +269,12 @@ impl RecordFold {
         self.acc.schema()
     }
 
+    /// See [`SchemaAcc::revision`]: moves iff [`schema`](Self::schema)
+    /// changed; `None` when only comparing schemas can tell.
+    pub fn schema_revision(&self) -> Option<u64> {
+        self.acc.revision()
+    }
+
     /// Records folded so far.
     pub fn records(&self) -> u64 {
         self.acc.records()
