@@ -12,8 +12,15 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_engine::{Dataset, ReducePlan, Runtime};
-use typefuse_infer::{fuse, fuse_with, infer_type, ArrayFusion, FuseConfig};
+use typefuse_infer::{fuse, fuse_into, fuse_with, infer_type, ArrayFusion, FuseConfig};
 use typefuse_types::Type;
+
+/// The engine's combine operator as the pipeline runs it: the left
+/// partial is owned and widened in place.
+fn merge(mut acc: Type, other: &Type) -> Type {
+    fuse_into(FuseConfig::default(), &mut acc, other);
+    acc
+}
 
 fn twitter_types(n: usize) -> Vec<Type> {
     Profile::Twitter
@@ -90,7 +97,7 @@ fn bench_reduce_topology(c: &mut Criterion) {
         ("tree_arity8", ReducePlan::Tree { arity: 8 }),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &plan, |b, &plan| {
-            b.iter(|| plan.combine(&rt, partials.clone(), fuse).unwrap().size())
+            b.iter(|| plan.combine(&rt, partials.clone(), merge).unwrap().size())
         });
     }
     group.finish();
@@ -107,7 +114,7 @@ fn bench_dataset_reduce_vs_aggregate(c: &mut Criterion) {
         b.iter(|| {
             dataset
                 .map(&rt, infer_type)
-                .reduce(&rt, ReducePlan::default(), fuse)
+                .reduce(&rt, ReducePlan::default(), merge)
                 .unwrap()
                 .size()
         })
@@ -119,8 +126,8 @@ fn bench_dataset_reduce_vs_aggregate(c: &mut Criterion) {
                     &rt,
                     ReducePlan::default(),
                     || Type::Bottom,
-                    |acc, v| fuse(&acc, &infer_type(v)),
-                    fuse,
+                    |acc, v| merge(acc, &infer_type(v)),
+                    merge,
                 )
                 .size()
         })

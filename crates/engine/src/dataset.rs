@@ -184,11 +184,13 @@ impl<T: Send + Sync> Dataset<T> {
 
     /// Parallel reduce with an associative operator: partition-local
     /// folds, then combination according to `plan`. `None` if the dataset
-    /// is empty.
+    /// is empty. `op` owns its left operand (see
+    /// [`ReducePlan::combine`]); the dataset is borrowed, so the one
+    /// clone is of each partition's first item.
     pub fn reduce<F>(&self, rt: &Runtime, plan: ReducePlan, op: F) -> Option<T>
     where
         T: Clone,
-        F: Fn(&T, &T) -> T + Sync,
+        F: Fn(T, &T) -> T + Sync,
     {
         self.reduce_metered(rt, plan, op).0
     }
@@ -203,7 +205,7 @@ impl<T: Send + Sync> Dataset<T> {
     ) -> (Option<T>, StageMetrics)
     where
         T: Clone,
-        F: Fn(&T, &T) -> T + Sync,
+        F: Fn(T, &T) -> T + Sync,
     {
         self.reduce_recorded(rt, plan, op, &typefuse_obs::Recorder::disabled())
     }
@@ -221,16 +223,11 @@ impl<T: Send + Sync> Dataset<T> {
     ) -> (Option<T>, StageMetrics)
     where
         T: Clone,
-        F: Fn(&T, &T) -> T + Sync,
+        F: Fn(T, &T) -> T + Sync,
     {
         let (partials, metrics) = rt.run_indexed(&self.partitions, |_, part: &Vec<T>| {
-            let mut iter = part.iter();
-            let first = iter.next()?;
-            let mut acc = first.clone();
-            for item in iter {
-                acc = op(&acc, item);
-            }
-            Some(acc)
+            let (first, rest) = part.split_first()?;
+            Some(rest.iter().fold(first.clone(), &op))
         });
         let partials: Vec<T> = partials.into_iter().flatten().collect();
         (plan.combine_recorded(rt, partials, op, rec), metrics)
@@ -247,10 +244,10 @@ impl<T: Send + Sync> Dataset<T> {
         comb: C,
     ) -> A
     where
-        A: Send + Sync + Clone,
+        A: Send,
         Z: Fn() -> A + Sync,
         S: Fn(A, &T) -> A + Sync,
-        C: Fn(&A, &A) -> A + Sync,
+        C: Fn(A, &A) -> A + Sync,
     {
         let (partials, _) = rt.run_indexed(&self.partitions, |_, part: &Vec<T>| {
             part.iter().fold(zero(), &seq)

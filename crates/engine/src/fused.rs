@@ -56,10 +56,9 @@ fn combine_partials<F: Fuser>(
     plan.try_combine_recorded(
         rt,
         partials,
-        |a, b| {
-            let mut merged = a.clone();
-            fuser.merge(&mut merged, b);
-            merged
+        |mut acc, other| {
+            fuser.merge(&mut acc, other);
+            acc
         },
         rec,
     )

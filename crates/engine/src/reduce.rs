@@ -14,6 +14,7 @@
 //! fused types.
 
 use crate::runtime::{Runtime, WorkerPanic};
+use parking_lot::Mutex;
 use typefuse_obs::{span, Recorder};
 
 /// How partial results are combined.
@@ -39,10 +40,14 @@ impl ReducePlan {
     /// plan. Partials keep their left-to-right order within every group,
     /// so the plan is order-correct even for non-commutative associative
     /// operators. Returns `None` on empty input.
+    ///
+    /// The plan owns the partials: `op` is handed its left operand by
+    /// value and returns it merged, so an accumulator is never copied —
+    /// `A` need not be `Clone`.
     pub fn combine<A, F>(self, rt: &Runtime, partials: Vec<A>, op: F) -> Option<A>
     where
-        A: Send + Sync + Clone,
-        F: Fn(&A, &A) -> A + Sync,
+        A: Send,
+        F: Fn(A, &A) -> A + Sync,
     {
         self.combine_recorded(rt, partials, op, &Recorder::disabled())
     }
@@ -62,8 +67,8 @@ impl ReducePlan {
         rec: &Recorder,
     ) -> Option<A>
     where
-        A: Send + Sync + Clone,
-        F: Fn(&A, &A) -> A + Sync,
+        A: Send,
+        F: Fn(A, &A) -> A + Sync,
     {
         match self.try_combine_recorded(rt, partials, op, rec) {
             Ok(r) => r,
@@ -82,58 +87,37 @@ impl ReducePlan {
         rec: &Recorder,
     ) -> Result<Option<A>, WorkerPanic>
     where
-        A: Send + Sync + Clone,
-        F: Fn(&A, &A) -> A + Sync,
+        A: Send,
+        F: Fn(A, &A) -> A + Sync,
     {
-        match self {
-            ReducePlan::Sequential => {
-                rec.record("reduce.fan_in", partials.len() as u64);
-                let _level = span!(rec, "reduce.level", 0);
-                // A sequential fold runs on the driver thread, so the
-                // whole level is one catch_unwind scope.
-                let groups = [partials];
-                let (folded, _) = rt.try_run_indexed(&groups, |_, group: &Vec<A>| {
-                    let mut iter = group.iter();
-                    let first = iter.next()?;
-                    let mut acc = first.clone();
-                    for item in iter {
-                        acc = op(&acc, item);
-                    }
-                    Some(acc)
-                });
-                Ok(folded?.pop().flatten())
+        // A sequential fold is one group — one level, reported even when
+        // it has nothing to combine — on the driver thread; a tree
+        // re-groups `arity` partials at a time until one is left.
+        let (arity, sequential) = match self {
+            ReducePlan::Sequential => (usize::MAX, true),
+            ReducePlan::Tree { arity } => (arity.max(2), false),
+        };
+        let mut partials = partials;
+        let mut level = 0u32;
+        while partials.len() > 1 || (sequential && level == 0) {
+            rec.record("reduce.fan_in", partials.len() as u64);
+            let _level = span!(rec, "reduce.level", level);
+            // The runtime lends each task its item; a group is taken out
+            // of its slot so the fold can own (and drop) its partials.
+            let mut groups: Vec<Mutex<Vec<A>>> = Vec::new();
+            let mut rest = partials.into_iter().peekable();
+            while rest.peek().is_some() {
+                groups.push(Mutex::new(rest.by_ref().take(arity).collect()));
             }
-            ReducePlan::Tree { arity } => {
-                let arity = arity.max(2);
-                let mut partials = partials;
-                if partials.is_empty() {
-                    return Ok(None);
-                }
-                let mut level = 0u32;
-                while partials.len() > 1 {
-                    rec.record("reduce.fan_in", partials.len() as u64);
-                    let _level = span!(rec, "reduce.level", level);
-                    let groups: Vec<Vec<A>> = {
-                        let mut gs = Vec::new();
-                        let mut it = partials.into_iter().peekable();
-                        while it.peek().is_some() {
-                            gs.push(it.by_ref().take(arity).collect());
-                        }
-                        gs
-                    };
-                    let (combined, _) = rt.try_run_indexed(&groups, |_, group: &Vec<A>| {
-                        let mut acc = group[0].clone();
-                        for item in &group[1..] {
-                            acc = op(&acc, item);
-                        }
-                        acc
-                    });
-                    partials = combined?;
-                    level += 1;
-                }
-                Ok(partials.pop())
-            }
+            let (combined, _) = rt.try_run_indexed(&groups, |_, group| {
+                let mut group = std::mem::take(&mut *group.lock()).into_iter();
+                let first = group.next().expect("groups are non-empty");
+                group.fold(first, |acc, item| op(acc, &item))
+            });
+            partials = combined?;
+            level += 1;
         }
+        Ok(partials.pop())
     }
 }
 
@@ -221,6 +205,63 @@ mod tests {
         assert_eq!(report.histograms["reduce.fan_in"].sum, 3);
     }
 
+    /// An accumulator that cannot be copied: that `combine` compiles over
+    /// it is the proof that no plan clones a partial.
+    struct Owned(Vec<u32>);
+
+    #[test]
+    fn combine_owns_partials_that_are_not_clone() {
+        let rt = Runtime::new(3);
+        for plan in [
+            ReducePlan::Sequential,
+            ReducePlan::Tree { arity: 2 },
+            ReducePlan::Tree { arity: 3 },
+        ] {
+            let partials: Vec<Owned> = (0..7).map(|i| Owned(vec![i])).collect();
+            let merged = plan.combine(&rt, partials, |mut acc: Owned, other| {
+                acc.0.extend(&other.0);
+                acc
+            });
+            assert_eq!(merged.expect("non-empty").0, (0..7).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_operator_is_a_worker_panic_and_other_groups_still_run() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let rt = Runtime::new(2);
+        let rec = Recorder::disabled();
+        for plan in [ReducePlan::Sequential, ReducePlan::Tree { arity: 2 }] {
+            let merges = AtomicUsize::new(0);
+            let partials: Vec<Owned> = (0..8).map(|i| Owned(vec![i])).collect();
+            let outcome = plan.try_combine_recorded(
+                &rt,
+                partials,
+                |mut acc: Owned, other| {
+                    if other.0 == [3] {
+                        panic!("poisoned partial");
+                    }
+                    merges.fetch_add(1, Ordering::Relaxed);
+                    acc.0.extend(&other.0);
+                    acc
+                },
+                &rec,
+            );
+            let panic = outcome.err().expect("the panic surfaces as a value");
+            assert!(panic.message.contains("poisoned partial"), "{panic}");
+            match plan {
+                // One group: the fold stops at the poisoned partial.
+                ReducePlan::Sequential => {
+                    assert_eq!((panic.partition, merges.into_inner()), (0, 2))
+                }
+                // Four pairs: (2, 3) panics, the other three still merge.
+                ReducePlan::Tree { .. } => {
+                    assert_eq!((panic.partition, merges.into_inner()), (1, 3))
+                }
+            }
+        }
+    }
+
     #[test]
     fn deep_tree_with_many_partials() {
         let rt = Runtime::new(8);
@@ -247,12 +288,12 @@ mod proptests {
             let seq = ReducePlan::Sequential.combine(
                 &rt,
                 partials.clone(),
-                |a: &String, b: &String| format!("{a}{b}"),
+                |a: String, b: &String| a + b,
             );
             let tree = ReducePlan::Tree { arity }.combine(
                 &rt,
                 partials.clone(),
-                |a: &String, b: &String| format!("{a}{b}"),
+                |a: String, b: &String| a + b,
             );
             prop_assert_eq!(&tree, &seq);
             prop_assert_eq!(seq, (!partials.is_empty()).then(|| partials.concat()));

@@ -1,7 +1,7 @@
 //! The [`Fuser`] trait: one interface for every Reduce-phase strategy.
 //!
 //! The crate grew several concrete entry points for the same algebraic
-//! operation — [`fuse`](crate::fuse) / [`fuse_with`]
+//! operation — [`fuse`](crate::fuse) / [`fuse_with`](crate::fuse_with)
 //! (by-reference binary fusion), [`fuse_into`]
 //! (in-place accumulator fusion) and [`CountingFuser`](crate::counting)
 //! (fusion enriched with path statistics). Each caller — the pipeline,
@@ -18,7 +18,7 @@
 //!
 //! [`empty`]: Fuser::empty
 
-use crate::fuse::{fuse_with, FuseConfig};
+use crate::fuse::FuseConfig;
 use crate::fuse_inplace::fuse_into;
 use crate::infer::infer_type;
 use crate::obs::union_width;
@@ -30,7 +30,7 @@ use typefuse_types::Type;
 /// partition-local accumulator and how accumulators combine.
 pub trait Fuser: Sync {
     /// Partition-local accumulator.
-    type Acc: Send + Sync + Clone;
+    type Acc: Send;
 
     /// The identity accumulator (the paper's `ε`).
     fn empty(&self) -> Self::Acc;
@@ -57,9 +57,9 @@ pub trait Fuser: Sync {
 }
 
 /// The canonical strategy: Figure 6 fusion under a [`FuseConfig`], with
-/// a bare [`Type`] accumulator. `absorb_type` is
-/// [`fuse_into`](crate::fuse_into) (in-place, no clone of untouched
-/// subtrees); `merge` is [`fuse_with`](crate::fuse_with).
+/// a bare [`Type`] accumulator. `absorb_type` and `merge` are both
+/// [`fuse_into`](crate::fuse_into): the accumulator is widened where it
+/// stands, and only what the other side adds is cloned.
 impl Fuser for FuseConfig {
     type Acc = Type;
 
@@ -72,7 +72,7 @@ impl Fuser for FuseConfig {
     }
 
     fn merge(&self, acc: &mut Type, other: &Type) {
-        *acc = fuse_with(*self, acc, other);
+        fuse_into(*self, acc, other);
     }
 
     fn is_empty_acc(&self, acc: &Type) -> bool {
@@ -86,10 +86,12 @@ impl Fuser for FuseConfig {
 
 /// [`FuseConfig`]'s strategy plus the pipeline's fusion metrics:
 /// `fuse.calls` and the `fuse.union_width` histogram, as emitted by
-/// [`fuse_with_recorded`](crate::fuse_with_recorded). Absorbing into the
-/// identity accumulator is a move, not a fusion, and is not counted —
-/// matching the engine's historical "fold from the first element"
-/// semantics.
+/// [`fuse_with_recorded`](crate::fuse_with_recorded), and `fuse.widened`,
+/// the calls that changed their accumulator (a run whose `fuse.widened`
+/// stopped far short of `fuse.calls` saw its schema settle early).
+/// Absorbing into the identity accumulator is a move, not a fusion, and
+/// is not counted — matching the engine's historical "fold from the
+/// first element" semantics.
 #[derive(Debug, Clone)]
 pub struct RecordedFuser {
     cfg: FuseConfig,
@@ -102,10 +104,12 @@ impl RecordedFuser {
         RecordedFuser { cfg, rec }
     }
 
-    fn count(&self, fused: &Type) {
+    fn fuse_counted(&self, acc: &mut Type, other: &Type) {
+        let widened = fuse_into(self.cfg, acc, other);
         if self.rec.is_enabled() {
             self.rec.add("fuse.calls", 1);
-            self.rec.record("fuse.union_width", union_width(fused));
+            self.rec.add("fuse.widened", u64::from(widened));
+            self.rec.record("fuse.union_width", union_width(acc));
         }
     }
 }
@@ -122,13 +126,11 @@ impl Fuser for RecordedFuser {
             *acc = ty.clone();
             return;
         }
-        fuse_into(self.cfg, acc, ty);
-        self.count(acc);
+        self.fuse_counted(acc, ty);
     }
 
     fn merge(&self, acc: &mut Type, other: &Type) {
-        *acc = fuse_with(self.cfg, acc, other);
-        self.count(acc);
+        self.fuse_counted(acc, other);
     }
 
     fn is_empty_acc(&self, acc: &Type) -> bool {
@@ -188,8 +190,13 @@ mod tests {
         for t in &types() {
             fuser.absorb_type(&mut acc, t);
         }
-        // First absorb is a move into ε, then two fusions.
+        // First absorb is a move into ε, then two fusions, both of
+        // which widen; absorbing an admitted type again is a call only.
         assert_eq!(rec.counter_value("fuse.calls"), 2);
+        assert_eq!(rec.counter_value("fuse.widened"), 2);
+        fuser.absorb_type(&mut acc, &types()[1]);
+        assert_eq!(rec.counter_value("fuse.calls"), 3);
+        assert_eq!(rec.counter_value("fuse.widened"), 2);
         assert_eq!(fuser.finish_schema(acc), fuse_all(&types()));
     }
 

@@ -9,7 +9,7 @@
 //! (e.g. one per partition of an updated dataset) is a single `Fuse` —
 //! exactly the maintenance story the paper gives for partitioned data.
 
-use crate::fuse::{fuse_with, FuseConfig};
+use crate::fuse::FuseConfig;
 use crate::fuse_inplace::fuse_into;
 use crate::infer::infer_type;
 use typefuse_json::Value;
@@ -81,8 +81,8 @@ impl Incremental {
         self.absorb_type(infer_type(value));
     }
 
-    /// Absorb an already inferred type. Uses in-place fusion, so the
-    /// running schema's untouched subtrees are never copied.
+    /// Absorb an already inferred type. Uses in-place fusion, so nothing
+    /// of the running schema is copied.
     pub fn absorb_type(&mut self, ty: Type) {
         self.absorb_type_ref(&ty);
     }
@@ -94,12 +94,12 @@ impl Incremental {
         self.count += 1;
     }
 
-    /// Merge another accumulator (e.g. from a different partition). Thanks
-    /// to associativity and commutativity of fusion, the result is the
-    /// same as if all values had been absorbed by one accumulator, in any
-    /// order.
+    /// Merge another accumulator (e.g. from a different partition), in
+    /// place. Thanks to associativity and commutativity of fusion, the
+    /// result is the same as if all values had been absorbed by one
+    /// accumulator, in any order.
     pub fn merge(&mut self, other: &Incremental) {
-        self.schema = fuse_with(self.config, &self.schema, &other.schema);
+        fuse_into(self.config, &mut self.schema, &other.schema);
         self.count += other.count;
     }
 

@@ -16,6 +16,7 @@
 //! | `infer.record_width` | histogram | field count of each top-level record type |
 //! | `infer.max_depth`    | gauge     | deepest inferred type seen (max-merged)   |
 //! | `fuse.calls`         | counter   | binary fusions performed (Reduce phase)   |
+//! | `fuse.widened`       | counter   | of those, the ones that changed the schema |
 //! | `fuse.union_width`   | histogram | addend count of each fusion result        |
 
 use typefuse_json::Value;

@@ -130,6 +130,65 @@ impl RecordType {
         self.fields
     }
 
+    /// Where `name` sits among the fields from index `from` on: `Ok(i)`
+    /// if field `i` has that key, `Err(i)` with the index it would be
+    /// inserted at otherwise. The field at `from` is tried first — a
+    /// caller walking another record's sorted keys hits it whenever the
+    /// two records share a run of keys — and the rest is binary-searched.
+    ///
+    /// Panics if `from > self.len()`.
+    pub fn position(&self, name: &str, from: usize) -> Result<usize, usize> {
+        let rest = &self.fields[from..];
+        match rest.first().map(|f| f.name.as_str().cmp(name)) {
+            None | Some(std::cmp::Ordering::Greater) => Err(from),
+            Some(std::cmp::Ordering::Equal) => Ok(from),
+            Some(std::cmp::Ordering::Less) => rest[1..]
+                .binary_search_by(|f| f.name.as_str().cmp(name))
+                .map(|i| from + 1 + i)
+                .map_err(|i| from + 1 + i),
+        }
+    }
+
+    /// Mutable access to the type of field `i`. Any type is a valid field
+    /// type, so the record's invariants cannot be broken through it.
+    pub fn ty_mut(&mut self, i: usize) -> &mut Type {
+        &mut self.fields[i].ty
+    }
+
+    /// Flag the fields in `range` as optional; returns whether any of
+    /// them was mandatory before.
+    pub fn make_optional(&mut self, range: std::ops::Range<usize>) -> bool {
+        let mut flipped = false;
+        // Write only on a flip: the scan of an already-optional run (the
+        // steady state of a wide record) leaves its cache lines clean.
+        for f in &mut self.fields[range] {
+            if !f.optional {
+                f.optional = true;
+                flipped = true;
+            }
+        }
+        flipped
+    }
+
+    /// Insert `field` at index `i`, which must be where its key belongs
+    /// (the `Err` of [`RecordType::position`]).
+    ///
+    /// Panics if the key is not strictly between its new neighbours':
+    /// the fields stay sorted and unique whatever the caller passes.
+    pub fn insert_at(&mut self, i: usize, field: Field) {
+        let misplaced = (i > 0 && self.fields[i - 1].name >= field.name)
+            || self
+                .fields
+                .get(i)
+                .is_some_and(|next| next.name <= field.name);
+        assert!(
+            !misplaced,
+            "field {:?} does not belong at index {i}",
+            field.name
+        );
+        self.fields.insert(i, field);
+    }
+
     /// Iterate over the mandatory fields.
     pub fn required_fields(&self) -> impl Iterator<Item = &Field> {
         self.fields.iter().filter(|f| !f.optional)
@@ -215,6 +274,12 @@ impl ArrayType {
         self.elems
     }
 
+    /// The element types, mutably. Positions carry no invariant (any
+    /// type may sit at any of them); the length is fixed.
+    pub fn elems_mut(&mut self) -> &mut [Type] {
+        &mut self.elems
+    }
+
     /// Number of positions.
     pub fn len(&self) -> usize {
         self.elems.len()
@@ -243,10 +308,43 @@ impl Union {
 
     /// The addend of the given kind, if present.
     pub fn addend_of_kind(&self, kind: TypeKind) -> Option<&Type> {
+        self.search(kind).ok().map(|i| &self.addends[i])
+    }
+
+    fn search(&self, kind: TypeKind) -> Result<usize, usize> {
         self.addends
             .binary_search_by_key(&kind, |t| t.kind().expect("union addends have kinds"))
-            .ok()
-            .map(|i| &self.addends[i])
+    }
+
+    /// Run `update` on the addend of the given kind, if present, and
+    /// return its result.
+    ///
+    /// Panics if `update` left a type of another kind (or `ε`, or a
+    /// union) in the slot: the addends stay flat and kind-unique.
+    pub fn update_addend<R>(
+        &mut self,
+        kind: TypeKind,
+        update: impl FnOnce(&mut Type) -> R,
+    ) -> Option<R> {
+        let i = self.search(kind).ok()?;
+        let slot = &mut self.addends[i];
+        let result = update(slot);
+        assert_eq!(slot.kind(), Some(kind), "an addend keeps its kind");
+        Some(result)
+    }
+
+    /// Add an addend of a kind this union does not have yet, at its
+    /// kind's position. [`TypeError::KindClash`] if the kind is taken,
+    /// [`TypeError::NestedUnion`] for `ε` or a union.
+    pub fn insert_addend(&mut self, addend: Type) -> Result<(), TypeError> {
+        let kind = addend.kind().ok_or(TypeError::NestedUnion)?;
+        match self.search(kind) {
+            Ok(_) => Err(TypeError::KindClash(kind)),
+            Err(i) => {
+                self.addends.insert(i, addend);
+                Ok(())
+            }
+        }
     }
 }
 
@@ -315,16 +413,6 @@ impl Type {
             Type::Bottom => &[],
             Type::Union(u) => u.addends(),
             other => std::slice::from_ref(other),
-        }
-    }
-
-    /// Consume the type into its list of non-union addends (the owning
-    /// variant of [`Type::addends`]). `ε` yields an empty vector.
-    pub fn into_addends(self) -> Vec<Type> {
-        match self {
-            Type::Bottom => Vec::new(),
-            Type::Union(u) => u.addends,
-            other => vec![other],
         }
     }
 
@@ -591,6 +679,97 @@ mod tests {
             Some(&Type::star(Type::Str))
         );
         assert_eq!(u.addend_of_kind(TypeKind::Bool), None);
+    }
+
+    fn abc() -> RecordType {
+        RecordType::new(vec![
+            Field::required("b", Type::Num),
+            Field::required("d", Type::Str),
+            Field::optional("f", Type::Null),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn position_tries_the_hint_then_searches_the_rest() {
+        let rt = abc();
+        assert_eq!(rt.position("b", 0), Ok(0));
+        assert_eq!(rt.position("f", 0), Ok(2));
+        assert_eq!(rt.position("d", 1), Ok(1));
+        assert_eq!(rt.position("a", 0), Err(0));
+        assert_eq!(rt.position("c", 0), Err(1));
+        assert_eq!(rt.position("e", 1), Err(2));
+        assert_eq!(rt.position("g", 1), Err(3));
+        assert_eq!(rt.position("g", 3), Err(3));
+        // Only fields from the hint on are looked at.
+        assert_eq!(rt.position("b", 1), Err(1));
+        assert_eq!(RecordType::empty().position("a", 0), Err(0));
+    }
+
+    #[test]
+    fn record_mutators_keep_the_fields_sorted() {
+        let mut rt = abc();
+        assert!(rt.make_optional(0..2));
+        assert!(!rt.make_optional(0..3), "all optional already");
+        assert!(!rt.make_optional(1..1));
+        *rt.ty_mut(1) = Type::Bool;
+        rt.insert_at(0, Field::required("a", Type::Num));
+        rt.insert_at(2, Field::required("c", Type::Num));
+        rt.insert_at(5, Field::required("g", Type::Num));
+        let keys: Vec<&str> = rt.fields().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "c", "d", "f", "g"]);
+        assert_eq!(rt.field("d").unwrap().ty, Type::Bool);
+        Type::Record(rt).check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn insert_at_refuses_a_misplaced_key() {
+        abc().insert_at(1, Field::required("e", Type::Num));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn insert_at_refuses_a_duplicate_key() {
+        abc().insert_at(1, Field::required("d", Type::Num));
+    }
+
+    fn num_or_str() -> Union {
+        match Type::Num.plus(Type::Str) {
+            Type::Union(u) => u,
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn union_mutators_keep_addends_kind_unique_and_sorted() {
+        let mut u = num_or_str();
+        assert_eq!(u.insert_addend(Type::empty_array()), Ok(()));
+        assert_eq!(u.insert_addend(Type::Null), Ok(()));
+        assert_eq!(
+            u.insert_addend(Type::star(Type::Num)),
+            Err(TypeError::KindClash(TypeKind::Array))
+        );
+        assert_eq!(u.insert_addend(Type::Bottom), Err(TypeError::NestedUnion));
+        assert_eq!(
+            u.insert_addend(Type::Bool.plus(Type::empty_record())),
+            Err(TypeError::NestedUnion)
+        );
+        // An addend may change within its kind: [] → [Num*].
+        let was_empty = u.update_addend(TypeKind::Array, |a| {
+            std::mem::replace(a, Type::star(Type::Num)) == Type::empty_array()
+        });
+        assert_eq!(was_empty, Some(true));
+        assert_eq!(u.update_addend(TypeKind::Bool, |_| ()), None);
+        let fused = Type::Union(u);
+        fused.check_invariants().unwrap();
+        assert_eq!(fused.to_string(), "Null + Num + Str + [Num*]");
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps its kind")]
+    fn update_addend_refuses_a_kind_change() {
+        num_or_str().update_addend(TypeKind::Num, |a| *a = Type::Bool);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use typefuse_infer::{
 };
 use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
+use typefuse_types::intern::FxBuildHasher;
 use typefuse_types::Type;
 
 pub use typefuse_infer::{dedup_auto_sample, DedupMode};
@@ -315,10 +316,9 @@ impl SchemaJob {
                 let merged = self.reduce_plan.try_combine_recorded(
                     &self.runtime,
                     folds,
-                    |a, b| {
-                        let mut merged = a.clone();
-                        merged.merge(b);
-                        merged
+                    |mut fold, other| {
+                        fold.merge(other);
+                        fold
                     },
                     rec,
                 );
@@ -562,7 +562,8 @@ impl TypeStats {
         if types.is_empty() {
             return TypeStats::default();
         }
-        let mut distinct: HashSet<&'a Type> = HashSet::with_capacity(types.len() / 4);
+        let mut distinct: HashSet<&'a Type, FxBuildHasher> =
+            HashSet::with_capacity_and_hasher(types.len() / 4, FxBuildHasher::default());
         let mut min_size = usize::MAX;
         let mut max_size = 0usize;
         let mut sum = 0u64;
