@@ -5,7 +5,15 @@
 //! includes reading, partitioning, Map and Reduce — the numbers are
 //! records/s of the whole ingest, not just the inference kernel.
 //!
-//! Every measurement first asserts the two routes produce byte-identical
+//! Beside them, the typing layer alone, line by line with nothing
+//! around it: `direct` is the validating typer the events route runs
+//! (`Typer` with the `()` observer), `direct+profile` the same walk with
+//! the profile trie observing, `event_fold` the pull-parser fold the
+//! typer replaced on the hot path and still replays declined lines
+//! through — the in-repo reproduction of `perf/`'s
+//! `infer.streaming` / `infer.profile` layer numbers.
+//!
+//! Every measurement first asserts the routes produce byte-identical
 //! schemas on the profile, so a run of this bench doubles as the
 //! differential check CI's bench-smoke job relies on.
 
@@ -13,6 +21,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use typefuse::pipeline::{MapPath, SchemaJob, Source};
 use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
+use typefuse_infer::streaming::event_fold;
+use typefuse_infer::{Incremental, ProfileAcc, Typer};
+use typefuse_json::ParserOptions;
 
 fn corpus(profile: Profile, n: usize) -> String {
     let values: Vec<_> = profile.generate(7, n).collect();
@@ -46,12 +57,50 @@ fn bench_value_vs_events(c: &mut Criterion) {
             "map routes disagree on {profile}: {via_events} vs {via_values}"
         );
 
+        let lines: Vec<&[u8]> = text.lines().map(str::as_bytes).collect();
+        let options = ParserOptions::default();
+        let mut typer = Typer::default();
+        let mut fused = Incremental::new();
+        for line in &lines {
+            let ty = typer.type_line(line, 512, &mut (), 0);
+            fused.absorb_type(ty.expect("the typer answers on generated lines"));
+        }
+        assert_eq!(
+            fused.into_schema(),
+            via_events,
+            "the typer alone on {profile}"
+        );
+
         group.throughput(Throughput::Elements(n as u64));
         for (label, path) in [("events", MapPath::Events), ("value", MapPath::Values)] {
             group.bench_function(BenchmarkId::new(label, profile), |b| {
                 b.iter(|| run(path, black_box(&text)).size())
             });
         }
+        group.bench_function(BenchmarkId::new("direct", profile), |b| {
+            b.iter(|| {
+                for line in black_box(&lines) {
+                    black_box(typer.type_line(line, 512, &mut (), 0));
+                }
+            })
+        });
+        group.bench_function(BenchmarkId::new("direct+profile", profile), |b| {
+            b.iter(|| {
+                let mut acc = ProfileAcc::new();
+                for (i, line) in black_box(&lines).iter().enumerate() {
+                    let ty = acc.observe_line(i as u64 + 1, line, &options);
+                    black_box(ty.expect("generated lines are well-formed"));
+                }
+                acc
+            })
+        });
+        group.bench_function(BenchmarkId::new("event_fold", profile), |b| {
+            b.iter(|| {
+                for line in black_box(&lines) {
+                    black_box(event_fold(line, &options).ok());
+                }
+            })
+        });
     }
     group.finish();
 }

@@ -11,6 +11,7 @@ use crate::fuse::FuseConfig;
 use crate::incremental::Incremental;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use typefuse_types::intern::FxHasher;
 use typefuse_types::Type;
 
 /// Whether a reduce rides the shape-dedup route: hash-consed type
@@ -45,7 +46,7 @@ pub struct AutoSample {
 impl AutoSample {
     /// Note one type; `Some(verdict)` once the sample is full.
     fn note(&mut self, ty: &Type) -> Option<bool> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = FxHasher::default();
         ty.hash(&mut hasher);
         self.distinct.insert(hasher.finish());
         self.seen += 1;

@@ -50,6 +50,7 @@ pub mod profile;
 mod project;
 pub mod shape;
 pub mod streaming;
+pub mod typer;
 
 pub use acc::{dedup_auto_sample, AutoSample, DedupMode, SchemaAcc};
 pub use counting::{type_paths, CountedField, CountedSchema, Counting, CountingFuser};
@@ -64,3 +65,4 @@ pub use obs::{fuse_with_recorded, infer_type_recorded};
 pub use profile::{PathProfile, ProfileAcc, ProfileReport, Profiling};
 pub use project::project;
 pub use shape::{shape_signature, ShapeCache};
+pub use typer::{Fact, Observer, Typer};

@@ -24,15 +24,15 @@
 //! The statistics hang on the schema tree's own nodes (as JSONoid's
 //! do), not on a path-string index: an arena of nodes, each with its
 //! profile, its known children (`key → node`, looked up by `&str`) and
-//! its `[]` element node. An observer walks the trie beside the token
-//! stream or the `Value` and logs `(node, fact)` per value; only a
-//! record that parses to its end is replayed into the nodes, so a
-//! truncated line leaves no trace, and a warm accumulator absorbs a
-//! known-shape record without allocating. A node's identity is its
-//! *rendered* path — the key `a.b` under `$` and the key `b` under
-//! `$.a` share the node `$.a.b`, as they share a line of the report —
-//! and the `rendered path → node` map, consulted when a child index
-//! misses, orders every output (DESIGN §9).
+//! its `[]` element node. An observer walks the trie beside the text
+//! (as the [`Typer`]'s [`Observer`]) or the `Value` and logs `(node,
+//! fact)` per value; only a record that parses to its end is replayed
+//! into the nodes, so a truncated line leaves no trace, and a warm
+//! accumulator absorbs a known-shape record without allocating. A
+//! node's identity is its *rendered* path — the key `a.b` under `$` and
+//! the key `b` under `$.a` share the node `$.a.b`, as they share a line
+//! of the report — and the `rendered path → node` map, consulted when a
+//! child index misses, orders every output (DESIGN §9).
 //!
 //! ## The absence monoid
 //!
@@ -63,11 +63,12 @@
 use crate::fuse::FuseConfig;
 use crate::fuser::Fuser;
 use crate::incremental::Incremental;
+use crate::streaming;
+use crate::typer::{Fact, Observer, Typer};
 use std::collections::BTreeMap;
-use typefuse_json::events::{Event, EventParser};
-use typefuse_json::{ErrorKind, Parser, ParserOptions, Value};
+use typefuse_json::{Parser, ParserOptions, Value};
 use typefuse_obs::{JsonWriter, LogHistogram};
-use typefuse_types::{ArrayType, Field, RecordType, Type, TypeKind};
+use typefuse_types::{Type, TypeKind};
 
 const KINDS: usize = TypeKind::ALL.len();
 const KIND_RECORD: usize = TypeKind::Record as usize;
@@ -287,19 +288,6 @@ fn merge_opt(a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64) -> Optio
     }
 }
 
-/// One value an observer saw, logged against its node until the record
-/// is known to parse. The value walk and the event fold log the same
-/// facts (property-tested), so both Map routes profile byte-identically.
-#[derive(Debug, Clone, Copy)]
-enum Fact {
-    Null,
-    Bool,
-    Num(f64),
-    Str(u64),
-    Array(u64),
-    Record(u64),
-}
-
 /// A known child key of a record path.
 #[derive(Debug, Clone)]
 struct Kid {
@@ -359,6 +347,8 @@ pub struct ProfileAcc {
     epoch: u64,
     log: Vec<(u32, Fact)>,
     new_edges: Vec<(u32, Option<Box<str>>, u32)>,
+    /// The text walk's scratch.
+    typer: Typer,
 }
 
 impl PartialEq for ProfileAcc {
@@ -416,7 +406,7 @@ impl ProfileAcc {
         self.schema.absorb_type_ref(&ty);
     }
 
-    /// Absorb one NDJSON line through the event fold — no `Value` tree
+    /// Absorb one NDJSON line straight from its text — no `Value` tree
     /// is materialised. Parse failures are recorded in the accumulator
     /// (mergeable, earliest line wins) rather than returned, so the
     /// partition fold keeps its infallible `absorb` shape.
@@ -426,11 +416,10 @@ impl ProfileAcc {
         }
     }
 
-    /// The event fold of [`absorb_line`](Self::absorb_line) under the
-    /// caller's parser options: one tokenisation yields both the
-    /// observation and the record's type, which is fused in and handed
-    /// back. A parse failure is returned and leaves the accumulator
-    /// untouched.
+    /// [`absorb_line`](Self::absorb_line) under the caller's parser
+    /// options: one walk of the text yields both the observation and
+    /// the record's type, which is fused in and handed back. A parse
+    /// failure is returned and leaves the accumulator untouched.
     pub fn absorb_line_typed(
         &mut self,
         line: u64,
@@ -451,33 +440,36 @@ impl ProfileAcc {
         }
     }
 
-    /// Observe one line's path statistics through the event fold and
-    /// hand back its type *without* fusing or counting it (see
-    /// [`with_schema`](Self::with_schema)). A parse failure is returned
-    /// and leaves the accumulator untouched.
+    /// Observe one line's path statistics and hand back its type
+    /// *without* fusing or counting it (see
+    /// [`with_schema`](Self::with_schema)): the direct [`Typer`] walks the
+    /// text with the trie as its observer. A line it declines is
+    /// forgotten and replayed — through the event fold first when keys
+    /// are strict, so a malformed line reports what the plain route
+    /// reports, then through the value tree, where escaped keys and
+    /// lenient last-wins are settled. A parse failure is returned and
+    /// leaves the accumulator untouched.
     pub fn observe_line(
         &mut self,
         line: u64,
         input: &[u8],
         options: &ParserOptions,
     ) -> typefuse_json::Result<Type> {
-        if options.allow_duplicate_keys {
-            // The event observer assumes strict keys; lenient input goes
-            // through the value tree, where last-wins is settled.
-            let value = Parser::with_options(input, options.clone()).parse_complete()?;
-            return Ok(self.observe_value(line, &value));
-        }
-        let mut parser = EventParser::with_options(input, options.clone());
         let arena_len = self.nodes.len();
         let root = self.begin_record();
-        let typed = next_or_eof(&mut parser)
-            .and_then(|first| self.observe_event_value(&mut parser, first, root))
-            .and_then(|ty| parser.finish().map(|()| ty));
-        match typed {
-            Ok(_) => self.commit_record(line),
-            Err(_) => self.abandon_record(arena_len),
+        let mut typer = std::mem::take(&mut self.typer);
+        let typed = typer.type_line(input, options.max_depth, &mut TextWalk(self), root);
+        self.typer = typer;
+        if let Some(ty) = typed {
+            self.commit_record(line);
+            return Ok(ty);
         }
-        typed
+        self.abandon_record(arena_len);
+        if !options.allow_duplicate_keys {
+            streaming::event_fold(input, options)?;
+        }
+        let value = Parser::with_options(input, options.clone()).parse_complete()?;
+        Ok(self.observe_value(line, &value))
     }
 
     /// The tree-walk twin of [`observe_line`](Self::observe_line).
@@ -925,8 +917,24 @@ impl ProfileReport {
     }
 }
 
-/// Observers: one per Map route, equal by property test. Each walks the
-/// trie beside its input and logs one fact per value.
+/// The trie as the [`Typer`]'s observer: the text walk logs the facts
+/// the tree walk below logs (property-tested), one per value.
+struct TextWalk<'a>(&'a mut ProfileAcc);
+
+impl Observer for TextWalk<'_> {
+    fn kid(&mut self, parent: u32, key: &str) -> u32 {
+        self.0.kid(parent, key)
+    }
+
+    fn elem(&mut self, parent: u32) -> u32 {
+        self.0.elem(parent)
+    }
+
+    fn fact(&mut self, node: u32, fact: Fact) {
+        self.0.log.push((node, fact));
+    }
+}
+
 impl ProfileAcc {
     /// Tree route: walk a materialised value.
     fn observe_tree(&mut self, v: &Value, node: u32) {
@@ -952,74 +960,6 @@ impl ProfileAcc {
             }
         };
         self.log.push((node, fact));
-    }
-
-    /// Event route: fold the token stream into the record's type
-    /// (exactly like [`crate::streaming`]) while logging the same facts
-    /// as [`observe_tree`](Self::observe_tree) — still no `Value` tree.
-    ///
-    /// Assumes strict parser options (the pipeline default): duplicate
-    /// keys error out before they could desynchronise the two observers.
-    fn observe_event_value<'a>(
-        &mut self,
-        events: &mut EventParser<'a>,
-        event: Event<'a>,
-        node: u32,
-    ) -> typefuse_json::Result<Type> {
-        let (fact, ty) = match event {
-            Event::Null => (Fact::Null, Type::Null),
-            Event::Bool(_) => (Fact::Bool, Type::Bool),
-            Event::Number(n) => (Fact::Num(n.as_f64()), Type::Num),
-            Event::String(s) => (Fact::Str(s.len() as u64), Type::Str),
-            Event::ObjectStart => {
-                let mut fields: Vec<Field> = Vec::with_capacity(8);
-                loop {
-                    match next_or_eof(events)? {
-                        Event::ObjectEnd => break,
-                        Event::Key(name) => {
-                            let first = next_or_eof(events)?;
-                            let kid = self.kid(node, &name);
-                            let ty = self.observe_event_value(events, first, kid)?;
-                            fields.push(Field::required(name.into_owned(), ty));
-                        }
-                        _ => unreachable!("parser yields only Key or ObjectEnd inside an object"),
-                    }
-                }
-                let width = fields.len() as u64;
-                let record =
-                    RecordType::new(fields).expect("strict parser enforces key uniqueness");
-                (Fact::Record(width), Type::Record(record))
-            }
-            Event::ArrayStart => {
-                let mut elems: Vec<Type> = Vec::new();
-                loop {
-                    match next_or_eof(events)? {
-                        Event::ArrayEnd => break,
-                        e => {
-                            let elem = self.elem(node);
-                            elems.push(self.observe_event_value(events, e, elem)?);
-                        }
-                    }
-                }
-                let len = elems.len() as u64;
-                (Fact::Array(len), Type::Array(ArrayType::new(elems)))
-            }
-            Event::Key(_) | Event::ObjectEnd | Event::ArrayEnd => {
-                unreachable!("parser yields structurally balanced events")
-            }
-        };
-        self.log.push((node, fact));
-        Ok(ty)
-    }
-}
-
-fn next_or_eof<'a>(events: &mut EventParser<'a>) -> typefuse_json::Result<Event<'a>> {
-    match events.next_event()? {
-        Some(e) => Ok(e),
-        None => Err(typefuse_json::Error::at(
-            ErrorKind::UnexpectedEof,
-            events.source_position(),
-        )),
     }
 }
 

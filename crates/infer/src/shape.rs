@@ -9,7 +9,8 @@
 //! verbatim, value bytes masked to their kind), and [`ShapeCache`] memoizes
 //! signature → inferred [`Type`], backed by the hash-consing
 //! [`TypeInterner`]. A hit skips event parsing and inference entirely; a
-//! miss replays the ordinary event fold and inserts.
+//! miss types the line the ordinary way ([`streaming::infer_line`]) and
+//! inserts.
 //!
 //! # Signature definition
 //!
@@ -31,9 +32,10 @@
 //!
 //! The cache may only be consulted when *equal signature implies equal
 //! inferred type and equal parse outcome*. Masking is therefore gated on
-//! **local token validity**, checked against exactly the parser's
+//! **local token validity**, checked by the direct typer's own token
+//! scanners ([`crate::typer`]) against exactly the parser's
 //! grammar: a number must match the strict RFC 8259 number grammar *and*
-//! be in range for [`parse_decimal`]
+//! be in range for [`parse_decimal`](typefuse_json::number::parse_decimal)
 //! (so `1e999` can never collide with `1`); a string must contain no raw
 //! control bytes, only legal escapes (with full surrogate-pair
 //! validation) and valid UTF-8; literals must be exactly `null`, `true`
@@ -45,7 +47,7 @@
 //! errors (mismatched brackets, duplicate keys, depth overflow) depend
 //! only on the token sequence, so an erroring record can never share a
 //! signature with a cached one. Errors are never cached: the miss path
-//! replays the real event fold, which reports byte-identical errors.
+//! ends in the real event fold, which reports byte-identical errors.
 //!
 //! Signatures are 64-bit hashes, so distinct shapes can collide at
 //! ~2⁻⁶⁴ per pair — the same acceptance the distinct-shape counters
@@ -53,7 +55,6 @@
 
 use std::hash::Hasher;
 
-use typefuse_json::number::parse_decimal;
 use typefuse_json::scan::{scan_into, tokens, ScanIndex, Token};
 use typefuse_json::{ParserOptions, Result};
 use typefuse_obs::Recorder;
@@ -61,6 +62,7 @@ use typefuse_types::intern::{FxHashMap, FxHasher};
 use typefuse_types::{Type, TypeId, TypeInterner};
 
 use crate::streaming;
+use crate::typer::{scan_number, scan_string, Typer};
 
 /// Compute the raw-shape signature of one JSON record, or `None` when
 /// the record is unsignable (any locally invalid token) and must take
@@ -136,140 +138,17 @@ fn classify_scalar(s: &[u8]) -> Option<u8> {
     }
 }
 
-/// Exactly the parser's number acceptance: strict RFC 8259 grammar over
-/// the whole token *and* in range for `parse_decimal`.
+/// Exactly the parser's number acceptance over the whole token: the
+/// typer's number scanner must take all of it.
 fn valid_number(s: &[u8]) -> bool {
-    // Fast path: short all-digit tokens are always in i64 range.
-    if !s.is_empty() && s.len() <= 18 && s.iter().all(u8::is_ascii_digit) {
-        return s[0] != b'0' || s.len() == 1;
-    }
-    let mut i = 0usize;
-    if s.first() == Some(&b'-') {
-        i += 1;
-    }
-    match s.get(i) {
-        Some(b'0') => i += 1,
-        Some(b'1'..=b'9') => {
-            while s.get(i).is_some_and(u8::is_ascii_digit) {
-                i += 1;
-            }
-        }
-        _ => return false,
-    }
-    if s.get(i) == Some(&b'.') {
-        i += 1;
-        if !s.get(i).is_some_and(u8::is_ascii_digit) {
-            return false;
-        }
-        while s.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-    }
-    if matches!(s.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        if matches!(s.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        if !s.get(i).is_some_and(u8::is_ascii_digit) {
-            return false;
-        }
-        while s.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-    }
-    if i != s.len() {
-        return false;
-    }
-    // Range check mirrors the parser's NumberOutOfRange rejection.
-    let text = std::str::from_utf8(s).expect("number grammar is ASCII");
-    parse_decimal(text).is_some()
+    scan_number(s, 0).is_some_and(|(end, _)| end == s.len())
 }
 
 /// Exactly the parser's string acceptance over the raw token (quotes
-/// included): no raw control bytes, only legal escapes with surrogate
-/// pairing, valid UTF-8. Raw-byte UTF-8 validity is equivalent to the
-/// parser's check on the unescaped text because escape sequences are
-/// ASCII and substitute whole characters at character boundaries.
+/// included): the typer's string scanner must close on its last quote.
 fn valid_string(tok: &[u8]) -> bool {
     debug_assert!(tok.len() >= 2 && tok[0] == b'"' && tok[tok.len() - 1] == b'"');
-    let inner = &tok[1..tok.len() - 1];
-    let mut i = 0usize;
-    // Everything before the first non-ASCII byte is ASCII, so checking
-    // UTF-8 on the suffix from there is equivalent to the whole string.
-    let mut utf8_from = inner.len();
-    while i < inner.len() {
-        // Bulk-skip clean words: no control byte, no backslash, no
-        // non-ASCII byte. The subtract-based detectors can borrow across
-        // lanes, but only *after* a true positive, so they are exact as
-        // whole-word predicates.
-        while i + 8 <= inner.len() {
-            let w = u64::from_le_bytes(inner[i..i + 8].try_into().expect("8-byte chunk"));
-            const ONES: u64 = 0x0101_0101_0101_0101;
-            const HIGH: u64 = 0x8080_8080_8080_8080;
-            let lt20 = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
-            let x = w ^ (ONES * u64::from(b'\\'));
-            let bs = x.wrapping_sub(ONES) & !x & HIGH;
-            if ((w & HIGH) | lt20 | bs) != 0 {
-                break;
-            }
-            i += 8;
-        }
-        let Some(&b) = inner.get(i) else { break };
-        if (0x20..0x80).contains(&b) && b != b'\\' {
-            i += 1;
-            continue;
-        }
-        if b < 0x20 {
-            return false;
-        }
-        if b >= 0x80 {
-            utf8_from = utf8_from.min(i);
-            i += 1;
-            continue;
-        }
-        i += 1;
-        match inner.get(i) {
-            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 1,
-            Some(b'u') => {
-                i += 1;
-                let Some(cp) = hex4(inner, i) else {
-                    return false;
-                };
-                i += 4;
-                if (0xD800..=0xDBFF).contains(&cp) {
-                    // High surrogate: a `\u`-escaped low surrogate must follow.
-                    if inner.get(i) != Some(&b'\\') || inner.get(i + 1) != Some(&b'u') {
-                        return false;
-                    }
-                    let Some(low) = hex4(inner, i + 2) else {
-                        return false;
-                    };
-                    if !(0xDC00..=0xDFFF).contains(&low) {
-                        return false;
-                    }
-                    i += 6;
-                } else if (0xDC00..=0xDFFF).contains(&cp) {
-                    return false; // lone low surrogate
-                }
-            }
-            _ => return false,
-        }
-    }
-    utf8_from >= inner.len() || std::str::from_utf8(&inner[utf8_from..]).is_ok()
-}
-
-fn hex4(s: &[u8], at: usize) -> Option<u32> {
-    let mut cp = 0u32;
-    for k in 0..4 {
-        let d = match s.get(at + k)? {
-            b @ b'0'..=b'9' => u32::from(b - b'0'),
-            b @ b'a'..=b'f' => u32::from(b - b'a') + 10,
-            b @ b'A'..=b'F' => u32::from(b - b'A') + 10,
-            _ => return None,
-        };
-        cp = cp * 16 + d;
-    }
-    Some(cp)
+    scan_string(tok, 1).is_some_and(|string| string.end == tok.len())
 }
 
 /// Signature → inferred-type memo for the `MapPath::Shape` route.
@@ -284,6 +163,8 @@ pub struct ShapeCache {
     interner: TypeInterner,
     map: FxHashMap<u64, (TypeId, Type)>,
     scratch: ScanIndex,
+    /// The miss path's scratch.
+    typer: Typer,
     /// Holds the fold result of an unsignable-but-successful record so
     /// [`ShapeCache::infer_line_ref`] can hand out a reference for it.
     spill: Option<Type>,
@@ -303,10 +184,9 @@ impl ShapeCache {
     /// mirrors the events route's `infer.types` / `infer.record_width` /
     /// `infer.max_depth` metrics (but not `infer.events`/`infer.frames`,
     /// which count only replayed folds). A miss — including every
-    /// unsignable record — replays
-    /// [`streaming::infer_with_options_recorded`] so results and errors
-    /// are byte-identical to the events route; only successful folds of
-    /// signable records are inserted.
+    /// unsignable record — goes through [`streaming::infer_line`] so
+    /// results and errors are byte-identical to the events route; only
+    /// successful folds of signable records are inserted.
     pub fn infer_line(
         &mut self,
         input: &[u8],
@@ -331,7 +211,7 @@ impl ShapeCache {
         use std::collections::hash_map::Entry;
         let Some(sig) = shape_signature_with(input, &mut self.scratch) else {
             self.misses += 1;
-            let ty = streaming::infer_with_options_recorded(input, options.clone(), rec)?;
+            let ty = streaming::infer_line(&mut self.typer, input, options, rec)?;
             return Ok(self.spill.insert(ty));
         };
         match self.map.entry(sig) {
@@ -349,7 +229,7 @@ impl ShapeCache {
             }
             Entry::Vacant(slot) => {
                 self.misses += 1;
-                let ty = streaming::infer_with_options_recorded(input, options.clone(), rec)?;
+                let ty = streaming::infer_line(&mut self.typer, input, options, rec)?;
                 let id = self.interner.intern(&ty);
                 let (_, ty) = slot.insert((id, ty));
                 Ok(ty)

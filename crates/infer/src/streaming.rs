@@ -1,12 +1,14 @@
-//! Direct text-to-type inference over the event parser.
+//! Text-to-type inference: one line in, its Figure 4 type out, no
+//! [`Value`](typefuse_json::Value) tree in between.
 //!
-//! The Map phase conceptually needs the value tree only to immediately
-//! fold it into a type. This module fuses the two steps: types are built
-//! straight from the JSON token stream, so the intermediate
-//! [`Value`](typefuse_json::Value) tree is never allocated. On the
-//! text-heavy NYTimes profile this removes the dominant allocation cost
-//! of the Map phase (see the `parsing` bench, group `infer_only`).
+//! The hot path is the direct [`Typer`]: every function here tries it
+//! first. A line it declines — malformed, or holding an escaped or a
+//! duplicate key — is replayed through the event fold below
+//! ([`event_fold`], over the pull [`EventParser`]), which is where
+//! every error (kind, span, line) and the lenient last-wins type come
+//! from, and which is the reference the typer is tested against.
 
+use crate::typer::Typer;
 use typefuse_json::events::{Event, EventParser};
 use typefuse_json::{ErrorKind, ParserOptions, Result};
 use typefuse_obs::Recorder;
@@ -35,14 +37,28 @@ pub fn infer_type_from_slice(input: &[u8]) -> Result<Type> {
 
 /// Variant with explicit parser options.
 pub fn infer_with_options(input: &[u8], options: ParserOptions) -> Result<Type> {
-    let mut parser = EventParser::with_options(input, options);
-    let ty = infer_from_events(&mut parser)?;
-    parser.finish()?;
-    Ok(ty)
+    infer_line(
+        &mut Typer::default(),
+        input,
+        &options,
+        &Recorder::disabled(),
+    )
 }
 
-/// [`infer_with_options`] plus per-record metrics for the event fast
-/// path. With an enabled recorder it counts:
+/// [`infer_with_options`] plus per-record metrics; see [`infer_line`].
+pub fn infer_with_options_recorded(
+    input: &[u8],
+    options: ParserOptions,
+    rec: &Recorder,
+) -> Result<Type> {
+    infer_line(&mut Typer::default(), input, &options, rec)
+}
+
+/// Type one line with a caller-owned [`Typer`] — what a fold over many
+/// lines calls, so the scratch is allocated once. The typer goes first;
+/// a line it declines is replayed through the event fold for its error
+/// or its lenient type. With an enabled recorder it counts, whichever of
+/// the two typed the line:
 ///
 /// | name                 | kind      | meaning                                  |
 /// |----------------------|-----------|------------------------------------------|
@@ -54,27 +70,35 @@ pub fn infer_with_options(input: &[u8], options: ParserOptions) -> Result<Type> 
 ///
 /// `infer.types` / `infer.record_width` / `infer.max_depth` mirror the
 /// value-path metrics of [`crate::obs::infer_type_recorded`], so run
-/// reports from either Map-phase route are directly comparable. A
-/// disabled recorder makes this identical to [`infer_with_options`].
-pub fn infer_with_options_recorded(
+/// reports from either Map-phase route are directly comparable.
+pub fn infer_line(
+    typer: &mut Typer,
     input: &[u8],
-    options: ParserOptions,
+    options: &ParserOptions,
     rec: &Recorder,
 ) -> Result<Type> {
-    if !rec.is_enabled() {
-        return infer_with_options(input, options);
+    let (ty, stats) = match typer.type_line(input, options.max_depth, &mut (), 0) {
+        Some(ty) => {
+            let stats = FoldStats {
+                events: typer.events(),
+                peak_frames: typer.frames(),
+            };
+            (ty, stats)
+        }
+        None => {
+            let mut stats = FoldStats::default();
+            (replay(input, options, &mut stats)?, stats)
+        }
+    };
+    if rec.is_enabled() {
+        rec.add("infer.events", stats.events);
+        rec.record("infer.frames", stats.peak_frames);
+        rec.add("infer.types", 1);
+        if let Type::Record(r) = &ty {
+            rec.record("infer.record_width", r.len() as u64);
+        }
+        rec.gauge_max("infer.max_depth", ty.depth() as u64);
     }
-    let mut parser = EventParser::with_options(input, options);
-    let mut stats = FoldStats::default();
-    let ty = fold_events(&mut parser, Some(&mut stats))?;
-    parser.finish()?;
-    rec.add("infer.events", stats.events);
-    rec.record("infer.frames", stats.peak_frames);
-    rec.add("infer.types", 1);
-    if let Type::Record(r) = &ty {
-        rec.record("infer.record_width", r.len() as u64);
-    }
-    rec.gauge_max("infer.max_depth", ty.depth() as u64);
     Ok(ty)
 }
 
@@ -84,36 +108,45 @@ pub fn infer_type_from_str_recorded(text: &str, rec: &Recorder) -> Result<Type> 
     infer_with_options_recorded(text.as_bytes(), ParserOptions::default(), rec)
 }
 
-/// Per-record fold statistics (only collected with an enabled recorder).
+/// What a record's fold counted, for the recorder.
 #[derive(Debug, Default)]
 struct FoldStats {
     events: u64,
     peak_frames: u64,
 }
 
-/// Fold one value's worth of events into its inferred type.
-pub fn infer_from_events(events: &mut EventParser<'_>) -> Result<Type> {
-    fold_events(events, None)
+/// The pure event fold of one complete JSON text, trailing characters
+/// refused: the replay path of [`infer_line`] and of the profiler, and
+/// the reference the direct typer is held to.
+pub fn event_fold(input: &[u8], options: &ParserOptions) -> Result<Type> {
+    replay(input, options, &mut FoldStats::default())
 }
 
-fn fold_events(events: &mut EventParser<'_>, mut stats: Option<&mut FoldStats>) -> Result<Type> {
+fn replay(input: &[u8], options: &ParserOptions, stats: &mut FoldStats) -> Result<Type> {
+    let mut parser = EventParser::with_options(input, options.clone());
+    let ty = fold_events(&mut parser, stats)?;
+    parser.finish()?;
+    Ok(ty)
+}
+
+/// Fold one value's worth of events into its inferred type.
+pub fn infer_from_events(events: &mut EventParser<'_>) -> Result<Type> {
+    fold_events(events, &mut FoldStats::default())
+}
+
+fn fold_events(events: &mut EventParser<'_>, stats: &mut FoldStats) -> Result<Type> {
     // In strict mode (the default) the parser rejects duplicate keys, so
     // every completed field can be pushed without looking back; only the
     // lenient mode needs last-wins overwrite semantics.
     let dedup_keys = events.options().allow_duplicate_keys;
-    let first = next_or_eof(events, &mut stats)?;
-    fold_value(events, first, &mut stats, dedup_keys, 0)
+    let first = next_or_eof(events, stats)?;
+    fold_value(events, first, stats, dedup_keys, 0)
 }
 
-fn next_or_eof<'a>(
-    events: &mut EventParser<'a>,
-    stats: &mut Option<&mut FoldStats>,
-) -> Result<Event<'a>> {
+fn next_or_eof<'a>(events: &mut EventParser<'a>, stats: &mut FoldStats) -> Result<Event<'a>> {
     match events.next_event()? {
         Some(e) => {
-            if let Some(s) = stats.as_deref_mut() {
-                s.events += 1;
-            }
+            stats.events += 1;
             Ok(e)
         }
         None => Err(typefuse_json::Error::at(
@@ -130,7 +163,7 @@ fn next_or_eof<'a>(
 fn fold_value<'a>(
     events: &mut EventParser<'a>,
     event: Event<'a>,
-    stats: &mut Option<&mut FoldStats>,
+    stats: &mut FoldStats,
     dedup_keys: bool,
     depth: u64,
 ) -> Result<Type> {
@@ -140,9 +173,7 @@ fn fold_value<'a>(
         Event::Number(_) => Type::Num,
         Event::String(_) => Type::Str,
         Event::ObjectStart => {
-            if let Some(s) = stats.as_deref_mut() {
-                s.peak_frames = s.peak_frames.max(depth + 1);
-            }
+            stats.peak_frames = stats.peak_frames.max(depth + 1);
             // Unlike the tree route there is no size hint; 8 covers most
             // real-world records without a mid-object regrow.
             let mut fields: Vec<Field> = Vec::with_capacity(8);
@@ -171,9 +202,7 @@ fn fold_value<'a>(
             Type::Record(RecordType::new(fields).expect("parser enforces key uniqueness"))
         }
         Event::ArrayStart => {
-            if let Some(s) = stats.as_deref_mut() {
-                s.peak_frames = s.peak_frames.max(depth + 1);
-            }
+            stats.peak_frames = stats.peak_frames.max(depth + 1);
             let mut elems: Vec<Type> = Vec::new();
             loop {
                 match next_or_eof(events, stats)? {

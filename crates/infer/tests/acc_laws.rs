@@ -230,3 +230,29 @@ proptest! {
         }
     }
 }
+
+/// `--dedup auto`'s verdict is a property of the data, not of the hash
+/// the sample keeps its distinct shapes by: on the four datagen
+/// profiles it is what exact counting says, and what it has always been.
+#[test]
+fn auto_verdict_on_the_datagen_profiles_is_pinned() {
+    use std::collections::HashSet;
+    use typefuse_datagen::{DatasetProfile, Profile};
+    use typefuse_infer::dedup_auto_sample;
+    for (profile, expected) in [
+        (Profile::GitHub, true),
+        (Profile::Twitter, false),
+        (Profile::Wikidata, false),
+        (Profile::NYTimes, false),
+    ] {
+        let types: Vec<Type> = profile.generate(7, 600).map(|v| infer_type(&v)).collect();
+        let distinct: HashSet<&Type> = types[..512].iter().collect();
+        assert_eq!(distinct.len() * 2 <= 512, expected, "{}", profile.name());
+        assert_eq!(
+            dedup_auto_sample(types.iter()),
+            expected,
+            "{}",
+            profile.name()
+        );
+    }
+}

@@ -11,8 +11,10 @@
 //!   partitions, merged in any association, equals sequential
 //!   absorption (this is what makes provenance lines exact under
 //!   `--workers N`);
-//! * **route equivalence** — the event fold and the tree walk produce
-//!   byte-identical profiles for the same lines.
+//! * **route equivalence** — the text walk (the direct typer with the
+//!   trie as its observer) and the tree walk produce byte-identical
+//!   profiles for the same lines, whatever way their strings, numbers
+//!   and keys are spelled.
 //!
 //! Equality is checked on the finished [`ProfileReport`] (structural)
 //! and on its serialized JSON (byte-level, what CI diffs).
@@ -21,6 +23,83 @@ use proptest::prelude::*;
 use typefuse_infer::{ProfileAcc, ProfileReport};
 use typefuse_json::Value;
 use typefuse_types::testkit::arb_value;
+
+/// A string body out of every way to spell a character.
+fn arb_spelled_string() -> impl Strategy<Value = String> {
+    let pieces = vec![
+        "a",
+        "xyz",
+        " ",
+        "/",
+        "é",
+        "€",
+        "😀",
+        "caffè",
+        r#"\""#,
+        r"\\",
+        r"\/",
+        r"\b",
+        r"\f",
+        r"\n",
+        r"\r",
+        r"\t",
+        r"\u0041",
+        r"\u00e9",
+        r"\u00E9",
+        r"\u20ac",
+        r"\uffff",
+        r"\u0000",
+        r"\u001f",
+        r"\ud83d\ude00",
+        r"\uD83D\uDE00",
+        r"\udbff\udfff",
+        "12345678",
+        "1234567",
+    ];
+    prop::collection::vec(prop::sample::select(pieces), 0..7).prop_map(|p| p.concat())
+}
+
+/// One record's text: spelled strings and edge-case numbers under plain,
+/// nested and (sometimes) escaped keys.
+fn arb_spelled_record() -> impl Strategy<Value = String> {
+    let numbers = vec![
+        "0",
+        "-0",
+        "-0.0",
+        "7",
+        "-12",
+        "2.5",
+        "1e3",
+        "1E-3",
+        "-1.5e+10",
+        "1e308",
+        "5e-324",
+        "123456789012345678",
+        "-12345678901234567",
+        "-123456789012345678",
+        "1234567890123456789",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "12345678901234567890",
+        "0.1",
+        "100000000000000000000000",
+    ];
+    let keys = vec!["k", "k2", r"\u006b3", r"k\n", "é"];
+    (
+        arb_spelled_string(),
+        prop::sample::select(numbers.clone()),
+        arb_spelled_string(),
+        prop::sample::select(numbers),
+        prop::sample::select(keys),
+        arb_spelled_string(),
+    )
+        .prop_map(|(s, n, e, m, key, v)| {
+            format!(
+                r#"{{"s": "{s}", "n": {n}, "arr": ["{e}", {m}, {{"in": "{s}"}}], "{key}": "{v}"}}"#
+            )
+        })
+}
 
 /// Absorb `values` as records numbered from `first_line`.
 fn acc_from(first_line: u64, values: &[Value]) -> ProfileAcc {
@@ -131,6 +210,29 @@ proptest! {
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 
+    // The spellings a serializer never picks: every escape form (a
+    // string's length is its *unescaped* one), numbers at the edges of
+    // the integer fast path, keys the typer declines.
+    #[test]
+    fn text_walk_matches_tree_walk_on_every_spelling(
+        lines in prop::collection::vec(arb_spelled_record(), 1..6),
+    ) {
+        let mut via_text = ProfileAcc::new();
+        let mut via_values = ProfileAcc::new();
+        for (i, text) in lines.iter().enumerate() {
+            let line = i as u64 + 1;
+            via_text.absorb_line(line, text);
+            via_values.absorb_line_as_value(line, text);
+        }
+        prop_assert_eq!(via_text.records(), lines.len() as u64, "all well-formed: {:?}", lines);
+        prop_assert!(via_text == via_values);
+        prop_assert_eq!(
+            via_text.checkpoint_value().to_string(),
+            via_values.checkpoint_value().to_string()
+        );
+        prop_assert_eq!(finish(&via_text).to_json(), finish(&via_values).to_json());
+    }
+
     #[test]
     fn profiled_schema_matches_plain_fusion(
         values in prop::collection::vec(arb_value(), 1..10),
@@ -143,8 +245,8 @@ proptest! {
     }
 }
 
-/// The event observer assumes strict keys; under lenient options the
-/// typed fold must settle last-wins through the value walk instead.
+/// The text walk declines a duplicate key; under lenient options the
+/// replay settles last-wins through the value walk.
 #[test]
 fn lenient_duplicate_keys_are_folded_not_a_panic() {
     let options = typefuse_json::ParserOptions {
@@ -178,15 +280,20 @@ fn a_record_that_fails_mid_stream_leaves_the_accumulator_untouched() {
         }
         let mut clean = acc.clone();
         for cut in 0..record.len() {
-            let before = acc.clone();
-            let outcome = acc.absorb_line_typed(9, &record.as_bytes()[..cut], &options);
-            assert!(outcome.is_err(), "prefix of {cut} bytes parsed");
-            assert!(acc == before, "prefix of {cut} bytes left a trace");
-            assert_eq!(
-                acc.checkpoint_value().to_string(),
-                before.checkpoint_value().to_string(),
-                "prefix of {cut} bytes"
-            );
+            // Cut short there, and whole but for a control byte there.
+            let mut spoiled = record.as_bytes().to_vec();
+            spoiled[cut] = 0x01;
+            for bad in [&record.as_bytes()[..cut], &spoiled[..]] {
+                let before = acc.clone();
+                let outcome = acc.absorb_line_typed(9, bad, &options);
+                assert!(outcome.is_err(), "broken at byte {cut}, yet parsed");
+                assert!(acc == before, "broken at byte {cut}: left a trace");
+                assert_eq!(
+                    acc.checkpoint_value().to_string(),
+                    before.checkpoint_value().to_string(),
+                    "broken at byte {cut}"
+                );
+            }
         }
         // Nor does a failure change what the next good record does.
         acc.absorb_line(9, record);

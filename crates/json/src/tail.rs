@@ -10,10 +10,11 @@
 //!
 //! [`TailReader`] does exactly that: each [`poll`](TailReader::poll)
 //! drains whatever bytes the underlying stream has (stopping at
-//! end-of-data or `WouldBlock`), appends them to an internal carry
-//! buffer, and returns every newline-terminated line's content. The
-//! partial trailing line stays buffered until a later poll completes
-//! it. This makes the reader safe over plain `File`s that other
+//! end-of-data, `WouldBlock` or its
+//! [haul budget](TailReader::with_haul_budget)), appends them to an
+//! internal carry buffer, and returns every newline-terminated line's
+//! content. The partial trailing line stays buffered until a later poll
+//! completes it. This makes the reader safe over plain `File`s that other
 //! processes append to (reads past EOF return fresh data on the next
 //! poll), FIFOs, and non-blocking sockets alike — no seeking required.
 
@@ -36,7 +37,8 @@ pub struct TailLine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailStatus {
     /// The stream is drained for now but may grow (EOF on a regular
-    /// file, `WouldBlock` on a non-blocking source). Poll again later.
+    /// file, `WouldBlock` on a non-blocking source), or the poll spent
+    /// its haul budget. Poll again later.
     Idle,
     /// The stream is permanently closed: a read returned 0 on a
     /// source the caller declared finite via [`TailReader::close_on_eof`].
@@ -51,6 +53,7 @@ pub struct TailReader<R> {
     /// Bytes of the pending line dropped by the size cap.
     pending_overflow: bool,
     max_line_bytes: Option<usize>,
+    haul_budget: Option<usize>,
     retry: RetryPolicy,
     recorder: Recorder,
     lines: u64,
@@ -67,6 +70,7 @@ impl<R: Read> TailReader<R> {
             pending: Vec::new(),
             pending_overflow: false,
             max_line_bytes: None,
+            haul_budget: None,
             retry: RetryPolicy::none(),
             recorder: Recorder::disabled(),
             lines: 0,
@@ -81,6 +85,15 @@ impl<R: Read> TailReader<R> {
     /// growing the carry buffer without bound.
     pub fn with_max_line_bytes(mut self, cap: usize) -> Self {
         self.max_line_bytes = Some(cap);
+        self
+    }
+
+    /// End a [`poll`](Self::poll) once it has read `bytes` bytes, so a
+    /// caller catching up on a large backlog holds one haul of lines at
+    /// a time instead of all of them. Unbounded by default: one poll
+    /// reads to the end of the data.
+    pub fn with_haul_budget(mut self, bytes: usize) -> Self {
+        self.haul_budget = Some(bytes);
         self
     }
 
@@ -160,9 +173,10 @@ impl<R: Read> TailReader<R> {
         })
     }
 
-    /// Drain currently-available bytes and append every completed line
-    /// to `out`. Returns the stream status: [`TailStatus::Idle`] when
-    /// the source may still grow, [`TailStatus::Closed`] once a
+    /// Drain currently-available bytes (up to the
+    /// [haul budget](Self::with_haul_budget)) and append every completed
+    /// line to `out`. Returns the stream status: [`TailStatus::Idle`]
+    /// when the source may still grow, [`TailStatus::Closed`] once a
     /// [`close_on_eof`](Self::close_on_eof) source hits EOF.
     pub fn poll(&mut self, out: &mut Vec<TailLine>) -> std::io::Result<TailStatus> {
         if self.closed {
@@ -170,6 +184,7 @@ impl<R: Read> TailReader<R> {
         }
         let mut chunk = [0u8; 8192];
         let mut attempts = 0u32;
+        let mut hauled = 0usize;
         loop {
             match self.reader.read(&mut chunk) {
                 Ok(0) => {
@@ -184,6 +199,10 @@ impl<R: Read> TailReader<R> {
                     self.bytes += n as u64;
                     self.recorder.add("json.bytes", n as u64);
                     self.absorb(&chunk[..n], out);
+                    hauled += n;
+                    if self.haul_budget.is_some_and(|budget| hauled >= budget) {
+                        return Ok(TailStatus::Idle);
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     return Ok(TailStatus::Idle);
@@ -355,6 +374,31 @@ mod tests {
         assert_eq!(out, expected);
         assert_eq!(resumed.lines_read(), whole.lines_read());
         assert_eq!(resumed.bytes_read(), whole.bytes_read());
+    }
+
+    #[test]
+    fn a_haul_budget_splits_a_backlog_without_changing_it() {
+        let data: Vec<u8> = (0..5000)
+            .flat_map(|i| format!("{{\"n\":{i}}}\n").into_bytes())
+            .collect();
+        let mut whole = Vec::new();
+        TailReader::new(&data[..]).poll(&mut whole).unwrap();
+
+        let budget = data.len() / 3;
+        let mut tail = TailReader::new(&data[..]).with_haul_budget(budget);
+        let (mut out, mut hauls) = (Vec::new(), 0);
+        while tail.bytes_read() < data.len() as u64 {
+            let before = tail.bytes_read();
+            assert_eq!(tail.poll(&mut out).unwrap(), TailStatus::Idle);
+            let hauled = (tail.bytes_read() - before) as usize;
+            // One read chunk past the budget at most.
+            assert!(hauled < budget + 8192, "hauled {hauled}");
+            hauls += 1;
+        }
+        assert!(hauls >= 3, "{hauls} hauls");
+        assert_eq!(out, whole);
+        assert_eq!(tail.lines_read(), 5000);
+        assert!(tail.pending().is_empty());
     }
 
     #[test]

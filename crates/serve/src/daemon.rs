@@ -24,6 +24,11 @@ use typefuse_registry::{CompatMode, MemoryRegistry, Registry, RegistryStore};
 /// Sliding window over which `typefuse_source_records_per_sec` averages.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
 
+/// What one poll of a watched file reads before its lines are folded:
+/// a daemon started on a large backlog holds one haul of it in memory,
+/// not all of it, and serves the partial fold between hauls.
+const HAUL_BUDGET_BYTES: usize = 8 << 20;
+
 /// Where a source's NDJSON bytes come from.
 #[derive(Debug, Clone)]
 pub enum SourceInput {
@@ -787,6 +792,7 @@ fn open_file_tail(
         file.seek(SeekFrom::Start(offset))?;
     }
     let mut tail = TailReader::new(file)
+        .with_haul_budget(HAUL_BUDGET_BYTES)
         .with_retry(retry)
         .with_recorder(recorder.clone())
         .with_resume_state(pending, overflow, offset, lines);
@@ -1063,12 +1069,15 @@ fn spawn_source_poller(
 
             // Tail position: how far we've read and how far behind the
             // input we are (files only — a TCP source has no length).
+            let mut behind = false;
             match &tail {
                 SourceTail::PendingFile(_) => {}
                 SourceTail::File(_, reader) => {
                     let offset = reader.bytes_read();
+                    let lag = file_len.unwrap_or(offset).saturating_sub(offset);
                     m_offset.set(offset);
-                    m_lag.set(file_len.unwrap_or(offset).saturating_sub(offset));
+                    m_lag.set(lag);
+                    behind = lag > 0;
                 }
                 SourceTail::Tcp {
                     conns,
@@ -1175,7 +1184,11 @@ fn spawn_source_poller(
             let in_window: u64 = window.iter().map(|(_, n)| n).sum();
             m_rate.set(in_window / RATE_WINDOW.as_secs());
 
-            sliced_sleep(poll_interval, &stopped);
+            // A poll that stopped on its haul budget left bytes unread:
+            // fold the next haul now, not one poll interval later.
+            if !behind {
+                sliced_sleep(poll_interval, &stopped);
+            }
         }
     };
 

@@ -572,3 +572,116 @@ fn a_batch_that_leaves_the_schema_alone_publishes_nothing() {
     );
     daemon.shutdown();
 }
+
+/// A daemon started on a backlog larger than one haul (8 MiB of a
+/// watched file per poll, `HAUL_BUDGET_BYTES` in `daemon.rs`) folds it
+/// haul by haul: what is folded so far is served in between, and the
+/// end state — schema, counts, profile, the checkpoint a restart
+/// resumes from — is that of folding the file whole.
+#[test]
+fn a_backlog_is_folded_in_hauls_and_served_in_between() {
+    const HAUL: usize = 8 << 20;
+    let path = temp_path("backlog.ndjson");
+    let ckpt = temp_path("backlog.ckpt");
+    std::fs::remove_dir_all(&ckpt).ok();
+    let pad = "x".repeat(400);
+    let mut data: Vec<u8> = Vec::with_capacity(3 * HAUL + (1 << 20));
+    let mut total = 0i64;
+    while data.len() < 3 * HAUL + (HAUL >> 3) {
+        total += 1;
+        match total % 1000 {
+            0 => writeln!(data, "not json {total}").unwrap(),
+            1 => writeln!(data, r#"{{"id":{total},"note":null}}"#).unwrap(),
+            _ => writeln!(data, r#"{{"id":{total},"pad":"{pad}"}}"#).unwrap(),
+        }
+    }
+    let skipped = total / 1000;
+    std::fs::write(&path, &data).unwrap();
+
+    let job = JobConfig::new().on_error(typefuse::ErrorPolicy::skip());
+    let start = |recorder: &Recorder| {
+        Daemon::start(fast(
+            ServeConfig::new()
+                .job(job.clone().recorder(recorder.clone()))
+                .watch_file("backlog", &path)
+                .checkpoint_dir(&ckpt),
+        ))
+        .unwrap()
+    };
+    let recorder = Recorder::enabled();
+    let daemon = start(&recorder);
+    let mut client = Client::connect(daemon.addr());
+
+    // Ask without pause until the backlog is folded; every answer in
+    // between is a partial fold.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut partial = std::collections::BTreeSet::new();
+    loop {
+        let text = client.request(r#"{"op":"metrics"}"#);
+        let env = Envelope::expect_kind(&text, "telemetry").unwrap();
+        let counters = env.payload.get("counters").unwrap();
+        let records = counters
+            .get("typefuse_source_records{source=\"backlog\"}")
+            .and_then(Value::as_i64)
+            .unwrap_or(0);
+        if records == total - skipped {
+            break;
+        }
+        if records > 0 {
+            partial.insert(records);
+        }
+        assert!(Instant::now() < deadline, "stuck at {records} of {total}");
+    }
+    assert!(
+        !partial.is_empty(),
+        "nothing was served between the first haul and the last"
+    );
+    let counters = recorder.snapshot().counters;
+    let batches = counters["serve.publishes"] + counters["serve.publish_skipped"];
+    assert!(batches >= 3, "{batches} batches for more than three hauls");
+
+    // The end state is the whole file's.
+    let batch = job
+        .build()
+        .run_profiled(typefuse::pipeline::Source::ndjson(&data[..]))
+        .unwrap();
+    let served = client.wait_for_records("backlog", total - skipped);
+    assert_eq!(
+        served.payload.get("schema").and_then(Value::as_str),
+        Some(batch.profile.schema.to_string().as_str())
+    );
+    assert_eq!(
+        served.payload.get("skipped").and_then(Value::as_i64),
+        Some(skipped)
+    );
+    let profile = |client: &mut Client| client.request(r#"{"op":"profile","source":"backlog"}"#);
+    let served_profile = profile(&mut client);
+    assert!(
+        served_profile.contains(&batch.profile.to_json()),
+        "the served profile is the batch profile"
+    );
+
+    // And so is the checkpoint: a restart resumes at the end of the
+    // file, with every count and the profile in place.
+    drop(client);
+    daemon.shutdown();
+    let recorder = Recorder::enabled();
+    let daemon = start(&recorder);
+    let mut client = Client::connect(daemon.addr());
+    let resumed = client.wait_for_records("backlog", total - skipped);
+    assert_eq!(recorder.snapshot().counters["serve.checkpoint_resumed"], 1);
+    assert_eq!(resumed.payload.get("schema"), served.payload.get("schema"));
+    assert_eq!(
+        resumed.payload.get("skipped"),
+        served.payload.get("skipped")
+    );
+    assert_eq!(profile(&mut client), served_profile);
+    assert_eq!(
+        recorder.snapshot().counters.get("json.bytes"),
+        None,
+        "nothing was read twice"
+    );
+    daemon.shutdown();
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}

@@ -11,6 +11,12 @@
 //! other drivers fold into and merge, [`for_each_line`] reads plain
 //! streams.
 //!
+//! On the default route "parse" is the direct typer
+//! ([`typefuse_infer::Typer`]): the [`LineTyper`] owns its scratch, a
+//! profiled fold runs the same walk with the profile trie observing,
+//! and only a line the typer declines reaches the pull-event fold, for
+//! its error or its lenient type (DESIGN "The record fold").
+//!
 //! The driver keeps two decisions: where bytes come from, and what a bad
 //! record *means* (the [`ErrorPolicy`](crate::ErrorPolicy) — note and
 //! enforce after the merge, or serve's per-record verdict).
@@ -21,7 +27,7 @@ use crate::error::{Error, IoSite};
 use crate::faults::{BadRecord, ErrorReport, RetryPolicy};
 use crate::pipeline::MapPath;
 use typefuse_infer::{
-    infer_type_recorded, streaming, DedupMode, FuseConfig, ProfileAcc, SchemaAcc, ShapeCache,
+    infer_type_recorded, streaming, DedupMode, FuseConfig, ProfileAcc, SchemaAcc, ShapeCache, Typer,
 };
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
@@ -82,7 +88,7 @@ pub struct FoldConfig {
     /// The reader's line-size cap, reported by `RecordTooLarge`.
     pub max_line_bytes: Option<usize>,
     /// Carry a [`ProfileAcc`] beside the schema. A profile reads every
-    /// value, so it turns the shape route's cache into the event fold.
+    /// value, so it turns the shape route's cache into the direct typer.
     pub profile: bool,
 }
 
@@ -102,6 +108,8 @@ pub enum Absorbed<T = ()> {
 pub struct LineTyper {
     config: FoldConfig,
     recorder: Recorder,
+    /// The direct typer's scratch (the events route).
+    typer: Typer,
     /// The shape route's memo, warm for this typer's lifetime (a
     /// partition, a split, a daemon source).
     shape: Option<ShapeCache>,
@@ -116,6 +124,7 @@ impl LineTyper {
         LineTyper {
             config,
             recorder,
+            typer: Typer::default(),
             shape,
             records: None,
         }
@@ -123,8 +132,8 @@ impl LineTyper {
 
     /// Type one raw line (content without its newline; `truncated` as
     /// the reader reported it). A `profile` observes the record in the
-    /// same tokenisation: its own fold yields the type, which it leaves
-    /// to the caller to fuse.
+    /// same walk of the text: its own walk yields the type, which it
+    /// leaves to the caller to fuse.
     pub fn type_line(
         &mut self,
         origin: Origin,
@@ -153,9 +162,7 @@ impl LineTyper {
             }
             (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
             (None, MapPath::Values) => parse_value().map(|v| infer_type_recorded(&v, rec)),
-            (None, MapPath::Events) => {
-                streaming::infer_with_options_recorded(line, parser.clone(), rec)
-            }
+            (None, MapPath::Events) => streaming::infer_line(&mut self.typer, line, parser, rec),
             (None, MapPath::Shape) => self
                 .shape
                 .as_mut()

@@ -14,13 +14,15 @@
 //! assert_eq!(result.records, 2);
 //! ```
 //!
-//! For text sources the Map phase defaults to the **event fast path**
-//! ([`MapPath::Events`]): each line folds straight from the token stream
-//! into its Figure 4 type via
-//! [`streaming::infer_type_from_str`](typefuse_infer::streaming), never
-//! allocating the intermediate [`Value`] tree. The classic tree route
-//! stays available as [`MapPath::Values`] for differential testing —
-//! both produce byte-identical schemas (property-tested).
+//! For text sources the Map phase defaults to [`MapPath::Events`]: each
+//! line is typed straight from its bytes by the direct validating typer
+//! ([`typefuse_infer::Typer`], via
+//! [`streaming::infer_line`](typefuse_infer::streaming::infer_line)),
+//! never allocating the intermediate [`Value`] tree; a line the typer
+//! declines is replayed through the pull-event fold, which is where
+//! errors come from. The classic tree route stays available as
+//! [`MapPath::Values`] for differential testing — both produce
+//! byte-identical schemas (property-tested).
 //!
 //! The per-line step of every text route — size guard, trim, blank
 //! test, route dispatch, error anchoring, counters — is the
@@ -90,8 +92,9 @@ impl std::fmt::Debug for Source<'_> {
 /// Which Map-phase route text sources take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MapPath {
-    /// Fold parser events straight into types — no `Value` trees. The
-    /// default.
+    /// Type each line straight from its text — no `Value` trees: the
+    /// direct typer, with the pull-event fold replaying whatever it
+    /// declines (the route keeps the name of that fold). The default.
     #[default]
     Events,
     /// Parse each line into a [`Value`], then infer (the paper's literal
@@ -100,8 +103,8 @@ pub enum MapPath {
     /// Raw-shape fast path: hash each record's structural skeleton off
     /// the stage-1 SWAR scan and serve repeats from a per-partition
     /// signature → type cache ([`typefuse_infer::ShapeCache`]); misses
-    /// replay the event fold, so output is byte-identical to
-    /// [`MapPath::Events`].
+    /// are typed as [`MapPath::Events`] types them, so output is
+    /// byte-identical to that route's.
     Shape,
 }
 
@@ -244,7 +247,7 @@ impl SchemaJob {
     /// parallel reduce unchanged: every provenance aggregate is a
     /// minimum, so the profile — and its serialized report — is
     /// byte-identical for any worker count, partitioning, reduce plan
-    /// and Map route (`job.map_path` picks the event fold or the tree
+    /// and Map route (`job.map_path` picks the text walk or the tree
     /// walk for text sources; both observe identically).
     ///
     /// Text sources fold one profile-carrying
@@ -897,7 +900,7 @@ mod tests {
         assert_eq!(report.counters["infer.types"], 4);
         assert_eq!(report.counters["fuse.calls"], 3);
         assert_eq!(report.histograms["infer.record_width"].count, 4);
-        // ...plus the event-fold extras.
+        // ...plus the events route's extras.
         assert!(report.counters["infer.events"] > 0);
         assert_eq!(report.histograms["infer.frames"].count, 4);
         assert!(report.spans.contains_key("pipeline.read"));
