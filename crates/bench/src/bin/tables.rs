@@ -9,6 +9,8 @@
 //! Output is the paper's table layout with our measured values; paste the
 //! results into EXPERIMENTS.md next to the paper's numbers.
 
+#![forbid(unsafe_code)]
+
 use typefuse_bench::report::{human_count, human_duration, TextTable};
 use typefuse_bench::tables;
 use typefuse_bench::{Scale, DEFAULT_SCALES};

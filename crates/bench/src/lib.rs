@@ -11,18 +11,12 @@
 //! 1M-record scale fits in a laptop's memory. This mirrors what Spark
 //! does — the RDD of values never lives in one place either.
 
-// `deny` instead of `forbid`: the counting allocator in [`alloc`]
-// needs the one `unsafe impl` the `GlobalAlloc` contract requires,
-// behind a scoped allow. Everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod report;
 pub mod runner;
 pub mod tables;
-pub mod trajectory;
 
 pub use runner::{run_scale, ScaleConfig, ScaleResult};
 pub use tables::{Scale, DEFAULT_SCALES};
-pub use trajectory::{compare, BenchReport, BenchRun, Comparison, Verdict, BENCH_SCHEMA_VERSION};

@@ -7,10 +7,8 @@ use std::time::{Duration, Instant};
 
 use typefuse::pipeline::MapPath;
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_engine::{ReducePlan, Runtime};
-use typefuse_infer::{infer_type, streaming, DedupMode, FuseConfig, SchemaAcc, ShapeCache};
-use typefuse_json::ParserOptions;
-use typefuse_obs::Recorder;
+use typefuse_engine::Runtime;
+use typefuse_infer::{infer_type, streaming, DedupMode, FuseConfig, SchemaAcc};
 use typefuse_types::Type;
 
 /// Configuration of one scale run.
@@ -31,8 +29,7 @@ pub struct ScaleConfig {
     /// Map route. The runner generates value trees natively, so
     /// [`MapPath::Values`] (the default here) infers them directly;
     /// [`MapPath::Events`] serializes each record and folds the token
-    /// stream instead, timing the full text-to-type route — this is
-    /// what the `value_vs_events` bench compares.
+    /// stream instead, timing the full text-to-type route.
     pub map_path: MapPath,
     /// Also serialize every record to count dataset bytes (Table 1).
     /// Costs roughly as much as parsing; off for the type-statistics
@@ -89,29 +86,6 @@ impl ScaleConfig {
     /// Builder: reduce over distinct shapes (see [`ScaleConfig::dedup`]).
     pub fn dedup(mut self) -> Self {
         self.dedup = true;
-        self
-    }
-
-    /// Builder: adopt the shared [`typefuse::JobConfig`] knobs — one
-    /// configuration surface for the pipeline, the daemon and the
-    /// bench matrix. `None` workers/partitions keep this config's
-    /// derived defaults; [`typefuse::pipeline::DedupMode::Auto`] is
-    /// resolved against [`ScaleConfig::dedup`]'s current value (the
-    /// matrix pins dedup per cell, it never samples).
-    pub fn with_job_config(mut self, job: &typefuse::JobConfig) -> Self {
-        if let Some(w) = job.workers {
-            self.workers = w.max(1);
-        }
-        if let Some(p) = job.partitions {
-            self.partitions = p.max(1);
-        }
-        self.map_path = job.map_path;
-        self.fuse_config = job.fuse_config;
-        self.dedup = match job.dedup {
-            typefuse::pipeline::DedupMode::On => true,
-            typefuse::pipeline::DedupMode::Off => false,
-            typefuse::pipeline::DedupMode::Auto => self.dedup,
-        };
         self
     }
 }
@@ -200,13 +174,6 @@ impl ScaleResult {
         } else {
             self.fused_size as f64 / self.avg_size
         }
-    }
-
-    /// Per-worker utilization of the partition stage, reconstructed
-    /// from the pool's real task timings (queue wait doubles as the
-    /// start offset, so busy intervals need no extra plumbing).
-    pub fn utilization(&self) -> typefuse_obs::UtilizationReport {
-        typefuse_obs::UtilizationReport::from_stage(&self.stage, self.workers)
     }
 
     /// Per-partition duration rollups as log₂ histograms, keyed by
@@ -299,25 +266,21 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
 
     let (accs, metrics) = runtime.run_indexed(&ranges, |_, &(start, end)| {
         let mut acc = PartitionAcc::empty(config);
-        // Partition-local signature cache for the shape route, warm for
-        // the whole range — the deployment shape of `MapPath::Shape`.
-        let mut shape_cache = ShapeCache::new();
-        let shape_opts = ParserOptions::default();
-        let shape_rec = Recorder::disabled();
         for index in start..end {
             let value = config.profile.record(config.seed, index);
-            let owned;
-            let ty: &Type = match config.map_path {
+            let ty = match config.map_path {
                 MapPath::Values => {
                     if config.measure_bytes {
                         acc.bytes += typefuse_json::to_string(&value).len() as u64 + 1;
                     }
                     let t0 = Instant::now();
-                    owned = infer_type(&value);
+                    let ty = infer_type(&value);
                     acc.infer_time += t0.elapsed();
-                    &owned
+                    ty
                 }
-                MapPath::Events => {
+                // The shape route's signature cache is the pipeline's; here
+                // every text route is the plain text-to-type fold.
+                MapPath::Events | MapPath::Shape => {
                     // Serialization is setup, not measurement: the timed
                     // section is the text-to-type fold (tokenize + infer),
                     // the work an NDJSON ingest would do per line.
@@ -326,25 +289,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
                         acc.bytes += line.len() as u64 + 1;
                     }
                     let t0 = Instant::now();
-                    owned = streaming::infer_type_from_str(&line)
-                        .expect("generated records serialize to valid JSON");
-                    acc.infer_time += t0.elapsed();
-                    &owned
-                }
-                MapPath::Shape => {
-                    // Same text input as the events route; the timed
-                    // section is signature + cache lookup, with misses
-                    // replaying the event fold. A hit hands out the
-                    // cached type by reference — everything downstream
-                    // (stats, fusion) absorbs by reference, so a hit
-                    // materializes nothing.
-                    let line = typefuse_json::to_string(&value);
-                    if config.measure_bytes {
-                        acc.bytes += line.len() as u64 + 1;
-                    }
-                    let t0 = Instant::now();
-                    let ty = shape_cache
-                        .infer_line_ref(line.as_bytes(), &shape_opts, &shape_rec)
+                    let ty = streaming::infer_type_from_str(&line)
                         .expect("generated records serialize to valid JSON");
                     acc.infer_time += t0.elapsed();
                     ty
@@ -355,11 +300,11 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
             acc.min_size = acc.min_size.min(size);
             acc.max_size = acc.max_size.max(size);
             acc.size_sum += size as u64;
-            acc.distinct_hashes.insert(type_hash(ty));
+            acc.distinct_hashes.insert(type_hash(&ty));
             acc.records += 1;
 
             let t1 = Instant::now();
-            acc.schema.absorb_type(ty);
+            acc.schema.absorb_type(&ty);
             acc.fuse_time += t1.elapsed();
         }
         acc
@@ -396,7 +341,6 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         merged.schema.merge(&acc.schema);
         merged.fuse_time += t.elapsed();
     }
-    let _ = ReducePlan::default(); // topology ablations live in the benches
 
     let schema = merged.schema.schema();
     ScaleResult {
@@ -447,15 +391,13 @@ mod tests {
     #[test]
     fn event_route_matches_value_route() {
         for profile in [Profile::GitHub, Profile::NYTimes] {
-            let via_values = run_scale(&ScaleConfig::new(profile, 150).partitions(5));
-            let via_events = run_scale(
-                &ScaleConfig::new(profile, 150)
-                    .partitions(5)
-                    .map_path(MapPath::Events),
-            );
+            let config = ScaleConfig::new(profile, 150).partitions(5).measure_bytes();
+            let via_values = run_scale(&config);
+            let via_events = run_scale(&config.map_path(MapPath::Events));
             assert_eq!(via_events.schema, via_values.schema, "{profile}");
             assert_eq!(via_events.distinct_types, via_values.distinct_types);
             assert_eq!(via_events.records, via_values.records);
+            assert_eq!(via_events.bytes, via_values.bytes);
         }
     }
 
@@ -549,12 +491,11 @@ mod tests {
             assert!(task.worker < 3, "worker {} out of pool", task.worker);
             assert!(task.execute_ns > 0);
         }
-        let u = r.utilization();
+        let u = typefuse_obs::UtilizationReport::from_stage(&r.stage, r.workers);
         assert_eq!(u.workers.len(), 3);
         assert_eq!(u.workers.iter().map(|w| w.tasks).sum::<u64>(), 8);
         // Each worker's busy intervals are disjoint, so its busy time
-        // is bounded by the stage wall (the makespan consistency the
-        // BENCH trajectory property-tests at scale).
+        // is bounded by the stage wall.
         for w in &u.workers {
             assert!(
                 w.busy_ns <= u.wall_ns,

@@ -12,7 +12,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let block_mb: u64 = args.parsed_option("--block-mb")?.unwrap_or(128);
     let records_per_block: u64 = args.parsed_option("--records-per-block")?.unwrap_or(7000);
     let relaxed = args.flag("--relaxed");
-    let report_json = args.option("--report-json")?;
     args.finish()?;
 
     let placement = match placement_name.as_str() {
@@ -79,17 +78,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             busy,
             "#".repeat(bar_len.min(60))
         );
-    }
-    // The machine-readable counterpart: the same per-worker utilization
-    // JSON shape the real runtime emits in BENCH_*.json, so the
-    // simulated Table 7/8 story diffs directly against measured runs.
-    if let Some(path) = report_json {
-        crate::job_args::write_envelope(
-            &path,
-            "utilization",
-            &report.utilization_report().to_json(),
-        )?;
-        eprintln!("wrote utilization report to {path}");
     }
     Ok(())
 }

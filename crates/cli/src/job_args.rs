@@ -1,6 +1,6 @@
 //! Shared job flags: every subcommand that ingests NDJSON parses the
 //! same options into the same [`JobConfig`] builder, so `infer`,
-//! `stats`, `check`, `bench` and `serve` cannot drift apart in how they
+//! `stats`, `check` and `serve` cannot drift apart in how they
 //! spell or resolve a knob.
 
 use crate::args::ArgStream;
@@ -61,6 +61,12 @@ impl JobFlags {
         let quarantine = args.option("--quarantine")?;
         let max_errors: Option<u64> = args.parsed_option("--max-errors")?;
         let max_depth: Option<usize> = args.parsed_option("--max-depth")?;
+        if max_depth.is_some_and(|depth| depth > ParserOptions::MAX_DEPTH_LIMIT) {
+            return Err(CliError::usage(format!(
+                "`--max-depth` can be at most {}: deeper nesting could overflow a worker's stack",
+                ParserOptions::MAX_DEPTH_LIMIT
+            )));
+        }
         let max_line_bytes: Option<usize> = args.parsed_option("--max-line-bytes")?;
         let policy = resolve_policy(on_error.as_deref(), quarantine.as_deref(), max_errors)?;
         Ok(JobFlags {

@@ -11,8 +11,9 @@
 //! typefuse help
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
-mod cmd_bench;
 mod cmd_check;
 mod cmd_diff;
 mod cmd_explain;
@@ -28,11 +29,6 @@ mod job_args;
 
 use args::ArgStream;
 use std::process::ExitCode;
-
-// Count heap traffic for `typefuse bench`; every other command pays
-// three relaxed atomic adds per allocation, noise next to a malloc.
-#[global_allocator]
-static ALLOC: typefuse_bench::alloc::CountingAllocator = typefuse_bench::alloc::CountingAllocator;
 
 /// A CLI failure: message plus exit code.
 #[derive(Debug)]
@@ -134,7 +130,7 @@ COMMANDS:
                              --on-error quarantine)
         --max-errors N       with skip/quarantine: fail (exit 5) once more
                              than N records are bad
-        --max-depth N        parser recursion limit (default: 512)
+        --max-depth N        parser recursion limit (default and maximum: 512)
         --max-line-bytes N   treat lines longer than N bytes as bad
                              records (subject to --on-error)
 
@@ -155,7 +151,7 @@ COMMANDS:
 
     stats [FILE|-]       dataset statistics (records, bytes, depth)
         --dedup            also count distinct type shapes (redundancy)
-        --max-depth N      parser recursion limit (default: 512)
+        --max-depth N      parser recursion limit (default and maximum: 512)
         --metrics-json F   write read/measure metrics as JSON to F
         plus the shared ingest flags: --on-error, --quarantine,
         --max-errors, --max-line-bytes (see infer)
@@ -163,7 +159,7 @@ COMMANDS:
     check [FILE|-]       validate records against a schema
         --schema FILE      schema in typefuse notation (required)
         --max-failures N   stop reporting after N failures (default: 10)
-        --max-depth N      parser recursion limit (default: 512)
+        --max-depth N      parser recursion limit (default and maximum: 512)
         --metrics-json F   write conformance metrics as JSON to F
         plus the shared ingest flags: --on-error, --quarantine,
         --max-errors, --max-line-bytes (see infer)
@@ -180,24 +176,6 @@ COMMANDS:
                          typefuse.registry.ndjson)
         publish NAME [DATA] [--schema FILE] [--compat backward|forward|full|none]
         latest NAME | history NAME | diff NAME FROM TO | names
-
-    bench                perf trajectory: run the workload matrix and
-                         write a schema-versioned BENCH_<gitsha>.json
-                         (throughput, CPU/wall time, stage quantiles,
-                         peak RSS, allocations, worker utilization)
-        --profiles CSV     github,twitter,wikidata,nytimes (default: all)
-        --records N        records per run (default: 100000)
-        --workers CSV      worker counts (default: 1,<all cores>)
-        --map-paths CSV    values | events (default: values)
-        --dedup CSV        off | on (default: off,on)
-        --partitions N     partitions per run (default: 4 x workers)
-        --no-bytes         skip byte counting (MB/s reported as 0)
-        --out F            output file (default: BENCH_<gitsha>.json)
-
-    bench compare        diff two trajectories; exit 6 on regression
-        --baseline F       baseline BENCH_*.json (required)
-        --current F        current BENCH_*.json (required)
-        --tolerance PCT    allowed slowdown in percent (default: 10)
 
     serve                resident incremental-inference daemon: tail
                          NDJSON sources, fold new records into per-source
@@ -253,15 +231,12 @@ COMMANDS:
         --block-mb M       block size in MB (default: 128)
         --records-per-block N  (default: 7000)
         --relaxed          allow non-local tasks (network reads)
-        --report-json F    write per-node utilization JSON to F (same
-                           shape as the BENCH_*.json utilization block)
 
     help                 print this message
 
 EXIT CODES:
     0  success        2  usage error      4  input I/O error
     1  other failure  3  parse error      5  --max-errors budget exceeded
-                                          6  perf regression (bench compare)
 ";
 
 fn main() -> ExitCode {
@@ -282,7 +257,6 @@ fn main() -> ExitCode {
         "diff" => cmd_diff::run(&mut args),
         "query" => cmd_query::run(&mut args),
         "registry" => cmd_registry::run(&mut args),
-        "bench" => cmd_bench::run(&mut args),
         "serve" => cmd_serve::run(&mut args),
         "watch" => cmd_watch::run(&mut args),
         "sim" => cmd_sim::run(&mut args),

@@ -36,7 +36,13 @@ fn stderr(out: &Output) -> String {
 fn help_prints_usage() {
     let out = typefuse(&["help"], None);
     assert!(out.status.success());
-    assert!(stdout(&out).contains("USAGE"));
+    let usage = stdout(&out);
+    assert!(usage.contains("USAGE"));
+    // `perf/` is the benchmark; the CLI has no `bench` and no exit code 6.
+    assert!(
+        !usage.contains("bench") && !usage.contains("6  "),
+        "{usage}"
+    );
 }
 
 #[test]
@@ -48,9 +54,11 @@ fn no_args_is_a_usage_error() {
 
 #[test]
 fn unknown_command_is_a_usage_error() {
-    let out = typefuse(&["frobnicate"], None);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown command"));
+    for args in [&["frobnicate"][..], &["bench"], &["bench", "compare"]] {
+        let out = typefuse(args, None);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("unknown command"), "{args:?}");
+    }
 }
 
 #[test]
@@ -212,9 +220,14 @@ fn sim_rejects_unknown_placement() {
 
 #[test]
 fn unexpected_argument_is_reported() {
-    let out = typefuse(&["stats", "-", "--bogus"], None);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--bogus"));
+    for (args, flag) in [
+        (["stats", "-", "--bogus"], "--bogus"),
+        (["sim", "--report-json", "x"], "--report-json"),
+    ] {
+        let out = typefuse(&args, None);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -1015,6 +1028,16 @@ fn max_depth_guards_recursion() {
     // stats/check accept the same guard.
     let out = typefuse(&["stats", "-", "--max-depth", "2"], Some(deep));
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+
+    // The guard can be tightened, never lifted: above the limit the flag
+    // is refused before any input is read (stdin is closed here).
+    for command in ["infer", "stats", "serve"] {
+        let out = typefuse(&[command, "--max-depth", "513"], None);
+        assert_eq!(out.status.code(), Some(2), "{command}: {}", stderr(&out));
+        assert!(stderr(&out).contains("at most 512"), "{}", stderr(&out));
+    }
+    let out = typefuse(&["infer", "-", "--max-depth", "512"], Some(deep));
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
 #[test]

@@ -105,18 +105,6 @@ impl StageMetrics {
                 .collect(),
         }
     }
-
-    /// Per-worker busy rollup of this stage — the real-runtime
-    /// counterpart of the cluster simulator's node-utilization table.
-    ///
-    /// `workers` is the runtime's configured worker count: workers that
-    /// never picked up a task still appear, with zero busy time, which
-    /// is exactly the paper's Table 7 phenomenon ("the computation was
-    /// performed on two nodes while the remaining four were idle")
-    /// observed on the live thread pool.
-    pub fn utilization_report(&self, workers: usize) -> typefuse_obs::UtilizationReport {
-        typefuse_obs::UtilizationReport::from_stage(&self.stage_report(""), workers)
-    }
 }
 
 #[cfg(test)]
@@ -200,27 +188,5 @@ mod tests {
             Duration::from_millis(4),
             "1ms + 3ms of queue wait"
         );
-    }
-
-    #[test]
-    fn utilization_report_groups_by_worker_and_keeps_idle_workers() {
-        // Tasks 0 and 2 ran on worker 0, task 1 on worker 1; a 4-worker
-        // runtime leaves workers 2 and 3 idle.
-        let m = StageMetrics::new(
-            vec![task(0, 10), task(1, 30), task(2, 20)],
-            Duration::from_millis(40),
-        );
-        let u = m.utilization_report(4);
-        assert_eq!(u.wall_ns, 40_000_000);
-        assert_eq!(u.workers.len(), 4);
-        assert_eq!(u.workers[0].busy_ns, 30_000_000, "10ms + 20ms");
-        assert_eq!(u.workers[0].tasks, 2);
-        assert_eq!(u.workers[1].busy_ns, 30_000_000);
-        assert_eq!(u.workers[2].busy_ns, 0, "idle worker still listed");
-        assert_eq!(u.workers[3].tasks, 0);
-        assert_eq!(u.busy_workers(), 2);
-        assert_eq!(u.idle_workers(), 2);
-        // 60ms of work over 4 workers x 40ms of wall.
-        assert!((u.utilization() - 60.0 / 160.0).abs() < 1e-9);
     }
 }

@@ -64,38 +64,6 @@ impl SimReport {
     pub fn max_node_busy(&self) -> f64 {
         self.node_busy.iter().cloned().fold(0.0, f64::max)
     }
-
-    /// Export in the same [`typefuse_obs::UtilizationReport`] JSON shape
-    /// the real runtime emits, so simulated and measured utilization are
-    /// directly comparable (`typefuse sim --report-json` vs the
-    /// `utilization` blocks of `BENCH_*.json`).
-    ///
-    /// Each node becomes one worker slice. A node has `cores_per_node`
-    /// cores, so its busy core-seconds are normalised to *mean per-core
-    /// busy time* (`node_busy / cores`); that keeps every slice within
-    /// the makespan like a real worker thread and makes
-    /// [`UtilizationReport::utilization`](typefuse_obs::UtilizationReport::utilization)
-    /// agree with [`SimReport::utilization`] exactly. Simulated tasks
-    /// have no queue-wait model, so the per-slice wait histograms are
-    /// empty.
-    pub fn utilization_report(&self) -> typefuse_obs::UtilizationReport {
-        let cores = self.cores_per_node.max(1) as f64;
-        let to_ns = |secs: f64| (secs.max(0.0) * 1e9).round() as u64;
-        typefuse_obs::UtilizationReport {
-            wall_ns: to_ns(self.makespan),
-            workers: self
-                .node_busy
-                .iter()
-                .enumerate()
-                .map(|(node, &busy)| typefuse_obs::WorkerSlice {
-                    worker: node,
-                    tasks: self.tasks.iter().filter(|t| t.node == node).count() as u64,
-                    busy_ns: to_ns(busy / cores),
-                    queue_wait: typefuse_obs::HistogramReport::default(),
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,30 +113,11 @@ mod tests {
         let r = report();
         assert!((r.utilization() - 15.0 / 40.0).abs() < 1e-12);
         assert_eq!(r.max_node_busy(), 10.0);
-    }
-
-    #[test]
-    fn utilization_report_matches_sim_utilization_and_shape() {
-        let mut r = report();
-        r.cores_per_node = 2;
-        let u = r.utilization_report();
-        assert_eq!(u.wall_ns, 10_000_000_000);
-        assert_eq!(u.workers.len(), 4);
-        // Node 0: 10 core-s over 2 cores → 5 s mean per-core busy.
-        assert_eq!(u.workers[0].busy_ns, 5_000_000_000);
-        assert_eq!(u.workers[0].tasks, 1);
-        assert_eq!(u.workers[2].busy_ns, 0);
-        assert_eq!(u.busy_workers(), r.busy_nodes());
-        assert_eq!(u.idle_workers(), r.idle_nodes());
-        assert!(
-            (u.utilization() - r.utilization()).abs() < 1e-9,
-            "sim and shared formulas agree: {} vs {}",
-            u.utilization(),
-            r.utilization()
-        );
-        let json = u.to_json();
-        assert!(json.contains("\"workers\":["), "{json}");
-        assert!(json.contains("\"idle_workers\":2"), "{json}");
+        let two_cores = SimReport {
+            cores_per_node: 2,
+            ..r
+        };
+        assert!((two_cores.utilization() - 15.0 / 80.0).abs() < 1e-12);
     }
 
     #[test]

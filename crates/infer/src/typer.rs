@@ -28,6 +28,7 @@
 //! to (`tests/typer_differential.rs`).
 
 use typefuse_json::number::parse_decimal;
+use typefuse_json::ParserOptions;
 use typefuse_types::{ArrayType, Field, RecordType, Type};
 
 /// What an [`Observer`] is told about one value.
@@ -92,7 +93,8 @@ pub struct Typer {
 
 impl Typer {
     /// Type one complete JSON text (surrounding whitespace allowed) with
-    /// at most `max_depth` nested containers, reporting to `obs` from
+    /// at most `max_depth` nested containers — never more than
+    /// [`ParserOptions::MAX_DEPTH_LIMIT`] — reporting to `obs` from
     /// its node `root`. See the [module docs](self) for what `Some` and
     /// `None` promise.
     pub fn type_line<O: Observer>(
@@ -105,6 +107,7 @@ impl Typer {
         // A declined line leaves its completed prefix on the stacks.
         self.fields.clear();
         self.elems.clear();
+        let max_depth = max_depth.min(ParserOptions::MAX_DEPTH_LIMIT);
         (self.pos, self.max_depth, self.events, self.frames) = (0, max_depth, 0, 0);
         self.skip_ws(line);
         let ty = self.value(line, 0, obs, root)?;

@@ -3,8 +3,8 @@
 //! The writer lives in `typefuse-obs` ([`typefuse_obs::envelope()`]),
 //! next to the byte-deterministic [`JsonWriter`](typefuse_obs::JsonWriter)
 //! every report serializes with; this module is the parsing side, used
-//! by everything that reads a typefuse-emitted document back (`bench
-//! compare`, the serve protocol client, round-trip tests).
+//! by everything that reads a typefuse-emitted document back (the serve
+//! protocol client, round-trip tests).
 //!
 //! An envelope is
 //!
@@ -25,7 +25,7 @@ pub struct Envelope {
     /// Envelope layout version (always [`ENVELOPE_VERSION`] after a
     /// successful parse).
     pub schema_version: u64,
-    /// Payload shape name (`"metrics"`, `"profile"`, `"bench"`, …).
+    /// Payload shape name (`"metrics"`, `"profile"`, `"telemetry"`, …).
     pub kind: String,
     /// The wrapped document, unchanged.
     pub payload: Value,

@@ -135,7 +135,7 @@ impl<'a> EventParser<'a> {
 
     fn push_container(&mut self, c: Container) -> Result<()> {
         self.stack.push(c);
-        if self.stack.len() > self.options.max_depth {
+        if self.stack.len() > self.options.depth_limit() {
             return Err(Error::at(
                 ErrorKind::RecursionLimitExceeded,
                 self.parser.position(),

@@ -19,17 +19,62 @@ use std::borrow::Cow;
 /// Knobs for the parser.
 #[derive(Debug, Clone)]
 pub struct ParserOptions {
-    /// Maximum nesting depth of arrays/objects. Default 512.
+    /// Maximum nesting depth of arrays/objects. Default 512; values
+    /// above [`ParserOptions::MAX_DEPTH_LIMIT`] act as the limit.
     pub max_depth: usize,
     /// Keep the last binding instead of erroring when an object repeats a
     /// key. Default `false` (strict).
     pub allow_duplicate_keys: bool,
 }
 
+impl ParserOptions {
+    /// The deepest nesting any caller can ask for: [`depth_limit`] never
+    /// exceeds it, whatever `max_depth` says. Everything that walks a
+    /// value or the type inferred from it recurses once per level, on
+    /// threads with the default 2 MiB stack, and a stack overflow aborts
+    /// the process — no error policy or supervisor sees it.
+    ///
+    /// Deepest level each walker survives on a 2 MiB thread, debug build,
+    /// the weakest of `[[…]]`, `{"a":{"a":…}}` and the two alternating:
+    ///
+    /// | walker | levels |
+    /// |---|---|
+    /// | `fuse` (out of place) | 592 |
+    /// | `parse_type` / `from_wire` | 704 / 872 |
+    /// | `Parser` | 784 |
+    /// | JSON Schema export | 840 |
+    /// | `EventParser` + `fold_value` | 872 |
+    /// | `Typer`, alone or with the profile observer | 880 |
+    /// | `diff` | 1 008 |
+    /// | `infer_type`, profile `observe_value` | 1 312 |
+    /// | `TypeInterner::intern` + `resolve` | 1 328 |
+    /// | `fuse_into` | 1 568 |
+    /// | `Clone`, profile merge + report | 1 792 |
+    /// | `is_subtype`, `find_map_like` | 1 936 |
+    /// | `Display` / `pretty`, `size`, `Hash`, `admits` | 3 488 – 4 160 |
+    /// | `to_wire` | 6 784 |
+    /// | `Drop` (`Type`, `Value`) | 8 576 |
+    ///
+    /// A whole job (`events`/`value`/`shape` × batch / `--streaming` /
+    /// profiled, 1 and 2 workers) survives 768. Half the weakest walker
+    /// is 296, below the default, so the limit is the default: 512. A
+    /// release build goes deeper (`fuse` 1 968, a whole job 3 520), but
+    /// the limit has to hold in the build the tests run.
+    ///
+    /// [`depth_limit`]: ParserOptions::depth_limit
+    pub const MAX_DEPTH_LIMIT: usize = 512;
+
+    /// The nesting depth enforced: `max_depth`, clamped to
+    /// [`MAX_DEPTH_LIMIT`](Self::MAX_DEPTH_LIMIT).
+    pub fn depth_limit(&self) -> usize {
+        self.max_depth.min(Self::MAX_DEPTH_LIMIT)
+    }
+}
+
 impl Default for ParserOptions {
     fn default() -> Self {
         ParserOptions {
-            max_depth: 512,
+            max_depth: Self::MAX_DEPTH_LIMIT,
             allow_duplicate_keys: false,
         }
     }
@@ -278,7 +323,7 @@ impl<'a> Parser<'a> {
 
     fn enter(&mut self) -> Result<()> {
         self.depth += 1;
-        if self.depth > self.options.max_depth {
+        if self.depth > self.options.depth_limit() {
             return Err(self.err_here(ErrorKind::RecursionLimitExceeded));
         }
         Ok(())

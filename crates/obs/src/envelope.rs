@@ -1,8 +1,8 @@
 //! The shared versioned JSON response envelope.
 //!
 //! Every JSON document typefuse emits — `--metrics-json`,
-//! `--profile-json`, `bench` trajectories, `sim --report-json` and the
-//! `typefuse serve` wire protocol — is wrapped in the same top level:
+//! `--profile-json` and the `typefuse serve` wire protocol — is wrapped
+//! in the same top level:
 //!
 //! ```json
 //! {"schema_version": 1, "kind": "<kind>", "payload": { ... }}

@@ -58,7 +58,6 @@ pub mod eventlog;
 pub mod histogram;
 pub mod recorder;
 pub mod report;
-pub mod rss;
 pub mod span;
 pub mod telemetry;
 pub mod trace;

@@ -192,25 +192,22 @@ pub struct StageReport {
     pub tasks: Vec<TaskReport>,
 }
 
-/// Busy rollup for one worker (or one simulated cluster node).
+/// Busy rollup for one worker.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerSlice {
-    /// Worker (or node) index.
+    /// Worker index.
     pub worker: usize,
     /// Tasks the worker executed.
     pub tasks: u64,
     /// Total nanoseconds the worker spent executing tasks.
     pub busy_ns: u64,
-    /// Distribution of the queue waits of this worker's tasks (empty
-    /// for simulated executions, which model no pickup delay).
+    /// Distribution of the queue waits of this worker's tasks.
     pub queue_wait: HistogramReport,
 }
 
-/// Per-worker utilization of one stage — the shared JSON shape emitted
-/// by the real engine thread pool, the bench harness's
-/// `BENCH_*.json` trajectory, and the cluster simulator, so the paper's
-/// Table 7/8 under-utilisation story can be compared like-for-like
-/// between the simulated cluster and the live engine.
+/// Per-worker utilization of one stage of the engine thread pool: the
+/// `workers` section of [`RunReport::to_text`] prints it, so the paper's
+/// Table 7/8 under-utilisation story can be read off a live run.
 ///
 /// Workers that never picked up a task are listed with zero busy time;
 /// [`UtilizationReport::idle_workers`] counts them.
@@ -289,48 +286,6 @@ impl UtilizationReport {
     /// nodes were idle", observed on the live pool.
     pub fn idle_workers(&self) -> usize {
         self.workers.len() - self.busy_workers()
-    }
-
-    /// Write as a JSON object into `w` (the shape shared by
-    /// `BENCH_*.json`, `typefuse sim --report-json` and the bench
-    /// harness's tests).
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("wall_ns");
-        w.number(self.wall_ns);
-        w.key("busy_ns");
-        w.number(self.total_busy_ns());
-        w.key("utilization");
-        w.float(self.utilization());
-        w.key("busy_workers");
-        w.number(self.busy_workers() as u64);
-        w.key("idle_workers");
-        w.number(self.idle_workers() as u64);
-        w.key("workers");
-        w.begin_array();
-        for slice in &self.workers {
-            w.begin_object();
-            w.key("worker");
-            w.number(slice.worker as u64);
-            w.key("tasks");
-            w.number(slice.tasks);
-            w.key("busy_ns");
-            w.number(slice.busy_ns);
-            w.key("utilization");
-            w.float(self.worker_utilization(slice));
-            w.key("queue_wait");
-            slice.queue_wait.write_json(w);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-
-    /// Serialize as a standalone JSON document.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 
@@ -741,24 +696,6 @@ mod tests {
         let wide = UtilizationReport::from_stage(&stage, 2);
         assert_eq!(wide.workers.len(), 10);
         assert_eq!(wide.total_busy_ns(), 130, "no work dropped");
-    }
-
-    #[test]
-    fn utilization_json_has_the_shared_shape() {
-        let u = UtilizationReport::from_stage(&stage_with_two_workers(), 2);
-        let json = u.to_json();
-        for needle in [
-            r#""wall_ns":100"#,
-            r#""busy_ns":130"#,
-            r#""utilization":0.65"#,
-            r#""busy_workers":2"#,
-            r#""idle_workers":0"#,
-            r#""worker":1"#,
-            r#""tasks":1"#,
-            r#""queue_wait":{"count":"#,
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
         assert_eq!(UtilizationReport::default().utilization(), 0.0);
     }
 

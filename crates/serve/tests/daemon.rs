@@ -460,6 +460,61 @@ fn shape_route_answers_profile_and_explain_with_the_reason_not_an_empty_report()
     std::fs::remove_file(&path).ok();
 }
 
+/// Pollers and sessions run on default 2 MiB stacks, where an overflow
+/// would take the whole daemon down: nesting at the depth limit folds,
+/// publishes, checkpoints and prints; one level deeper is a bad record.
+#[test]
+fn nesting_at_the_depth_limit_is_served_and_deeper_is_a_bad_record() {
+    let limit = typefuse_json::ParserOptions::MAX_DEPTH_LIMIT;
+    let nest = |open: &str, close: &str, levels: usize, leaf: &str| {
+        format!("{}{leaf}{}\n", open.repeat(levels), close.repeat(levels))
+    };
+    let data = [
+        nest("[", "]", limit, "1"),
+        nest("{\"a\":", "}", limit, "1"),
+        nest("[", "]", limit + 1, "1"),
+        nest("[", "]", limit, "\"s\""),
+        nest("{\"a\":", "}", limit, "null"),
+    ]
+    .concat();
+    let path = temp_path("deep.ndjson");
+    let checkpoints = temp_path("deep.ckpt");
+    std::fs::remove_dir_all(&checkpoints).ok();
+    std::fs::write(&path, &data).unwrap();
+    // A caller cannot raise the limit: the walkers clamp.
+    let job = JobConfig::new()
+        .parser_options(typefuse_json::ParserOptions {
+            max_depth: usize::MAX,
+            ..Default::default()
+        })
+        .on_error(typefuse::ErrorPolicy::skip());
+    let batch = job.build().run_ndjson(data.as_bytes()).unwrap();
+    // The second incarnation resumes from the first one's checkpoint.
+    for _ in 0..2 {
+        let daemon = Daemon::start(fast(
+            ServeConfig::new()
+                .job(job.clone())
+                .checkpoint_dir(&checkpoints)
+                .watch_file("deep", &path),
+        ))
+        .unwrap();
+        let mut client = Client::connect(daemon.addr());
+        let env = client.wait_for_records("deep", 4);
+        assert_eq!(env.payload.get("skipped").and_then(Value::as_i64), Some(1));
+        assert_eq!(
+            env.payload.get("schema").and_then(Value::as_str),
+            Some(batch.schema.to_string().as_str())
+        );
+        let text = client.request(r#"{"op":"profile","source":"deep"}"#);
+        let env = Envelope::expect_kind(&text, "profile").unwrap();
+        assert_eq!(env.payload.get("records").and_then(Value::as_i64), Some(4));
+        Envelope::expect_kind(&client.request(r#"{"op":"health"}"#), "health").unwrap();
+        daemon.shutdown();
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&checkpoints).ok();
+}
+
 /// A response leaves in one segment on a `TCP_NODELAY` socket. Written
 /// as body then `\n`, the second write waits for the client's ACK of
 /// the first, which an ordinary client (no `TCP_QUICKACK`) delays by

@@ -3,7 +3,7 @@
 //! [`SchemaJob`] accreted a knob per PR — workers, partitions, map
 //! route, dedup mode, error policy, retries, parser limits, chaos
 //! hooks — each with its own chained setter, and every consumer
-//! (`infer`, `stats`, `check`, `bench`, and now the resident `serve`
+//! (`infer`, `stats`, `check`, and now the resident `serve`
 //! daemon) re-plumbed the subset it knew about. `JobConfig` collapses
 //! that accretion into a single declarative configuration with
 //! [`Default`]: build one, hand copies to batch jobs
@@ -135,9 +135,10 @@ impl JobConfig {
         self
     }
 
-    /// Set the parser's recursion limit for text sources.
+    /// Set the parser's recursion limit for text sources, at most
+    /// [`ParserOptions::MAX_DEPTH_LIMIT`].
     pub fn max_depth(mut self, depth: usize) -> Self {
-        self.parser_options.max_depth = depth;
+        self.parser_options.max_depth = depth.min(ParserOptions::MAX_DEPTH_LIMIT);
         self
     }
 

@@ -421,6 +421,74 @@ fn an_over_cap_line_straddling_split_boundaries_keeps_ownership_intact() {
 }
 
 #[test]
+fn nesting_at_the_depth_limit_fits_a_worker_stack_on_every_route() {
+    use typefuse::types::wire::{from_wire, to_wire};
+    use typefuse_json::ParserOptions;
+    let limit = ParserOptions::MAX_DEPTH_LIMIT;
+    assert_eq!(
+        JobConfig::new()
+            .max_depth(limit + 1)
+            .parser_options
+            .max_depth,
+        limit
+    );
+    let nest = |open: &str, close: &str, levels: usize, leaf: &str| {
+        format!("{}{leaf}{}\n", open.repeat(levels), close.repeat(levels))
+    };
+    // Two leaves per shape, so fusion walks to the bottom; the last line
+    // is one level too deep.
+    let data = [
+        nest("[", "]", limit, "1"),
+        nest("[", "]", limit, "\"s\""),
+        nest("{\"a\":", "}", limit, "1"),
+        nest("{\"a\":", "}", limit, "null"),
+        nest("[", "]", limit + 1, "1"),
+    ]
+    .concat();
+    let path = std::env::temp_dir().join(format!("typefuse-deep-{}.ndjson", std::process::id()));
+    std::fs::write(&path, &data).unwrap();
+    // Asking for more than the limit changes nothing: the walkers clamp.
+    let unbounded = ParserOptions {
+        max_depth: usize::MAX,
+        ..ParserOptions::default()
+    };
+    let check = |label: &str, schema: Type, records: u64, errors: &ErrorReport| {
+        assert_eq!((records, errors.skipped()), (4, 1), "{label}");
+        let kind = errors.first().unwrap().error.kind();
+        assert_eq!(kind, &ErrorKind::RecursionLimitExceeded, "{label}");
+        assert_eq!(schema.depth(), limit + 1, "{label}");
+        assert!(schema.to_string().len() > 2 * limit, "{label}");
+        assert!(typefuse::types::print::pretty(&schema).len() > 2 * limit);
+        assert_eq!(from_wire(&to_wire(&schema)).unwrap(), schema, "{label}");
+    };
+    // 2 MiB is what every pool worker, daemon poller and test thread gets.
+    std::thread::scope(|scope| {
+        let walk = || {
+            for map_path in [MapPath::Events, MapPath::Values, MapPath::Shape] {
+                for (workers, dedup) in [(1, DedupMode::Off), (2, DedupMode::On)] {
+                    let label = format!("{map_path:?} workers={workers}");
+                    let job = job(workers, map_path, dedup)
+                        .parser_options(unbounded.clone())
+                        .on_error(ErrorPolicy::skip())
+                        .build();
+                    let batch = job.run(Source::ndjson(data.as_bytes())).unwrap();
+                    check(&label, batch.schema, batch.records, &batch.errors);
+                    let file = typefuse::splits::infer_file(&path, &job).unwrap();
+                    check(&label, file.schema, file.records, &file.errors);
+                    let profiled = job.run_profiled(Source::ndjson(data.as_bytes())).unwrap();
+                    assert!(profiled.profile.to_json().len() > 2 * limit, "{label}");
+                    let schema = profiled.profile.schema;
+                    check(&label, schema, profiled.records, &profiled.errors);
+                }
+            }
+        };
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        worker.spawn_scoped(scope, walk).unwrap().join().unwrap();
+    });
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn io_site_formats_all_coordinates() {
     let err = Error::io_at(
         std::io::Error::other("boom"),
