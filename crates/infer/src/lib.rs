@@ -47,7 +47,6 @@ pub mod infer;
 pub mod maplike;
 pub mod obs;
 pub mod profile;
-mod project;
 pub mod shape;
 pub mod streaming;
 pub mod typer;
@@ -63,6 +62,5 @@ pub use infer::infer_type;
 pub use maplike::{find_map_like, MapLikeConfig, MapLikeSite};
 pub use obs::{fuse_with_recorded, infer_type_recorded};
 pub use profile::{PathProfile, ProfileAcc, ProfileReport, Profiling};
-pub use project::project;
 pub use shape::{shape_signature, ShapeCache};
 pub use typer::{Fact, Observer, Typer};

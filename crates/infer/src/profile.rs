@@ -66,9 +66,10 @@ use crate::incremental::Incremental;
 use crate::streaming;
 use crate::typer::{Fact, Observer, Typer};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use typefuse_json::{Parser, ParserOptions, Value};
 use typefuse_obs::{JsonWriter, LogHistogram};
-use typefuse_types::{Type, TypeKind};
+use typefuse_types::{Name, Type, TypeKind};
 
 const KINDS: usize = TypeKind::ALL.len();
 const KIND_RECORD: usize = TypeKind::Record as usize;
@@ -316,7 +317,7 @@ struct Node {
     profile: PathProfile,
     /// Key names ever seen present in a record here (rule 1 of the
     /// absence monoid needs the *known* children), with their nodes.
-    kids: BTreeMap<Box<str>, Kid>,
+    kids: BTreeMap<Name, Kid>,
     /// The `[]` node, once an array here has been walked.
     elem: Option<u32>,
     /// Per-record replay scratch, valid while `epoch` is the
@@ -346,7 +347,7 @@ pub struct ProfileAcc {
     /// undone if the record fails to parse, rule 2's new keys if not.
     epoch: u64,
     log: Vec<(u32, Fact)>,
-    new_edges: Vec<(u32, Option<Box<str>>, u32)>,
+    new_edges: Vec<(u32, Option<Name>, u32)>,
     /// The text walk's scratch.
     typer: Typer,
 }
@@ -550,11 +551,12 @@ impl ProfileAcc {
         };
         let child = self.node_at(&path);
         let node = &mut self.nodes[parent as usize];
-        match key {
-            Some(key) => drop(node.kids.insert(key.into(), Kid::to(child))),
+        let key = key.map(Name::from);
+        match &key {
+            Some(key) => drop(node.kids.insert(Arc::clone(key), Kid::to(child))),
             None => node.elem = Some(child),
         }
-        self.new_edges.push((parent, key.map(Box::from), child));
+        self.new_edges.push((parent, key, child));
         child
     }
 

@@ -19,7 +19,7 @@ use typefuse_types::{ArrayType, Field, RecordType, Type};
 ///
 /// Equivalent to `infer_type(&parse_value(text)?)` — property-tested —
 /// but allocation-free for scalars and string *contents* (keys still
-/// allocate, they become part of the type).
+/// allocate once per distinct key: they become part of the type).
 ///
 /// ```
 /// use typefuse_infer::streaming::infer_type_from_str;
@@ -187,14 +187,12 @@ fn fold_value<'a>(
                         // duplicate keys; keep last-wins semantics like
                         // the tree parser.
                         if dedup_keys {
-                            if let Some(existing) =
-                                fields.iter_mut().find(|f| f.name == name.as_ref())
-                            {
+                            if let Some(existing) = fields.iter_mut().find(|f| *f.name == *name) {
                                 existing.ty = ty;
                                 continue;
                             }
                         }
-                        fields.push(Field::required(name.into_owned(), ty));
+                        fields.push(Field::required(&*name, ty));
                     }
                     _ => unreachable!("parser yields only Key or ObjectEnd inside an object"),
                 }

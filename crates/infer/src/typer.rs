@@ -3,8 +3,9 @@
 //!
 //! [`Typer::type_line`] reads bytes and builds the [`Type`]: no event,
 //! no borrowed-or-owned string, no per-record scratch allocation (its two
-//! stacks are reused across lines), and every record and array gets a
-//! vector of exactly its size. An [`Observer`] rides the same walk — the
+//! stacks are reused across lines), every record and array gets a
+//! vector of exactly its size, and a key the typer has seen recently is
+//! shared, not copied (see [`Typer`]). An [`Observer`] rides the same walk — the
 //! profile trie is one, `()` is the one that compiles to nothing.
 //!
 //! # The contract
@@ -27,9 +28,16 @@
 //! replay path and the reference the differential tests hold this walk
 //! to (`tests/typer_differential.rs`).
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use typefuse_json::number::parse_decimal;
 use typefuse_json::ParserOptions;
-use typefuse_types::{ArrayType, Field, RecordType, Type};
+use typefuse_types::{ArrayType, Field, Name, RecordType, Type};
+
+/// The name table is cleared when it holds this many names.
+pub const NAMES_MAX: usize = 4096;
+/// Keys longer than this many bytes are typed but never kept.
+pub const NAME_BYTES_MAX: usize = 256;
 
 /// What an [`Observer`] is told about one value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,9 +86,17 @@ impl Observer for () {
 }
 
 /// Reusable scratch for [`type_line`](Self::type_line): keep one per
-/// partition, split or source. Holds no state between lines.
+/// partition, split or source. What it keeps between lines is a table of
+/// recent key names, so a key seen before costs a reference count, not
+/// an allocation. [`NAMES_MAX`] and [`NAME_BYTES_MAX`] bound it to about
+/// 1 MiB whatever the input; no type depends on it.
 #[derive(Debug, Clone, Default)]
 pub struct Typer {
+    /// The name table, from the typer's second line on: a one-shot typer
+    /// never builds it and pays one fresh name per key, no more. Its keys
+    /// come from the input, so it keeps std's randomly keyed hasher: a
+    /// crafted set of colliding keys cannot turn each lookup into a scan.
+    names: Option<HashSet<Name>>,
     /// Completed fields of every open object, innermost last.
     fields: Vec<Field>,
     /// Completed element types of every open array, innermost last.
@@ -98,6 +114,18 @@ impl Typer {
     /// its node `root`. See the [module docs](self) for what `Some` and
     /// `None` promise.
     pub fn type_line<O: Observer>(
+        &mut self,
+        line: &[u8],
+        max_depth: usize,
+        obs: &mut O,
+        root: u32,
+    ) -> Option<Type> {
+        let ty = self.walk(line, max_depth, obs, root);
+        self.names.get_or_insert_with(HashSet::default);
+        ty
+    }
+
+    fn walk<O: Observer>(
         &mut self,
         line: &[u8],
         max_depth: usize,
@@ -124,6 +152,30 @@ impl Typer {
     /// Deepest container nesting of the line just typed (`infer.frames`).
     pub fn frames(&self) -> u64 {
         self.frames
+    }
+
+    /// Names the table holds now: never more than [`NAMES_MAX`].
+    pub fn names_held(&self) -> usize {
+        self.names.as_ref().map_or(0, HashSet::len)
+    }
+
+    /// The shared name of `key`: the table's if it has one, else a new
+    /// one, kept unless the key is too long.
+    fn name(&mut self, key: &str) -> Name {
+        let Some(names) = &mut self.names else {
+            return Name::from(key);
+        };
+        if let Some(name) = names.get(key) {
+            return Arc::clone(name);
+        }
+        let name = Name::from(key);
+        if key.len() <= NAME_BYTES_MAX {
+            if names.len() == NAMES_MAX {
+                names.clear();
+            }
+            names.insert(Arc::clone(&name));
+        }
+        name
     }
 
     #[inline]
@@ -217,8 +269,8 @@ impl Typer {
             if key.escaped {
                 return None;
             }
-            // The one allocation a field costs: its name.
-            let name = String::from_utf8(s[self.pos + 1..key.end - 1].to_vec()).ok()?;
+            let key_text = std::str::from_utf8(&s[self.pos + 1..key.end - 1]).ok()?;
+            let name = self.name(key_text);
             self.pos = key.end;
             self.skip_ws(s);
             if s.get(self.pos) != Some(&b':') {
@@ -311,7 +363,7 @@ pub(crate) fn scan_string(s: &[u8], at: usize) -> Option<StringScan> {
     Some(string)
 }
 
-/// [`scan_string`] without the UTF-8 check (a key's `String` makes it).
+/// [`scan_string`] without the UTF-8 check (a key's `&str` makes it).
 fn scan_string_grammar(s: &[u8], at: usize) -> Option<StringScan> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;

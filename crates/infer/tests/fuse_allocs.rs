@@ -71,11 +71,7 @@ fn field(key: String) -> Field {
         2 => Type::star(nested("id")),
         _ => Type::Num.plus(Type::Null),
     };
-    Field {
-        name: key,
-        ty,
-        optional: true,
-    }
+    Field::optional(key, ty)
 }
 
 fn record(keys: impl Iterator<Item = String>) -> Type {
@@ -96,10 +92,13 @@ fn absorbing_an_admitted_record_allocates_nothing() {
     assert!(!changed);
     assert_eq!(schema, before);
     assert_eq!((calls, bytes), (0, 0), "an admitted record is free");
-    // The yardstick does allocate: the spec rebuilds the field vector.
+    // The yardstick does allocate: the spec rebuilds the field vector
+    // and clones the 1 110 field types that own a vector or a box (the
+    // names are shared, so their clones are reference counts).
     let (_, spec_calls, spec_bytes) = allocations(|| fuse_with(CFG, &before, &admitted));
+    let field_vector = 2000 * std::mem::size_of::<Field>() as u64;
     assert!(
-        spec_calls > 2000 && spec_bytes > 100_000,
+        spec_calls > 1000 && spec_bytes > field_vector,
         "the allocator is counting"
     );
 }
@@ -117,8 +116,8 @@ fn absorbing_one_new_key_allocates_its_subtree_and_one_growth() {
     let (changed, calls, bytes) = allocations(|| fuse_into(CFG, &mut schema, &newcomer));
     assert!(changed);
     assert_eq!(schema, fuse_with(CFG, &wide_schema(), &newcomer));
-    // The key's clone, plus the field vector growing once (to at most
-    // twice its length) if it was full.
+    // The subtree's clone (its key is shared), plus the field vector
+    // growing once (to at most twice its length) if it was full.
     assert!(
         calls <= subtree_calls + 1,
         "{calls} allocations for a {subtree_calls}-allocation subtree"

@@ -48,7 +48,7 @@ fn arb_wide_record() -> impl Strategy<Value = Type> {
             .into_iter()
             .filter(|(key, ..)| seen.insert(*key))
             .map(|(key, ty, optional)| Field {
-                name: format!("k{key:02}"),
+                name: format!("k{key:02}").into(),
                 ty,
                 optional,
             })

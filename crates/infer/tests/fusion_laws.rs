@@ -194,18 +194,6 @@ proptest! {
         }
     }
 
-    // Projecting a value by the fused schema is the identity (nothing the
-    // data contains is missing from the schema).
-    #[test]
-    fn projection_by_fused_schema_is_identity(
-        values in prop::collection::vec(arb_value(), 1..8)
-    ) {
-        let schema = fuse_all(&values.iter().map(infer_type).collect::<Vec<_>>());
-        for v in &values {
-            prop_assert_eq!(&typefuse_infer::project(v, &schema), v);
-        }
-    }
-
     // Fused size never exceeds the sum of input sizes plus the union node:
     // the succinctness guarantee that motivates fusion (Section 2).
     #[test]

@@ -6,15 +6,21 @@
 //! pure event fold: the same type, the same error (kind and span), the
 //! same recorder counters. On generated texts, on the same texts broken
 //! by a few bytes, and on a hand list of everything the grammar forbids.
+//! A typer kept across lines — its table of recent key names warm, full,
+//! cleared — answers what a fresh one does.
 
 use proptest::prelude::*;
-use typefuse_infer::streaming::{event_fold, infer_with_options, infer_with_options_recorded};
-use typefuse_infer::Typer;
+use std::sync::Arc;
+use typefuse_infer::streaming::{
+    event_fold, infer_line, infer_with_options, infer_with_options_recorded,
+};
+use typefuse_infer::typer::{NAMES_MAX, NAME_BYTES_MAX};
+use typefuse_infer::{infer_type, Typer};
 use typefuse_json::events::{Event, EventParser};
-use typefuse_json::{to_string, to_string_pretty, ParserOptions};
+use typefuse_json::{parse_value, to_string, to_string_pretty, ParserOptions};
 use typefuse_obs::Recorder;
 use typefuse_types::testkit::arb_value;
-use typefuse_types::Type;
+use typefuse_types::{Field, Type};
 
 fn options(allow_duplicate_keys: bool, max_depth: usize) -> ParserOptions {
     ParserOptions {
@@ -130,8 +136,112 @@ fn apply(mut text: Vec<u8>, edits: &[Edit]) -> Vec<u8> {
     text
 }
 
+/// A key as it is written in the text: an id drawn from three times as
+/// many as the name table holds, one around the length cap, non-ASCII,
+/// escaped, or the one key likely to repeat within an object.
+fn arb_key_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        8 => (0..3 * NAMES_MAX).prop_map(|id| format!("id{id}")),
+        1 => (NAME_BYTES_MAX - 2..NAME_BYTES_MAX + 40).prop_map(|n| "k".repeat(n)),
+        1 => prop::sample::select(vec!["é", "日本", "ключ", "a\u{1F600}b"]).prop_map(String::from),
+        1 => prop::sample::select(vec![r"\u0061", r#"a\"b"#, r"\n", r"\u00e9", r"\ud83d\ude00"])
+            .prop_map(String::from),
+        1 => Just("dup".to_string()),
+    ]
+}
+
+/// A well-formed JSON text over [`arb_key_text`] keys.
+fn arb_text() -> impl Strategy<Value = String> {
+    let leaf = prop::sample::select(vec!["1", "-2.5e3", "\"s\"", "null", "true", "[]", "{}"])
+        .prop_map(String::from);
+    leaf.prop_recursive(3, 0, 0, |inner| {
+        let field = (arb_key_text(), inner.clone()).prop_map(|(k, v)| format!("\"{k}\":{v}"));
+        prop_oneof![
+            3 => prop::collection::vec(field, 0..6).prop_map(|f| format!("{{{}}}", f.join(","))),
+            1 => prop::collection::vec(inner, 0..4).prop_map(|e| format!("[{}]", e.join(","))),
+        ]
+    })
+}
+
+/// An object of `n` id keys from `from` on, each bound to its id.
+fn ids_line(from: usize, n: usize) -> String {
+    let keys: Vec<String> = (from..from + n)
+        .map(|id| format!("\"id{id}\":{id}"))
+        .collect();
+    format!("{{{}}}", keys.join(","))
+}
+
+/// One line of a stream: a text, a run of ids, or a malformed line the
+/// typer declines and the replay refuses.
+fn arb_stream_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        8 => arb_text(),
+        2 => (0..3 * NAMES_MAX, 0..256usize).prop_map(|(from, n)| ids_line(from, n)),
+        2 => arb_text().prop_map(|t| format!("{t},")),
+        1 => arb_text().prop_map(|t| format!("{{\"a\":{t}")),
+    ]
+}
+
+/// A typer that has seen two and a half times as many distinct ids as
+/// its table holds, in lines of 1 000 — cleared twice, mid-line, and 64
+/// names short of clearing again — each line typed as the value tree
+/// types it.
+fn warm_typer() -> &'static Typer {
+    static WARM: std::sync::OnceLock<Typer> = std::sync::OnceLock::new();
+    WARM.get_or_init(|| {
+        let seen = 3 * NAMES_MAX - 64;
+        let mut typer = running_typer();
+        for from in (0..seen).step_by(1_000) {
+            let line = ids_line(3 * NAMES_MAX + from, (seen - from).min(1_000));
+            let ty = typer.type_line(line.as_bytes(), 512, &mut (), 0);
+            assert_eq!(ty, Some(infer_type(&parse_value(&line).unwrap())));
+        }
+        assert_eq!(typer.names_held(), NAMES_MAX - 64);
+        typer
+    })
+}
+
+/// One typer across `lines`, starting from [`warm_typer`]'s, so the
+/// stream clears its table again: each line is typed exactly as the
+/// event fold and the value tree type it, or refused as the event fold
+/// refuses it, and the table never holds more than its bound.
+fn check_stream(lines: &[String], options: &ParserOptions) -> Result<(), TestCaseError> {
+    let mut typer = warm_typer().clone();
+    for line in lines {
+        let reference = event_fold(line.as_bytes(), options);
+        let by_value = parse_value(line).map(|v| infer_type(&v));
+        if !options.allow_duplicate_keys {
+            prop_assert_eq!(
+                reference.as_ref().ok(),
+                by_value.as_ref().ok(),
+                "on {}",
+                line
+            );
+        }
+        if let Some(ty) = typer.type_line(line.as_bytes(), options.max_depth, &mut (), 0) {
+            prop_assert_eq!(Ok(&ty), reference.as_ref(), "typer answered on {}", line);
+        }
+        let typed = infer_line(&mut typer, line.as_bytes(), options, &Recorder::disabled());
+        prop_assert_eq!(&typed, &reference, "type or error on {}", line);
+        prop_assert!(typer.names_held() <= NAMES_MAX);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // A stream through one typer: ids past the table's bound, keys past
+    // its length cap, non-ASCII, escaped and duplicate keys, declined
+    // lines between typed ones.
+    #[test]
+    fn a_warm_typer_types_what_the_references_type(
+        lines in prop::collection::vec(arb_stream_line(), 1..8)
+    ) {
+        for lenient in [false, true] {
+            check_stream(&lines, &options(lenient, 512))?;
+        }
+    }
 
     // Well-formed, plain-keyed texts: the typer must answer (or the fast
     // path is not one), and answer what the event fold answers.
@@ -265,4 +375,85 @@ fn totality_and_linear_time() {
         "7 MB took {:?}: not linear",
         start.elapsed()
     );
+}
+
+/// A typer past its first line: its table is on. (A typer keeps no
+/// name from its first line, so a one-shot typer never builds a table.)
+fn running_typer() -> Typer {
+    let mut typer = Typer::default();
+    typer
+        .type_line(br#"{"first": 1}"#, 512, &mut (), 0)
+        .unwrap();
+    assert_eq!(typer.names_held(), 0, "nothing kept from the first line");
+    typer
+}
+
+fn field<'a>(ty: &'a Type, key: &str) -> &'a Field {
+    let Type::Record(r) = ty else {
+        panic!("a record: {ty}")
+    };
+    r.field(key).expect("the key")
+}
+
+#[test]
+fn a_key_seen_before_is_shared_not_copied() {
+    let mut typer = running_typer();
+    let first = typer
+        .type_line(br#"{"login": 1, "id": 2}"#, 512, &mut (), 0)
+        .unwrap();
+    let second = typer
+        .type_line(br#"{"id": [{"login": null}]}"#, 512, &mut (), 0)
+        .unwrap();
+    let id = &field(&second, "id");
+    assert!(Arc::ptr_eq(&field(&first, "id").name, &id.name));
+    let Type::Array(inner) = &id.ty else {
+        panic!("an array")
+    };
+    let login = &field(&inner.elems()[0], "login").name;
+    assert!(Arc::ptr_eq(&field(&first, "login").name, login));
+    // A fresh typer shares nothing with it.
+    let cold = Typer::default()
+        .type_line(br#"{"id": 3}"#, 512, &mut (), 0)
+        .unwrap();
+    assert!(!Arc::ptr_eq(
+        &field(&first, "id").name,
+        &field(&cold, "id").name
+    ));
+}
+
+#[test]
+fn a_key_past_the_length_cap_is_typed_but_not_kept() {
+    let mut typer = Typer::default();
+    typer.type_line(br#"{"a": 1}"#, 512, &mut (), 0).unwrap();
+    let key = "k".repeat(1 << 20);
+    let line = format!("{{\"{key}\": 1, \"a\": 2}}");
+    let ty = typer.type_line(line.as_bytes(), 512, &mut (), 0).unwrap();
+    assert_eq!(
+        Ok(&ty),
+        event_fold(line.as_bytes(), &options(false, 512)).as_ref()
+    );
+    assert_eq!(typer.names_held(), 1, "only `a`");
+    let again = typer.type_line(line.as_bytes(), 512, &mut (), 0).unwrap();
+    assert!(!Arc::ptr_eq(
+        &field(&ty, &key).name,
+        &field(&again, &key).name
+    ));
+    let cap = "k".repeat(NAME_BYTES_MAX);
+    typer
+        .type_line(format!("{{\"{cap}\": 1}}").as_bytes(), 512, &mut (), 0)
+        .unwrap();
+    assert_eq!(typer.names_held(), 2, "a key of exactly the cap is kept");
+}
+
+#[test]
+fn the_table_never_holds_more_than_its_bound() {
+    let mut typer = running_typer();
+    for from in (0..10_000).step_by(1_000) {
+        let line = ids_line(from, 1_000);
+        let ty = typer.type_line(line.as_bytes(), 512, &mut (), 0).unwrap();
+        assert_eq!(ty, infer_type(&parse_value(&line).unwrap()));
+        assert!(typer.names_held() <= NAMES_MAX, "{}", typer.names_held());
+    }
+    // 10 000 distinct keys: cleared twice, at 4 096 and at 8 192.
+    assert_eq!(typer.names_held(), 10_000 - 2 * NAMES_MAX);
 }

@@ -37,9 +37,11 @@ pub struct TailLine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailStatus {
     /// The stream is drained for now but may grow (EOF on a regular
-    /// file, `WouldBlock` on a non-blocking source), or the poll spent
-    /// its haul budget. Poll again later.
+    /// file, `WouldBlock` on a non-blocking source). Poll again later.
     Idle,
+    /// The poll spent its [haul budget](TailReader::with_haul_budget)
+    /// and more bytes may be waiting: poll again now.
+    Budget,
     /// The stream is permanently closed: a read returned 0 on a
     /// source the caller declared finite via [`TailReader::close_on_eof`].
     Closed,
@@ -176,7 +178,8 @@ impl<R: Read> TailReader<R> {
     /// Drain currently-available bytes (up to the
     /// [haul budget](Self::with_haul_budget)) and append every completed
     /// line to `out`. Returns the stream status: [`TailStatus::Idle`]
-    /// when the source may still grow, [`TailStatus::Closed`] once a
+    /// when the source may still grow, [`TailStatus::Budget`] when the
+    /// poll stopped on its budget, [`TailStatus::Closed`] once a
     /// [`close_on_eof`](Self::close_on_eof) source hits EOF.
     pub fn poll(&mut self, out: &mut Vec<TailLine>) -> std::io::Result<TailStatus> {
         if self.closed {
@@ -201,7 +204,7 @@ impl<R: Read> TailReader<R> {
                     self.absorb(&chunk[..n], out);
                     hauled += n;
                     if self.haul_budget.is_some_and(|budget| hauled >= budget) {
-                        return Ok(TailStatus::Idle);
+                        return Ok(TailStatus::Budget);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -387,14 +390,19 @@ mod tests {
         let budget = data.len() / 3;
         let mut tail = TailReader::new(&data[..]).with_haul_budget(budget);
         let (mut out, mut hauls) = (Vec::new(), 0);
-        while tail.bytes_read() < data.len() as u64 {
+        let mut status = TailStatus::Budget;
+        while status == TailStatus::Budget {
             let before = tail.bytes_read();
-            assert_eq!(tail.poll(&mut out).unwrap(), TailStatus::Idle);
+            status = tail.poll(&mut out).unwrap();
             let hauled = (tail.bytes_read() - before) as usize;
-            // One read chunk past the budget at most.
+            // One read chunk past the budget at most, and a poll that
+            // stopped short of it found the end of the data.
             assert!(hauled < budget + 8192, "hauled {hauled}");
+            assert_eq!(status == TailStatus::Budget, hauled >= budget);
             hauls += 1;
         }
+        assert_eq!(status, TailStatus::Idle);
+        assert_eq!(tail.bytes_read(), data.len() as u64);
         assert!(hauls >= 3, "{hauls} hauls");
         assert_eq!(out, whole);
         assert_eq!(tail.lines_read(), 5000);

@@ -231,7 +231,7 @@ fn project_rel(schema: &Type, routes: &[&[Step]]) -> Type {
                 let sub: Vec<&[Step]> = routes
                     .iter()
                     .filter_map(|r| match r.first() {
-                        Some(Step::Field(name)) if *name == f.name => Some(&r[1..]),
+                        Some(Step::Field(name)) if **name == *f.name => Some(&r[1..]),
                         _ => None,
                     })
                     .collect();
@@ -291,7 +291,7 @@ fn narrow_along_path(schema: &Type, steps: &[Step], elem: &Type) -> Type {
                 .fields()
                 .iter()
                 .map(|f| {
-                    if f.name == *name {
+                    if *f.name == **name {
                         Field {
                             name: f.name.clone(),
                             ty: narrow_along_path(&f.ty, rest, elem),

@@ -24,9 +24,10 @@ use typefuse_registry::{CompatMode, MemoryRegistry, Registry, RegistryStore};
 /// Sliding window over which `typefuse_source_records_per_sec` averages.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
 
-/// What one poll of a watched file reads before its lines are folded:
-/// a daemon started on a large backlog holds one haul of it in memory,
-/// not all of it, and serves the partial fold between hauls.
+/// What one poll of a watched file, or of one producer connection,
+/// reads before its lines are folded: a daemon started on a large
+/// backlog, or fed faster than it folds, holds one haul in memory, not
+/// all of it, and serves the partial fold between hauls.
 const HAUL_BUDGET_BYTES: usize = 8 << 20;
 
 /// Where a source's NDJSON bytes come from.
@@ -1004,6 +1005,8 @@ fn spawn_source_poller(
             }
 
             let mut lines: Vec<TailLine> = Vec::new();
+            // A poll that stopped on its haul budget left bytes unread.
+            let mut behind = false;
             match &mut tail {
                 SourceTail::PendingFile(path) => {
                     let path = path.clone();
@@ -1051,6 +1054,10 @@ fn spawn_source_poller(
                     }
                     conns.retain_mut(|conn| match conn.poll(&mut lines) {
                         Ok(TailStatus::Idle) => true,
+                        Ok(TailStatus::Budget) => {
+                            behind = true;
+                            true
+                        }
                         Ok(TailStatus::Closed) => {
                             // Flush an unterminated final record.
                             if let Some(last) = conn.take_pending() {
@@ -1069,7 +1076,6 @@ fn spawn_source_poller(
 
             // Tail position: how far we've read and how far behind the
             // input we are (files only — a TCP source has no length).
-            let mut behind = false;
             match &tail {
                 SourceTail::PendingFile(_) => {}
                 SourceTail::File(_, reader) => {
@@ -1184,8 +1190,8 @@ fn spawn_source_poller(
             let in_window: u64 = window.iter().map(|(_, n)| n).sum();
             m_rate.set(in_window / RATE_WINDOW.as_secs());
 
-            // A poll that stopped on its haul budget left bytes unread:
-            // fold the next haul now, not one poll interval later.
+            // Behind the input (a file's lag, a connection's spent
+            // budget): fold the next haul now, not one interval later.
             if !behind {
                 sliced_sleep(poll_interval, &stopped);
             }
@@ -1228,6 +1234,7 @@ fn make_file_tail_tcp(
     max_line_bytes: Option<usize>,
 ) -> TailReader<TcpStream> {
     let mut tail = TailReader::new(conn)
+        .with_haul_budget(HAUL_BUDGET_BYTES)
         .with_retry(retry)
         .with_recorder(recorder.clone())
         .close_on_eof();

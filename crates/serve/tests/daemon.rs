@@ -740,3 +740,95 @@ fn a_backlog_is_folded_in_hauls_and_served_in_between() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&ckpt).ok();
 }
+
+/// The TCP twin of `a_backlog_is_folded_in_hauls_and_served_in_between`:
+/// a producer that writes faster than the daemon folds does not make one
+/// poll read everything it sends. A connection is polled 8 MiB at a time
+/// (`HAUL_BUDGET_BYTES`), what is folded so far is served in between,
+/// and the end state is that of folding the stream whole.
+#[test]
+fn a_fast_producer_is_folded_in_hauls_and_served_in_between() {
+    const HAUL: usize = 8 << 20;
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let feed_addr = probe.local_addr().unwrap();
+    drop(probe);
+    let pad = "x".repeat(400);
+    let mut data: Vec<u8> = Vec::with_capacity(3 * HAUL + (1 << 20));
+    let mut total = 0i64;
+    while data.len() < 3 * HAUL + (HAUL >> 3) {
+        total += 1;
+        match total % 1000 {
+            0 => writeln!(data, "not json {total}").unwrap(),
+            1 => writeln!(data, r#"{{"id":{total},"note":null}}"#).unwrap(),
+            _ => writeln!(data, r#"{{"id":{total},"pad":"{pad}"}}"#).unwrap(),
+        }
+    }
+    let skipped = total / 1000;
+
+    let job = JobConfig::new().on_error(typefuse::ErrorPolicy::skip());
+    let recorder = Recorder::enabled();
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(job.clone().recorder(recorder.clone()))
+            .tcp_source("feed", feed_addr.to_string()),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    let producer = {
+        let data = data.clone();
+        std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(feed_addr).unwrap();
+            conn.write_all(&data).unwrap();
+        })
+    };
+
+    // Ask without pause until the stream is folded; every answer in
+    // between is a partial fold.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut partial = std::collections::BTreeSet::new();
+    loop {
+        let text = client.request(r#"{"op":"metrics"}"#);
+        let env = Envelope::expect_kind(&text, "telemetry").unwrap();
+        let counters = env.payload.get("counters").unwrap();
+        let records = counters
+            .get("typefuse_source_records{source=\"feed\"}")
+            .and_then(Value::as_i64)
+            .unwrap_or(0);
+        if records == total - skipped {
+            break;
+        }
+        if records > 0 {
+            partial.insert(records);
+        }
+        assert!(Instant::now() < deadline, "stuck at {records} of {total}");
+    }
+    producer.join().unwrap();
+    assert!(
+        !partial.is_empty(),
+        "nothing was served between the first haul and the last"
+    );
+    let counters = recorder.snapshot().counters;
+    let batches = counters["serve.publishes"] + counters["serve.publish_skipped"];
+    assert!(batches >= 3, "{batches} batches for more than three hauls");
+
+    // The end state is the whole stream's.
+    let batch = job
+        .build()
+        .run_profiled(typefuse::pipeline::Source::ndjson(&data[..]))
+        .unwrap();
+    let served = client.wait_for_records("feed", total - skipped);
+    assert_eq!(
+        served.payload.get("schema").and_then(Value::as_str),
+        Some(batch.profile.schema.to_string().as_str())
+    );
+    assert_eq!(
+        served.payload.get("skipped").and_then(Value::as_i64),
+        Some(skipped)
+    );
+    let profile = client.request(r#"{"op":"profile","source":"feed"}"#);
+    assert!(
+        profile.contains(&batch.profile.to_json()),
+        "the served profile is the batch profile"
+    );
+    daemon.shutdown();
+}

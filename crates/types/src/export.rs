@@ -32,9 +32,9 @@ pub fn to_json_schema(t: &Type) -> Value {
             let mut props = Map::new();
             let mut required: Vec<Value> = Vec::new();
             for f in rt.fields() {
-                props.insert(f.name.clone(), to_json_schema(&f.ty));
+                props.insert(f.name.to_string(), to_json_schema(&f.ty));
                 if !f.optional {
-                    required.push(Value::String(f.name.clone()));
+                    required.push(Value::String(f.name.to_string()));
                 }
             }
             schema.insert("properties", Value::Object(props));

@@ -19,7 +19,7 @@
 //! ids through an already-complete prefix of the translation table.
 
 use crate::kind::TypeKind;
-use crate::ty::{ArrayType, Field, RecordType, Type};
+use crate::ty::{ArrayType, Field, Name, RecordType, Type};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -188,8 +188,8 @@ pub struct TypeInterner {
     /// once, not once more as a map key.
     by_hash: FxHashMap<u64, TypeId>,
     same_hash: Vec<Option<TypeId>>,
-    names: Vec<Arc<str>>,
-    name_ids: FxHashMap<Arc<str>, NameId>,
+    names: Vec<Name>,
+    name_ids: FxHashMap<Name, NameId>,
 }
 
 impl Default for TypeInterner {
@@ -260,15 +260,15 @@ impl TypeInterner {
     }
 
     /// Intern a field name, returning its pool id. Equal strings always
-    /// map to equal ids within one interner.
-    pub fn intern_name(&mut self, name: &str) -> NameId {
-        if let Some(&id) = self.name_ids.get(name) {
+    /// map to equal ids within one interner. On first sight the pool
+    /// keeps `name` itself, not a copy of its text.
+    pub fn intern_name(&mut self, name: &Name) -> NameId {
+        if let Some(&id) = self.name_ids.get(&**name) {
             return id;
         }
         let id = NameId(u32::try_from(self.names.len()).expect("name pool overflow"));
-        let arc: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&arc));
-        self.name_ids.insert(arc, id);
+        self.names.push(Arc::clone(name));
+        self.name_ids.insert(Arc::clone(name), id);
         id
     }
 
@@ -401,7 +401,8 @@ impl TypeInterner {
     }
 
     /// Reconstruct the owned [`Type`] tree behind an id. The result is
-    /// normal by the same invariants the interning constructors maintain.
+    /// normal by the same invariants the interning constructors maintain;
+    /// its field names are the pool's own, shared, not copied.
     pub fn resolve(&self, id: TypeId) -> Type {
         match &self.shapes[id.index()] {
             Shape::Bottom => Type::Bottom,
@@ -413,7 +414,7 @@ impl TypeInterner {
                 let fields = fields
                     .iter()
                     .map(|&(name, ty, optional)| Field {
-                        name: self.name(name).to_string(),
+                        name: Arc::clone(&self.names[name.index()]),
                         ty: self.resolve(ty),
                         optional,
                     })
@@ -596,9 +597,9 @@ mod tests {
     #[test]
     fn name_interning_dedups() {
         let mut interner = TypeInterner::new();
-        let a = interner.intern_name("login");
-        let b = interner.intern_name("login");
-        let c = interner.intern_name("id");
+        let a = interner.intern_name(&"login".into());
+        let b = interner.intern_name(&"login".into());
+        let c = interner.intern_name(&"id".into());
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(interner.name(a), "login");

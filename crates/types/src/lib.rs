@@ -54,4 +54,4 @@ pub use intern::{NameId, TypeId, TypeInterner};
 pub use kind::TypeKind;
 pub use notation::parse_type;
 pub use subtype::is_subtype;
-pub use ty::{ArrayType, Field, RecordBuilder, RecordType, Type, TypeError, Union};
+pub use ty::{ArrayType, Field, Name, RecordBuilder, RecordType, Type, TypeError, Union};

@@ -22,7 +22,7 @@
 //! in the input (e.g. `Str + Str` is fine, but `{} + {a: Num}` is not) is
 //! reported as an error.
 
-use crate::ty::{Field, RecordType, Type, TypeError};
+use crate::ty::{Field, Name, RecordType, Type, TypeError};
 use std::fmt;
 
 /// Errors from the notation parser.
@@ -196,7 +196,7 @@ impl<'a> Cursor<'a> {
         Ok(Type::Record(RecordType::new(fields)?))
     }
 
-    fn parse_key(&mut self) -> Result<String, NotationError> {
+    fn parse_key(&mut self) -> Result<Name, NotationError> {
         self.skip_ws();
         match self.peek() {
             Some('"') => self.parse_quoted_key(),
@@ -208,20 +208,28 @@ impl<'a> Cursor<'a> {
                 ) {
                     self.pos += 1;
                 }
-                Ok(self.input[start..self.pos].to_string())
+                Ok(self.input[start..self.pos].into())
             }
             _ => Err(self.err("expected a field key")),
         }
     }
 
-    fn parse_quoted_key(&mut self) -> Result<String, NotationError> {
-        // Delegate to the JSON string parser for full escape support.
+    fn parse_quoted_key(&mut self) -> Result<Name, NotationError> {
         let rest = self.rest();
+        // A key with no escape and no control character is its own text.
+        let body = &rest[1..];
+        if let Some(end) = body.find(|c: char| c == '"' || c == '\\' || c < ' ') {
+            if body.as_bytes()[end] == b'"' {
+                self.pos += end + 2;
+                return Ok(body[..end].into());
+            }
+        }
+        // Delegate the rest to the JSON string parser for full escape support.
         let mut parser = typefuse_json::Parser::new(rest.as_bytes());
         match parser.parse_one() {
             Ok(typefuse_json::Value::String(s)) => {
                 self.pos += parser.position().offset;
-                Ok(s)
+                Ok(s.into())
             }
             _ => Err(self.err("invalid quoted key")),
         }
@@ -315,6 +323,7 @@ mod tests {
             "[Str, Num, {x: Bool}]",
             "[(Null + Bool + Num + Str + {} + [])*]",
             "{\"1\": Num}",
+            "{\"\": Bool, \"a\\\"b\": Num, \"café\": Str, \"has space\": Null}",
         ] {
             round_trip(text);
         }

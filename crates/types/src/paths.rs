@@ -138,7 +138,7 @@ fn walk_type(t: &Type, prefix: &mut Vec<PathStep>, out: &mut BTreeSet<String>) {
         Type::Bottom | Type::Null | Type::Bool | Type::Num | Type::Str => {}
         Type::Record(rt) => {
             for f in rt.fields() {
-                prefix.push(PathStep::Field(f.name.clone()));
+                prefix.push(PathStep::Field(f.name.to_string()));
                 out.insert(render_path(prefix));
                 walk_type(&f.ty, prefix, out);
                 prefix.pop();

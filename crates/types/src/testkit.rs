@@ -33,8 +33,12 @@ pub fn arb_type_sized(depth: u32, width: usize) -> impl Strategy<Value = Type> {
         1 => Just(Type::star(Type::Bottom)),
     ];
     leaf.prop_recursive(depth, 48, width as u32, move |inner| {
-        let field = (arb_key(), inner.clone(), any::<bool>())
-            .prop_map(|(name, ty, optional)| Field { name, ty, optional });
+        let field =
+            (arb_key(), inner.clone(), any::<bool>()).prop_map(|(name, ty, optional)| Field {
+                name: name.into(),
+                ty,
+                optional,
+            });
         let record = prop::collection::vec(field, 0..=width).prop_map(|fields| {
             // Deduplicate colliding keys, keeping the first occurrence.
             let mut seen = std::collections::HashSet::new();
@@ -71,11 +75,7 @@ pub fn arb_type_sized(depth: u32, width: usize) -> impl Strategy<Value = Type> {
 /// Map phase (Figure 4), useful for tests that start "pre-fusion".
 pub fn arb_inferred_shape(depth: u32, width: usize) -> impl Strategy<Value = Type> {
     arb_basic_type().prop_recursive(depth, 32, width as u32, move |inner| {
-        let field = (arb_key(), inner.clone()).prop_map(|(name, ty)| Field {
-            name,
-            ty,
-            optional: false,
-        });
+        let field = (arb_key(), inner.clone()).prop_map(|(name, ty)| Field::required(name, ty));
         let record = prop::collection::vec(field, 0..=width).prop_map(|fields| {
             let mut seen = std::collections::HashSet::new();
             let unique: Vec<Field> = fields
@@ -124,7 +124,7 @@ pub fn sample_member(t: &Type) -> BoxedStrategy<Option<typefuse_json::Value>> {
                     let mut m = Map::new();
                     for (name, member, skip) in entries {
                         match member {
-                            Some(v) if !skip => m.insert_unchecked(name, v),
+                            Some(v) if !skip => m.insert_unchecked(name.to_string(), v),
                             Some(_) => {} // optional field omitted
                             // A mandatory field of an empty type: the whole
                             // record type is uninhabited.

@@ -2,6 +2,12 @@
 
 use crate::kind::TypeKind;
 use std::fmt;
+use std::sync::Arc;
+
+/// A record field's key, shared: every field, schema and interner that
+/// holds one key points at one allocation, so copying a field copies a
+/// pointer. `Hash`, `Ord`, `Eq` and `Display` are the `str`'s.
+pub type Name = Arc<str>;
 
 /// Errors raised by the checked type constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +40,7 @@ impl std::error::Error for TypeError {}
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Field {
     /// The key.
-    pub name: String,
+    pub name: Name,
     /// The type of the field's values.
     pub ty: Type,
     /// `true` for `l : T ?` (cardinality `?`), `false` for mandatory
@@ -44,7 +50,7 @@ pub struct Field {
 
 impl Field {
     /// A mandatory field.
-    pub fn required(name: impl Into<String>, ty: Type) -> Self {
+    pub fn required(name: impl Into<Name>, ty: Type) -> Self {
         Field {
             name: name.into(),
             ty,
@@ -53,7 +59,7 @@ impl Field {
     }
 
     /// An optional field.
-    pub fn optional(name: impl Into<String>, ty: Type) -> Self {
+    pub fn optional(name: impl Into<Name>, ty: Type) -> Self {
         Field {
             name: name.into(),
             ty,
@@ -82,7 +88,7 @@ impl RecordType {
         fields.sort_by(|a, b| a.name.cmp(&b.name));
         for pair in fields.windows(2) {
             if pair[0].name == pair[1].name {
-                return Err(TypeError::DuplicateField(pair[0].name.clone()));
+                return Err(TypeError::DuplicateField(pair[0].name.to_string()));
             }
         }
         Ok(RecordType { fields })
@@ -96,7 +102,7 @@ impl RecordType {
     pub fn from_sorted(fields: Vec<Field>) -> Result<Self, TypeError> {
         for pair in fields.windows(2) {
             if pair[0].name >= pair[1].name {
-                return Err(TypeError::DuplicateField(pair[1].name.clone()));
+                return Err(TypeError::DuplicateField(pair[1].name.to_string()));
             }
         }
         Ok(RecordType { fields })
@@ -120,7 +126,7 @@ impl RecordType {
     /// Field lookup by key (binary search over the sorted fields).
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields
-            .binary_search_by(|f| f.name.as_str().cmp(name))
+            .binary_search_by(|f| (*f.name).cmp(name))
             .ok()
             .map(|i| &self.fields[i])
     }
@@ -139,11 +145,11 @@ impl RecordType {
     /// Panics if `from > self.len()`.
     pub fn position(&self, name: &str, from: usize) -> Result<usize, usize> {
         let rest = &self.fields[from..];
-        match rest.first().map(|f| f.name.as_str().cmp(name)) {
+        match rest.first().map(|f| (*f.name).cmp(name)) {
             None | Some(std::cmp::Ordering::Greater) => Err(from),
             Some(std::cmp::Ordering::Equal) => Ok(from),
             Some(std::cmp::Ordering::Less) => rest[1..]
-                .binary_search_by(|f| f.name.as_str().cmp(name))
+                .binary_search_by(|f| (*f.name).cmp(name))
                 .map(|i| from + 1 + i)
                 .map_err(|i| from + 1 + i),
         }
@@ -210,7 +216,7 @@ impl RecordType {
 ///     .optional("a", Type::Str)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(rt.fields()[0].name, "a"); // stored sorted
+/// assert_eq!(&*rt.fields()[0].name, "a"); // stored sorted
 /// ```
 #[derive(Debug, Default)]
 pub struct RecordBuilder {
@@ -224,13 +230,13 @@ impl RecordBuilder {
     }
 
     /// Add a mandatory field.
-    pub fn required(mut self, name: impl Into<String>, ty: Type) -> Self {
+    pub fn required(mut self, name: impl Into<Name>, ty: Type) -> Self {
         self.fields.push(Field::required(name, ty));
         self
     }
 
     /// Add an optional field.
-    pub fn optional(mut self, name: impl Into<String>, ty: Type) -> Self {
+    pub fn optional(mut self, name: impl Into<Name>, ty: Type) -> Self {
         self.fields.push(Field::optional(name, ty));
         self
     }
@@ -494,7 +500,7 @@ impl Type {
             Type::Record(rt) => {
                 for pair in rt.fields().windows(2) {
                     if pair[0].name >= pair[1].name {
-                        return Err(TypeError::DuplicateField(pair[1].name.clone()));
+                        return Err(TypeError::DuplicateField(pair[1].name.to_string()));
                     }
                 }
                 rt.fields().iter().try_for_each(|f| f.ty.check_invariants())
@@ -539,8 +545,8 @@ mod tests {
             Field::optional("a", Type::Str),
         ])
         .unwrap();
-        assert_eq!(rt.fields()[0].name, "a");
-        assert_eq!(rt.fields()[1].name, "b");
+        assert_eq!(&*rt.fields()[0].name, "a");
+        assert_eq!(&*rt.fields()[1].name, "b");
         assert!(rt.field("a").unwrap().optional);
         assert!(rt.field("c").is_none());
 
@@ -716,7 +722,7 @@ mod tests {
         rt.insert_at(0, Field::required("a", Type::Num));
         rt.insert_at(2, Field::required("c", Type::Num));
         rt.insert_at(5, Field::required("g", Type::Num));
-        let keys: Vec<&str> = rt.fields().iter().map(|f| f.name.as_str()).collect();
+        let keys: Vec<&str> = rt.fields().iter().map(|f| &*f.name).collect();
         assert_eq!(keys, ["a", "b", "c", "d", "f", "g"]);
         assert_eq!(rt.field("d").unwrap().ty, Type::Bool);
         Type::Record(rt).check_invariants().unwrap();

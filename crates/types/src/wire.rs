@@ -164,7 +164,7 @@ fn parse_type_at(bytes: &[u8], pos: &mut usize) -> Result<Type, String> {
     }
 }
 
-fn parse_name(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_name<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a str, String> {
     let start = *pos;
     while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
         *pos += 1;
@@ -182,8 +182,7 @@ fn parse_name(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
         return Err("field name runs past end of input".to_string());
     }
     let name = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|_| "field name is not valid UTF-8".to_string())?
-        .to_string();
+        .map_err(|_| "field name is not valid UTF-8".to_string())?;
     *pos = end;
     Ok(name)
 }

@@ -50,8 +50,8 @@ fn diff_at(old: &Type, new: &Type, path: &str, out: &mut Vec<SchemaChange>) {
     let old_rec = record_addend(old);
     let new_rec = record_addend(new);
     if let (Some(o), Some(n)) = (old_rec, new_rec) {
-        let old_keys: BTreeSet<&str> = o.fields().iter().map(|f| f.name.as_str()).collect();
-        let new_keys: BTreeSet<&str> = n.fields().iter().map(|f| f.name.as_str()).collect();
+        let old_keys: BTreeSet<&str> = o.fields().iter().map(|f| &*f.name).collect();
+        let new_keys: BTreeSet<&str> = n.fields().iter().map(|f| &*f.name).collect();
         for key in old_keys.difference(&new_keys) {
             let child = format!("{path}.{key}");
             out.push(SchemaChange::Removed {

@@ -1,10 +1,10 @@
 //! Integration tests for the feature modules layered on top of the core
-//! pipeline: paths/completeness, projection, schema diffing, streaming
+//! pipeline: paths/completeness, schema diffing, streaming
 //! inference and counting fusion — all exercised on the realistic dataset
 //! profiles.
 
 use typefuse::infer::streaming::infer_type_from_str;
-use typefuse::infer::{project, CountingFuser};
+use typefuse::infer::CountingFuser;
 use typefuse::prelude::*;
 use typefuse::types::diff::{diff, SchemaChange};
 use typefuse::types::paths::{covers_value_paths, type_paths, value_paths};
@@ -44,27 +44,6 @@ fn completeness_on_every_profile() {
             sp, witnessed,
             "{profile}: schema paths must be exactly the witnessed paths"
         );
-    }
-}
-
-#[test]
-fn projection_prunes_nytimes_to_a_headline_view() {
-    let (values, _) = schema_of(Profile::NYTimes, 50);
-    let requirement = typefuse::types::parse_type(
-        "{headline: {main: Str}, pub_date: Str, word_count: Num + Str}",
-    )
-    .unwrap();
-    for v in &values {
-        let projected = project(v, &requirement);
-        // Much smaller…
-        assert!(
-            projected.tree_size() * 3 < v.tree_size(),
-            "not much smaller"
-        );
-        // …but still carrying the requested paths.
-        assert!(projected.get("headline").is_some());
-        assert!(projected.get("pub_date").is_some());
-        assert!(projected.get("snippet").is_none(), "unrequested field kept");
     }
 }
 
