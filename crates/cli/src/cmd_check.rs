@@ -30,46 +30,46 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let schema = parse_type(schema_text.trim())
         .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?;
 
-    let parser = flags.parser_options();
-    let values = {
+    // Each record is tested as it is read; only the first
+    // `max_failures` record numbers are kept, and printed once the input
+    // has been read (a bad line under the default policy fails the run
+    // before any of them).
+    let (mut records, mut failures) = (0usize, 0usize);
+    let mut reported = Vec::new();
+    let errors = {
         let _span = recorder.span("check.read");
-        let (values, errors) = crate::cmd_infer::read_values_with(
+        crate::cmd_infer::for_each_value(
             input.as_deref(),
-            &parser,
+            &flags.parser_options(),
             &flags.policy,
             flags.max_line_bytes,
             &recorder,
-        )?;
-        if !errors.is_empty() {
-            eprintln!("skipped {} bad record(s)", errors.skipped());
-        }
-        values
-    };
-    let mut failures = 0usize;
-    {
-        let _span = recorder.span("check.admit");
-        for (i, v) in values.iter().enumerate() {
-            if !schema.admits(v) {
-                failures += 1;
-                if failures <= max_failures {
-                    eprintln!("record {}: not admitted by the schema", i + 1);
+            |v| {
+                records += 1;
+                if !schema.admits(&v) {
+                    failures += 1;
+                    if failures <= max_failures {
+                        reported.push(records);
+                    }
                 }
-            }
-        }
+            },
+        )?
+    };
+    if !errors.is_empty() {
+        eprintln!("skipped {} bad record(s)", errors.skipped());
+    }
+    for record in reported {
+        eprintln!("record {record}: not admitted by the schema");
     }
     if failures > max_failures {
         eprintln!("… and {} more", failures - max_failures);
     }
-    println!(
-        "{} of {} records conform",
-        values.len() - failures,
-        values.len()
-    );
+    println!("{} of {} records conform", records - failures, records);
 
     if let Some(path) = metrics_json {
-        recorder.add("records", values.len() as u64);
+        recorder.add("records", records as u64);
         recorder.add("check.failures", failures as u64);
-        recorder.add("check.conforming", (values.len() - failures) as u64);
+        recorder.add("check.conforming", (records - failures) as u64);
         crate::job_args::write_envelope(&path, "metrics", &recorder.snapshot().to_json())?;
     }
 

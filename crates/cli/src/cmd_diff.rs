@@ -1,8 +1,8 @@
 //! `typefuse diff` — structural drift between two datasets or schemas.
 
 use crate::args::ArgStream;
+use crate::cmd_infer::infer_schema;
 use crate::{CliError, CliResult};
-use typefuse::JobConfig;
 use typefuse_types::diff::diff;
 use typefuse_types::{parse_type, Type};
 
@@ -19,7 +19,10 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let (old, new) = if as_schemas {
         (load_schema(&old_input)?, load_schema(&new_input)?)
     } else {
-        (infer_schema(&old_input)?, infer_schema(&new_input)?)
+        (
+            infer_schema(Some(&old_input))?,
+            infer_schema(Some(&new_input))?,
+        )
     };
 
     let changes = diff(&old, &new);
@@ -42,13 +45,4 @@ fn load_schema(path: &str) -> Result<Type, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
     parse_type(text.trim()).map_err(|e| CliError::runtime(format!("invalid schema in {path}: {e}")))
-}
-
-fn infer_schema(input: &str) -> Result<Type, CliError> {
-    let values = crate::cmd_infer::read_values(Some(input), &typefuse_obs::Recorder::disabled())?;
-    Ok(JobConfig::new()
-        .without_type_stats()
-        .build()
-        .run_values(values)
-        .schema)
 }

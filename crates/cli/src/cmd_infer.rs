@@ -6,13 +6,14 @@ use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use typefuse::fold::{for_each_line, Origin, RecordFold};
-use typefuse::pipeline::{dedup_auto_sample, DedupMode, MapPath, SchemaJob, Source};
+use typefuse::pipeline::{DedupMode, SchemaJob, Source};
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
-use typefuse_engine::{Dataset, ReducePlan};
-use typefuse_infer::{ArrayFusion, Counting, CountingFuser, DedupCounting, FuseConfig, Fuser};
+use typefuse_engine::ReducePlan;
+use typefuse_infer::{maplike, ArrayFusion, FuseConfig, MapLikeConfig, ProfileReport};
 use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
 use typefuse_types::export::to_json_schema_document;
+use typefuse_types::Type;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -32,11 +33,8 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let flags = JobFlags::parse(args)?;
     args.finish()?;
 
-    let map_path = flags.map_path;
     let dedup = flags.dedup;
-    let max_line_bytes = flags.max_line_bytes;
     let policy = flags.policy.clone();
-    let parser_options = flags.parser_options();
 
     let observing = metrics_json.is_some() || trace_json.is_some() || progress;
     let recorder = if observing {
@@ -46,26 +44,27 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     };
     let heartbeat = progress.then(|| Heartbeat::start(recorder.clone()));
 
-    if counting && map_path == Some(MapPath::Events) {
-        return Err(CliError::usage(
-            "--counting reads record trees and needs the value path; drop --map-path events",
-        ));
+    // `--profile-json` and `--counting` are two views of one profiled pass.
+    let profiled_by = match (&profile_json, counting) {
+        (Some(_), _) => Some("--profile-json"),
+        (None, true) => Some("--counting"),
+        (None, false) => None,
+    };
+    if let Some(flag) = profiled_by {
+        if streaming || stats {
+            return Err(CliError::usage(format!(
+                "{flag} runs its own fused pass and is incompatible with \
+                 --streaming/--stats (the profile report supersedes them)"
+            )));
+        }
+        if dedup == DedupMode::On {
+            return Err(CliError::usage(format!(
+                "--dedup on has no effect on the profiled pass; drop {flag} or --dedup"
+            )));
+        }
     }
-    if profile_json.is_some() && (streaming || counting || stats) {
-        return Err(CliError::usage(
-            "--profile-json runs its own fused pass and is incompatible with \
-             --streaming/--counting/--stats (the profile report supersedes them)",
-        ));
-    }
-    if dedup == DedupMode::On && profile_json.is_some() {
-        return Err(CliError::usage(
-            "--dedup on has no effect on the profiled pass; drop --profile-json or --dedup",
-        ));
-    }
-    if streaming && (stats || counting) {
-        return Err(CliError::usage(
-            "--streaming is incompatible with --stats/--counting",
-        ));
+    if streaming && stats {
+        return Err(CliError::usage("--streaming is incompatible with --stats"));
     }
 
     let mut config = flags.config(recorder.clone());
@@ -98,29 +97,24 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
     // The profiled route replaces the plain pipeline entirely: one
     // fused Map+Reduce pass produces the schema, the per-path profile
-    // report (provenance lines, kind/length/numeric statistics) and the
-    // run report. Output is byte-identical for any worker/partition
-    // count and either --map-path (CI diffs it).
-    if let Some(profile_path) = profile_json {
+    // report (provenance lines, presence counts, kind/length/numeric
+    // statistics) and the run report. Output is byte-identical for any
+    // worker/partition count and either --map-path (CI diffs it).
+    if profiled_by.is_some() {
         let reader = open_input(input.as_deref())?;
         let outcome = job.run_profiled(Source::ndjson(reader));
         if let Some(hb) = heartbeat {
             hb.finish();
         }
         let profiled = outcome.map_err(crate::ingest_error)?;
-        if maplike {
-            println!(
-                "{}",
-                typefuse_infer::maplike::summarize(
-                    &profiled.profile.schema,
-                    typefuse_infer::MapLikeConfig::default()
-                )
-            );
-        } else {
-            print_schema(&profiled.profile.schema, &format)?;
-        }
+        print_fused(&profiled.profile.schema, maplike, &format)?;
         report_skipped(&profiled.errors, &policy);
-        crate::job_args::write_envelope(&profile_path, "profile", &profiled.profile.to_json())?;
+        if counting {
+            print_presence(&profiled.profile);
+        }
+        if let Some(path) = &profile_json {
+            crate::job_args::write_envelope(path, "profile", &profiled.profile.to_json())?;
+        }
         write_observability(
             &profiled.run_report(&recorder),
             &recorder,
@@ -130,93 +124,16 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         return Ok(());
     }
 
-    // Path statistics need the record trees, so `--counting` forces the
-    // value route: values are read once, the counting strategy runs on
-    // the engine's trait-driven reduce, and the timed pipeline reuses
-    // the same dataset only when something else (type statistics, a
-    // metrics report) requires it. Without `--counting` the input
-    // streams straight through the job's Map route (`--map-path`,
-    // events by default).
-    let ingest_report;
-    let (result, counted) = if counting {
-        let values = {
-            let _span = recorder.span("pipeline.read");
-            let (values, report) = read_values_with(
-                input.as_deref(),
-                &parser_options,
-                &policy,
-                max_line_bytes,
-                &recorder,
-            )?;
-            ingest_report = report;
-            values
-        };
-        let dataset = Dataset::from_vec(values, job.partitions);
-        // The counting reduce mirrors the pipeline's dedup routing: On
-        // (or Auto over a redundant sample) rides the shape-dedup
-        // strategy, which counts paths once per distinct shape weighted
-        // by multiplicity; totals and rows are identical either way.
-        let use_dedup = match dedup {
-            DedupMode::On => true,
-            DedupMode::Off => false,
-            DedupMode::Auto => {
-                let sample: Vec<_> = dataset
-                    .iter()
-                    .take(512)
-                    .map(typefuse_infer::infer_type)
-                    .collect();
-                dedup_auto_sample(sample.iter())
-            }
-        };
-        // Dedup counters are not flushed here: whenever they are
-        // observable (--metrics-json/--trace-json/--progress) the timed
-        // pipeline below also runs with the same dedup mode and reports
-        // them once.
-        let counted = if use_dedup {
-            let fuser = DedupCounting::new(job.fuse_config);
-            let (acc, _) = dataset.fuse_values(&job.runtime, job.reduce_plan, &fuser, &recorder);
-            acc.unwrap_or_else(|| fuser.empty()).finish()
-        } else {
-            let (acc, _) = dataset.fuse_values(&job.runtime, job.reduce_plan, &Counting, &recorder);
-            acc.unwrap_or_else(CountingFuser::new).finish()
-        };
-        let need_pipeline = stats || observing;
-        (
-            need_pipeline.then(|| job.run_dataset(&dataset)),
-            Some(counted),
-        )
-    } else {
-        let reader = open_input(input.as_deref())?;
-        let result = job
-            .run(Source::ndjson(reader))
-            .map_err(crate::ingest_error)?;
-        ingest_report = result.errors.clone();
-        (Some(result), None)
-    };
-    let schema = match (&counted, &result) {
-        // The counting fuser's schema and the pipeline's are identical;
-        // prefer the counted one so `--counting` output is self-consistent.
-        (Some(cs), _) => &cs.schema,
-        (None, Some(r)) => &r.schema,
-        (None, None) => unreachable!("at least one of counting/pipeline runs"),
-    };
-
+    let reader = open_input(input.as_deref())?;
+    let outcome = job.run(Source::ndjson(reader));
     if let Some(hb) = heartbeat {
         hb.finish();
     }
-
-    if maplike {
-        println!(
-            "{}",
-            typefuse_infer::maplike::summarize(schema, typefuse_infer::MapLikeConfig::default())
-        );
-    } else {
-        print_schema(schema, &format)?;
-    }
-    report_skipped(&ingest_report, &policy);
+    let result = outcome.map_err(crate::ingest_error)?;
+    print_fused(&result.schema, maplike, &format)?;
+    report_skipped(&result.errors, &policy);
 
     if stats {
-        let result = result.as_ref().expect("--stats forces the pipeline");
         eprintln!();
         eprintln!("records           {}", result.records);
         eprintln!("partitions        {}", result.partitions);
@@ -235,32 +152,24 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         );
     }
 
-    if let Some(cs) = counted {
-        eprintln!();
-        // The counting fuser's own total, not a pipeline measurement —
-        // with `--counting` alone the timed pipeline may not have run,
-        // so no timings are reported here.
-        eprintln!("records {}", cs.total);
-        eprintln!("{:<40} {:>10} {:>8}", "path", "count", "ratio");
-        for row in cs.rows().iter().take(40) {
-            eprintln!(
-                "{:<40} {:>10} {:>7.1}%",
-                row.path,
-                row.count,
-                row.ratio * 100.0
-            );
-        }
-    }
+    write_observability(
+        &result.run_report(&recorder),
+        &recorder,
+        &metrics_json,
+        &trace_json,
+    )
+}
 
-    if let Some(result) = &result {
-        write_observability(
-            &result.run_report(&recorder),
-            &recorder,
-            &metrics_json,
-            &trace_json,
-        )?;
+/// `--counting`: the profile's presence count of each record field, the
+/// 40 most frequent first.
+fn print_presence(profile: &ProfileReport) {
+    eprintln!();
+    eprintln!("records {}", profile.records);
+    eprintln!("{:<40} {:>10} {:>8}", "path", "count", "ratio");
+    for (path, p) in profile.field_rows().into_iter().take(40) {
+        let ratio = p.count as f64 / profile.records as f64;
+        eprintln!("{path:<40} {:>10} {:>7.1}%", p.count, ratio * 100.0);
     }
-    Ok(())
 }
 
 /// Tell the operator on stderr what the error policy dropped.
@@ -343,7 +252,17 @@ impl Heartbeat {
     }
 }
 
-fn print_schema(schema: &typefuse_types::Type, format: &str) -> CliResult {
+/// The schema on stdout, or with `--maplike` its map-like summary.
+fn print_fused(schema: &Type, maplike: bool, format: &str) -> CliResult {
+    if maplike {
+        let summary = maplike::summarize(schema, MapLikeConfig::default());
+        println!("{summary}");
+        return Ok(());
+    }
+    print_schema(schema, format)
+}
+
+fn print_schema(schema: &Type, format: &str) -> CliResult {
     match format {
         "text" => println!("{schema}"),
         "pretty" => println!("{}", typefuse_types::print::pretty(schema)),
@@ -364,10 +283,7 @@ fn print_schema(schema: &typefuse_types::Type, format: &str) -> CliResult {
 /// [`RecordFold`] under the job's Map route, dedup mode and fuse
 /// configuration. Real files are processed with parallel byte-range
 /// splits (`typefuse::splits`); stdin is one sequential fold.
-fn run_streaming(
-    input: Option<&str>,
-    job: &SchemaJob,
-) -> Result<(typefuse_types::Type, ErrorReport), CliError> {
+fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorReport), CliError> {
     if let Some(path) = input.filter(|p| *p != "-") {
         let fs = typefuse::splits::infer_file(std::path::Path::new(path), job).map_err(|e| {
             let mapped = crate::ingest_error(e);
@@ -406,28 +322,35 @@ pub(crate) fn open_input(input: Option<&str>) -> Result<Box<dyn BufRead>, CliErr
     Ok(Box::new(BufReader::new(reader)))
 }
 
-/// Read NDJSON from a file path or stdin (`-` or absent), counting
-/// bytes/lines/records into `recorder` (free when disabled).
-pub(crate) fn read_values(
-    input: Option<&str>,
-    recorder: &Recorder,
-) -> Result<Vec<Value>, CliError> {
-    NdjsonReader::new(open_input(input)?)
-        .with_recorder(recorder.clone())
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| CliError::runtime(format!("parse error: {e}")))
+/// The fused schema of NDJSON from a file path or stdin (`-` or absent)
+/// under the default job, streamed through the pipeline like `infer`.
+pub(crate) fn infer_schema(input: Option<&str>) -> Result<Type, CliError> {
+    let job = typefuse::JobConfig::new().without_type_stats().build();
+    let result = job.run(Source::ndjson(open_input(input)?));
+    Ok(result.map_err(crate::ingest_error)?.schema)
 }
 
-/// [`read_values`] with parser options and an error policy: bad records
-/// are dropped/quarantined per `policy` (with the documented exit codes
-/// on failure) and reported alongside the clean values.
-pub(crate) fn read_values_with(
+/// Read NDJSON from a file path or stdin (`-` or absent) into memory,
+/// failing on the first bad record with the documented exit code.
+pub(crate) fn read_values(input: Option<&str>) -> Result<Vec<Value>, CliError> {
+    NdjsonReader::new(open_input(input)?)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ndjson_error)
+}
+
+/// Visit the records of NDJSON from a file path or stdin (`-` or
+/// absent) one at a time, with parser options and an error policy: bad
+/// records are dropped/quarantined per `policy` (with the documented
+/// exit codes on failure) and reported once the input is read. Counts
+/// bytes/lines/records into `recorder` (free when disabled).
+pub(crate) fn for_each_value(
     input: Option<&str>,
     parser: &ParserOptions,
     policy: &ErrorPolicy,
     max_line_bytes: Option<usize>,
     recorder: &Recorder,
-) -> Result<(Vec<Value>, ErrorReport), CliError> {
+    mut visit: impl FnMut(Value),
+) -> Result<ErrorReport, CliError> {
     let reader: Box<dyn Read> = match input {
         None | Some("-") => Box::new(io::stdin()),
         Some(path) => Box::new(File::open(path).map_err(|e| {
@@ -445,24 +368,17 @@ pub(crate) fn read_values_with(
         ndjson = ndjson.with_max_line_bytes(cap);
     }
     let keeps_text = policy.keeps_text();
-    let mut values = Vec::new();
     let mut report = ErrorReport::new();
     // Not a `for` loop: the body needs `ndjson.last_line()` while the
     // iterator is not borrowed.
     #[allow(clippy::while_let_on_iterator)]
     while let Some(item) = ndjson.next() {
         match item {
-            Ok(v) => values.push(v),
-            Err(e) if matches!(e.kind(), ErrorKind::Io(_)) => {
-                return Err(crate::ingest_error(typefuse::Error::io_at(
-                    std::io::Error::other(e.to_string()),
-                    IoSite::line(e.span().start.line),
-                )));
+            Ok(v) => visit(v),
+            Err(e) if policy.is_fail_fast() || matches!(e.kind(), ErrorKind::Io(_)) => {
+                return Err(ndjson_error(e));
             }
             Err(e) => {
-                if policy.is_fail_fast() {
-                    return Err(crate::ingest_error(typefuse::Error::Parse(e)));
-                }
                 let text =
                     keeps_text.then(|| String::from_utf8_lossy(ndjson.last_line()).into_owned());
                 report.note(BadRecord {
@@ -476,5 +392,17 @@ pub(crate) fn read_values_with(
     policy
         .enforce(&report, recorder)
         .map_err(crate::ingest_error)?;
-    Ok((values, report))
+    Ok(report)
+}
+
+/// An [`NdjsonReader`] failure under its exit code: 4 for a failed
+/// read (at its line), 3 for a malformed record.
+fn ndjson_error(e: typefuse_json::Error) -> CliError {
+    crate::ingest_error(match e.kind() {
+        ErrorKind::Io(_) => typefuse::Error::io_at(
+            std::io::Error::other(e.to_string()),
+            IoSite::line(e.span().start.line),
+        ),
+        _ => typefuse::Error::Parse(e),
+    })
 }

@@ -25,7 +25,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let values = if check_only && schema_path.is_some() {
         Vec::new()
     } else {
-        crate::cmd_infer::read_values(input.as_deref(), &typefuse_obs::Recorder::disabled())?
+        crate::cmd_infer::read_values(input.as_deref())?
     };
 
     // Schema: explicit file, or inferred from the data itself.

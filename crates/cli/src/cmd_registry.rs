@@ -2,7 +2,6 @@
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
-use typefuse::JobConfig;
 use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::parse_type;
 
@@ -39,17 +38,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
                     parse_type(text.trim())
                         .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?
                 }
-                None => {
-                    let values = crate::cmd_infer::read_values(
-                        input.as_deref(),
-                        &typefuse_obs::Recorder::disabled(),
-                    )?;
-                    JobConfig::new()
-                        .without_type_stats()
-                        .build()
-                        .run_values(values)
-                        .schema
-                }
+                None => crate::cmd_infer::infer_schema(input.as_deref())?,
             };
 
             let mut reg = open(&log)?;

@@ -3,8 +3,10 @@
 use crate::args::ArgStream;
 use crate::job_args::JobFlags;
 use crate::CliResult;
+use std::collections::HashSet;
 use typefuse_datagen::stats::DatasetStats;
 use typefuse_obs::Recorder;
+use typefuse_types::TypeInterner;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -18,24 +20,44 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     } else {
         Recorder::disabled()
     };
-    let parser = flags.parser_options();
-    let (values, errors) = {
+    // One pass: every record is measured as it is read, and with
+    // `--dedup` its Figure-4 type and raw-shape signature are added to
+    // the distinct sets.
+    //
+    // Distinct shapes measure redundancy through the hash-consing
+    // interner: a high records/shape ratio is what makes the
+    // shape-dedup reduce (`infer --dedup`) pay off. Raw-shape signatures
+    // predict the `--map-path shape` cache: every record after the first
+    // with a given signature is a cache hit. They are computed over the
+    // canonical serialization, so whitespace-only variation in the raw
+    // input is collapsed — this is the hit rate the shape route
+    // converges to, not necessarily its first-pass one.
+    let mut stats = DatasetStats::default();
+    let mut interner = TypeInterner::new();
+    let (mut shapes, mut signatures) = (HashSet::new(), HashSet::new());
+    let errors = {
         let _span = recorder.span("stats.read");
-        crate::cmd_infer::read_values_with(
+        crate::cmd_infer::for_each_value(
             input.as_deref(),
-            &parser,
+            &flags.parser_options(),
             &flags.policy,
             flags.max_line_bytes,
             &recorder,
+            |value| {
+                stats.add(&value);
+                if dedup {
+                    shapes.insert(interner.intern(&typefuse_infer::infer_type(&value)));
+                    let line = typefuse_json::to_string(&value);
+                    if let Some(sig) = typefuse_infer::shape_signature(line.as_bytes()) {
+                        signatures.insert(sig);
+                    }
+                }
+            },
         )?
     };
     if !errors.is_empty() {
         eprintln!("skipped {} bad record(s)", errors.skipped());
     }
-    let stats = {
-        let _span = recorder.span("stats.measure");
-        DatasetStats::measure(&values)
-    };
 
     println!("records     {}", stats.records);
     println!("bytes       {} ({})", stats.bytes, stats.human_bytes());
@@ -43,35 +65,8 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     println!("avg depth   {:.2}", stats.avg_depth());
     println!("avg nodes   {:.1}", stats.avg_nodes());
 
-    // `--dedup` measures shape redundancy: how many structurally
-    // distinct Figure-4 types the dataset holds, via the hash-consing
-    // interner. A high records/shape ratio is what makes the
-    // shape-dedup reduce (`infer --dedup`) pay off.
-    let distinct_shapes = dedup.then(|| {
-        let _span = recorder.span("stats.shapes");
-        let mut interner = typefuse_types::TypeInterner::new();
-        let mut shapes = std::collections::HashSet::new();
-        for value in &values {
-            shapes.insert(interner.intern(&typefuse_infer::infer_type(value)));
-        }
-        shapes.len() as u64
-    });
-    // Raw-shape signatures predict the `--map-path shape` cache: every
-    // record after the first with a given signature is a cache hit.
-    // Computed over the canonical serialization, so whitespace-only
-    // variation in the raw input is collapsed — this is the hit rate
-    // the shape route converges to, not necessarily its first-pass one.
-    let raw_signatures = dedup.then(|| {
-        let _span = recorder.span("stats.signatures");
-        let mut signatures = std::collections::HashSet::new();
-        for value in &values {
-            let line = typefuse_json::to_string(value);
-            if let Some(sig) = typefuse_infer::shape_signature(line.as_bytes()) {
-                signatures.insert(sig);
-            }
-        }
-        signatures.len() as u64
-    });
+    let distinct_shapes = dedup.then_some(shapes.len() as u64);
+    let raw_signatures = dedup.then_some(signatures.len() as u64);
     if let Some(distinct) = distinct_shapes {
         println!("shapes      {distinct}");
         if distinct > 0 {

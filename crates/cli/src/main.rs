@@ -94,7 +94,10 @@ COMMANDS:
         --workers N        worker threads (default: all cores)
         --format F         text | pretty | json-schema  (default: pretty)
         --stats            print type statistics (Tables 2-5 columns)
-        --counting         print per-path presence statistics
+        --counting         print the top 40 record fields by presence
+                           (count and ratio) on stderr: the presence
+                           column of the profiled pass (see
+                           --profile-json, with which it composes)
         --map-path P       events | value: Map phase folds parser events
                            directly into types (default) or materialises
                            value trees first (differential testing)

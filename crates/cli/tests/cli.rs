@@ -657,8 +657,87 @@ fn counting_reports_the_real_record_total() {
     let err = stderr(&out);
     assert!(err.contains("records 3"), "stderr: {err}");
     assert!(err.contains("path"), "stderr: {err}");
-    // Counting alone skips the timed pipeline, so no timings are shown.
+    // The profiled pass prints no pipeline timings.
     assert!(!err.contains("map 0.000s"), "stderr: {err}");
+}
+
+/// `--counting`'s table is the `--profile-json` written by the same run:
+/// each record field with its presence count, by count then path.
+#[test]
+fn counting_rows_are_the_profile_json_field_rows() {
+    let data = "{\"a\":1,\"kw\":[{\"rank\":1},{\"rank\":2}]}\n\
+                {\"a\":\"x\",\"b\":{\"c\":null}}\n\
+                [{\"d\":true}]\n\
+                {\"b\":{}}\n";
+    for map_path in ["events", "value"] {
+        let path = std::env::temp_dir().join(format!(
+            "typefuse-test-counting-{}-{map_path}.json",
+            std::process::id()
+        ));
+        let out = typefuse(
+            &[
+                "infer",
+                "-",
+                "--counting",
+                "--map-path",
+                map_path,
+                "--profile-json",
+                path.to_str().unwrap(),
+            ],
+            Some(data),
+        );
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        let report = std::fs::read_to_string(&path).expect("profile written");
+        let _ = std::fs::remove_file(&path);
+        let profile = typefuse_json::Envelope::expect_kind(&report, "profile").unwrap();
+        let records = profile.payload.get("records").unwrap().as_i64().unwrap();
+        let paths = profile.payload.get("paths").unwrap().as_object().unwrap();
+        let mut rows: Vec<(i64, &str)> = paths
+            .iter()
+            .filter(|(path, _)| *path != "$" && !path.ends_with("[]"))
+            .map(|(path, p)| (-p.get("count").unwrap().as_i64().unwrap(), path))
+            .collect();
+        rows.sort();
+        let mut expected = format!("\nrecords {records}\n");
+        expected += &format!("{:<40} {:>10} {:>8}\n", "path", "count", "ratio");
+        for (count, path) in rows {
+            let ratio = -count as f64 / records as f64 * 100.0;
+            expected += &format!("{path:<40} {:>10} {ratio:>7.1}%\n", -count);
+        }
+        assert_eq!(stderr(&out), expected, "{map_path}");
+        assert!(expected.contains("$.kw[].rank"), "{expected}");
+    }
+}
+
+#[test]
+fn counting_follows_the_profile_json_rules() {
+    // It composes with the profiled pass's other views...
+    let out = typefuse(
+        &[
+            "infer",
+            "-",
+            "--counting",
+            "--maplike",
+            "--format",
+            "json-schema",
+        ],
+        Some("{\"a\":1}\n"),
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("$.a"), "{}", stderr(&out));
+    // ...and names the line and error the plain route names.
+    let out = typefuse(
+        &["infer", "-", "--counting"],
+        Some("{\"a\":1,\"a\":[1,]}\n"),
+    );
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    let plain = typefuse(&["infer", "-"], Some("{\"a\":1,\"a\":[1,]}\n"));
+    assert_eq!(stderr(&out), stderr(&plain));
+    assert!(
+        stderr(&out).contains("duplicate object key"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]
@@ -866,15 +945,31 @@ fn profile_json_honours_on_error_max_depth_and_max_line_bytes() {
 }
 
 #[test]
-fn profile_json_conflicts_with_streaming_counting_stats() {
-    for extra in ["--streaming", "--counting", "--stats"] {
-        let out = typefuse(
-            &["infer", "-", "--profile-json", "/tmp/unused.json", extra],
-            Some("{}\n"),
-        );
-        assert_eq!(out.status.code(), Some(2), "{extra}");
-        assert!(stderr(&out).contains("incompatible"), "{extra}");
+fn profiled_pass_conflicts_with_streaming_stats_and_dedup_on() {
+    for flag in [&["--profile-json", "/tmp/unused.json"][..], &["--counting"]] {
+        for extra in [&["--streaming"][..], &["--stats"], &["--dedup", "on"]] {
+            let mut args = vec!["infer", "-"];
+            args.extend(flag);
+            args.extend(extra);
+            let out = typefuse(&args, Some("{}\n"));
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(stderr(&out).contains(flag[0]), "{args:?}: {}", stderr(&out));
+        }
     }
+    // The two views of the profiled pass compose.
+    let path = std::env::temp_dir().join(format!("typefuse-test-both-{}.json", std::process::id()));
+    let out = typefuse(
+        &[
+            "infer",
+            "-",
+            "--counting",
+            "--profile-json",
+            path.to_str().unwrap(),
+        ],
+        Some("{}\n"),
+    );
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
 #[test]
@@ -1066,6 +1161,43 @@ fn max_line_bytes_degrades_per_policy() {
         Some("{\"a\":1}\n{\"a\":2}\n"),
     );
     assert_eq!(stdout(&out), stdout(&clean));
+}
+
+/// Every command that reads NDJSON exits 3 on a malformed record and
+/// names its line.
+#[test]
+fn malformed_input_exits_3_in_diff_registry_and_query() {
+    let dir = std::env::temp_dir().join(format!("typefuse-test-exit3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.ndjson");
+    std::fs::write(&bad, "{\"a\":1}\n{oops\n").unwrap();
+    let (bad, log, script) = (
+        bad.to_str().unwrap(),
+        dir.join("reg.ndjson"),
+        dir.join("q.tfq"),
+    );
+    std::fs::write(&script, "project $.a\n").unwrap();
+    for args in [
+        vec!["diff", bad, bad],
+        vec![
+            "registry",
+            "publish",
+            "x",
+            bad,
+            "--log",
+            log.to_str().unwrap(),
+        ],
+        vec!["query", bad, "--script", script.to_str().unwrap()],
+    ] {
+        let out = typefuse(&args, None);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("line 2"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

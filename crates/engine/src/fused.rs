@@ -1,17 +1,15 @@
 //! Trait-driven Reduce phase: the engine's reduce written once against
 //! [`Fuser`].
 //!
-//! Before this module every caller (pipeline, CLI, bench runner) wired
-//! its own closures into [`Dataset::reduce`] for each fusion strategy —
-//! plain [`FuseConfig`](typefuse_infer::FuseConfig) fusion, recorded
-//! fusion, path counting. The [`Fuser`] trait captures the common shape
-//! (identity / absorb / merge / extract), and this module provides the
-//! two dataset entry points everything now goes through:
+//! Every fusion strategy — plain [`FuseConfig`](typefuse_infer::FuseConfig)
+//! fusion, recorded fusion, shape dedup, profiling — has the same shape
+//! (identity / absorb / merge / extract), captured by the [`Fuser`]
+//! trait, and goes through one of two dataset entry points:
 //!
-//! * [`Dataset::reduce_fused`] — over already inferred types
-//!   (the event fast path produces these directly);
-//! * [`Dataset::fuse_values`] — over raw values, using the strategy's
-//!   `absorb_value` (which the counting fuser overrides to see paths).
+//! * [`Dataset::reduce_fused`] — over already inferred types;
+//! * [`Dataset::reduce_items`] — over any item with a caller-supplied
+//!   absorb step (the profiled pipeline's `(line, value)` pairs, where
+//!   absorb needs the input line for provenance).
 //!
 //! Both run partition-local folds on the [`Runtime`], drop identity
 //! partials (empty partitions — the `ε` of Theorem 5.4), and combine the
@@ -24,7 +22,6 @@ use crate::metrics::StageMetrics;
 use crate::reduce::ReducePlan;
 use crate::runtime::{Runtime, WorkerPanic};
 use typefuse_infer::Fuser;
-use typefuse_json::Value;
 use typefuse_obs::Recorder;
 use typefuse_types::Type;
 
@@ -67,10 +64,10 @@ fn combine_partials<F: Fuser>(
 impl<T: Send + Sync> Dataset<T> {
     /// The fully generic reduce: fold every partition with a
     /// caller-supplied absorb step, then combine the non-identity
-    /// partials under `plan`. [`Dataset::reduce_fused`] and
-    /// [`Dataset::fuse_values`] are thin wrappers; callers with richer
-    /// items — e.g. the profiled pipeline's `(line, text)` pairs, where
-    /// absorb needs the input line for provenance — use this directly.
+    /// partials under `plan`. [`Dataset::reduce_fused`] is a thin
+    /// wrapper; callers with richer items — e.g. the profiled pipeline's
+    /// `(line, value)` pairs, where absorb needs the input line for
+    /// provenance — use this directly.
     pub fn reduce_items<F, A>(
         &self,
         rt: &Runtime,
@@ -146,27 +143,12 @@ impl Dataset<Type> {
     }
 }
 
-impl Dataset<Value> {
-    /// Map + Reduce in one pass: fold raw values partition-locally with
-    /// the strategy's `absorb_value`, then combine. Used by strategies
-    /// that need the value itself (path counting) and by callers that
-    /// never materialise a type-per-record dataset.
-    pub fn fuse_values<F: Fuser>(
-        &self,
-        rt: &Runtime,
-        plan: ReducePlan,
-        fuser: &F,
-        rec: &Recorder,
-    ) -> (Option<F::Acc>, StageMetrics) {
-        self.reduce_items(rt, plan, fuser, rec, |f, acc, v| f.absorb_value(acc, v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use typefuse_infer::{fuse_all, infer_type, Counting, FuseConfig, RecordedFuser};
+    use typefuse_infer::{fuse_all, infer_type, FuseConfig, RecordedFuser};
     use typefuse_json::json;
+    use typefuse_json::Value;
 
     fn values() -> Vec<Value> {
         vec![
@@ -233,19 +215,6 @@ mod tests {
         // 4 records in 2 partitions: one in-partition fusion each (the
         // first absorb is a move into ε), plus one cross-partition merge.
         assert_eq!(rec.counter_value("fuse.calls"), 3);
-    }
-
-    #[test]
-    fn fuse_values_with_counting_strategy() {
-        let rt = Runtime::new(4);
-        let d = Dataset::from_vec(values(), 3);
-        let (acc, _) = d.fuse_values(&rt, ReducePlan::default(), &Counting, &Recorder::disabled());
-        let cs = acc.expect("non-empty").finish();
-        assert_eq!(cs.total, 4);
-        assert_eq!(cs.path_counts["$.a"], 4);
-        assert_eq!(cs.path_counts["$.b"], 1);
-        let types: Vec<Type> = values().iter().map(infer_type).collect();
-        assert_eq!(cs.schema, fuse_all(&types));
     }
 
     #[test]
@@ -325,49 +294,5 @@ mod tests {
         assert_eq!(rec.counter_value("infer.distinct_shapes"), 4);
         assert!(rec.counter_value("fuse.cache_hits") > 0, "repeats hit");
         assert!(rec.counter_value("fuse.calls") > 0);
-    }
-
-    #[test]
-    fn dedup_counting_matches_counting_through_fuse_values() {
-        use typefuse_infer::DedupCounting;
-        let rt = Runtime::new(4);
-        let vals: Vec<Value> = values().into_iter().cycle().take(12).collect();
-        let d = Dataset::from_vec(vals, 3);
-        let plan = ReducePlan::default();
-        let (plain, _) = d.fuse_values(&rt, plan, &Counting, &Recorder::disabled());
-        let (dedup, _) = d.fuse_values(
-            &rt,
-            plan,
-            &DedupCounting::new(FuseConfig::default()),
-            &Recorder::disabled(),
-        );
-        let (plain, dedup) = (plain.unwrap().finish(), dedup.unwrap().finish());
-        assert_eq!(plain.total, dedup.total);
-        assert_eq!(plain.schema, dedup.schema);
-        assert_eq!(plain.path_counts, dedup.path_counts);
-    }
-
-    #[test]
-    fn fuse_values_partition_invariant() {
-        let rt = Runtime::new(4);
-        let vals = values();
-        let baseline = {
-            let d = Dataset::from_vec(vals.clone(), 1);
-            d.fuse_values(
-                &rt,
-                ReducePlan::Sequential,
-                &FuseConfig::default(),
-                &Recorder::disabled(),
-            )
-            .0
-        };
-        for parts in 2..=5 {
-            for plan in [ReducePlan::Sequential, ReducePlan::Tree { arity: 2 }] {
-                let d = Dataset::from_vec(vals.clone(), parts);
-                let (fused, _) =
-                    d.fuse_values(&rt, plan, &FuseConfig::default(), &Recorder::disabled());
-                assert_eq!(fused, baseline, "{parts} partitions, {plan:?}");
-            }
-        }
     }
 }

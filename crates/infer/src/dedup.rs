@@ -31,10 +31,8 @@
 //! cache entry valid because fusion results are structural facts about
 //! shapes, not about the ids that happen to name them.
 
-use crate::counting::{type_paths, CountedSchema};
 use crate::fuse::{ArrayFusion, FuseConfig};
 use crate::fuser::Fuser;
-use std::collections::HashMap;
 use typefuse_obs::Recorder;
 use typefuse_types::intern::{FieldShape, FxHashMap, ShapeRef};
 use typefuse_types::{Type, TypeId, TypeInterner};
@@ -397,14 +395,6 @@ impl DedupAcc {
         self.schema
     }
 
-    /// The distinct shapes with their multiplicities, resolved to owned
-    /// types. Iteration order is unspecified.
-    pub fn shape_counts(&self) -> impl Iterator<Item = (Type, u64)> + '_ {
-        self.counts
-            .iter()
-            .map(|(&id, &n)| (self.interner.resolve(id), n))
-    }
-
     /// Emit the dedup counters (`infer.distinct_shapes`,
     /// `fuse.cache_hits`, `fuse.cache_misses`, and `fuse.calls` — the
     /// number of real fusion computations, i.e. the misses).
@@ -465,87 +455,9 @@ impl Fuser for DedupFuser {
     }
 }
 
-/// Path counting on the dedup route: multiplicities make per-path
-/// presence counts derivable from the distinct shapes alone, because a
-/// per-record inferred type (Figure 4) determines exactly which record
-/// paths the record contains — see [`type_paths`]. Counting therefore
-/// pays the path walk once per *distinct* shape instead of once per
-/// value.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DedupCounting {
-    cfg: FuseConfig,
-}
-
-impl DedupCounting {
-    /// A counting strategy fusing under `cfg`.
-    pub fn new(cfg: FuseConfig) -> Self {
-        DedupCounting { cfg }
-    }
-}
-
-/// Accumulator of [`DedupCounting`]: a [`DedupAcc`] whose shape
-/// multiplicities double as weighted path counts at finish time.
-#[derive(Debug, Clone, Default)]
-pub struct DedupCountingAcc {
-    inner: DedupAcc,
-}
-
-impl DedupCountingAcc {
-    /// Number of values absorbed.
-    pub fn count(&self) -> u64 {
-        self.inner.records()
-    }
-
-    /// The underlying dedup accumulator (counter flushing, stats).
-    pub fn acc(&self) -> &DedupAcc {
-        &self.inner
-    }
-
-    /// Finish, producing the schema + per-path statistics: each distinct
-    /// shape contributes its path set weighted by its multiplicity.
-    pub fn finish(self) -> CountedSchema {
-        let mut path_counts: HashMap<String, u64> = HashMap::new();
-        for (ty, n) in self.inner.shape_counts() {
-            for path in type_paths(&ty) {
-                *path_counts.entry(path).or_insert(0) += n;
-            }
-        }
-        CountedSchema {
-            schema: self.inner.schema(),
-            total: self.inner.records(),
-            path_counts,
-        }
-    }
-}
-
-impl Fuser for DedupCounting {
-    type Acc = DedupCountingAcc;
-
-    fn empty(&self) -> DedupCountingAcc {
-        DedupCountingAcc::default()
-    }
-
-    fn absorb_type(&self, acc: &mut DedupCountingAcc, ty: &Type) {
-        acc.inner.absorb_type(self.cfg, ty);
-    }
-
-    fn merge(&self, acc: &mut DedupCountingAcc, other: &DedupCountingAcc) {
-        acc.inner.merge(self.cfg, &other.inner);
-    }
-
-    fn is_empty_acc(&self, acc: &DedupCountingAcc) -> bool {
-        acc.inner.records == 0
-    }
-
-    fn finish_schema(&self, acc: DedupCountingAcc) -> Type {
-        acc.inner.schema()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::Counting;
     use crate::fuse::{fuse_all, fuse_with};
     use crate::infer::infer_type;
     use typefuse_json::json;
@@ -715,8 +627,8 @@ mod tests {
         let rec = Recorder::enabled();
         let fuser = DedupFuser::new(FuseConfig::default(), rec.clone());
         let mut acc = fuser.empty();
-        for v in values() {
-            fuser.absorb_value(&mut acc, &v);
+        for v in &values() {
+            fuser.absorb_type(&mut acc, &infer_type(v));
         }
         fuser.finish_schema(acc);
         assert_eq!(rec.counter_value("infer.distinct_shapes"), 2);
@@ -727,37 +639,5 @@ mod tests {
             rec.counter_value("fuse.cache_misses"),
             "a fuse call is a cache miss"
         );
-    }
-
-    #[test]
-    fn dedup_counting_matches_counting() {
-        let plain = Counting;
-        let dedup = DedupCounting::new(FuseConfig::default());
-        let mut pa = plain.empty();
-        let mut da = dedup.empty();
-        for v in values() {
-            plain.absorb_value(&mut pa, &v);
-            dedup.absorb_value(&mut da, &v);
-        }
-        let (pc, dc) = (pa.finish(), da.finish());
-        assert_eq!(pc.total, dc.total);
-        assert_eq!(pc.schema, dc.schema);
-        assert_eq!(pc.path_counts, dc.path_counts);
-    }
-
-    #[test]
-    fn dedup_counting_merge_matches_single_stream() {
-        let dedup = DedupCounting::new(FuseConfig::default());
-        let mut whole = dedup.empty();
-        let (mut left, mut right) = (dedup.empty(), dedup.empty());
-        for (i, v) in values().iter().enumerate() {
-            dedup.absorb_value(&mut whole, v);
-            dedup.absorb_value(if i % 2 == 0 { &mut left } else { &mut right }, v);
-        }
-        dedup.merge(&mut left, &right);
-        let (merged, single) = (left.finish(), whole.finish());
-        assert_eq!(merged.total, single.total);
-        assert_eq!(merged.schema, single.schema);
-        assert_eq!(merged.path_counts, single.path_counts);
     }
 }

@@ -1,15 +1,14 @@
 //! The [`Fuser`] trait: one interface for every Reduce-phase strategy.
 //!
-//! The crate grew several concrete entry points for the same algebraic
+//! The crate has several concrete entry points for the same algebraic
 //! operation — [`fuse`](crate::fuse) / [`fuse_with`](crate::fuse_with)
-//! (by-reference binary fusion), [`fuse_into`]
-//! (in-place accumulator fusion) and [`CountingFuser`](crate::counting)
-//! (fusion enriched with path statistics). Each caller — the pipeline,
-//! the CLI, the bench runner — picked one and wired its own closures
-//! into the engine's reduce. This trait captures the common shape
-//! (identity, absorb, merge, extract) so the engine's reduce is written
-//! once against it (see `typefuse_engine`'s `reduce_fused` /
-//! `fuse_values`) and strategies compose with any topology.
+//! (by-reference binary fusion), [`fuse_into`] (in-place accumulator
+//! fusion), the shape-dedup [`DedupFuser`](crate::DedupFuser) and the
+//! per-path [`Profiling`](crate::Profiling) strategy. This trait captures
+//! their common shape (identity, absorb, merge, extract) so the engine's
+//! reduce is written once against it (see `typefuse_engine`'s
+//! `reduce_fused` / `reduce_items`) and strategies compose with any
+//! topology.
 //!
 //! All implementations must satisfy the paper's laws: `merge` is
 //! associative and commutative (Theorems 5.4/5.5) with [`empty`] as
@@ -20,9 +19,7 @@
 
 use crate::fuse::FuseConfig;
 use crate::fuse_inplace::fuse_into;
-use crate::infer::infer_type;
 use crate::obs::union_width;
-use typefuse_json::Value;
 use typefuse_obs::Recorder;
 use typefuse_types::Type;
 
@@ -37,13 +34,6 @@ pub trait Fuser: Sync {
 
     /// Fold one inferred type into the accumulator.
     fn absorb_type(&self, acc: &mut Self::Acc, ty: &Type);
-
-    /// Fold one JSON value. The default infers the value's type
-    /// (Figure 4) and absorbs it; strategies that need the value itself
-    /// (e.g. path counting) override this.
-    fn absorb_value(&self, acc: &mut Self::Acc, value: &Value) {
-        self.absorb_type(acc, &infer_type(value));
-    }
 
     /// Merge another accumulator in (associative and commutative).
     fn merge(&self, acc: &mut Self::Acc, other: &Self::Acc);
@@ -146,6 +136,7 @@ impl Fuser for RecordedFuser {
 mod tests {
     use super::*;
     use crate::fuse_all;
+    use crate::infer::infer_type;
     use typefuse_json::json;
 
     fn types() -> Vec<Type> {
@@ -212,17 +203,23 @@ mod tests {
 
     #[test]
     fn counting_strategy_through_the_trait() {
-        let counting = crate::counting::Counting;
-        let mut acc = counting.empty();
-        counting.absorb_value(&mut acc, &json!({"a": 1}));
-        counting.absorb_value(&mut acc, &json!({"a": "x", "b": null}));
-        assert!(!counting.is_empty_acc(&acc));
-        let mut other = counting.empty();
-        counting.absorb_value(&mut other, &json!({"a": true}));
-        counting.merge(&mut acc, &other);
-        assert_eq!(acc.count(), 3);
-        let cs = acc.finish();
-        assert_eq!(cs.path_counts["$.a"], 3);
-        assert_eq!(cs.schema.to_string(), "{a: Bool + Num + Str, b: Null?}");
+        // The profiling strategy, whose presence counts `infer
+        // --counting` prints: path statistics need the record, so
+        // partials absorb values and combine through the trait.
+        let profiling = crate::Profiling::default();
+        let mut acc = profiling.empty();
+        acc.absorb_value_at(1, &json!({"a": 1}));
+        acc.absorb_value_at(2, &json!({"a": "x", "b": null}));
+        assert!(!profiling.is_empty_acc(&acc));
+        let mut other = profiling.empty();
+        other.absorb_value_at(3, &json!({"a": true}));
+        profiling.merge(&mut acc, &other);
+        assert_eq!(acc.records(), 3);
+        let profile = acc.finish();
+        assert_eq!(profile.get("$.a").unwrap().count, 3);
+        assert_eq!(
+            profile.schema.to_string(),
+            "{a: Bool + Num + Str, b: Null?}"
+        );
     }
 }

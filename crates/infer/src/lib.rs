@@ -22,12 +22,11 @@
 //!   Section 7 ("fusion is incremental by essence");
 //! * [`SchemaAcc`] — the one schema accumulator record folds feed:
 //!   plain or shape-dedup fusion behind one absorb/merge interface;
-//! * [`counting`] — the statistics enrichment named as future work in
-//!   Section 7: a fused schema annotated with per-field presence counts;
-//! * [`profile`] — the full data-plane profiler: per-path presence,
-//!   kind histograms, length/numeric statistics and provenance lines
-//!   (which input line introduced each union branch, which one demoted a
-//!   field to optional), mergeable with the same monoid laws as fusion;
+//! * [`profile`] — the statistics enrichment named as future work in
+//!   Section 7: per-path presence counts, kind histograms,
+//!   length/numeric statistics and provenance lines (which input line
+//!   introduced each union branch, which one demoted a field to
+//!   optional), mergeable with the same monoid laws as fusion;
 //! * [`dedup`] — the shape-dedup Reduce: hash-consed interning plus
 //!   weighted, memoized fusion, which the idempotence/commutativity/
 //!   associativity theorems (5.3–5.5) license to fuse each *distinct*
@@ -37,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod acc;
-pub mod counting;
 pub mod dedup;
 mod fuse;
 pub mod fuse_inplace;
@@ -52,8 +50,7 @@ pub mod streaming;
 pub mod typer;
 
 pub use acc::{dedup_auto_sample, AutoSample, DedupMode, SchemaAcc};
-pub use counting::{type_paths, CountedField, CountedSchema, Counting, CountingFuser};
-pub use dedup::{fuse_ids, DedupAcc, DedupCounting, DedupCountingAcc, DedupFuser, FuseCache};
+pub use dedup::{fuse_ids, DedupAcc, DedupFuser, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};
 pub use fuse_inplace::fuse_into;
 pub use fuser::{Fuser, RecordedFuser};

@@ -821,12 +821,10 @@ impl ProfileAcc {
 /// reduce to get per-path profiles with the same topology code as plain
 /// fusion.
 ///
-/// Through the bare [`Fuser`] interface, `absorb_value` numbers records
-/// by a per-accumulator ordinal (`records() + 1`), so provenance
-/// "lines" are partition-local. Line-exact provenance comes from the
-/// pipeline's profiled entry point, which feeds
-/// [`ProfileAcc::absorb_line`] / [`ProfileAcc::absorb_value_at`] with
-/// real input line numbers.
+/// Path statistics need the record, not its type, so callers absorb
+/// through [`ProfileAcc::absorb_line`] / [`ProfileAcc::absorb_value_at`]
+/// with real input line numbers (the engine's `reduce_items`); the bare
+/// [`Fuser::absorb_type`] only fuses the schema.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Profiling {
     /// Fusion configuration for the embedded schema.
@@ -844,11 +842,6 @@ impl Fuser for Profiling {
     /// statistics: they need the value.
     fn absorb_type(&self, acc: &mut ProfileAcc, ty: &Type) {
         acc.schema.absorb_type_ref(ty);
-    }
-
-    fn absorb_value(&self, acc: &mut ProfileAcc, value: &Value) {
-        let ordinal = acc.records() + 1;
-        acc.absorb_value_at(ordinal, value);
     }
 
     fn merge(&self, acc: &mut ProfileAcc, other: &ProfileAcc) {
@@ -890,6 +883,16 @@ impl ProfileReport {
         let mut rows: Vec<(&str, &PathProfile)> =
             self.paths.iter().map(|(p, v)| (p.as_str(), v)).collect();
         rows.sort_by(|a, b| b.1.count.cmp(&a.1.count).then_with(|| a.0.cmp(b.0)));
+        rows
+    }
+
+    /// [`rows`](Self::rows) of record fields only: without the root `$`
+    /// and the array-element paths (`…[]`) — the `infer --counting`
+    /// table. A key whose own text ends in `[]` renders like an element
+    /// path and is left out with them.
+    pub fn field_rows(&self) -> Vec<(&str, &PathProfile)> {
+        let mut rows = self.rows();
+        rows.retain(|(path, _)| *path != "$" && !path.ends_with("[]"));
         rows
     }
 
@@ -1144,8 +1147,8 @@ mod tests {
         ];
         let profiling = Profiling::default();
         let mut acc = profiling.empty();
-        for v in &values {
-            profiling.absorb_value(&mut acc, v);
+        for (i, v) in values.iter().enumerate() {
+            acc.absorb_value_at(i as u64 + 1, v);
         }
         let types: Vec<Type> = values.iter().map(infer_type).collect();
         assert_eq!(profiling.finish_schema(acc), fuse_all(&types));
@@ -1213,6 +1216,16 @@ mod tests {
         assert_eq!(rows[0].0, "$");
         assert_eq!(rows[1].0, "$.a");
         assert_eq!(rows[2].0, "$.z");
+    }
+
+    #[test]
+    fn field_rows_leave_out_the_root_and_element_paths() {
+        let profile = acc_of(&[r#"{"a": [{"b": 1}], "a[]": 2, "c": 3}"#, r#"{"c": 4}"#]).finish();
+        let paths: Vec<&str> = profile.field_rows().iter().map(|r| r.0).collect();
+        // `$.a[]` is both `a`'s element path and the key `a[]`: a key
+        // whose text ends in `[]` gets no row of its own.
+        assert_eq!(paths, ["$.c", "$.a", "$.a[].b"]);
+        assert_eq!(profile.get("$.a[]").unwrap().count, 1);
     }
 
     #[test]

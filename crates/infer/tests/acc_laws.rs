@@ -6,8 +6,7 @@
 //! streaming and resident folds agree. [`assert_acc_laws`] checks the
 //! monoid laws for anything that implements [`LawAcc`]; it is
 //! instantiated here for [`SchemaAcc`] on every reduce route and for
-//! [`ProfileAcc`] on both of its observers, and is meant to take
-//! `CountingFuser` next.
+//! [`ProfileAcc`] on both of its observers.
 //!
 //! On top of the generic laws, `SchemaAcc` promises that its routes are
 //! indistinguishable: plain ≡ dedup ≡ auto byte for byte (including an

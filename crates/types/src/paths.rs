@@ -7,7 +7,7 @@
 //!
 //! A path is a sequence of steps from the root: a record field name or an
 //! array descent. Rendered like `$.headline.main` and `$.keywords[].rank`
-//! (the same notation as the counting fuser in `typefuse-infer`).
+//! (the same notation as the path profile in `typefuse-infer`).
 
 use crate::ty::Type;
 use std::collections::BTreeSet;

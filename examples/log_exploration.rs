@@ -9,7 +9,6 @@
 //! cargo run --example log_exploration
 //! ```
 
-use typefuse::infer::CountingFuser;
 use typefuse::prelude::*;
 
 fn main() {
@@ -18,18 +17,20 @@ fn main() {
 
     // One pass: fused schema + per-path presence statistics (the
     // statistical enrichment sketched in the paper's future work).
-    let mut explorer = CountingFuser::new();
-    for record in &feed {
-        explorer.absorb(record);
-    }
-    let summary = explorer.finish();
+    let profile = SchemaJob::new()
+        .run_profiled(Source::values(feed.clone()))
+        .expect("in-memory sources cannot fail")
+        .profile;
+    let total = profile.records;
+    let rows = profile.field_rows();
 
-    println!("=== fused schema ({} records) ===", summary.total);
-    println!("{}", typefuse::types::print::pretty(&summary.schema));
+    println!("=== fused schema ({total} records) ===");
+    println!("{}", typefuse::types::print::pretty(&profile.schema));
 
-    // Property (iii): fields that can always be selected.
+    // Property (iii): fields that can always be selected — present in
+    // every record (rows of equal count come in path order).
     println!("\n=== always-present paths (safe to SELECT) ===");
-    for path in summary.mandatory_paths().iter().take(15) {
+    for (path, _) in rows.iter().filter(|(_, p)| p.count == total).take(15) {
         println!("  {path}");
     }
 
@@ -38,22 +39,13 @@ fn main() {
     // are variants, without reading a million records.
     println!("\n=== partially-present paths ===");
     println!("{:<42} {:>8} {:>8}", "path", "count", "ratio");
-    for row in summary
-        .rows()
-        .iter()
-        .filter(|r| r.count < summary.total)
-        .take(15)
-    {
-        println!(
-            "{:<42} {:>8} {:>7.1}%",
-            row.path,
-            row.count,
-            row.ratio * 100.0
-        );
+    for (path, p) in rows.iter().filter(|(_, p)| p.count < total).take(15) {
+        let ratio = p.count as f64 / total as f64;
+        println!("{path:<42} {:>8} {:>7.1}%", p.count, ratio * 100.0);
     }
 
     // The schema is a complete description: every record conforms.
-    assert!(feed.iter().all(|v| summary.schema.admits(v)));
+    assert!(feed.iter().all(|v| profile.schema.admits(v)));
 
     // And it is succinct: compare with the naive alternative of keeping
     // every distinct type.

@@ -1,10 +1,9 @@
 //! Integration tests for the feature modules layered on top of the core
 //! pipeline: paths/completeness, schema diffing, streaming
-//! inference and counting fusion — all exercised on the realistic dataset
-//! profiles.
+//! inference and per-path presence counts — all exercised on the
+//! realistic dataset profiles.
 
 use typefuse::infer::streaming::infer_type_from_str;
-use typefuse::infer::CountingFuser;
 use typefuse::prelude::*;
 use typefuse::types::diff::{diff, SchemaChange};
 use typefuse::types::paths::{covers_value_paths, type_paths, value_paths};
@@ -104,22 +103,24 @@ fn streaming_inference_matches_tree_on_profiles() {
 }
 
 #[test]
-fn counting_fuser_exposes_the_twitter_split() {
+fn profile_exposes_the_twitter_split() {
     let values: Vec<Value> = Profile::Twitter.generate(SEED, 2000).collect();
-    let mut cf = CountingFuser::new();
-    values.iter().for_each(|v| cf.absorb(v));
-    let cs = cf.finish();
+    let profile = SchemaJob::new()
+        .run_profiled(Source::values(values))
+        .unwrap()
+        .profile;
 
-    let delete_count = cs.path_counts.get("$.delete").copied().unwrap_or(0);
-    let text_count = cs.path_counts.get("$.text").copied().unwrap_or(0);
+    let count = |path| profile.get(path).map_or(0, |p| p.count);
+    let (delete_count, text_count) = (count("$.delete"), count("$.text"));
     assert!(delete_count > 0, "deletes present");
     assert!(
         delete_count * 10 < text_count,
         "deletes ({delete_count}) are a small fraction of tweets ({text_count})"
     );
-    // A tweet path and a delete path never co-occur, so no path spans all
-    // records — mandatory_paths must be empty for this mixed feed.
-    assert!(cs.mandatory_paths().is_empty());
+    // A tweet path and a delete path never co-occur, so no field spans
+    // all records.
+    let rows = profile.field_rows();
+    assert!(rows.iter().all(|(_, p)| p.count < profile.records));
 }
 
 #[test]
