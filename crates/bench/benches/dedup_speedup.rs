@@ -3,60 +3,58 @@
 //! hash-consed into ids, each distinct `schema ⊔ shape` step computed
 //! once and replayed from the memo cache).
 //!
-//! Both run the engine's `reduce_fused` over the same pre-inferred
-//! `Dataset<Type>`, so the numbers isolate the Reduce — the Map cost is
-//! identical by construction. GitHub is the high-redundancy profile
-//! (hundreds of records per shape: dedup should win big); Wikidata's
-//! entity records are mostly distinct (the dedup route degenerates to
-//! the plain fold plus interning overhead — the honest lower bound).
+//! Both fold the same pre-inferred types on one thread — an
+//! [`Incremental`] and a [`DedupAcc`] — so the numbers isolate the
+//! Reduce: the Map cost is identical by construction. GitHub is the
+//! high-redundancy profile (hundreds of records per shape: dedup should
+//! win big); Wikidata's entity records are mostly distinct (the dedup
+//! route degenerates to the plain fold plus interning overhead — the
+//! honest lower bound).
 //!
 //! Every measurement first asserts the two routes produce byte-identical
 //! schemas, so a run of this bench doubles as a differential check.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_engine::{Dataset, ReducePlan, Runtime};
-use typefuse_infer::{infer_type, DedupFuser, FuseConfig, Fuser};
+use typefuse_infer::{infer_type, DedupAcc, FuseConfig, Incremental};
 use typefuse_types::Type;
 
-fn inferred(profile: Profile, n: usize) -> Dataset<Type> {
-    let types: Vec<Type> = profile.generate(7, n).map(|v| infer_type(&v)).collect();
-    Dataset::from_vec(types, 16)
+fn inferred(profile: Profile, n: usize) -> Vec<Type> {
+    profile.generate(7, n).map(|v| infer_type(&v)).collect()
 }
 
-fn reduce<F: Fuser>(data: &Dataset<Type>, rt: &Runtime, fuser: &F) -> Type {
-    let rec = typefuse_obs::Recorder::disabled();
-    let (schema, _) = data.reduce_fused(rt, ReducePlan::default(), fuser, &rec);
-    schema.expect("non-empty dataset")
+fn plain(types: &[Type]) -> Type {
+    let mut acc = Incremental::new();
+    types.iter().for_each(|ty| acc.absorb_type_ref(ty));
+    acc.into_schema()
+}
+
+fn dedup(types: &[Type]) -> Type {
+    let mut acc = DedupAcc::new();
+    types
+        .iter()
+        .for_each(|ty| acc.absorb_type(FuseConfig::default(), ty));
+    acc.schema()
 }
 
 fn bench_dedup_speedup(c: &mut Criterion) {
-    let rt = Runtime::default();
     let mut group = c.benchmark_group("dedup_speedup");
     for (profile, n) in [(Profile::GitHub, 100_000), (Profile::Wikidata, 20_000)] {
         let data = inferred(profile, n);
 
         // Differential guard: identical schemas before anything is timed.
-        let plain = reduce(&data, &rt, &FuseConfig::default());
-        let dedup = reduce(&data, &rt, &DedupFuser::plain(FuseConfig::default()));
+        let (plain_schema, dedup_schema) = (plain(&data), dedup(&data));
         assert_eq!(
-            plain, dedup,
-            "reduce routes disagree on {profile}: {plain} vs {dedup}"
+            plain_schema, dedup_schema,
+            "reduce routes disagree on {profile}: {plain_schema} vs {dedup_schema}"
         );
 
         group.throughput(Throughput::Elements(n as u64));
         group.bench_function(BenchmarkId::new("plain", profile), |b| {
-            b.iter(|| reduce(black_box(&data), &rt, &FuseConfig::default()).size())
+            b.iter(|| plain(black_box(&data)).size())
         });
         group.bench_function(BenchmarkId::new("dedup", profile), |b| {
-            b.iter(|| {
-                reduce(
-                    black_box(&data),
-                    &rt,
-                    &DedupFuser::plain(FuseConfig::default()),
-                )
-                .size()
-            })
+            b.iter(|| dedup(black_box(&data)).size())
         });
     }
     group.finish();

@@ -8,7 +8,6 @@ use std::io::{self, BufRead, BufReader, Read};
 use typefuse::fold::{for_each_line, Origin, RecordFold};
 use typefuse::pipeline::{DedupMode, SchemaJob, Source};
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
-use typefuse_engine::ReducePlan;
 use typefuse_infer::{maplike, ArrayFusion, FuseConfig, MapLikeConfig, ProfileReport};
 use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
 use typefuse_obs::Recorder;
@@ -23,7 +22,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let stats = args.flag("--stats");
     let counting = args.flag("--counting");
     let positional_arrays = args.flag("--positional-arrays");
-    let sequential_reduce = args.flag("--sequential-reduce");
     let streaming = args.flag("--streaming");
     let maplike = args.flag("--maplike");
     let profile_json = args.option("--profile-json")?;
@@ -72,9 +70,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         config = config.fuse_config(FuseConfig {
             array_fusion: ArrayFusion::PositionalWhenAligned,
         });
-    }
-    if sequential_reduce {
-        config = config.reduce_plan(ReducePlan::Sequential);
     }
     if !stats {
         config = config.without_type_stats();

@@ -107,7 +107,6 @@ COMMANDS:
                            when shapes repeat. Output is byte-identical
                            either way (default: auto)
         --positional-arrays  keep aligned positional arrays (ablation)
-        --sequential-reduce  fold partials sequentially instead of tree
         --streaming          constant-memory fold, no materialised reduce:
                              byte-range splits on a file, one pass on
                              stdin; honours --map-path, --dedup,

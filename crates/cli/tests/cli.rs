@@ -220,9 +220,12 @@ fn sim_rejects_unknown_placement() {
 
 #[test]
 fn unexpected_argument_is_reported() {
+    const GONE_FLAG: &str = concat!("--sequential", "-reduce");
     for (args, flag) in [
         (["stats", "-", "--bogus"], "--bogus"),
         (["sim", "--report-json", "x"], "--report-json"),
+        // A flag that no longer exists (it picked the combine's topology).
+        (["infer", "-", GONE_FLAG], GONE_FLAG),
     ] {
         let out = typefuse(&args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -12,7 +12,7 @@
 //! idempotence is only *semantic*. Syntactically,
 //! `Fuse([Bool], [Bool]) = [Bool*]` — two positional array types
 //! collapse whenever they meet (Figure 6 lines 4–7) — and this crate
-//! promises byte-identical output across routes. The [`DedupFuser`]
+//! promises byte-identical output across routes. The [`DedupAcc`]
 //! therefore realises the weighted reduce through *memoization*: the Map
 //! side folds every record to an interned [`TypeId`] and bumps a
 //! per-shape multiplicity; the Reduce side still takes every
@@ -32,7 +32,6 @@
 //! shapes, not about the ids that happen to name them.
 
 use crate::fuse::{ArrayFusion, FuseConfig};
-use crate::fuser::Fuser;
 use typefuse_obs::Recorder;
 use typefuse_types::intern::{FieldShape, FxHashMap, ShapeRef};
 use typefuse_types::{Type, TypeId, TypeInterner};
@@ -408,53 +407,6 @@ impl DedupAcc {
     }
 }
 
-/// The shape-dedup Reduce strategy as a pluggable [`Fuser`]: plug-in
-/// replacement for the plain/recorded strategies with byte-identical
-/// output, selected by `--dedup` in the CLI and by `SchemaJob::dedup` in
-/// the pipeline.
-#[derive(Debug, Clone)]
-pub struct DedupFuser {
-    cfg: FuseConfig,
-    rec: Recorder,
-}
-
-impl DedupFuser {
-    /// A dedup fuser emitting its counters into `rec` at finish time.
-    pub fn new(cfg: FuseConfig, rec: Recorder) -> Self {
-        DedupFuser { cfg, rec }
-    }
-
-    /// A dedup fuser without observability.
-    pub fn plain(cfg: FuseConfig) -> Self {
-        DedupFuser::new(cfg, Recorder::disabled())
-    }
-}
-
-impl Fuser for DedupFuser {
-    type Acc = DedupAcc;
-
-    fn empty(&self) -> DedupAcc {
-        DedupAcc::new()
-    }
-
-    fn absorb_type(&self, acc: &mut DedupAcc, ty: &Type) {
-        acc.absorb_type(self.cfg, ty);
-    }
-
-    fn merge(&self, acc: &mut DedupAcc, other: &DedupAcc) {
-        acc.merge(self.cfg, other);
-    }
-
-    fn is_empty_acc(&self, acc: &DedupAcc) -> bool {
-        acc.records == 0
-    }
-
-    fn finish_schema(&self, acc: DedupAcc) -> Type {
-        acc.flush_counters(&self.rec);
-        acc.schema()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,53 +486,46 @@ mod tests {
         assert_eq!(cache.misses(), 1);
     }
 
+    /// Absorb `types` into a fresh accumulator.
+    fn fold(types: &[Type]) -> DedupAcc {
+        let mut acc = DedupAcc::new();
+        for t in types {
+            acc.absorb_type(FuseConfig::default(), t);
+        }
+        acc
+    }
+
     #[test]
     fn dedup_fuser_matches_fuse_all() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
-        let mut acc = fuser.empty();
         let types: Vec<Type> = values().iter().map(infer_type).collect();
-        for t in &types {
-            fuser.absorb_type(&mut acc, t);
-        }
+        let acc = fold(&types);
         assert_eq!(acc.records(), 4);
         assert_eq!(acc.distinct_shapes(), 2, "two of four records repeat");
         assert!(acc.cache().hits() > 0, "duplicates hit the cache");
-        assert_eq!(fuser.finish_schema(acc), fuse_all(&types));
+        assert_eq!(acc.schema(), fuse_all(&types));
     }
 
     #[test]
     fn dedup_merge_matches_single_stream() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
         let types: Vec<Type> = values().iter().map(infer_type).collect();
-        let mut whole = fuser.empty();
-        for t in &types {
-            fuser.absorb_type(&mut whole, t);
-        }
-        let (mut left, mut right) = (fuser.empty(), fuser.empty());
-        for t in &types[..1] {
-            fuser.absorb_type(&mut left, t);
-        }
-        for t in &types[1..] {
-            fuser.absorb_type(&mut right, t);
-        }
-        fuser.merge(&mut left, &right);
+        let whole = fold(&types);
+        let mut left = fold(&types[..1]);
+        left.merge(FuseConfig::default(), &fold(&types[1..]));
         assert_eq!(left.records(), whole.records());
         assert_eq!(left.distinct_shapes(), whole.distinct_shapes());
-        assert_eq!(fuser.finish_schema(left), fuser.finish_schema(whole));
+        assert_eq!(left.schema(), whole.schema());
     }
 
     #[test]
     fn merge_translates_the_memo_cache() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
-        let mut left = fuser.empty();
-        let mut right = fuser.empty();
         // Give the right side ids that cannot line up with the left's.
-        fuser.absorb_type(&mut left, &parse_type("[Bool*]").unwrap());
-        fuser.absorb_type(&mut right, &parse_type("{x: Num}").unwrap());
-        fuser.absorb_type(&mut right, &parse_type("{y: Str}").unwrap());
-        let right_pairs = right.cache().len();
-        assert!(right_pairs > 0);
-        fuser.merge(&mut left, &right);
+        let mut left = fold(&[parse_type("[Bool*]").unwrap()]);
+        let right = fold(&[
+            parse_type("{x: Num}").unwrap(),
+            parse_type("{y: Str}").unwrap(),
+        ]);
+        assert!(!right.cache().is_empty());
+        left.merge(FuseConfig::default(), &right);
         // The translated entry answers the same fusion on the merged side.
         let hits_before = left.cache.hits;
         let a = left.interner.intern(&parse_type("{x: Num}").unwrap());
@@ -593,21 +538,14 @@ mod tests {
 
     #[test]
     fn resume_continues_the_schema_sequence() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
         let types: Vec<Type> = values().iter().map(infer_type).collect();
-        let mut whole = fuser.empty();
-        for t in &types {
-            fuser.absorb_type(&mut whole, t);
-        }
+        let whole = fold(&types);
         // Checkpoint after two records, resume, absorb the rest: the
         // final schema must be byte-identical to the uninterrupted fold.
-        let mut before = fuser.empty();
-        for t in &types[..2] {
-            fuser.absorb_type(&mut before, t);
-        }
+        let before = fold(&types[..2]);
         let mut resumed = DedupAcc::resume(&before.schema(), before.records());
         for t in &types[2..] {
-            fuser.absorb_type(&mut resumed, t);
+            resumed.absorb_type(FuseConfig::default(), t);
         }
         assert_eq!(resumed.records(), whole.records());
         assert_eq!(resumed.schema().to_string(), whole.schema().to_string());
@@ -616,21 +554,18 @@ mod tests {
 
     #[test]
     fn empty_acc_is_identity() {
-        let fuser = DedupFuser::plain(FuseConfig::default());
-        let acc = fuser.empty();
-        assert!(fuser.is_empty_acc(&acc));
-        assert_eq!(fuser.finish_schema(acc), Type::Bottom);
+        let acc = DedupAcc::new();
+        assert_eq!((acc.records(), acc.schema()), (0, Type::Bottom));
+        let mut merged = fold(&[Type::Num]);
+        merged.merge(FuseConfig::default(), &acc);
+        assert_eq!((merged.records(), merged.schema()), (1, Type::Num));
     }
 
     #[test]
     fn counters_flush_into_the_recorder() {
         let rec = Recorder::enabled();
-        let fuser = DedupFuser::new(FuseConfig::default(), rec.clone());
-        let mut acc = fuser.empty();
-        for v in &values() {
-            fuser.absorb_type(&mut acc, &infer_type(v));
-        }
-        fuser.finish_schema(acc);
+        let types: Vec<Type> = values().iter().map(infer_type).collect();
+        fold(&types).flush_counters(&rec);
         assert_eq!(rec.counter_value("infer.distinct_shapes"), 2);
         assert!(rec.counter_value("fuse.cache_hits") > 0);
         assert!(rec.counter_value("fuse.cache_misses") > 0);

@@ -31,6 +31,13 @@
 //!   weighted, memoized fusion, which the idempotence/commutativity/
 //!   associativity theorems (5.3–5.5) license to fuse each *distinct*
 //!   shape once instead of every value.
+//!
+//! Every accumulator here — [`Incremental`], [`SchemaAcc`], [`DedupAcc`],
+//! [`ProfileAcc`], and a bare [`Type`](typefuse_types::Type) under
+//! [`fuse_into`] — is a commutative monoid: an identity, an absorb step
+//! and an associative, commutative `merge`. Drivers fold and merge them
+//! directly; no strategy object stands between an accumulator and the
+//! runtime that reduces it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +46,6 @@ pub mod acc;
 pub mod dedup;
 mod fuse;
 pub mod fuse_inplace;
-pub mod fuser;
 pub mod incremental;
 pub mod infer;
 pub mod maplike;
@@ -50,14 +56,13 @@ pub mod streaming;
 pub mod typer;
 
 pub use acc::{dedup_auto_sample, AutoSample, DedupMode, SchemaAcc};
-pub use dedup::{fuse_ids, DedupAcc, DedupFuser, FuseCache};
+pub use dedup::{fuse_ids, DedupAcc, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};
 pub use fuse_inplace::fuse_into;
-pub use fuser::{Fuser, RecordedFuser};
 pub use incremental::Incremental;
 pub use infer::infer_type;
 pub use maplike::{find_map_like, MapLikeConfig, MapLikeSite};
-pub use obs::{fuse_with_recorded, infer_type_recorded};
-pub use profile::{PathProfile, ProfileAcc, ProfileReport, Profiling};
+pub use obs::{fuse_into_recorded, infer_type_recorded};
+pub use profile::{PathProfile, ProfileAcc, ProfileReport};
 pub use shape::{shape_signature, ShapeCache};
 pub use typer::{Fact, Observer, Typer};

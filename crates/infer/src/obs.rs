@@ -23,7 +23,7 @@ use typefuse_json::Value;
 use typefuse_obs::Recorder;
 use typefuse_types::Type;
 
-use crate::{fuse_with, infer_type, FuseConfig};
+use crate::{fuse_into, infer_type, FuseConfig};
 
 /// Width of a type at its top level: the number of union addends, or 1
 /// for any non-union type (`Bottom` counts as 0 — no value inhabits it).
@@ -50,16 +50,23 @@ pub fn infer_type_recorded(value: &Value, rec: &Recorder) -> Type {
     ty
 }
 
-/// [`fuse_with`] plus per-call metrics: counts
-/// `fuse.calls` and records the result's top-level union width in the
-/// `fuse.union_width` histogram.
-pub fn fuse_with_recorded(cfg: FuseConfig, a: &Type, b: &Type, rec: &Recorder) -> Type {
-    let fused = fuse_with(cfg, a, b);
+/// [`fuse_into`] plus per-call metrics: counts `fuse.calls`, counts
+/// `fuse.widened` when `acc` changed (a run whose `fuse.widened` stops
+/// far short of `fuse.calls` saw its schema settle early) and records
+/// the result's top-level union width in the `fuse.union_width`
+/// histogram. Absorbing into `ε` is a move, not a fusion, and is not
+/// counted.
+pub fn fuse_into_recorded(cfg: FuseConfig, acc: &mut Type, other: &Type, rec: &Recorder) {
+    if matches!(acc, Type::Bottom) {
+        *acc = other.clone();
+        return;
+    }
+    let widened = fuse_into(cfg, acc, other);
     if rec.is_enabled() {
         rec.add("fuse.calls", 1);
-        rec.record("fuse.union_width", union_width(&fused));
+        rec.add("fuse.widened", u64::from(widened));
+        rec.record("fuse.union_width", union_width(acc));
     }
-    fused
 }
 
 #[cfg(test)]
@@ -94,17 +101,43 @@ mod tests {
     fn recorded_fuse_matches_pure_and_tracks_union_width() {
         let rec = Recorder::enabled();
         let cfg = FuseConfig::default();
-        let a = infer_type(&json!(1));
-        let b = infer_type(&json!("s"));
-        let fused = fuse_with_recorded(cfg, &a, &b, &rec);
-        assert_eq!(fused, fuse_with(cfg, &a, &b));
-        let fused2 = fuse_with_recorded(cfg, &fused, &infer_type(&json!(true)), &rec);
+        let types = [json!(1), json!("s"), json!(true), json!(true)].map(|v| infer_type(&v));
+        let mut acc = Type::Bottom;
+        for t in &types {
+            fuse_into_recorded(cfg, &mut acc, t, &rec);
+        }
+        assert_eq!(acc, crate::fuse_all(&types));
         let report = rec.snapshot();
-        assert_eq!(report.counters["fuse.calls"], 2);
+        // The first absorb is a move into ε; the last one admits its type.
+        assert_eq!(report.counters["fuse.calls"], 3);
+        assert_eq!(report.counters["fuse.widened"], 2);
         let widths = &report.histograms["fuse.union_width"];
-        assert_eq!(widths.count, 2);
-        assert_eq!(widths.sum, 2 + 3, "Num+Str then Num+Str+Bool");
-        assert_eq!(union_width(&fused2), 3);
+        assert_eq!(widths.count, 3);
+        assert_eq!(widths.sum, 2 + 3 + 3, "Num+Str, then Num+Str+Bool twice");
+    }
+
+    #[test]
+    fn recorded_fuse_counts_only_real_fusions() {
+        let rec = Recorder::enabled();
+        let cfg = FuseConfig::default();
+        let types = [
+            json!({"a": 1, "b": "x"}),
+            json!({"a": null}),
+            json!({"a": 1, "c": [true]}),
+        ]
+        .map(|v| infer_type(&v));
+        let mut acc = Type::Bottom;
+        for t in &types {
+            fuse_into_recorded(cfg, &mut acc, t, &rec);
+        }
+        // First absorb is a move into ε, then two fusions, both of
+        // which widen; absorbing an admitted type again is a call only.
+        assert_eq!(rec.counter_value("fuse.calls"), 2);
+        assert_eq!(rec.counter_value("fuse.widened"), 2);
+        fuse_into_recorded(cfg, &mut acc, &types[1], &rec);
+        assert_eq!(rec.counter_value("fuse.calls"), 3);
+        assert_eq!(rec.counter_value("fuse.widened"), 2);
+        assert_eq!(acc, crate::fuse_all(&types));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The fused schema says *what* a dataset looks like — a field is
 //! optional, a path is a `Str + Null` union — but not *which records
-//! made it so*. [`Profiling`] is a [`Fuser`] strategy whose accumulator
-//! carries, next to the fused schema, one [`PathProfile`] per record
+//! made it so*. A [`ProfileAcc`] carries, next to the fused schema, one [`PathProfile`] per record
 //! path: presence counts, a type-kind histogram, string/array/record
 //! length histograms (the obs crate's log₂ buckets), numeric min/max,
 //! and **provenance** lines:
@@ -61,7 +60,6 @@
 //! optionality lives inside the record branch of a union.
 
 use crate::fuse::FuseConfig;
-use crate::fuser::Fuser;
 use crate::incremental::Incremental;
 use crate::streaming;
 use crate::typer::{Fact, Observer, Typer};
@@ -328,7 +326,7 @@ struct Node {
     prior_record_line: u64,
 }
 
-/// The [`Profiling`] accumulator: a fused schema plus the path trie of
+/// The profiling accumulator: a fused schema plus the path trie of
 /// per-path profiles and provenance. Merge is associative and
 /// commutative; `==` compares what a report or checkpoint can show.
 #[derive(Debug, Clone, Default)]
@@ -817,46 +815,6 @@ impl ProfileAcc {
     }
 }
 
-/// The profiling Reduce strategy: plug into the engine's trait-driven
-/// reduce to get per-path profiles with the same topology code as plain
-/// fusion.
-///
-/// Path statistics need the record, not its type, so callers absorb
-/// through [`ProfileAcc::absorb_line`] / [`ProfileAcc::absorb_value_at`]
-/// with real input line numbers (the engine's `reduce_items`); the bare
-/// [`Fuser::absorb_type`] only fuses the schema.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Profiling {
-    /// Fusion configuration for the embedded schema.
-    pub config: FuseConfig,
-}
-
-impl Fuser for Profiling {
-    type Acc = ProfileAcc;
-
-    fn empty(&self) -> ProfileAcc {
-        ProfileAcc::with_config(self.config)
-    }
-
-    /// Counts the record and fuses the schema, but contributes no path
-    /// statistics: they need the value.
-    fn absorb_type(&self, acc: &mut ProfileAcc, ty: &Type) {
-        acc.schema.absorb_type_ref(ty);
-    }
-
-    fn merge(&self, acc: &mut ProfileAcc, other: &ProfileAcc) {
-        acc.merge(other);
-    }
-
-    fn is_empty_acc(&self, acc: &ProfileAcc) -> bool {
-        acc.is_empty()
-    }
-
-    fn finish_schema(&self, acc: ProfileAcc) -> Type {
-        acc.finish().schema
-    }
-}
-
 /// A finished dataset profile: the fused schema plus one
 /// [`PathProfile`] per record path, deterministically ordered.
 #[derive(Debug, Clone, PartialEq)]
@@ -1130,8 +1088,7 @@ mod tests {
         other.absorb_line(1, "[1,]");
         acc.merge(&other);
         assert_eq!(acc.first_error().unwrap().0, 1);
-        // Errors keep the accumulator non-empty so the engine's
-        // identity filter cannot drop them.
+        // An error-only accumulator is not the identity.
         let mut error_only = ProfileAcc::new();
         error_only.absorb_line(1, "nope");
         assert!(!error_only.is_empty());
@@ -1145,13 +1102,32 @@ mod tests {
             json!({"a": null}),
             json!({"a": 1, "c": [true]}),
         ];
-        let profiling = Profiling::default();
-        let mut acc = profiling.empty();
+        let mut acc = ProfileAcc::new();
         for (i, v) in values.iter().enumerate() {
             acc.absorb_value_at(i as u64 + 1, v);
         }
         let types: Vec<Type> = values.iter().map(infer_type).collect();
-        assert_eq!(profiling.finish_schema(acc), fuse_all(&types));
+        assert_eq!(acc.finish().schema, fuse_all(&types));
+    }
+
+    #[test]
+    fn presence_counts_add_across_a_merge() {
+        // What `infer --counting` prints: partials absorb values, then
+        // merge, and the presence counts add up.
+        let mut acc = ProfileAcc::new();
+        acc.absorb_value_at(1, &json!({"a": 1}));
+        acc.absorb_value_at(2, &json!({"a": "x", "b": null}));
+        let mut other = ProfileAcc::new();
+        other.absorb_value_at(3, &json!({"a": true}));
+        acc.merge(&other);
+        assert_eq!(acc.records(), 3);
+        let profile = acc.finish();
+        assert_eq!(profile.get("$.a").unwrap().count, 3);
+        assert_eq!(profile.get("$.b").unwrap().count, 1);
+        assert_eq!(
+            profile.schema.to_string(),
+            "{a: Bool + Num + Str, b: Null?}"
+        );
     }
 
     #[test]

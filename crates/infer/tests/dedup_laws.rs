@@ -12,7 +12,7 @@
 //!   exactly the uncached answer.
 //! * Self-fusion reaches its fixpoint in one step at the id level, the
 //!   same law the plain operator satisfies.
-//! * End-to-end: `DedupFuser` accumulation and arbitrary
+//! * End-to-end: `DedupAcc` accumulation and arbitrary
 //!   partition/merge splits equal `fuse_all` over the same stream.
 
 use proptest::prelude::*;
@@ -132,7 +132,7 @@ proptest! {
     }
 
     // Any split into partitions, merged in order, equals the single
-    // stream — the law `Dataset::reduce_fused` relies on.
+    // stream — the law the batch reduce relies on.
     #[test]
     fn dedup_merge_is_partition_invariant(
         values in prop::collection::vec(arb_value(), 1..12),

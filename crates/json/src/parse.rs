@@ -40,7 +40,7 @@ impl ParserOptions {
     /// | walker | levels |
     /// |---|---|
     /// | `fuse` (out of place) | 592 |
-    /// | `parse_type` / `from_wire` | 704 / 872 |
+    /// | `parse_type` / `from_wire` | 704 / 1 592 |
     /// | `Parser` | 784 |
     /// | JSON Schema export | 840 |
     /// | `EventParser` + `fold_value` | 872 |
@@ -60,6 +60,15 @@ impl ParserOptions {
     /// is 296, below the default, so the limit is the default: 512. A
     /// release build goes deeper (`fuse` 1 968, a whole job 3 520), but
     /// the limit has to hold in the build the tests run.
+    ///
+    /// `from_wire` decodes schemas read back from disk, so it counts its
+    /// own nesting instead and fails past 2 × (512 + 1) = 1 026
+    /// productions (`typefuse_types::wire::MAX_NESTING`), within the
+    /// 1 592 it survives. Every schema fused from input within this
+    /// limit fits: a container level adds at most two productions to it
+    /// — a union (unions never nest directly) and the level's own record,
+    /// array or `[T*]` — and the leaf at most two more, a union of
+    /// scalars and a scalar.
     ///
     /// [`depth_limit`]: ParserOptions::depth_limit
     pub const MAX_DEPTH_LIMIT: usize = 512;

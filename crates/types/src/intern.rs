@@ -174,9 +174,9 @@ pub enum ShapeRef<'a> {
 /// The hash-consing arena: each distinct type shape is stored once and
 /// addressed by a [`TypeId`].
 ///
-/// Cloning an interner clones the arena — accumulators that carry one per
-/// partition rely on this (`Fuser::Acc: Clone`). An interner is not
-/// shareable across threads while being mutated; per-worker interners are
+/// Cloning an interner clones the arena — the accumulators that carry
+/// one are `Clone` through it. An interner is not shareable across
+/// threads while being mutated; per-worker interners are
 /// merged with [`TypeInterner::absorb`] at combine time instead.
 #[derive(Debug, Clone)]
 pub struct TypeInterner {

@@ -21,7 +21,7 @@
 
 use crate::faults::ErrorPolicy;
 use crate::pipeline::{DedupMode, MapPath, SchemaJob};
-use typefuse_engine::{ReducePlan, Runtime};
+use typefuse_engine::Runtime;
 use typefuse_infer::FuseConfig;
 use typefuse_json::{ParserOptions, RetryPolicy};
 use typefuse_obs::Recorder;
@@ -36,10 +36,8 @@ use typefuse_obs::Recorder;
 pub struct JobConfig {
     /// Worker threads; `None` uses every available core.
     pub workers: Option<usize>,
-    /// Dataset partitions; `None` derives 4 × workers.
+    /// Partitions; `None` derives 4 × workers.
     pub partitions: Option<usize>,
-    /// Reduce topology.
-    pub reduce_plan: ReducePlan,
     /// Fusion configuration (array strategy).
     pub fuse_config: FuseConfig,
     /// Map-phase route for text sources.
@@ -78,12 +76,6 @@ impl JobConfig {
     /// Set the partition count.
     pub fn partitions(mut self, partitions: usize) -> Self {
         self.partitions = Some(partitions.max(1));
-        self
-    }
-
-    /// Set the reduce topology.
-    pub fn reduce_plan(mut self, plan: ReducePlan) -> Self {
-        self.reduce_plan = plan;
         self
     }
 
@@ -165,7 +157,6 @@ impl JobConfig {
         SchemaJob {
             runtime,
             partitions,
-            reduce_plan: self.reduce_plan,
             fuse_config: self.fuse_config,
             map_path: self.map_path,
             dedup: self.dedup,
@@ -191,7 +182,6 @@ mod tests {
         let legacy = SchemaJob::new();
         assert_eq!(built.runtime.workers(), legacy.runtime.workers());
         assert_eq!(built.partitions, legacy.partitions);
-        assert_eq!(built.reduce_plan, legacy.reduce_plan);
         assert_eq!(built.fuse_config, legacy.fuse_config);
         assert_eq!(built.map_path, legacy.map_path);
         assert_eq!(built.dedup, legacy.dedup);

@@ -66,8 +66,8 @@ pub mod prelude {
         DedupMode, MapPath, ProfiledResult, SchemaJob, SchemaResult, Source,
     };
     pub use typefuse_datagen::{DatasetProfile, Profile};
-    pub use typefuse_engine::{Dataset, ReducePlan, Runtime};
-    pub use typefuse_infer::{fuse, infer_type, Incremental, ProfileReport, Profiling};
+    pub use typefuse_engine::Runtime;
+    pub use typefuse_infer::{fuse, infer_type, Incremental, ProfileReport};
     pub use typefuse_json::{parse_value, NdjsonReader, Value};
     pub use typefuse_obs::{Recorder, RunReport};
     pub use typefuse_query::Pipeline;

@@ -27,7 +27,10 @@
 //! The per-line step of every text route — size guard, trim, blank
 //! test, route dispatch, error anchoring, counters — is the
 //! [record-fold kernel](crate::fold); this module only reads, partitions
-//! and reduces.
+//! and reduces. Every Reduce is the same one: each partition folds into
+//! an accumulator on the [`Runtime`], and the partials are merged
+//! pairwise ([`combine`]) — the accumulators are the monoids, so no
+//! strategy object sits between them and the runtime.
 
 use std::collections::HashSet;
 use std::io::BufRead;
@@ -36,10 +39,9 @@ use std::time::{Duration, Instant};
 use crate::error::Error;
 use crate::faults::{ErrorPolicy, ErrorReport};
 use crate::fold::{for_each_line, Absorbed, FoldConfig, LineTyper, Origin, RecordFold};
-use typefuse_engine::{Dataset, ReducePlan, Runtime, StageMetrics, WorkerPanic};
+use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    infer_type_recorded, DedupFuser, FuseConfig, ProfileAcc, ProfileReport, Profiling,
-    RecordedFuser,
+    fuse_into_recorded, infer_type_recorded, DedupAcc, FuseConfig, ProfileAcc, ProfileReport,
 };
 use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
@@ -51,13 +53,11 @@ pub use typefuse_infer::{dedup_auto_sample, DedupMode};
 /// An input for [`SchemaJob::run`]: where the records come from.
 ///
 /// The variants differ in what the Map phase can see. Text sources
-/// ([`Source::Ndjson`]) support both Map routes; value sources are
+/// ([`Source::Ndjson`]) support every Map route; value sources are
 /// already trees, so they always use tree inference.
 pub enum Source<'a> {
     /// In-memory values, partitioned by the job's `partitions` setting.
     Values(Vec<Value>),
-    /// An already partitioned dataset (borrowed; partitioning is kept).
-    Dataset(&'a Dataset<Value>),
     /// An NDJSON byte stream: one record per non-blank line.
     Ndjson(Box<dyn BufRead + 'a>),
 }
@@ -72,18 +72,12 @@ impl<'a> Source<'a> {
     pub fn values(values: Vec<Value>) -> Self {
         Source::Values(values)
     }
-
-    /// A borrowed, already partitioned dataset source.
-    pub fn dataset(dataset: &'a Dataset<Value>) -> Self {
-        Source::Dataset(dataset)
-    }
 }
 
 impl std::fmt::Debug for Source<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Source::Values(v) => f.debug_tuple("Values").field(&v.len()).finish(),
-            Source::Dataset(d) => f.debug_tuple("Dataset").field(&d.count()).finish(),
             Source::Ndjson(_) => f.write_str("Ndjson(..)"),
         }
     }
@@ -113,10 +107,8 @@ pub enum MapPath {
 pub struct SchemaJob {
     /// Worker threads (default: all available).
     pub runtime: Runtime,
-    /// Number of dataset partitions (default: 4 × workers).
+    /// Number of partitions (default: 4 × workers).
     pub partitions: usize,
-    /// How the per-partition schemas are combined.
-    pub reduce_plan: ReducePlan,
     /// Fusion configuration (array strategy).
     pub fuse_config: FuseConfig,
     /// Map-phase route for text sources (default: [`MapPath::Events`]).
@@ -169,7 +161,6 @@ impl SchemaJob {
         SchemaJob {
             runtime,
             partitions,
-            reduce_plan: ReducePlan::default(),
             fuse_config: FuseConfig::default(),
             map_path: MapPath::default(),
             dedup: DedupMode::default(),
@@ -210,10 +201,7 @@ impl SchemaJob {
     /// [`Error::Worker`] on every route.
     pub fn run(&self, source: Source<'_>) -> Result<SchemaResult, Error> {
         match source {
-            Source::Values(values) => {
-                self.run_value_dataset(&Dataset::from_vec(values, self.partitions))
-            }
-            Source::Dataset(dataset) => self.run_value_dataset(dataset),
+            Source::Values(values) => self.run_value_parts(partition(values, self.partitions)),
             Source::Ndjson(reader) => self.run_lines(reader),
         }
     }
@@ -221,12 +209,6 @@ impl SchemaJob {
     /// Run over an in-memory value collection.
     pub fn run_values(&self, values: Vec<Value>) -> SchemaResult {
         self.run(Source::Values(values))
-            .expect("in-memory sources cannot fail")
-    }
-
-    /// Run over an already partitioned dataset.
-    pub fn run_dataset(&self, dataset: &Dataset<Value>) -> SchemaResult {
-        self.run(Source::Dataset(dataset))
             .expect("in-memory sources cannot fail")
     }
 
@@ -238,7 +220,7 @@ impl SchemaJob {
     }
 
     /// Run the **profiled** pipeline over any [`Source`]: one fused
-    /// Map+Reduce pass with the [`Profiling`] strategy, producing a
+    /// Map+Reduce pass over [`ProfileAcc`]s, producing a
     /// [`ProfileReport`] — the fused schema plus per-path presence
     /// counts, kind/length/numeric statistics and provenance lines.
     ///
@@ -246,93 +228,52 @@ impl SchemaJob {
     /// ordinal (in-memory sources), and those numbers survive the
     /// parallel reduce unchanged: every provenance aggregate is a
     /// minimum, so the profile — and its serialized report — is
-    /// byte-identical for any worker count, partitioning, reduce plan
-    /// and Map route (`job.map_path` picks the text walk or the tree
-    /// walk for text sources; both observe identically).
+    /// byte-identical for any worker count, partitioning and Map route
+    /// (`job.map_path` picks the text walk or the tree walk for text
+    /// sources; both observe identically).
     ///
-    /// Text sources fold one profile-carrying
-    /// [`RecordFold`] per partition and
-    /// merge them by the job's [`ReducePlan`]; bad lines ride the merged
+    /// Text sources fold one profile-carrying [`RecordFold`] per
+    /// partition and merge the folds; bad lines ride the merged
     /// [`ErrorReport`], so the job's [`ErrorPolicy`] sees them in input
     /// order, exactly like [`SchemaJob::run`].
     pub fn run_profiled(&self, source: Source<'_>) -> Result<ProfiledResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
-        let fuser = Profiling {
-            config: self.fuse_config,
-        };
         match source {
             Source::Values(values) => {
-                let dataset = Dataset::from_vec(values, self.partitions);
-                self.run_profiled(Source::Dataset(&dataset))
-            }
-            Source::Dataset(dataset) => {
-                // Keep the caller's partitioning; number records by their
-                // global iteration order so 1 partition and N agree.
-                let mut ordinal = 0u64;
-                let parts: Vec<Vec<(u64, &Value)>> = dataset
-                    .partitions()
-                    .iter()
-                    .map(|part| {
-                        part.iter()
-                            .map(|v| {
-                                ordinal += 1;
-                                (ordinal, v)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let numbered = Dataset::from_partitions(parts);
+                let numbered: Vec<(u64, &Value)> = (1..).zip(&values).collect();
+                let parts = partition(numbered, self.partitions);
                 let (acc, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
-                    numbered.reduce_items(
-                        &self.runtime,
-                        self.reduce_plan,
-                        &fuser,
-                        rec,
-                        |_, acc, (line, v): &(u64, &Value)| acc.absorb_value_at(*line, v),
-                    )
+                    self.reduce(
+                        &parts,
+                        || ProfileAcc::with_config(self.fuse_config),
+                        |acc, (line, v)| acc.absorb_value_at(*line, v),
+                        ProfileAcc::merge,
+                    )?
                 };
-                let (errors, parts) = (ErrorReport::new(), numbered.num_partitions());
-                self.finish_profiled(acc, errors, parts, fold_metrics, wall_start)
+                let errors = ErrorReport::new();
+                self.finish_profiled(acc, errors, parts.len(), fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
-                let dataset = Dataset::from_vec(self.read_records(reader)?, self.partitions);
+                let records = partition(self.read_records(reader)?, self.partitions);
                 let config = self.fold_config(true);
-                let span = rec.span("pipeline.profile");
-                let (folds, fold_metrics) = self.runtime.try_run_indexed(
-                    dataset.partitions(),
-                    |_, part: &Vec<RawRecord>| {
-                        let mut fold = RecordFold::new(config.clone(), rec.clone());
-                        for record in part {
+                let empty = || RecordFold::new(config.clone(), rec.clone());
+                let (fold, fold_metrics) = {
+                    let _span = rec.span("pipeline.profile");
+                    self.reduce(
+                        &records,
+                        empty,
+                        |fold, record| {
                             let origin = Origin::Line(record.line.into());
-                            fold.absorb_noting(origin, &record.bytes, record.truncated);
-                        }
-                        fold
-                    },
-                );
-                let folds: Vec<RecordFold> = self
-                    .surface_worker(folds)?
-                    .into_iter()
-                    .filter(|fold| fold.lines() > 0)
-                    .collect();
-                let merged = self.reduce_plan.try_combine_recorded(
-                    &self.runtime,
-                    folds,
-                    |mut fold, other| {
-                        fold.merge(other);
-                        fold
-                    },
-                    rec,
-                );
-                drop(span);
-                let (_, _, report, profile) = self
-                    .surface_worker(merged)?
-                    .unwrap_or_else(|| RecordFold::new(config.clone(), rec.clone()))
-                    .finish();
+                            fold.absorb_noting(origin, &record.bytes, record.truncated)
+                        },
+                        RecordFold::merge,
+                    )?
+                };
+                let (_, _, report, profile) = fold.unwrap_or_else(empty).finish();
                 self.error_policy.enforce(&report, rec)?;
-                let parts = dataset.num_partitions();
-                self.finish_profiled(profile, report, parts, fold_metrics, wall_start)
+                self.finish_profiled(profile, report, records.len(), fold_metrics, wall_start)
             }
         }
     }
@@ -362,23 +303,22 @@ impl SchemaJob {
 
     /// The tree Map phase: infer one type per materialised value
     /// (Figure 4), then hand off to the shared Reduce tail.
-    fn run_value_dataset(&self, dataset: &Dataset<Value>) -> Result<SchemaResult, Error> {
+    fn run_value_parts(&self, parts: Vec<Vec<Value>>) -> Result<SchemaResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
         let map_start = Instant::now();
         let (types, map_metrics) = {
             let _span = rec.span("pipeline.map");
-            dataset.try_map_metered(&self.runtime, |v| infer_type_recorded(v, rec))
+            self.runtime
+                .try_run_indexed(&parts, |_, part: &Vec<Value>| {
+                    let infer = |v| infer_type_recorded(v, rec);
+                    part.iter().map(infer).collect::<Vec<Type>>()
+                })
         };
         let types = self.surface_worker(types)?;
-        self.finish(
-            types,
-            dataset.count() as u64,
-            ErrorReport::new(),
-            wall_start,
-            map_start.elapsed(),
-            map_metrics,
-        )
+        let records = parts.iter().map(Vec::len).sum::<usize>() as u64;
+        let (errors, map_time) = (ErrorReport::new(), map_start.elapsed());
+        self.finish(types, records, errors, wall_start, map_time, map_metrics)
     }
 
     /// The text route for every Map path: read lines (retry, line-size
@@ -391,28 +331,29 @@ impl SchemaJob {
     fn run_lines(&self, reader: Box<dyn BufRead + '_>) -> Result<SchemaResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
-        let dataset = Dataset::from_vec(self.read_records(reader)?, self.partitions);
+        let records = partition(self.read_records(reader)?, self.partitions);
 
         let map_start = Instant::now();
         let config = self.fold_config(false);
         let chaos = self.chaos_panic_at;
         let (typed, map_metrics) = {
             let _span = rec.span("pipeline.map");
-            dataset.try_map_partitions_metered(&self.runtime, |_, part| {
-                let mut typer = LineTyper::new(config.clone(), rec.clone());
-                let out = part
-                    .iter()
-                    .map(|record: &RawRecord| {
-                        if chaos == Some(record.line) {
-                            panic!("injected chaos panic at line {}", record.line);
-                        }
-                        let origin = Origin::Line(record.line.into());
-                        typer.type_line(origin, &record.bytes, record.truncated, None)
-                    })
-                    .collect();
-                typer.flush_counters();
-                out
-            })
+            self.runtime
+                .try_run_indexed(&records, |_, part: &Vec<RawRecord>| {
+                    let mut typer = LineTyper::new(config.clone(), rec.clone());
+                    let out: Vec<Absorbed<Type>> = part
+                        .iter()
+                        .map(|record| {
+                            if chaos == Some(record.line) {
+                                panic!("injected chaos panic at line {}", record.line);
+                            }
+                            let origin = Origin::Line(record.line.into());
+                            typer.type_line(origin, &record.bytes, record.truncated, None)
+                        })
+                        .collect();
+                    typer.flush_counters();
+                    out
+                })
         };
         let typed = self.surface_worker(typed)?;
         let map_time = map_start.elapsed();
@@ -420,10 +361,13 @@ impl SchemaJob {
         // Partition the outcomes into clean types and the error report
         // (one commutative monoid, like the schema itself), then let the
         // policy decide — on the *merged* report, so the verdict is
-        // independent of worker count and partitioning.
+        // independent of worker count and partitioning. The outcomes are
+        // gathered whole first: batch memory is a benchmarked figure, and
+        // it changes only with the materialising driver itself.
+        let typed: Vec<Absorbed<Type>> = typed.into_iter().flatten().collect();
         let mut types: Vec<Type> = Vec::new();
         let mut report = ErrorReport::new();
-        for outcome in typed.collect() {
+        for outcome in typed {
             match outcome {
                 Absorbed::Record(ty) => types.push(ty),
                 Absorbed::Bad(bad) => report.note(bad),
@@ -433,7 +377,7 @@ impl SchemaJob {
         self.error_policy.enforce(&report, rec)?;
 
         let records = types.len() as u64;
-        let types = Dataset::from_vec(types, self.partitions);
+        let types = partition(types, self.partitions);
         self.finish(types, records, report, wall_start, map_time, map_metrics)
     }
 
@@ -469,13 +413,49 @@ impl SchemaJob {
         })
     }
 
-    /// The shared tail of every route: type statistics, trait-driven
-    /// Reduce (Figure 6 on the engine's `reduce_fused`, via
-    /// [`RecordedFuser`] or — when [`DedupMode`] resolves on — the
-    /// shape-dedup [`DedupFuser`]), and result assembly.
+    /// The one Reduce: fold each partition into an accumulator on the
+    /// runtime (`empty` is the identity, `absorb` the step), then merge
+    /// the partials pairwise ([`combine`]). An empty partition would fold
+    /// to the identity and is dropped instead, so `None` means there was
+    /// nothing to fold. The metrics are the partition folds'.
+    fn reduce<T: Sync, A: Send>(
+        &self,
+        parts: &[Vec<T>],
+        empty: impl Fn() -> A + Sync,
+        absorb: impl Fn(&mut A, &T) + Sync,
+        merge: impl Fn(&mut A, &A) + Sync,
+    ) -> Result<(Option<A>, StageMetrics), Error> {
+        let (partials, metrics) = self.runtime.try_run_indexed(parts, |_, part: &Vec<T>| {
+            (!part.is_empty()).then(|| {
+                let mut acc = empty();
+                part.iter().for_each(|item| absorb(&mut acc, item));
+                acc
+            })
+        });
+        let partials = self
+            .surface_worker(partials)?
+            .into_iter()
+            .flatten()
+            .collect();
+        let merged = combine(
+            &self.runtime,
+            partials,
+            |mut acc, other| {
+                merge(&mut acc, other);
+                acc
+            },
+            &self.recorder,
+        );
+        Ok((self.surface_worker(merged)?, metrics))
+    }
+
+    /// The shared tail of every route: type statistics, the Reduce
+    /// (Figure 6: plain in-place fusion of [`Type`]s, or — when
+    /// [`DedupMode`] resolves on — the shape-dedup [`DedupAcc`]), and
+    /// result assembly.
     fn finish(
         &self,
-        types: Dataset<Type>,
+        types: Vec<Vec<Type>>,
         records: u64,
         errors: ErrorReport,
         wall_start: Instant,
@@ -488,7 +468,7 @@ impl SchemaJob {
         let type_stats = {
             let _span = rec.span("pipeline.stats");
             let stats_source: Vec<&Type> = if self.collect_type_stats {
-                types.iter().collect()
+                types.iter().flatten().collect()
             } else {
                 Vec::new()
             };
@@ -496,26 +476,35 @@ impl SchemaJob {
         };
 
         // ---- Reduce phase: fuse (Figure 6). ----------------------------
-        // Both routes are Fuser strategies on the same engine reduce and
-        // produce byte-identical schemas; dedup only changes constants.
+        // Both accumulators produce byte-identical schemas; dedup only
+        // changes constants.
         let use_dedup = match self.dedup {
             DedupMode::On => true,
             DedupMode::Off => false,
-            DedupMode::Auto => dedup_auto_sample(types.iter()),
+            DedupMode::Auto => dedup_auto_sample(types.iter().flatten()),
         };
+        let cfg = self.fuse_config;
         let reduce_start = Instant::now();
         let (fused, reduce_metrics) = {
             let _span = rec.span("pipeline.reduce");
             if use_dedup {
                 rec.add("infer.dedup", 1);
-                let fuser = DedupFuser::new(self.fuse_config, rec.clone());
-                types.try_reduce_fused(&self.runtime, self.reduce_plan, &fuser, rec)
+                let (acc, metrics) = self.reduce(
+                    &types,
+                    DedupAcc::new,
+                    |acc, ty| acc.absorb_type(cfg, ty),
+                    |acc, other| acc.merge(cfg, other),
+                )?;
+                let schema = acc.map(|acc| {
+                    acc.flush_counters(rec);
+                    acc.schema()
+                });
+                (schema, metrics)
             } else {
-                let fuser = RecordedFuser::new(self.fuse_config, rec.clone());
-                types.try_reduce_fused(&self.runtime, self.reduce_plan, &fuser, rec)
+                let fuse = |acc: &mut Type, ty: &Type| fuse_into_recorded(cfg, acc, ty, rec);
+                self.reduce(&types, || Type::Bottom, fuse, fuse)?
             }
         };
-        let fused = self.surface_worker(fused)?;
         let reduce_time = reduce_start.elapsed();
 
         rec.add("records", records);
@@ -524,7 +513,7 @@ impl SchemaJob {
             fused_size: schema.size(),
             schema,
             records,
-            partitions: types.num_partitions(),
+            partitions: types.len(),
             type_stats,
             errors,
             map_time,
@@ -534,6 +523,19 @@ impl SchemaJob {
             reduce_metrics,
         })
     }
+}
+
+/// Split `items` into `n` (at least one) contiguous partitions, the
+/// first `len % n` of them one item longer: concatenated in order they
+/// are the input, so any associative merge of their folds is the fold of
+/// the whole.
+fn partition<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
+    let n = n.max(1);
+    let (base, rem) = (items.len() / n, items.len() % n);
+    let mut items = items.into_iter();
+    (0..n)
+        .map(|p| items.by_ref().take(base + usize::from(p < rem)).collect())
+        .collect()
 }
 
 /// One raw input line as read: content without its newline, capped by
@@ -775,18 +777,20 @@ mod tests {
     }
 
     #[test]
-    fn reduce_plans_agree() {
-        let seq = JobConfig::new()
-            .reduce_plan(ReducePlan::Sequential)
-            .build()
-            .run_values(values())
-            .schema;
-        let tree = JobConfig::new()
-            .reduce_plan(ReducePlan::Tree { arity: 2 })
-            .build()
-            .run_values(values())
-            .schema;
-        assert_eq!(seq, tree);
+    fn partition_splits_into_contiguous_chunks() {
+        let parts = partition((0..10).collect::<Vec<_>>(), 3);
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 3, 3]);
+        // Concatenated partitions reproduce the input order.
+        assert_eq!(parts.concat(), (0..10).collect::<Vec<_>>());
+        // More partitions than items leave the tail empty.
+        assert_eq!(partition(vec![1], 3), [vec![1], vec![], vec![]]);
+    }
+
+    #[test]
+    fn partition_clamps_zero_partitions_to_one() {
+        assert_eq!(partition(vec![1, 2], 0), [vec![1, 2]]);
+        assert_eq!(partition(Vec::<u8>::new(), 0).len(), 1);
     }
 
     #[test]
@@ -884,6 +888,36 @@ mod tests {
         assert!(rec.chrome_trace_json().contains("\"traceEvents\""));
     }
 
+    /// Four records of four different shapes.
+    fn distinct_values() -> Vec<Value> {
+        vec![
+            json!({"a": 1, "b": "x"}),
+            json!({"a": null}),
+            json!({"a": 1, "c": [true]}),
+            json!({"a": "s"}),
+        ]
+    }
+
+    #[test]
+    fn recorded_reduce_counts_fusions_not_moves() {
+        let rec = Recorder::enabled();
+        let r = JobConfig::new()
+            .workers(2)
+            .partitions(2)
+            .dedup(DedupMode::Off)
+            .recorder(rec.clone())
+            .build()
+            .run_values(distinct_values());
+        let types: Vec<Type> = distinct_values()
+            .iter()
+            .map(typefuse_infer::infer_type)
+            .collect();
+        assert_eq!(r.schema, typefuse_infer::fuse_all(&types));
+        // 4 records in 2 partitions: one in-partition fusion each (the
+        // first absorb is a move into ε), plus one cross-partition merge.
+        assert_eq!(rec.counter_value("fuse.calls"), 3);
+    }
+
     #[test]
     fn recorded_events_run_mirrors_the_value_report() {
         let data = as_ndjson(&values());
@@ -970,37 +1004,52 @@ mod tests {
         for workers in [1, 4] {
             for parts in [1, 3, 7] {
                 for path in [MapPath::Events, MapPath::Values] {
-                    for plan in [ReducePlan::Sequential, ReducePlan::Tree { arity: 2 }] {
-                        let p = JobConfig::new()
-                            .workers(workers)
-                            .partitions(parts)
-                            .map_path(path)
-                            .reduce_plan(plan)
-                            .build()
-                            .run_profiled(Source::ndjson(data.as_bytes()))
-                            .unwrap()
-                            .profile;
-                        assert_eq!(p, baseline, "{workers}w {parts}p {path:?} {plan:?}");
-                        assert_eq!(p.to_json(), baseline_json);
-                    }
+                    let p = JobConfig::new()
+                        .workers(workers)
+                        .partitions(parts)
+                        .map_path(path)
+                        .build()
+                        .run_profiled(Source::ndjson(data.as_bytes()))
+                        .unwrap()
+                        .profile;
+                    assert_eq!(p, baseline, "{workers}w {parts}p {path:?}");
+                    assert_eq!(p.to_json(), baseline_json);
                 }
             }
         }
         // In-memory sources number records by ordinal, matching the
         // NDJSON line numbers of the same records.
-        let via_values = JobConfig::new()
-            .build()
-            .run_profiled(Source::values(values()))
-            .unwrap()
-            .profile;
-        assert_eq!(via_values.to_json(), baseline_json);
-        let dataset = Dataset::from_vec(values(), 3);
-        let via_dataset = JobConfig::new()
-            .build()
-            .run_profiled(Source::dataset(&dataset))
-            .unwrap()
-            .profile;
-        assert_eq!(via_dataset.to_json(), baseline_json);
+        for parts in [1, 3] {
+            let via_values = JobConfig::new()
+                .partitions(parts)
+                .build()
+                .run_profiled(Source::values(values()))
+                .unwrap()
+                .profile;
+            assert_eq!(via_values.to_json(), baseline_json, "{parts}p");
+        }
+    }
+
+    #[test]
+    fn profiled_reduce_keeps_line_provenance_across_partitions() {
+        let profile_with = |workers: usize, parts: usize| {
+            JobConfig::new()
+                .workers(workers)
+                .partitions(parts)
+                .build()
+                .run_profiled(Source::values(distinct_values()))
+                .unwrap()
+                .profile
+        };
+        let baseline = profile_with(1, 1);
+        // b appears only at line 1, so line 2 demoted it.
+        assert_eq!(baseline.get("$.b").unwrap().first_absent_line, Some(2));
+        assert_eq!(baseline.get("$.a").unwrap().first_absent_line, None);
+        for parts in 2..=5 {
+            let profile = profile_with(4, parts);
+            assert_eq!(profile, baseline, "{parts} partitions");
+            assert_eq!(profile.to_json(), baseline.to_json());
+        }
     }
 
     #[test]
@@ -1114,6 +1163,24 @@ mod tests {
             report.counters["fuse.cache_misses"]
         );
         assert!(report.spans.contains_key("pipeline.reduce"));
+    }
+
+    #[test]
+    fn dedup_reduce_emits_cache_and_shape_counters() {
+        // Repeat the values so shapes actually dedup.
+        let vals: Vec<Value> = distinct_values().into_iter().cycle().take(20).collect();
+        let rec = Recorder::enabled();
+        let r = JobConfig::new()
+            .workers(2)
+            .partitions(2)
+            .dedup(DedupMode::On)
+            .recorder(rec.clone())
+            .build()
+            .run_values(vals);
+        assert_eq!(r.records, 20);
+        assert_eq!(rec.counter_value("infer.distinct_shapes"), 4);
+        assert!(rec.counter_value("fuse.cache_hits") > 0, "repeats hit");
+        assert!(rec.counter_value("fuse.calls") > 0);
     }
 
     #[test]
