@@ -6,13 +6,15 @@
 //! pays, not just the accumulator's.
 //!
 //! Every measurement first asserts the profiled run reproduces the
-//! plain run's schema and that the profile is byte-identical across
-//! both Map routes, so this bench doubles as a differential check.
+//! plain run's schema and that the text walk's profile is byte-identical
+//! to the tree walk's (`parse_value` per line, then
+//! `run_profiled(Source::values(..))`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use typefuse::pipeline::{MapPath, SchemaJob, Source};
+use typefuse::pipeline::{SchemaJob, Source};
 use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
+use typefuse_json::parse_value;
 
 fn corpus(profile: Profile, n: usize) -> String {
     let values: Vec<_> = profile.generate(7, n).collect();
@@ -32,12 +34,9 @@ fn run_plain(text: &str) -> typefuse_types::Type {
         .schema
 }
 
-fn run_profiled(text: &str, path: MapPath) -> typefuse_infer::ProfileReport {
-    JobConfig::new()
-        .without_type_stats()
-        .map_path(path)
-        .build()
-        .run_profiled(Source::ndjson(text.as_bytes()))
+fn run_profiled(source: Source<'_>) -> typefuse_infer::ProfileReport {
+    job()
+        .run_profiled(source)
         .expect("generated corpus is valid NDJSON")
         .profile
 }
@@ -49,11 +48,12 @@ fn bench_profile_overhead(c: &mut Criterion) {
         let text = corpus(profile, n);
 
         // Differential guards before anything is timed: the profiled
-        // run fuses the same schema, and the two Map routes produce the
-        // same profile bytes.
+        // run fuses the same schema, and the text and tree walks produce
+        // the same profile bytes.
         let plain = run_plain(&text);
-        let via_events = run_profiled(&text, MapPath::Events);
-        let via_values = run_profiled(&text, MapPath::Values);
+        let via_events = run_profiled(Source::ndjson(text.as_bytes()));
+        let values = text.lines().map(|line| parse_value(line).unwrap());
+        let via_values = run_profiled(Source::values(values.collect()));
         assert_eq!(
             via_events.schema, plain,
             "profiled schema drifts on {profile}"
@@ -61,7 +61,7 @@ fn bench_profile_overhead(c: &mut Criterion) {
         assert_eq!(
             via_events.to_json(),
             via_values.to_json(),
-            "profile bytes differ between map routes on {profile}"
+            "profile bytes differ between the text and tree walks on {profile}"
         );
 
         group.throughput(Throughput::Elements(n as u64));
@@ -69,7 +69,11 @@ fn bench_profile_overhead(c: &mut Criterion) {
             b.iter(|| run_plain(black_box(&text)).size())
         });
         group.bench_function(BenchmarkId::new("profiled", profile), |b| {
-            b.iter(|| run_profiled(black_box(&text), MapPath::Events).paths.len())
+            b.iter(|| {
+                run_profiled(Source::ndjson(black_box(&text).as_bytes()))
+                    .paths
+                    .len()
+            })
         });
     }
     group.finish();

@@ -1,9 +1,11 @@
-//! The two Map routes head to head: tree inference (parse each line into
-//! a `Value`, then Figure 4) versus the event fast path (fold the token
-//! stream straight into the type). Both run through the full
-//! `SchemaJob::run(Source::ndjson(..))` pipeline, so the comparison
-//! includes reading, partitioning, Map and Reduce — the numbers are
-//! records/s of the whole ingest, not just the inference kernel.
+//! The paper's literal reading against the text route: tree inference
+//! (parse each line into a `Value` with `parse_value`, then run the
+//! values through `SchemaJob::run(Source::values(..))`, i.e. Figure 4 and
+//! the Reduce) versus the default events route
+//! (`SchemaJob::run(Source::ndjson(..))`, which types each line straight
+//! from its bytes). Both include partitioning, Map and Reduce — the
+//! numbers are records/s of the whole ingest, not just the inference
+//! kernel.
 //!
 //! Beside them, the typing layer alone, line by line with nothing
 //! around it: `direct` is the validating typer the events route runs
@@ -13,17 +15,16 @@
 //! through — the in-repo reproduction of `perf/`'s
 //! `infer.streaming` / `infer.profile` layer numbers.
 //!
-//! Every measurement first asserts the routes produce byte-identical
-//! schemas on the profile, so a run of this bench doubles as the
-//! differential check CI's bench-smoke job relies on.
+//! Every measurement first asserts the two arms produce byte-identical
+//! schemas on the profile.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use typefuse::pipeline::{MapPath, SchemaJob, Source};
+use typefuse::pipeline::{SchemaJob, Source};
 use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_infer::streaming::event_fold;
 use typefuse_infer::{Incremental, ProfileAcc, Typer};
-use typefuse_json::ParserOptions;
+use typefuse_json::{parse_value, ParserOptions};
 
 fn corpus(profile: Profile, n: usize) -> String {
     let values: Vec<_> = profile.generate(7, n).collect();
@@ -32,14 +33,24 @@ fn corpus(profile: Profile, n: usize) -> String {
     String::from_utf8(text).unwrap()
 }
 
-fn job(path: MapPath) -> SchemaJob {
-    JobConfig::new().map_path(path).without_type_stats().build()
+fn job() -> SchemaJob {
+    JobConfig::new().without_type_stats().build()
 }
 
-fn run(path: MapPath, text: &str) -> typefuse_types::Type {
-    job(path)
+/// The events route over the NDJSON text.
+fn run_events(text: &str) -> typefuse_types::Type {
+    job()
         .run(Source::ndjson(text.as_bytes()))
         .expect("generated corpus is valid NDJSON")
+        .schema
+}
+
+/// The tree route: `parse_value` per line, then the value pipeline.
+fn run_values(text: &str) -> typefuse_types::Type {
+    let values = text.lines().map(|line| parse_value(line).unwrap());
+    job()
+        .run(Source::values(values.collect()))
+        .expect("in-memory sources cannot fail")
         .schema
 }
 
@@ -50,11 +61,11 @@ fn bench_value_vs_events(c: &mut Criterion) {
         let text = corpus(profile, n);
 
         // Differential guard: identical schemas before anything is timed.
-        let via_events = run(MapPath::Events, &text);
-        let via_values = run(MapPath::Values, &text);
+        let via_events = run_events(&text);
+        let via_values = run_values(&text);
         assert_eq!(
             via_events, via_values,
-            "map routes disagree on {profile}: {via_events} vs {via_values}"
+            "the events and tree routes disagree on {profile}: {via_events} vs {via_values}"
         );
 
         let lines: Vec<&[u8]> = text.lines().map(str::as_bytes).collect();
@@ -72,11 +83,12 @@ fn bench_value_vs_events(c: &mut Criterion) {
         );
 
         group.throughput(Throughput::Elements(n as u64));
-        for (label, path) in [("events", MapPath::Events), ("value", MapPath::Values)] {
-            group.bench_function(BenchmarkId::new(label, profile), |b| {
-                b.iter(|| run(path, black_box(&text)).size())
-            });
-        }
+        group.bench_function(BenchmarkId::new("events", profile), |b| {
+            b.iter(|| run_events(black_box(&text)).size())
+        });
+        group.bench_function(BenchmarkId::new("value", profile), |b| {
+            b.iter(|| run_values(black_box(&text)).size())
+        });
         group.bench_function(BenchmarkId::new("direct", profile), |b| {
             b.iter(|| {
                 for line in black_box(&lines) {

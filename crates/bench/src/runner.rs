@@ -5,10 +5,9 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
-use typefuse::pipeline::MapPath;
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_engine::Runtime;
-use typefuse_infer::{infer_type, streaming, DedupMode, FuseConfig, SchemaAcc};
+use typefuse_infer::{infer_type, DedupMode, FuseConfig, SchemaAcc};
 use typefuse_types::Type;
 
 /// Configuration of one scale run.
@@ -26,11 +25,6 @@ pub struct ScaleConfig {
     pub workers: usize,
     /// Fusion configuration.
     pub fuse_config: FuseConfig,
-    /// Map route. The runner generates value trees natively, so
-    /// [`MapPath::Values`] (the default here) infers them directly;
-    /// [`MapPath::Events`] serializes each record and folds the token
-    /// stream instead, timing the full text-to-type route.
-    pub map_path: MapPath,
     /// Also serialize every record to count dataset bytes (Table 1).
     /// Costs roughly as much as parsing; off for the type-statistics
     /// tables.
@@ -53,16 +47,9 @@ impl ScaleConfig {
             partitions: (workers * 4).max(1),
             workers,
             fuse_config: FuseConfig::default(),
-            map_path: MapPath::Values,
             measure_bytes: false,
             dedup: false,
         }
-    }
-
-    /// Builder: set the Map route (see [`ScaleConfig::map_path`]).
-    pub fn map_path(mut self, path: MapPath) -> Self {
-        self.map_path = path;
-        self
     }
 
     /// Builder: set the worker count (and leave partitions to the caller).
@@ -268,33 +255,12 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         let mut acc = PartitionAcc::empty(config);
         for index in start..end {
             let value = config.profile.record(config.seed, index);
-            let ty = match config.map_path {
-                MapPath::Values => {
-                    if config.measure_bytes {
-                        acc.bytes += typefuse_json::to_string(&value).len() as u64 + 1;
-                    }
-                    let t0 = Instant::now();
-                    let ty = infer_type(&value);
-                    acc.infer_time += t0.elapsed();
-                    ty
-                }
-                // The shape route's signature cache is the pipeline's; here
-                // every text route is the plain text-to-type fold.
-                MapPath::Events | MapPath::Shape => {
-                    // Serialization is setup, not measurement: the timed
-                    // section is the text-to-type fold (tokenize + infer),
-                    // the work an NDJSON ingest would do per line.
-                    let line = typefuse_json::to_string(&value);
-                    if config.measure_bytes {
-                        acc.bytes += line.len() as u64 + 1;
-                    }
-                    let t0 = Instant::now();
-                    let ty = streaming::infer_type_from_str(&line)
-                        .expect("generated records serialize to valid JSON");
-                    acc.infer_time += t0.elapsed();
-                    ty
-                }
-            };
+            if config.measure_bytes {
+                acc.bytes += typefuse_json::to_string(&value).len() as u64 + 1;
+            }
+            let t0 = Instant::now();
+            let ty = infer_type(&value);
+            acc.infer_time += t0.elapsed();
 
             let size = ty.size();
             acc.min_size = acc.min_size.min(size);
@@ -390,14 +356,21 @@ mod tests {
 
     #[test]
     fn event_route_matches_value_route() {
+        // The runner infers the generated trees; the pipeline's default
+        // route types the same records from their NDJSON text.
         for profile in [Profile::GitHub, Profile::NYTimes] {
             let config = ScaleConfig::new(profile, 150).partitions(5).measure_bytes();
             let via_values = run_scale(&config);
-            let via_events = run_scale(&config.map_path(MapPath::Events));
+            let values: Vec<_> = profile.generate(config.seed, 150).collect();
+            let mut text = Vec::new();
+            typefuse_json::ndjson::write_ndjson(&mut text, &values).unwrap();
+            let via_events = typefuse::pipeline::SchemaJob::new()
+                .run_ndjson(&text[..])
+                .unwrap();
             assert_eq!(via_events.schema, via_values.schema, "{profile}");
-            assert_eq!(via_events.distinct_types, via_values.distinct_types);
+            assert_eq!(via_events.type_stats.distinct, via_values.distinct_types);
             assert_eq!(via_events.records, via_values.records);
-            assert_eq!(via_events.bytes, via_values.bytes);
+            assert_eq!(text.len() as u64, via_values.bytes);
         }
     }
 

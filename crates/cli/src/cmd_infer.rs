@@ -5,7 +5,7 @@ use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
-use typefuse::fold::{for_each_line, Origin, RecordFold};
+use typefuse::fold::fold_stream;
 use typefuse::pipeline::{DedupMode, SchemaJob, Source};
 use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
 use typefuse_infer::{maplike, ArrayFusion, FuseConfig, MapLikeConfig, ProfileReport};
@@ -94,7 +94,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     // fused Map+Reduce pass produces the schema, the per-path profile
     // report (provenance lines, presence counts, kind/length/numeric
     // statistics) and the run report. Output is byte-identical for any
-    // worker/partition count and either --map-path (CI diffs it).
+    // worker/partition count and --map-path (the route matrix checks it).
     if profiled_by.is_some() {
         let reader = open_input(input.as_deref())?;
         let outcome = job.run_profiled(Source::ndjson(reader));
@@ -274,10 +274,10 @@ fn print_schema(schema: &Type, format: &str) -> CliResult {
     Ok(())
 }
 
-/// Constant-memory path: fold each line straight into a running
-/// [`RecordFold`] under the job's Map route, dedup mode and fuse
-/// configuration. Real files are processed with parallel byte-range
-/// splits (`typefuse::splits`); stdin is one sequential fold.
+/// Constant-memory path: fold each line straight into a running record
+/// fold under the job's Map route, dedup mode and fuse configuration.
+/// Real files are processed with parallel byte-range splits
+/// (`typefuse::splits`); stdin is one sequential fold ([`fold_stream`]).
 fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorReport), CliError> {
     if let Some(path) = input.filter(|p| *p != "-") {
         let fs = typefuse::splits::infer_file(std::path::Path::new(path), job).map_err(|e| {
@@ -286,22 +286,9 @@ fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorRep
         })?;
         return Ok((fs.schema, fs.errors));
     }
-    let rec = &job.recorder;
-    let mut fold = RecordFold::new(job.fold_config(false), rec.clone());
-    for_each_line(
-        &mut BufReader::new(io::stdin()),
-        job.max_line_bytes,
-        job.retry,
-        rec,
-        |line, bytes, truncated| fold.absorb_noting(Origin::Line(line), bytes, truncated),
-    )
-    .map_err(crate::ingest_error)?;
-    fold.flush_counters();
-    let (schema, records, report, _) = fold.finish();
-    job.error_policy
-        .enforce(&report, rec)
-        .map_err(crate::ingest_error)?;
-    rec.add("records", records);
+    let fold =
+        fold_stream(&mut BufReader::new(io::stdin()), job, false).map_err(crate::ingest_error)?;
+    let (schema, _, report, _) = fold.finish();
     Ok((schema, report))
 }
 

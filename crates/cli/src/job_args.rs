@@ -118,10 +118,9 @@ impl JobFlags {
 pub(crate) fn parse_map_path(value: &str) -> Result<MapPath, CliError> {
     match value {
         "events" => Ok(MapPath::Events),
-        "value" | "values" => Ok(MapPath::Values),
         "shape" => Ok(MapPath::Shape),
         other => Err(CliError::usage(format!(
-            "unknown map path `{other}` (expected events, value or shape)"
+            "unknown map path `{other}` (expected events or shape)"
         ))),
     }
 }

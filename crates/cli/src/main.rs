@@ -98,9 +98,9 @@ COMMANDS:
                            (count and ratio) on stderr: the presence
                            column of the profiled pass (see
                            --profile-json, with which it composes)
-        --map-path P       events | value: Map phase folds parser events
-                           directly into types (default) or materialises
-                           value trees first (differential testing)
+        --map-path P       events | shape: type each line straight from
+                           its bytes (default), or serve repeated record
+                           shapes from a signature cache
         --dedup M          auto | on | off: reduce over distinct shapes
                            only (hash-consed interning + memoized
                            fusion); auto samples the input and dedups
@@ -144,7 +144,7 @@ COMMANDS:
         --top N            also list the top-N paths by presence (default 10)
         --workers N        worker threads (provenance is thread-invariant)
         --partitions N     dataset partitions
-        --map-path P       events | value
+        --map-path P       events | shape
 
     generate             emit a synthetic dataset as NDJSON on stdout
         --profile P        github | twitter | wikidata | nytimes (required)

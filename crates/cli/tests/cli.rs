@@ -2,6 +2,19 @@
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use typefuse_json::Value;
+
+/// `/a/b/c` lookups into the reports and envelopes these tests read
+/// (object keys only).
+trait Pointer {
+    fn pointer(&self, path: &str) -> Option<&Value>;
+}
+
+impl Pointer for Value {
+    fn pointer(&self, path: &str) -> Option<&Value> {
+        path.split('/').skip(1).try_fold(self, |v, key| v.get(key))
+    }
+}
 
 fn typefuse(args: &[&str], stdin: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_typefuse"));
@@ -106,6 +119,16 @@ fn infer_rejects_bad_json() {
 fn infer_rejects_unknown_format() {
     let out = typefuse(&["infer", "-", "--format", "yaml"], Some("{}\n"));
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn the_retired_value_map_path_is_a_usage_error() {
+    for args in [&["infer", "-"][..], &["explain", "$.a"]] {
+        let out = typefuse(&[args, &["--map-path", "value"]].concat(), Some("{}\n"));
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("events") && err.contains("shape"), "{err}");
+    }
 }
 
 #[test]
@@ -414,7 +437,7 @@ fn streaming_honours_dedup_map_path_fuse_config_and_the_line_guard() {
         &["--dedup", "on"][..],
         &["--dedup", "off"],
         &["--map-path", "shape"],
-        &["--map-path", "value", "--dedup", "on"],
+        &["--map-path", "shape", "--dedup", "on"],
         &["--positional-arrays"],
         &["--max-line-bytes", "64", "--on-error", "skip"],
     ] {
@@ -672,7 +695,7 @@ fn counting_rows_are_the_profile_json_field_rows() {
                 {\"a\":\"x\",\"b\":{\"c\":null}}\n\
                 [{\"d\":true}]\n\
                 {\"b\":{}}\n";
-    for map_path in ["events", "value"] {
+    for map_path in ["events", "shape"] {
         let path = std::env::temp_dir().join(format!(
             "typefuse-test-counting-{}-{map_path}.json",
             std::process::id()
@@ -839,8 +862,8 @@ fn profile_json_is_identical_across_workers_and_map_paths() {
     for (i, (workers, map_path)) in [
         ("1", "events"),
         ("4", "events"),
-        ("1", "value"),
-        ("4", "value"),
+        ("1", "shape"),
+        ("4", "shape"),
     ]
     .iter()
     .enumerate()
@@ -1042,7 +1065,7 @@ fn skip_policy_infers_the_clean_subset() {
 fn skip_policy_agrees_across_routes() {
     for route in [
         vec!["--map-path", "events"],
-        vec!["--map-path", "value"],
+        vec!["--map-path", "shape"],
         vec!["--dedup", "on"],
         vec!["--streaming"],
     ] {

@@ -38,7 +38,6 @@ pub mod events;
 pub mod ndjson;
 pub mod number;
 pub mod parse;
-pub mod pointer;
 pub mod scan;
 pub mod ser;
 pub mod tail;

@@ -44,7 +44,6 @@ pub mod notation;
 pub mod paths;
 pub mod print;
 pub mod subtype;
-pub mod summary;
 #[cfg(any(feature = "testkit", test))]
 pub mod testkit;
 mod ty;

@@ -13,7 +13,6 @@
 
 use typefuse::prelude::*;
 use typefuse::types::diff::diff;
-use typefuse::types::summary::TypeSummary;
 
 fn main() {
     // Yesterday's batch: a stable keyword feed.
@@ -60,15 +59,33 @@ fn main() {
     assert!(rank_changed && id_now_optional && meta_grew);
     println!("\nall three silent changes detected ✓");
 
-    // Structural summaries contextualise the drift.
-    let (before, after) = (TypeSummary::of(&old_schema), TypeSummary::of(&new_schema));
+    // Field counts and schema sizes contextualise the drift.
+    let (before, after) = (field_counts(&old_schema), field_counts(&new_schema));
     println!(
         "\nfields {} → {}   optional {} → {}   size {} → {}",
-        before.fields,
-        after.fields,
-        before.optional_fields,
-        after.optional_fields,
-        before.size,
-        after.size
+        before.0,
+        after.0,
+        before.1,
+        after.1,
+        old_schema.size(),
+        new_schema.size()
     );
+}
+
+/// Record fields anywhere in a schema, and how many of them are optional.
+fn field_counts(t: &Type) -> (usize, usize) {
+    let sum = |kids: &mut dyn Iterator<Item = &Type>| {
+        kids.map(field_counts)
+            .fold((0, 0), |(f, o), (kf, ko)| (f + kf, o + ko))
+    };
+    match t {
+        Type::Record(rt) => {
+            let (f, o) = sum(&mut rt.fields().iter().map(|f| &f.ty));
+            (f + rt.len(), o + rt.optional_fields().count())
+        }
+        Type::Array(at) => sum(&mut at.elems().iter()),
+        Type::Star(body) => field_counts(body),
+        Type::Union(u) => sum(&mut u.addends().iter()),
+        _ => (0, 0),
+    }
 }

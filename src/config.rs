@@ -195,7 +195,7 @@ mod tests {
         let job = JobConfig::new()
             .workers(2)
             .partitions(7)
-            .map_path(MapPath::Values)
+            .map_path(MapPath::Shape)
             .dedup(DedupMode::On)
             .without_type_stats()
             .max_depth(9)
@@ -204,7 +204,7 @@ mod tests {
             .build();
         assert_eq!(job.runtime.workers(), 2);
         assert_eq!(job.partitions, 7);
-        assert_eq!(job.map_path, MapPath::Values);
+        assert_eq!(job.map_path, MapPath::Shape);
         assert_eq!(job.dedup, DedupMode::On);
         assert!(!job.collect_type_stats);
         assert_eq!(job.parser_options.max_depth, 9);

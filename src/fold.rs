@@ -9,7 +9,7 @@
 //! per-line half (batch's Map closure calls it before the materialised
 //! reduce), [`RecordFold`] adds the accumulators and is the monoid the
 //! other drivers fold into and merge, [`for_each_line`] reads plain
-//! streams.
+//! streams and [`fold_stream`] is the one-fold driver over them.
 //!
 //! On the default route "parse" is the direct typer
 //! ([`typefuse_infer::Typer`]): the [`LineTyper`] owns its scratch, a
@@ -25,13 +25,11 @@ use std::io::BufRead;
 
 use crate::error::{Error, IoSite};
 use crate::faults::{BadRecord, ErrorReport, RetryPolicy};
-use crate::pipeline::MapPath;
-use typefuse_infer::{
-    infer_type_recorded, streaming, DedupMode, FuseConfig, ProfileAcc, SchemaAcc, ShapeCache, Typer,
-};
+use crate::pipeline::{MapPath, SchemaJob};
+use typefuse_infer::{streaming, DedupMode, FuseConfig, ProfileAcc, SchemaAcc, ShapeCache, Typer};
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, Map, Parser, ParserOptions, Position, Value};
+use typefuse_json::{ErrorKind, Map, ParserOptions, Position, Value};
 use typefuse_obs::{Counter, Recorder};
 use typefuse_types::Type;
 
@@ -155,13 +153,8 @@ impl LineTyper {
             return Absorbed::Blank;
         }
         let (rec, parser) = (&self.recorder, &self.config.parser);
-        let parse_value = || Parser::with_options(line, parser.clone()).parse_complete();
         let typed = match (profile, self.config.map_path) {
-            (Some(profile), MapPath::Values) => {
-                parse_value().map(|v| profile.observe_value(origin.at(), &v))
-            }
             (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
-            (None, MapPath::Values) => parse_value().map(|v| infer_type_recorded(&v, rec)),
             (None, MapPath::Events) => streaming::infer_line(&mut self.typer, line, parser, rec),
             (None, MapPath::Shape) => self
                 .shape
@@ -376,11 +369,36 @@ impl RecordFold {
     }
 }
 
+/// The one-pass stream driver (`typefuse infer - --streaming`): fold
+/// every line of `reader` into one [`RecordFold`] under `job` (carrying a
+/// profile when asked), then apply the job's error policy to the fold's
+/// report and count `records`. Memory is O(schema), not O(input).
+pub fn fold_stream<R: BufRead + ?Sized>(
+    reader: &mut R,
+    job: &SchemaJob,
+    profile: bool,
+) -> Result<RecordFold, Error> {
+    let rec = &job.recorder;
+    let mut fold = RecordFold::new(job.fold_config(profile), rec.clone());
+    for_each_line(
+        reader,
+        job.max_line_bytes,
+        job.retry,
+        rec,
+        |line, bytes, truncated| fold.absorb_noting(Origin::Line(line), bytes, truncated),
+    )?;
+    fold.flush_counters();
+    job.error_policy.enforce(fold.report(), rec)?;
+    rec.add("records", fold.records());
+    Ok(fold)
+}
+
 /// Read `reader` to its end one bounded line at a time, retrying
 /// transient I/O errors per `retry`, and hand each line to `on_line` as
 /// `(1-based line number, content without the newline, truncated)`.
-/// Counts `json.bytes`; an unrecoverable read error surfaces as
-/// [`Error::Io`] with the line it happened at.
+/// Counts `json.bytes` per line and `json.lines` once per read; an
+/// unrecoverable read error surfaces as [`Error::Io`] with the line it
+/// happened at.
 pub fn for_each_line<R: BufRead + ?Sized>(
     reader: &mut R,
     max_line_bytes: Option<usize>,
@@ -390,15 +408,26 @@ pub fn for_each_line<R: BufRead + ?Sized>(
 ) -> Result<(), Error> {
     let mut buf: Vec<u8> = Vec::new();
     let mut line_no = 0u64;
-    loop {
+    let read = loop {
         buf.clear();
-        let raw = read_line_bounded(reader, &mut buf, max_line_bytes, retry, rec)
-            .map_err(|e| Error::io_at(e, IoSite::line(line_no as u32 + 1)))?;
-        if raw.consumed == 0 {
-            return Ok(());
+        match read_line_bounded(reader, &mut buf, max_line_bytes, retry, rec) {
+            Ok(raw) if raw.consumed == 0 => break Ok(()),
+            Ok(raw) => {
+                rec.add("json.bytes", raw.consumed as u64);
+                line_no += 1;
+                on_line(line_no, &buf, raw.truncated);
+            }
+            Err(e) => break Err(Error::io_at(e, IoSite::line(line_no as u32 + 1))),
         }
-        rec.add("json.bytes", raw.consumed as u64);
-        line_no += 1;
-        on_line(line_no, &buf, raw.truncated);
+    };
+    count_lines(rec, line_no);
+    read
+}
+
+/// Add a reader's line count to `json.lines` (blank and bad lines
+/// included) — one recorder call per read, and none for an empty one.
+pub(crate) fn count_lines(rec: &Recorder, lines: u64) {
+    if lines > 0 {
+        rec.add("json.lines", lines);
     }
 }

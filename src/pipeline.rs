@@ -20,9 +20,10 @@
 //! [`streaming::infer_line`](typefuse_infer::streaming::infer_line)),
 //! never allocating the intermediate [`Value`] tree; a line the typer
 //! declines is replayed through the pull-event fold, which is where
-//! errors come from. The classic tree route stays available as
-//! [`MapPath::Values`] for differential testing — both produce
-//! byte-identical schemas (property-tested).
+//! errors come from. The paper's literal two steps — parse a [`Value`],
+//! then infer — are what [`Source::values`] runs; the route matrix
+//! (`crates/serve/tests/route_matrix.rs`) holds every text route and
+//! driver to them byte for byte.
 //!
 //! The per-line step of every text route — size guard, trim, blank
 //! test, route dispatch, error anchoring, counters — is the
@@ -91,9 +92,6 @@ pub enum MapPath {
     /// declines (the route keeps the name of that fold). The default.
     #[default]
     Events,
-    /// Parse each line into a [`Value`], then infer (the paper's literal
-    /// two-step reading). Kept for differential testing.
-    Values,
     /// Raw-shape fast path: hash each record's structural skeleton off
     /// the stage-1 SWAR scan and serve repeats from a per-partition
     /// signature → type cache ([`typefuse_infer::ShapeCache`]); misses
@@ -229,8 +227,8 @@ impl SchemaJob {
     /// parallel reduce unchanged: every provenance aggregate is a
     /// minimum, so the profile — and its serialized report — is
     /// byte-identical for any worker count, partitioning and Map route
-    /// (`job.map_path` picks the text walk or the tree walk for text
-    /// sources; both observe identically).
+    /// (text is observed by the typer's walk, in-memory values by the
+    /// tree walk; both observe identically).
     ///
     /// Text sources fold one profile-carrying [`RecordFold`] per
     /// partition and merge the folds; bad lines ride the merged
@@ -381,9 +379,10 @@ impl SchemaJob {
         self.finish(types, records, report, wall_start, map_time, map_metrics)
     }
 
-    /// Read the raw lines of a text source under a `pipeline.read` span,
-    /// counting `json.lines`. Every line is kept, blank or oversized:
-    /// what a line *is* gets decided by the kernel, in input order.
+    /// Read the raw lines of a text source under a `pipeline.read` span
+    /// ([`for_each_line`] counts them). Every line is kept, blank or
+    /// oversized: what a line *is* gets decided by the kernel, in input
+    /// order.
     fn read_records(&self, mut reader: Box<dyn BufRead + '_>) -> Result<Vec<RawRecord>, Error> {
         let rec = &self.recorder;
         let _span = rec.span("pipeline.read");
@@ -394,12 +393,11 @@ impl SchemaJob {
             self.retry,
             rec,
             |line, bytes, truncated| {
-                rec.add("json.lines", 1);
                 out.push(RawRecord {
                     line: line as u32,
                     bytes: bytes.to_vec(),
                     truncated,
-                });
+                })
             },
         )?;
         Ok(out)
@@ -815,21 +813,17 @@ mod tests {
     #[test]
     fn map_paths_agree_on_every_source_shape() {
         let data = as_ndjson(&values());
-        let via_events = JobConfig::new()
-            .map_path(MapPath::Events)
-            .build()
-            .run_ndjson(data.as_bytes())
-            .unwrap();
-        let via_values = JobConfig::new()
-            .map_path(MapPath::Values)
-            .build()
-            .run_ndjson(data.as_bytes())
-            .unwrap();
         let in_memory = SchemaJob::new().run_values(values());
-        assert_eq!(via_events.schema, via_values.schema);
-        assert_eq!(via_events.schema, in_memory.schema);
-        assert_eq!(via_events.records, 4);
-        assert_eq!(via_events.type_stats, via_values.type_stats);
+        for path in [MapPath::Events, MapPath::Shape] {
+            let via_text = JobConfig::new()
+                .map_path(path)
+                .build()
+                .run_ndjson(data.as_bytes())
+                .unwrap();
+            assert_eq!(via_text.schema, in_memory.schema, "{path:?}");
+            assert_eq!(via_text.records, 4, "{path:?}");
+            assert_eq!(via_text.type_stats, in_memory.type_stats, "{path:?}");
+        }
     }
 
     #[test]
@@ -954,7 +948,7 @@ mod tests {
     #[test]
     fn recorded_ndjson_counts_io() {
         let data = "{\"a\":1}\n{\"a\":\"x\"}\n";
-        for path in [MapPath::Events, MapPath::Values] {
+        for path in [MapPath::Events, MapPath::Shape] {
             let rec = Recorder::enabled();
             let r = JobConfig::new()
                 .map_path(path)
@@ -1003,7 +997,7 @@ mod tests {
         let baseline_json = baseline.to_json();
         for workers in [1, 4] {
             for parts in [1, 3, 7] {
-                for path in [MapPath::Events, MapPath::Values] {
+                for path in [MapPath::Events, MapPath::Shape] {
                     let p = JobConfig::new()
                         .workers(workers)
                         .partitions(parts)
@@ -1055,7 +1049,7 @@ mod tests {
     #[test]
     fn profiled_run_reports_earliest_bad_line() {
         let bad = "{\"ok\":1}\n{bad1\n{\"ok\":2}\n{bad2\n";
-        for path in [MapPath::Events, MapPath::Values] {
+        for path in [MapPath::Events, MapPath::Shape] {
             let err = JobConfig::new()
                 .partitions(4)
                 .map_path(path)
@@ -1098,7 +1092,7 @@ mod tests {
             .run_ndjson(data.as_bytes())
             .unwrap();
         for mode in [DedupMode::On, DedupMode::Auto] {
-            for path in [MapPath::Events, MapPath::Values] {
+            for path in [MapPath::Events, MapPath::Shape] {
                 for workers in [1, 4] {
                     let r = JobConfig::new()
                         .dedup(mode)

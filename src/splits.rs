@@ -30,7 +30,7 @@ use std::path::Path;
 
 use crate::error::{Error, IoSite};
 use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
-use crate::fold::{Origin, RecordFold};
+use crate::fold::{count_lines, Origin, RecordFold};
 use crate::pipeline::SchemaJob;
 use typefuse_engine::Runtime;
 use typefuse_json::ndjson::read_line_bounded;
@@ -93,7 +93,8 @@ pub struct IngestOptions {
 /// content as read, without the newline (blank lines included; capped
 /// at `max_line_bytes`) and whether the cap cut it. Invalid UTF-8
 /// arrives verbatim, so the parser reports it as a positioned parse
-/// error instead of a bare I/O error.
+/// error instead of a bare I/O error. Counts the split's `json.lines`
+/// once, when it is read.
 pub fn read_split_with(
     path: &Path,
     split: Split,
@@ -118,18 +119,24 @@ pub fn read_split_with(
             .map_err(|e| Error::io_at(e, IoSite::offset(split.start - 1)))?;
         pos = split.start - 1 + raw.consumed as u64;
     }
-    let mut line = Vec::new();
-    while pos < split.end {
-        line.clear();
-        let raw = read_line_bounded(&mut reader, &mut line, max_line_bytes, retry, rec)
-            .map_err(|e| Error::io_at(e, IoSite::offset(pos)))?;
-        if raw.consumed == 0 {
-            break; // EOF
+    let (mut line, mut lines) = (Vec::new(), 0u64);
+    let read = loop {
+        if pos >= split.end {
+            break Ok(());
         }
-        on_line(pos, &line, raw.truncated);
-        pos += raw.consumed as u64;
-    }
-    Ok(())
+        line.clear();
+        match read_line_bounded(&mut reader, &mut line, max_line_bytes, retry, rec) {
+            Ok(raw) if raw.consumed == 0 => break Ok(()), // EOF
+            Ok(raw) => {
+                lines += 1;
+                on_line(pos, &line, raw.truncated);
+                pos += raw.consumed as u64;
+            }
+            Err(e) => break Err(Error::io_at(e, IoSite::offset(pos))),
+        }
+    };
+    count_lines(rec, lines);
+    read
 }
 
 /// Outcome of [`infer_file_schema`].
@@ -200,8 +207,8 @@ pub fn infer_file_schema_with(
 /// the line's absolute byte offset. A panicking split worker surfaces
 /// as [`Error::Worker`] instead of tearing down the process.
 ///
-/// Counts `streaming.splits`, per-split `json.bytes` / `json.records`
-/// and the final `records`, and wraps each split in a `split.N` span so
+/// Counts `streaming.splits`, per-split `json.bytes` / `json.lines` /
+/// `json.records` and the final `records`, and wraps each split in a `split.N` span so
 /// the trace shows how evenly the byte ranges load the workers.
 pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
     let rec = &job.recorder;

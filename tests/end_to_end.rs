@@ -155,38 +155,6 @@ fn ndjson_files_round_trip_through_the_pipeline() {
 }
 
 #[test]
-fn map_paths_are_byte_identical_on_every_profile() {
-    // The acceptance bar for the event fast path: on all four workload
-    // profiles, the default event route and the tree route produce
-    // byte-identical schemas and the same statistics.
-    for profile in Profile::ALL {
-        let values: Vec<Value> = profile.generate(SEED, 200).collect();
-        let mut ndjson = Vec::new();
-        typefuse::json::ndjson::write_ndjson(&mut ndjson, &values).unwrap();
-
-        let via_events = JobConfig::new()
-            .map_path(MapPath::Events)
-            .build()
-            .run_ndjson(&ndjson[..])
-            .unwrap();
-        let via_values = JobConfig::new()
-            .map_path(MapPath::Values)
-            .build()
-            .run_ndjson(&ndjson[..])
-            .unwrap();
-        assert_eq!(
-            via_events.schema.to_string(),
-            via_values.schema.to_string(),
-            "{profile}: schemas must render identically"
-        );
-        assert_eq!(via_events.schema, via_values.schema, "{profile}");
-        assert_eq!(via_events.records, via_values.records, "{profile}");
-        assert_eq!(via_events.type_stats, via_values.type_stats, "{profile}");
-        assert_eq!(via_events.fused_size, via_values.fused_size, "{profile}");
-    }
-}
-
-#[test]
 fn source_api_routes_agree() {
     // One job, two sources: values and an NDJSON stream land on the
     // same schema.

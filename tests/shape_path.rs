@@ -1,183 +1,15 @@
-//! Route-differential suite for the raw-shape signature cache
-//! (`MapPath::Shape`): over every synthetic profile, the shape route
-//! must be byte-identical to the events and tree routes for any worker
-//! count, partitioning, dedup mode, and error policy — including the
-//! exact bad-record reports — plus property tests pinning the SWAR
-//! structural scan and signature soundness on adversarial escape,
-//! unicode, and block-boundary inputs.
+//! Property tests for the raw-shape signature cache (`MapPath::Shape`):
+//! the SWAR structural scan against its scalar reference, and signature
+//! soundness on adversarial escape, unicode, and block-boundary inputs.
+//! That the shape route prints what every other route prints, for every
+//! driver and policy, is the route matrix's job
+//! (`crates/serve/tests/route_matrix.rs`).
 
 use proptest::prelude::*;
-use typefuse::faults::ErrorPolicy;
-use typefuse::pipeline::{DedupMode, MapPath, Source};
-use typefuse::JobConfig;
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_json::scan::{scan, scan_scalar};
-use typefuse_json::{ParserOptions, Value};
+use typefuse_json::ParserOptions;
 use typefuse_obs::Recorder;
-
-const RECORDS: usize = 1000;
-const SEED: u64 = 20170321;
-
-fn dataset(profile: Profile) -> String {
-    let values: Vec<Value> = profile.generate(SEED, RECORDS).collect();
-    let mut buf = Vec::new();
-    typefuse_json::ndjson::write_ndjson(&mut buf, &values).unwrap();
-    String::from_utf8(buf).unwrap()
-}
-
-/// Corrupt every 37th line so the error policies have work to do. The
-/// corruptions hit different parser stages: truncation, a bare token,
-/// and a broken escape.
-fn corrupt(text: &str) -> String {
-    let mut out = String::new();
-    for (i, line) in text.lines().enumerate() {
-        if i % 37 == 7 {
-            match i % 3 {
-                0 => out.push_str(&line[..line.len() / 2]),
-                1 => out.push_str("nul"),
-                _ => out.push_str("{\"k\": \"\\q\"}"),
-            }
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-#[test]
-fn shape_route_is_byte_identical_across_the_matrix() {
-    for profile in Profile::ALL {
-        let text = dataset(profile);
-        let baseline = JobConfig::new()
-            .map_path(MapPath::Events)
-            .build()
-            .run(Source::ndjson(text.as_bytes()))
-            .unwrap();
-        for workers in [1, 4] {
-            for partitions in [1, 5] {
-                for dedup in [DedupMode::Off, DedupMode::On] {
-                    for path in [MapPath::Shape, MapPath::Values] {
-                        let run = JobConfig::new()
-                            .map_path(path)
-                            .workers(workers)
-                            .partitions(partitions)
-                            .dedup(dedup)
-                            .build()
-                            .run(Source::ndjson(text.as_bytes()))
-                            .unwrap();
-                        let tag = format!("{profile} {path:?} w{workers} p{partitions} {dedup:?}");
-                        assert_eq!(
-                            run.schema.to_string(),
-                            baseline.schema.to_string(),
-                            "{tag}: schema text diverged"
-                        );
-                        assert_eq!(run.schema, baseline.schema, "{tag}");
-                        assert_eq!(run.records, baseline.records, "{tag}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn shape_route_reports_the_same_errors_under_every_policy() {
-    let dir = std::env::temp_dir().join("typefuse-shape-path");
-    std::fs::create_dir_all(&dir).unwrap();
-    for profile in Profile::ALL {
-        let text = corrupt(&dataset(profile));
-        for (name, policy) in [
-            ("skip", ErrorPolicy::skip()),
-            (
-                "quarantine",
-                ErrorPolicy::quarantine(dir.join(format!("{profile}.ndjson"))),
-            ),
-        ] {
-            let mut runs = Vec::new();
-            for path in [MapPath::Events, MapPath::Shape, MapPath::Values] {
-                let run = JobConfig::new()
-                    .map_path(path)
-                    .workers(4)
-                    .partitions(3)
-                    .on_error(policy.clone())
-                    .build()
-                    .run(Source::ndjson(text.as_bytes()))
-                    .unwrap();
-                runs.push((path, run));
-            }
-            let (_, baseline) = &runs[0];
-            assert!(
-                !baseline.errors.is_empty(),
-                "{profile}: corruption produced no bad records"
-            );
-            for (path, run) in &runs[1..] {
-                let tag = format!("{profile} {name} {path:?}");
-                assert_eq!(run.schema, baseline.schema, "{tag}");
-                assert_eq!(run.records, baseline.records, "{tag}");
-                assert_eq!(
-                    run.errors.skipped(),
-                    baseline.errors.skipped(),
-                    "{tag}: skipped count diverged"
-                );
-                let sig = |r: &typefuse::faults::ErrorReport| {
-                    r.records()
-                        .iter()
-                        .map(|b| (b.at, b.error.to_string(), b.text.clone()))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(
-                    sig(&run.errors),
-                    sig(&baseline.errors),
-                    "{tag}: bad-record report diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn shape_route_fails_fast_at_the_same_record() {
-    let text = corrupt(&dataset(Profile::Twitter));
-    let mut firsts = Vec::new();
-    for path in [MapPath::Events, MapPath::Shape, MapPath::Values] {
-        let err = JobConfig::new()
-            .map_path(path)
-            .workers(4)
-            .partitions(3)
-            .build()
-            .run(Source::ndjson(text.as_bytes()))
-            .unwrap_err();
-        firsts.push((path, err.to_string()));
-    }
-    assert_eq!(firsts[0].1, firsts[1].1, "shape fail-fast diverged");
-    assert_eq!(firsts[0].1, firsts[2].1, "values fail-fast diverged");
-}
-
-#[test]
-fn shape_counters_account_for_every_record() {
-    // GitHub is the shape-redundant profile: the cache must hit, and
-    // hits + misses must cover the whole dataset exactly.
-    let text = dataset(Profile::GitHub);
-    let rec = Recorder::enabled();
-    let run = JobConfig::new()
-        .map_path(MapPath::Shape)
-        .recorder(rec.clone())
-        .partitions(2)
-        .build()
-        .run(Source::ndjson(text.as_bytes()))
-        .unwrap();
-    let report = run.run_report(&rec);
-    let hits = report.counters["infer.shape_hits"];
-    let misses = report.counters["infer.shape_misses"];
-    assert_eq!(hits + misses, RECORDS as u64);
-    assert!(
-        hits > misses,
-        "github should be cache-friendly (hits {hits}, misses {misses})"
-    );
-    // Hit-path records still count toward the fold's own bookkeeping.
-    assert_eq!(report.counters["json.records"], RECORDS as u64);
-}
 
 proptest! {
     /// The SWAR scan agrees with the byte-at-a-time reference on
