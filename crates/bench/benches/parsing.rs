@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_infer::infer_type;
-use typefuse_json::{parse_value, to_string, NdjsonReader, Value};
+use typefuse_json::{parse_value, to_string, Value};
 
 fn corpus(profile: Profile, n: usize) -> (String, Vec<Value>) {
     let values: Vec<Value> = profile.generate(1, n).collect();
@@ -22,7 +22,10 @@ fn bench_parse(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(text.len() as u64));
         group.bench_function(BenchmarkId::from_parameter(profile), |b| {
             b.iter(|| {
-                NdjsonReader::new(black_box(text.as_bytes()))
+                black_box(&text)
+                    .lines()
+                    .filter(|line| !line.trim().is_empty())
+                    .map(parse_value)
                     .collect::<Result<Vec<Value>, _>>()
                     .unwrap()
             })

@@ -36,27 +36,18 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     // before any of them).
     let (mut records, mut failures) = (0usize, 0usize);
     let mut reported = Vec::new();
-    let errors = {
+    let job = flags.config(recorder.clone()).build();
+    {
         let _span = recorder.span("check.read");
-        crate::cmd_infer::for_each_value(
-            input.as_deref(),
-            &flags.parser_options(),
-            &flags.policy,
-            flags.max_line_bytes,
-            &recorder,
-            |v| {
-                records += 1;
-                if !schema.admits(&v) {
-                    failures += 1;
-                    if failures <= max_failures {
-                        reported.push(records);
-                    }
+        crate::cmd_infer::for_each_value(input.as_deref(), &job, |v| {
+            records += 1;
+            if !schema.admits(&v) {
+                failures += 1;
+                if failures <= max_failures {
+                    reported.push(records);
                 }
-            },
-        )?
-    };
-    if !errors.is_empty() {
-        eprintln!("skipped {} bad record(s)", errors.skipped());
+            }
+        })?;
     }
     for record in reported {
         eprintln!("record {record}: not admitted by the schema");

@@ -7,9 +7,9 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use typefuse::fold::fold_stream;
 use typefuse::pipeline::{DedupMode, SchemaJob, Source};
-use typefuse::{BadRecord, ErrorPolicy, ErrorReport, IoSite, RetryPolicy};
+use typefuse::{ErrorPolicy, ErrorReport};
 use typefuse_infer::{maplike, ArrayFusion, FuseConfig, MapLikeConfig, ProfileReport};
-use typefuse_json::{ErrorKind, NdjsonReader, ParserOptions, Value};
+use typefuse_json::Value;
 use typefuse_obs::Recorder;
 use typefuse_types::export::to_json_schema_document;
 use typefuse_types::Type;
@@ -293,15 +293,31 @@ fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorRep
 }
 
 /// Open NDJSON input (file path, `-`, or absent = stdin) as a buffered
-/// reader for [`Source::ndjson`].
+/// reader. A file that cannot be opened is an input I/O error (exit 4).
 pub(crate) fn open_input(input: Option<&str>) -> Result<Box<dyn BufRead>, CliError> {
     let reader: Box<dyn Read> = match input {
         None | Some("-") => Box::new(io::stdin()),
         Some(path) => Box::new(
-            File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?,
+            File::open(path)
+                .map_err(|e| CliError::with_code(format!("cannot open {path}: {e}"), 4))?,
         ),
     };
     Ok(Box::new(BufReader::new(reader)))
+}
+
+/// Visit the records of NDJSON from a file path or stdin (`-` or absent)
+/// one at a time through the record-fold kernel under `job`'s parser
+/// options, line-size guard and error policy (with the documented exit
+/// codes on failure), then tell the operator what the policy dropped.
+pub(crate) fn for_each_value(
+    input: Option<&str>,
+    job: &SchemaJob,
+    visit: impl FnMut(Value),
+) -> CliResult {
+    let mut reader = open_input(input)?;
+    let report = typefuse::fold::for_each_value(&mut reader, job, visit);
+    report_skipped(&report.map_err(crate::ingest_error)?, &job.error_policy);
+    Ok(())
 }
 
 /// The fused schema of NDJSON from a file path or stdin (`-` or absent)
@@ -310,81 +326,4 @@ pub(crate) fn infer_schema(input: Option<&str>) -> Result<Type, CliError> {
     let job = typefuse::JobConfig::new().without_type_stats().build();
     let result = job.run(Source::ndjson(open_input(input)?));
     Ok(result.map_err(crate::ingest_error)?.schema)
-}
-
-/// Read NDJSON from a file path or stdin (`-` or absent) into memory,
-/// failing on the first bad record with the documented exit code.
-pub(crate) fn read_values(input: Option<&str>) -> Result<Vec<Value>, CliError> {
-    NdjsonReader::new(open_input(input)?)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ndjson_error)
-}
-
-/// Visit the records of NDJSON from a file path or stdin (`-` or
-/// absent) one at a time, with parser options and an error policy: bad
-/// records are dropped/quarantined per `policy` (with the documented
-/// exit codes on failure) and reported once the input is read. Counts
-/// bytes/lines/records into `recorder` (free when disabled).
-pub(crate) fn for_each_value(
-    input: Option<&str>,
-    parser: &ParserOptions,
-    policy: &ErrorPolicy,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
-    mut visit: impl FnMut(Value),
-) -> Result<ErrorReport, CliError> {
-    let reader: Box<dyn Read> = match input {
-        None | Some("-") => Box::new(io::stdin()),
-        Some(path) => Box::new(File::open(path).map_err(|e| {
-            let mapped = crate::ingest_error(typefuse::Error::io_at(e, IoSite::default()));
-            CliError::with_code(
-                format!("cannot open {path}: {}", mapped.message),
-                mapped.code,
-            )
-        })?),
-    };
-    let mut ndjson = NdjsonReader::with_options(BufReader::new(reader), parser.clone())
-        .with_recorder(recorder.clone())
-        .with_retry(RetryPolicy::default());
-    if let Some(cap) = max_line_bytes {
-        ndjson = ndjson.with_max_line_bytes(cap);
-    }
-    let keeps_text = policy.keeps_text();
-    let mut report = ErrorReport::new();
-    // Not a `for` loop: the body needs `ndjson.last_line()` while the
-    // iterator is not borrowed.
-    #[allow(clippy::while_let_on_iterator)]
-    while let Some(item) = ndjson.next() {
-        match item {
-            Ok(v) => visit(v),
-            Err(e) if policy.is_fail_fast() || matches!(e.kind(), ErrorKind::Io(_)) => {
-                return Err(ndjson_error(e));
-            }
-            Err(e) => {
-                let text =
-                    keeps_text.then(|| String::from_utf8_lossy(ndjson.last_line()).into_owned());
-                report.note(BadRecord {
-                    at: e.span().start.line as u64,
-                    error: e,
-                    text,
-                });
-            }
-        }
-    }
-    policy
-        .enforce(&report, recorder)
-        .map_err(crate::ingest_error)?;
-    Ok(report)
-}
-
-/// An [`NdjsonReader`] failure under its exit code: 4 for a failed
-/// read (at its line), 3 for a malformed record.
-fn ndjson_error(e: typefuse_json::Error) -> CliError {
-    crate::ingest_error(match e.kind() {
-        ErrorKind::Io(_) => typefuse::Error::io_at(
-            std::io::Error::other(e.to_string()),
-            IoSite::line(e.span().start.line),
-        ),
-        _ => typefuse::Error::Parse(e),
-    })
 }

@@ -22,11 +22,11 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
     // With --check-only and an explicit schema no data is needed at all —
     // do not touch the input (reading stdin would block).
-    let values = if check_only && schema_path.is_some() {
-        Vec::new()
-    } else {
-        crate::cmd_infer::read_values(input.as_deref())?
-    };
+    let mut values = Vec::new();
+    if !(check_only && schema_path.is_some()) {
+        let job = JobConfig::new().build();
+        crate::cmd_infer::for_each_value(input.as_deref(), &job, |v| values.push(v))?;
+    }
 
     // Schema: explicit file, or inferred from the data itself.
     let schema = match &schema_path {

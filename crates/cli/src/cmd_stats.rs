@@ -35,28 +35,19 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let mut stats = DatasetStats::default();
     let mut interner = TypeInterner::new();
     let (mut shapes, mut signatures) = (HashSet::new(), HashSet::new());
-    let errors = {
+    let job = flags.config(recorder.clone()).build();
+    {
         let _span = recorder.span("stats.read");
-        crate::cmd_infer::for_each_value(
-            input.as_deref(),
-            &flags.parser_options(),
-            &flags.policy,
-            flags.max_line_bytes,
-            &recorder,
-            |value| {
-                stats.add(&value);
-                if dedup {
-                    shapes.insert(interner.intern(&typefuse_infer::infer_type(&value)));
-                    let line = typefuse_json::to_string(&value);
-                    if let Some(sig) = typefuse_infer::shape_signature(line.as_bytes()) {
-                        signatures.insert(sig);
-                    }
+        crate::cmd_infer::for_each_value(input.as_deref(), &job, |value| {
+            stats.add(&value);
+            if dedup {
+                shapes.insert(interner.intern(&typefuse_infer::infer_type(&value)));
+                let line = typefuse_json::to_string(&value);
+                if let Some(sig) = typefuse_infer::shape_signature(line.as_bytes()) {
+                    signatures.insert(sig);
                 }
-            },
-        )?
-    };
-    if !errors.is_empty() {
-        eprintln!("skipped {} bad record(s)", errors.skipped());
+            }
+        })?;
     }
 
     println!("records     {}", stats.records);

@@ -1226,18 +1226,94 @@ fn malformed_input_exits_3_in_diff_registry_and_query() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `infer`, `check`, `stats` and `query` read every line through the
+/// one record-fold kernel: over one dirty corpus the quarantine sidecars
+/// and the `skipped` lines are byte-identical, and under fail-fast every
+/// command stops with `infer`'s message and exit code — columns counted
+/// from the raw line's start, the trimmed text in the sidecar.
+#[test]
+fn every_command_frames_dirty_lines_like_infer() {
+    let dir = std::env::temp_dir().join(format!("typefuse-test-dirty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut corpus = b"{\"a\":1}\n   {bad  \n\n{\"a\":[1,]}\n\xff\xfe\n".to_vec();
+    corpus.extend(format!("{{\"a\":\"{}\"}}\n{{\"a\":2}}\n", "x".repeat(64)).bytes());
+    let (data, schema, script, sink) = (
+        dir.join("dirty.ndjson"),
+        dir.join("schema.txt"),
+        dir.join("q.tfq"),
+        dir.join("bad.ndjson"),
+    );
+    std::fs::write(&data, &corpus).unwrap();
+    std::fs::write(&schema, "{a: Num}\n").unwrap();
+    std::fs::write(&script, "project $.a\n").unwrap();
+    let (data, schema, script, sink) = (
+        data.to_str().unwrap(),
+        schema.to_str().unwrap(),
+        script.to_str().unwrap(),
+        sink.to_str().unwrap(),
+    );
+    let commands = [
+        vec!["infer", data, "--format", "text"],
+        vec!["check", data, "--schema", schema],
+        vec!["stats", data],
+    ];
+    let quarantine = ["--quarantine", sink, "--max-line-bytes", "32"];
+    let mut runs = Vec::new();
+    for args in &commands {
+        let _ = std::fs::remove_file(sink);
+        let out = typefuse(&[&args[..], &quarantine[..]].concat(), None);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let skipped: Vec<String> = stderr(&out)
+            .lines()
+            .filter(|line| line.starts_with("skipped"))
+            .map(String::from)
+            .collect();
+        runs.push((skipped, std::fs::read(sink).unwrap()));
+    }
+    let (skipped, sidecar) = &runs[0];
+    assert_eq!(
+        skipped,
+        &[format!("skipped 4 bad record(s); quarantined to {sink}")]
+    );
+    let sidecar = String::from_utf8_lossy(sidecar);
+    let first = sidecar.lines().next().unwrap();
+    assert!(first.contains("line 2, column 5") && first.contains(r#""text":"{bad""#));
+    for (args, run) in commands.iter().zip(&runs).skip(1) {
+        assert!(run == &runs[0], "{args:?} drifted from infer");
+    }
+
+    let infer = typefuse(&["infer", data], None);
+    assert_eq!(infer.status.code(), Some(3));
+    assert!(
+        stderr(&infer).contains("line 2, column 5"),
+        "{}",
+        stderr(&infer)
+    );
+    for args in [
+        &commands[1][..],
+        &commands[2][..],
+        &["query", data, "--script", script],
+    ] {
+        let out = typefuse(args, None);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), stderr(&infer), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file that cannot be opened is an input I/O error on every command,
+/// as is an unreadable stream on the split reader.
 #[test]
 fn io_errors_exit_4() {
-    let out = typefuse(&["infer", "/nonexistent/typefuse-input.ndjson"], None);
-    // `open` failures keep their "cannot open" message but an unreadable
-    // *stream* maps to 4; opening is a runtime error today. Exercise the
-    // streaming split reader, which maps to Error::Io.
-    assert!(!out.status.success());
-    let out = typefuse(
-        &["infer", "/nonexistent/typefuse-input.ndjson", "--streaming"],
-        None,
-    );
-    assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr(&out));
+    let missing = "/nonexistent/typefuse-input.ndjson";
+    for args in [
+        vec!["infer", missing],
+        vec!["infer", missing, "--streaming"],
+        vec!["stats", missing],
+    ] {
+        let out = typefuse(&args, None);
+        assert_eq!(out.status.code(), Some(4), "{args:?}: {}", stderr(&out));
+    }
 }
 
 // ---- serve: resident daemon end-to-end --------------------------------

@@ -28,13 +28,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod background;
 pub mod metrics;
 pub mod reduce;
 pub mod runtime;
 pub mod sim;
 
-pub use background::{spawn_periodic, BackgroundTask, Tick};
 pub use metrics::{StageMetrics, TaskMetrics};
 pub use reduce::combine;
 pub use runtime::{Runtime, WorkerPanic};

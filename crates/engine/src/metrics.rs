@@ -43,30 +43,6 @@ impl StageMetrics {
         StageMetrics { tasks, wall }
     }
 
-    /// Sum of per-task durations (total CPU-side work).
-    pub fn total_task_time(&self) -> Duration {
-        self.tasks.iter().map(|t| t.duration).sum()
-    }
-
-    /// The longest task — the straggler that bounds the stage.
-    pub fn max_task_time(&self) -> Duration {
-        self.tasks
-            .iter()
-            .map(|t| t.duration)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Parallel speedup actually achieved: total task time / wall time.
-    /// 1.0 means fully sequential; `workers` means perfect scaling.
-    pub fn effective_parallelism(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall == 0.0 {
-            return 1.0;
-        }
-        self.total_task_time().as_secs_f64() / wall
-    }
-
     /// Merge the metrics of a stage that ran **after** this one into
     /// this one (multi-stage pipelines). Partition indices are kept
     /// as-is.
@@ -80,11 +56,6 @@ impl StageMetrics {
     pub fn merge(&mut self, other: &StageMetrics) {
         self.tasks.extend(other.tasks.iter().cloned());
         self.wall += other.wall;
-    }
-
-    /// Sum of per-task queue waits (scheduling overhead of the stage).
-    pub fn total_queue_wait(&self) -> Duration {
-        self.tasks.iter().map(|t| t.queue_wait).sum()
     }
 
     /// Convert to the serializable [`typefuse_obs::StageReport`] shape
@@ -121,24 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_max() {
-        let m = StageMetrics::new(
-            vec![task(1, 30), task(0, 10), task(2, 20)],
-            Duration::from_millis(35),
-        );
-        assert_eq!(m.tasks[0].partition, 0, "sorted by partition");
-        assert_eq!(m.total_task_time(), Duration::from_millis(60));
-        assert_eq!(m.max_task_time(), Duration::from_millis(30));
-        let p = m.effective_parallelism();
-        assert!((p - 60.0 / 35.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stage() {
-        let m = StageMetrics::default();
-        assert_eq!(m.total_task_time(), Duration::ZERO);
-        assert_eq!(m.max_task_time(), Duration::ZERO);
-        assert_eq!(m.effective_parallelism(), 1.0);
+        let report = StageMetrics::default().stage_report("idle");
+        assert_eq!((report.wall_ns, report.tasks.len()), (0, 0));
     }
 
     #[test]
@@ -183,10 +139,5 @@ mod tests {
         assert_eq!(report.tasks[1].queue_wait_ns, 3_000_000);
         assert_eq!(report.tasks[0].worker, 0);
         assert_eq!(report.tasks[1].worker, 1);
-        assert_eq!(
-            m.total_queue_wait(),
-            Duration::from_millis(4),
-            "1ms + 3ms of queue wait"
-        );
     }
 }

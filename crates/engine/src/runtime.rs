@@ -232,16 +232,6 @@ impl Runtime {
         }
         (Ok(results), metrics)
     }
-
-    /// Run a plain parallel map over the items, discarding metrics.
-    pub fn map_slice<T, R, F>(&self, items: &[T], task: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.run_indexed(items, |_, item| task(item)).0
-    }
 }
 
 #[cfg(test)]
@@ -297,8 +287,8 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let items: Vec<u64> = (0..500).collect();
-        let seq = Runtime::sequential().map_slice(&items, |&x| x * x);
-        let par = Runtime::new(7).map_slice(&items, |&x| x * x);
+        let seq = Runtime::sequential().run_indexed(&items, |_, &x| x * x).0;
+        let par = Runtime::new(7).run_indexed(&items, |_, &x| x * x).0;
         assert_eq!(seq, par);
     }
 

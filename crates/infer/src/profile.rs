@@ -2,10 +2,11 @@
 //!
 //! The fused schema says *what* a dataset looks like — a field is
 //! optional, a path is a `Str + Null` union — but not *which records
-//! made it so*. A [`ProfileAcc`] carries, next to the fused schema, one [`PathProfile`] per record
-//! path: presence counts, a type-kind histogram, string/array/record
-//! length histograms (the obs crate's log₂ buckets), numeric min/max,
-//! and **provenance** lines:
+//! made it so*. A [`ProfileAcc`] carries one [`PathProfile`] per record
+//! path (the schema itself is fused by the fold it rides beside):
+//! presence counts, a type-kind histogram, string/array/record length
+//! histograms (the obs crate's log₂ buckets), numeric min/max, and
+//! **provenance** lines:
 //!
 //! * the line that first saw the path (per kind — so each union branch
 //!   has its own introducing line);
@@ -59,8 +60,6 @@
 //! a `Num` at `$.a` does not demote `$.a.b` — matching fusion, where
 //! optionality lives inside the record branch of a union.
 
-use crate::fuse::FuseConfig;
-use crate::incremental::Incremental;
 use crate::streaming;
 use crate::typer::{Fact, Observer, Typer};
 use std::collections::BTreeMap;
@@ -326,19 +325,16 @@ struct Node {
     prior_record_line: u64,
 }
 
-/// The profiling accumulator: a fused schema plus the path trie of
-/// per-path profiles and provenance. Merge is associative and
+/// The profiling accumulator: the path trie of per-path profiles and
+/// provenance — path statistics only. The schema a report shows is fused
+/// by the record fold this rides beside, and a malformed line is that
+/// fold's to report: here it leaves no trace. Merge is associative and
 /// commutative; `==` compares what a report or checkpoint can show.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAcc {
-    schema: Incremental,
     nodes: Vec<Node>,
     /// Rendered path → node: the authority on identity and order.
     by_path: BTreeMap<String, u32>,
-    /// Earliest malformed line, kept mergeable so a profiled run over
-    /// parallel partitions reports the same first error as a sequential
-    /// one.
-    first_error: Option<(u64, typefuse_json::Error)>,
     /// Per-record scratch, empty between records: the stamp of the
     /// record being observed, its observation log, and the child index
     /// entries it added as `(parent, key — None for a `[]` link, child)`:
@@ -352,9 +348,7 @@ pub struct ProfileAcc {
 
 impl PartialEq for ProfileAcc {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-            && self.first_error == other.first_error
-            && self.by_path.len() == other.by_path.len()
+        self.by_path.len() == other.by_path.len()
             && self.sorted().zip(other.sorted()).all(|(a, b)| {
                 a.path == b.path && a.profile == b.profile && a.kids.keys().eq(b.kids.keys())
             })
@@ -362,92 +356,30 @@ impl PartialEq for ProfileAcc {
 }
 
 impl ProfileAcc {
-    /// An empty accumulator with the default fusion configuration.
+    /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty accumulator with an explicit fusion configuration.
-    pub fn with_config(config: FuseConfig) -> Self {
-        ProfileAcc {
-            schema: Incremental::with_config(config),
-            ..Self::default()
-        }
-    }
-
-    /// The same path statistics beside a schema and record count fused
-    /// elsewhere: a fold that only [observes](Self::observe_line) fuses
-    /// once, in its own schema accumulator, and hands the result over.
-    pub fn with_schema(mut self, schema: Type, records: u64) -> Self {
-        self.schema = Incremental::resume(schema, records, self.schema.config());
-        self
-    }
-
-    /// Records absorbed (across merges).
+    /// Records observed (across merges): the root path's presence count.
     pub fn records(&self) -> u64 {
-        self.schema.count()
+        let root = self.by_path.get("$");
+        root.map_or(0, |&id| self.nodes[id as usize].profile.count)
     }
 
-    /// The running fused schema.
-    pub fn schema(&self) -> &Type {
-        self.schema.schema()
-    }
-
-    /// The earliest malformed input line, if any was absorbed.
-    pub fn first_error(&self) -> Option<(u64, &typefuse_json::Error)> {
-        self.first_error.as_ref().map(|(line, e)| (*line, e))
-    }
-
-    /// Absorb one already-materialised value observed at `line`
-    /// (1-based; for in-memory sources the record ordinal).
-    pub fn absorb_value_at(&mut self, line: u64, value: &Value) {
-        let ty = self.observe_value(line, value);
-        self.schema.absorb_type_ref(&ty);
-    }
-
-    /// Absorb one NDJSON line straight from its text — no `Value` tree
-    /// is materialised. Parse failures are recorded in the accumulator
-    /// (mergeable, earliest line wins) rather than returned, so the
-    /// partition fold keeps its infallible `absorb` shape.
+    /// Observe one NDJSON line straight from its text — no `Value` tree
+    /// is materialised. A malformed line leaves no trace.
     pub fn absorb_line(&mut self, line: u64, text: &str) {
-        if let Err(e) = self.absorb_line_typed(line, text.as_bytes(), &ParserOptions::default()) {
-            self.note_error(line, e);
-        }
+        let _ = self.observe_line(line, text.as_bytes(), &ParserOptions::default());
     }
 
-    /// [`absorb_line`](Self::absorb_line) under the caller's parser
-    /// options: one walk of the text yields both the observation and
-    /// the record's type, which is fused in and handed back. A parse
-    /// failure is returned and leaves the accumulator untouched.
-    pub fn absorb_line_typed(
-        &mut self,
-        line: u64,
-        input: &[u8],
-        options: &ParserOptions,
-    ) -> typefuse_json::Result<Type> {
-        let ty = self.observe_line(line, input, options)?;
-        self.schema.absorb_type_ref(&ty);
-        Ok(ty)
-    }
-
-    /// Absorb one NDJSON line by materialising the `Value` tree first —
-    /// the differential-testing twin of [`ProfileAcc::absorb_line`].
-    pub fn absorb_line_as_value(&mut self, line: u64, text: &str) {
-        match typefuse_json::parse_value(text) {
-            Ok(value) => self.absorb_value_at(line, &value),
-            Err(e) => self.note_error(line, e),
-        }
-    }
-
-    /// Observe one line's path statistics and hand back its type
-    /// *without* fusing or counting it (see
-    /// [`with_schema`](Self::with_schema)): the direct [`Typer`] walks the
-    /// text with the trie as its observer. A line it declines is
-    /// forgotten and replayed — through the event fold first when keys
-    /// are strict, so a malformed line reports what the plain route
-    /// reports, then through the value tree, where escaped keys and
-    /// lenient last-wins are settled. A parse failure is returned and
-    /// leaves the accumulator untouched.
+    /// Observe one line's path statistics and hand back its type for the
+    /// caller to fuse: the direct [`Typer`] walks the text with the trie
+    /// as its observer. A line it declines is forgotten and replayed —
+    /// through the event fold first when keys are strict, so a malformed
+    /// line reports what the plain route reports, then through the value
+    /// tree, where escaped keys and lenient last-wins are settled. A
+    /// parse failure is returned and leaves the accumulator untouched.
     pub fn observe_line(
         &mut self,
         line: u64,
@@ -477,16 +409,6 @@ impl ProfileAcc {
         self.observe_tree(value, root);
         self.commit_record(line);
         crate::infer::infer_type(value)
-    }
-
-    fn note_error(&mut self, line: u64, error: typefuse_json::Error) {
-        let replace = match &self.first_error {
-            None => true,
-            Some((l, e)) => (line, format!("{:?}", error.kind())) < (*l, format!("{:?}", e.kind())),
-        };
-        if replace {
-            self.first_error = Some((line, error));
-        }
     }
 
     /// Nodes in rendered-path order.
@@ -645,45 +567,20 @@ impl ProfileAcc {
                 mine.kids.entry(key.clone()).or_insert(kid);
             }
         }
-        self.schema.merge(&other.schema);
-        if let Some((line, e)) = &other.first_error {
-            self.note_error(*line, e.clone());
-        }
-    }
-
-    /// Whether nothing (not even an error) has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.records() == 0 && self.nodes.is_empty() && self.first_error.is_none()
     }
 
     /// Serialize the full accumulator state for a crash-recovery
-    /// checkpoint. Every component round-trips exactly:
-    /// the schema through the lossless [`typefuse_types::wire`] codec,
-    /// integers as decimal strings, histograms via
-    /// [`LogHistogram::to_compact`], numeric min/max as `f64::to_bits`,
-    /// and the first error via [`typefuse_json::codec`] — so
+    /// checkpoint. Every component round-trips exactly: integers as
+    /// decimal strings, histograms via [`LogHistogram::to_compact`] and
+    /// numeric min/max as `f64::to_bits` — so
     /// [`from_checkpoint_value`](ProfileAcc::from_checkpoint_value)
     /// restores a `==`-identical accumulator and the resumed fold is
     /// byte-identical to an uninterrupted one.
     pub fn checkpoint_value(&self) -> Value {
-        self.checkpoint_with(self.schema.schema(), self.schema.count())
-    }
-
-    /// [`checkpoint_value`](Self::checkpoint_value) with the schema and
-    /// record count of [`with_schema`](Self::with_schema), uncloned.
-    pub fn checkpoint_with(&self, schema: &Type, records: u64) -> Value {
-        use typefuse_json::codec::{error_to_value, u64_to_value};
+        use typefuse_json::codec::u64_to_value;
         use typefuse_json::Map;
         let join = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         let mut obj = Map::new();
-        obj.insert("schema", Value::from(typefuse_types::wire::to_wire(schema)));
-        obj.insert("records", u64_to_value(records));
-        if let Some((line, error)) = &self.first_error {
-            let mut fe = Map::new();
-            fe.insert("line", u64_to_value(*line));
-            fe.insert("error", error_to_value(error));
-            obj.insert("first_error", Value::Object(fe));
-        }
         let mut children = Map::new();
         let mut paths = Map::new();
         for node in self.sorted() {
@@ -717,12 +614,12 @@ impl ProfileAcc {
     }
 
     /// Restore an accumulator serialized by
-    /// [`checkpoint_value`](ProfileAcc::checkpoint_value), resuming
-    /// fusion under `config` (the config is not checkpointed — the
-    /// service re-derives it from its job configuration, and it must
-    /// match the original run for the incremental ≡ batch law to hold).
-    pub fn from_checkpoint_value(v: &Value, config: FuseConfig) -> Result<Self, String> {
-        use typefuse_json::codec::{error_from_value, opt_u64_from_value, u64_from_value};
+    /// [`checkpoint_value`](ProfileAcc::checkpoint_value). Fields a
+    /// checkpoint may carry from before the profile only observed (a
+    /// schema, a record count, a first error) are the fold's and are
+    /// ignored.
+    pub fn from_checkpoint_value(v: &Value) -> Result<Self, String> {
+        use typefuse_json::codec::{opt_u64_from_value, u64_from_value};
         let split = |text: &str| -> Result<[u64; KINDS], String> {
             let mut out = [0u64; KINDS];
             let parts: Vec<&str> = text.split(',').collect();
@@ -744,27 +641,7 @@ impl ProfileAcc {
             let hist = LogHistogram::from_compact(&str_field(v, name)?)?;
             Ok((!hist.is_empty()).then(|| Box::new(hist)))
         };
-        let schema = typefuse_types::wire::from_wire(
-            v.get("schema")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "profile missing `schema`".to_string())?,
-        )?;
-        let records = v
-            .get("records")
-            .ok_or_else(|| "profile missing `records`".to_string())
-            .and_then(u64_from_value)?;
-        let mut acc = Self::with_config(config).with_schema(schema, records);
-        if let Some(fe) = v.get("first_error").filter(|fe| !matches!(fe, Value::Null)) {
-            let line = fe
-                .get("line")
-                .ok_or_else(|| "first_error missing `line`".to_string())
-                .and_then(u64_from_value)?;
-            let error = fe
-                .get("error")
-                .ok_or_else(|| "first_error missing `error`".to_string())
-                .and_then(error_from_value)?;
-            acc.first_error = Some((line, error));
-        }
+        let mut acc = Self::new();
         let path_map = v
             .get("paths")
             .and_then(Value::as_object)
@@ -804,13 +681,17 @@ impl ProfileAcc {
         Ok(acc)
     }
 
-    /// Finish into the immutable dataset profile.
-    pub fn finish(self) -> ProfileReport {
-        let nodes = self.nodes.into_iter();
+    /// Finish into the immutable dataset profile beside `schema`, the
+    /// fused schema of the records observed.
+    pub fn finish(self, schema: Type) -> ProfileReport {
         ProfileReport {
-            records: self.schema.count(),
-            schema: self.schema.into_schema(),
-            paths: nodes.map(|n| (n.path, n.profile)).collect(),
+            records: self.records(),
+            schema,
+            paths: self
+                .nodes
+                .into_iter()
+                .map(|n| (n.path, n.profile))
+                .collect(),
         }
     }
 }
@@ -939,10 +820,15 @@ mod tests {
         acc
     }
 
+    /// The report of `acc`, beside no schema: these tests read the paths.
+    fn report(acc: ProfileAcc) -> ProfileReport {
+        acc.finish(Type::Bottom)
+    }
+
     #[test]
     fn counts_presence_and_kinds() {
         let acc = acc_of(&[r#"{"a": 1, "b": "xy"}"#, r#"{"a": 2}"#, r#"{"a": null}"#]);
-        let profile = acc.finish();
+        let profile = report(acc);
         assert_eq!(profile.records, 3);
         let a = profile.get("$.a").unwrap();
         assert_eq!(a.count, 3);
@@ -963,7 +849,7 @@ mod tests {
     fn absence_rule_1_known_key_missing_later() {
         // b is known from line 1; line 2 lacks it.
         let acc = acc_of(&[r#"{"a": 1, "b": 2}"#, r#"{"a": 3}"#]);
-        let profile = acc.finish();
+        let profile = report(acc);
         assert_eq!(profile.get("$.b").unwrap().first_absent_line, Some(2));
         assert_eq!(profile.get("$.a").unwrap().first_absent_line, None);
     }
@@ -973,13 +859,13 @@ mod tests {
         // b first appears at line 3, so lines 1 and 2 lacked it — the
         // earliest of them is the demoting line.
         let acc = acc_of(&[r#"{"a": 1}"#, r#"{"a": 2}"#, r#"{"a": 3, "b": true}"#]);
-        assert_eq!(acc.finish().get("$.b").unwrap().first_absent_line, Some(1));
+        assert_eq!(report(acc).get("$.b").unwrap().first_absent_line, Some(1));
     }
 
     #[test]
     fn absence_within_one_record_across_array_elements() {
         let acc = acc_of(&[r#"{"kw": [{"rank": 1}, {}]}"#]);
-        let profile = acc.finish();
+        let profile = report(acc);
         assert_eq!(
             profile.get("$.kw[].rank").unwrap().first_absent_line,
             Some(1)
@@ -995,14 +881,11 @@ mod tests {
     fn non_record_parent_occurrences_do_not_demote() {
         // $.a is Num at line 1; that does not make $.a.x optional.
         let acc = acc_of(&[r#"{"a": 5}"#, r#"{"a": {"x": 1}}"#]);
-        let profile = acc.finish();
+        let profile = report(acc);
         assert_eq!(profile.get("$.a.x").unwrap().first_absent_line, None);
         // But an empty object at line 3 does.
         let acc = acc_of(&[r#"{"a": 5}"#, r#"{"a": {"x": 1}}"#, r#"{"a": {}}"#]);
-        assert_eq!(
-            acc.finish().get("$.a.x").unwrap().first_absent_line,
-            Some(3)
-        );
+        assert_eq!(report(acc).get("$.a.x").unwrap().first_absent_line, Some(3));
     }
 
     #[test]
@@ -1018,8 +901,8 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.clone().finish(), ba.clone().finish(), "commutative");
-        assert_eq!(ab.finish().get("$.b").unwrap().first_absent_line, Some(1));
+        assert_eq!(report(ab.clone()), report(ba.clone()), "commutative");
+        assert_eq!(report(ab).get("$.b").unwrap().first_absent_line, Some(1));
     }
 
     #[test]
@@ -1030,7 +913,7 @@ mod tests {
             r#"{"a": 1, "c": [true, {"d": 2}]}"#,
             r#"{"a": "s", "c": []}"#,
         ];
-        let sequential = acc_of(&lines).finish();
+        let sequential = report(acc_of(&lines));
         for split in 1..lines.len() {
             let mut left = ProfileAcc::new();
             for (i, line) in lines[..split].iter().enumerate() {
@@ -1041,7 +924,7 @@ mod tests {
                 right.absorb_line((split + i) as u64 + 1, line);
             }
             left.merge(&right);
-            assert_eq!(left.finish(), sequential, "split at {split}");
+            assert_eq!(report(left), sequential, "split at {split}");
         }
     }
 
@@ -1057,10 +940,11 @@ mod tests {
         let mut via_values = ProfileAcc::new();
         for (i, line) in lines.iter().enumerate() {
             via_events.absorb_line(i as u64 + 1, line);
-            via_values.absorb_line_as_value(i as u64 + 1, line);
+            let value = typefuse_json::parse_value(line).unwrap();
+            via_values.observe_value(i as u64 + 1, &value);
         }
-        let a = via_events.finish();
-        let b = via_values.finish();
+        let a = report(via_events);
+        let b = report(via_values);
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -1068,30 +952,13 @@ mod tests {
     #[test]
     fn numeric_and_length_statistics() {
         let acc = acc_of(&[r#"{"n": 3, "s": "abcd"}"#, r#"{"n": -1.5, "s": ""}"#]);
-        let profile = acc.finish();
+        let profile = report(acc);
         let n = profile.get("$.n").unwrap();
         assert_eq!(n.num_min, Some(-1.5));
         assert_eq!(n.num_max, Some(3.0));
         let s = profile.get("$.s").unwrap();
         let lens = s.str_len().report();
         assert_eq!((lens.count, lens.min, lens.max), (2, 0, 4));
-    }
-
-    #[test]
-    fn parse_errors_are_mergeable_and_earliest_wins() {
-        let mut acc = ProfileAcc::new();
-        acc.absorb_line(5, "{broken");
-        acc.absorb_line(2, "also broken");
-        assert_eq!(acc.first_error().unwrap().0, 2);
-
-        let mut other = ProfileAcc::new();
-        other.absorb_line(1, "[1,]");
-        acc.merge(&other);
-        assert_eq!(acc.first_error().unwrap().0, 1);
-        // An error-only accumulator is not the identity.
-        let mut error_only = ProfileAcc::new();
-        error_only.absorb_line(1, "nope");
-        assert!(!error_only.is_empty());
     }
 
     #[test]
@@ -1102,12 +969,19 @@ mod tests {
             json!({"a": null}),
             json!({"a": 1, "c": [true]}),
         ];
+        // The types the text walk hands back are the plain route's.
         let mut acc = ProfileAcc::new();
-        for (i, v) in values.iter().enumerate() {
-            acc.absorb_value_at(i as u64 + 1, v);
-        }
+        let observed: Vec<Type> = (1..)
+            .zip(&values)
+            .map(|(line, v)| {
+                let text = v.to_string();
+                acc.observe_line(line, text.as_bytes(), &ParserOptions::default())
+                    .unwrap()
+            })
+            .collect();
         let types: Vec<Type> = values.iter().map(infer_type).collect();
-        assert_eq!(acc.finish().schema, fuse_all(&types));
+        assert_eq!(fuse_all(&observed), fuse_all(&types));
+        assert_eq!(acc.records(), 3);
     }
 
     #[test]
@@ -1115,24 +989,22 @@ mod tests {
         // What `infer --counting` prints: partials absorb values, then
         // merge, and the presence counts add up.
         let mut acc = ProfileAcc::new();
-        acc.absorb_value_at(1, &json!({"a": 1}));
-        acc.absorb_value_at(2, &json!({"a": "x", "b": null}));
+        acc.observe_value(1, &json!({"a": 1}));
+        acc.observe_value(2, &json!({"a": "x", "b": null}));
         let mut other = ProfileAcc::new();
-        other.absorb_value_at(3, &json!({"a": true}));
+        other.observe_value(3, &json!({"a": true}));
         acc.merge(&other);
         assert_eq!(acc.records(), 3);
-        let profile = acc.finish();
+        let profile = report(acc);
+        assert_eq!(profile.records, 3);
         assert_eq!(profile.get("$.a").unwrap().count, 3);
         assert_eq!(profile.get("$.b").unwrap().count, 1);
-        assert_eq!(
-            profile.schema.to_string(),
-            "{a: Bool + Num + Str, b: Null?}"
-        );
     }
 
     #[test]
     fn profile_json_shape() {
-        let profile = acc_of(&[r#"{"a": 1}"#, r#"{"a": "xy", "b": null}"#]).finish();
+        let schema = typefuse_types::parse_type("{a: Num + Str, b: Null?}").unwrap();
+        let profile = acc_of(&[r#"{"a": 1}"#, r#"{"a": "xy", "b": null}"#]).finish(schema);
         let json = profile.to_json();
         for needle in [
             r#""records":2"#,
@@ -1165,29 +1037,25 @@ mod tests {
             let value = before.checkpoint_value();
             // Through a real serialize/parse cycle, as on disk.
             let reparsed = typefuse_json::parse_value(&value.to_string()).unwrap();
-            let mut resumed =
-                ProfileAcc::from_checkpoint_value(&reparsed, FuseConfig::default()).unwrap();
+            let mut resumed = ProfileAcc::from_checkpoint_value(&reparsed).unwrap();
             assert_eq!(resumed, before, "restore at cut {cut} is exact");
             for (i, line) in lines[cut..].iter().enumerate() {
                 resumed.absorb_line((cut + i) as u64 + 1, line);
             }
             assert_eq!(resumed, full, "resume at cut {cut} matches full fold");
             assert_eq!(
-                resumed.clone().finish().to_json(),
-                full.clone().finish().to_json(),
+                report(resumed.clone()).to_json(),
+                report(full.clone()).to_json(),
                 "serialized profile at cut {cut}"
             );
         }
-        assert!(ProfileAcc::from_checkpoint_value(
-            &typefuse_json::parse_value("{}").unwrap(),
-            FuseConfig::default()
-        )
-        .is_err());
+        let empty = typefuse_json::parse_value("{}").unwrap();
+        assert!(ProfileAcc::from_checkpoint_value(&empty).is_err());
     }
 
     #[test]
     fn rows_order_by_count_then_path() {
-        let profile = acc_of(&[r#"{"a": 1, "z": 1}"#, r#"{"a": 2}"#]).finish();
+        let profile = report(acc_of(&[r#"{"a": 1, "z": 1}"#, r#"{"a": 2}"#]));
         let rows = profile.rows();
         assert_eq!(rows[0].0, "$");
         assert_eq!(rows[1].0, "$.a");
@@ -1196,7 +1064,10 @@ mod tests {
 
     #[test]
     fn field_rows_leave_out_the_root_and_element_paths() {
-        let profile = acc_of(&[r#"{"a": [{"b": 1}], "a[]": 2, "c": 3}"#, r#"{"c": 4}"#]).finish();
+        let profile = report(acc_of(&[
+            r#"{"a": [{"b": 1}], "a[]": 2, "c": 3}"#,
+            r#"{"c": 4}"#,
+        ]));
         let paths: Vec<&str> = profile.field_rows().iter().map(|r| r.0).collect();
         // `$.a[]` is both `a`'s element path and the key `a[]`: a key
         // whose text ends in `[]` gets no row of its own.
@@ -1206,10 +1077,9 @@ mod tests {
 
     #[test]
     fn empty_accumulator_finishes_empty() {
-        let profile = ProfileAcc::new().finish();
+        let profile = report(ProfileAcc::new());
         assert_eq!(profile.records, 0);
         assert_eq!(profile.schema, Type::Bottom);
         assert!(profile.paths.is_empty());
-        assert!(ProfileAcc::new().is_empty());
     }
 }

@@ -86,23 +86,25 @@ impl LawAcc for SchemaAcc {
     }
 }
 
-/// A numbered input line for the event fold (`true`) or the value walk.
-/// Its number travels with it, as through any partitioning of one input.
+/// A numbered input line for the text walk (`true`) or the value walk.
+/// Its number travels with it, as through any partitioning of one input;
+/// a malformed one leaves no trace on either walk.
 impl LawAcc for ProfileAcc {
     type Item = (u64, String, bool);
-    fn absorb(&mut self, (line, text, events): &Self::Item) {
-        match events {
-            true => self.absorb_line(*line, text),
-            false => self.absorb_line_as_value(*line, text),
+    fn absorb(&mut self, (line, text, text_walk): &Self::Item) {
+        match (text_walk, typefuse_json::parse_value(text)) {
+            (true, _) => self.absorb_line(*line, text),
+            (false, Ok(value)) => drop(self.observe_value(*line, &value)),
+            (false, Err(_)) => {}
         }
     }
     fn merge(&mut self, other: &Self) {
         ProfileAcc::merge(self, other);
     }
-    /// The checkpoint shows everything kept (schema, count, first
-    /// error, child indexes, every statistic), the report what is served.
+    /// The checkpoint shows everything kept (child indexes, every
+    /// statistic), the report what is served.
     fn observe(&self) -> String {
-        let report = self.clone().finish().to_json();
+        let report = self.clone().finish(Type::Bottom).to_json();
         format!("{}\n{report}", self.checkpoint_value())
     }
 }
@@ -178,9 +180,7 @@ proptest! {
             .enumerate()
             .map(|(n, (text, events))| (n as u64 + 1, text, events))
             .collect();
-        for config in configs() {
-            assert_acc_laws(&ProfileAcc::with_config(config), &items, i, j)?;
-        }
+        assert_acc_laws(&ProfileAcc::new(), &items, i, j)?;
     }
 
     #[test]

@@ -23,6 +23,7 @@ use proptest::prelude::*;
 use typefuse_infer::{ProfileAcc, ProfileReport};
 use typefuse_json::Value;
 use typefuse_types::testkit::arb_value;
+use typefuse_types::Type;
 
 /// A string body out of every way to spell a character.
 fn arb_spelled_string() -> impl Strategy<Value = String> {
@@ -101,13 +102,19 @@ fn arb_spelled_record() -> impl Strategy<Value = String> {
         })
 }
 
-/// Absorb `values` as records numbered from `first_line`.
+/// Observe `values` as records numbered from `first_line`.
 fn acc_from(first_line: u64, values: &[Value]) -> ProfileAcc {
     let mut acc = ProfileAcc::new();
     for (i, v) in values.iter().enumerate() {
-        acc.absorb_value_at(first_line + i as u64, v);
+        acc.observe_value(first_line + i as u64, v);
     }
     acc
+}
+
+/// The tree walk over one line's text, as the value routes observe it.
+fn observe_as_value(acc: &mut ProfileAcc, line: u64, text: &str) {
+    let value = typefuse_json::parse_value(text).expect("well-formed");
+    acc.observe_value(line, &value);
 }
 
 fn merged(a: &ProfileAcc, b: &ProfileAcc) -> ProfileAcc {
@@ -116,8 +123,9 @@ fn merged(a: &ProfileAcc, b: &ProfileAcc) -> ProfileAcc {
     out
 }
 
+/// The report, beside no schema: the schema is the record fold's.
 fn finish(acc: &ProfileAcc) -> ProfileReport {
-    acc.clone().finish()
+    acc.clone().finish(Type::Bottom)
 }
 
 proptest! {
@@ -202,7 +210,7 @@ proptest! {
             let line = i as u64 + 1;
             let text = v.to_string();
             via_events.absorb_line(line, &text);
-            via_values.absorb_line_as_value(line, &text);
+            observe_as_value(&mut via_values, line, &text);
         }
         let a = finish(&via_events);
         let b = finish(&via_values);
@@ -222,7 +230,7 @@ proptest! {
         for (i, text) in lines.iter().enumerate() {
             let line = i as u64 + 1;
             via_text.absorb_line(line, text);
-            via_values.absorb_line_as_value(line, text);
+            observe_as_value(&mut via_values, line, text);
         }
         prop_assert_eq!(via_text.records(), lines.len() as u64, "all well-formed: {:?}", lines);
         prop_assert!(via_text == via_values);
@@ -233,15 +241,21 @@ proptest! {
         prop_assert_eq!(finish(&via_text).to_json(), finish(&via_values).to_json());
     }
 
+    // What a profiled fold fuses is what the text walk hands back.
     #[test]
     fn profiled_schema_matches_plain_fusion(
         values in prop::collection::vec(arb_value(), 1..10),
     ) {
         use typefuse_infer::{fuse_all, infer_type};
         let types: Vec<_> = values.iter().map(infer_type).collect();
-        let profile = finish(&acc_from(1, &values));
-        prop_assert_eq!(profile.schema, fuse_all(&types));
-        prop_assert_eq!(profile.records, values.len() as u64);
+        let options = typefuse_json::ParserOptions::default();
+        let mut acc = ProfileAcc::new();
+        let observed: Vec<_> = (1..)
+            .zip(&values)
+            .map(|(line, v)| acc.observe_line(line, v.to_string().as_bytes(), &options).unwrap())
+            .collect();
+        prop_assert_eq!(fuse_all(&observed), fuse_all(&types));
+        prop_assert_eq!(finish(&acc).records, values.len() as u64);
     }
 }
 
@@ -255,10 +269,10 @@ fn lenient_duplicate_keys_are_folded_not_a_panic() {
     };
     let mut acc = ProfileAcc::new();
     let ty = acc
-        .absorb_line_typed(1, br#"{"a": 1, "a": "x"}"#, &options)
+        .observe_line(1, br#"{"a": 1, "a": "x"}"#, &options)
         .unwrap();
     assert_eq!(ty.to_string(), "{a: Str}");
-    assert_eq!(acc.finish().get("$.a").unwrap().count, 1);
+    assert_eq!(finish(&acc).get("$.a").unwrap().count, 1);
 }
 
 /// Every strict prefix of a record fails to parse somewhere mid-stream —
@@ -285,7 +299,7 @@ fn a_record_that_fails_mid_stream_leaves_the_accumulator_untouched() {
             spoiled[cut] = 0x01;
             for bad in [&record.as_bytes()[..cut], &spoiled[..]] {
                 let before = acc.clone();
-                let outcome = acc.absorb_line_typed(9, bad, &options);
+                let outcome = acc.observe_line(9, bad, &options);
                 assert!(outcome.is_err(), "broken at byte {cut}, yet parsed");
                 assert!(acc == before, "broken at byte {cut}: left a trace");
                 assert_eq!(
@@ -319,7 +333,7 @@ fn keys_that_render_like_nested_paths_alias_identically_on_every_route() {
         for i in range {
             match events {
                 true => acc.absorb_line(i as u64 + 1, lines[i]),
-                false => acc.absorb_line_as_value(i as u64 + 1, lines[i]),
+                false => observe_as_value(&mut acc, i as u64 + 1, lines[i]),
             }
         }
         acc

@@ -1,7 +1,8 @@
 //! Tailing line reader for growing and non-seekable NDJSON inputs.
 //!
-//! [`NdjsonReader`](crate::NdjsonReader) treats end-of-input as final —
-//! the right model for a batch run over a finished file. A resident
+//! [`read_line_bounded`](crate::ndjson::read_line_bounded) treats
+//! end-of-input as final — the right model for a batch run over a
+//! finished file. A resident
 //! service (`typefuse serve`) instead watches sources that *keep
 //! growing*: a log file under append, a FIFO, a TCP stream. For those,
 //! "no more bytes right now" is not "no more bytes ever", and a line

@@ -205,12 +205,10 @@ pub struct WorkerSlice {
     pub queue_wait: HistogramReport,
 }
 
-/// Per-worker utilization of one stage of the engine thread pool: the
-/// `workers` section of [`RunReport::to_text`] prints it, so the paper's
-/// Table 7/8 under-utilisation story can be read off a live run.
+/// Per-worker utilization of one stage of the engine thread pool, so the
+/// paper's Table 7/8 under-utilisation story can be read off a live run.
 ///
-/// Workers that never picked up a task are listed with zero busy time;
-/// [`UtilizationReport::idle_workers`] counts them.
+/// Workers that never picked up a task are listed with zero busy time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilizationReport {
     /// Wall-clock nanoseconds of the stage (the makespan).
@@ -253,11 +251,6 @@ impl UtilizationReport {
         }
     }
 
-    /// Total busy nanoseconds across all workers.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.busy_ns).sum()
-    }
-
     /// Mean worker utilization over the stage wall, in `[0, 1]`:
     /// `total busy / (wall x workers)`. Mirrors the simulator's
     /// core-utilization formula.
@@ -265,27 +258,8 @@ impl UtilizationReport {
         if self.wall_ns == 0 || self.workers.is_empty() {
             return 0.0;
         }
-        self.total_busy_ns() as f64 / (self.wall_ns as f64 * self.workers.len() as f64)
-    }
-
-    /// Busy fraction of one worker slice over the stage wall.
-    pub fn worker_utilization(&self, slice: &WorkerSlice) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            slice.busy_ns as f64 / self.wall_ns as f64
-        }
-    }
-
-    /// Workers that executed at least one task.
-    pub fn busy_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.tasks > 0).count()
-    }
-
-    /// Workers that never ran anything — the paper's "remaining four
-    /// nodes were idle", observed on the live pool.
-    pub fn idle_workers(&self) -> usize {
-        self.workers.len() - self.busy_workers()
+        let busy: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
+        busy as f64 / (self.wall_ns as f64 * self.workers.len() as f64)
     }
 }
 
@@ -404,98 +378,6 @@ impl RunReport {
 
         w.end_object();
         w.finish()
-    }
-
-    /// The fault counters the ingestion layer records; surfaced in
-    /// [`RunReport::to_text`] with explicit zeros so a clean run reads
-    /// as a clean run rather than omitting the lines.
-    pub const INGEST_FAULT_COUNTERS: [&'static str; 4] = [
-        "ingest.retries",
-        "ingest.skipped",
-        "ingest.quarantined",
-        "ingest.worker_panics",
-    ];
-
-    /// Human-readable summary: one line per counter, gauge and span,
-    /// one per histogram with its mean and estimated p50/p90/p99, a
-    /// dedicated `ingest` block for the fault counters (always printed,
-    /// zero when nothing went wrong), and a `workers` section per stage
-    /// with each worker's busy share and queue-wait p50/p99. The
-    /// structured counterpart is [`RunReport::to_json`].
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            if name.starts_with("ingest.") {
-                continue; // surfaced in the ingest block below
-            }
-            let _ = writeln!(out, "counter    {name:<24} {value}");
-        }
-        for name in Self::INGEST_FAULT_COUNTERS {
-            let value = self.counters.get(name).copied().unwrap_or(0);
-            let _ = writeln!(out, "ingest     {name:<24} {value}");
-        }
-        // Non-canonical ingest.* counters added by future subsystems
-        // still show up, after the canonical block.
-        for (name, value) in &self.counters {
-            if name.starts_with("ingest.") && !Self::INGEST_FAULT_COUNTERS.contains(&name.as_str())
-            {
-                let _ = writeln!(out, "ingest     {name:<24} {value}");
-            }
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge      {name:<24} {value}");
-        }
-        for (name, hist) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram  {name:<24} n {}  min {}  max {}  mean {:.1}  p50 {:.1}  p90 {:.1}  p99 {:.1}",
-                hist.count,
-                hist.min,
-                hist.max,
-                hist.mean(),
-                hist.p50(),
-                hist.p90(),
-                hist.p99(),
-            );
-        }
-        for (name, span) in &self.spans {
-            let _ = writeln!(
-                out,
-                "span       {name:<24} n {}  total {:.3}ms  max {:.3}ms",
-                span.count,
-                span.total_ns as f64 / 1e6,
-                span.max_ns as f64 / 1e6,
-            );
-        }
-        for stage in &self.stages {
-            if stage.tasks.is_empty() {
-                continue;
-            }
-            let workers = stage.tasks.iter().map(|t| t.worker + 1).max().unwrap_or(1);
-            let u = UtilizationReport::from_stage(stage, workers);
-            let _ = writeln!(
-                out,
-                "workers    {:<24} wall {:.3}ms  utilization {:.1}%  busy {} / idle {}",
-                stage.name,
-                u.wall_ns as f64 / 1e6,
-                u.utilization() * 100.0,
-                u.busy_workers(),
-                u.idle_workers(),
-            );
-            for slice in &u.workers {
-                let _ = writeln!(
-                    out,
-                    "  worker {:<3} busy {:>5.1}%  tasks {:<4} queue-wait p50 {:.3}ms  p99 {:.3}ms",
-                    slice.worker,
-                    u.worker_utilization(slice) * 100.0,
-                    slice.tasks,
-                    slice.queue_wait.p50() / 1e6,
-                    slice.queue_wait.p99() / 1e6,
-                );
-            }
-        }
-        out
     }
 }
 
@@ -685,9 +567,9 @@ mod tests {
         assert_eq!(u.workers[0].tasks, 2);
         assert_eq!(u.workers[1].busy_ns, 60);
         assert_eq!(u.workers[2].tasks, 0);
-        assert_eq!(u.total_busy_ns(), 130);
-        assert_eq!(u.busy_workers(), 2);
-        assert_eq!(u.idle_workers(), 2);
+        let busy = |u: &UtilizationReport| u.workers.iter().map(|w| w.busy_ns).sum::<u64>();
+        assert_eq!(busy(&u), 130);
+        assert_eq!(u.workers.iter().filter(|w| w.tasks == 0).count(), 2);
         assert!((u.utilization() - 130.0 / 400.0).abs() < 1e-12);
         assert_eq!(u.workers[0].queue_wait.count, 2);
         // A worker id beyond the pool size still gets a slice.
@@ -695,68 +577,7 @@ mod tests {
         stage.tasks[2].worker = 9;
         let wide = UtilizationReport::from_stage(&stage, 2);
         assert_eq!(wide.workers.len(), 10);
-        assert_eq!(wide.total_busy_ns(), 130, "no work dropped");
+        assert_eq!(busy(&wide), 130, "no work dropped");
         assert_eq!(UtilizationReport::default().utilization(), 0.0);
-    }
-
-    #[test]
-    fn text_summary_surfaces_ingest_counters_and_worker_sections() {
-        let mut report = RunReport::default();
-        report.counters.insert("records".into(), 7);
-        report.counters.insert("ingest.retries".into(), 3);
-        report.stages.push(stage_with_two_workers());
-        let text = report.to_text();
-        // Recorded fault counter keeps its value; the rest default to 0.
-        assert!(text.contains("ingest     ingest.retries"), "{text}");
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("ingest     ingest.retries") && l.ends_with('3')),
-            "{text}"
-        );
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("ingest     ingest.skipped") && l.ends_with('0')),
-            "{text}"
-        );
-        assert!(text.contains("ingest     ingest.quarantined"), "{text}");
-        assert!(text.contains("ingest     ingest.worker_panics"), "{text}");
-        // The fault counters appear once, not again as plain counters.
-        assert!(!text.contains("counter    ingest.retries"), "{text}");
-        // Workers section: busy %, queue-wait quantiles, per stage.
-        assert!(text.contains("workers    map"), "{text}");
-        assert!(text.contains("worker 0"), "{text}");
-        assert!(text.contains("queue-wait p50"), "{text}");
-    }
-
-    #[test]
-    fn text_summary_lists_metrics_with_quantiles() {
-        let mut report = RunReport::default();
-        report.counters.insert("records".into(), 4);
-        report.histograms.insert(
-            "infer.record_width".into(),
-            HistogramReport {
-                count: 1,
-                sum: 2,
-                min: 2,
-                max: 2,
-                buckets: vec![BucketCount {
-                    lo: 2,
-                    hi: 3,
-                    count: 1,
-                }],
-            },
-        );
-        report.spans.insert(
-            "pipeline.map".into(),
-            SpanReport {
-                count: 1,
-                total_ns: 1_000_000,
-                max_ns: 1_000_000,
-            },
-        );
-        let text = report.to_text();
-        assert!(text.contains("counter    records"));
-        assert!(text.contains("p50 2.0"), "{text}");
-        assert!(text.contains("span       pipeline.map"));
     }
 }

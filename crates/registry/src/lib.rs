@@ -45,10 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod memory;
 mod store;
 
-pub use memory::MemoryRegistry;
-pub use store::{
-    CompatMode, Entry, PublishOutcome, Registry, RegistryError, RegistryStats, RegistryStore,
-};
+pub use store::{CompatMode, Entry, PublishOutcome, Registry, RegistryError, RegistryStats};

@@ -1,6 +1,5 @@
-//! The registry stores: a shared index/gate core, the append-only
-//! on-disk log, and the [`RegistryStore`] trait both backends (and the
-//! in-memory [`MemoryRegistry`](crate::MemoryRegistry)) implement.
+//! The registry store: an index/gate core and the append-only on-disk
+//! log it may persist to.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -161,9 +160,7 @@ struct Subject {
 }
 
 /// The in-memory version index plus the compatibility gate — the part
-/// of a registry that is independent of where entries persist. Both the
-/// on-disk [`Registry`] and [`MemoryRegistry`](crate::MemoryRegistry)
-/// are thin shells around it.
+/// of a [`Registry`] that is independent of whether entries persist.
 ///
 /// Versions are ids into one hash-consing [`TypeInterner`], so a version
 /// costs the shapes it does not share with the others, "same schema" is
@@ -305,61 +302,29 @@ impl Index {
     }
 }
 
-/// The storage interface a schema-publishing component programs
-/// against: the daemon publishes per-source snapshots through a
-/// `Box<dyn RegistryStore + Send>` without caring whether versions land
-/// in an on-disk log ([`Registry`]) or stay resident
-/// ([`MemoryRegistry`](crate::MemoryRegistry)).
-///
-/// Methods return owned data: versions are stored as interned shapes
-/// and entries are resolved on demand.
-pub trait RegistryStore {
-    /// All subject names, sorted.
-    fn subject_names(&self) -> Vec<String>;
-
-    /// The latest entry of a subject.
-    fn latest_entry(&self, name: &str) -> Option<Entry> {
-        self.entry(name, self.latest_version(name)?)
-    }
-
-    /// A specific version of a subject.
-    fn entry(&self, name: &str, version: u64) -> Option<Entry>;
-
-    /// Every version of a subject, oldest first.
-    fn entries(&self, name: &str) -> Result<Vec<Entry>, RegistryError>;
-
-    /// Structural changes between two versions of a subject.
-    fn changes(&self, name: &str, from: u64, to: u64) -> Result<Vec<SchemaChange>, RegistryError>;
-
-    /// Publish a schema under `name`, gated by `mode` against the
-    /// latest version, deduplicating equivalent schemas. The schema is
-    /// taken by value: a new version keeps it as the subject's latest.
-    fn publish_schema(
-        &mut self,
-        name: &str,
-        schema: Type,
-        mode: CompatMode,
-    ) -> Result<PublishOutcome, RegistryError>;
-
-    /// The latest version number of a subject — the watch primitive: a
-    /// poller remembers the last version it saw and treats an increase
-    /// as "schema drifted, diff the two versions".
-    fn latest_version(&self, name: &str) -> Option<u64>;
-
-    /// How much the registry holds.
-    fn stats(&self) -> RegistryStats;
-}
-
-/// The on-disk registry: an in-memory index over an append-only NDJSON
-/// log.
+/// The registry: an in-memory index over an append-only NDJSON log, or
+/// over nothing at all ([`Registry::in_memory`]) for a service that only
+/// needs drift detection within its own lifetime.
 #[derive(Debug)]
 pub struct Registry {
-    path: PathBuf,
+    /// The log versions are appended to; `None` persists nothing.
+    path: Option<PathBuf>,
     index: Index,
     recovered: Option<String>,
 }
 
 impl Registry {
+    /// An empty registry that persists nothing: the same index, gates and
+    /// version/dedup semantics as a log-backed one, for as long as the
+    /// process lives.
+    pub fn in_memory() -> Registry {
+        Registry {
+            path: None,
+            index: Index::default(),
+            recovered: None,
+        }
+    }
+
     /// Open (or create) a registry log at `path`.
     ///
     /// A malformed *final* record is treated as a torn append (the
@@ -429,7 +394,7 @@ impl Registry {
             break;
         }
         Ok(Registry {
-            path,
+            path: Some(path),
             index,
             recovered,
         })
@@ -478,10 +443,24 @@ impl Registry {
         schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError> {
-        let path = &self.path;
-        self.index.publish(name, schema, mode, |version, schema| {
-            append(path, name, version, schema)
-        })
+        let path = self.path.as_deref();
+        self.index
+            .publish(name, schema, mode, |version, schema| match path {
+                Some(path) => append(path, name, version, schema),
+                None => Ok(()),
+            })
+    }
+
+    /// The latest version number of a subject — the watch primitive: a
+    /// poller remembers the last version it saw and treats an increase
+    /// as "schema drifted, diff the two versions".
+    pub fn latest_version(&self, name: &str) -> Option<u64> {
+        self.index.latest_version(name)
+    }
+
+    /// How much the registry holds.
+    pub fn stats(&self) -> RegistryStats {
+        self.index.stats()
     }
 }
 
@@ -495,41 +474,6 @@ fn append(path: &Path, name: &str, version: u64, schema: &Type) -> Result<(), Re
     file.write_all(line.as_bytes())?;
     file.write_all(b"\n")?;
     Ok(())
-}
-
-impl RegistryStore for Registry {
-    fn subject_names(&self) -> Vec<String> {
-        self.names().into_iter().map(str::to_string).collect()
-    }
-
-    fn entry(&self, name: &str, version: u64) -> Option<Entry> {
-        self.get(name, version)
-    }
-
-    fn entries(&self, name: &str) -> Result<Vec<Entry>, RegistryError> {
-        self.history(name)
-    }
-
-    fn changes(&self, name: &str, from: u64, to: u64) -> Result<Vec<SchemaChange>, RegistryError> {
-        self.diff(name, from, to)
-    }
-
-    fn publish_schema(
-        &mut self,
-        name: &str,
-        schema: Type,
-        mode: CompatMode,
-    ) -> Result<PublishOutcome, RegistryError> {
-        self.publish(name, schema, mode)
-    }
-
-    fn latest_version(&self, name: &str) -> Option<u64> {
-        self.index.latest_version(name)
-    }
-
-    fn stats(&self) -> RegistryStats {
-        self.index.stats()
-    }
 }
 
 fn parse_entry(line: &str) -> Result<Entry, String> {
@@ -571,6 +515,42 @@ mod tests {
 
     fn t(text: &str) -> Type {
         parse_type(text).unwrap()
+    }
+
+    #[test]
+    fn in_memory_mirrors_on_disk_semantics() {
+        let mut reg = Registry::in_memory();
+        assert_eq!(
+            reg.publish("a", t("{x: Num}"), CompatMode::Backward)
+                .unwrap(),
+            PublishOutcome {
+                version: 1,
+                unchanged: false
+            }
+        );
+        // Equivalent republish dedups.
+        let again = reg.publish("a", t("{x: Num}"), CompatMode::Backward);
+        assert!(again.unwrap().unchanged);
+        // Widening passes the backward gate, narrowing does not.
+        let widened = reg.publish("a", t("{x: Num, y: Str?}"), CompatMode::Backward);
+        assert_eq!(widened.unwrap().version, 2);
+        assert!(matches!(
+            reg.publish("a", t("{x: Num}"), CompatMode::Backward),
+            Err(RegistryError::Incompatible {
+                against_version: 2,
+                ..
+            })
+        ));
+        assert_eq!(reg.latest_version("a"), Some(2));
+        assert_eq!(reg.history("a").unwrap().len(), 2);
+        assert_eq!(reg.diff("a", 1, 2).unwrap().len(), 1);
+        assert_eq!(reg.get("a", 1).unwrap().schema, t("{x: Num}"));
+        assert!(reg.get("a", 9).is_none());
+        assert!(matches!(
+            reg.history("zzz"),
+            Err(RegistryError::NotFound { .. })
+        ));
+        assert_eq!(reg.recovered(), None);
     }
 
     #[test]
@@ -782,22 +762,27 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_publishes_through_the_on_disk_backend() {
-        let path = fresh("dyn.ndjson");
-        let mut store: Box<dyn RegistryStore + Send> = Box::new(Registry::open(&path).unwrap());
-        store
-            .publish_schema("a", t("{x: Num}"), CompatMode::Backward)
-            .unwrap();
-        store
-            .publish_schema("a", t("{x: Num, y: Str?}"), CompatMode::Backward)
-            .unwrap();
-        assert_eq!(store.latest_version("a"), Some(2));
-        assert_eq!(store.subject_names(), vec!["a".to_string()]);
-        assert_eq!(store.entries("a").unwrap().len(), 2);
-        assert_eq!(store.changes("a", 1, 2).unwrap().len(), 1);
-        // The dyn writes land in the same log a reopen sees.
+    fn a_registry_shared_across_threads_publishes_through_the_on_disk_log() {
+        // What the daemon holds: one registry behind a mutex.
+        let path = fresh("shared.ndjson");
+        let shared = std::sync::Mutex::new(Registry::open(&path).unwrap());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut reg = shared.lock().unwrap();
+                reg.publish("a", t("{x: Num}"), CompatMode::Backward)
+                    .unwrap();
+                reg.publish("a", t("{x: Num, y: Str?}"), CompatMode::Backward)
+                    .unwrap();
+            });
+        });
+        let reg = shared.into_inner().unwrap();
+        assert_eq!(reg.latest_version("a"), Some(2));
+        assert_eq!(reg.names(), ["a"]);
+        assert_eq!(reg.stats().versions, 2);
+        // The writes land in the same log a reopen sees.
         let reopened = Registry::open(&path).unwrap();
         assert_eq!(reopened.latest("a").unwrap().version, 2);
+        assert_eq!(reopened.stats(), reg.stats());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `Incompatible { changes }` payloads.
 
 use std::path::PathBuf;
-use typefuse_registry::{CompatMode, MemoryRegistry, Registry, RegistryError, RegistryStore};
+use typefuse_registry::{CompatMode, Registry, RegistryError};
 use typefuse_types::parse_type;
 
 fn fixture(name: &str) -> String {
@@ -22,14 +22,14 @@ fn fixture(name: &str) -> String {
 
 /// Publish the fixture sequence, rendering each outcome the way
 /// `typefuse registry publish` prints it.
-fn replay(store: &mut dyn RegistryStore) -> String {
+fn replay(store: &mut Registry) -> String {
     let mut transcript = String::new();
     for step in fixture("publish-sequence.tsv").lines() {
         let [subject, mode, schema] = step.split('\t').collect::<Vec<_>>()[..] else {
             panic!("malformed step {step:?}");
         };
         let mode = CompatMode::from_name(mode).unwrap();
-        match store.publish_schema(subject, parse_type(schema).unwrap(), mode) {
+        match store.publish(subject, parse_type(schema).unwrap(), mode) {
             Ok(outcome) if outcome.unchanged => {
                 transcript += &format!("{subject}: unchanged (version {})\n", outcome.version)
             }
@@ -60,18 +60,16 @@ fn the_on_disk_log_and_every_verdict_match_the_parents() {
     let path = dir.join("parent-log.ndjson");
     let _ = std::fs::remove_file(&path);
 
-    let mut registry = Registry::open(&path).unwrap();
-    assert_eq!(
-        replay(&mut registry),
-        fixture("publish-sequence.transcript")
-    );
+    // Logged or in memory, the registry answers the same.
+    let (mut registry, mut memory) = (Registry::open(&path).unwrap(), Registry::in_memory());
+    for store in [&mut registry, &mut memory] {
+        assert_eq!(replay(store), fixture("publish-sequence.transcript"));
+    }
     let log = std::fs::read_to_string(&path).unwrap();
     assert_eq!(log, fixture("publish-sequence.registry.ndjson"));
 
-    // The in-memory backend answers the same, and a reopened log is the
-    // same registry: every version, every pairwise diff.
-    let mut memory = MemoryRegistry::new();
-    assert_eq!(replay(&mut memory), fixture("publish-sequence.transcript"));
+    // A reopened log is the same registry: every version, every
+    // pairwise diff.
     let reopened = Registry::open(&path).unwrap();
     assert_eq!(reopened.stats().versions, log.lines().count() as u64);
     for subject in ["arrays", "events"] {
@@ -84,11 +82,11 @@ fn the_on_disk_log_and_every_verdict_match_the_parents() {
             // `[ε*]` is logged as `[]`: compare what a log can hold.
             let logged = reopened.get(subject, a.version).unwrap().schema;
             assert_eq!(logged.to_string(), a.schema.to_string());
-            assert_eq!(memory.entry(subject, a.version).unwrap(), *a);
+            assert_eq!(memory.get(subject, a.version).unwrap(), *a);
             for b in &entries {
                 let expected = typefuse_types::diff::diff(&a.schema, &b.schema);
-                for store in [&registry as &dyn RegistryStore, &reopened, &memory] {
-                    let changes = store.changes(subject, a.version, b.version).unwrap();
+                for store in [&registry, &reopened, &memory] {
+                    let changes = store.diff(subject, a.version, b.version).unwrap();
                     assert_eq!(changes, expected, "{subject} v{}→v{}", a.version, b.version);
                 }
             }

@@ -11,7 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use typefuse_registry::{CompatMode, MemoryRegistry, Registry, RegistryStore};
+use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::{Field, RecordType, Type};
 
 struct Counting;
@@ -65,17 +65,17 @@ fn wide_record(extra: usize) -> Type {
 /// Publish the base record and its `WIDENINGS` successive widenings;
 /// returns the bytes one resolved tree holds and the bytes each version
 /// after the first left behind.
-fn publish_widenings(store: &mut dyn RegistryStore) -> (i64, i64) {
+fn publish_widenings(store: &mut Registry) -> (i64, i64) {
     store
-        .publish_schema("s", wide_record(0), CompatMode::Backward)
+        .publish("s", wide_record(0), CompatMode::Backward)
         .unwrap();
-    let (tree, tree_bytes) = retained(|| store.entry("s", 1).unwrap().schema);
+    let (tree, tree_bytes) = retained(|| store.get("s", 1).unwrap().schema);
     assert_eq!(tree, wide_record(0));
     drop(tree);
     let ((), grown) = retained(|| {
         for extra in 1..=WIDENINGS {
             let outcome = store
-                .publish_schema("s", wide_record(extra), CompatMode::Backward)
+                .publish("s", wide_record(extra), CompatMode::Backward)
                 .unwrap();
             assert_eq!(
                 (outcome.version, outcome.unchanged),
@@ -86,29 +86,37 @@ fn publish_widenings(store: &mut dyn RegistryStore) -> (i64, i64) {
     (tree_bytes, grown / WIDENINGS as i64)
 }
 
+/// A fresh log for `name`.
+fn fresh_log(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("typefuse-registry-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 #[test]
 fn a_version_retains_a_fraction_of_a_tree() {
-    let mut store = MemoryRegistry::new();
-    let (tree_bytes, per_version) = publish_widenings(&mut store);
-    assert!(
-        tree_bytes > 100_000,
-        "the allocator is counting: {tree_bytes}"
-    );
-    assert!(
-        per_version * 4 <= tree_bytes,
-        "{per_version} bytes retained per version, one resolved tree is {tree_bytes}"
-    );
-    // Every version stays addressable.
-    assert_eq!(store.entry("s", 101).unwrap().schema, wide_record(100));
-    assert_eq!(store.changes("s", 1, 201).unwrap().len(), WIDENINGS);
+    let logged = Registry::open(fresh_log("version-retains.ndjson")).unwrap();
+    for mut store in [Registry::in_memory(), logged] {
+        let (tree_bytes, per_version) = publish_widenings(&mut store);
+        assert!(
+            tree_bytes > 100_000,
+            "the allocator is counting: {tree_bytes}"
+        );
+        assert!(
+            per_version * 4 <= tree_bytes,
+            "{per_version} bytes retained per version, one resolved tree is {tree_bytes}"
+        );
+        // Every version stays addressable.
+        assert_eq!(store.get("s", 101).unwrap().schema, wide_record(100));
+        assert_eq!(store.diff("s", 1, 201).unwrap().len(), WIDENINGS);
+    }
 }
 
 #[test]
 fn reopening_a_log_retains_no_tree_per_version_either() {
-    let dir = std::env::temp_dir().join("typefuse-registry-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("version-allocs.ndjson");
-    let _ = std::fs::remove_file(&path);
+    let path = fresh_log("version-allocs.ndjson");
     let tree_bytes = publish_widenings(&mut Registry::open(&path).unwrap()).0;
 
     let (reopened, held) = retained(|| Registry::open(&path).unwrap());

@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use typefuse_engine::Tick;
 use typefuse_json::{parse_value, Value};
 use typefuse_obs::{series_key, EventLog, Level, Recorder, TelemetryCell, TelemetryHub};
 
@@ -168,7 +167,7 @@ struct Slot {
 }
 
 /// The periodic checkpoint writer: one instance serves every source,
-/// driven by a `spawn_periodic` task, with a final compacting sync on
+/// driven by the daemon's ticker thread, with a final compacting sync on
 /// clean shutdown.
 pub(crate) struct Checkpointer {
     slots: Vec<Slot>,
@@ -216,7 +215,7 @@ impl Checkpointer {
     /// happens under the source mutex (so the tail offset and the
     /// folded schema are one consistent cut); the fsync happens after
     /// the lock is dropped.
-    pub(crate) fn tick(&mut self) -> Tick {
+    pub(crate) fn tick(&mut self) {
         for slot in &mut self.slots {
             let snapshot = {
                 let state = slot
@@ -273,7 +272,6 @@ impl Checkpointer {
                 slot.m_age.set(at.elapsed().as_millis() as u64);
             }
         }
-        Tick::Continue
     }
 
     /// Final checkpoint on clean shutdown: compact every source to one

@@ -4,7 +4,10 @@
 use crate::checkpoint::{self, Checkpointer};
 use crate::fold::SourceState;
 use crate::protocol::{self, MetricsFormat, Request};
-use crate::supervisor::{spawn_supervised, Exit, Supervised, SupervisorCells, SupervisorPolicy};
+use crate::supervisor::{
+    sliced_sleep, spawn_supervised, spawn_ticker, Exit, Supervised, SupervisorCells,
+    SupervisorPolicy,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -16,10 +19,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typefuse::fold::FoldConfig;
 use typefuse::JobConfig;
-use typefuse_engine::{spawn_periodic, BackgroundTask};
 use typefuse_json::{RetryPolicy, TailLine, TailReader, TailStatus};
 use typefuse_obs::{envelope, series_key, EventLog, JsonWriter, Level, Recorder, TelemetryHub};
-use typefuse_registry::{CompatMode, MemoryRegistry, Registry, RegistryStore};
+use typefuse_registry::{CompatMode, Registry};
 
 /// Sliding window over which `typefuse_source_records_per_sec` averages.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
@@ -280,7 +282,7 @@ struct Shared {
     session_idle: Option<Duration>,
     write_timeout: Option<Duration>,
     sources: BTreeMap<String, Arc<Mutex<SourceState>>>,
-    registry: Mutex<Box<dyn RegistryStore + Send>>,
+    registry: Mutex<Registry>,
 }
 
 /// How the session loop delivers a response: one envelope, or a
@@ -325,7 +327,7 @@ impl Shared {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 registry
-                    .changes(source, *from, *to)
+                    .diff(source, *from, *to)
                     .map(|changes| protocol::diff_response(source, *from, *to, &changes))
                     .map_err(|e| e.to_string())
             }),
@@ -435,7 +437,7 @@ pub struct Daemon {
     shared: Arc<Shared>,
     pollers: Vec<Supervised>,
     checkpointer: Option<Arc<Mutex<Checkpointer>>>,
-    checkpoint_task: Option<BackgroundTask>,
+    checkpoint_task: Option<Supervised>,
     accept: Option<JoinHandle<()>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     recorder: Recorder,
@@ -466,7 +468,7 @@ impl Daemon {
             format!("listening on {addr}"),
         );
 
-        let registry: Box<dyn RegistryStore + Send> = match &config.registry_path {
+        let registry = match &config.registry_path {
             Some(path) => {
                 let registry = Registry::open(path).map_err(|e| {
                     std::io::Error::other(format!("cannot open registry {path:?}: {e}"))
@@ -475,9 +477,9 @@ impl Daemon {
                     recorder.add("serve.registry_recovered", 1);
                     events.log(Level::Warn, "daemon", "registry", warning.to_string());
                 }
-                Box::new(registry)
+                registry
             }
-            None => Box::new(MemoryRegistry::new()),
+            None => Registry::in_memory(),
         };
 
         let hub = TelemetryHub::new();
@@ -540,7 +542,7 @@ impl Daemon {
                 config.chaos.checkpoint_write_failures,
             )));
             let tick_cp = Arc::clone(&cp);
-            checkpoint_task = Some(spawn_periodic(
+            checkpoint_task = Some(spawn_ticker(
                 "checkpoint",
                 config.checkpoint_interval,
                 Arc::clone(&stop),
@@ -938,7 +940,7 @@ fn spawn_source_poller(
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let before = state.version;
-            state.publish(registry.as_mut(), compat);
+            state.publish(&mut registry, compat);
             if state.version != before {
                 let stats = registry.stats();
                 m_registry_versions.set(stats.versions);
@@ -1213,18 +1215,6 @@ fn spawn_source_poller(
         },
         incarnation,
     ))
-}
-
-/// Sleep `interval` in small slices so a stop request interrupts the
-/// wait promptly.
-fn sliced_sleep(interval: Duration, stopped: &impl Fn() -> bool) {
-    let mut remaining = interval;
-    let slice = Duration::from_millis(5);
-    while !remaining.is_zero() && !stopped() {
-        let nap = remaining.min(slice);
-        std::thread::sleep(nap);
-        remaining = remaining.saturating_sub(nap);
-    }
 }
 
 fn make_file_tail_tcp(

@@ -17,7 +17,7 @@ use typefuse::{BadRecord, ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::ShapeCache;
 use typefuse_json::{Map, Value};
 use typefuse_obs::{EventLog, Level, Recorder};
-use typefuse_registry::{CompatMode, RegistryStore};
+use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
 
@@ -169,13 +169,12 @@ impl SourceState {
     /// why this source has none: the shape route folds types off a
     /// signature cache and never reads the values a profile is made of.
     pub(crate) fn profile_report(&self) -> Result<typefuse_infer::ProfileReport, String> {
-        match self.fold.profile() {
-            Some(profile) => Ok(profile.finish()),
-            None => Err(format!(
+        self.fold.profile_report().ok_or_else(|| {
+            format!(
                 "source `{}` keeps no profile: --map-path shape never reads record values",
                 self.name
-            )),
-        }
+            )
+        })
     }
 
     /// Distinct interned shapes held by the dedup accumulator (0 on the
@@ -446,7 +445,7 @@ impl SourceState {
     /// compatibility rejection becomes a drift alert (the feed *did*
     /// drift — in a way the gate forbids) but keeps the source folding,
     /// and is retried by the next batch.
-    pub(crate) fn publish(&mut self, registry: &mut dyn RegistryStore, compat: CompatMode) {
+    pub(crate) fn publish(&mut self, registry: &mut Registry, compat: CompatMode) {
         let revision = self.fold.schema_revision();
         if revision.is_some() && revision == self.published {
             self.skip_publish();
@@ -457,7 +456,7 @@ impl SourceState {
             return;
         }
         let previous = self.version;
-        match registry.publish_schema(&self.name, schema, compat) {
+        match registry.publish(&self.name, schema, compat) {
             Ok(outcome) => {
                 self.version = Some(outcome.version);
                 self.published = revision;
@@ -473,7 +472,7 @@ impl SourceState {
                     format!("published version {}", outcome.version),
                 );
                 if let Some(prev) = previous {
-                    if let Ok(changes) = registry.changes(&self.name, prev, outcome.version) {
+                    if let Ok(changes) = registry.diff(&self.name, prev, outcome.version) {
                         self.record_drift(prev, outcome.version, &changes);
                     }
                 }
@@ -701,7 +700,7 @@ mod tests {
 
     #[test]
     fn publish_assigns_versions_and_reports_drift() {
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut s = state(false, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"id": 1}"#]));
         s.publish(&mut registry, CompatMode::None);
@@ -722,7 +721,7 @@ mod tests {
 
     #[test]
     fn folding_emits_structured_events() {
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut s = state(
             false,
             ErrorPolicy::Skip {
@@ -950,7 +949,7 @@ mod tests {
 
     #[test]
     fn an_unmoved_revision_skips_the_publish_and_serves_the_cached_text() {
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut s = state(true, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"id": 1}"#]));
         s.publish(&mut registry, CompatMode::None);
@@ -974,7 +973,7 @@ mod tests {
 
         // The plain route has no revision: the registry answers
         // "unchanged" by id, and that counts as a skip too.
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut plain = state(false, ErrorPolicy::FailFast);
         plain.fold_batch(&lines(&[r#"{"id": 1}"#]));
         plain.publish(&mut registry, CompatMode::None);
@@ -986,7 +985,7 @@ mod tests {
 
     #[test]
     fn drift_alerts_are_a_ring_with_a_total() {
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut s = state(true, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"k0": 1}"#]));
         s.publish(&mut registry, CompatMode::None);
@@ -1044,7 +1043,7 @@ mod tests {
         );
 
         // Below the bound nothing is dropped and no total is written.
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut few = state(true, ErrorPolicy::FailFast);
         few.fold_batch(&lines(&[r#"{"a": 1}"#]));
         few.publish(&mut registry, CompatMode::None);
@@ -1056,7 +1055,7 @@ mod tests {
 
     #[test]
     fn compat_rejection_becomes_a_drift_alert_and_folding_continues() {
-        let mut registry = typefuse_registry::MemoryRegistry::new();
+        let mut registry = Registry::in_memory();
         let mut s = state(false, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"id": 1, "name": "a"}"#]));
         s.publish(&mut registry, CompatMode::Backward);
@@ -1072,7 +1071,7 @@ mod tests {
         assert!(s.is_active());
         // The gate is asked again by every batch, moved revision or not.
         for dedup in [false, true] {
-            let mut registry = typefuse_registry::MemoryRegistry::new();
+            let mut registry = Registry::in_memory();
             let mut s = state(dedup, ErrorPolicy::FailFast);
             s.fold_batch(&lines(&[r#"{"id": 1}"#]));
             s.publish(&mut registry, CompatMode::Backward);

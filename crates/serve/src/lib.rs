@@ -19,8 +19,8 @@
 //!   plain [`typefuse_infer::Incremental`] otherwise) plus a running
 //!   per-path profile.
 //! * **Snapshots** — whenever a batch of appends changes the schema,
-//!   the new version is published through a
-//!   [`typefuse_registry::RegistryStore`] (on-disk or in-memory), and
+//!   the new version is published to a [`typefuse_registry::Registry`]
+//!   (logged on disk or held in memory), and
 //!   the structural diff against the previous version becomes a drift
 //!   alert.
 //! * **Protocol** — clients connect over TCP and speak line-delimited

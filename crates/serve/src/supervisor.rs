@@ -1,10 +1,11 @@
-//! Poller supervision: restart crashed source loops with bounded
-//! exponential backoff, and trip a per-source circuit breaker when the
-//! crashes keep coming.
+//! The daemon's threads: periodic housekeeping ticks, and supervised
+//! pollers that restart crashed source loops with bounded exponential
+//! backoff and trip a per-source circuit breaker when the crashes keep
+//! coming.
 //!
-//! The generic scheduler (`typefuse_engine::spawn_periodic`) swallows a
-//! panicking tick and keeps ticking — the right default for periodic
-//! housekeeping, but wrong for a poller whose *state* (an open tail
+//! A ticker ([`spawn_ticker`]) swallows a panicking tick and keeps
+//! ticking — the right default for periodic housekeeping such as the
+//! checkpointer, but wrong for a poller whose *state* (an open tail
 //! reader) may be poisoned by the crash. A supervised poller instead
 //! runs as a sequence of *incarnations*: each incarnation rebuilds its
 //! world from the shared [`SourceState`](crate::fold::SourceState)
@@ -76,15 +77,17 @@ pub(crate) struct SupervisorCells {
     pub(crate) total_restarts: TelemetryCell,
 }
 
-/// A handle to one supervised poller thread, with the same stop/join
-/// discipline as `typefuse_engine::BackgroundTask`.
+/// A handle to one daemon thread (a ticker or a supervised poller) with
+/// its own stop flag: stopping it never stops its siblings, and dropping
+/// it stops and joins it.
 pub(crate) struct Supervised {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Supervised {
-    /// Stop and wait for the supervisor (and its current incarnation).
+    /// Stop and wait for the thread (a poller's current incarnation
+    /// included).
     pub(crate) fn join(mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
@@ -183,13 +186,7 @@ pub(crate) fn spawn_supervised(
                     "supervisor",
                     format!("poller crashed ({reason}); restarting in {backoff:?}"),
                 );
-                let mut remaining = backoff;
-                let slice = Duration::from_millis(5);
-                while !remaining.is_zero() && !stopped() {
-                    let nap = remaining.min(slice);
-                    std::thread::sleep(nap);
-                    remaining = remaining.saturating_sub(nap);
-                }
+                sliced_sleep(backoff, &stopped);
                 cells.breaker.set(BREAKER_OK);
             }
         })
@@ -197,6 +194,53 @@ pub(crate) fn spawn_supervised(
     Supervised {
         stop: own_stop,
         handle: Some(handle),
+    }
+}
+
+/// Run `tick` every `interval` on a dedicated thread until the daemon's
+/// `stop` (or the handle) says stop. A panicking tick is caught and
+/// counted as `background.panics` and `background.panics.<name>`, and
+/// the next tick runs as usual: one poisoned tick must not kill the
+/// daemon. The stop flags are checked before every tick and the sleep is
+/// sliced, so shutdown stays prompt whatever the interval.
+pub(crate) fn spawn_ticker(
+    name: &str,
+    interval: Duration,
+    stop: Arc<AtomicBool>,
+    recorder: Recorder,
+    mut tick: impl FnMut() + Send + 'static,
+) -> Supervised {
+    let own_stop = Arc::new(AtomicBool::new(false));
+    let thread_own = Arc::clone(&own_stop);
+    let name = name.to_string();
+    let handle = std::thread::Builder::new()
+        .name(format!("tick-{name}"))
+        .spawn(move || {
+            let stopped = || stop.load(Ordering::Acquire) || thread_own.load(Ordering::Acquire);
+            while !stopped() {
+                if std::panic::catch_unwind(AssertUnwindSafe(&mut tick)).is_err() {
+                    recorder.add("background.panics", 1);
+                    recorder.add(&format!("background.panics.{name}"), 1);
+                }
+                sliced_sleep(interval, &stopped);
+            }
+        })
+        .expect("spawn ticker thread");
+    Supervised {
+        stop: own_stop,
+        handle: Some(handle),
+    }
+}
+
+/// Sleep `interval` in small slices so a stop request interrupts the
+/// wait promptly.
+pub(crate) fn sliced_sleep(interval: Duration, stopped: &impl Fn() -> bool) {
+    let mut remaining = interval;
+    let slice = Duration::from_millis(5);
+    while !remaining.is_zero() && !stopped() {
+        let nap = remaining.min(slice);
+        std::thread::sleep(nap);
+        remaining = remaining.saturating_sub(nap);
     }
 }
 
@@ -321,6 +365,69 @@ mod tests {
                 .any(|e| e.level == Level::Error && e.span == "supervisor"),
             "trip is an error event"
         );
+    }
+
+    /// A ticker counting its ticks into `count`, panicking on the ones
+    /// `panics` picks.
+    fn ticker(
+        stop: &Arc<AtomicBool>,
+        rec: &Recorder,
+        count: &Arc<AtomicU32>,
+        panics: fn(u32) -> bool,
+    ) -> Supervised {
+        let count = Arc::clone(count);
+        let tick = move || {
+            if panics(count.fetch_add(1, Ordering::SeqCst)) {
+                panic!("this tick dies");
+            }
+        };
+        let interval = Duration::from_millis(1);
+        spawn_ticker("flaky", interval, Arc::clone(stop), rec.clone(), tick)
+    }
+
+    #[test]
+    fn ticks_until_stopped() {
+        let count = Arc::new(AtomicU32::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let task = ticker(&stop, &Recorder::disabled(), &count, |_| false);
+        wait_until("three ticks", || count.load(Ordering::SeqCst) >= 3);
+        task.join();
+        let settled = count.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(count.load(Ordering::SeqCst), settled, "no ticks after join");
+        assert!(
+            !stop.load(Ordering::SeqCst),
+            "the daemon's flag is untouched"
+        );
+    }
+
+    #[test]
+    fn the_daemons_stop_flag_stops_a_ticker() {
+        let count = Arc::new(AtomicU32::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let task = ticker(&stop, &Recorder::disabled(), &count, |_| false);
+        wait_until("a tick", || count.load(Ordering::SeqCst) > 0);
+        stop.store(true, Ordering::Release);
+        let settled = count.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            count.load(Ordering::SeqCst) <= settled + 1,
+            "it stopped on its own"
+        );
+        task.join();
+    }
+
+    #[test]
+    fn panics_are_isolated_and_counted() {
+        let (rec, count) = (Recorder::enabled(), Arc::new(AtomicU32::new(0)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let task = ticker(&stop, &rec, &count, |n| n == 0);
+        wait_until("ticks after the panic", || {
+            count.load(Ordering::SeqCst) >= 3
+        });
+        task.join();
+        assert_eq!(rec.counter_value("background.panics"), 1);
+        assert_eq!(rec.counter_value("background.panics.flaky"), 1);
     }
 
     #[test]

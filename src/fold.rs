@@ -5,11 +5,14 @@
 //! streaming, the profiled pass, the resident daemon — does the same
 //! per input line: size guard, trim, blank test, parse by Map route,
 //! re-anchor the error at the line's [`Origin`], feed the accumulator,
-//! bump the counters. That step lives here once: [`LineTyper`] is its
-//! per-line half (batch's Map closure calls it before the materialised
-//! reduce), [`RecordFold`] adds the accumulators and is the monoid the
-//! other drivers fold into and merge, [`for_each_line`] reads plain
-//! streams and [`fold_stream`] is the one-fold driver over them.
+//! bump the counters. That step lives here once: one private framing
+//! function decides what a line *is* (record, blank or bad record),
+//! [`LineTyper`] types what it frames (batch's Map closure calls it
+//! before the materialised reduce), [`RecordFold`] adds the accumulators
+//! and is the monoid the other drivers fold into and merge,
+//! [`for_each_line`] reads plain streams, [`fold_stream`] is the
+//! one-fold driver over them and [`for_each_value`] the driver for
+//! commands that read values (`check`, `stats`, `query`).
 //!
 //! On the default route "parse" is the direct typer
 //! ([`typefuse_infer::Typer`]): the [`LineTyper`] owns its scratch, a
@@ -26,10 +29,12 @@ use std::io::BufRead;
 use crate::error::{Error, IoSite};
 use crate::faults::{BadRecord, ErrorReport, RetryPolicy};
 use crate::pipeline::{MapPath, SchemaJob};
-use typefuse_infer::{streaming, DedupMode, FuseConfig, ProfileAcc, SchemaAcc, ShapeCache, Typer};
+use typefuse_infer::{
+    streaming, DedupMode, FuseConfig, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer,
+};
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, Map, ParserOptions, Position, Value};
+use typefuse_json::{ErrorKind, Map, Parser, ParserOptions, Position, Value};
 use typefuse_obs::{Counter, Recorder};
 use typefuse_types::Type;
 
@@ -101,6 +106,53 @@ pub enum Absorbed<T = ()> {
     Bad(BadRecord),
 }
 
+/// Decide what one raw line is — the one place every driver does: the
+/// size guard (`RecordTooLarge` at the configured cap), the ASCII trim,
+/// the blank test, then `parse` on the trimmed content. A failure is
+/// anchored at `origin` with its column counted from the raw line's
+/// start, trimmed prefix included, and keeps the trimmed text (the
+/// guarded bytes for an oversized line) when the policy wants it.
+/// Counts `json.parse_errors`; counting records is the caller's.
+fn frame<T>(
+    config: &FoldConfig,
+    rec: &Recorder,
+    origin: Origin,
+    raw: &[u8],
+    truncated: bool,
+    parse: impl FnOnce(&[u8]) -> typefuse_json::Result<T>,
+) -> Absorbed<T> {
+    let (kind, start, text) = if truncated {
+        let cap = config.max_line_bytes.unwrap_or(usize::MAX);
+        (ErrorKind::RecordTooLarge(cap), Position::start(), raw)
+    } else {
+        let line = trim_ascii_bytes(raw);
+        if line.is_empty() {
+            return Absorbed::Blank;
+        }
+        let e = match parse(line) {
+            Ok(record) => return Absorbed::Record(record),
+            Err(e) => e,
+        };
+        // The trimmed prefix is ASCII whitespace: one byte, one column.
+        let lead = raw.iter().take_while(|b| b.is_ascii_whitespace()).count();
+        let start = e.span().start;
+        let start = Position {
+            offset: start.offset + lead,
+            column: start.column + lead as u32,
+            ..start
+        };
+        (e.kind().clone(), start, line)
+    };
+    rec.add("json.parse_errors", 1);
+    Absorbed::Bad(BadRecord {
+        at: origin.at(),
+        error: typefuse_json::Error::at(kind, origin.anchor(start)),
+        text: config
+            .keeps_text
+            .then(|| String::from_utf8_lossy(text).into_owned()),
+    })
+}
+
 /// The per-line half of the kernel.
 #[derive(Debug, Clone)]
 pub struct LineTyper {
@@ -139,50 +191,23 @@ impl LineTyper {
         truncated: bool,
         profile: Option<&mut ProfileAcc>,
     ) -> Absorbed<Type> {
-        if truncated {
-            let cap = self.config.max_line_bytes.unwrap_or(usize::MAX);
-            return self.bad(
-                origin,
-                ErrorKind::RecordTooLarge(cap),
-                Position::start(),
-                raw,
-            );
-        }
-        let line = trim_ascii_bytes(raw);
-        if line.is_empty() {
-            return Absorbed::Blank;
-        }
-        let (rec, parser) = (&self.recorder, &self.config.parser);
-        let typed = match (profile, self.config.map_path) {
-            (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
-            (None, MapPath::Events) => streaming::infer_line(&mut self.typer, line, parser, rec),
-            (None, MapPath::Shape) => self
-                .shape
-                .as_mut()
-                .expect("the shape route carries its cache")
-                .infer_line(line, parser, rec),
-        };
-        match typed {
-            Ok(ty) => {
-                let records = &mut self.records;
-                let records = records.get_or_insert_with(|| rec.counter("json.records"));
-                records.inc(1);
-                Absorbed::Record(ty)
+        let (config, rec) = (&self.config, &self.recorder);
+        let (typer, shape) = (&mut self.typer, &mut self.shape);
+        let absorbed = frame(config, rec, origin, raw, truncated, |line| {
+            let parser = &config.parser;
+            match (profile, shape) {
+                (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
+                (None, Some(shape)) => shape.infer_line(line, parser, rec),
+                (None, None) => streaming::infer_line(typer, line, parser, rec),
             }
-            Err(e) => self.bad(origin, e.kind().clone(), e.span().start, line),
+        });
+        if let Absorbed::Record(_) = absorbed {
+            let records = &mut self.records;
+            records
+                .get_or_insert_with(|| rec.counter("json.records"))
+                .inc(1);
         }
-    }
-
-    fn bad(&self, origin: Origin, kind: ErrorKind, start: Position, text: &[u8]) -> Absorbed<Type> {
-        self.recorder.add("json.parse_errors", 1);
-        Absorbed::Bad(BadRecord {
-            at: origin.at(),
-            error: typefuse_json::Error::at(kind, origin.anchor(start)),
-            text: self
-                .config
-                .keeps_text
-                .then(|| String::from_utf8_lossy(text).into_owned()),
-        })
+        absorbed
     }
 
     /// Flush `infer.shape_hits` / `infer.shape_misses` to the recorder
@@ -196,11 +221,10 @@ impl LineTyper {
 
 /// The whole kernel: a [`LineTyper`] feeding a schema accumulator, an
 /// optional profile, an error report and a line counter. A record is
-/// fused once, into the schema accumulator; the profile only observes,
-/// and takes schema and count along when it leaves the fold
-/// ([`ProfileAcc::with_schema`]). Folds merge
-/// like the fusion underneath — associatively and commutatively — so
-/// any split of the input over any folds yields the same state.
+/// fused once, into the schema accumulator, and a bad line is noted once,
+/// in the report; the profile only observes the path statistics. Folds
+/// merge like the fusion underneath — associatively and commutatively —
+/// so any split of the input over any folds yields the same state.
 #[derive(Debug, Clone)]
 pub struct RecordFold {
     typer: LineTyper,
@@ -215,9 +239,7 @@ impl RecordFold {
     pub fn new(config: FoldConfig, recorder: Recorder) -> Self {
         RecordFold {
             acc: SchemaAcc::new(config.dedup, config.fuse_config),
-            profile: config
-                .profile
-                .then(|| ProfileAcc::with_config(config.fuse_config)),
+            profile: config.profile.then(ProfileAcc::new),
             report: ErrorReport::new(),
             lines: 0,
             typer: LineTyper::new(config, recorder),
@@ -290,10 +312,10 @@ impl RecordFold {
         &self.report
     }
 
-    /// A copy of the profile component, if this fold carries one.
-    pub fn profile(&self) -> Option<ProfileAcc> {
+    /// The profile report so far, if this fold carries a profile.
+    pub fn profile_report(&self) -> Option<ProfileReport> {
         let profile = self.profile.clone()?;
-        Some(profile.with_schema(self.schema(), self.records()))
+        Some(profile.finish(self.schema()))
     }
 
     /// Distinct shapes held by the dedup route (0 on the plain route).
@@ -312,9 +334,9 @@ impl RecordFold {
     }
 
     /// Take the fold apart once the input is exhausted.
-    pub fn finish(self) -> (Type, u64, ErrorReport, Option<ProfileAcc>) {
+    pub fn finish(self) -> (Type, u64, ErrorReport, Option<ProfileReport>) {
         let (schema, records) = (self.acc.schema(), self.acc.records());
-        let profile = self.profile.map(|p| p.with_schema(schema.clone(), records));
+        let profile = self.profile.map(|p| p.finish(schema.clone()));
         (schema, records, self.report, profile)
     }
 
@@ -322,17 +344,13 @@ impl RecordFold {
     /// schema (lossless wire form), record count, route, profile and
     /// report; `u64`s as decimal strings (`typefuse_json::codec`).
     pub fn checkpoint_into(&self, m: &mut Map) {
-        let schema = self.schema();
         m.insert("lines", u64_to_value(self.lines));
         m.insert("dedup", Value::Bool(self.acc.is_dedup()));
-        m.insert(
-            "schema",
-            Value::from(typefuse_types::wire::to_wire(&schema)),
-        );
+        let schema = typefuse_types::wire::to_wire(&self.schema());
+        m.insert("schema", Value::from(schema));
         m.insert("records", u64_to_value(self.records()));
         if let Some(profile) = &self.profile {
-            let profile = profile.checkpoint_with(&schema, self.records());
-            m.insert("profile", profile);
+            m.insert("profile", profile.checkpoint_value());
         }
         m.insert("report", self.report.checkpoint_value());
     }
@@ -351,12 +369,8 @@ impl RecordFold {
             field("schema")?.as_str().ok_or("schema is not a string")?,
         )?;
         let records = u64_from_value(field("records")?)?;
-        // The profile's own copy of the schema is the one just read.
         let profile = match config.profile {
-            true => Some(
-                ProfileAcc::from_checkpoint_value(field("profile")?, config.fuse_config)?
-                    .with_schema(Type::Bottom, 0),
-            ),
+            true => Some(ProfileAcc::from_checkpoint_value(field("profile")?)?),
             false => None,
         };
         Ok(RecordFold {
@@ -391,6 +405,42 @@ pub fn fold_stream<R: BufRead + ?Sized>(
     job.error_policy.enforce(fold.report(), rec)?;
     rec.add("records", fold.records());
     Ok(fold)
+}
+
+/// The value driver (`typefuse check`, `stats`, `query`): read `reader`
+/// like [`fold_stream`], frame every line the way every fold does, parse
+/// each record to a [`Value`] under the job's parser options and hand it
+/// to `visit`. Bad lines are noted and the job's error policy is
+/// enforced on the report once the input is read, as [`fold_stream`]
+/// does; the report comes back for the caller to show.
+pub fn for_each_value<R: BufRead + ?Sized>(
+    reader: &mut R,
+    job: &SchemaJob,
+    mut visit: impl FnMut(Value),
+) -> Result<ErrorReport, Error> {
+    let (rec, config) = (&job.recorder, job.fold_config(false));
+    let (mut report, mut records) = (ErrorReport::new(), 0);
+    let parse = |line: &[u8]| Parser::with_options(line, config.parser.clone()).parse_complete();
+    for_each_line(
+        reader,
+        job.max_line_bytes,
+        job.retry,
+        rec,
+        |line, raw, truncated| match frame(&config, rec, Origin::Line(line), raw, truncated, parse)
+        {
+            Absorbed::Record(value) => {
+                records += 1;
+                visit(value);
+            }
+            Absorbed::Blank => {}
+            Absorbed::Bad(bad) => report.note(bad),
+        },
+    )?;
+    if records > 0 {
+        rec.add("json.records", records);
+    }
+    job.error_policy.enforce(&report, rec)?;
+    Ok(report)
 }
 
 /// Read `reader` to its end one bounded line at a time, retrying
@@ -429,5 +479,143 @@ pub fn for_each_line<R: BufRead + ?Sized>(
 pub(crate) fn count_lines(rec: &Recorder, lines: u64) {
     if lines > 0 {
         rec.add("json.lines", lines);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ErrorPolicy, JobConfig};
+    use typefuse_json::json;
+
+    fn config(map_path: MapPath, profile: bool) -> FoldConfig {
+        FoldConfig {
+            map_path,
+            dedup: DedupMode::Off,
+            fuse_config: FuseConfig::default(),
+            parser: ParserOptions::default(),
+            keeps_text: true,
+            max_line_bytes: None,
+            profile,
+        }
+    }
+
+    #[test]
+    fn bad_lines_are_anchored_at_their_raw_column() {
+        // The key is missing at byte 4 of the raw line, column 5: the
+        // three leading spaces count, though the parser never sees them.
+        let raw = b"   {bad  ";
+        let routes = [
+            (MapPath::Events, false),
+            (MapPath::Shape, false),
+            (MapPath::Events, true),
+        ];
+        for (route, profile) in routes {
+            let mut typer = LineTyper::new(config(route, profile), Recorder::disabled());
+            let mut acc = ProfileAcc::new();
+            let mut bad = |origin| {
+                let observer = profile.then_some(&mut acc);
+                match typer.type_line(origin, raw, false, observer) {
+                    Absorbed::Bad(bad) => bad,
+                    other => panic!("{route:?}: {other:?}"),
+                }
+            };
+            let on_line = bad(Origin::Line(2));
+            let start = on_line.error.span().start;
+            assert_eq!(
+                (start.offset, start.line, start.column),
+                (4, 2, 5),
+                "{route:?}"
+            );
+            assert_eq!((on_line.at, on_line.text.as_deref()), (2, Some("{bad")));
+            let at_offset = bad(Origin::Offset(8));
+            let start = at_offset.error.span().start;
+            assert_eq!(
+                (start.offset, start.line, start.column),
+                (12, 1, 5),
+                "{route:?}"
+            );
+            assert_eq!(at_offset.at, 8);
+        }
+    }
+
+    /// The values and the report [`for_each_value`] yields for `input`.
+    fn values_of(input: &str, job: &SchemaJob) -> Result<(Vec<Value>, ErrorReport), Error> {
+        let mut values = Vec::new();
+        let report = for_each_value(&mut input.as_bytes(), job, |v| values.push(v))?;
+        Ok((values, report))
+    }
+
+    fn skipping() -> SchemaJob {
+        JobConfig::new().on_error(ErrorPolicy::skip()).build()
+    }
+
+    #[test]
+    fn for_each_value_skips_blank_lines() {
+        let (values, report) = values_of("{\"a\":1}\n\n   \n{\"a\":2}", &SchemaJob::new()).unwrap();
+        assert_eq!(values, [json!({"a": 1}), json!({"a": 2})]);
+        assert!(report.is_empty());
+    }
+
+    #[test]
+    fn for_each_value_over_empty_input_visits_nothing() {
+        for input in ["", "\n\n"] {
+            let (values, report) = values_of(input, &SchemaJob::new()).unwrap();
+            assert!(values.is_empty() && report.is_empty(), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_value_anchors_errors_at_the_file_line() {
+        let input = "{\"a\":1}\n{\"bad\n{\"a\":2}\n";
+        // Reading goes on past a bad line; the report holds it.
+        let (values, report) = values_of(input, &skipping()).unwrap();
+        assert_eq!(values, [json!({"a": 1}), json!({"a": 2})]);
+        let bad = &report.records()[0];
+        assert_eq!((report.skipped(), bad.at), (1, 2));
+        assert_eq!(bad.error.span().start.line, 2);
+        // Fail-fast reports the same error.
+        let err = values_of(input, &SchemaJob::new()).unwrap_err();
+        assert!(matches!(&err, Error::Parse(e) if *e == bad.error), "{err}");
+    }
+
+    #[test]
+    fn for_each_value_rejects_trailing_garbage() {
+        let err = values_of("{} {}\n", &SchemaJob::new()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Parse(e) if *e.kind() == ErrorKind::TrailingCharacters),
+            "{err}"
+        );
+    }
+
+    struct FailingReader;
+
+    impl std::io::Read for FailingReader {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk on fire"))
+        }
+    }
+
+    #[test]
+    fn for_each_value_surfaces_an_unreadable_stream() {
+        let mut reader = std::io::BufReader::new(FailingReader);
+        let outcome = for_each_value(&mut reader, &skipping(), |_| panic!("no value"));
+        assert!(matches!(outcome, Err(Error::Io { .. })), "{outcome:?}");
+    }
+
+    #[test]
+    fn for_each_value_counts_bytes_lines_records_and_errors() {
+        let input = "{\"a\":1}\n\n{\"bad\n{\"a\":2}\n";
+        let rec = Recorder::enabled();
+        let job = JobConfig::new()
+            .on_error(ErrorPolicy::skip())
+            .recorder(rec.clone())
+            .build();
+        let (values, _) = values_of(input, &job).unwrap();
+        assert_eq!(values.len(), 2);
+        assert_eq!(rec.counter_value("json.bytes"), input.len() as u64);
+        assert_eq!(rec.counter_value("json.lines"), 4, "blank lines count");
+        assert_eq!(rec.counter_value("json.records"), 2);
+        assert_eq!(rec.counter_value("json.parse_errors"), 1);
     }
 }

@@ -42,7 +42,8 @@ use crate::faults::{ErrorPolicy, ErrorReport};
 use crate::fold::{for_each_line, Absorbed, FoldConfig, LineTyper, Origin, RecordFold};
 use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    fuse_into_recorded, infer_type_recorded, DedupAcc, FuseConfig, ProfileAcc, ProfileReport,
+    fuse_into, fuse_into_recorded, infer_type_recorded, DedupAcc, FuseConfig, ProfileAcc,
+    ProfileReport,
 };
 use typefuse_json::{ParserOptions, RetryPolicy, Value};
 use typefuse_obs::{Recorder, RunReport};
@@ -218,7 +219,7 @@ impl SchemaJob {
     }
 
     /// Run the **profiled** pipeline over any [`Source`]: one fused
-    /// Map+Reduce pass over [`ProfileAcc`]s, producing a
+    /// Map+Reduce pass over a schema and a [`ProfileAcc`], producing a
     /// [`ProfileReport`] — the fused schema plus per-path presence
     /// counts, kind/length/numeric statistics and provenance lines.
     ///
@@ -228,7 +229,9 @@ impl SchemaJob {
     /// minimum, so the profile — and its serialized report — is
     /// byte-identical for any worker count, partitioning and Map route
     /// (text is observed by the typer's walk, in-memory values by the
-    /// tree walk; both observe identically).
+    /// tree walk; both observe identically). In-memory values fold a
+    /// `(schema, profile)` pair: the type each observation hands back is
+    /// fused beside it.
     ///
     /// Text sources fold one profile-carrying [`RecordFold`] per
     /// partition and merge the folds; bad lines ride the merged
@@ -241,17 +244,25 @@ impl SchemaJob {
             Source::Values(values) => {
                 let numbered: Vec<(u64, &Value)> = (1..).zip(&values).collect();
                 let parts = partition(numbered, self.partitions);
+                let (cfg, empty) = (self.fuse_config, || (Type::Bottom, ProfileAcc::new()));
                 let (acc, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
                     self.reduce(
                         &parts,
-                        || ProfileAcc::with_config(self.fuse_config),
-                        |acc, (line, v)| acc.absorb_value_at(*line, v),
-                        ProfileAcc::merge,
+                        empty,
+                        |(schema, profile), (line, v)| {
+                            fuse_into(cfg, schema, &profile.observe_value(*line, v));
+                        },
+                        |(schema, profile), (other, theirs)| {
+                            fuse_into(cfg, schema, other);
+                            profile.merge(theirs);
+                        },
                     )?
                 };
+                let (schema, profile) = acc.unwrap_or_else(empty);
+                let profile = profile.finish(schema);
                 let errors = ErrorReport::new();
-                self.finish_profiled(acc, errors, parts.len(), fold_metrics, wall_start)
+                self.finish_profiled(profile, errors, parts.len(), fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
                 let records = partition(self.read_records(reader)?, self.partitions);
@@ -270,6 +281,7 @@ impl SchemaJob {
                     )?
                 };
                 let (_, _, report, profile) = fold.unwrap_or_else(empty).finish();
+                let profile = profile.expect("a profiled fold carries a profile");
                 self.error_policy.enforce(&report, rec)?;
                 self.finish_profiled(profile, report, records.len(), fold_metrics, wall_start)
             }
@@ -279,14 +291,12 @@ impl SchemaJob {
     /// Shared tail of the profiled routes.
     fn finish_profiled(
         &self,
-        acc: Option<ProfileAcc>,
+        profile: ProfileReport,
         errors: ErrorReport,
         partitions: usize,
         fold_metrics: StageMetrics,
         wall_start: Instant,
     ) -> Result<ProfiledResult, Error> {
-        let acc = acc.unwrap_or_else(|| ProfileAcc::with_config(self.fuse_config));
-        let profile = acc.finish();
         let records = profile.records;
         self.recorder.add("records", records);
         Ok(ProfiledResult {

@@ -157,22 +157,11 @@ pub struct FileSchema {
 /// Infer the schema of an NDJSON file with `runtime.workers()` parallel
 /// splits and default job settings (memory stays O(schema) per split).
 pub fn infer_file_schema(path: &Path, runtime: &Runtime) -> Result<FileSchema, Error> {
-    infer_file_schema_recorded(path, runtime, &Recorder::disabled())
-}
-
-/// [`infer_file_schema`] with observability (see [`infer_file`] for the
-/// counters and spans). A disabled recorder costs nothing.
-pub fn infer_file_schema_recorded(
-    path: &Path,
-    runtime: &Runtime,
-    rec: &Recorder,
-) -> Result<FileSchema, Error> {
     let options = IngestOptions {
-        policy: ErrorPolicy::FailFast,
         retry: RetryPolicy::none(),
-        parser: ParserOptions::default(),
+        ..IngestOptions::default()
     };
-    infer_file_schema_with(path, runtime, &options, rec)
+    infer_file_schema_with(path, runtime, &options, &Recorder::disabled())
 }
 
 /// [`infer_file`] for callers that hold an [`IngestOptions`] bundle
@@ -357,7 +346,11 @@ mod tests {
         let contents: String = (0..40).map(|i| format!("{{\"n\":{i}}}\n")).collect();
         let path = temp_file("recorded.ndjson", &contents);
         let rec = Recorder::enabled();
-        let fs = infer_file_schema_recorded(&path, &Runtime::new(2), &rec).unwrap();
+        let job = crate::JobConfig::new()
+            .workers(2)
+            .recorder(rec.clone())
+            .build();
+        let fs = infer_file(&path, &job).unwrap();
         let report = rec.snapshot();
         assert_eq!(report.counters["streaming.splits"], fs.splits as u64);
         assert_eq!(report.counters["json.records"], 40);

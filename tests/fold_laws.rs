@@ -51,7 +51,7 @@ fn merged(a: &RecordFold, b: &RecordFold) -> RecordFold {
 
 /// Everything a driver can read off a fold, rendered canonically.
 fn observe(fold: &RecordFold) -> String {
-    let profile = fold.profile().map(|p| p.finish().to_json());
+    let profile = fold.profile_report().map(|p| p.to_json());
     format!(
         "{} × {} in {} lines\n{}\n{profile:?}",
         fold.schema(),
