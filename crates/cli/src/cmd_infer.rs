@@ -280,10 +280,8 @@ fn print_schema(schema: &Type, format: &str) -> CliResult {
 /// (`typefuse::splits`); stdin is one sequential fold ([`fold_stream`]).
 fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorReport), CliError> {
     if let Some(path) = input.filter(|p| *p != "-") {
-        let fs = typefuse::splits::infer_file(std::path::Path::new(path), job).map_err(|e| {
-            let mapped = crate::ingest_error(e);
-            CliError::with_code(format!("{path}: {}", mapped.message), mapped.code)
-        })?;
+        let fs = typefuse::splits::infer_file(std::path::Path::new(path), job)
+            .map_err(crate::ingest_error)?;
         return Ok((fs.schema, fs.errors));
     }
     let fold =

@@ -1582,3 +1582,37 @@ fn serve_checkpoint_survives_sigkill_and_resumes_without_rereading() {
     let _ = std::fs::remove_file(&data);
     let _ = std::fs::remove_dir_all(&ckpt);
 }
+
+/// One error format whatever reads the file: batch, splits, the stdin
+/// fold and the value readers all stop at line 1 and say so alike.
+#[test]
+fn a_bad_first_line_is_one_error_on_every_reader() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-one-error");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = "{bad\n{\"a\":1}\n";
+    let file = dir.join("bad.ndjson");
+    std::fs::write(&file, data).unwrap();
+    let schema = dir.join("schema.txt");
+    std::fs::write(&schema, "{a: Num}\n").unwrap();
+    let script = dir.join("q.tfq");
+    std::fs::write(&script, "project $.a\n").unwrap();
+    let (file, schema, script) = (
+        file.to_str().unwrap(),
+        schema.to_str().unwrap(),
+        script.to_str().unwrap(),
+    );
+    let runs: [(&[&str], Option<&str>); 6] = [
+        (&["infer", file], None),
+        (&["infer", file, "--streaming"], None),
+        (&["infer", "-", "--streaming"], Some(data)),
+        (&["check", file, "--schema", schema], None),
+        (&["stats", file], None),
+        (&["query", file, "--script", script], None),
+    ];
+    let expected = "typefuse: parse error: expected object key at line 1, column 2\n";
+    for (args, stdin) in runs {
+        let out = typefuse(args, stdin);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert_eq!(stderr(&out), expected, "{args:?}");
+    }
+}

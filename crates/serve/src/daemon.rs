@@ -665,7 +665,6 @@ fn load_or_new_state(
         SourceState::new(
             &spec.name,
             fold_config.clone(),
-            config.job.error_policy.clone(),
             recorder.clone(),
             events.clone(),
         )
@@ -688,7 +687,6 @@ fn load_or_new_state(
             match SourceState::restore(
                 &spec.name,
                 fold_config.clone(),
-                config.job.error_policy.clone(),
                 recorder.clone(),
                 events.clone(),
                 &loaded.payload,
@@ -1141,7 +1139,7 @@ fn spawn_source_poller(
                 }
                 m_records.add(absorbed);
                 m_skipped.set(state.report().skipped());
-                m_quarantined.set(state.quarantined);
+                m_quarantined.set(state.quarantined());
                 m_shapes.set(state.distinct_shapes());
                 m_version.set(state.version.unwrap_or(0));
                 m_shape_hits.set(state.shape_hits());

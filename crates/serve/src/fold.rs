@@ -10,10 +10,9 @@
 //! inference cost once per distinct shape, not once per record.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use typefuse::fold::{Absorbed, FoldConfig, Origin, RecordFold};
 use typefuse::pipeline::{DedupMode, MapPath};
-use typefuse::{BadRecord, ErrorPolicy, ErrorReport, JobConfig};
+use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::ShapeCache;
 use typefuse_json::{Map, Value};
 use typefuse_obs::{EventLog, Level, Recorder};
@@ -54,8 +53,9 @@ pub enum SourceStatus {
 pub(crate) struct SourceState {
     pub(crate) name: String,
     /// The warm record fold: schema accumulator, profile (every route
-    /// but `shape`), error report, line counter and the shape route's
-    /// signature cache — all kept across poll batches.
+    /// but `shape`), judged bad lines under the job's error policy, line
+    /// counter and the shape route's signature cache — all kept across
+    /// poll batches.
     fold: RecordFold,
     /// Latest registry version holding this source's schema.
     pub(crate) version: Option<u64>,
@@ -74,8 +74,6 @@ pub(crate) struct SourceState {
     /// rendered for (`None`: not reusable).
     schema_text: (Option<u64>, String),
     pub(crate) status: SourceStatus,
-    /// Records written to the quarantine sidecar for this source.
-    pub(crate) quarantined: u64,
     /// Unix-millisecond timestamp of the last batch that brought any
     /// line (folded or bad); `None` until the source first produces.
     pub(crate) last_activity_ms: Option<u64>,
@@ -89,7 +87,6 @@ pub(crate) struct SourceState {
     /// Bumped on every change worth persisting; the checkpointer skips
     /// sources whose revision it has already written.
     pub(crate) ckpt_rev: u64,
-    policy: ErrorPolicy,
     recorder: Recorder,
     events: EventLog,
     /// The per-source record counter's name, `ingest.records.<name>`.
@@ -100,22 +97,15 @@ impl SourceState {
     pub(crate) fn new(
         name: &str,
         config: FoldConfig,
-        policy: ErrorPolicy,
         recorder: Recorder,
         events: EventLog,
     ) -> Self {
         let fold = RecordFold::new(config, recorder.clone());
-        Self::around(name, fold, policy, recorder, events)
+        Self::around(name, fold, recorder, events)
     }
 
     /// A fresh, active source around `fold`.
-    fn around(
-        name: &str,
-        fold: RecordFold,
-        policy: ErrorPolicy,
-        recorder: Recorder,
-        events: EventLog,
-    ) -> Self {
+    fn around(name: &str, fold: RecordFold, recorder: Recorder, events: EventLog) -> Self {
         SourceState {
             name: name.to_string(),
             fold,
@@ -126,13 +116,11 @@ impl SourceState {
             publish_skipped: 0,
             schema_text: (None, String::new()),
             status: SourceStatus::Active,
-            quarantined: 0,
             last_activity_ms: None,
             tail_offset: 0,
             tail_pending: Vec::new(),
             tail_pending_overflow: false,
             ckpt_rev: 0,
-            policy,
             recorder,
             events,
             records_key: format!("ingest.records.{name}"),
@@ -163,6 +151,15 @@ impl SourceState {
     /// The bad records skipped or quarantined so far.
     pub(crate) fn report(&self) -> &ErrorReport {
         self.fold.report()
+    }
+
+    /// Records written to the quarantine sidecar for this source: under
+    /// quarantine, every skipped one.
+    pub(crate) fn quarantined(&self) -> u64 {
+        match self.fold.policy() {
+            ErrorPolicy::Quarantine { .. } => self.report().skipped(),
+            _ => 0,
+        }
     }
 
     /// A point-in-time profile report (presence, kinds, provenance), or
@@ -234,7 +231,6 @@ impl SourceState {
         if let Some(version) = self.version {
             m.insert("version", u64_to_value(version));
         }
-        m.insert("quarantined", u64_to_value(self.quarantined));
         m.insert(
             "drift",
             Value::Array(self.drift.iter().map(|d| Value::from(d.clone())).collect()),
@@ -258,15 +254,15 @@ impl SourceState {
     }
 
     /// Rebuild a source from a checkpoint payload. Takes the same
-    /// configuration as [`SourceState::new`] — the fold configuration
-    /// and error policy are *not* persisted; a resumed daemon must run
-    /// the same job configuration as the one that wrote the checkpoint,
-    /// or the incremental ≡ batch law breaks (see
-    /// [`RecordFold::restore`]).
+    /// configuration as [`SourceState::new`] — the fold configuration,
+    /// error policy included, is *not* persisted; a resumed daemon must
+    /// run the same job configuration as the one that wrote the
+    /// checkpoint, or the incremental ≡ batch law breaks (see
+    /// [`RecordFold::restore`]). An older payload's `quarantined` count
+    /// is not read: the report's skips under quarantine are that count.
     pub(crate) fn restore(
         name: &str,
         config: FoldConfig,
-        policy: ErrorPolicy,
         recorder: Recorder,
         events: EventLog,
         payload: &Value,
@@ -301,7 +297,6 @@ impl SourceState {
             .and_then(Value::as_bool)
             .ok_or("missing tail_pending_overflow")?;
         let version = opt_u64_from_value(payload.get("version"))?;
-        let quarantined = u64_from_value(payload.get("quarantined").ok_or("missing quarantined")?)?;
         // A payload without `drift_total` lists every alert raised; one
         // written before the list was bounded may list more than are kept.
         let listed = payload
@@ -337,25 +332,26 @@ impl SourceState {
             drift,
             drift_total,
             status,
-            quarantined,
             last_activity_ms,
             tail_offset,
             tail_pending,
             tail_pending_overflow,
-            ..Self::around(name, fold, policy, recorder, events)
+            ..Self::around(name, fold, recorder, events)
         })
     }
 
     /// Fold one batch of tailed lines. Returns how many records were
-    /// absorbed; `false` activity means nothing changed. A policy
-    /// violation (fail-fast bad record, exhausted budget) flips the
-    /// source to [`SourceStatus::Failed`] and stops folding — a daemon
-    /// must keep serving its other sources.
+    /// absorbed; `false` activity means nothing changed. The line that
+    /// fails the policy's verdict (fail-fast, exhausted budget) flips the
+    /// source to [`SourceStatus::Failed`] with the verdict's text and
+    /// stops folding — a daemon must keep serving its other sources. The
+    /// batch's quarantine entries are appended to the sidecar at its end.
     pub(crate) fn fold_batch(&mut self, lines: &[typefuse_json::TailLine]) -> u64 {
         let mut absorbed = 0u64;
         if !lines.is_empty() {
             self.last_activity_ms = Some(unix_ms());
         }
+        let skipped = self.report().skipped();
         for line in lines {
             if !self.is_active() {
                 break;
@@ -364,13 +360,26 @@ impl SourceState {
             // right append.
             let origin = Origin::Line(self.fold.lines() + 1);
             match self.fold.absorb_line(origin, &line.content, line.truncated) {
-                Absorbed::Record(()) => absorbed += 1,
-                Absorbed::Blank => {}
-                Absorbed::Bad(bad) => self.note_bad(bad),
+                Ok(Absorbed::Record(())) => absorbed += 1,
+                Ok(Absorbed::Blank) => {}
+                Ok(Absorbed::Bad(bad)) => self.events.log(
+                    Level::Warn,
+                    &self.name,
+                    "ingest",
+                    format!("bad record at line {}: {}", bad.at, bad.error),
+                ),
+                Err(verdict) => self.fail(verdict.to_string()),
             }
         }
         // Once per batch, not per record: a one-shot add is a mutex, a
-        // `String` and a map probe.
+        // `String` and a map probe. Fail-fast skips nothing: its bad line
+        // parks the source.
+        let skipped = self.report().skipped() - skipped;
+        if let Err(e) = self.fold.flush_sidecar() {
+            self.fail(format!("cannot quarantine: {e}"));
+        } else if skipped > 0 && !self.fold.policy().is_fail_fast() {
+            self.recorder.add("ingest.skipped", skipped);
+        }
         if absorbed > 0 {
             self.recorder.add("ingest.records", absorbed);
             self.recorder.add(&self.records_key, absorbed);
@@ -386,48 +395,6 @@ impl SourceState {
     /// Signature-cache misses so far (0 off the shape route).
     pub(crate) fn shape_misses(&self) -> u64 {
         self.fold.shape_cache().map_or(0, ShapeCache::misses)
-    }
-
-    /// Apply the error policy to one bad record. Mirrors the batch
-    /// semantics (`ErrorPolicy::enforce`) but per record, because a
-    /// daemon has no "end of run": fail-fast marks the source failed,
-    /// skip drops, quarantine appends the record to the sidecar, and an
-    /// exhausted `max_errors` budget fails the source.
-    fn note_bad(&mut self, bad: BadRecord) {
-        self.recorder.add("ingest.parse_errors", 1);
-        if self.policy.is_fail_fast() {
-            self.fail(format!("parse error: {}", bad.error));
-            return;
-        }
-        match &self.policy {
-            ErrorPolicy::Quarantine { sink, .. } => match append_quarantine(sink, &bad) {
-                Ok(()) => {
-                    self.recorder.add("ingest.quarantined", 1);
-                    self.quarantined += 1;
-                }
-                Err(e) => {
-                    self.fail(format!("cannot quarantine to {sink:?}: {e}"));
-                    return;
-                }
-            },
-            ErrorPolicy::Skip { .. } | ErrorPolicy::FailFast => {}
-        }
-        self.recorder.add("ingest.skipped", 1);
-        self.events.log(
-            Level::Warn,
-            &self.name,
-            "ingest",
-            format!("bad record at line {}: {}", bad.at, bad.error),
-        );
-        self.fold.note(bad);
-        if let Some(limit) = self.policy.max_errors() {
-            let skipped = self.fold.report().skipped();
-            if skipped > limit {
-                self.fail(format!(
-                    "error budget exhausted: {skipped} bad records (limit {limit})"
-                ));
-            }
-        }
     }
 
     /// Flip the source to [`SourceStatus::Failed`] with an error event.
@@ -541,28 +508,6 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Append one bad record to the quarantine sidecar in the same NDJSON
-/// shape batch quarantine writes (`at`/`error`/`text`), so
-/// `typefuse::faults::read_quarantine` replays daemon sidecars too.
-/// Appending (instead of the batch writer's truncate) is what a
-/// long-running fold needs: each batch must extend, not replace.
-fn append_quarantine(sink: &PathBuf, bad: &BadRecord) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut obj = Map::new();
-    obj.insert("at", Value::from(bad.at as i64));
-    obj.insert("error", Value::from(bad.error.to_string()));
-    if let Some(text) = &bad.text {
-        obj.insert("text", Value::from(text.clone()));
-    }
-    let mut line = typefuse_json::to_string(&Value::Object(obj));
-    line.push('\n');
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(sink)?;
-    file.write_all(line.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,16 +527,28 @@ mod tests {
         state_on(dedup, MapPath::Events, policy)
     }
 
-    fn fold_config(dedup: bool, map_path: MapPath) -> FoldConfig {
+    fn fold_config(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> FoldConfig {
         let dedup = if dedup { DedupMode::On } else { DedupMode::Off };
-        super::fold_config(&JobConfig::new().map_path(map_path).dedup(dedup))
+        let job = JobConfig::new().map_path(map_path).dedup(dedup);
+        super::fold_config(&job.on_error(policy))
+    }
+
+    fn restore(
+        name: &str,
+        (dedup, map_path, policy): (bool, MapPath, ErrorPolicy),
+        payload: &Value,
+    ) -> Result<SourceState, String> {
+        let (config, events) = (
+            fold_config(dedup, map_path, policy),
+            EventLog::new(64, Level::Debug),
+        );
+        SourceState::restore(name, config, Recorder::enabled(), events, payload)
     }
 
     fn state_on(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> SourceState {
         SourceState::new(
             "s",
-            fold_config(dedup, map_path),
-            policy,
+            fold_config(dedup, map_path, policy),
             Recorder::enabled(),
             EventLog::new(64, Level::Debug),
         )
@@ -775,15 +732,7 @@ mod tests {
                     head.fold_batch(&lines(&texts[..cut]));
                     head.sync_tail(17, b"{\"part", false);
                     let payload = head.checkpoint_value();
-                    let mut resumed = SourceState::restore(
-                        "s",
-                        fold_config(dedup, map_path),
-                        policy(),
-                        Recorder::enabled(),
-                        EventLog::new(64, Level::Debug),
-                        &payload,
-                    )
-                    .unwrap();
+                    let mut resumed = restore("s", (dedup, map_path, policy()), &payload).unwrap();
                     assert_eq!(resumed.tail_offset, 17);
                     assert_eq!(resumed.tail_pending, b"{\"part");
                     assert_eq!(resumed.lines(), head.lines());
@@ -866,14 +815,7 @@ mod tests {
                 head.fold_batch(&lines(&refs[..cut]));
                 head.sync_tail(17, b"{\"part", false);
                 let payload = head.checkpoint_value();
-                let mut resumed = SourceState::restore(
-                    "s",
-                    fold_config(dedup, map_path),
-                    policy(),
-                    Recorder::enabled(),
-                    EventLog::new(64, Level::Debug),
-                    &payload,
-                )
+                let mut resumed = restore("s", (dedup, map_path, policy()), &payload)
                 .unwrap();
                 prop_assert_eq!(resumed.tail_offset, 17);
                 prop_assert_eq!(&resumed.tail_pending[..], &b"{\"part"[..]);
@@ -903,12 +845,9 @@ mod tests {
         s.fold_batch(&lines(&[r#"{"a": 1}"#]));
         let payload = s.checkpoint_value();
         let restore = |name: &str, payload: &Value| {
-            SourceState::restore(
+            restore(
                 name,
-                fold_config(false, MapPath::Events),
-                ErrorPolicy::FailFast,
-                Recorder::enabled(),
-                EventLog::new(64, Level::Debug),
+                (false, MapPath::Events, ErrorPolicy::FailFast),
                 payload,
             )
         };
@@ -934,12 +873,9 @@ mod tests {
         let mut s = state(false, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"a": 1}"#, "boom"]));
         assert!(matches!(s.status, SourceStatus::Failed(_)));
-        let resumed = SourceState::restore(
+        let resumed = restore(
             "s",
-            fold_config(false, MapPath::Events),
-            ErrorPolicy::FailFast,
-            Recorder::enabled(),
-            EventLog::new(64, Level::Debug),
+            (false, MapPath::Events, ErrorPolicy::FailFast),
             &s.checkpoint_value(),
         )
         .unwrap();
@@ -1008,15 +944,7 @@ mod tests {
             DRIFT_ALERTS_KEPT
         );
         let restore = |payload: &Value| {
-            SourceState::restore(
-                "s",
-                fold_config(true, MapPath::Events),
-                ErrorPolicy::FailFast,
-                Recorder::enabled(),
-                EventLog::new(64, Level::Debug),
-                payload,
-            )
-            .unwrap()
+            restore("s", (true, MapPath::Events, ErrorPolicy::FailFast), payload).unwrap()
         };
         let resumed = restore(&payload);
         assert_eq!(

@@ -260,7 +260,7 @@ pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
     w.key("skipped");
     w.number(state.report().skipped());
     w.key("quarantined");
-    w.number(state.quarantined);
+    w.number(state.quarantined());
     w.key("version");
     match state.version {
         Some(v) => w.number(v),

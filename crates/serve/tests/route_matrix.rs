@@ -34,7 +34,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use typefuse::datagen::{DatasetProfile, Profile};
-use typefuse::faults::write_quarantine;
 use typefuse::fold::{fold_stream, Origin, RecordFold};
 use typefuse::infer::{fuse_with, infer_type, ArrayFusion, FuseConfig, ProfileAcc};
 use typefuse::pipeline::{DedupMode, MapPath, Source};
@@ -255,8 +254,9 @@ impl Oracle {
         }
     }
 
-    /// The bad records as a driver anchored at `coords` reports them.
-    fn report(&self, coords: Coords, keeps_text: bool) -> ErrorReport {
+    /// The bad records, in input order, as a driver anchored at
+    /// `coords` judges them.
+    fn bad_records(&self, coords: Coords, keeps_text: bool) -> Vec<BadRecord> {
         let records = self.bad.iter().map(|bad| {
             let (at, position) = match coords {
                 Coords::Line => (
@@ -281,7 +281,32 @@ impl Oracle {
                 text: keeps_text.then(|| bad.text.clone()),
             }
         });
-        ErrorReport::from_parts(records.collect(), self.bad.len() as u64)
+        records.collect()
+    }
+
+    /// The report of the bad records: how many, and the earliest.
+    fn report(&self, coords: Coords, keeps_text: bool) -> ErrorReport {
+        let mut report = ErrorReport::new();
+        for bad in self.bad_records(coords, keeps_text) {
+            report.note(&bad);
+        }
+        report
+    }
+
+    /// The quarantine sidecar: one `{"at":…,"error":…,"text":…}` line
+    /// per bad line, in input order.
+    fn sidecar(&self, coords: Coords) -> String {
+        let line = |bad: BadRecord| {
+            let mut entry = Map::new();
+            entry.insert("at", Value::from(bad.at as i64));
+            entry.insert("error", Value::from(bad.error.to_string()));
+            entry.insert("text", Value::from(bad.text.unwrap()));
+            typefuse_json::to_string(&Value::Object(entry)) + "\n"
+        };
+        self.bad_records(coords, true)
+            .into_iter()
+            .map(line)
+            .collect()
     }
 }
 
@@ -460,8 +485,12 @@ impl Cell<'_> {
             MapPath::Events => (DedupMode::On, ArrayFusion::PositionalWhenAligned),
             MapPath::Shape => (DedupMode::Off, ArrayFusion::Collapse),
         };
-        let keeps_folding = matches!(self.policy, Policy::Skip | Policy::Capped);
-        if keeps_folding && (self.dedup, self.arrays) == corner {
+        // The verdicts too: a daemon's source parks as `failed`.
+        let daemon_policy = matches!(
+            self.policy,
+            Policy::Skip | Policy::Capped | Policy::FailFast | Policy::OverBudget
+        );
+        if daemon_policy && (self.dedup, self.arrays) == corner {
             drivers.push(Driver::Daemon);
         }
         let fixture = self.corpus.fixture && seed() == FIXTURE_SEED;
@@ -479,14 +508,19 @@ impl Cell<'_> {
             assert_eq!(got, self.expect(driver), "{self} {driver:?}");
             let counter = |name: &str| rec.counter_value(name);
             // The shape route answers every parsed line from its cache or
-            // by typing it; a profile reads values, so it turns the cache off.
+            // by typing it; a profile reads values, so it turns the cache
+            // off. A run the policy stopped parsed a prefix.
             let cached = matches!(
                 driver,
                 Driver::Batch(_) | Driver::Splits(_) | Driver::Stdin(false)
             );
             if self.route == MapPath::Shape && cached {
                 let served = counter("infer.shape_hits") + counter("infer.shape_misses");
-                assert_eq!(served, self.oracle().parsed, "{self} {driver:?}");
+                let parsed = self.oracle().parsed;
+                match got {
+                    Observed::Ran { .. } => assert_eq!(served, parsed, "{self} {driver:?}"),
+                    Observed::Failed(_) => assert!(served <= parsed, "{self} {driver:?}"),
+                }
             }
             if self.dedup == DedupMode::On && matches!(driver, Driver::Batch(_)) {
                 if let Observed::Ran { .. } = got {
@@ -597,11 +631,7 @@ impl Cell<'_> {
             Policy::OverBudget => {
                 let limit = bad - 1;
                 let first = Box::new(first());
-                let error = Error::Budget {
-                    errors: bad,
-                    limit,
-                    first,
-                };
+                let error = Error::Budget { limit, first };
                 return Observed::Failed(error.to_string());
             }
             _ => {}
@@ -618,11 +648,7 @@ impl Cell<'_> {
             names.iter().map(|&name| (name, value(name))).collect()
         };
         let report = oracle.report(coords, self.policy.quarantines());
-        let sidecar = self.policy.quarantines().then(|| {
-            let path = self.scratch(driver, "expected.ndjson");
-            write_quarantine(&path, &report).unwrap();
-            read_sidecar(&path).unwrap()
-        });
+        let sidecar = self.policy.quarantines().then(|| oracle.sidecar(coords));
         let profiled = match driver {
             Driver::Batch(_) | Driver::Splits(_) | Driver::Stdin(false) => false,
             Driver::Daemon => self.route != MapPath::Shape,
@@ -657,7 +683,8 @@ impl Cell<'_> {
 
     /// The resident driver: a daemon tails the corpus as it is appended
     /// in three cuts (at line boundaries picked from the cell), is shut
-    /// down after one of them and restarted from its checkpoint.
+    /// down after one of them and restarted from its checkpoint. A
+    /// source the policy stops reports the reason it parked with.
     fn serve(&self, config: JobConfig, sink: &Path) -> Observed {
         let feed = self.scratch(Driver::Daemon, "feed.ndjson");
         let ckpt = self.scratch(Driver::Daemon, "ckpt");
@@ -711,6 +738,10 @@ impl Cell<'_> {
                 daemon = start(&recorders[1]);
             }
         }
+        if let Some(reason) = parked(&daemon) {
+            daemon.shutdown();
+            return Observed::Failed(reason);
+        }
         let mut client = Client::connect(&daemon);
         let served = client.request(r#"{"op":"schema","source":"s"}"#);
         let served = typefuse_json::Envelope::expect_kind(&served, "schema")
@@ -763,14 +794,24 @@ impl Cell<'_> {
             &format!(r#""dedup":{}"#, self.dedup == DedupMode::On),
         );
         // The profile has since stopped keeping its own copy of the
-        // schema and the record count, the fold's own being beside it: a
-        // checkpoint written now is the parent's without those two fields.
+        // schema and the record count, the fold's own being beside it,
+        // and the report keeps the earliest bad record only: a checkpoint
+        // written now is the parent's without those two fields and with
+        // the first of its four bad records.
         let payload = typefuse_json::parse_value(&golden).unwrap();
         let mut current = payload.as_object().unwrap().clone();
         let Some(Value::Object(profile)) = current.get_mut("profile") else {
             panic!("{self}: the fixture folds a profile")
         };
         assert!(profile.remove("schema").is_some() && profile.remove("records").is_some());
+        let Some(Value::Object(report)) = current.get_mut("report") else {
+            panic!("{self}: the fixture checkpoints a report")
+        };
+        let Some(Value::Array(records)) = report.get_mut("records") else {
+            panic!("{self}: the report lists its records")
+        };
+        assert_eq!(records.len(), 4, "{self}: the fixture skipped four lines");
+        records.truncate(1);
         let current = Value::Object(current).to_string();
         let fold_config = config.build().fold_config(true);
         let lines: Vec<&[u8]> = lines_of(&self.corpus.bytes).collect();
@@ -799,7 +840,7 @@ fn read_sidecar(path: &Path) -> Option<String> {
 fn fold_over(mut fold: RecordFold, first_line: usize, lines: &[&[u8]]) -> RecordFold {
     for (i, line) in lines.iter().enumerate() {
         let origin = Origin::Line((first_line + i) as u64 + 1);
-        fold.absorb_noting(origin, line, false);
+        fold.absorb_line(origin, line, false).unwrap();
     }
     fold
 }
@@ -819,17 +860,33 @@ fn append(path: &Path, bytes: &[u8]) {
     file.write_all(bytes).unwrap();
 }
 
+/// The daemon's one source's health entry.
+fn source_health(daemon: &Daemon) -> Value {
+    let health = typefuse_json::Envelope::expect_kind(&daemon.health_json(), "health")
+        .unwrap()
+        .payload;
+    health
+        .get("sources")
+        .and_then(|s| s.get_index(0))
+        .unwrap()
+        .clone()
+}
+
+/// Why the daemon's one source parked, if it did.
+fn parked(daemon: &Daemon) -> Option<String> {
+    let health = source_health(daemon);
+    let status = health.get("status").and_then(Value::as_str).unwrap();
+    status.strip_prefix("failed: ").map(str::to_string)
+}
+
 /// Wait until the daemon's one source has folded or skipped `lines`
-/// lines.
+/// lines, or parked.
 fn wait_for_lines(daemon: &Daemon, lines: u64, cell: &str) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let health = typefuse_json::Envelope::expect_kind(&daemon.health_json(), "health")
-            .unwrap()
-            .payload;
-        let source = health.get("sources").and_then(|s| s.get_index(0)).unwrap();
+        let source = source_health(daemon);
         let count = |key: &str| source.get(key).and_then(Value::as_i64).unwrap() as u64;
-        if count("records") + count("skipped") == lines {
+        if count("records") + count("skipped") == lines || parked(daemon).is_some() {
             return;
         }
         assert!(

@@ -1,31 +1,36 @@
 //! Fault-tolerant ingestion: error policies, the mergeable
-//! [`ErrorReport`] monoid, and quarantine sidecars.
+//! [`ErrorReport`], the [`BadLines`] a run judges, and quarantine
+//! sidecars.
 //!
 //! The paper's premise is *massive* real-world JSON (Section 6), and at
 //! that scale dirty data is the norm. Because the paper's fusion is
 //! commutative and associative (Theorem 5.5), skipping or quarantining
 //! one record is a purely *local* decision: removing a record from any
 //! partition yields exactly the schema of the clean subset, regardless
-//! of how the input was partitioned. The [`ErrorPolicy`] on
-//! `SchemaJob` exploits this, and the [`ErrorReport`] collected along
-//! the way is itself a commutative monoid — like the fused types — so
-//! the reported errors are byte-identical across worker counts, map
-//! paths, and dedup settings.
+//! of how the input was partitioned. The [`ErrorPolicy`] on `SchemaJob`
+//! exploits this online: each bad line is judged as it arrives
+//! ([`BadLines::judge`], through the one [`ErrorPolicy::verdict`]), and
+//! a run stops reading at the line that fails the verdict.
 //!
 //! * [`ErrorPolicy::FailFast`] — stop at the earliest bad record
 //!   (default; byte-identical to the pre-policy behaviour).
-//! * [`ErrorPolicy::Skip`] — drop bad records, subject to a
-//!   deterministic error budget evaluated *after* merging (so a budget
-//!   decision never depends on partitioning).
+//! * [`ErrorPolicy::Skip`] — drop bad records; with a budget, stop at
+//!   the first one beyond it.
 //! * [`ErrorPolicy::Quarantine`] — like `Skip`, but every bad line is
 //!   written with its position and error to a sidecar NDJSON file for
 //!   later repair; [`read_quarantine`] replays the sidecar.
+//!
+//! What a run keeps of its bad lines is small and mergeable — the
+//! [`ErrorReport`] is a count and the earliest bad record — while the
+//! quarantined lines themselves go to the sidecar, in input order.
 
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use typefuse_json::{Map, Value};
+use typefuse_obs::Recorder;
 
+use crate::Error;
 pub use typefuse_json::RetryPolicy;
 
 /// How the ingestion pipeline treats records that fail to parse.
@@ -34,11 +39,9 @@ pub enum ErrorPolicy {
     /// Abort the run at the earliest bad record (in input order).
     #[default]
     FailFast,
-    /// Drop bad records and keep going. With `max_errors: Some(k)`,
-    /// more than `k` bad records fail the run with
-    /// [`Error::Budget`](crate::Error::Budget); the budget is checked
-    /// after merging all partitions, so the outcome is independent of
-    /// worker count and partitioning.
+    /// Drop bad records and keep going. With `max_errors: Some(k)`, the
+    /// bad record after the `k`th stops the run with
+    /// [`Error::Budget`].
     Skip {
         /// Maximum tolerated bad records (`None` = unlimited).
         max_errors: Option<u64>,
@@ -87,49 +90,21 @@ impl ErrorPolicy {
         matches!(self, ErrorPolicy::Quarantine { .. })
     }
 
-    /// Apply this policy to a fully merged report: fail fast on the
-    /// earliest bad record, or count skips (`ingest.skipped`), write the
-    /// quarantine sidecar (`ingest.quarantined`) and enforce the error
-    /// budget. Called once per run *after* all partitions merged, so the
-    /// outcome never depends on partitioning.
-    pub fn enforce(
-        &self,
-        report: &ErrorReport,
-        rec: &typefuse_obs::Recorder,
-    ) -> Result<(), crate::Error> {
-        match self {
-            ErrorPolicy::FailFast => match report.first() {
-                None => Ok(()),
-                Some(bad) => Err(crate::Error::Parse(bad.error.clone())),
-            },
-            ErrorPolicy::Skip { max_errors } => {
-                rec.add("ingest.skipped", report.skipped());
-                check_budget(report, *max_errors)
-            }
-            ErrorPolicy::Quarantine { sink, max_errors } => {
-                let written = write_quarantine(sink, report)?;
-                rec.add("ingest.quarantined", written);
-                rec.add("ingest.skipped", report.skipped());
-                check_budget(report, *max_errors)
-            }
+    /// The one verdict on a report, asked after each bad line and of a
+    /// merged report: fail-fast fails on any bad record, a budget on one
+    /// more than its limit. It neither writes nor counts.
+    pub fn verdict(&self, report: &ErrorReport) -> Result<(), Error> {
+        let Some(first) = report.first() else {
+            return Ok(());
+        };
+        match (self, self.max_errors()) {
+            (ErrorPolicy::FailFast, _) => Err(Error::Parse(first.error.clone())),
+            (_, Some(limit)) if report.skipped() > limit => Err(Error::Budget {
+                limit,
+                first: Box::new(first.error.clone()),
+            }),
+            _ => Ok(()),
         }
-    }
-}
-
-fn check_budget(report: &ErrorReport, limit: Option<u64>) -> Result<(), crate::Error> {
-    match limit {
-        Some(limit) if report.skipped() > limit => Err(crate::Error::Budget {
-            errors: report.skipped(),
-            limit,
-            first: Box::new(
-                report
-                    .first()
-                    .expect("over-budget report is non-empty")
-                    .error
-                    .clone(),
-            ),
-        }),
-        _ => Ok(()),
     }
 }
 
@@ -147,25 +122,27 @@ pub struct BadRecord {
     pub text: Option<String>,
 }
 
-/// How many bad records a report retains verbatim; beyond this only the
-/// `skipped` tally grows. 100k errors at ~100 bytes each bounds report
-/// memory at ~10 MB however dirty a 22 GB input turns out to be.
-pub const MAX_KEPT: usize = 100_000;
+impl BadRecord {
+    /// Input order; the error text and the line only break a tie, which
+    /// no single input has.
+    fn precedes(&self, other: &BadRecord) -> bool {
+        let tie =
+            || (self.error.to_string(), &self.text).cmp(&(other.error.to_string(), &other.text));
+        self.at.cmp(&other.at).then_with(tie).is_lt()
+    }
+}
 
-/// A mergeable, commutative summary of every record a run skipped or
-/// quarantined.
+/// A mergeable, commutative summary of the records a run skipped: how
+/// many, and the earliest.
 ///
 /// `ErrorReport` is a monoid under [`merge`](ErrorReport::merge) with
-/// [`ErrorReport::default`] as identity: records are kept sorted by
-/// input position (ties broken by error text), deduplicated, and
-/// truncated to the [`MAX_KEPT`] *smallest* positions. Keeping the
-/// smallest makes truncation associative — any merge order converges on
-/// the same earliest-K records — so reports are byte-identical across
+/// [`ErrorReport::default`] as identity: counts add and the earliest
+/// record (by input position) wins, so reports are byte-identical across
 /// worker counts and partitionings, exactly like the fused schema
-/// itself.
+/// itself. [`note`](ErrorReport::note) and `merge` are O(1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErrorReport {
-    records: Vec<BadRecord>,
+    first: Option<BadRecord>,
     skipped: u64,
 }
 
@@ -175,43 +152,34 @@ impl ErrorReport {
         ErrorReport::default()
     }
 
-    /// Record one bad record.
-    pub fn note(&mut self, record: BadRecord) {
+    /// Count one bad record, keeping it if it is the earliest so far.
+    pub fn note(&mut self, record: &BadRecord) {
         self.skipped += 1;
-        self.records.push(record);
-        self.normalize();
+        self.keep_earliest(record);
     }
 
     /// Merge another report into this one. Commutative and associative:
     /// both operand orders and any grouping yield the same report.
     pub fn merge(&mut self, other: &ErrorReport) {
         self.skipped += other.skipped;
-        self.records.extend(other.records.iter().cloned());
-        self.normalize();
+        if let Some(record) = &other.first {
+            self.keep_earliest(record);
+        }
     }
 
-    fn normalize(&mut self) {
-        self.records.sort_by(|a, b| {
-            (a.at, a.error.to_string(), &a.text).cmp(&(b.at, b.error.to_string(), &b.text))
-        });
-        self.records
-            .dedup_by(|a, b| a.at == b.at && a.error == b.error && a.text == b.text);
-        self.records.truncate(MAX_KEPT);
+    fn keep_earliest(&mut self, record: &BadRecord) {
+        if self
+            .first
+            .as_ref()
+            .is_none_or(|first| record.precedes(first))
+        {
+            self.first = Some(record.clone());
+        }
     }
 
-    /// Reconstruct a report from checkpointed parts. The records are
-    /// re-normalized, so a round trip through
-    /// [`checkpoint_value`](ErrorReport::checkpoint_value) is exact.
-    pub fn from_parts(records: Vec<BadRecord>, skipped: u64) -> Self {
-        let mut report = ErrorReport { records, skipped };
-        report.normalize();
-        report
-    }
-
-    /// Serialize for a crash-recovery checkpoint: every retained record
-    /// with its exact error (kind + span, via
-    /// [`typefuse_json::codec`]) plus the skip tally. Unlike the
-    /// quarantine sidecar this round-trips losslessly —
+    /// Serialize for a crash-recovery checkpoint: the skip tally and the
+    /// earliest record (in a `records` list of at most one) with its
+    /// exact error (kind + span, via [`typefuse_json::codec`]).
     /// [`from_checkpoint_value`](ErrorReport::from_checkpoint_value)
     /// restores a `==`-identical report.
     pub fn checkpoint_value(&self) -> Value {
@@ -219,7 +187,7 @@ impl ErrorReport {
         let mut obj = Map::new();
         obj.insert("skipped", u64_to_value(self.skipped));
         let records: Vec<Value> = self
-            .records
+            .first
             .iter()
             .map(|bad| {
                 let mut entry = Map::new();
@@ -236,7 +204,9 @@ impl ErrorReport {
     }
 
     /// Restore a report serialized by
-    /// [`checkpoint_value`](ErrorReport::checkpoint_value).
+    /// [`checkpoint_value`](ErrorReport::checkpoint_value). A checkpoint
+    /// that lists more records (older ones kept up to 100 000) restores
+    /// to its earliest.
     pub fn from_checkpoint_value(v: &Value) -> Result<Self, String> {
         use typefuse_json::codec::{error_from_value, u64_from_value};
         let skipped = v
@@ -247,7 +217,10 @@ impl ErrorReport {
             .get("records")
             .and_then(Value::as_array)
             .ok_or_else(|| "report missing `records`".to_string())?;
-        let mut records = Vec::with_capacity(entries.len());
+        let mut report = ErrorReport {
+            first: None,
+            skipped,
+        };
         for entry in entries {
             let at = entry
                 .get("at")
@@ -258,25 +231,19 @@ impl ErrorReport {
                 .ok_or_else(|| "bad record missing `error`".to_string())
                 .and_then(error_from_value)?;
             let text = entry.get("text").and_then(Value::as_str).map(String::from);
-            records.push(BadRecord { at, error, text });
+            report.keep_earliest(&BadRecord { at, error, text });
         }
-        Ok(ErrorReport::from_parts(records, skipped))
+        Ok(report)
     }
 
     /// The earliest bad record, if any.
     pub fn first(&self) -> Option<&BadRecord> {
-        self.records.first()
+        self.first.as_ref()
     }
 
-    /// Total number of records skipped (may exceed `records().len()`
-    /// once [`MAX_KEPT`] is reached).
+    /// Total number of records skipped.
     pub fn skipped(&self) -> u64 {
         self.skipped
-    }
-
-    /// The retained bad records, sorted by input position.
-    pub fn records(&self) -> &[BadRecord] {
-        &self.records
     }
 
     /// Whether no record was skipped.
@@ -285,67 +252,133 @@ impl ErrorReport {
     }
 }
 
-/// Write a report's bad records as a quarantine sidecar: one NDJSON
-/// object per record with `at`, `error`, and (when retained) `text`
-/// fields. Returns the number of records written.
-pub fn write_quarantine(path: &Path, report: &ErrorReport) -> std::io::Result<u64> {
-    let file = std::fs::File::create(path)?;
-    let mut out = std::io::BufWriter::new(file);
-    let mut written = 0u64;
-    for bad in report.records() {
-        let mut obj = Map::new();
-        obj.insert("at", Value::from(bad.at as i64));
-        obj.insert("error", Value::from(bad.error.to_string()));
-        if let Some(text) = &bad.text {
-            obj.insert("text", Value::from(text.clone()));
-        }
-        let line = typefuse_json::to_string(&Value::Object(obj));
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        written += 1;
-    }
-    out.flush()?;
-    Ok(written)
+/// The bad lines of one fold, judged as they arrive: the
+/// [`ErrorReport`] the verdict reads and, under quarantine, each line's
+/// sidecar entry in input order. A verdict that stops the run stops its
+/// `BadLines` too: no more lines, no more merges, and merging a stopped
+/// one in stops the result — so merged in input order, the entries are
+/// a prefix of an unstopped run's.
+#[derive(Debug, Clone, Default)]
+pub struct BadLines {
+    report: ErrorReport,
+    sidecar: Vec<u8>,
+    stopped: bool,
 }
 
-/// Replay a quarantine sidecar written by [`write_quarantine`]: parse
-/// each entry back into a [`BadRecord`] stub (`error` is re-parsed as
-/// an opaque I/O-kind error carrying the original message, since error
-/// kinds don't round-trip through text).
+impl BadLines {
+    /// Judge one bad line under `policy`: note it, render its sidecar
+    /// entry under quarantine, and return the verdict — `Err` once the
+    /// line stops the run.
+    pub fn judge(&mut self, policy: &ErrorPolicy, bad: &BadRecord) -> Result<(), Error> {
+        self.report.note(bad);
+        if policy.keeps_text() {
+            sidecar_line(bad, &mut self.sidecar);
+        }
+        let verdict = policy.verdict(&self.report);
+        self.stopped = verdict.is_err();
+        verdict
+    }
+
+    /// Append the bad lines that follow this fold's.
+    pub fn merge(&mut self, other: &BadLines) {
+        if !self.stopped {
+            self.report.merge(&other.report);
+            self.sidecar.extend_from_slice(&other.sidecar);
+            self.stopped = other.stopped;
+        }
+    }
+
+    /// Whether a verdict stopped the run.
+    pub fn stopped(&self) -> bool {
+        self.stopped
+    }
+
+    /// The report the verdict reads.
+    pub fn report(&self) -> &ErrorReport {
+        &self.report
+    }
+
+    /// Resume from a checkpointed report: not stopped, nothing to flush.
+    pub(crate) fn resume(report: ErrorReport) -> Self {
+        BadLines {
+            report,
+            ..BadLines::default()
+        }
+    }
+
+    /// Under quarantine, write the entries judged since the last flush to
+    /// the sink — a run creates it, a daemon appends once per poll batch —
+    /// and count them as `ingest.quarantined`.
+    pub fn flush(
+        &mut self,
+        policy: &ErrorPolicy,
+        append: bool,
+        rec: &Recorder,
+    ) -> std::io::Result<()> {
+        let ErrorPolicy::Quarantine { sink, .. } = policy else {
+            return Ok(());
+        };
+        if append && self.sidecar.is_empty() {
+            return Ok(());
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .append(append)
+            .truncate(!append)
+            .open(sink)?;
+        file.write_all(&self.sidecar)?;
+        let entries = self.sidecar.iter().filter(|&&b| b == b'\n').count();
+        rec.add("ingest.quarantined", entries as u64);
+        self.sidecar.clear();
+        Ok(())
+    }
+
+    /// End a run on its merged lines: create the sidecar, count
+    /// `ingest.skipped` (unless failing fast), return the verdict.
+    pub fn settle(&mut self, policy: &ErrorPolicy, rec: &Recorder) -> Result<(), Error> {
+        self.flush(policy, false, rec)?;
+        if !policy.is_fail_fast() {
+            rec.add("ingest.skipped", self.report.skipped());
+        }
+        policy.verdict(&self.report)
+    }
+}
+
+/// Render one bad record as its sidecar entry — an NDJSON object with
+/// `at`, `error` and (when kept) `text` — onto `out`.
+fn sidecar_line(bad: &BadRecord, out: &mut Vec<u8>) {
+    let mut obj = Map::new();
+    obj.insert("at", Value::from(bad.at as i64));
+    obj.insert("error", Value::from(bad.error.to_string()));
+    if let Some(text) = &bad.text {
+        obj.insert("text", Value::from(text.clone()));
+    }
+    out.extend_from_slice(typefuse_json::to_string(&Value::Object(obj)).as_bytes());
+    out.push(b'\n');
+}
+
+/// Replay a quarantine sidecar: parse each entry back into its
+/// position, error message and (when kept) text — error kinds don't
+/// round-trip through text.
 pub fn read_quarantine(path: &Path) -> std::io::Result<Vec<(u64, String, Option<String>)>> {
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
+    let invalid = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let reader = std::io::BufReader::new(std::fs::File::open(path)?);
     let mut entries = Vec::new();
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let v = typefuse_json::parse_value(&line)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let v = typefuse_json::parse_value(&line).map_err(|e| invalid(&e.to_string()))?;
         let at = match v.get("at") {
             Some(Value::Number(n)) => n.as_f64() as u64,
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "quarantine entry missing numeric `at`",
-                ))
-            }
+            _ => return Err(invalid("quarantine entry missing numeric `at`")),
         };
-        let error = match v.get("error") {
-            Some(Value::String(s)) => s.clone(),
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "quarantine entry missing `error`",
-                ))
-            }
-        };
-        let text = match v.get("text") {
-            Some(Value::String(s)) => Some(s.clone()),
-            _ => None,
-        };
-        entries.push((at, error, text));
+        let error = v.get("error").and_then(Value::as_str);
+        let error = error.ok_or_else(|| invalid("quarantine entry missing `error`"))?;
+        let text = v.get("text").and_then(Value::as_str).map(String::from);
+        entries.push((at, error.to_string(), text));
     }
     Ok(entries)
 }
@@ -363,14 +396,16 @@ mod tests {
         }
     }
 
+    fn report(records: &[BadRecord]) -> ErrorReport {
+        let mut r = ErrorReport::new();
+        records.iter().for_each(|record| r.note(record));
+        r
+    }
+
     #[test]
     fn merge_is_commutative() {
-        let mut a = ErrorReport::new();
-        a.note(bad(5, "{x"));
-        a.note(bad(2, "[1,"));
-        let mut b = ErrorReport::new();
-        b.note(bad(9, "nul"));
-        b.note(bad(1, "}"));
+        let a = report(&[bad(5, "{x"), bad(2, "[1,")]);
+        let b = report(&[bad(9, "nul"), bad(1, "}")]);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -378,20 +413,14 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.skipped(), 4);
-        assert_eq!(
-            ab.records().iter().map(|r| r.at).collect::<Vec<_>>(),
-            vec![1, 2, 5, 9]
-        );
+        assert_eq!(ab.first().unwrap().at, 1);
     }
 
     #[test]
     fn merge_is_associative_with_identity() {
-        let mut a = ErrorReport::new();
-        a.note(bad(3, "{x"));
-        let mut b = ErrorReport::new();
-        b.note(bad(1, "}"));
-        let mut c = ErrorReport::new();
-        c.note(bad(7, "tru"));
+        let a = report(&[bad(3, "{x")]);
+        let b = report(&[bad(1, "}")]);
+        let c = report(&[bad(7, "tru")]);
 
         let mut left = a.clone();
         left.merge(&b);
@@ -409,21 +438,20 @@ mod tests {
 
     #[test]
     fn duplicate_notes_dedup_but_count() {
-        let mut a = ErrorReport::new();
-        a.note(bad(4, "{x"));
+        let a = report(&[bad(4, "{x")]);
         let mut b = a.clone();
         b.merge(&a);
-        // The same (position, error, text) triple is one retained
-        // record, but both sightings count towards the tally.
-        assert_eq!(b.records().len(), 1);
+        // One record is kept, but both sightings count towards the tally.
+        assert_eq!(b.first(), a.first());
         assert_eq!(b.skipped(), 2);
+        // At one position the error breaks the tie, whatever the order.
+        let (x, y) = (bad(4, "{x"), bad(4, "}"));
+        assert_eq!(report(&[x.clone(), y.clone()]), report(&[y, x]));
     }
 
     #[test]
     fn first_is_the_earliest_position() {
-        let mut r = ErrorReport::new();
-        r.note(bad(100, "{x"));
-        r.note(bad(7, "}"));
+        let r = report(&[bad(100, "{x"), bad(7, "}")]);
         assert_eq!(r.first().unwrap().at, 7);
         assert!(!r.is_empty());
         assert!(ErrorReport::new().is_empty());
@@ -431,22 +459,28 @@ mod tests {
 
     #[test]
     fn checkpoint_value_round_trips_identically() {
-        let mut r = ErrorReport::new();
-        r.note(bad(3, "{\"a\": nul}"));
-        r.note(bad(12, "[1, 2,"));
-        r.note(BadRecord {
+        let mut r = report(&[bad(12, "[1, 2,"), bad(3, "{\"a\": nul}")]);
+        r.note(&BadRecord {
             at: 40,
             error: parse_value("}").unwrap_err(),
             text: None,
         });
-        // Skip tally beyond the retained records (as after MAX_KEPT).
-        let r = ErrorReport::from_parts(r.records().to_vec(), 17);
         let value = r.checkpoint_value();
         let reparsed = parse_value(&value.to_string()).unwrap();
         let back = ErrorReport::from_checkpoint_value(&reparsed).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.skipped(), 17);
+        assert_eq!(back.skipped(), 3);
         assert!(ErrorReport::from_checkpoint_value(&parse_value("{}").unwrap()).is_err());
+        // An older checkpoint listing many records restores to its earliest.
+        let entry = |at, input| {
+            let value = report(&[bad(at, input)]).checkpoint_value();
+            value.get("records").and_then(Value::as_array).unwrap()[0].clone()
+        };
+        let mut old = Map::new();
+        old.insert("skipped", Value::from("17"));
+        old.insert("records", Value::Array(vec![entry(9, "}"), entry(2, "{x")]));
+        let back = ErrorReport::from_checkpoint_value(&Value::Object(old)).unwrap();
+        assert_eq!((back.skipped(), back.first().unwrap().at), (17, 2));
     }
 
     #[test]
@@ -454,11 +488,12 @@ mod tests {
         let dir = std::env::temp_dir().join("typefuse-faults-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("quarantine-round-trip.ndjson");
-        let mut r = ErrorReport::new();
-        r.note(bad(3, "{\"a\": nul}"));
-        r.note(bad(12, "[1, 2,"));
-        let written = write_quarantine(&path, &r).unwrap();
-        assert_eq!(written, 2);
+        let (policy, rec) = (ErrorPolicy::quarantine(&path), Recorder::enabled());
+        let mut lines = BadLines::default();
+        lines.judge(&policy, &bad(3, "{\"a\": nul}")).unwrap();
+        lines.judge(&policy, &bad(12, "[1, 2,")).unwrap();
+        lines.settle(&policy, &rec).unwrap();
+        assert_eq!(rec.counter_value("ingest.quarantined"), 2);
         let back = read_quarantine(&path).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].0, 3);

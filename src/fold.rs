@@ -20,14 +20,14 @@
 //! and only a line the typer declines reaches the pull-event fold, for
 //! its error or its lenient type (DESIGN "The record fold").
 //!
-//! The driver keeps two decisions: where bytes come from, and what a bad
-//! record *means* (the [`ErrorPolicy`](crate::ErrorPolicy) — note and
-//! enforce after the merge, or serve's per-record verdict).
+//! A bad line is judged where it is framed, in the fold's [`BadLines`]
+//! under the job's [`ErrorPolicy`]; once the verdict fails the fold stops
+//! and its driver stops reading. The driver decides where bytes come from.
 
 use std::io::BufRead;
 
 use crate::error::{Error, IoSite};
-use crate::faults::{BadRecord, ErrorReport, RetryPolicy};
+use crate::faults::{BadLines, BadRecord, ErrorPolicy, ErrorReport, RetryPolicy};
 use crate::pipeline::{MapPath, SchemaJob};
 use typefuse_infer::{
     streaming, DedupMode, FuseConfig, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer,
@@ -86,8 +86,8 @@ pub struct FoldConfig {
     pub fuse_config: FuseConfig,
     /// Parser limits.
     pub parser: ParserOptions,
-    /// Whether bad records keep their (lossy UTF-8) text.
-    pub keeps_text: bool,
+    /// What a bad line means: each is judged by this policy's verdict.
+    pub policy: ErrorPolicy,
     /// The reader's line-size cap, reported by `RecordTooLarge`.
     pub max_line_bytes: Option<usize>,
     /// Carry a [`ProfileAcc`] beside the schema. A profile reads every
@@ -148,7 +148,8 @@ fn frame<T>(
         at: origin.at(),
         error: typefuse_json::Error::at(kind, origin.anchor(start)),
         text: config
-            .keeps_text
+            .policy
+            .keeps_text()
             .then(|| String::from_utf8_lossy(text).into_owned()),
     })
 }
@@ -220,17 +221,17 @@ impl LineTyper {
 }
 
 /// The whole kernel: a [`LineTyper`] feeding a schema accumulator, an
-/// optional profile, an error report and a line counter. A record is
-/// fused once, into the schema accumulator, and a bad line is noted once,
-/// in the report; the profile only observes the path statistics. Folds
-/// merge like the fusion underneath — associatively and commutatively —
-/// so any split of the input over any folds yields the same state.
+/// optional profile, the judged [`BadLines`] and a line counter. A record
+/// is fused once, into the schema accumulator, and a bad line is judged
+/// once; the profile only observes the path statistics. Folds merge like
+/// the fusion underneath — associatively and, until a verdict stops one,
+/// commutatively — so any split of the input yields the same state.
 #[derive(Debug, Clone)]
 pub struct RecordFold {
     typer: LineTyper,
     acc: SchemaAcc,
     profile: Option<ProfileAcc>,
-    report: ErrorReport,
+    bad: BadLines,
     lines: u64,
 }
 
@@ -240,15 +241,24 @@ impl RecordFold {
         RecordFold {
             acc: SchemaAcc::new(config.dedup, config.fuse_config),
             profile: config.profile.then(ProfileAcc::new),
-            report: ErrorReport::new(),
+            bad: BadLines::default(),
             lines: 0,
             typer: LineTyper::new(config, recorder),
         }
     }
 
-    /// Fold one raw line in. A bad line comes back to the caller, whose
-    /// policy decides whether it is [`note`](Self::note)d.
-    pub fn absorb_line(&mut self, origin: Origin, raw: &[u8], truncated: bool) -> Absorbed {
+    /// Fold one raw line in. A bad line is judged and comes back; the one
+    /// that fails the verdict stops the fold and comes back as its `Err`,
+    /// as does every line offered after it.
+    pub fn absorb_line(
+        &mut self,
+        origin: Origin,
+        raw: &[u8],
+        truncated: bool,
+    ) -> Result<Absorbed, Error> {
+        if self.bad.stopped() {
+            self.policy().verdict(self.report())?;
+        }
         self.lines += 1;
         match self
             .typer
@@ -256,34 +266,50 @@ impl RecordFold {
         {
             Absorbed::Record(ty) => {
                 self.acc.absorb_type(&ty);
-                Absorbed::Record(())
+                Ok(Absorbed::Record(()))
             }
-            Absorbed::Blank => Absorbed::Blank,
-            Absorbed::Bad(bad) => Absorbed::Bad(bad),
+            Absorbed::Blank => Ok(Absorbed::Blank),
+            Absorbed::Bad(bad) => {
+                self.bad.judge(&self.typer.config.policy, &bad)?;
+                Ok(Absorbed::Bad(bad))
+            }
         }
     }
 
-    /// Record a skipped bad record in the fold's report.
-    pub fn note(&mut self, bad: BadRecord) {
-        self.report.note(bad);
-    }
-
-    /// [`absorb_line`](Self::absorb_line) for drivers that enforce their
-    /// policy on the merged report: note a bad line and go on.
-    pub fn absorb_noting(&mut self, origin: Origin, raw: &[u8], truncated: bool) {
-        if let Absorbed::Bad(bad) = self.absorb_line(origin, raw, truncated) {
-            self.note(bad);
-        }
-    }
-
-    /// Merge another fold of the same job (its caches stay behind).
+    /// Merge the fold of the input that follows this one's (its caches
+    /// stay behind; a stopped fold takes no more, see [`BadLines`]).
     pub fn merge(&mut self, other: &RecordFold) {
+        if self.bad.stopped() {
+            return;
+        }
         self.acc.merge(&other.acc);
         if let (Some(mine), Some(theirs)) = (&mut self.profile, &other.profile) {
             mine.merge(theirs);
         }
-        self.report.merge(&other.report);
+        self.bad.merge(&other.bad);
         self.lines += other.lines;
+    }
+
+    /// Whether the policy's verdict stopped this fold.
+    pub fn stopped(&self) -> bool {
+        self.bad.stopped()
+    }
+
+    /// End a run on this (merged) fold: [`BadLines::settle`].
+    pub fn settle(&mut self) -> Result<(), Error> {
+        let (policy, rec) = (&self.typer.config.policy, &self.typer.recorder);
+        self.bad.settle(policy, rec)
+    }
+
+    /// A daemon's poll batch: append to the sidecar ([`BadLines::flush`]).
+    pub fn flush_sidecar(&mut self) -> std::io::Result<()> {
+        let (policy, rec) = (&self.typer.config.policy, &self.typer.recorder);
+        self.bad.flush(policy, true, rec)
+    }
+
+    /// The job's error policy.
+    pub fn policy(&self) -> &ErrorPolicy {
+        &self.typer.config.policy
     }
 
     /// The current fused schema.
@@ -307,9 +333,9 @@ impl RecordFold {
         self.lines
     }
 
-    /// The bad records noted so far.
+    /// The bad records judged so far.
     pub fn report(&self) -> &ErrorReport {
-        &self.report
+        self.bad.report()
     }
 
     /// The profile report so far, if this fold carries a profile.
@@ -337,7 +363,7 @@ impl RecordFold {
     pub fn finish(self) -> (Type, u64, ErrorReport, Option<ProfileReport>) {
         let (schema, records) = (self.acc.schema(), self.acc.records());
         let profile = self.profile.map(|p| p.finish(schema.clone()));
-        (schema, records, self.report, profile)
+        (schema, records, self.bad.report().clone(), profile)
     }
 
     /// Write the resumable state into a checkpoint object: line count,
@@ -352,7 +378,7 @@ impl RecordFold {
         if let Some(profile) = &self.profile {
             m.insert("profile", profile.checkpoint_value());
         }
-        m.insert("report", self.report.checkpoint_value());
+        m.insert("report", self.report().checkpoint_value());
     }
 
     /// Rebuild a fold from a checkpoint object. The configuration is
@@ -376,7 +402,7 @@ impl RecordFold {
         Ok(RecordFold {
             acc: SchemaAcc::resume(config.dedup, config.fuse_config, schema, records),
             profile,
-            report: ErrorReport::from_checkpoint_value(field("report")?)?,
+            bad: BadLines::resume(ErrorReport::from_checkpoint_value(field("report")?)?),
             lines: u64_from_value(field("lines")?)?,
             typer: LineTyper::new(config, recorder),
         })
@@ -384,9 +410,9 @@ impl RecordFold {
 }
 
 /// The one-pass stream driver (`typefuse infer - --streaming`): fold
-/// every line of `reader` into one [`RecordFold`] under `job` (carrying a
-/// profile when asked), then apply the job's error policy to the fold's
-/// report and count `records`. Memory is O(schema), not O(input).
+/// the lines of `reader` into one [`RecordFold`] under `job` (carrying a
+/// profile when asked) until the input ends or the fold stops, then
+/// [`settle`](RecordFold::settle) it. Memory is O(schema), not O(input).
 pub fn fold_stream<R: BufRead + ?Sized>(
     reader: &mut R,
     job: &SchemaJob,
@@ -399,10 +425,13 @@ pub fn fold_stream<R: BufRead + ?Sized>(
         job.max_line_bytes,
         job.retry,
         rec,
-        |line, bytes, truncated| fold.absorb_noting(Origin::Line(line), bytes, truncated),
+        |line, bytes, truncated| {
+            fold.absorb_line(Origin::Line(line), bytes, truncated)
+                .is_ok()
+        },
     )?;
     fold.flush_counters();
-    job.error_policy.enforce(fold.report(), rec)?;
+    fold.settle()?;
     rec.add("records", fold.records());
     Ok(fold)
 }
@@ -410,16 +439,15 @@ pub fn fold_stream<R: BufRead + ?Sized>(
 /// The value driver (`typefuse check`, `stats`, `query`): read `reader`
 /// like [`fold_stream`], frame every line the way every fold does, parse
 /// each record to a [`Value`] under the job's parser options and hand it
-/// to `visit`. Bad lines are noted and the job's error policy is
-/// enforced on the report once the input is read, as [`fold_stream`]
-/// does; the report comes back for the caller to show.
+/// to `visit`. Bad lines are judged as a fold judges them, and the
+/// settled report comes back for the caller to show.
 pub fn for_each_value<R: BufRead + ?Sized>(
     reader: &mut R,
     job: &SchemaJob,
     mut visit: impl FnMut(Value),
 ) -> Result<ErrorReport, Error> {
     let (rec, config) = (&job.recorder, job.fold_config(false));
-    let (mut report, mut records) = (ErrorReport::new(), 0);
+    let (mut bad_lines, mut records) = (BadLines::default(), 0);
     let parse = |line: &[u8]| Parser::with_options(line, config.parser.clone()).parse_complete();
     for_each_line(
         reader,
@@ -431,30 +459,31 @@ pub fn for_each_value<R: BufRead + ?Sized>(
             Absorbed::Record(value) => {
                 records += 1;
                 visit(value);
+                true
             }
-            Absorbed::Blank => {}
-            Absorbed::Bad(bad) => report.note(bad),
+            Absorbed::Blank => true,
+            Absorbed::Bad(bad) => bad_lines.judge(&config.policy, &bad).is_ok(),
         },
     )?;
     if records > 0 {
         rec.add("json.records", records);
     }
-    job.error_policy.enforce(&report, rec)?;
-    Ok(report)
+    bad_lines.settle(&config.policy, rec)?;
+    Ok(bad_lines.report().clone())
 }
 
-/// Read `reader` to its end one bounded line at a time, retrying
-/// transient I/O errors per `retry`, and hand each line to `on_line` as
-/// `(1-based line number, content without the newline, truncated)`.
-/// Counts `json.bytes` per line and `json.lines` once per read; an
-/// unrecoverable read error surfaces as [`Error::Io`] with the line it
-/// happened at.
+/// Read `reader` one bounded line at a time, retrying transient I/O
+/// errors per `retry`, and hand each line to `on_line` as `(1-based line
+/// number, content without the newline, truncated)` until the input ends
+/// or `on_line` returns `false`. Counts `json.bytes` per line and `json.lines`
+/// once per read; an unrecoverable read error surfaces as [`Error::Io`]
+/// with the line it happened at.
 pub fn for_each_line<R: BufRead + ?Sized>(
     reader: &mut R,
     max_line_bytes: Option<usize>,
     retry: RetryPolicy,
     rec: &Recorder,
-    mut on_line: impl FnMut(u64, &[u8], bool),
+    mut on_line: impl FnMut(u64, &[u8], bool) -> bool,
 ) -> Result<(), Error> {
     let mut buf: Vec<u8> = Vec::new();
     let mut line_no = 0u64;
@@ -465,7 +494,9 @@ pub fn for_each_line<R: BufRead + ?Sized>(
             Ok(raw) => {
                 rec.add("json.bytes", raw.consumed as u64);
                 line_no += 1;
-                on_line(line_no, &buf, raw.truncated);
+                if !on_line(line_no, &buf, raw.truncated) {
+                    break Ok(());
+                }
             }
             Err(e) => break Err(Error::io_at(e, IoSite::line(line_no as u32 + 1))),
         }
@@ -485,7 +516,7 @@ pub(crate) fn count_lines(rec: &Recorder, lines: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ErrorPolicy, JobConfig};
+    use crate::JobConfig;
     use typefuse_json::json;
 
     fn config(map_path: MapPath, profile: bool) -> FoldConfig {
@@ -494,7 +525,7 @@ mod tests {
             dedup: DedupMode::Off,
             fuse_config: FuseConfig::default(),
             parser: ParserOptions::default(),
-            keeps_text: true,
+            policy: ErrorPolicy::quarantine("unused.ndjson"),
             max_line_bytes: None,
             profile,
         }
@@ -571,7 +602,7 @@ mod tests {
         // Reading goes on past a bad line; the report holds it.
         let (values, report) = values_of(input, &skipping()).unwrap();
         assert_eq!(values, [json!({"a": 1}), json!({"a": 2})]);
-        let bad = &report.records()[0];
+        let bad = report.first().unwrap();
         assert_eq!((report.skipped(), bad.at), (1, 2));
         assert_eq!(bad.error.span().start.line, 2);
         // Fail-fast reports the same error.

@@ -38,7 +38,7 @@ use std::io::BufRead;
 use std::time::{Duration, Instant};
 
 use crate::error::Error;
-use crate::faults::{ErrorPolicy, ErrorReport};
+use crate::faults::{BadLines, ErrorPolicy, ErrorReport};
 use crate::fold::{for_each_line, Absorbed, FoldConfig, LineTyper, Origin, RecordFold};
 use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
@@ -182,7 +182,7 @@ impl SchemaJob {
             dedup: self.dedup,
             fuse_config: self.fuse_config,
             parser: self.parser_options.clone(),
-            keeps_text: self.error_policy.keeps_text(),
+            policy: self.error_policy.clone(),
             max_line_bytes: self.max_line_bytes,
             profile,
         }
@@ -234,9 +234,9 @@ impl SchemaJob {
     /// fused beside it.
     ///
     /// Text sources fold one profile-carrying [`RecordFold`] per
-    /// partition and merge the folds; bad lines ride the merged
-    /// [`ErrorReport`], so the job's [`ErrorPolicy`] sees them in input
-    /// order, exactly like [`SchemaJob::run`].
+    /// partition and merge the folds in input order; each fold judges its
+    /// bad lines under the job's [`ErrorPolicy`] and the merged fold is
+    /// judged once more, so the verdict is [`SchemaJob::run`]'s.
     pub fn run_profiled(&self, source: Source<'_>) -> Result<ProfiledResult, Error> {
         let wall_start = Instant::now();
         let rec = &self.recorder;
@@ -260,8 +260,7 @@ impl SchemaJob {
                     )?
                 };
                 let (schema, profile) = acc.unwrap_or_else(empty);
-                let profile = profile.finish(schema);
-                let errors = ErrorReport::new();
+                let (profile, errors) = (profile.finish(schema), ErrorReport::new());
                 self.finish_profiled(profile, errors, parts.len(), fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
@@ -275,14 +274,15 @@ impl SchemaJob {
                         empty,
                         |fold, record| {
                             let origin = Origin::Line(record.line.into());
-                            fold.absorb_noting(origin, &record.bytes, record.truncated)
+                            let _ = fold.absorb_line(origin, &record.bytes, record.truncated);
                         },
                         RecordFold::merge,
                     )?
                 };
-                let (_, _, report, profile) = fold.unwrap_or_else(empty).finish();
+                let mut fold = fold.unwrap_or_else(empty);
+                fold.settle()?;
+                let (_, _, report, profile) = fold.finish();
                 let profile = profile.expect("a profiled fold carries a profile");
-                self.error_policy.enforce(&report, rec)?;
                 self.finish_profiled(profile, report, records.len(), fold_metrics, wall_start)
             }
         }
@@ -332,7 +332,7 @@ impl SchemaJob {
     /// The text route for every Map path: read lines (retry, line-size
     /// guard), type each in parallel through the kernel's per-line half
     /// (one [`LineTyper`] per partition, so the shape route's cache is
-    /// partition-local), then apply the error policy to whatever failed.
+    /// partition-local), then judge the bad lines in input order.
     /// Counters: `json.bytes` / `json.lines` at read time; the kernel's
     /// at parse time; `ingest.skipped` / `ingest.quarantined` /
     /// `ingest.retries` / `ingest.worker_panics` for fault tolerance.
@@ -366,23 +366,23 @@ impl SchemaJob {
         let typed = self.surface_worker(typed)?;
         let map_time = map_start.elapsed();
 
-        // Partition the outcomes into clean types and the error report
-        // (one commutative monoid, like the schema itself), then let the
-        // policy decide — on the *merged* report, so the verdict is
-        // independent of worker count and partitioning. The outcomes are
-        // gathered whole first: batch memory is a benchmarked figure, and
-        // it changes only with the materialising driver itself.
+        // Split the outcomes into clean types and bad lines, judging each
+        // bad line in input order as a fold does, up to the one that
+        // stops the run. The outcomes are gathered whole first: batch
+        // memory is a benchmarked figure, and it changes only with the
+        // materialising driver itself.
         let typed: Vec<Absorbed<Type>> = typed.into_iter().flatten().collect();
         let mut types: Vec<Type> = Vec::new();
-        let mut report = ErrorReport::new();
+        let mut bad_lines = BadLines::default();
         for outcome in typed {
             match outcome {
                 Absorbed::Record(ty) => types.push(ty),
-                Absorbed::Bad(bad) => report.note(bad),
-                Absorbed::Blank => {}
+                Absorbed::Bad(bad) if bad_lines.judge(&self.error_policy, &bad).is_err() => break,
+                Absorbed::Bad(_) | Absorbed::Blank => {}
             }
         }
-        self.error_policy.enforce(&report, rec)?;
+        bad_lines.settle(&self.error_policy, rec)?;
+        let report = bad_lines.report().clone();
 
         let records = types.len() as u64;
         let types = partition(types, self.partitions);
@@ -407,7 +407,8 @@ impl SchemaJob {
                     line: line as u32,
                     bytes: bytes.to_vec(),
                     truncated,
-                })
+                });
+                true
             },
         )?;
         Ok(out)

@@ -13,9 +13,9 @@
 //! * [`infer_file`] — one [`RecordFold`] per split (the job's Map
 //!   route, dedup mode, fuse configuration, parser limits and line-size
 //!   guard; memory stays O(schema) per split), merged in range order.
-//!   Bad records ride each fold's [`ErrorReport`] and the policy is
-//!   enforced on the merged report, so schema and skip/quarantine
-//!   outcomes are byte-identical for any split count, by associativity.
+//!   Each fold judges its bad lines as it reads them and the merged fold
+//!   is judged once more, so schema, report and verdict are
+//!   byte-identical for any split count, by associativity.
 //! * [`infer_file_schema_with`] — the same over an [`IngestOptions`]
 //!   bundle (error policy, transient-I/O retry, parser limits) with
 //!   every other knob at its default.
@@ -27,6 +27,7 @@
 use std::fs::File;
 use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::{Error, IoSite};
 use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
@@ -91,17 +92,17 @@ pub struct IngestOptions {
 /// on `rec`) before surfacing as [`Error::Io`] with the byte offset of
 /// the failed read. `on_line` gets the line's absolute offset, its
 /// content as read, without the newline (blank lines included; capped
-/// at `max_line_bytes`) and whether the cap cut it. Invalid UTF-8
-/// arrives verbatim, so the parser reports it as a positioned parse
-/// error instead of a bare I/O error. Counts the split's `json.lines`
-/// once, when it is read.
+/// at `max_line_bytes`) and whether the cap cut it, and returns whether
+/// to read on. Invalid UTF-8 arrives verbatim, so the parser reports it as
+/// a positioned parse error instead of a bare I/O error. Counts the
+/// split's `json.lines` once, when it is read.
 pub fn read_split_with(
     path: &Path,
     split: Split,
     max_line_bytes: Option<usize>,
     retry: RetryPolicy,
     rec: &Recorder,
-    mut on_line: impl FnMut(u64, &[u8], bool),
+    mut on_line: impl FnMut(u64, &[u8], bool) -> bool,
 ) -> Result<(), Error> {
     let file = File::open(path).map_err(|e| Error::io_at(e, IoSite::offset(split.start)))?;
     let mut reader = BufReader::new(file);
@@ -129,7 +130,9 @@ pub fn read_split_with(
             Ok(raw) if raw.consumed == 0 => break Ok(()), // EOF
             Ok(raw) => {
                 lines += 1;
-                on_line(pos, &line, raw.truncated);
+                if !on_line(pos, &line, raw.truncated) {
+                    break Ok(());
+                }
                 pos += raw.consumed as u64;
             }
             Err(e) => break Err(Error::io_at(e, IoSite::offset(pos))),
@@ -150,7 +153,7 @@ pub struct FileSchema {
     pub splits: usize,
     /// Records skipped or quarantined by the error policy (empty under
     /// fail-fast). `BadRecord::at` is the absolute byte offset of the
-    /// offending line.
+    /// earliest offending line.
     pub errors: ErrorReport,
 }
 
@@ -189,12 +192,12 @@ pub fn infer_file_schema_with(
 /// `parser_options`, `max_line_bytes`, `retry`).
 ///
 /// The job's error policy decides whether a bad record aborts the run
-/// (fail-fast, the default), is dropped, or is quarantined. Per-split
-/// [`ErrorReport`]s are merged before the policy is enforced, so — like
-/// the fused schema itself — the outcome is byte-identical for every
-/// worker and split count; [`BadRecord::at`](crate::BadRecord::at) is
-/// the line's absolute byte offset. A panicking split worker surfaces
-/// as [`Error::Worker`] instead of tearing down the process.
+/// (fail-fast, the default), is dropped, or is quarantined: each split's
+/// fold judges its bad lines as it reads them, a range the policy stops
+/// stops every range after it, and the folds merge in range order, so
+/// the verdict is byte-identical for every worker and split count;
+/// [`BadRecord::at`](crate::BadRecord::at) is the line's absolute byte
+/// offset. A panicking split worker surfaces as [`Error::Worker`].
 ///
 /// Counts `streaming.splits`, per-split `json.bytes` / `json.lines` /
 /// `json.records` and the final `records`, and wraps each split in a `split.N` span so
@@ -207,6 +210,8 @@ pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
     let splits = plan_splits(len, job.runtime.workers() * 4);
     rec.add("streaming.splits", splits.len() as u64);
     let config = job.fold_config(false);
+    // The first range a verdict stopped: no range after it is merged.
+    let stopped = AtomicUsize::new(usize::MAX);
     let (outcome, _) = job.runtime.try_run_indexed(&splits, |i, &split| {
         let _span = span!(rec, "split", i);
         let mut fold = RecordFold::new(config.clone(), rec.clone());
@@ -216,7 +221,14 @@ pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
             job.max_line_bytes,
             job.retry,
             rec,
-            |offset, line, truncated| fold.absorb_noting(Origin::Offset(offset), line, truncated),
+            |offset, line, truncated| {
+                let origin = Origin::Offset(offset);
+                if fold.absorb_line(origin, line, truncated).is_err() {
+                    stopped.fetch_min(i, Ordering::Relaxed);
+                }
+                // Read on until this range or an earlier one stops.
+                stopped.load(Ordering::Relaxed) > i
+            },
         );
         fold.flush_counters();
         rec.add("json.bytes", split.end - split.start);
@@ -228,13 +240,17 @@ pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
     })?;
     let split_count = folds.len();
     // Splits are ordered by byte range, so the first per-split I/O error
-    // is the earliest failure in the file deterministically.
+    // is the earliest failure in the file deterministically; nothing
+    // after the first stopped range counts.
     let mut total = RecordFold::new(config, rec.clone());
     for fold in folds {
         total.merge(&fold?);
+        if total.stopped() {
+            break;
+        }
     }
+    total.settle()?;
     let (schema, records, errors, _) = total.finish();
-    job.error_policy.enforce(&errors, rec)?;
     rec.add("records", records);
     Ok(FileSchema {
         schema,
@@ -264,7 +280,8 @@ mod tests {
     fn read_all(path: &Path, split: Split, mut on_line: impl FnMut(u64, &str)) {
         let (retry, rec) = (RetryPolicy::none(), Recorder::disabled());
         read_split_with(path, split, None, retry, &rec, |offset, line, _| {
-            on_line(offset, std::str::from_utf8(line).unwrap())
+            on_line(offset, std::str::from_utf8(line).unwrap());
+            true
         })
         .unwrap();
     }
@@ -433,17 +450,9 @@ mod tests {
         for pair in reports.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }
-        // `at` is the absolute byte offset of each bad line.
-        let offsets: Vec<u64> = reports[0].records().iter().map(|r| r.at).collect();
-        let mut expected_offsets = Vec::new();
-        let mut pos = 0u64;
-        for line in contents.split_inclusive('\n') {
-            if line.starts_with("{broken") {
-                expected_offsets.push(pos);
-            }
-            pos += line.len() as u64;
-        }
-        assert_eq!(offsets, expected_offsets);
+        // `at` is the absolute byte offset of the earliest bad line.
+        let offset = contents.find("{broken").unwrap() as u64;
+        assert_eq!(reports[0].first().unwrap().at, offset);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! driver, worker count, map path and dedup setting is the route
 //! matrix's job (`crates/serve/tests/route_matrix.rs`); this file keeps
 //! what it cannot see — reader faults, panics, depth limits, random
-//! corpora and the report monoid itself.
+//! corpora, the report monoid itself, and the online verdict at scale:
+//! a sidecar that loses nothing, a stopped run's prefix, and fail-fast
+//! that stops reading.
 
 use std::io::BufReader;
 
@@ -298,6 +300,7 @@ fn an_over_cap_line_straddling_split_boundaries_keeps_ownership_intact() {
             read_split_with(&path, split, Some(16), retry, &rec, |offset, line, cut| {
                 assert!(line.len() <= 16);
                 seen.push((offset, cut));
+                true
             })
             .unwrap();
         }
@@ -403,6 +406,251 @@ fn io_site_formats_all_coordinates() {
     assert!(msg.contains("byte 123") && msg.contains("split 4"), "{msg}");
 }
 
+// ---- The online verdict ----------------------------------------------
+
+/// How a run reads its input: line-numbered drivers first, then the
+/// byte-range splits (their bad records sit at byte offsets).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reader {
+    Batch(usize),
+    Profiled(usize),
+    Stdin,
+    Values,
+    Splits(usize),
+}
+
+const READERS: [Reader; 8] = [
+    Reader::Batch(1),
+    Reader::Batch(4),
+    Reader::Profiled(4),
+    Reader::Stdin,
+    Reader::Values,
+    Reader::Splits(1),
+    Reader::Splits(4),
+    Reader::Splits(2),
+];
+
+impl Reader {
+    fn counts_lines(self) -> bool {
+        !matches!(self, Reader::Splits(_))
+    }
+
+    /// Run over `input` (also at `path`) under `policy`: the skip count
+    /// or the error's text, and the recorder.
+    fn run(
+        self,
+        policy: &ErrorPolicy,
+        input: &str,
+        path: &std::path::Path,
+    ) -> (Result<u64, String>, Recorder) {
+        let rec = Recorder::enabled();
+        let workers = match self {
+            Reader::Batch(w) | Reader::Profiled(w) | Reader::Splits(w) => w,
+            Reader::Stdin | Reader::Values => 1,
+        };
+        let job = JobConfig::new()
+            .workers(workers)
+            .without_type_stats()
+            .on_error(policy.clone())
+            .recorder(rec.clone())
+            .build();
+        let bytes = input.as_bytes();
+        let skipped = match self {
+            Reader::Batch(_) => job.run(Source::ndjson(bytes)).map(|r| r.errors),
+            Reader::Profiled(_) => job.run_profiled(Source::ndjson(bytes)).map(|r| r.errors),
+            Reader::Stdin => typefuse::fold::fold_stream(&mut &bytes[..], &job, false)
+                .map(|f| f.report().clone()),
+            Reader::Values => typefuse::fold::for_each_value(&mut &bytes[..], &job, |_| {}),
+            Reader::Splits(_) => typefuse::splits::infer_file(path, &job).map(|f| f.errors),
+        };
+        (skipped.map(|r| r.skipped()).map_err(|e| e.to_string()), rec)
+    }
+}
+
+/// `lines` lines, every other one malformed (the first is a record).
+fn alternating(lines: usize) -> String {
+    (0..lines)
+        .map(|i| if i % 2 == 0 { "{\"a\":1}\n" } else { "{bad\n" })
+        .collect()
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("typefuse-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn quarantine_loses_nothing_past_a_hundred_thousand_bad_lines() {
+    const BAD: u64 = 100_050;
+    let dir = scratch_dir("no-loss");
+    let input = alternating(2 * BAD as usize);
+    let path = dir.join("input.ndjson");
+    std::fs::write(&path, &input).unwrap();
+    let readers = [
+        Reader::Batch(1),
+        Reader::Batch(4),
+        Reader::Stdin,
+        Reader::Splits(1),
+        Reader::Splits(4),
+    ];
+    let mut sidecars: Vec<(Reader, Vec<u8>)> = Vec::new();
+    for reader in readers {
+        let sink = dir.join(format!("{reader:?}.sidecar"));
+        let (skipped, rec) = reader.run(&ErrorPolicy::quarantine(&sink), &input, &path);
+        let sidecar = std::fs::read(&sink).unwrap();
+        let lines = sidecar.iter().filter(|&&b| b == b'\n').count() as u64;
+        assert_eq!(skipped, Ok(BAD), "{reader:?}");
+        assert_eq!(lines, BAD, "{reader:?}");
+        assert_eq!(rec.counter_value("ingest.quarantined"), BAD, "{reader:?}");
+        assert_eq!(rec.counter_value("ingest.skipped"), BAD, "{reader:?}");
+        sidecars.push((reader, sidecar));
+    }
+    // One coordinate family, one sidecar.
+    for family in [true, false] {
+        let mut same = sidecars.iter().filter(|(r, _)| r.counts_lines() == family);
+        let (first, bytes) = same.next().unwrap();
+        for (other, theirs) in same {
+            assert!(
+                bytes == theirs,
+                "{first:?} and {other:?} wrote different sidecars"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_run_stopped_by_its_budget_leaves_a_prefix_of_the_full_sidecar() {
+    let dir = scratch_dir("budget-prefix");
+    let input = alternating(400);
+    let path = dir.join("input.ndjson");
+    std::fs::write(&path, &input).unwrap();
+    for limit in [0, 7, 150] {
+        let mut errors: Vec<(Reader, String)> = Vec::new();
+        for reader in READERS {
+            let full = dir.join(format!("{reader:?}.full"));
+            let (skipped, _) = reader.run(&ErrorPolicy::quarantine(&full), &input, &path);
+            assert_eq!(skipped, Ok(200), "{reader:?}");
+            let sink = dir.join(format!("{reader:?}.capped"));
+            let capped = ErrorPolicy::Quarantine {
+                sink: sink.clone(),
+                max_errors: Some(limit),
+            };
+            let (outcome, _) = reader.run(&capped, &input, &path);
+            let error = outcome.expect_err("over budget");
+            assert!(
+                error.starts_with("error budget exceeded"),
+                "{reader:?}: {error}"
+            );
+            if reader == Reader::Values {
+                // The value driver writes its sidecar too.
+                assert!(sink.exists(), "{reader:?}");
+            }
+            let (full, capped) = (std::fs::read(&full).unwrap(), std::fs::read(&sink).unwrap());
+            let kept = capped.iter().filter(|&&b| b == b'\n').count() as u64;
+            assert!(kept > limit, "{reader:?} limit {limit}: {kept} lines");
+            assert!(
+                full.starts_with(&capped),
+                "{reader:?} limit {limit}: not a prefix"
+            );
+            errors.push((reader, error));
+        }
+        for family in [true, false] {
+            let mut same = errors.iter().filter(|(r, _)| r.counts_lines() == family);
+            let (first, text) = same.next().unwrap();
+            for (other, theirs) in same {
+                assert_eq!(text, theirs, "{first:?} vs {other:?}, limit {limit}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fail_fast_stops_reading_at_the_bad_line() {
+    let dir = scratch_dir("fail-fast-stops");
+    let input: String = std::iter::once("{bad\n".to_string())
+        .chain((1..10_000).map(|i| format!("{{\"n\":{i}}}\n")))
+        .collect();
+    let path = dir.join("input.ndjson");
+    std::fs::write(&path, &input).unwrap();
+    for reader in [Reader::Stdin, Reader::Values, Reader::Splits(1)] {
+        let (outcome, rec) = reader.run(&ErrorPolicy::FailFast, &input, &path);
+        let error = outcome.expect_err("line 1 is bad");
+        assert!(error.starts_with("parse error"), "{reader:?}: {error}");
+        let lines = rec.counter_value("json.lines");
+        match reader {
+            Reader::Splits(_) => {
+                let ranges = rec.counter_value("streaming.splits");
+                assert!(
+                    lines <= ranges,
+                    "{reader:?}: {lines} lines over {ranges} ranges"
+                );
+            }
+            _ => assert_eq!(lines, 1, "{reader:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_verdict_stops_at_the_first_line_past_the_policy_and_a_stop_takes_no_more() {
+    let dir = scratch_dir("bad-lines");
+    let lines = [bad_record(1, 0), bad_record(2, 1), bad_record(3, 2)];
+    let budget = |limit| ErrorPolicy::Skip {
+        max_errors: Some(limit),
+    };
+    for (policy, stop) in [
+        (ErrorPolicy::FailFast, Some(0)),
+        (budget(1), Some(1)),
+        (ErrorPolicy::skip(), None),
+    ] {
+        let mut judged = typefuse::faults::BadLines::default();
+        let verdicts: Vec<bool> = lines
+            .iter()
+            .map(|line| judged.judge(&policy, line).is_ok())
+            .collect();
+        assert_eq!(verdicts.iter().position(|ok| !ok), stop, "{policy:?}");
+        assert_eq!(judged.stopped(), stop.is_some(), "{policy:?}");
+    }
+    // Merged in input order, a stopped run keeps its prefix and nothing
+    // after it; merging a stopped one in stops the result.
+    let sink = dir.join("sidecar.ndjson");
+    let policy = ErrorPolicy::Quarantine {
+        sink: sink.clone(),
+        max_errors: Some(1),
+    };
+    let judged = |records: &[BadRecord]| {
+        let mut out = typefuse::faults::BadLines::default();
+        for record in records {
+            let _ = out.judge(&policy, record);
+        }
+        out
+    };
+    let (a, b, c) = (
+        judged(&lines[..1]),
+        judged(&lines[1..]),
+        judged(&lines[2..]),
+    );
+    assert!(!a.stopped() && b.stopped());
+    let mut ab = a.clone();
+    ab.merge(&b);
+    let before = ab.report().clone();
+    ab.merge(&c);
+    assert!(ab.stopped());
+    assert_eq!(ab.report(), &before, "nothing follows a stop");
+    assert_eq!((before.skipped(), before.first().unwrap().at), (3, 1));
+    let err = ab.settle(&policy, &Recorder::disabled()).unwrap_err();
+    let first = lines[0].error.to_string();
+    let expected = format!("error budget exceeded: more than 1 bad records; first: {first}");
+    assert_eq!(err.to_string(), expected);
+    let written = typefuse::faults::read_quarantine(&sink).unwrap();
+    let at: Vec<u64> = written.iter().map(|entry| entry.0).collect();
+    assert_eq!(at, [1, 2, 3]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- Property tests ---------------------------------------------------
 
 fn bad_record(at: u64, tag: u8) -> BadRecord {
@@ -431,7 +679,7 @@ proptest! {
         // One report built sequentially…
         let mut sequential = ErrorReport::new();
         for &(at, tag) in &entries {
-            sequential.note(bad_record(at, tag));
+            sequential.note(&bad_record(at, tag));
         }
         // …versus the same entries split into `split` chunks, each
         // merged right-to-left.
@@ -441,7 +689,7 @@ proptest! {
             .map(|part| {
                 let mut r = ErrorReport::new();
                 for &(at, tag) in part {
-                    r.note(bad_record(at, tag));
+                    r.note(&bad_record(at, tag));
                 }
                 r
             })

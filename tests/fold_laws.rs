@@ -8,11 +8,12 @@
 //! path profile — and this suite checks it: identity, commutativity,
 //! associativity, any cut of the input, and absorb ≡ merge of a
 //! one-line fold, with profile on and off, dedup on and off, and bad and
-//! blank lines noted along the way.
+//! blank lines judged (and skipped) along the way.
 
 use proptest::prelude::*;
 use typefuse::fold::{FoldConfig, Origin, RecordFold};
 use typefuse::pipeline::{DedupMode, MapPath};
+use typefuse::ErrorPolicy;
 use typefuse_infer::FuseConfig;
 use typefuse_json::testkit::arb_value;
 use typefuse_json::ParserOptions;
@@ -28,7 +29,7 @@ fn empty(profile: bool, dedup: DedupMode) -> RecordFold {
         dedup,
         fuse_config: FuseConfig::default(),
         parser: ParserOptions::default(),
-        keeps_text: true,
+        policy: ErrorPolicy::skip(),
         max_line_bytes: None,
         profile,
     };
@@ -38,7 +39,8 @@ fn empty(profile: bool, dedup: DedupMode) -> RecordFold {
 fn fold(empty: &RecordFold, lines: &[Line]) -> RecordFold {
     let mut acc = empty.clone();
     for (n, text) in lines {
-        acc.absorb_noting(Origin::Line(*n), text.as_bytes(), false);
+        acc.absorb_line(Origin::Line(*n), text.as_bytes(), false)
+            .expect("skip never stops a fold");
     }
     acc
 }
