@@ -25,15 +25,17 @@ fn inferred(profile: Profile, n: usize) -> Vec<Type> {
 
 fn plain(types: &[Type]) -> Type {
     let mut acc = Incremental::new();
-    types.iter().for_each(|ty| acc.absorb_type_ref(ty));
+    for ty in types {
+        acc.absorb_type_ref(ty);
+    }
     acc.into_schema()
 }
 
 fn dedup(types: &[Type]) -> Type {
     let mut acc = DedupAcc::new();
-    types
-        .iter()
-        .for_each(|ty| acc.absorb_type(FuseConfig::default(), ty));
+    for ty in types {
+        acc.absorb_type(FuseConfig::default(), ty);
+    }
     acc.schema()
 }
 

@@ -11,7 +11,6 @@ use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::io::Write;
 use std::time::Duration;
-use typefuse::pipeline::DedupMode;
 use typefuse_obs::{Level, Recorder};
 use typefuse_registry::CompatMode;
 use typefuse_serve::{Daemon, ServeConfig};
@@ -32,21 +31,6 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             ))
         })?,
     };
-    let dedup = match args.option("--dedup")?.as_deref() {
-        None | Some("auto") => DedupMode::Auto,
-        Some("on") => DedupMode::On,
-        Some("off") => DedupMode::Off,
-        Some(other) => {
-            return Err(CliError::usage(format!(
-                "unknown dedup mode `{other}` (expected auto, on or off)"
-            )))
-        }
-    };
-    let map_path = args
-        .option("--map-path")?
-        .as_deref()
-        .map(crate::job_args::parse_map_path)
-        .transpose()?;
     let checkpoint_dir = args.option("--checkpoint-dir")?;
     let checkpoint_interval_ms: u64 = args
         .parsed_option("--checkpoint-interval-ms")?
@@ -64,7 +48,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             ))
         })?,
     };
-    let flags = JobFlags::parse_ingest(args)?;
+    let flags = JobFlags::parse_routed(args)?;
     args.finish()?;
 
     if watches.is_empty() && tcp_sources.is_empty() {
@@ -74,10 +58,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     }
 
     let recorder = Recorder::enabled();
-    let mut job = flags.config(recorder.clone()).dedup(dedup);
-    if let Some(path) = map_path {
-        job = job.map_path(path);
-    }
+    let job = flags.config(recorder.clone());
     let mut config = ServeConfig::new()
         .listen(listen)
         .poll_interval(Duration::from_millis(poll_ms.max(1)))

@@ -11,10 +11,10 @@ use typefuse::{ErrorPolicy, RetryPolicy};
 use typefuse_json::ParserOptions;
 use typefuse_obs::Recorder;
 
-/// The parsed job flags. [`JobFlags::parse`] consumes the full set
-/// (execution + ingest); [`JobFlags::parse_ingest`] only the ingest
-/// subset (`--on-error`, `--quarantine`, `--max-errors`, `--max-depth`,
-/// `--max-line-bytes`) for subcommands without an execution matrix.
+/// The parsed job flags: [`JobFlags::parse`] takes the full set,
+/// [`JobFlags::parse_routed`] all but `--workers` / `--partitions`
+/// (serve), [`JobFlags::parse_ingest`] only `--on-error`, `--quarantine`,
+/// `--max-errors`, `--max-depth` and `--max-line-bytes`.
 pub(crate) struct JobFlags {
     pub(crate) workers: Option<usize>,
     pub(crate) partitions: Option<usize>,
@@ -26,12 +26,21 @@ pub(crate) struct JobFlags {
 }
 
 impl JobFlags {
-    /// Parse the full flag set: `--workers`, `--partitions`,
-    /// `--map-path`, `--dedup`, plus everything in
-    /// [`JobFlags::parse_ingest`].
+    /// Parse the full flag set: `--workers`, `--partitions`, plus
+    /// everything in [`JobFlags::parse_routed`].
     pub(crate) fn parse(args: &mut ArgStream) -> Result<JobFlags, CliError> {
         let workers = args.parsed_option("--workers")?;
         let partitions = args.parsed_option("--partitions")?;
+        let mut flags = JobFlags::parse_routed(args)?;
+        flags.workers = workers;
+        flags.partitions = partitions;
+        Ok(flags)
+    }
+
+    /// The routes, `--map-path` and `--dedup` (absent: `auto`, which
+    /// batch and serve both resolve by sampling the leading records),
+    /// plus everything in [`JobFlags::parse_ingest`]: `serve`'s set.
+    pub(crate) fn parse_routed(args: &mut ArgStream) -> Result<JobFlags, CliError> {
         let map_path = args
             .option("--map-path")?
             .as_deref()
@@ -48,8 +57,6 @@ impl JobFlags {
             }
         };
         let mut flags = JobFlags::parse_ingest(args)?;
-        flags.workers = workers;
-        flags.partitions = partitions;
         flags.map_path = map_path;
         flags.dedup = dedup;
         Ok(flags)

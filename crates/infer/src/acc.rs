@@ -74,9 +74,15 @@ pub fn dedup_auto_sample<'a>(types: impl IntoIterator<Item = &'a Type>) -> bool 
     sample.redundant()
 }
 
-/// A running fused schema with a record count, on either reduce route.
+/// A running fused schema, its record count and revision, on either route.
 #[derive(Debug, Clone)]
-pub enum SchemaAcc {
+pub struct SchemaAcc {
+    route: Route,
+    revision: u64,
+}
+
+#[derive(Debug, Clone)]
+enum Route {
     /// Plain running fusion. The sample is present while
     /// `DedupMode::Auto` has not yet seen enough records to decide.
     Plain(Incremental, Option<AutoSample>),
@@ -93,90 +99,87 @@ impl SchemaAcc {
     /// Resume from a computed schema and record count. The dedup route's
     /// interner and memo cache restart cold (pure performance state).
     pub fn resume(mode: DedupMode, config: FuseConfig, schema: Type, records: u64) -> Self {
-        match mode {
-            DedupMode::On => SchemaAcc::Dedup(Box::new(DedupAcc::resume(&schema, records)), config),
-            DedupMode::Auto | DedupMode::Off => SchemaAcc::Plain(
+        let route = match mode {
+            DedupMode::On => Route::Dedup(Box::new(DedupAcc::resume(&schema, records)), config),
+            DedupMode::Auto | DedupMode::Off => Route::Plain(
                 Incremental::resume(schema, records, config),
                 (mode == DedupMode::Auto).then(AutoSample::default),
             ),
-        }
+        };
+        SchemaAcc { route, revision: 0 }
     }
 
     /// Fold one inferred type in.
     pub fn absorb_type(&mut self, ty: &Type) {
-        match self {
-            SchemaAcc::Dedup(acc, config) => acc.absorb_type(*config, ty),
-            SchemaAcc::Plain(acc, sample) => {
-                acc.absorb_type_ref(ty);
+        let changed = match &mut self.route {
+            Route::Dedup(acc, config) => acc.absorb_type(*config, ty),
+            Route::Plain(acc, sample) => {
+                let changed = acc.absorb_type_ref(ty);
                 match sample.as_mut().and_then(|s| s.note(ty)) {
                     Some(true) => {
-                        *self = SchemaAcc::Dedup(
-                            Box::new(DedupAcc::resume(acc.schema(), acc.count())),
-                            acc.config(),
-                        )
+                        let dedup = Box::new(DedupAcc::resume(acc.schema(), acc.count()));
+                        self.route = Route::Dedup(dedup, acc.config());
                     }
                     Some(false) => *sample = None,
                     None => {}
                 }
+                changed
             }
-        }
+        };
+        self.revision += u64::from(changed);
     }
 
     /// Merge another accumulator (associative and commutative, like the
     /// fusion underneath). The sides may be on different routes — `Auto`
     /// resolves per accumulator — and the result stays on `self`'s.
     pub fn merge(&mut self, other: &SchemaAcc) {
-        match (self, other) {
-            (SchemaAcc::Plain(mine, _), SchemaAcc::Plain(theirs, _)) => mine.merge(theirs),
-            (SchemaAcc::Dedup(mine, config), SchemaAcc::Dedup(theirs, _)) => {
-                mine.merge(*config, theirs)
-            }
-            (SchemaAcc::Plain(mine, _), SchemaAcc::Dedup(theirs, config)) => mine.merge(
+        let changed = match (&mut self.route, &other.route) {
+            (Route::Plain(mine, _), Route::Plain(theirs, _)) => mine.merge(theirs),
+            (Route::Plain(mine, _), Route::Dedup(theirs, config)) => mine.merge(
                 &Incremental::resume(theirs.schema(), theirs.records(), *config),
             ),
-            (SchemaAcc::Dedup(mine, config), SchemaAcc::Plain(theirs, _)) => {
+            (Route::Dedup(mine, config), Route::Dedup(theirs, _)) => mine.merge(*config, theirs),
+            (Route::Dedup(mine, config), Route::Plain(theirs, _)) => {
                 mine.merge(*config, &DedupAcc::resume(theirs.schema(), theirs.count()))
             }
-        }
+        };
+        self.revision += u64::from(changed);
     }
 
     /// The current fused schema (`ε` if nothing has been absorbed).
     pub fn schema(&self) -> Type {
-        match self {
-            SchemaAcc::Plain(acc, _) => acc.schema().clone(),
-            SchemaAcc::Dedup(acc, _) => acc.schema(),
+        match &self.route {
+            Route::Plain(acc, _) => acc.schema().clone(),
+            Route::Dedup(acc, _) => acc.schema(),
         }
     }
 
-    /// A token that moves iff the fused schema changed, where the route
-    /// can tell without resolving the schema: the dedup route's interned
-    /// schema id. `None` on the plain route.
-    pub fn revision(&self) -> Option<u64> {
-        match self {
-            SchemaAcc::Plain(..) => None,
-            SchemaAcc::Dedup(acc, _) => Some(acc.schema_id().index() as u64),
-        }
+    /// Moves iff an absorb or merge changed the fused schema, on either
+    /// route and across `Auto`'s switch (the plain route's exact changed
+    /// flag from `fuse_into`, the dedup route's schema id); 0 on resume.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Records absorbed (across merges and resumes).
     pub fn records(&self) -> u64 {
-        match self {
-            SchemaAcc::Plain(acc, _) => acc.count(),
-            SchemaAcc::Dedup(acc, _) => acc.records(),
+        match &self.route {
+            Route::Plain(acc, _) => acc.count(),
+            Route::Dedup(acc, _) => acc.records(),
         }
     }
 
     /// Distinct interned shapes held by the dedup route (0 on the plain
     /// route, which does not track shapes).
     pub fn distinct_shapes(&self) -> u64 {
-        match self {
-            SchemaAcc::Plain(..) => 0,
-            SchemaAcc::Dedup(acc, _) => acc.distinct_shapes() as u64,
+        match &self.route {
+            Route::Plain(..) => 0,
+            Route::Dedup(acc, _) => acc.distinct_shapes() as u64,
         }
     }
 
     /// Whether the accumulator is on the dedup route right now.
     pub fn is_dedup(&self) -> bool {
-        matches!(self, SchemaAcc::Dedup(..))
+        matches!(self.route, Route::Dedup(..))
     }
 }

@@ -326,19 +326,22 @@ impl DedupAcc {
 
     /// Fold one inferred type in: intern it, bump its shape count, fuse
     /// its id into the running schema. Once the schema has saturated this
-    /// is an interner lookup plus a memo hit per duplicate shape.
-    pub fn absorb_type(&mut self, cfg: FuseConfig, ty: &Type) {
+    /// is an interner lookup plus a memo hit per duplicate shape. Returns
+    /// whether the schema changed (its id moved).
+    pub fn absorb_type(&mut self, cfg: FuseConfig, ty: &Type) -> bool {
         let id = self.interner.intern(ty);
         *self.counts.entry(id).or_insert(0) += 1;
         self.records += 1;
-        self.schema = fuse_ids(cfg, &mut self.interner, &mut self.cache, self.schema, id);
+        let before = self.schema;
+        self.schema = fuse_ids(cfg, &mut self.interner, &mut self.cache, before, id);
+        self.schema != before
     }
 
     /// Merge another partition's accumulator: translate its arena into
     /// ours, add multiplicities, carry over its memo table (entries stay
     /// valid — they are facts about shapes, re-keyed to our ids), and
-    /// fuse the two schema ids.
-    pub fn merge(&mut self, cfg: FuseConfig, other: &DedupAcc) {
+    /// fuse the two schema ids. Returns whether the schema changed.
+    pub fn merge(&mut self, cfg: FuseConfig, other: &DedupAcc) -> bool {
         let map = self.interner.absorb(&other.interner);
         for (&id, &n) in &other.counts {
             *self.counts.entry(map[id.index()]).or_insert(0) += n;
@@ -351,14 +354,9 @@ impl DedupAcc {
         }
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
-        let other_schema = map[other.schema.index()];
-        self.schema = fuse_ids(
-            cfg,
-            &mut self.interner,
-            &mut self.cache,
-            self.schema,
-            other_schema,
-        );
+        let (before, theirs) = (self.schema, map[other.schema.index()]);
+        self.schema = fuse_ids(cfg, &mut self.interner, &mut self.cache, before, theirs);
+        self.schema != before
     }
 
     /// Number of values absorbed (with multiplicity).
@@ -386,12 +384,6 @@ impl DedupAcc {
     /// The fused schema as an owned [`Type`].
     pub fn schema(&self) -> Type {
         self.interner.resolve(self.schema)
-    }
-
-    /// The fused schema's id in [`interner`](Self::interner). Shapes
-    /// are hash-consed, so it moves iff the schema changed.
-    pub fn schema_id(&self) -> TypeId {
-        self.schema
     }
 
     /// Emit the dedup counters (`infer.distinct_shapes`,

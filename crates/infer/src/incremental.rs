@@ -88,19 +88,20 @@ impl Incremental {
     }
 
     /// [`absorb_type`](Self::absorb_type) by reference, for callers that
-    /// keep the type (fusion only ever reads it).
-    pub fn absorb_type_ref(&mut self, ty: &Type) {
-        fuse_into(self.config, &mut self.schema, ty);
+    /// keep the type (fusion only ever reads it). Returns whether the
+    /// schema changed, exactly.
+    pub fn absorb_type_ref(&mut self, ty: &Type) -> bool {
         self.count += 1;
+        fuse_into(self.config, &mut self.schema, ty)
     }
 
     /// Merge another accumulator (e.g. from a different partition), in
     /// place. Thanks to associativity and commutativity of fusion, the
     /// result is the same as if all values had been absorbed by one
-    /// accumulator, in any order.
-    pub fn merge(&mut self, other: &Incremental) {
-        fuse_into(self.config, &mut self.schema, &other.schema);
+    /// accumulator, in any order. Returns whether the schema changed.
+    pub fn merge(&mut self, other: &Incremental) -> bool {
         self.count += other.count;
+        fuse_into(self.config, &mut self.schema, &other.schema)
     }
 
     /// The current fused schema. `ε` if nothing has been absorbed.

@@ -31,8 +31,9 @@
 //! accumulator absorbs a known-shape record without allocating. A
 //! node's identity is its *rendered* path — the key `a.b` under `$` and
 //! the key `b` under `$.a` share the node `$.a.b`, as they share a line
-//! of the report — and the `rendered path → node` map, consulted when a
-//! child index misses, orders every output (DESIGN §9).
+//! of the report — and the `rendered path → node` hash index, consulted
+//! when a child index misses, is the authority on identity; every output
+//! is ordered by one sort of the paths (DESIGN §9).
 //!
 //! ## The absence monoid
 //!
@@ -52,9 +53,11 @@
 //! in only one side, the other side's record occurrences at the parent
 //! all lacked it, so its first record line is an absence candidate. All
 //! candidates combine by minimum, which is what makes the merge a true
-//! monoid (verified by the `profile_laws` property tests). Each rule is
-//! a loop over one node's children; "seen in this record" is an epoch
-//! stamp on the child edge, bumped per record, never cleared.
+//! monoid (verified by the `profile_laws` property tests). "Seen in this
+//! record" is an epoch stamp on the child edge, bumped per record, never
+//! cleared. Rule 1 visits only the edges not yet noted absent: lines
+//! grow and absence keeps the minimum, so a noted edge cannot move again
+//! (a line at or below the highest committed one visits them all).
 //!
 //! Absence is only counted against *record* occurrences at the parent:
 //! a `Num` at `$.a` does not demote `$.a.b` — matching fusion, where
@@ -62,7 +65,7 @@
 
 use crate::streaming;
 use crate::typer::{Fact, Observer, Typer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use typefuse_json::{Parser, ParserOptions, Value};
 use typefuse_obs::{JsonWriter, LogHistogram};
@@ -286,8 +289,8 @@ fn merge_opt(a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64) -> Optio
     }
 }
 
-/// A known child key of a record path.
-#[derive(Debug, Clone)]
+/// A known child key of a record path: an edge of the trie.
+#[derive(Debug, Clone, Default)]
 struct Kid {
     node: u32,
     /// Object occurrences of the parent holding this key in the record
@@ -296,25 +299,18 @@ struct Kid {
     seen_in: u64,
 }
 
-impl Kid {
-    fn to(node: u32) -> Kid {
-        Kid {
-            node,
-            seen: 0,
-            seen_in: 0,
-        }
-    }
-}
-
 /// One path of the trie.
 #[derive(Debug, Clone, Default)]
 struct Node {
-    /// The rendered path — the node's identity.
-    path: String,
+    /// The rendered path — the node's identity, shared with the index.
+    path: Arc<str>,
     profile: PathProfile,
     /// Key names ever seen present in a record here (rule 1 of the
-    /// absence monoid needs the *known* children), with their nodes.
-    kids: BTreeMap<Name, Kid>,
+    /// absence monoid needs the *known* children), with their edges.
+    kids: BTreeMap<Name, u32>,
+    /// The edges of `kids` rule 1 may still note absent: every edge
+    /// whose child was never noted absent is here.
+    live: Vec<u32>,
     /// The `[]` node, once an array here has been walked.
     elem: Option<u32>,
     /// Per-record replay scratch, valid while `epoch` is the
@@ -333,8 +329,15 @@ struct Node {
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAcc {
     nodes: Vec<Node>,
-    /// Rendered path → node: the authority on identity and order.
-    by_path: BTreeMap<String, u32>,
+    /// The child edges, indexed by `Node::kids` and `Node::live`.
+    edges: Vec<Kid>,
+    /// Rendered path → node: the authority on identity.
+    by_path: HashMap<Arc<str>, u32>,
+    /// The highest line committed: a record above it skips the edges
+    /// dropped from the live lists.
+    mark: u64,
+    /// Child edges the absence rules visited (a diagnostic, outside `==`).
+    visits: u64,
     /// Per-record scratch, empty between records: the stamp of the
     /// record being observed, its observation log, and the child index
     /// entries it added as `(parent, key — None for a `[]` link, child)`:
@@ -342,14 +345,15 @@ pub struct ProfileAcc {
     epoch: u64,
     log: Vec<(u32, Fact)>,
     new_edges: Vec<(u32, Option<Name>, u32)>,
-    /// The text walk's scratch.
+    /// The text walk's scratch, and the buffer a new path renders into.
     typer: Typer,
+    path: String,
 }
 
 impl PartialEq for ProfileAcc {
     fn eq(&self, other: &Self) -> bool {
-        self.by_path.len() == other.by_path.len()
-            && self.sorted().zip(other.sorted()).all(|(a, b)| {
+        self.nodes.len() == other.nodes.len()
+            && self.sorted().into_iter().zip(other.sorted()).all(|(a, b)| {
                 a.path == b.path && a.profile == b.profile && a.kids.keys().eq(b.kids.keys())
             })
     }
@@ -365,6 +369,11 @@ impl ProfileAcc {
     pub fn records(&self) -> u64 {
         let root = self.by_path.get("$");
         root.map_or(0, |&id| self.nodes[id as usize].profile.count)
+    }
+
+    /// Child edges the absence rules visited: O(record width) per record.
+    pub fn absence_visits(&self) -> u64 {
+        self.visits
     }
 
     /// Observe one NDJSON line straight from its text — no `Value` tree
@@ -411,9 +420,11 @@ impl ProfileAcc {
         crate::infer::infer_type(value)
     }
 
-    /// Nodes in rendered-path order.
-    fn sorted(&self) -> impl Iterator<Item = &Node> {
-        self.by_path.values().map(|&id| &self.nodes[id as usize])
+    /// Nodes in rendered-path order: one sort of the paths.
+    fn sorted(&self) -> Vec<&Node> {
+        let mut nodes: Vec<&Node> = self.nodes.iter().collect();
+        nodes.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+        nodes
     }
 
     /// The node for a rendered path, created empty if the path is new.
@@ -421,14 +432,33 @@ impl ProfileAcc {
         if let Some(&id) = self.by_path.get(path) {
             return id;
         }
-        let id = self.nodes.len() as u32;
-        self.by_path.insert(path.to_string(), id);
-        let path = path.to_string();
+        let (id, path) = (self.nodes.len() as u32, Arc::<str>::from(path));
+        self.by_path.insert(Arc::clone(&path), id);
         self.nodes.push(Node {
             path,
             ..Node::default()
         });
         id
+    }
+
+    /// The child nodes of `node`, in key order.
+    fn children<'a>(&'a self, node: &'a Node) -> impl Iterator<Item = u32> + 'a {
+        node.kids
+            .values()
+            .map(|&edge| self.edges[edge as usize].node)
+    }
+
+    /// Index `node` as the child `key` of `parent`: a new, live edge.
+    fn add_kid(&mut self, parent: u32, key: Name, node: u32) -> u32 {
+        let edge = self.edges.len() as u32;
+        self.edges.push(Kid {
+            node,
+            ..Kid::default()
+        });
+        let parent = &mut self.nodes[parent as usize];
+        parent.kids.insert(key, edge);
+        parent.live.push(edge);
+        edge
     }
 
     /// Stamp a new record and return the root node.
@@ -440,17 +470,16 @@ impl ProfileAcc {
     /// The node of `key` under the record at `parent`, counting one more
     /// occurrence holding it in this record.
     fn kid(&mut self, parent: u32, key: &str) -> u32 {
-        let epoch = self.epoch;
-        loop {
-            if let Some(kid) = self.nodes[parent as usize].kids.get_mut(key) {
-                if kid.seen_in != epoch {
-                    (kid.seen, kid.seen_in) = (0, epoch);
-                }
-                kid.seen += 1;
-                return kid.node;
-            }
-            self.link(parent, Some(key));
+        let edge = match self.nodes[parent as usize].kids.get(key) {
+            Some(&edge) => edge,
+            None => self.link(parent, Some(key)),
+        };
+        let (epoch, kid) = (self.epoch, &mut self.edges[edge as usize]);
+        if kid.seen_in != epoch {
+            (kid.seen, kid.seen_in) = (0, epoch);
         }
+        kid.seen += 1;
+        kid.node
     }
 
     /// The `[]` node under the array at `parent`.
@@ -461,23 +490,25 @@ impl ProfileAcc {
         }
     }
 
-    /// A child index missed: find or create the child by its rendered
-    /// path, index it, and keep the new edge for the end of the record.
+    /// A child index missed: find or create the child by its path, rendered
+    /// into a reused buffer, index it, and keep the new edge for the end
+    /// of the record. Returns a key's new edge, or the `[]` node.
     fn link(&mut self, parent: u32, key: Option<&str>) -> u32 {
-        let path = &self.nodes[parent as usize].path;
-        let path = match key {
-            Some(key) => format!("{path}.{key}"),
-            None => format!("{path}[]"),
-        };
-        let child = self.node_at(&path);
-        let node = &mut self.nodes[parent as usize];
-        let key = key.map(Name::from);
-        match &key {
-            Some(key) => drop(node.kids.insert(Arc::clone(key), Kid::to(child))),
-            None => node.elem = Some(child),
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        path.push_str(&self.nodes[parent as usize].path);
+        match key {
+            Some(key) => path.extend([".", key]),
+            None => path.push_str("[]"),
         }
-        self.new_edges.push((parent, key, child));
-        child
+        let child = self.node_at(&path);
+        self.path = path;
+        let key = key.map(Name::from);
+        self.new_edges.push((parent, key.clone(), child));
+        match key {
+            Some(key) => self.add_kid(parent, key, child),
+            None => *self.nodes[parent as usize].elem.insert(child),
+        }
     }
 
     /// Replay the record's log into the nodes. Absence is computed
@@ -498,21 +529,34 @@ impl ProfileAcc {
             node.profile.note(line, fact);
         }
         // Rule 1: a known key held by fewer occurrences than there were.
+        // Above the mark only the live edges can move, and the ones noted
+        // now leave the list; at or below it, every known child is visited.
+        let in_order = line > self.mark;
+        self.mark = self.mark.max(line);
         for (id, _) in self.log.drain(..) {
-            let occurrences = std::mem::take(&mut self.nodes[id as usize].occurrences);
+            let node = &mut self.nodes[id as usize];
+            let occurrences = std::mem::take(&mut node.occurrences);
             if occurrences == 0 {
                 continue; // not a record here, or already done
             }
-            let kids = std::mem::take(&mut self.nodes[id as usize].kids);
-            for kid in kids.values() {
-                if kid.seen_in != epoch || kid.seen < occurrences {
+            let mut live = std::mem::take(&mut node.live);
+            if !in_order {
+                live = node.kids.values().copied().collect();
+            }
+            self.visits += live.len() as u64;
+            live.retain(|&edge| {
+                let kid = &self.edges[edge as usize];
+                let absent = kid.seen_in != epoch || kid.seen < occurrences;
+                if absent {
                     self.nodes[kid.node as usize].profile.note_absent(line);
                 }
-            }
-            self.nodes[id as usize].kids = kids;
+                !absent
+            });
+            self.nodes[id as usize].live = live;
         }
         // Rule 2: a new key, but the parent had earlier objects — all of
         // them lacked it.
+        self.visits += self.new_edges.len() as u64;
         for (parent, key, child) in self.new_edges.drain(..) {
             let earlier = self.nodes[parent as usize].prior_record_line;
             if key.is_some() && earlier != NO_LINE {
@@ -522,13 +566,18 @@ impl ProfileAcc {
     }
 
     /// Forget a record that failed to parse: its log, the index entries
-    /// it added and the nodes it created (the arena's tail).
+    /// it added (the tails of the edge arena and of their parents' live
+    /// lists) and the nodes it created (the arena's tail).
     fn abandon_record(&mut self, arena_len: usize) {
         self.log.clear();
         for (parent, key, _) in self.new_edges.drain(..) {
             let parent = &mut self.nodes[parent as usize];
             match key {
-                Some(key) => drop(parent.kids.remove(&key)),
+                Some(key) => {
+                    parent.kids.remove(&key);
+                    parent.live.pop();
+                    self.edges.pop();
+                }
                 None => parent.elem = None,
             }
         }
@@ -549,22 +598,22 @@ impl ProfileAcc {
         for (theirs, &id) in other.nodes.iter().zip(&ids) {
             let mine = &self.nodes[id as usize];
             if let Some(line) = mine.profile.record_first_line() {
-                let only_theirs = theirs.kids.values().map(|kid| ids[kid.node as usize]);
+                let only_theirs = other.children(theirs).map(|c| ids[c as usize]);
                 absent.extend(only_theirs.filter(|&c| c >= arena_len).map(|c| (c, line)));
             }
             if let Some(line) = theirs.profile.record_first_line() {
                 let in_theirs = |c: &u32| other.by_path.contains_key(&self.nodes[*c as usize].path);
-                let only_mine = mine.kids.values().map(|kid| kid.node);
+                let only_mine = self.children(mine);
                 absent.extend(only_mine.filter(|c| !in_theirs(c)).map(|c| (c, line)));
             }
             for (child, line) in absent.drain(..) {
                 self.nodes[child as usize].profile.note_absent(line);
             }
-            let mine = &mut self.nodes[id as usize];
-            mine.profile.merge(&theirs.profile);
-            for (key, kid) in &theirs.kids {
-                let kid = Kid::to(ids[kid.node as usize]);
-                mine.kids.entry(key.clone()).or_insert(kid);
+            self.nodes[id as usize].profile.merge(&theirs.profile);
+            for (key, child) in theirs.kids.keys().zip(other.children(theirs)) {
+                if !self.nodes[id as usize].kids.contains_key(key) {
+                    self.add_kid(id, key.clone(), ids[child as usize]);
+                }
             }
         }
     }
@@ -583,12 +632,13 @@ impl ProfileAcc {
         let mut obj = Map::new();
         let mut children = Map::new();
         let mut paths = Map::new();
+        // The paths are unique and sorted: no key needs looking up.
         for node in self.sorted() {
             let p = &node.profile;
             // Every path that was ever a record lists its keys, `{}` none.
             if p.kind_counts[KIND_RECORD] > 0 {
                 let names = node.kids.keys().map(|k| Value::from(k.to_string()));
-                children.insert(node.path.clone(), Value::Array(names.collect()));
+                children.insert_unchecked(&*node.path, Value::Array(names.collect()));
             }
             let mut entry = Map::new();
             entry.insert("count", u64_to_value(p.count));
@@ -606,7 +656,7 @@ impl ProfileAcc {
             if let Some(max) = p.num_max {
                 entry.insert("num_max", u64_to_value(max.to_bits()));
             }
-            paths.insert(node.path.clone(), Value::Object(entry));
+            paths.insert_unchecked(&*node.path, Value::Object(entry));
         }
         obj.insert("children", Value::Object(children));
         obj.insert("paths", Value::Object(paths));
@@ -674,8 +724,7 @@ impl ProfileAcc {
                     id.ok_or_else(|| format!("child index names unprofiled path `{path}`"))
                 };
                 let (parent, node) = (node(parent)?, node(&format!("{parent}.{name}"))?);
-                let kids = &mut acc.nodes[parent as usize].kids;
-                kids.insert(name.into(), Kid::to(node));
+                acc.add_kid(parent, name.into(), node);
             }
         }
         Ok(acc)
@@ -690,7 +739,7 @@ impl ProfileAcc {
             paths: self
                 .nodes
                 .into_iter()
-                .map(|n| (n.path, n.profile))
+                .map(|n| (n.path.to_string(), n.profile))
                 .collect(),
         }
     }

@@ -129,11 +129,6 @@ fn replay(input: &[u8], options: &ParserOptions, stats: &mut FoldStats) -> Resul
     Ok(ty)
 }
 
-/// Fold one value's worth of events into its inferred type.
-pub fn infer_from_events(events: &mut EventParser<'_>) -> Result<Type> {
-    fold_events(events, &mut FoldStats::default())
-}
-
 fn fold_events(events: &mut EventParser<'_>, stats: &mut FoldStats) -> Result<Type> {
     // In strict mode (the default) the parser rejects duplicate keys, so
     // every completed field can be pushed without looking back; only the

@@ -1,5 +1,6 @@
 //! Differential properties of the event fast path: folding a value's
-//! serialized bytes through `infer_from_events` must be indistinguishable
+//! serialized bytes through the streaming route (the direct typer, with
+//! the event fold as its replay) must be indistinguishable
 //! from materialising the tree and running Figure 4 on it. This is the
 //! contract that lets the pipeline default to the event route while the
 //! paper's correctness results are stated for the tree one.

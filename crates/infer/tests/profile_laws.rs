@@ -11,6 +11,8 @@
 //!   partitions, merged in any association, equals sequential
 //!   absorption (this is what makes provenance lines exact under
 //!   `--workers N`);
+//! * **line-order invariance** — absorbing records in any line order
+//!   equals merging one-record accumulators;
 //! * **route equivalence** — the text walk (the direct typer with the
 //!   trie as its observer) and the tree walk produce byte-identical
 //!   profiles for the same lines, whatever way their strings, numbers
@@ -198,6 +200,28 @@ proptest! {
         let combined = finish(&combined);
         prop_assert_eq!(&combined, &sequential);
         prop_assert_eq!(combined.to_json(), sequential.to_json());
+    }
+
+    // Rule 1 skips the children already noted absent only while lines
+    // grow: a line at or below the highest one committed visits them
+    // all. So any absorption order is the merge of one-record folds.
+    #[test]
+    fn absorbing_in_any_line_order_equals_merging_single_records(
+        values in prop::collection::vec(arb_value(), 1..10),
+        keys in prop::collection::vec(0u32..1000, 10),
+    ) {
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut absorbed = ProfileAcc::new();
+        for &i in &order {
+            absorbed.observe_value(i as u64 + 1, &values[i]);
+        }
+        let mut singles = ProfileAcc::new();
+        for (i, value) in values.iter().enumerate() {
+            singles.merge(&acc_from(i as u64 + 1, std::slice::from_ref(value)));
+        }
+        prop_assert!(absorbed == singles, "order {:?}", order);
+        prop_assert_eq!(finish(&absorbed).to_json(), finish(&singles).to_json());
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl<'a> EventParser<'a> {
         }
     }
 
-    /// Whether the top-level value has been fully consumed.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
     /// The options this parser runs with.
     pub fn options(&self) -> &ParserOptions {
         &self.options

@@ -51,11 +51,6 @@ impl Number {
         }
     }
 
-    /// Whether this number was stored as an integer.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Number::Int(_))
-    }
-
     /// Canonical form used by `Eq`/`Ord`/`Hash`: integral floats are folded
     /// into integers so that `1.0 == 1`.
     fn canonical(&self) -> CanonicalNumber {

@@ -9,6 +9,8 @@
 //! float formatting as [`RunReport`](crate::RunReport) —
 //! byte-determinism of those reports rests on this single formatter.
 
+use std::fmt::Write;
+
 /// Streaming JSON writer over a growing `String`.
 ///
 /// The caller is responsible for structural validity (matching
@@ -89,7 +91,7 @@ impl JsonWriter {
     /// Write an unsigned integer value.
     pub fn number(&mut self, value: u64) {
         self.before_value();
-        self.out.push_str(&value.to_string());
+        let _ = write!(self.out, "{value}");
     }
 
     /// Write a float; non-finite values become `null` since JSON has no
@@ -97,12 +99,12 @@ impl JsonWriter {
     pub fn float(&mut self, value: f64) {
         self.before_value();
         if value.is_finite() {
-            let mut text = format!("{value}");
+            let start = self.out.len();
+            let _ = write!(self.out, "{value}");
             // Keep output unambiguous as a float for readers that care.
-            if !text.contains(['.', 'e', 'E']) {
-                text.push_str(".0");
+            if !self.out[start..].contains(['.', 'e', 'E']) {
+                self.out.push_str(".0");
             }
-            self.out.push_str(&text);
         } else {
             self.out.push_str("null");
         }

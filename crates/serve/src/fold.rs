@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 use typefuse::fold::{Absorbed, FoldConfig, Origin, RecordFold};
-use typefuse::pipeline::{DedupMode, MapPath};
+use typefuse::pipeline::MapPath;
 use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::ShapeCache;
 use typefuse_json::{Map, Value};
@@ -20,15 +20,11 @@ use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
 
-/// The fold every source of a daemon runs under `job`. A resident fold
-/// has no leading sample to wait for, so `auto` means dedup; the shape
-/// route never reads record values, so it cannot feed a profile.
+/// The fold every source of a daemon runs under `job`: `auto` samples
+/// the leading records as batch does; the shape route never reads record
+/// values, so it cannot feed a profile.
 pub(crate) fn fold_config(job: &JobConfig) -> FoldConfig {
-    let mut config = job.build().fold_config(job.map_path != MapPath::Shape);
-    if config.dedup == DedupMode::Auto {
-        config.dedup = DedupMode::On;
-    }
-    config
+    job.build().fold_config(job.map_path != MapPath::Shape)
 }
 
 /// How many drift alerts a source keeps (the most recent ones); older
@@ -71,7 +67,7 @@ pub(crate) struct SourceState {
     /// Batches whose publish was a no-op (the schema had not changed).
     pub(crate) publish_skipped: u64,
     /// The schema in the paper's notation, and the revision it was
-    /// rendered for (`None`: not reusable).
+    /// rendered for (`None`: not rendered yet).
     schema_text: (Option<u64>, String),
     pub(crate) status: SourceStatus,
     /// Unix-millisecond timestamp of the last batch that brought any
@@ -132,12 +128,11 @@ impl SourceState {
         self.fold.schema()
     }
 
-    /// The current fused schema in the paper's notation. On the dedup
-    /// route the text is rendered once per schema revision and served
-    /// from the cache until the schema moves.
+    /// The current fused schema in the paper's notation, rendered once
+    /// per schema revision and served from the cache until it moves.
     pub(crate) fn schema_text(&mut self) -> &str {
-        let revision = self.fold.schema_revision();
-        if revision.is_none() || revision != self.schema_text.0 {
+        let revision = Some(self.fold.schema_revision());
+        if revision != self.schema_text.0 {
             self.schema_text = (revision, self.schema().to_string());
         }
         &self.schema_text.1
@@ -413,8 +408,8 @@ impl SourceState {
     /// drift — in a way the gate forbids) but keeps the source folding,
     /// and is retried by the next batch.
     pub(crate) fn publish(&mut self, registry: &mut Registry, compat: CompatMode) {
-        let revision = self.fold.schema_revision();
-        if revision.is_some() && revision == self.published {
+        let revision = Some(self.fold.schema_revision());
+        if revision == self.published {
             self.skip_publish();
             return;
         }
@@ -511,6 +506,7 @@ fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use typefuse::pipeline::DedupMode;
     use typefuse_json::TailLine;
 
     fn lines(texts: &[&str]) -> Vec<TailLine> {
@@ -885,38 +881,33 @@ mod tests {
 
     #[test]
     fn an_unmoved_revision_skips_the_publish_and_serves_the_cached_text() {
-        let mut registry = Registry::in_memory();
-        let mut s = state(true, ErrorPolicy::FailFast);
-        s.fold_batch(&lines(&[r#"{"id": 1}"#]));
-        s.publish(&mut registry, CompatMode::None);
-        assert_eq!((s.version, s.publish_skipped), (Some(1), 0));
-        let rendered = s.schema_text().as_ptr();
+        // Both routes keep a revision.
+        for dedup in [true, false] {
+            let mut registry = Registry::in_memory();
+            let mut s = state(dedup, ErrorPolicy::FailFast);
+            s.fold_batch(&lines(&[r#"{"id": 1}"#]));
+            s.publish(&mut registry, CompatMode::None);
+            assert_eq!((s.version, s.publish_skipped), (Some(1), 0));
+            let rendered = s.schema_text().as_ptr();
 
-        // Same shape again: the revision stays, so the registry is not
-        // asked and the text is the one already rendered.
-        s.fold_batch(&lines(&[r#"{"id": 2}"#]));
-        s.publish(&mut registry, CompatMode::None);
-        assert_eq!((s.version, s.publish_skipped), (Some(1), 1));
-        assert_eq!(s.recorder.counter_value("serve.publishes"), 1);
-        assert_eq!(s.recorder.counter_value("serve.publish_skipped"), 1);
-        assert_eq!(s.schema_text().as_ptr(), rendered);
-        assert_eq!(s.schema_text(), "{id: Num}");
+            // Same shape again: the revision stays, so the registry is not
+            // asked (a fresh one would have `s` published into it) and the
+            // text is the one already rendered.
+            s.fold_batch(&lines(&[r#"{"id": 2}"#]));
+            let mut elsewhere = Registry::in_memory();
+            s.publish(&mut elsewhere, CompatMode::None);
+            assert!(elsewhere.names().is_empty(), "dedup={dedup}: asked");
+            assert_eq!((s.version, s.publish_skipped), (Some(1), 1));
+            assert_eq!(s.recorder.counter_value("serve.publishes"), 1);
+            assert_eq!(s.recorder.counter_value("serve.publish_skipped"), 1);
+            assert_eq!(s.schema_text().as_ptr(), rendered, "dedup={dedup}");
+            assert_eq!(s.schema_text(), "{id: Num}");
 
-        s.fold_batch(&lines(&[r#"{"id": 3, "tag": "x"}"#]));
-        s.publish(&mut registry, CompatMode::None);
-        assert_eq!((s.version, s.publish_skipped), (Some(2), 1));
-        assert_eq!(s.schema_text(), "{id: Num, tag: Str?}");
-
-        // The plain route has no revision: the registry answers
-        // "unchanged" by id, and that counts as a skip too.
-        let mut registry = Registry::in_memory();
-        let mut plain = state(false, ErrorPolicy::FailFast);
-        plain.fold_batch(&lines(&[r#"{"id": 1}"#]));
-        plain.publish(&mut registry, CompatMode::None);
-        plain.fold_batch(&lines(&[r#"{"id": 2}"#]));
-        plain.publish(&mut registry, CompatMode::None);
-        assert_eq!((plain.version, plain.publish_skipped), (Some(1), 1));
-        assert_eq!(plain.schema_text(), "{id: Num}");
+            s.fold_batch(&lines(&[r#"{"id": 3, "tag": "x"}"#]));
+            s.publish(&mut registry, CompatMode::None);
+            assert_eq!((s.version, s.publish_skipped), (Some(2), 1));
+            assert_eq!(s.schema_text(), "{id: Num, tag: Str?}");
+        }
     }
 
     #[test]

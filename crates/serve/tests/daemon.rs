@@ -5,6 +5,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use typefuse::pipeline::DedupMode;
 use typefuse::JobConfig;
 use typefuse_json::{Envelope, Value};
 use typefuse_obs::Recorder;
@@ -831,4 +832,112 @@ fn a_fast_producer_is_folded_in_hauls_and_served_in_between() {
         "the served profile is the batch profile"
     );
     daemon.shutdown();
+}
+
+/// What a daemon served over a feed appended in phases, and how it got
+/// there.
+struct Served {
+    /// `schema` text, registry log bytes and drift alerts: what must not
+    /// depend on the Reduce route.
+    answers: (String, Vec<u8>, String),
+    distinct_shapes: i64,
+    publish_skipped: u64,
+}
+
+/// Serve `phases` (each appended in one write once the previous one is
+/// folded; the first one is there before the daemon starts) under
+/// `dedup`, with a registry log.
+fn serve_in_phases(name: &str, dedup: DedupMode, phases: &[Vec<String>]) -> Served {
+    let path = temp_path(&format!("{name}-{dedup:?}.ndjson"));
+    let registry = temp_path(&format!("{name}-{dedup:?}.registry"));
+    std::fs::remove_file(&registry).ok();
+    let text = |lines: &[String]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+    std::fs::write(&path, text(&phases[0])).unwrap();
+    let recorder = Recorder::enabled();
+    // Registry versions follow the poll batches: a slow poll makes it
+    // unlikely to catch an append half-written.
+    let config = ServeConfig::new()
+        .job(JobConfig::new().dedup(dedup).recorder(recorder.clone()))
+        .registry(&registry)
+        .watch_file("s", &path);
+    let daemon = Daemon::start(fast(config).poll_interval(Duration::from_millis(50))).unwrap();
+    let mut client = Client::connect(daemon.addr());
+    let mut records = phases[0].len();
+    client.wait_for_records("s", records as i64);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    for phase in &phases[1..] {
+        file.write_all(text(phase).as_bytes()).unwrap();
+        records += phase.len();
+        client.wait_for_records("s", records as i64);
+    }
+    let schema = client.wait_for_records("s", records as i64).payload;
+    let health = Envelope::expect_kind(&client.request(r#"{"op":"health"}"#), "health")
+        .unwrap()
+        .payload;
+    let drift = health.get("sources").and_then(|s| s.as_array()).unwrap()[0]
+        .get("drift")
+        .unwrap()
+        .to_string();
+    let metrics = client.request(r#"{"op":"metrics"}"#);
+    let distinct_shapes = Envelope::expect_kind(&metrics, "telemetry")
+        .unwrap()
+        .payload
+        .get("gauges")
+        .and_then(|g| g.get(r#"typefuse_source_distinct_shapes{source="s"}"#))
+        .and_then(Value::as_i64)
+        .unwrap();
+    daemon.shutdown();
+    let served = Served {
+        answers: (
+            schema.get("schema").and_then(Value::as_str).unwrap().into(),
+            std::fs::read(&registry).unwrap(),
+            drift,
+        ),
+        distinct_shapes,
+        publish_skipped: recorder.counter_value("serve.publish_skipped"),
+    };
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&registry).ok();
+    served
+}
+
+/// A default daemon (`--dedup auto`) samples its feed's first 512
+/// records as batch does: a feed of unique shapes stays on the plain
+/// route (no shapes interned, and still no publish for a batch that
+/// does not widen the schema), a repetitive one switches to dedup.
+/// Either way it serves what a `--dedup on` daemon serves, byte for
+/// byte: the schema, every registry version and the drift alerts.
+#[test]
+fn a_default_daemon_samples_its_feed_and_serves_what_a_dedup_daemon_serves() {
+    let unique: Vec<String> = (0..600)
+        .map(|i| format!(r#"{{"id": {i}, "k{i}": true}}"#))
+        .collect();
+    let repetitive: Vec<String> = (0..600)
+        .map(|i| match i % 3 {
+            0 => format!(r#"{{"id": {i}}}"#),
+            1 => format!(r#"{{"id": {i}, "tag": "x"}}"#),
+            _ => format!(r#"{{"id": {i}, "tags": [{i}]}}"#),
+        })
+        .collect();
+    for (name, feed, switches) in [("unique", unique, false), ("repetitive", repetitive, true)] {
+        // The sample fills in the last phase; the middle one widens
+        // nothing.
+        let phases = [
+            feed[..500].to_vec(),
+            vec![r#"{"id": 0}"#.to_string()],
+            feed[500..].to_vec(),
+        ];
+        let auto = serve_in_phases(name, DedupMode::Auto, &phases);
+        let on = serve_in_phases(name, DedupMode::On, &phases);
+        assert_eq!(auto.answers, on.answers, "{name}");
+        assert_eq!(auto.distinct_shapes > 0, switches, "{name}");
+        assert!(on.distinct_shapes > 0, "{name}");
+        // Unique shapes widen in the last phase; repetitive ones do not.
+        let skipped = if switches { 2 } else { 1 };
+        assert_eq!(auto.publish_skipped, skipped, "{name}");
+        assert_eq!(on.publish_skipped, skipped, "{name}");
+    }
 }

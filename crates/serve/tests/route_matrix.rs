@@ -479,18 +479,22 @@ impl Cell<'_> {
             DedupMode::Off => {}
         }
         // A daemon per route and per policy that keeps a source folding,
-        // the two routes on opposite corners of dedup × arrays (a resident
-        // fold has no sample to wait for: `auto` is `on`).
-        let corner = match self.route {
-            MapPath::Events => (DedupMode::On, ArrayFusion::PositionalWhenAligned),
-            MapPath::Shape => (DedupMode::Off, ArrayFusion::Collapse),
+        // the two routes on opposite corners of dedup × arrays, and the
+        // default `auto`, which samples the leading records as batch does
+        // (and restarts its sample when a restart resumes the fold).
+        let corners: &[_] = match self.route {
+            MapPath::Events => &[
+                (DedupMode::On, ArrayFusion::PositionalWhenAligned),
+                (DedupMode::Auto, ArrayFusion::Collapse),
+            ],
+            MapPath::Shape => &[(DedupMode::Off, ArrayFusion::Collapse)],
         };
         // The verdicts too: a daemon's source parks as `failed`.
         let daemon_policy = matches!(
             self.policy,
             Policy::Skip | Policy::Capped | Policy::FailFast | Policy::OverBudget
         );
-        if daemon_policy && (self.dedup, self.arrays) == corner {
+        if daemon_policy && corners.contains(&(self.dedup, self.arrays)) {
             drivers.push(Driver::Daemon);
         }
         let fixture = self.corpus.fixture && seed() == FIXTURE_SEED;

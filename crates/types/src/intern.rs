@@ -181,7 +181,6 @@ pub enum ShapeRef<'a> {
 #[derive(Debug, Clone)]
 pub struct TypeInterner {
     shapes: Vec<Shape>,
-    hashes: Vec<u64>,
     /// Structural hash → the newest shape with that hash; `same_hash`
     /// links each shape to the previous one sharing its hash. The arena
     /// is the only owner of a shape: a wide record costs its field list
@@ -204,7 +203,6 @@ impl TypeInterner {
     pub fn new() -> Self {
         let mut interner = TypeInterner {
             shapes: Vec::new(),
-            hashes: Vec::new(),
             by_hash: FxHashMap::default(),
             same_hash: Vec::new(),
             names: Vec::new(),
@@ -253,7 +251,6 @@ impl TypeInterner {
         }
         let id = TypeId(u32::try_from(self.shapes.len()).expect("type arena overflow"));
         self.shapes.push(shape);
-        self.hashes.push(hash);
         self.same_hash.push(newest);
         self.by_hash.insert(hash, id);
         id
@@ -391,13 +388,6 @@ impl TypeInterner {
             Shape::Star(body) => ShapeRef::Star(*body),
             Shape::Union(addends) => ShapeRef::Union(addends),
         }
-    }
-
-    /// The precomputed structural hash of an interned shape. Because
-    /// children are hashed as ids, this is a hash of the whole subtree
-    /// modulo hash-consing — equal trees share ids and therefore hashes.
-    pub fn structural_hash(&self, id: TypeId) -> u64 {
-        self.hashes[id.index()]
     }
 
     /// Reconstruct the owned [`Type`] tree behind an id. The result is

@@ -45,11 +45,6 @@ impl TypeKind {
         self as u8
     }
 
-    /// The inverse of [`TypeKind::code`]; `None` for codes ≥ 6.
-    pub fn from_code(code: u8) -> Option<TypeKind> {
-        TypeKind::ALL.get(code as usize).copied()
-    }
-
     /// Whether this is one of the four basic kinds (`kind < 4` in the
     /// side-condition of `LFuse` line 2).
     pub fn is_basic(self) -> bool {

@@ -318,8 +318,8 @@ impl RecordFold {
     }
 
     /// See [`SchemaAcc::revision`]: moves iff [`schema`](Self::schema)
-    /// changed; `None` when only comparing schemas can tell.
-    pub fn schema_revision(&self) -> Option<u64> {
+    /// changed, on either route.
+    pub fn schema_revision(&self) -> u64 {
         self.acc.revision()
     }
 
@@ -338,10 +338,14 @@ impl RecordFold {
         self.bad.report()
     }
 
+    /// The profile this fold carries, if any.
+    pub fn profile(&self) -> Option<&ProfileAcc> {
+        self.profile.as_ref()
+    }
+
     /// The profile report so far, if this fold carries a profile.
     pub fn profile_report(&self) -> Option<ProfileReport> {
-        let profile = self.profile.clone()?;
-        Some(profile.finish(self.schema()))
+        Some(self.profile()?.clone().finish(self.schema()))
     }
 
     /// Distinct shapes held by the dedup route (0 on the plain route).

@@ -501,8 +501,8 @@ impl SchemaJob {
                 let (acc, metrics) = self.reduce(
                     &types,
                     DedupAcc::new,
-                    |acc, ty| acc.absorb_type(cfg, ty),
-                    |acc, other| acc.merge(cfg, other),
+                    |acc, ty| _ = acc.absorb_type(cfg, ty),
+                    |acc, other| _ = acc.merge(cfg, other),
                 )?;
                 let schema = acc.map(|acc| {
                     acc.flush_counters(rec);
