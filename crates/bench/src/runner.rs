@@ -345,7 +345,7 @@ mod tests {
         let n = 300u64;
         let streamed = run_scale(&ScaleConfig::new(Profile::Twitter, n).partitions(4));
         let values: Vec<_> = Profile::Twitter.generate(20170321, n as usize).collect();
-        let materialised = typefuse::pipeline::SchemaJob::new().run_values(values);
+        let materialised = typefuse::JobConfig::new().build().run_values(values);
         assert_eq!(streamed.schema, materialised.schema);
         assert_eq!(streamed.records, n);
         assert_eq!(streamed.distinct_types, materialised.type_stats.distinct);
@@ -364,7 +364,8 @@ mod tests {
             let values: Vec<_> = profile.generate(config.seed, 150).collect();
             let mut text = Vec::new();
             typefuse_json::ndjson::write_ndjson(&mut text, &values).unwrap();
-            let via_events = typefuse::pipeline::SchemaJob::new()
+            let via_events = typefuse::JobConfig::new()
+                .build()
                 .run_ndjson(&text[..])
                 .unwrap();
             assert_eq!(via_events.schema, via_values.schema, "{profile}");

@@ -36,16 +36,6 @@ pub const DEFAULT_SCALES: [Scale; 4] = [
     },
 ];
 
-/// Pick the scales up to `max_records` (so the harness can run scaled
-/// down on small machines).
-pub fn scales_up_to(max_records: u64) -> Vec<Scale> {
-    DEFAULT_SCALES
-        .iter()
-        .copied()
-        .filter(|s| s.records <= max_records)
-        .collect()
-}
-
 /// Table 1: serialized sub-dataset sizes for every profile and scale.
 pub fn table1(scales: &[Scale]) -> Vec<(Profile, Scale, u64)> {
     let mut rows = Vec::new();
@@ -222,13 +212,6 @@ mod tests {
         for (n, distinct, _) in rows {
             assert!(distinct <= n as usize);
         }
-    }
-
-    #[test]
-    fn scales_up_to_filters() {
-        assert_eq!(scales_up_to(10_000).len(), 2);
-        assert_eq!(scales_up_to(1_000_000).len(), 4);
-        assert_eq!(scales_up_to(10).len(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         .ok_or_else(|| CliError::usage("check requires --schema FILE"))?;
     let max_failures: usize = args.parsed_option("--max-failures")?.unwrap_or(10);
     let metrics_json = args.option("--metrics-json")?;
-    let flags = crate::job_args::JobFlags::parse_ingest(args)?;
+    let config = crate::job_args::parse_ingest(args)?;
     args.finish()?;
 
     let recorder = if metrics_json.is_some() {
@@ -36,7 +36,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     // before any of them).
     let (mut records, mut failures) = (0usize, 0usize);
     let mut reported = Vec::new();
-    let job = flags.config(recorder.clone()).build();
+    let job = config.recorder(recorder.clone());
     {
         let _span = recorder.span("check.read");
         crate::cmd_infer::for_each_value(input.as_deref(), &job, |v| {

@@ -40,16 +40,12 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         .ok_or_else(|| CliError::usage(format!("malformed path `{path_text}`")))?;
     let rendered = render_path(&steps);
 
-    let mut config = JobConfig::new();
-    if let Some(w) = workers {
-        config = config.workers(w);
-    }
-    if let Some(p) = partitions {
-        config = config.partitions(p);
-    }
-    if let Some(path) = map_path {
-        config = config.map_path(path);
-    }
+    let config = JobConfig {
+        workers,
+        partitions,
+        map_path: map_path.unwrap_or_default(),
+        ..JobConfig::new()
+    };
     let reader = crate::cmd_infer::open_input(dataset.as_deref())?;
     let profiled = config.build().run_profiled(Source::ndjson(reader))?;
     let profile = &profiled.profile;

@@ -1,13 +1,12 @@
 //! `typefuse infer` — the full pipeline over an NDJSON input.
 
 use crate::args::ArgStream;
-use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use typefuse::fold::fold_stream;
-use typefuse::pipeline::{DedupMode, SchemaJob, Source};
-use typefuse::{ErrorPolicy, ErrorReport};
+use typefuse::pipeline::{SchemaJob, Source};
+use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::{maplike, ArrayFusion, FuseConfig, MapLikeConfig, ProfileReport};
 use typefuse_json::Value;
 use typefuse_obs::Recorder;
@@ -28,11 +27,8 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let metrics_json = args.option("--metrics-json")?;
     let trace_json = args.option("--trace-json")?;
     let progress = args.flag("--progress");
-    let flags = JobFlags::parse(args)?;
+    let mut config = crate::job_args::parse(args)?;
     args.finish()?;
-
-    let dedup = flags.dedup;
-    let policy = flags.policy.clone();
 
     let observing = metrics_json.is_some() || trace_json.is_some() || progress;
     let recorder = if observing {
@@ -55,17 +51,12 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
                  --streaming/--stats (the profile report supersedes them)"
             )));
         }
-        if dedup == DedupMode::On {
-            return Err(CliError::usage(format!(
-                "--dedup on has no effect on the profiled pass; drop {flag} or --dedup"
-            )));
-        }
     }
     if streaming && stats {
         return Err(CliError::usage("--streaming is incompatible with --stats"));
     }
 
-    let mut config = flags.config(recorder.clone());
+    config = config.recorder(recorder.clone());
     if positional_arrays {
         config = config.fuse_config(FuseConfig {
             array_fusion: ArrayFusion::PositionalWhenAligned,
@@ -75,6 +66,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         config = config.without_type_stats();
     }
     let job = config.build();
+    let policy = &job.config().error_policy;
 
     if streaming {
         let outcome = run_streaming(input.as_deref(), &job);
@@ -83,7 +75,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         }
         let (schema, errors) = outcome?;
         print_schema(&schema, &format)?;
-        report_skipped(&errors, &policy);
+        report_skipped(&errors, policy);
         // Streaming has no pipeline stages; the report is the
         // recorder's own counters, histograms, spans and trace.
         write_observability(&recorder.snapshot(), &recorder, &metrics_json, &trace_json)?;
@@ -103,7 +95,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         }
         let profiled = outcome.map_err(crate::ingest_error)?;
         print_fused(&profiled.profile.schema, maplike, &format)?;
-        report_skipped(&profiled.errors, &policy);
+        report_skipped(&profiled.errors, policy);
         if counting {
             print_presence(&profiled.profile);
         }
@@ -126,7 +118,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     }
     let result = outcome.map_err(crate::ingest_error)?;
     print_fused(&result.schema, maplike, &format)?;
-    report_skipped(&result.errors, &policy);
+    report_skipped(&result.errors, policy);
 
     if stats {
         eprintln!();
@@ -284,8 +276,8 @@ fn run_streaming(input: Option<&str>, job: &SchemaJob) -> Result<(Type, ErrorRep
             .map_err(crate::ingest_error)?;
         return Ok((fs.schema, fs.errors));
     }
-    let fold =
-        fold_stream(&mut BufReader::new(io::stdin()), job, false).map_err(crate::ingest_error)?;
+    let stdin = &mut BufReader::new(io::stdin());
+    let fold = fold_stream(stdin, job.config(), false).map_err(crate::ingest_error)?;
     let (schema, _, report, _) = fold.finish();
     Ok((schema, report))
 }
@@ -309,7 +301,7 @@ pub(crate) fn open_input(input: Option<&str>) -> Result<Box<dyn BufRead>, CliErr
 /// codes on failure), then tell the operator what the policy dropped.
 pub(crate) fn for_each_value(
     input: Option<&str>,
-    job: &SchemaJob,
+    job: &JobConfig,
     visit: impl FnMut(Value),
 ) -> CliResult {
     let mut reader = open_input(input)?;
@@ -321,7 +313,7 @@ pub(crate) fn for_each_value(
 /// The fused schema of NDJSON from a file path or stdin (`-` or absent)
 /// under the default job, streamed through the pipeline like `infer`.
 pub(crate) fn infer_schema(input: Option<&str>) -> Result<Type, CliError> {
-    let job = typefuse::JobConfig::new().without_type_stats().build();
+    let job = JobConfig::new().without_type_stats().build();
     let result = job.run(Source::ndjson(open_input(input)?));
     Ok(result.map_err(crate::ingest_error)?.schema)
 }

@@ -24,7 +24,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     // do not touch the input (reading stdin would block).
     let mut values = Vec::new();
     if !(check_only && schema_path.is_some()) {
-        let job = JobConfig::new().build();
+        let job = JobConfig::new();
         crate::cmd_infer::for_each_value(input.as_deref(), &job, |v| values.push(v))?;
     }
 

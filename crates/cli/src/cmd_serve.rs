@@ -7,7 +7,6 @@
 //! daemon.
 
 use crate::args::ArgStream;
-use crate::job_args::JobFlags;
 use crate::{CliError, CliResult};
 use std::io::Write;
 use std::time::Duration;
@@ -48,7 +47,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
             ))
         })?,
     };
-    let flags = JobFlags::parse_routed(args)?;
+    let job = crate::job_args::parse_routed(args)?;
     args.finish()?;
 
     if watches.is_empty() && tcp_sources.is_empty() {
@@ -58,7 +57,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     }
 
     let recorder = Recorder::enabled();
-    let job = flags.config(recorder.clone());
+    let job = job.recorder(recorder.clone());
     let mut config = ServeConfig::new()
         .listen(listen)
         .poll_interval(Duration::from_millis(poll_ms.max(1)))

@@ -1,7 +1,6 @@
 //! `typefuse stats` — Table-1-style dataset statistics.
 
 use crate::args::ArgStream;
-use crate::job_args::JobFlags;
 use crate::CliResult;
 use std::collections::HashSet;
 use typefuse_datagen::stats::DatasetStats;
@@ -12,7 +11,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
     let dedup = args.flag("--dedup");
     let metrics_json = args.option("--metrics-json")?;
-    let flags = JobFlags::parse_ingest(args)?;
+    let config = crate::job_args::parse_ingest(args)?;
     args.finish()?;
 
     let recorder = if metrics_json.is_some() {
@@ -35,7 +34,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let mut stats = DatasetStats::default();
     let mut interner = TypeInterner::new();
     let (mut shapes, mut signatures) = (HashSet::new(), HashSet::new());
-    let job = flags.config(recorder.clone()).build();
+    let job = config.recorder(recorder.clone());
     {
         let _span = recorder.span("stats.read");
         crate::cmd_infer::for_each_value(input.as_deref(), &job, |value| {

@@ -1,123 +1,76 @@
 //! Shared job flags: every subcommand that ingests NDJSON parses the
-//! same options into the same [`JobConfig`] builder, so `infer`,
-//! `stats`, `check` and `serve` cannot drift apart in how they
-//! spell or resolve a knob.
+//! same options straight into a [`JobConfig`], so `infer`, `stats`,
+//! `check` and `serve` cannot drift apart in how they spell or resolve
+//! a knob.
 
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
 use typefuse::pipeline::{DedupMode, MapPath};
-use typefuse::JobConfig;
-use typefuse::{ErrorPolicy, RetryPolicy};
+use typefuse::{ErrorPolicy, JobConfig};
 use typefuse_json::ParserOptions;
-use typefuse_obs::Recorder;
 
-/// The parsed job flags: [`JobFlags::parse`] takes the full set,
-/// [`JobFlags::parse_routed`] all but `--workers` / `--partitions`
-/// (serve), [`JobFlags::parse_ingest`] only `--on-error`, `--quarantine`,
-/// `--max-errors`, `--max-depth` and `--max-line-bytes`.
-pub(crate) struct JobFlags {
-    pub(crate) workers: Option<usize>,
-    pub(crate) partitions: Option<usize>,
-    pub(crate) map_path: Option<MapPath>,
-    pub(crate) dedup: DedupMode,
-    pub(crate) policy: ErrorPolicy,
-    pub(crate) max_depth: Option<usize>,
-    pub(crate) max_line_bytes: Option<usize>,
+/// Parse the full job flag set into a [`JobConfig`]: `--workers`,
+/// `--partitions`, plus everything [`parse_routed`] reads.
+pub(crate) fn parse(args: &mut ArgStream) -> Result<JobConfig, CliError> {
+    let workers = args.parsed_option("--workers")?;
+    let partitions = args.parsed_option("--partitions")?;
+    let mut config = parse_routed(args)?;
+    config.workers = workers;
+    config.partitions = partitions;
+    Ok(config)
 }
 
-impl JobFlags {
-    /// Parse the full flag set: `--workers`, `--partitions`, plus
-    /// everything in [`JobFlags::parse_routed`].
-    pub(crate) fn parse(args: &mut ArgStream) -> Result<JobFlags, CliError> {
-        let workers = args.parsed_option("--workers")?;
-        let partitions = args.parsed_option("--partitions")?;
-        let mut flags = JobFlags::parse_routed(args)?;
-        flags.workers = workers;
-        flags.partitions = partitions;
-        Ok(flags)
-    }
-
-    /// The routes, `--map-path` and `--dedup` (absent: `auto`, which
-    /// batch and serve both resolve by sampling the leading records),
-    /// plus everything in [`JobFlags::parse_ingest`]: `serve`'s set.
-    pub(crate) fn parse_routed(args: &mut ArgStream) -> Result<JobFlags, CliError> {
-        let map_path = args
-            .option("--map-path")?
-            .as_deref()
-            .map(parse_map_path)
-            .transpose()?;
-        let dedup = match args.option("--dedup")?.as_deref() {
-            None | Some("auto") => DedupMode::Auto,
-            Some("on") => DedupMode::On,
-            Some("off") => DedupMode::Off,
-            Some(other) => {
-                return Err(CliError::usage(format!(
-                    "unknown dedup mode `{other}` (expected auto, on or off)"
-                )))
-            }
-        };
-        let mut flags = JobFlags::parse_ingest(args)?;
-        flags.map_path = map_path;
-        flags.dedup = dedup;
-        Ok(flags)
-    }
-
-    /// Parse only the ingest flags (error policy and parser limits).
-    pub(crate) fn parse_ingest(args: &mut ArgStream) -> Result<JobFlags, CliError> {
-        let on_error = args.option("--on-error")?;
-        let quarantine = args.option("--quarantine")?;
-        let max_errors: Option<u64> = args.parsed_option("--max-errors")?;
-        let max_depth: Option<usize> = args.parsed_option("--max-depth")?;
-        if max_depth.is_some_and(|depth| depth > ParserOptions::MAX_DEPTH_LIMIT) {
+/// The routes, `--map-path` and `--dedup` (absent: `auto`, which batch
+/// and serve both resolve by sampling the leading records), plus
+/// everything [`parse_ingest`] reads: `serve`'s set.
+pub(crate) fn parse_routed(args: &mut ArgStream) -> Result<JobConfig, CliError> {
+    let map_path = args
+        .option("--map-path")?
+        .as_deref()
+        .map(parse_map_path)
+        .transpose()?;
+    let dedup = match args.option("--dedup")?.as_deref() {
+        None | Some("auto") => DedupMode::Auto,
+        Some("on") => DedupMode::On,
+        Some("off") => DedupMode::Off,
+        Some(other) => {
             return Err(CliError::usage(format!(
-                "`--max-depth` can be at most {}: deeper nesting could overflow a worker's stack",
-                ParserOptions::MAX_DEPTH_LIMIT
-            )));
+                "unknown dedup mode `{other}` (expected auto, on or off)"
+            )))
         }
-        let max_line_bytes: Option<usize> = args.parsed_option("--max-line-bytes")?;
-        let policy = resolve_policy(on_error.as_deref(), quarantine.as_deref(), max_errors)?;
-        Ok(JobFlags {
-            workers: None,
-            partitions: None,
-            map_path: None,
-            dedup: DedupMode::Auto,
-            policy,
-            max_depth,
-            max_line_bytes,
-        })
-    }
+    };
+    Ok(JobConfig {
+        map_path: map_path.unwrap_or_default(),
+        dedup,
+        ..parse_ingest(args)?
+    })
+}
 
-    /// The parser options these flags imply.
-    pub(crate) fn parser_options(&self) -> ParserOptions {
-        let mut options = ParserOptions::default();
-        if let Some(depth) = self.max_depth {
-            options.max_depth = depth;
-        }
-        options
+/// Parse only the ingest flags (`--on-error`, `--quarantine`,
+/// `--max-errors`, `--max-depth`, `--max-line-bytes`) into a
+/// [`JobConfig`]; every other setting keeps its default.
+pub(crate) fn parse_ingest(args: &mut ArgStream) -> Result<JobConfig, CliError> {
+    let on_error = args.option("--on-error")?;
+    let quarantine = args.option("--quarantine")?;
+    let max_errors: Option<u64> = args.parsed_option("--max-errors")?;
+    let max_depth: Option<usize> = args.parsed_option("--max-depth")?;
+    if max_depth.is_some_and(|depth| depth > ParserOptions::MAX_DEPTH_LIMIT) {
+        return Err(CliError::usage(format!(
+            "`--max-depth` can be at most {}: deeper nesting could overflow a worker's stack",
+            ParserOptions::MAX_DEPTH_LIMIT
+        )));
     }
-
-    /// Assemble the [`JobConfig`] every route builds on.
-    pub(crate) fn config(&self, recorder: Recorder) -> JobConfig {
-        let mut config = JobConfig::new()
-            .recorder(recorder)
-            .dedup(self.dedup)
-            .on_error(self.policy.clone())
-            .retry(RetryPolicy::default())
-            .parser_options(self.parser_options());
-        if let Some(cap) = self.max_line_bytes {
-            config = config.max_line_bytes(cap);
-        }
-        if let Some(w) = self.workers {
-            config = config.workers(w);
-        }
-        if let Some(p) = self.partitions {
-            config = config.partitions(p);
-        }
-        if let Some(path) = self.map_path {
-            config = config.map_path(path);
-        }
-        config
+    let max_line_bytes: Option<usize> = args.parsed_option("--max-line-bytes")?;
+    let policy = resolve_policy(on_error.as_deref(), quarantine.as_deref(), max_errors)?;
+    let mut config = JobConfig {
+        error_policy: policy,
+        max_line_bytes,
+        ..JobConfig::new()
+    };
+    if let Some(depth) = max_depth {
+        config.parser_options.max_depth = depth;
     }
+    Ok(config)
 }
 
 /// Parse one `--map-path` value — shared by every subcommand that
@@ -188,6 +141,7 @@ pub(crate) fn write_envelope(path: &str, kind: &str, payload: &str) -> CliResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use typefuse::RetryPolicy;
 
     #[test]
     fn full_parse_covers_the_execution_matrix() {
@@ -209,32 +163,30 @@ mod tests {
             "--max-line-bytes",
             "4096",
         ]);
-        let flags = JobFlags::parse(&mut args).unwrap();
+        let config = parse(&mut args).unwrap();
         args.finish().unwrap();
-        assert_eq!(flags.workers, Some(3));
-        assert_eq!(flags.partitions, Some(8));
-        assert_eq!(flags.map_path, Some(MapPath::Events));
-        assert_eq!(flags.dedup, DedupMode::On);
+        assert_eq!(config.workers, Some(3));
+        assert_eq!(config.partitions, Some(8));
+        assert_eq!(config.map_path, MapPath::Events);
+        assert_eq!(config.dedup, DedupMode::On);
         assert!(matches!(
-            flags.policy,
+            config.error_policy,
             ErrorPolicy::Skip {
                 max_errors: Some(2)
             }
         ));
-        assert_eq!(flags.parser_options().max_depth, 64);
-        let config = flags.config(Recorder::disabled());
-        assert_eq!(config.workers, Some(3));
+        assert_eq!(config.parser_options.max_depth, 64);
         assert_eq!(config.max_line_bytes, Some(4096));
-        assert_eq!(config.dedup, DedupMode::On);
+        assert_eq!(config.retry, RetryPolicy::default());
     }
 
     #[test]
     fn ingest_parse_rejects_contradictions() {
         let mut args = ArgStream::from_vec(&["--max-errors", "3"]);
-        assert!(JobFlags::parse_ingest(&mut args).is_err());
+        assert!(parse_ingest(&mut args).is_err());
         let mut args = ArgStream::from_vec(&["--on-error", "quarantine"]);
-        assert!(JobFlags::parse_ingest(&mut args).is_err());
+        assert!(parse_ingest(&mut args).is_err());
         let mut args = ArgStream::from_vec(&["--on-error", "nonsense"]);
-        assert!(JobFlags::parse_ingest(&mut args).is_err());
+        assert!(parse_ingest(&mut args).is_err());
     }
 }

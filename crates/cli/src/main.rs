@@ -115,7 +115,8 @@ COMMANDS:
         --profile-json F     run the profiled pipeline and write the
                              per-path dataset profile (presence, kinds,
                              length histograms, provenance lines) to F;
-                             byte-identical for any --workers/--map-path;
+                             byte-identical for any --workers, --map-path
+                             and --dedup;
                              honours --on-error/--quarantine, --max-depth
                              and --max-line-bytes (a skipped line leaves
                              no trace in the profile)

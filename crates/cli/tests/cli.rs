@@ -855,15 +855,19 @@ fn explain_requires_a_path() {
     assert!(stderr(&out).contains("requires a path"));
 }
 
+/// The profile is byte-identical for any worker count, map route and
+/// dedup route: the profiled pass folds through the record fold, whose
+/// schema accumulator honours `--dedup`.
 #[test]
 fn profile_json_is_identical_across_workers_and_map_paths() {
     let dir = std::env::temp_dir();
     let mut reports = Vec::new();
-    for (i, (workers, map_path)) in [
-        ("1", "events"),
-        ("4", "events"),
-        ("1", "shape"),
-        ("4", "shape"),
+    for (i, (workers, map_path, dedup)) in [
+        ("1", "events", "off"),
+        ("4", "events", "on"),
+        ("1", "shape", "on"),
+        ("4", "shape", "off"),
+        ("2", "events", "auto"),
     ]
     .iter()
     .enumerate()
@@ -885,6 +889,8 @@ fn profile_json_is_identical_across_workers_and_map_paths() {
                 "3",
                 "--map-path",
                 map_path,
+                "--dedup",
+                dedup,
                 "--profile-json",
                 path_str,
             ],
@@ -971,9 +977,9 @@ fn profile_json_honours_on_error_max_depth_and_max_line_bytes() {
 }
 
 #[test]
-fn profiled_pass_conflicts_with_streaming_stats_and_dedup_on() {
+fn profiled_pass_conflicts_with_streaming_and_stats() {
     for flag in [&["--profile-json", "/tmp/unused.json"][..], &["--counting"]] {
-        for extra in [&["--streaming"][..], &["--stats"], &["--dedup", "on"]] {
+        for extra in [&["--streaming"][..], &["--stats"]] {
             let mut args = vec!["infer", "-"];
             args.extend(flag);
             args.extend(extra);
@@ -982,13 +988,15 @@ fn profiled_pass_conflicts_with_streaming_stats_and_dedup_on() {
             assert!(stderr(&out).contains(flag[0]), "{args:?}: {}", stderr(&out));
         }
     }
-    // The two views of the profiled pass compose.
+    // The two views of the profiled pass compose, on any dedup route.
     let path = std::env::temp_dir().join(format!("typefuse-test-both-{}.json", std::process::id()));
     let out = typefuse(
         &[
             "infer",
             "-",
             "--counting",
+            "--dedup",
+            "on",
             "--profile-json",
             path.to_str().unwrap(),
         ],
@@ -1584,7 +1592,9 @@ fn serve_checkpoint_survives_sigkill_and_resumes_without_rereading() {
 }
 
 /// One error format whatever reads the file: batch, splits, the stdin
-/// fold and the value readers all stop at line 1 and say so alike.
+/// fold and the value readers all stop at the first line and say so
+/// alike, the byte-range split read naming the byte offset where the
+/// others name the line.
 #[test]
 fn a_bad_first_line_is_one_error_on_every_reader() {
     let dir = std::env::temp_dir().join("typefuse-cli-test-one-error");
@@ -1601,18 +1611,57 @@ fn a_bad_first_line_is_one_error_on_every_reader() {
         schema.to_str().unwrap(),
         script.to_str().unwrap(),
     );
-    let runs: [(&[&str], Option<&str>); 6] = [
-        (&["infer", file], None),
-        (&["infer", file, "--streaming"], None),
-        (&["infer", "-", "--streaming"], Some(data)),
-        (&["check", file, "--schema", schema], None),
-        (&["stats", file], None),
-        (&["query", file, "--script", script], None),
+    let at_line = "typefuse: parse error: expected object key at line 1, column 2\n";
+    let at_byte = "typefuse: parse error: expected object key at byte 1, column 2\n";
+    let runs: [(&[&str], Option<&str>, &str); 6] = [
+        (&["infer", file], None, at_line),
+        (&["infer", file, "--streaming"], None, at_byte),
+        (&["infer", "-", "--streaming"], Some(data), at_line),
+        (&["check", file, "--schema", schema], None, at_line),
+        (&["stats", file], None, at_line),
+        (&["query", file, "--script", script], None, at_line),
     ];
-    let expected = "typefuse: parse error: expected object key at line 1, column 2\n";
-    for (args, stdin) in runs {
+    for (args, stdin, expected) in runs {
         let out = typefuse(args, stdin);
         assert_eq!(out.status.code(), Some(3), "{args:?}");
         assert_eq!(stderr(&out), expected, "{args:?}");
     }
+}
+
+/// A byte-range split cannot know a line's number: on a file whose 5th
+/// line (at byte 32) is bad, batch and the stdin fold say line 5, and
+/// the split read says byte 33 — never "line 1" — in its message and in
+/// its sidecar, whose `at` is the line's start.
+#[test]
+fn a_split_read_names_the_byte_offset_not_a_line() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-split-offset");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = "{\"a\":1}\n".repeat(4) + "{bad\n{\"a\":2}\n";
+    let file = dir.join("bad5.ndjson");
+    std::fs::write(&file, &data).unwrap();
+    let file = file.to_str().unwrap();
+    let at_line = "typefuse: parse error: expected object key at line 5, column 2\n";
+    let at_byte = "typefuse: parse error: expected object key at byte 33, column 2\n";
+    let runs: [(&[&str], Option<&str>, &str); 3] = [
+        (&["infer", file], None, at_line),
+        (&["infer", file, "--streaming"], None, at_byte),
+        (&["infer", "-", "--streaming"], Some(&data), at_line),
+    ];
+    for (args, stdin, expected) in runs {
+        let out = typefuse(args, stdin);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert_eq!(stderr(&out), expected, "{args:?}");
+    }
+    let sidecar = dir.join("bad5.quarantine.ndjson");
+    let _ = std::fs::remove_file(&sidecar);
+    let sink = sidecar.to_str().unwrap();
+    let out = typefuse(&["infer", file, "--streaming", "--quarantine", sink], None);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let entry = typefuse_json::parse_value(std::fs::read_to_string(&sidecar).unwrap().trim())
+        .expect("one sidecar entry");
+    assert_eq!(entry.get("at").and_then(Value::as_i64), Some(32));
+    assert_eq!(
+        entry.get("error").and_then(Value::as_str),
+        Some("expected object key at byte 33, column 2")
+    );
 }

@@ -31,13 +31,6 @@ impl Default for ClusterSpec {
     }
 }
 
-impl ClusterSpec {
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node
-    }
-}
-
 /// How far a task may run from its data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalityPolicy {
@@ -125,7 +118,6 @@ mod tests {
         let spec = ClusterSpec::default();
         assert_eq!(spec.nodes, 6);
         assert_eq!(spec.cores_per_node, 20);
-        assert_eq!(spec.total_cores(), 120);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use typefuse::fold::{Origin, RecordFold};
 use typefuse::JobConfig;
 use typefuse_infer::ProfileAcc;
-use typefuse_obs::Recorder;
 
 const N: usize = 500;
 
@@ -47,8 +46,7 @@ fn profile_visits(corpus: fn(usize) -> String, n: usize) -> u64 {
 /// The same through the profiled record fold, as `infer --profile-json`
 /// and `serve` run it.
 fn fold_visits(corpus: fn(usize) -> String, n: usize) -> u64 {
-    let config = JobConfig::new().build().fold_config(true);
-    let mut fold = RecordFold::new(config, Recorder::disabled());
+    let mut fold = RecordFold::new(&JobConfig::new(), true);
     for i in 0..n {
         let line = corpus(i);
         let origin = Origin::Line(i as u64 + 1);

@@ -16,7 +16,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub struct Position {
     /// Byte offset from the start of the input (0-based).
     pub offset: usize,
-    /// Line number (1-based).
+    /// Line number (1-based); 0 when unknown, as for a line read by byte
+    /// range, which the offset locates instead.
     pub line: u32,
     /// Column number in bytes (1-based).
     pub column: u32,
@@ -35,7 +36,10 @@ impl Position {
 
 impl fmt::Display for Position {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, column {}", self.line, self.column)
+        match self.line {
+            0 => write!(f, "byte {}, column {}", self.offset, self.column),
+            line => write!(f, "line {line}, column {}", self.column),
+        }
     }
 }
 
@@ -204,6 +208,8 @@ mod tests {
             column: 5,
         };
         assert_eq!(p.to_string(), "line 2, column 5");
+        let unknown_line = Position { line: 0, ..p };
+        assert_eq!(unknown_line.to_string(), "byte 10, column 5");
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Path {
         &self.steps
     }
 
-    /// Whether this is the root path.
-    pub fn is_root(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// Append a field step (builder-style).
     pub fn field(mut self, name: impl Into<String>) -> Self {
         self.steps.push(Step::Field(name.into()));
@@ -49,11 +44,6 @@ impl Path {
     pub fn item(mut self) -> Self {
         self.steps.push(Step::Item);
         self
-    }
-
-    /// Whether `self` is a strict or equal prefix of `other`.
-    pub fn is_prefix_of(&self, other: &Path) -> bool {
-        other.steps.starts_with(&self.steps)
     }
 }
 
@@ -226,17 +216,7 @@ mod tests {
         let p = Path::root().field("a").item().field("b");
         assert_eq!(p.to_string(), "$.a[].b");
         assert_eq!(Path::root().to_string(), "$");
-        assert!(Path::root().is_root());
-    }
-
-    #[test]
-    fn path_prefix() {
-        let a = Path::root().field("x");
-        let ab = Path::root().field("x").item();
-        assert!(a.is_prefix_of(&ab));
-        assert!(a.is_prefix_of(&a));
-        assert!(!ab.is_prefix_of(&a));
-        assert!(Path::root().is_prefix_of(&ab));
+        assert!(Path::root().steps().is_empty());
     }
 
     #[test]

@@ -17,9 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use typefuse::fold::FoldConfig;
 use typefuse::JobConfig;
-use typefuse_json::{RetryPolicy, TailLine, TailReader, TailStatus};
+use typefuse_json::{TailLine, TailReader, TailStatus};
 use typefuse_obs::{envelope, series_key, EventLog, JsonWriter, Level, Recorder, TelemetryHub};
 use typefuse_registry::{CompatMode, Registry};
 
@@ -484,13 +483,12 @@ impl Daemon {
 
         let hub = TelemetryHub::new();
 
-        let fold_config = crate::fold::fold_config(&config.job);
         if let Some(dir) = &config.checkpoint_dir {
             std::fs::create_dir_all(dir)?;
         }
         let mut sources = BTreeMap::new();
         for spec in &config.sources {
-            let state = load_or_new_state(spec, &config, &fold_config, &recorder, &events);
+            let state = load_or_new_state(spec, &config, &events);
             if sources
                 .insert(spec.name.clone(), Arc::new(Mutex::new(state)))
                 .is_some()
@@ -654,21 +652,9 @@ impl Daemon {
 /// configured and loadable, start fresh otherwise. Never fails — a
 /// corrupt or unusable checkpoint degrades to a cold start with a
 /// warning, because refusing to serve is the worse failure.
-fn load_or_new_state(
-    spec: &SourceSpec,
-    config: &ServeConfig,
-    fold_config: &FoldConfig,
-    recorder: &Recorder,
-    events: &EventLog,
-) -> SourceState {
-    let fresh = || {
-        SourceState::new(
-            &spec.name,
-            fold_config.clone(),
-            recorder.clone(),
-            events.clone(),
-        )
-    };
+fn load_or_new_state(spec: &SourceSpec, config: &ServeConfig, events: &EventLog) -> SourceState {
+    let (job, recorder) = (&config.job, &config.job.recorder);
+    let fresh = || SourceState::new(&spec.name, job, events.clone());
     let Some(dir) = &config.checkpoint_dir else {
         return fresh();
     };
@@ -684,13 +670,7 @@ fn load_or_new_state(
                     "torn checkpoint tail: resuming from the last good frame",
                 );
             }
-            match SourceState::restore(
-                &spec.name,
-                fold_config.clone(),
-                recorder.clone(),
-                events.clone(),
-                &loaded.payload,
-            ) {
+            match SourceState::restore(&spec.name, job, events.clone(), &loaded.payload) {
                 Ok(state) => {
                     recorder.add("serve.checkpoint_resumed", 1);
                     events.log(
@@ -750,11 +730,10 @@ fn load_or_new_state(
 fn open_file_tail(
     path: &Path,
     state: &Arc<Mutex<SourceState>>,
-    retry: RetryPolicy,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
+    job: &JobConfig,
     events: &EventLog,
 ) -> std::io::Result<SourceTail> {
+    let recorder = &job.recorder;
     let len = match std::fs::metadata(path) {
         Ok(metadata) => metadata.len(),
         // Not-yet-created files are watched, not fatal: keep trying.
@@ -794,10 +773,10 @@ fn open_file_tail(
     }
     let mut tail = TailReader::new(file)
         .with_haul_budget(HAUL_BUDGET_BYTES)
-        .with_retry(retry)
+        .with_retry(job.retry)
         .with_recorder(recorder.clone())
         .with_resume_state(pending, overflow, offset, lines);
-    if let Some(cap) = max_line_bytes {
+    if let Some(cap) = job.max_line_bytes {
         tail = tail.with_max_line_bytes(cap);
     }
     Ok(SourceTail::File(path.to_path_buf(), tail))
@@ -806,15 +785,11 @@ fn open_file_tail(
 fn build_tail(
     input: &SourceInput,
     state: &Arc<Mutex<SourceState>>,
-    retry: RetryPolicy,
-    max_line_bytes: Option<usize>,
-    recorder: &Recorder,
+    job: &JobConfig,
     events: &EventLog,
 ) -> std::io::Result<SourceTail> {
     match input {
-        SourceInput::File(path) => {
-            open_file_tail(path, state, retry, max_line_bytes, recorder, events)
-        }
+        SourceInput::File(path) => open_file_tail(path, state, job, events),
         SourceInput::Tcp(addr) => {
             let listener = TcpListener::bind(addr)?;
             listener.set_nonblocking(true)?;
@@ -842,8 +817,7 @@ fn spawn_source_poller(
 ) -> std::io::Result<Supervised> {
     let recorder = shared.recorder.clone();
     let events = shared.events.clone();
-    let retry = config.job.retry;
-    let max_line_bytes = config.job.max_line_bytes;
+    let job = config.job.clone();
     let state = Arc::clone(shared.source(&spec.name).expect("source registered"));
     let compat = shared.compat;
     let poll_recorder = recorder.clone();
@@ -894,14 +868,7 @@ fn spawn_source_poller(
 
     // Probe the input once so a misconfigured source (unbindable TCP
     // address, unreadable file) still fails `Daemon::start`.
-    let mut initial = Some(build_tail(
-        &spec.input,
-        &state,
-        retry,
-        max_line_bytes,
-        &recorder,
-        &events,
-    )?);
+    let mut initial = Some(build_tail(&spec.input, &state, &job, &events)?);
 
     let chaos = config
         .chaos
@@ -920,14 +887,7 @@ fn spawn_source_poller(
         let stopped = || group_stop.load(Ordering::Acquire) || own.load(Ordering::Acquire);
         let mut tail = match initial.take() {
             Some(tail) => tail,
-            None => match build_tail(
-                &input,
-                &state,
-                retry,
-                max_line_bytes,
-                &poll_recorder,
-                &incarnation_events,
-            ) {
+            None => match build_tail(&input, &state, &job, &incarnation_events) {
                 Ok(tail) => tail,
                 Err(e) => return Exit::Crash(format!("cannot reopen source: {e}")),
             },
@@ -988,14 +948,7 @@ fn spawn_source_poller(
                         state.sync_tail(0, &[], false);
                     }
                     let path = path.clone();
-                    tail = match open_file_tail(
-                        &path,
-                        &state,
-                        retry,
-                        max_line_bytes,
-                        &poll_recorder,
-                        &incarnation_events,
-                    ) {
+                    tail = match open_file_tail(&path, &state, &job, &incarnation_events) {
                         Ok(tail) => tail,
                         Err(e) => return Exit::Crash(format!("cannot reopen rotated file: {e}")),
                     };
@@ -1010,14 +963,7 @@ fn spawn_source_poller(
             match &mut tail {
                 SourceTail::PendingFile(path) => {
                     let path = path.clone();
-                    match open_file_tail(
-                        &path,
-                        &state,
-                        retry,
-                        max_line_bytes,
-                        &poll_recorder,
-                        &incarnation_events,
-                    ) {
+                    match open_file_tail(&path, &state, &job, &incarnation_events) {
                         Ok(opened) => tail = opened,
                         Err(e) => return Exit::Crash(format!("cannot open source: {e}")),
                     }
@@ -1040,12 +986,7 @@ fn spawn_source_poller(
                             Ok((conn, _)) => {
                                 if conn.set_nonblocking(true).is_ok() {
                                     poll_recorder.add("ingest.connections", 1);
-                                    conns.push(make_file_tail_tcp(
-                                        conn,
-                                        &poll_recorder,
-                                        retry,
-                                        max_line_bytes,
-                                    ));
+                                    conns.push(make_file_tail_tcp(conn, &job));
                                 }
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -1215,18 +1156,13 @@ fn spawn_source_poller(
     ))
 }
 
-fn make_file_tail_tcp(
-    conn: TcpStream,
-    recorder: &Recorder,
-    retry: RetryPolicy,
-    max_line_bytes: Option<usize>,
-) -> TailReader<TcpStream> {
+fn make_file_tail_tcp(conn: TcpStream, job: &JobConfig) -> TailReader<TcpStream> {
     let mut tail = TailReader::new(conn)
         .with_haul_budget(HAUL_BUDGET_BYTES)
-        .with_retry(retry)
-        .with_recorder(recorder.clone())
+        .with_retry(job.retry)
+        .with_recorder(job.recorder.clone())
         .close_on_eof();
-    if let Some(cap) = max_line_bytes {
+    if let Some(cap) = job.max_line_bytes {
         tail = tail.with_max_line_bytes(cap);
     }
     tail

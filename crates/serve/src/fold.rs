@@ -10,7 +10,7 @@
 //! inference cost once per distinct shape, not once per record.
 
 use std::collections::VecDeque;
-use typefuse::fold::{Absorbed, FoldConfig, Origin, RecordFold};
+use typefuse::fold::{Absorbed, Origin, RecordFold};
 use typefuse::pipeline::MapPath;
 use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::ShapeCache;
@@ -20,11 +20,10 @@ use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
 
-/// The fold every source of a daemon runs under `job`: `auto` samples
-/// the leading records as batch does; the shape route never reads record
-/// values, so it cannot feed a profile.
-pub(crate) fn fold_config(job: &JobConfig) -> FoldConfig {
-    job.build().fold_config(job.map_path != MapPath::Shape)
+/// Whether a source's fold carries a profile under `job`: on every route
+/// but `shape`, which never reads record values, so it cannot feed one.
+fn profiled(job: &JobConfig) -> bool {
+    job.map_path != MapPath::Shape
 }
 
 /// How many drift alerts a source keeps (the most recent ones); older
@@ -90,14 +89,11 @@ pub(crate) struct SourceState {
 }
 
 impl SourceState {
-    pub(crate) fn new(
-        name: &str,
-        config: FoldConfig,
-        recorder: Recorder,
-        events: EventLog,
-    ) -> Self {
-        let fold = RecordFold::new(config, recorder.clone());
-        Self::around(name, fold, recorder, events)
+    /// A fresh source folding under `job` (`auto` dedup samples the
+    /// leading records as batch does), counting into the job's recorder.
+    pub(crate) fn new(name: &str, job: &JobConfig, events: EventLog) -> Self {
+        let fold = RecordFold::new(job, profiled(job));
+        Self::around(name, fold, job.recorder.clone(), events)
     }
 
     /// A fresh, active source around `fold`.
@@ -248,17 +244,16 @@ impl SourceState {
         Value::Object(m)
     }
 
-    /// Rebuild a source from a checkpoint payload. Takes the same
-    /// configuration as [`SourceState::new`] — the fold configuration,
-    /// error policy included, is *not* persisted; a resumed daemon must
-    /// run the same job configuration as the one that wrote the
-    /// checkpoint, or the incremental ≡ batch law breaks (see
-    /// [`RecordFold::restore`]). An older payload's `quarantined` count
-    /// is not read: the report's skips under quarantine are that count.
+    /// Rebuild a source from a checkpoint payload. Takes the same job as
+    /// [`SourceState::new`] — the job, error policy included, is *not*
+    /// persisted; a resumed daemon must run the same job configuration
+    /// as the one that wrote the checkpoint, or the incremental ≡ batch
+    /// law breaks (see [`RecordFold::restore`]). An older payload's
+    /// `quarantined` count is not read: the report's skips under
+    /// quarantine are that count.
     pub(crate) fn restore(
         name: &str,
-        config: FoldConfig,
-        recorder: Recorder,
+        job: &JobConfig,
         events: EventLog,
         payload: &Value,
     ) -> Result<Self, String> {
@@ -279,7 +274,7 @@ impl SourceState {
                 "checkpoint belongs to source `{stored_name}`, not `{name}`"
             ));
         }
-        let fold = RecordFold::restore(config, recorder.clone(), payload)?;
+        let fold = RecordFold::restore(job, profiled(job), payload)?;
         let tail_offset = u64_from_value(payload.get("tail_offset").ok_or("missing tail_offset")?)?;
         let tail_pending = from_hex(
             payload
@@ -331,7 +326,7 @@ impl SourceState {
             tail_offset,
             tail_pending,
             tail_pending_overflow,
-            ..Self::around(name, fold, recorder, events)
+            ..Self::around(name, fold, job.recorder.clone(), events)
         })
     }
 
@@ -523,10 +518,10 @@ mod tests {
         state_on(dedup, MapPath::Events, policy)
     }
 
-    fn fold_config(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> FoldConfig {
+    fn job(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> JobConfig {
         let dedup = if dedup { DedupMode::On } else { DedupMode::Off };
         let job = JobConfig::new().map_path(map_path).dedup(dedup);
-        super::fold_config(&job.on_error(policy))
+        job.on_error(policy).recorder(Recorder::enabled())
     }
 
     fn restore(
@@ -534,20 +529,13 @@ mod tests {
         (dedup, map_path, policy): (bool, MapPath, ErrorPolicy),
         payload: &Value,
     ) -> Result<SourceState, String> {
-        let (config, events) = (
-            fold_config(dedup, map_path, policy),
-            EventLog::new(64, Level::Debug),
-        );
-        SourceState::restore(name, config, Recorder::enabled(), events, payload)
+        let events = EventLog::new(64, Level::Debug);
+        SourceState::restore(name, &job(dedup, map_path, policy), events, payload)
     }
 
     fn state_on(dedup: bool, map_path: MapPath, policy: ErrorPolicy) -> SourceState {
-        SourceState::new(
-            "s",
-            fold_config(dedup, map_path, policy),
-            Recorder::enabled(),
-            EventLog::new(64, Level::Debug),
-        )
+        let events = EventLog::new(64, Level::Debug);
+        SourceState::new("s", &job(dedup, map_path, policy), events)
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl Oracle {
                     bad.offset,
                     Position {
                         offset: bad.offset as usize + bad.start.offset,
-                        line: 1,
+                        line: 0,
                         column: bad.start.offset as u32 + 1,
                     },
                 ),
@@ -600,12 +600,10 @@ impl Cell<'_> {
                 splits::infer_file(&self.corpus.path, &job)
                     .map(|file| (file.schema, None, file.errors))
             }
-            Driver::Stdin(profile) => {
-                fold_stream(&mut &input[..], &config.build(), profile).map(|fold| {
-                    let (schema, _, report, profile) = fold.finish();
-                    (schema, profile, report)
-                })
-            }
+            Driver::Stdin(profile) => fold_stream(&mut &input[..], &config, profile).map(|fold| {
+                let (schema, _, report, profile) = fold.finish();
+                (schema, profile, report)
+            }),
             Driver::Daemon => return self.serve(config, &sink),
             Driver::Fixture => return self.resume_fixture(config),
         };
@@ -817,12 +815,12 @@ impl Cell<'_> {
         assert_eq!(records.len(), 4, "{self}: the fixture skipped four lines");
         records.truncate(1);
         let current = Value::Object(current).to_string();
-        let fold_config = config.build().fold_config(true);
+        let config = config.recorder(Recorder::disabled());
         let lines: Vec<&[u8]> = lines_of(&self.corpus.bytes).collect();
-        let fresh = RecordFold::new(fold_config.clone(), Recorder::disabled());
+        let fresh = RecordFold::new(&config, true);
         let head = fold_over(fresh, 0, &lines[..FIXTURE_CUT]);
         assert!(checkpoint(&head) == current, "{self}: the layout moved");
-        let restored = RecordFold::restore(fold_config, Recorder::disabled(), &payload).unwrap();
+        let restored = RecordFold::restore(&config, true, &payload).unwrap();
         assert!(checkpoint(&restored) == current, "{self}: restore is exact");
         let resumed = fold_over(restored, FIXTURE_CUT, &lines[FIXTURE_CUT..]);
         let (schema, records, report, profile) = resumed.finish();

@@ -233,11 +233,6 @@ impl TypeInterner {
         self.shapes.is_empty()
     }
 
-    /// Number of distinct interned field names.
-    pub fn names_len(&self) -> usize {
-        self.names.len()
-    }
-
     fn intern_shape(&mut self, shape: Shape) -> TypeId {
         use std::hash::BuildHasher;
         let hash = FxBuildHasher::default().hash_one(&shape);
@@ -593,7 +588,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(interner.name(a), "login");
-        assert_eq!(interner.names_len(), 2);
     }
 
     #[test]

@@ -75,11 +75,6 @@ fn simple_subtype(t: &Type, u: &Type) -> bool {
     }
 }
 
-/// Semantic equivalence up to mutual inclusion: `t ≡ u ⟺ t <: u ∧ u <: t`.
-pub fn is_equivalent(t: &Type, u: &Type) -> bool {
-    is_subtype(t, u) && is_subtype(u, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +159,7 @@ mod tests {
     fn star_bottom_equals_empty_array() {
         let star_bottom = Type::star(Type::Bottom);
         let empty = Type::empty_array();
-        assert!(is_equivalent(&star_bottom, &empty));
+        assert!(is_subtype(&star_bottom, &empty) && is_subtype(&empty, &star_bottom));
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
             .required("b", Type::Str)
             .required("a", Type::Num)
             .into_type();
-        assert!(is_equivalent(&t1, &t2));
+        assert!(is_subtype(&t1, &t2) && is_subtype(&t2, &t1));
         assert_eq!(t1, t2, "canonical sorting makes them identical too");
     }
 

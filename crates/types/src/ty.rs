@@ -312,11 +312,6 @@ impl Union {
         &self.addends
     }
 
-    /// The addend of the given kind, if present.
-    pub fn addend_of_kind(&self, kind: TypeKind) -> Option<&Type> {
-        self.search(kind).ok().map(|i| &self.addends[i])
-    }
-
     fn search(&self, kind: TypeKind) -> Result<usize, usize> {
         self.addends
             .binary_search_by_key(&kind, |t| t.kind().expect("union addends have kinds"))
@@ -675,16 +670,14 @@ mod tests {
 
     #[test]
     fn union_addend_lookup_by_kind() {
-        let u = match Type::Num.plus(Type::star(Type::Str)) {
+        let mut u = match Type::Num.plus(Type::star(Type::Str)) {
             Type::Union(u) => u,
             _ => unreachable!(),
         };
-        assert_eq!(u.addend_of_kind(TypeKind::Num), Some(&Type::Num));
-        assert_eq!(
-            u.addend_of_kind(TypeKind::Array),
-            Some(&Type::star(Type::Str))
-        );
-        assert_eq!(u.addend_of_kind(TypeKind::Bool), None);
+        let mut lookup = |kind| u.update_addend(kind, |t| t.clone());
+        assert_eq!(lookup(TypeKind::Num), Some(Type::Num));
+        assert_eq!(lookup(TypeKind::Array), Some(Type::star(Type::Str)));
+        assert_eq!(lookup(TypeKind::Bool), None);
     }
 
     fn abc() -> RecordType {

@@ -35,7 +35,7 @@ fn main() {
     );
 
     // The incremental schema equals the batch schema over the same data.
-    let batch = SchemaJob::new().run_values(stream.clone());
+    let batch = JobConfig::new().build().run_values(stream.clone());
     assert_eq!(live.schema(), &batch.schema);
     println!("incremental schema == batch schema ✓");
 
@@ -75,7 +75,7 @@ fn main() {
             from_scratch.extend(part.iter().cloned());
         }
     }
-    let recomputed = SchemaJob::new().run_values(from_scratch);
+    let recomputed = JobConfig::new().build().run_values(from_scratch);
     assert_eq!(maintained.schema(), &recomputed.schema);
     println!(
         "partition-update maintenance == full recomputation ✓ ({} records, schema size {})",

@@ -17,7 +17,8 @@ fn main() {
 
     // One pass: fused schema + per-path presence statistics (the
     // statistical enrichment sketched in the paper's future work).
-    let profile = SchemaJob::new()
+    let profile = JobConfig::new()
+        .build()
         .run_profiled(Source::values(feed.clone()))
         .expect("in-memory sources cannot fail")
         .profile;
@@ -49,7 +50,7 @@ fn main() {
 
     // And it is succinct: compare with the naive alternative of keeping
     // every distinct type.
-    let result = SchemaJob::new().run_values(feed);
+    let result = JobConfig::new().build().run_values(feed);
     println!(
         "\n{} distinct per-record types (avg size {:.0}) collapsed into one schema of size {}",
         result.type_stats.distinct, result.type_stats.avg_size, result.fused_size

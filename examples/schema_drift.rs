@@ -35,8 +35,8 @@ fn main() {
     .map(|l| parse_value(l).unwrap())
     .collect();
 
-    let old_schema = SchemaJob::new().run_values(yesterday).schema;
-    let new_schema = SchemaJob::new().run_values(today).schema;
+    let old_schema = JobConfig::new().build().run_values(yesterday).schema;
+    let new_schema = JobConfig::new().build().run_values(today).schema;
 
     println!("yesterday: {old_schema}");
     println!("today:     {new_schema}\n");

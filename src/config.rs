@@ -1,14 +1,12 @@
-//! [`JobConfig`]: the one builder every inference entry point shares.
+//! [`JobConfig`]: the one place a job setting is declared, defaulted
+//! and read.
 //!
-//! [`SchemaJob`] accreted a knob per PR — workers, partitions, map
-//! route, dedup mode, error policy, retries, parser limits, chaos
-//! hooks — each with its own chained setter, and every consumer
-//! (`infer`, `stats`, `check`, and now the resident `serve`
-//! daemon) re-plumbed the subset it knew about. `JobConfig` collapses
-//! that accretion into a single declarative configuration with
-//! [`Default`]: build one, hand copies to batch jobs
-//! ([`JobConfig::build`]) and to warm incremental accumulators alike,
-//! and every consumer honors the same options the same way.
+//! Every driver reads its settings from a `JobConfig`: the batch
+//! pipeline ([`SchemaJob`], which [`JobConfig::build`] binds to a
+//! worker pool and a partition count), the byte-range splits, the stdin
+//! fold, the value readers behind `check`, `stats` and `query`, and the
+//! resident daemon's per-source folds. No driver keeps a copy of a
+//! setting, so a knob means the same thing on every route.
 //!
 //! ```
 //! use typefuse::prelude::*;
@@ -27,42 +25,52 @@ use typefuse_json::{ParserOptions, RetryPolicy};
 use typefuse_obs::Recorder;
 
 /// Declarative configuration for schema-inference work — batch or
-/// resident.
-///
-/// Field semantics and defaults are identical to [`SchemaJob::new`];
-/// `None` for `workers`/`partitions` means "derive from the machine"
-/// (all cores, 4 partitions per worker).
+/// resident. [`Default`] is every setting's default; `None` for
+/// `workers`/`partitions` means "derive from the machine" (all cores,
+/// 4 partitions per worker).
 #[derive(Debug, Clone, Default)]
 pub struct JobConfig {
     /// Worker threads; `None` uses every available core.
     pub workers: Option<usize>,
     /// Partitions; `None` derives 4 × workers.
     pub partitions: Option<usize>,
-    /// Fusion configuration (array strategy).
+    /// Fusion configuration (array strategy, the paper's one setting).
     pub fuse_config: FuseConfig,
-    /// Map-phase route for text sources.
+    /// Map-phase route for text sources (default: [`MapPath::Events`]).
     pub map_path: MapPath,
-    /// Reduce-phase shape dedup mode.
+    /// Whether the Reduce dedups shapes (default: [`DedupMode::Auto`]).
     pub dedup: DedupMode,
-    /// Collect per-record type statistics (on by default; turn off for
-    /// maximum throughput).
+    /// Collect per-record type statistics (distinct types, min/max/avg
+    /// sizes — the Tables 2–5 columns; one hash-set insert per record).
+    /// `None` means on; turn off for maximum throughput.
     pub type_stats: Option<bool>,
-    /// Observability recorder shared by every phase.
+    /// Observability recorder shared by every phase of the run (disabled
+    /// by default, which costs nothing).
     pub recorder: Recorder,
-    /// How records that fail to parse are treated.
+    /// How records that fail to parse are treated (default:
+    /// [`ErrorPolicy::FailFast`]). Skipped or quarantined records
+    /// surface in the driver's report; counters `ingest.skipped` and
+    /// `ingest.quarantined` track them.
     pub error_policy: ErrorPolicy,
-    /// Retry policy for transient I/O errors on text sources.
+    /// Retry policy for transient I/O errors on text sources (retries
+    /// count `ingest.retries`).
     pub retry: RetryPolicy,
-    /// Parser options for text sources.
+    /// Parser options for text sources: recursion limit (`max_depth`,
+    /// default 512) and duplicate-key handling.
     pub parser_options: ParserOptions,
-    /// Per-line size guard for text sources.
+    /// Per-line size guard for text sources: a longer line degrades into
+    /// a `RecordTooLarge` parse error handled per `error_policy` instead
+    /// of ballooning memory (default: no cap).
     pub max_line_bytes: Option<usize>,
-    /// Fault-injection hook: panic in the Map phase at this input line.
+    /// Fault-injection hook: panic inside the batch Map closure when it
+    /// reaches this 1-based input line. Exercises worker panic isolation
+    /// ([`Error::Worker`](crate::Error::Worker)) end to end; `None` in
+    /// production.
     pub chaos_panic_at: Option<u32>,
 }
 
 impl JobConfig {
-    /// The default configuration (same behaviour as `SchemaJob::new()`).
+    /// The default configuration.
     pub fn new() -> Self {
         JobConfig::default()
     }
@@ -147,7 +155,8 @@ impl JobConfig {
         self
     }
 
-    /// Materialize a batch [`SchemaJob`] from this configuration.
+    /// Bind this configuration to the machine: a batch [`SchemaJob`]
+    /// with its worker pool and partition count worked out.
     pub fn build(&self) -> SchemaJob {
         let runtime = match self.workers {
             Some(w) => Runtime::new(w),
@@ -155,18 +164,9 @@ impl JobConfig {
         };
         let partitions = self.partitions.unwrap_or(runtime.workers() * 4).max(1);
         SchemaJob {
+            config: self.clone(),
             runtime,
             partitions,
-            fuse_config: self.fuse_config,
-            map_path: self.map_path,
-            dedup: self.dedup,
-            collect_type_stats: self.type_stats.unwrap_or(true),
-            recorder: self.recorder.clone(),
-            error_policy: self.error_policy.clone(),
-            retry: self.retry,
-            parser_options: self.parser_options.clone(),
-            max_line_bytes: self.max_line_bytes,
-            chaos_panic_at: self.chaos_panic_at,
         }
     }
 }
@@ -177,17 +177,16 @@ mod tests {
     use typefuse_json::json;
 
     #[test]
-    fn default_build_matches_schema_job_new() {
+    fn default_build_derives_workers_and_partitions_from_the_machine() {
         let built = JobConfig::new().build();
-        let legacy = SchemaJob::new();
-        assert_eq!(built.runtime.workers(), legacy.runtime.workers());
-        assert_eq!(built.partitions, legacy.partitions);
-        assert_eq!(built.fuse_config, legacy.fuse_config);
-        assert_eq!(built.map_path, legacy.map_path);
-        assert_eq!(built.dedup, legacy.dedup);
-        assert_eq!(built.collect_type_stats, legacy.collect_type_stats);
-        assert_eq!(built.max_line_bytes, legacy.max_line_bytes);
-        assert_eq!(built.chaos_panic_at, legacy.chaos_panic_at);
+        let workers = typefuse_engine::runtime::available_workers();
+        assert_eq!(built.runtime.workers(), workers);
+        assert_eq!(built.partitions, workers * 4);
+        // The job reads every other setting from the configuration.
+        assert_eq!(built.config().map_path, MapPath::Events);
+        assert_eq!(built.config().dedup, DedupMode::Auto);
+        assert_eq!(built.config().type_stats, None);
+        assert_eq!(built.config().max_line_bytes, None);
     }
 
     #[test]
@@ -204,12 +203,13 @@ mod tests {
             .build();
         assert_eq!(job.runtime.workers(), 2);
         assert_eq!(job.partitions, 7);
-        assert_eq!(job.map_path, MapPath::Shape);
-        assert_eq!(job.dedup, DedupMode::On);
-        assert!(!job.collect_type_stats);
-        assert_eq!(job.parser_options.max_depth, 9);
-        assert_eq!(job.max_line_bytes, Some(1024));
-        assert_eq!(job.chaos_panic_at, Some(3));
+        let config = job.config();
+        assert_eq!(config.map_path, MapPath::Shape);
+        assert_eq!(config.dedup, DedupMode::On);
+        assert_eq!(config.type_stats, Some(false));
+        assert_eq!(config.parser_options.max_depth, 9);
+        assert_eq!(config.max_line_bytes, Some(1024));
+        assert_eq!(config.chaos_panic_at, Some(3));
     }
 
     #[test]

@@ -26,15 +26,14 @@
 
 use std::io::BufRead;
 
+use crate::config::JobConfig;
 use crate::error::{Error, IoSite};
 use crate::faults::{BadLines, BadRecord, ErrorPolicy, ErrorReport, RetryPolicy};
-use crate::pipeline::{MapPath, SchemaJob};
-use typefuse_infer::{
-    streaming, DedupMode, FuseConfig, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer,
-};
+use crate::pipeline::MapPath;
+use typefuse_infer::{streaming, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer};
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, Map, Parser, ParserOptions, Position, Value};
+use typefuse_json::{ErrorKind, Map, Parser, Position, Value};
 use typefuse_obs::{Counter, Recorder};
 use typefuse_types::Type;
 
@@ -45,7 +44,8 @@ pub enum Origin {
     /// 1-based line number of a stream (the column is kept).
     Line(u64),
     /// Byte offset of the line's start in a file read by byte ranges,
-    /// where line numbers are unknowable.
+    /// where line numbers are unknowable: the position keeps the absolute
+    /// offset and the column, and its line is 0 (unknown).
     Offset(u64),
 }
 
@@ -66,33 +66,11 @@ impl Origin {
             },
             Origin::Offset(offset) => Position {
                 offset: offset as usize + start.offset,
-                line: 1,
+                line: 0,
                 column: (start.offset + 1) as u32,
             },
         }
     }
-}
-
-/// What the kernel needs to know about a job
-/// ([`SchemaJob::fold_config`](crate::pipeline::SchemaJob::fold_config)
-/// derives it); `profile` is the driver's choice, never a user's.
-#[derive(Debug, Clone)]
-pub struct FoldConfig {
-    /// Map route for records.
-    pub map_path: MapPath,
-    /// Reduce route of the schema accumulator.
-    pub dedup: DedupMode,
-    /// Fusion configuration (array strategy).
-    pub fuse_config: FuseConfig,
-    /// Parser limits.
-    pub parser: ParserOptions,
-    /// What a bad line means: each is judged by this policy's verdict.
-    pub policy: ErrorPolicy,
-    /// The reader's line-size cap, reported by `RecordTooLarge`.
-    pub max_line_bytes: Option<usize>,
-    /// Carry a [`ProfileAcc`] beside the schema. A profile reads every
-    /// value, so it turns the shape route's cache into the direct typer.
-    pub profile: bool,
 }
 
 /// What one input line turned into.
@@ -111,18 +89,17 @@ pub enum Absorbed<T = ()> {
 /// the blank test, then `parse` on the trimmed content. A failure is
 /// anchored at `origin` with its column counted from the raw line's
 /// start, trimmed prefix included, and keeps the trimmed text (the
-/// guarded bytes for an oversized line) when the policy wants it.
+/// guarded bytes for an oversized line) when the job's policy wants it.
 /// Counts `json.parse_errors`; counting records is the caller's.
 fn frame<T>(
-    config: &FoldConfig,
-    rec: &Recorder,
+    job: &JobConfig,
     origin: Origin,
     raw: &[u8],
     truncated: bool,
     parse: impl FnOnce(&[u8]) -> typefuse_json::Result<T>,
 ) -> Absorbed<T> {
     let (kind, start, text) = if truncated {
-        let cap = config.max_line_bytes.unwrap_or(usize::MAX);
+        let cap = job.max_line_bytes.unwrap_or(usize::MAX);
         (ErrorKind::RecordTooLarge(cap), Position::start(), raw)
     } else {
         let line = trim_ascii_bytes(raw);
@@ -143,22 +120,22 @@ fn frame<T>(
         };
         (e.kind().clone(), start, line)
     };
-    rec.add("json.parse_errors", 1);
+    job.recorder.add("json.parse_errors", 1);
     Absorbed::Bad(BadRecord {
         at: origin.at(),
         error: typefuse_json::Error::at(kind, origin.anchor(start)),
-        text: config
-            .policy
+        text: job
+            .error_policy
             .keeps_text()
             .then(|| String::from_utf8_lossy(text).into_owned()),
     })
 }
 
-/// The per-line half of the kernel.
+/// The per-line half of the kernel: types lines by the job's Map route
+/// under its parser options and line cap, counting into its recorder.
 #[derive(Debug, Clone)]
 pub struct LineTyper {
-    config: FoldConfig,
-    recorder: Recorder,
+    job: JobConfig,
     /// The direct typer's scratch (the events route).
     typer: Typer,
     /// The shape route's memo, warm for this typer's lifetime (a
@@ -169,12 +146,13 @@ pub struct LineTyper {
 }
 
 impl LineTyper {
-    /// A typer for `config`, counting into `recorder`.
-    pub fn new(config: FoldConfig, recorder: Recorder) -> Self {
-        let shape = (config.map_path == MapPath::Shape && !config.profile).then(ShapeCache::new);
+    /// A typer for `job`. `profile` is the driver's choice: a profile
+    /// reads every value, so it turns the shape route's cache into the
+    /// direct typer.
+    pub fn new(job: &JobConfig, profile: bool) -> Self {
+        let shape = (job.map_path == MapPath::Shape && !profile).then(ShapeCache::new);
         LineTyper {
-            config,
-            recorder,
+            job: job.clone(),
             typer: Typer::default(),
             shape,
             records: None,
@@ -192,10 +170,10 @@ impl LineTyper {
         truncated: bool,
         profile: Option<&mut ProfileAcc>,
     ) -> Absorbed<Type> {
-        let (config, rec) = (&self.config, &self.recorder);
+        let (job, rec) = (&self.job, &self.job.recorder);
         let (typer, shape) = (&mut self.typer, &mut self.shape);
-        let absorbed = frame(config, rec, origin, raw, truncated, |line| {
-            let parser = &config.parser;
+        let absorbed = frame(job, origin, raw, truncated, |line| {
+            let parser = &job.parser_options;
             match (profile, shape) {
                 (Some(profile), _) => profile.observe_line(origin.at(), line, parser),
                 (None, Some(shape)) => shape.infer_line(line, parser, rec),
@@ -215,7 +193,7 @@ impl LineTyper {
     /// and reset them — once per partition or split.
     pub fn flush_counters(&mut self) {
         if let Some(cache) = &mut self.shape {
-            cache.flush_counters(&self.recorder);
+            cache.flush_counters(&self.job.recorder);
         }
     }
 }
@@ -236,14 +214,15 @@ pub struct RecordFold {
 }
 
 impl RecordFold {
-    /// An empty fold.
-    pub fn new(config: FoldConfig, recorder: Recorder) -> Self {
+    /// An empty fold under `job`, carrying a [`ProfileAcc`] beside the
+    /// schema when the driver asks for `profile`.
+    pub fn new(job: &JobConfig, profile: bool) -> Self {
         RecordFold {
-            acc: SchemaAcc::new(config.dedup, config.fuse_config),
-            profile: config.profile.then(ProfileAcc::new),
+            acc: SchemaAcc::new(job.dedup, job.fuse_config),
+            profile: profile.then(ProfileAcc::new),
             bad: BadLines::default(),
             lines: 0,
-            typer: LineTyper::new(config, recorder),
+            typer: LineTyper::new(job, profile),
         }
     }
 
@@ -270,7 +249,7 @@ impl RecordFold {
             }
             Absorbed::Blank => Ok(Absorbed::Blank),
             Absorbed::Bad(bad) => {
-                self.bad.judge(&self.typer.config.policy, &bad)?;
+                self.bad.judge(&self.typer.job.error_policy, &bad)?;
                 Ok(Absorbed::Bad(bad))
             }
         }
@@ -297,19 +276,19 @@ impl RecordFold {
 
     /// End a run on this (merged) fold: [`BadLines::settle`].
     pub fn settle(&mut self) -> Result<(), Error> {
-        let (policy, rec) = (&self.typer.config.policy, &self.typer.recorder);
-        self.bad.settle(policy, rec)
+        let job = &self.typer.job;
+        self.bad.settle(&job.error_policy, &job.recorder)
     }
 
     /// A daemon's poll batch: append to the sidecar ([`BadLines::flush`]).
     pub fn flush_sidecar(&mut self) -> std::io::Result<()> {
-        let (policy, rec) = (&self.typer.config.policy, &self.typer.recorder);
-        self.bad.flush(policy, true, rec)
+        let job = &self.typer.job;
+        self.bad.flush(&job.error_policy, true, &job.recorder)
     }
 
     /// The job's error policy.
     pub fn policy(&self) -> &ErrorPolicy {
-        &self.typer.config.policy
+        &self.typer.job.error_policy
     }
 
     /// The current fused schema.
@@ -385,30 +364,27 @@ impl RecordFold {
         m.insert("report", self.report().checkpoint_value());
     }
 
-    /// Rebuild a fold from a checkpoint object. The configuration is
-    /// *not* persisted: resume under the one that wrote the checkpoint,
-    /// or the incremental ≡ batch law breaks. Dedup interner and shape
-    /// cache restart cold; schema, profile and report resume exactly.
-    pub fn restore(
-        config: FoldConfig,
-        recorder: Recorder,
-        payload: &Value,
-    ) -> Result<Self, String> {
+    /// Rebuild a fold from a checkpoint object. The job and the
+    /// `profile` choice are *not* persisted: resume under the ones that
+    /// wrote the checkpoint, or the incremental ≡ batch law breaks. Dedup
+    /// interner and shape cache restart cold; schema, profile and report
+    /// resume exactly.
+    pub fn restore(job: &JobConfig, profile: bool, payload: &Value) -> Result<Self, String> {
         let field = |name: &str| payload.get(name).ok_or(format!("missing {name}"));
         let schema = typefuse_types::wire::from_wire(
             field("schema")?.as_str().ok_or("schema is not a string")?,
         )?;
         let records = u64_from_value(field("records")?)?;
-        let profile = match config.profile {
+        let observed = match profile {
             true => Some(ProfileAcc::from_checkpoint_value(field("profile")?)?),
             false => None,
         };
         Ok(RecordFold {
-            acc: SchemaAcc::resume(config.dedup, config.fuse_config, schema, records),
-            profile,
+            acc: SchemaAcc::resume(job.dedup, job.fuse_config, schema, records),
+            profile: observed,
             bad: BadLines::resume(ErrorReport::from_checkpoint_value(field("report")?)?),
             lines: u64_from_value(field("lines")?)?,
-            typer: LineTyper::new(config, recorder),
+            typer: LineTyper::new(job, profile),
         })
     }
 }
@@ -419,11 +395,11 @@ impl RecordFold {
 /// [`settle`](RecordFold::settle) it. Memory is O(schema), not O(input).
 pub fn fold_stream<R: BufRead + ?Sized>(
     reader: &mut R,
-    job: &SchemaJob,
+    job: &JobConfig,
     profile: bool,
 ) -> Result<RecordFold, Error> {
     let rec = &job.recorder;
-    let mut fold = RecordFold::new(job.fold_config(profile), rec.clone());
+    let mut fold = RecordFold::new(job, profile);
     for_each_line(
         reader,
         job.max_line_bytes,
@@ -447,32 +423,32 @@ pub fn fold_stream<R: BufRead + ?Sized>(
 /// settled report comes back for the caller to show.
 pub fn for_each_value<R: BufRead + ?Sized>(
     reader: &mut R,
-    job: &SchemaJob,
+    job: &JobConfig,
     mut visit: impl FnMut(Value),
 ) -> Result<ErrorReport, Error> {
-    let (rec, config) = (&job.recorder, job.fold_config(false));
+    let (rec, policy) = (&job.recorder, &job.error_policy);
     let (mut bad_lines, mut records) = (BadLines::default(), 0);
-    let parse = |line: &[u8]| Parser::with_options(line, config.parser.clone()).parse_complete();
+    let parse =
+        |line: &[u8]| Parser::with_options(line, job.parser_options.clone()).parse_complete();
     for_each_line(
         reader,
         job.max_line_bytes,
         job.retry,
         rec,
-        |line, raw, truncated| match frame(&config, rec, Origin::Line(line), raw, truncated, parse)
-        {
+        |line, raw, truncated| match frame(job, Origin::Line(line), raw, truncated, parse) {
             Absorbed::Record(value) => {
                 records += 1;
                 visit(value);
                 true
             }
             Absorbed::Blank => true,
-            Absorbed::Bad(bad) => bad_lines.judge(&config.policy, &bad).is_ok(),
+            Absorbed::Bad(bad) => bad_lines.judge(policy, &bad).is_ok(),
         },
     )?;
     if records > 0 {
         rec.add("json.records", records);
     }
-    bad_lines.settle(&config.policy, rec)?;
+    bad_lines.settle(policy, rec)?;
     Ok(bad_lines.report().clone())
 }
 
@@ -520,20 +496,7 @@ pub(crate) fn count_lines(rec: &Recorder, lines: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::JobConfig;
     use typefuse_json::json;
-
-    fn config(map_path: MapPath, profile: bool) -> FoldConfig {
-        FoldConfig {
-            map_path,
-            dedup: DedupMode::Off,
-            fuse_config: FuseConfig::default(),
-            parser: ParserOptions::default(),
-            policy: ErrorPolicy::quarantine("unused.ndjson"),
-            max_line_bytes: None,
-            profile,
-        }
-    }
 
     #[test]
     fn bad_lines_are_anchored_at_their_raw_column() {
@@ -545,8 +508,9 @@ mod tests {
             (MapPath::Shape, false),
             (MapPath::Events, true),
         ];
+        let job = JobConfig::new().on_error(ErrorPolicy::quarantine("unused.ndjson"));
         for (route, profile) in routes {
-            let mut typer = LineTyper::new(config(route, profile), Recorder::disabled());
+            let mut typer = LineTyper::new(&job.clone().map_path(route), profile);
             let mut acc = ProfileAcc::new();
             let mut bad = |origin| {
                 let observer = profile.then_some(&mut acc);
@@ -567,7 +531,7 @@ mod tests {
             let start = at_offset.error.span().start;
             assert_eq!(
                 (start.offset, start.line, start.column),
-                (12, 1, 5),
+                (12, 0, 5),
                 "{route:?}"
             );
             assert_eq!(at_offset.at, 8);
@@ -575,19 +539,19 @@ mod tests {
     }
 
     /// The values and the report [`for_each_value`] yields for `input`.
-    fn values_of(input: &str, job: &SchemaJob) -> Result<(Vec<Value>, ErrorReport), Error> {
+    fn values_of(input: &str, job: &JobConfig) -> Result<(Vec<Value>, ErrorReport), Error> {
         let mut values = Vec::new();
         let report = for_each_value(&mut input.as_bytes(), job, |v| values.push(v))?;
         Ok((values, report))
     }
 
-    fn skipping() -> SchemaJob {
-        JobConfig::new().on_error(ErrorPolicy::skip()).build()
+    fn skipping() -> JobConfig {
+        JobConfig::new().on_error(ErrorPolicy::skip())
     }
 
     #[test]
     fn for_each_value_skips_blank_lines() {
-        let (values, report) = values_of("{\"a\":1}\n\n   \n{\"a\":2}", &SchemaJob::new()).unwrap();
+        let (values, report) = values_of("{\"a\":1}\n\n   \n{\"a\":2}", &JobConfig::new()).unwrap();
         assert_eq!(values, [json!({"a": 1}), json!({"a": 2})]);
         assert!(report.is_empty());
     }
@@ -595,7 +559,7 @@ mod tests {
     #[test]
     fn for_each_value_over_empty_input_visits_nothing() {
         for input in ["", "\n\n"] {
-            let (values, report) = values_of(input, &SchemaJob::new()).unwrap();
+            let (values, report) = values_of(input, &JobConfig::new()).unwrap();
             assert!(values.is_empty() && report.is_empty(), "{input:?}");
         }
     }
@@ -610,13 +574,13 @@ mod tests {
         assert_eq!((report.skipped(), bad.at), (1, 2));
         assert_eq!(bad.error.span().start.line, 2);
         // Fail-fast reports the same error.
-        let err = values_of(input, &SchemaJob::new()).unwrap_err();
+        let err = values_of(input, &JobConfig::new()).unwrap_err();
         assert!(matches!(&err, Error::Parse(e) if *e == bad.error), "{err}");
     }
 
     #[test]
     fn for_each_value_rejects_trailing_garbage() {
-        let err = values_of("{} {}\n", &SchemaJob::new()).unwrap_err();
+        let err = values_of("{} {}\n", &JobConfig::new()).unwrap_err();
         assert!(
             matches!(&err, Error::Parse(e) if *e.kind() == ErrorKind::TrailingCharacters),
             "{err}"
@@ -642,10 +606,7 @@ mod tests {
     fn for_each_value_counts_bytes_lines_records_and_errors() {
         let input = "{\"a\":1}\n\n{\"bad\n{\"a\":2}\n";
         let rec = Recorder::enabled();
-        let job = JobConfig::new()
-            .on_error(ErrorPolicy::skip())
-            .recorder(rec.clone())
-            .build();
+        let job = skipping().recorder(rec.clone());
         let (values, _) = values_of(input, &job).unwrap();
         assert_eq!(values.len(), 2);
         assert_eq!(rec.counter_value("json.bytes"), input.len() as u64);

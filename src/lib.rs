@@ -57,6 +57,11 @@ pub use typefuse_query as query;
 pub use typefuse_registry as registry;
 pub use typefuse_types as types;
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use crate::config::JobConfig;

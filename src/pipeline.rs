@@ -6,10 +6,11 @@
 //! [`SchemaJob::run`], fed by a [`Source`]:
 //!
 //! ```
-//! use typefuse::pipeline::{SchemaJob, Source};
+//! use typefuse::pipeline::Source;
+//! use typefuse::JobConfig;
 //!
 //! let data = "{\"a\":1}\n{\"a\":\"x\",\"b\":null}\n";
-//! let result = SchemaJob::new().run(Source::ndjson(data.as_bytes())).unwrap();
+//! let result = JobConfig::new().build().run(Source::ndjson(data.as_bytes())).unwrap();
 //! assert_eq!(result.schema.to_string(), "{a: Num + Str, b: Null?}");
 //! assert_eq!(result.records, 2);
 //! ```
@@ -37,15 +38,15 @@ use std::collections::HashSet;
 use std::io::BufRead;
 use std::time::{Duration, Instant};
 
+use crate::config::JobConfig;
 use crate::error::Error;
-use crate::faults::{BadLines, ErrorPolicy, ErrorReport};
-use crate::fold::{for_each_line, Absorbed, FoldConfig, LineTyper, Origin, RecordFold};
+use crate::faults::{BadLines, ErrorReport};
+use crate::fold::{for_each_line, Absorbed, LineTyper, Origin, RecordFold};
 use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{
-    fuse_into, fuse_into_recorded, infer_type_recorded, DedupAcc, FuseConfig, ProfileAcc,
-    ProfileReport,
+    fuse_into, fuse_into_recorded, infer_type_recorded, DedupAcc, ProfileAcc, ProfileReport,
 };
-use typefuse_json::{ParserOptions, RetryPolicy, Value};
+use typefuse_json::Value;
 use typefuse_obs::{Recorder, RunReport};
 use typefuse_types::intern::FxBuildHasher;
 use typefuse_types::Type;
@@ -101,91 +102,20 @@ pub enum MapPath {
     Shape,
 }
 
-/// Configuration of a schema-inference run.
+/// A batch job: the [`JobConfig`] it was built from, bound to the
+/// machine ([`JobConfig::build`] works out the worker pool and the
+/// partition count). Every setting is read from the configuration.
 #[derive(Debug, Clone)]
 pub struct SchemaJob {
-    /// Worker threads (default: all available).
-    pub runtime: Runtime,
-    /// Number of partitions (default: 4 × workers).
-    pub partitions: usize,
-    /// Fusion configuration (array strategy).
-    pub fuse_config: FuseConfig,
-    /// Map-phase route for text sources (default: [`MapPath::Events`]).
-    pub map_path: MapPath,
-    /// Whether the Reduce phase dedups shapes (default:
-    /// [`DedupMode::Auto`]). Profiled runs ([`SchemaJob::run_profiled`])
-    /// ignore this — they need every raw value for per-path statistics.
-    pub dedup: DedupMode,
-    /// Whether to collect per-record type statistics (distinct types,
-    /// min/max/avg sizes — the Tables 2–5 columns). Costs one hash-set
-    /// insert per record.
-    pub collect_type_stats: bool,
-    /// Observability recorder shared by every phase of the run (disabled
-    /// by default, which costs nothing). See [`SchemaResult::run_report`]
-    /// for turning it into a structured report after the run.
-    pub recorder: Recorder,
-    /// How records that fail to parse are treated (default:
-    /// [`ErrorPolicy::FailFast`], byte-identical to the pre-policy
-    /// behaviour). Skipped or quarantined records surface in
-    /// [`SchemaResult::errors`]; counters `ingest.skipped` and
-    /// `ingest.quarantined` track them.
-    pub error_policy: ErrorPolicy,
-    /// Retry policy for transient I/O errors while reading text sources
-    /// (default: [`RetryPolicy::none`]). Retries count `ingest.retries`.
-    pub retry: RetryPolicy,
-    /// Parser options for text sources: recursion limit
-    /// (`max_depth`, default 512) and duplicate-key handling.
-    pub parser_options: ParserOptions,
-    /// Per-line size guard for text sources: a line longer than this
-    /// degrades into a `RecordTooLarge` parse error handled per
-    /// `error_policy` instead of ballooning memory (default: no cap).
-    pub max_line_bytes: Option<usize>,
-    /// Fault-injection hook: panic inside the Map closure when it
-    /// reaches this 1-based input line. Exercises worker panic
-    /// isolation ([`Error::Worker`]) end to end; `None` in production.
-    pub chaos_panic_at: Option<u32>,
-}
-
-impl Default for SchemaJob {
-    fn default() -> Self {
-        Self::new()
-    }
+    pub(crate) config: JobConfig,
+    pub(crate) runtime: Runtime,
+    pub(crate) partitions: usize,
 }
 
 impl SchemaJob {
-    /// A job with default settings.
-    pub fn new() -> Self {
-        let runtime = Runtime::default();
-        let partitions = runtime.workers() * 4;
-        SchemaJob {
-            runtime,
-            partitions,
-            fuse_config: FuseConfig::default(),
-            map_path: MapPath::default(),
-            dedup: DedupMode::default(),
-            collect_type_stats: true,
-            recorder: Recorder::disabled(),
-            error_policy: ErrorPolicy::default(),
-            retry: RetryPolicy::none(),
-            parser_options: ParserOptions::default(),
-            max_line_bytes: None,
-            chaos_panic_at: None,
-        }
-    }
-
-    /// The record-fold kernel's view of this job. `profile` is the
-    /// driver's choice: on for the profiled pass and for resident folds
-    /// that answer `profile` / `explain`, off for plain inference.
-    pub fn fold_config(&self, profile: bool) -> FoldConfig {
-        FoldConfig {
-            map_path: self.map_path,
-            dedup: self.dedup,
-            fuse_config: self.fuse_config,
-            parser: self.parser_options.clone(),
-            policy: self.error_policy.clone(),
-            max_line_bytes: self.max_line_bytes,
-            profile,
-        }
+    /// The configuration this job was built from.
+    pub fn config(&self) -> &JobConfig {
+        &self.config
     }
 
     /// Run the pipeline over any [`Source`].
@@ -193,7 +123,7 @@ impl SchemaJob {
     /// In-memory sources cannot fail on input; NDJSON sources fail on an
     /// unreadable chunk ([`Error::Io`], with the line it stopped at)
     /// and handle malformed records per the configured
-    /// [`ErrorPolicy`]: fail fast at the earliest bad line
+    /// [`ErrorPolicy`](crate::ErrorPolicy): fail fast at the earliest bad line
     /// ([`Error::Parse`], anchored at its 1-based line number), skip, or
     /// quarantine — skipped records are reported in
     /// [`SchemaResult::errors`]. A panicking worker surfaces as
@@ -235,16 +165,17 @@ impl SchemaJob {
     ///
     /// Text sources fold one profile-carrying [`RecordFold`] per
     /// partition and merge the folds in input order; each fold judges its
-    /// bad lines under the job's [`ErrorPolicy`] and the merged fold is
+    /// bad lines under the job's [`ErrorPolicy`](crate::ErrorPolicy) and the merged fold is
     /// judged once more, so the verdict is [`SchemaJob::run`]'s.
     pub fn run_profiled(&self, source: Source<'_>) -> Result<ProfiledResult, Error> {
         let wall_start = Instant::now();
-        let rec = &self.recorder;
+        let rec = &self.config.recorder;
         match source {
             Source::Values(values) => {
                 let numbered: Vec<(u64, &Value)> = (1..).zip(&values).collect();
                 let parts = partition(numbered, self.partitions);
-                let (cfg, empty) = (self.fuse_config, || (Type::Bottom, ProfileAcc::new()));
+                let cfg = self.config.fuse_config;
+                let empty = || (Type::Bottom, ProfileAcc::new());
                 let (acc, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
                     self.reduce(
@@ -265,8 +196,7 @@ impl SchemaJob {
             }
             Source::Ndjson(reader) => {
                 let records = partition(self.read_records(reader)?, self.partitions);
-                let config = self.fold_config(true);
-                let empty = || RecordFold::new(config.clone(), rec.clone());
+                let empty = || RecordFold::new(&self.config, true);
                 let (fold, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
                     self.reduce(
@@ -298,7 +228,7 @@ impl SchemaJob {
         wall_start: Instant,
     ) -> Result<ProfiledResult, Error> {
         let records = profile.records;
-        self.recorder.add("records", records);
+        self.config.recorder.add("records", records);
         Ok(ProfiledResult {
             profile,
             records,
@@ -313,7 +243,7 @@ impl SchemaJob {
     /// (Figure 4), then hand off to the shared Reduce tail.
     fn run_value_parts(&self, parts: Vec<Vec<Value>>) -> Result<SchemaResult, Error> {
         let wall_start = Instant::now();
-        let rec = &self.recorder;
+        let rec = &self.config.recorder;
         let map_start = Instant::now();
         let (types, map_metrics) = {
             let _span = rec.span("pipeline.map");
@@ -338,17 +268,16 @@ impl SchemaJob {
     /// `ingest.retries` / `ingest.worker_panics` for fault tolerance.
     fn run_lines(&self, reader: Box<dyn BufRead + '_>) -> Result<SchemaResult, Error> {
         let wall_start = Instant::now();
-        let rec = &self.recorder;
+        let rec = &self.config.recorder;
         let records = partition(self.read_records(reader)?, self.partitions);
 
         let map_start = Instant::now();
-        let config = self.fold_config(false);
-        let chaos = self.chaos_panic_at;
+        let chaos = self.config.chaos_panic_at;
         let (typed, map_metrics) = {
             let _span = rec.span("pipeline.map");
             self.runtime
                 .try_run_indexed(&records, |_, part: &Vec<RawRecord>| {
-                    let mut typer = LineTyper::new(config.clone(), rec.clone());
+                    let mut typer = LineTyper::new(&self.config, false);
                     let out: Vec<Absorbed<Type>> = part
                         .iter()
                         .map(|record| {
@@ -373,15 +302,15 @@ impl SchemaJob {
         // materialising driver itself.
         let typed: Vec<Absorbed<Type>> = typed.into_iter().flatten().collect();
         let mut types: Vec<Type> = Vec::new();
-        let mut bad_lines = BadLines::default();
+        let (mut bad_lines, policy) = (BadLines::default(), &self.config.error_policy);
         for outcome in typed {
             match outcome {
                 Absorbed::Record(ty) => types.push(ty),
-                Absorbed::Bad(bad) if bad_lines.judge(&self.error_policy, &bad).is_err() => break,
+                Absorbed::Bad(bad) if bad_lines.judge(policy, &bad).is_err() => break,
                 Absorbed::Bad(_) | Absorbed::Blank => {}
             }
         }
-        bad_lines.settle(&self.error_policy, rec)?;
+        bad_lines.settle(policy, rec)?;
         let report = bad_lines.report().clone();
 
         let records = types.len() as u64;
@@ -394,13 +323,13 @@ impl SchemaJob {
     /// oversized: what a line *is* gets decided by the kernel, in input
     /// order.
     fn read_records(&self, mut reader: Box<dyn BufRead + '_>) -> Result<Vec<RawRecord>, Error> {
-        let rec = &self.recorder;
+        let (config, rec) = (&self.config, &self.config.recorder);
         let _span = rec.span("pipeline.read");
         let mut out = Vec::new();
         for_each_line(
             &mut reader,
-            self.max_line_bytes,
-            self.retry,
+            config.max_line_bytes,
+            config.retry,
             rec,
             |line, bytes, truncated| {
                 out.push(RawRecord {
@@ -417,7 +346,9 @@ impl SchemaJob {
     /// Count and convert an isolated worker panic.
     fn surface_worker<T>(&self, result: Result<T, WorkerPanic>) -> Result<T, Error> {
         result.map_err(|p| {
-            self.recorder.add("ingest.worker_panics", p.panics as u64);
+            self.config
+                .recorder
+                .add("ingest.worker_panics", p.panics as u64);
             Error::Worker(p)
         })
     }
@@ -453,7 +384,7 @@ impl SchemaJob {
                 merge(&mut acc, other);
                 acc
             },
-            &self.recorder,
+            &self.config.recorder,
         );
         Ok((self.surface_worker(merged)?, metrics))
     }
@@ -471,12 +402,12 @@ impl SchemaJob {
         map_time: Duration,
         map_metrics: StageMetrics,
     ) -> Result<SchemaResult, Error> {
-        let rec = &self.recorder;
+        let rec = &self.config.recorder;
 
         // ---- Type statistics (the Tables 2–5 columns). ----------------
         let type_stats = {
             let _span = rec.span("pipeline.stats");
-            let stats_source: Vec<&Type> = if self.collect_type_stats {
+            let stats_source: Vec<&Type> = if self.config.type_stats != Some(false) {
                 types.iter().flatten().collect()
             } else {
                 Vec::new()
@@ -487,12 +418,12 @@ impl SchemaJob {
         // ---- Reduce phase: fuse (Figure 6). ----------------------------
         // Both accumulators produce byte-identical schemas; dedup only
         // changes constants.
-        let use_dedup = match self.dedup {
+        let use_dedup = match self.config.dedup {
             DedupMode::On => true,
             DedupMode::Off => false,
             DedupMode::Auto => dedup_auto_sample(types.iter().flatten()),
         };
-        let cfg = self.fuse_config;
+        let cfg = self.config.fuse_config;
         let reduce_start = Instant::now();
         let (fused, reduce_metrics) = {
             let _span = rec.span("pipeline.reduce");
@@ -611,7 +542,7 @@ pub struct SchemaResult {
     pub partitions: usize,
     /// Distinct / min / max / avg inferred-type statistics.
     pub type_stats: TypeStats,
-    /// Records skipped or quarantined under the job's [`ErrorPolicy`]
+    /// Records skipped or quarantined under the job's [`ErrorPolicy`](crate::ErrorPolicy)
     /// (always empty for `FailFast` — the run errors instead).
     pub errors: ErrorReport,
     /// Wall time of the Map (inference) phase.
@@ -690,7 +621,7 @@ pub struct ProfiledResult {
     pub wall: Duration,
     /// Per-partition metrics of the profiled fold.
     pub fold_metrics: StageMetrics,
-    /// The bad records a lenient [`ErrorPolicy`] skipped (text sources
+    /// The bad records a lenient [`ErrorPolicy`](crate::ErrorPolicy) skipped (text sources
     /// only; they leave no trace in the profile).
     pub errors: ErrorReport,
 }
@@ -725,7 +656,6 @@ impl ProfiledResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JobConfig;
     use typefuse_json::json;
 
     fn values() -> Vec<Value> {
@@ -759,7 +689,7 @@ mod tests {
 
     #[test]
     fn type_stats_columns() {
-        let r = SchemaJob::new().run_values(values());
+        let r = JobConfig::new().build().run_values(values());
         // 2 distinct types: three of the four records infer {a: Num, b: Str}.
         assert_eq!(r.type_stats.distinct, 2);
         assert!(r.type_stats.min_size <= r.type_stats.max_size);
@@ -804,7 +734,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = SchemaJob::new().run_values(vec![]);
+        let r = JobConfig::new().build().run_values(vec![]);
         assert_eq!(r.schema, Type::Bottom);
         assert_eq!(r.records, 0);
         assert_eq!(r.type_stats, TypeStats::default());
@@ -814,7 +744,10 @@ mod tests {
     #[test]
     fn ndjson_entry_point() {
         let data = "{\"a\":1}\n{\"a\":\"x\"}\n";
-        let r = SchemaJob::new().run_ndjson(data.as_bytes()).unwrap();
+        let r = JobConfig::new()
+            .build()
+            .run_ndjson(data.as_bytes())
+            .unwrap();
         assert_eq!(r.schema.to_string(), "{a: Num + Str}");
 
         let bad = "{\"a\":1}\nnot json\n";
@@ -824,7 +757,7 @@ mod tests {
     #[test]
     fn map_paths_agree_on_every_source_shape() {
         let data = as_ndjson(&values());
-        let in_memory = SchemaJob::new().run_values(values());
+        let in_memory = JobConfig::new().build().run_values(values());
         for path in [MapPath::Events, MapPath::Shape] {
             let via_text = JobConfig::new()
                 .map_path(path)
@@ -840,7 +773,10 @@ mod tests {
     #[test]
     fn events_path_errors_carry_line_numbers() {
         let bad = "{\"a\":1}\n\n{broken\n";
-        let err = SchemaJob::new().run_ndjson(bad.as_bytes()).unwrap_err();
+        let err = JobConfig::new()
+            .build()
+            .run_ndjson(bad.as_bytes())
+            .unwrap_err();
         match err {
             Error::Parse(e) => assert_eq!(e.span().start.line, 3),
             other => panic!("unexpected error: {other}"),
@@ -978,8 +914,12 @@ mod tests {
     #[test]
     fn profiled_run_matches_plain_schema_and_counts() {
         let data = as_ndjson(&values());
-        let plain = SchemaJob::new().run_ndjson(data.as_bytes()).unwrap();
-        let profiled = SchemaJob::new()
+        let plain = JobConfig::new()
+            .build()
+            .run_ndjson(data.as_bytes())
+            .unwrap();
+        let profiled = JobConfig::new()
+            .build()
             .run_profiled(Source::ndjson(data.as_bytes()))
             .unwrap();
         assert_eq!(profiled.profile.schema, plain.schema);

@@ -17,8 +17,8 @@
 //!   is judged once more, so schema, report and verdict are
 //!   byte-identical for any split count, by associativity.
 //! * [`infer_file_schema_with`] — the same over an [`IngestOptions`]
-//!   bundle (error policy, transient-I/O retry, parser limits) with
-//!   every other knob at its default.
+//!   bundle (error policy, transient-I/O retry, parser limits), turned
+//!   into a [`JobConfig`] with every other setting at its default.
 //!
 //! The line-size guard composes with split ownership: a capped line is
 //! still consumed to its newline (only the buffer is bounded), so the
@@ -29,6 +29,7 @@ use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::config::JobConfig;
 use crate::error::{Error, IoSite};
 use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
 use crate::fold::{count_lines, Origin, RecordFold};
@@ -70,8 +71,8 @@ pub fn plan_splits(file_len: u64, parts: usize) -> Vec<Split> {
     splits
 }
 
-/// Fault-tolerance knobs for file-split ingestion, shared by every
-/// split worker of one [`infer_file_schema_with`] run.
+/// The ingest settings of an [`infer_file_schema_with`] run: a subset
+/// of [`JobConfig`]'s, for callers that hold no job.
 #[derive(Debug, Clone, Default)]
 pub struct IngestOptions {
     /// What to do with records that fail to parse.
@@ -142,7 +143,7 @@ pub fn read_split_with(
     read
 }
 
-/// Outcome of [`infer_file_schema`].
+/// Outcome of [`infer_file`].
 #[derive(Debug, Clone)]
 pub struct FileSchema {
     /// The fused schema of every record in the file.
@@ -157,39 +158,28 @@ pub struct FileSchema {
     pub errors: ErrorReport,
 }
 
-/// Infer the schema of an NDJSON file with `runtime.workers()` parallel
-/// splits and default job settings (memory stays O(schema) per split).
-pub fn infer_file_schema(path: &Path, runtime: &Runtime) -> Result<FileSchema, Error> {
-    let options = IngestOptions {
-        retry: RetryPolicy::none(),
-        ..IngestOptions::default()
-    };
-    infer_file_schema_with(path, runtime, &options, &Recorder::disabled())
-}
-
 /// [`infer_file`] for callers that hold an [`IngestOptions`] bundle
-/// instead of a job: every other knob is [`SchemaJob::new`]'s default.
+/// instead of a job: `runtime.workers()` workers, and every other
+/// setting at [`JobConfig`]'s default.
 pub fn infer_file_schema_with(
     path: &Path,
     runtime: &Runtime,
     options: &IngestOptions,
     rec: &Recorder,
 ) -> Result<FileSchema, Error> {
-    let job = SchemaJob {
-        runtime: runtime.clone(),
-        recorder: rec.clone(),
-        error_policy: options.policy.clone(),
-        retry: options.retry,
-        parser_options: options.parser.clone(),
-        ..SchemaJob::new()
-    };
-    infer_file(path, &job)
+    let job = JobConfig::new()
+        .workers(runtime.workers())
+        .recorder(rec.clone())
+        .on_error(options.policy.clone())
+        .retry(options.retry)
+        .parser_options(options.parser.clone());
+    infer_file(path, &job.build())
 }
 
 /// Infer the schema of an NDJSON file over `4 × workers` byte-range
-/// splits of `job.runtime`, one [`RecordFold`] per split, configured
-/// like the batch route (`map_path`, `dedup`, `fuse_config`,
-/// `parser_options`, `max_line_bytes`, `retry`).
+/// splits on the job's runtime, one [`RecordFold`] per split, under the
+/// job's configuration as the batch route reads it (`map_path`, `dedup`,
+/// `fuse_config`, `parser_options`, `max_line_bytes`, `retry`).
 ///
 /// The job's error policy decides whether a bad record aborts the run
 /// (fail-fast, the default), is dropped, or is quarantined: each split's
@@ -203,23 +193,22 @@ pub fn infer_file_schema_with(
 /// `json.records` and the final `records`, and wraps each split in a `split.N` span so
 /// the trace shows how evenly the byte ranges load the workers.
 pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
-    let rec = &job.recorder;
+    let (config, rec) = (&job.config, &job.config.recorder);
     let len = std::fs::metadata(path)
         .map_err(|e| Error::io_at(e, IoSite::default()))?
         .len();
     let splits = plan_splits(len, job.runtime.workers() * 4);
     rec.add("streaming.splits", splits.len() as u64);
-    let config = job.fold_config(false);
     // The first range a verdict stopped: no range after it is merged.
     let stopped = AtomicUsize::new(usize::MAX);
     let (outcome, _) = job.runtime.try_run_indexed(&splits, |i, &split| {
         let _span = span!(rec, "split", i);
-        let mut fold = RecordFold::new(config.clone(), rec.clone());
+        let mut fold = RecordFold::new(config, false);
         let result = read_split_with(
             path,
             split,
-            job.max_line_bytes,
-            job.retry,
+            config.max_line_bytes,
+            config.retry,
             rec,
             |offset, line, truncated| {
                 let origin = Origin::Offset(offset);
@@ -242,7 +231,7 @@ pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
     // Splits are ordered by byte range, so the first per-split I/O error
     // is the earliest failure in the file deterministically; nothing
     // after the first stopped range counts.
-    let mut total = RecordFold::new(config, rec.clone());
+    let mut total = RecordFold::new(config, false);
     for fold in folds {
         total.merge(&fold?);
         if total.stopped() {
@@ -274,6 +263,11 @@ mod tests {
         let mut f = File::create(&path).unwrap();
         f.write_all(contents.as_bytes()).unwrap();
         path
+    }
+
+    /// The file's schema under the default job on `workers` workers.
+    fn infer_default(path: &Path, workers: usize) -> Result<FileSchema, Error> {
+        infer_file(path, &JobConfig::new().workers(workers).build())
     }
 
     /// The lines a split owns, uncapped, as text.
@@ -347,8 +341,8 @@ mod tests {
         typefuse_json::ndjson::write_ndjson(&mut contents, &values).unwrap();
         let path = temp_file("twitter.ndjson", std::str::from_utf8(&contents).unwrap());
 
-        let from_file = infer_file_schema(&path, &Runtime::new(4)).unwrap();
-        let in_memory = crate::config::JobConfig::new()
+        let from_file = infer_default(&path, 4).unwrap();
+        let in_memory = JobConfig::new()
             .without_type_stats()
             .build()
             .run_values(values);
@@ -363,10 +357,7 @@ mod tests {
         let contents: String = (0..40).map(|i| format!("{{\"n\":{i}}}\n")).collect();
         let path = temp_file("recorded.ndjson", &contents);
         let rec = Recorder::enabled();
-        let job = crate::JobConfig::new()
-            .workers(2)
-            .recorder(rec.clone())
-            .build();
+        let job = JobConfig::new().workers(2).recorder(rec.clone()).build();
         let fs = infer_file(&path, &job).unwrap();
         let report = rec.snapshot();
         assert_eq!(report.counters["streaming.splits"], fs.splits as u64);
@@ -386,7 +377,7 @@ mod tests {
     fn parse_errors_carry_file_offsets() {
         let contents = "{\"ok\":1}\n{broken\n";
         let path = temp_file("bad.ndjson", contents);
-        let err = infer_file_schema(&path, &Runtime::sequential()).unwrap_err();
+        let err = infer_default(&path, 1).unwrap_err();
         // The bad record starts at byte 9; the offending byte is inside it.
         let span = err.span().expect("parse error carries a span");
         assert!(span.start.offset >= 9, "offset {}", span.start.offset);
@@ -395,22 +386,18 @@ mod tests {
     #[test]
     fn empty_and_blank_files() {
         let path = temp_file("empty.ndjson", "");
-        let fs = infer_file_schema(&path, &Runtime::sequential()).unwrap();
+        let fs = infer_default(&path, 1).unwrap();
         assert_eq!(fs.records, 0);
         assert_eq!(fs.schema, Type::Bottom);
 
         let path = temp_file("blank.ndjson", "\n\n  \n");
-        let fs = infer_file_schema(&path, &Runtime::new(2)).unwrap();
+        let fs = infer_default(&path, 2).unwrap();
         assert_eq!(fs.records, 0);
     }
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = infer_file_schema(
-            Path::new("/nonexistent/typefuse.ndjson"),
-            &Runtime::sequential(),
-        )
-        .unwrap_err();
+        let err = infer_default(Path::new("/nonexistent/typefuse.ndjson"), 1).unwrap_err();
         assert!(err.is_io());
     }
 
@@ -429,7 +416,7 @@ mod tests {
         }
         let dirty = temp_file("skip-dirty.ndjson", &contents);
         let clean_path = temp_file("skip-clean.ndjson", &clean);
-        let expect = infer_file_schema(&clean_path, &Runtime::sequential()).unwrap();
+        let expect = infer_default(&clean_path, 1).unwrap();
 
         let options = IngestOptions {
             policy: ErrorPolicy::skip(),

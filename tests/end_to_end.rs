@@ -2,7 +2,6 @@
 //! infer → engine → types.
 
 use typefuse::infer::fuse;
-use typefuse::pipeline::SchemaJob;
 use typefuse::prelude::*;
 use typefuse::types::is_subtype;
 
@@ -133,8 +132,11 @@ fn twitter_min_type_is_the_delete_envelope() {
 fn growing_a_dataset_only_widens_the_schema() {
     // More data can only move the schema up the subtype order.
     let all: Vec<Value> = Profile::NYTimes.generate(SEED, 300).collect();
-    let small = SchemaJob::new().run_values(all[..100].to_vec()).schema;
-    let large = SchemaJob::new().run_values(all.clone()).schema;
+    let small = JobConfig::new()
+        .build()
+        .run_values(all[..100].to_vec())
+        .schema;
+    let large = JobConfig::new().build().run_values(all.clone()).schema;
     let merged = fuse(&small, &large);
     assert_eq!(merged, large, "small ⊔ large must equal large");
     assert!(is_subtype(&small, &large));
@@ -148,8 +150,8 @@ fn ndjson_files_round_trip_through_the_pipeline() {
     let mut ndjson = Vec::new();
     typefuse::json::ndjson::write_ndjson(&mut ndjson, &values).unwrap();
 
-    let from_text = SchemaJob::new().run_ndjson(&ndjson[..]).unwrap();
-    let from_memory = SchemaJob::new().run_values(values);
+    let from_text = JobConfig::new().build().run_ndjson(&ndjson[..]).unwrap();
+    let from_memory = JobConfig::new().build().run_values(values);
     assert_eq!(from_text.schema, from_memory.schema);
     assert_eq!(from_text.records, from_memory.records);
 }
@@ -177,7 +179,7 @@ fn mixed_profile_stream_fuses_into_a_union_free_top_record() {
     // with everything optional that is not shared).
     let mut values: Vec<Value> = Profile::GitHub.generate(SEED, 50).collect();
     values.extend(Profile::Twitter.generate(SEED, 50));
-    let result = SchemaJob::new().run_values(values.clone());
+    let result = JobConfig::new().build().run_values(values.clone());
     assert!(matches!(result.schema, Type::Record(_)));
     for v in &values {
         assert!(result.schema.admits(v));
@@ -192,7 +194,7 @@ fn incremental_maintenance_matches_batch_on_real_profiles() {
         for v in &values {
             inc.absorb(v);
         }
-        let batch = SchemaJob::new().run_values(values);
+        let batch = JobConfig::new().build().run_values(values);
         assert_eq!(inc.schema(), &batch.schema, "{profile}");
     }
 }

@@ -84,7 +84,7 @@ fn run(driver: Driver, policy: &ErrorPolicy, input: &str, path: &Path) -> u64 {
     let calls = allocations(|| {
         skipped = match driver {
             Driver::Batch => job.run(Source::ndjson(input.as_bytes())).unwrap().errors,
-            Driver::Stdin => fold_stream(&mut input.as_bytes(), &job, false)
+            Driver::Stdin => fold_stream(&mut input.as_bytes(), job.config(), false)
                 .unwrap()
                 .report()
                 .clone(),

@@ -217,7 +217,8 @@ fn corrupt_bytes_and_truncation_degrade_per_policy() {
             }],
         )
     };
-    let err = SchemaJob::new()
+    let err = JobConfig::new()
+        .build()
         .run(Source::ndjson(BufReader::new(corrupted())))
         .unwrap_err();
     assert!(matches!(err, Error::Parse(_)), "{err}");
@@ -244,7 +245,8 @@ fn corrupt_bytes_and_truncation_degrade_per_policy() {
 #[test]
 fn short_reads_change_nothing() {
     let (dirty, clean, _) = dirty_corpus(50, 6);
-    let expect = SchemaJob::new()
+    let expect = JobConfig::new()
+        .build()
         .run(Source::ndjson(clean.as_bytes()))
         .unwrap();
     let reader = FaultyReader::new(dirty.as_bytes(), vec![Fault::ShortReads { max: 3 }]);
@@ -458,9 +460,9 @@ impl Reader {
         let skipped = match self {
             Reader::Batch(_) => job.run(Source::ndjson(bytes)).map(|r| r.errors),
             Reader::Profiled(_) => job.run_profiled(Source::ndjson(bytes)).map(|r| r.errors),
-            Reader::Stdin => typefuse::fold::fold_stream(&mut &bytes[..], &job, false)
+            Reader::Stdin => typefuse::fold::fold_stream(&mut &bytes[..], job.config(), false)
                 .map(|f| f.report().clone()),
-            Reader::Values => typefuse::fold::for_each_value(&mut &bytes[..], &job, |_| {}),
+            Reader::Values => typefuse::fold::for_each_value(&mut &bytes[..], job.config(), |_| {}),
             Reader::Splits(_) => typefuse::splits::infer_file(path, &job).map(|f| f.errors),
         };
         (skipped.map(|r| r.skipped()).map_err(|e| e.to_string()), rec)

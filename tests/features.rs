@@ -104,7 +104,8 @@ fn streaming_inference_matches_tree_on_profiles() {
 #[test]
 fn profile_exposes_the_twitter_split() {
     let values: Vec<Value> = Profile::Twitter.generate(SEED, 2000).collect();
-    let profile = SchemaJob::new()
+    let profile = JobConfig::new()
+        .build()
         .run_profiled(Source::values(values))
         .unwrap()
         .profile;

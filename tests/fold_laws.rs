@@ -11,29 +11,18 @@
 //! blank lines judged (and skipped) along the way.
 
 use proptest::prelude::*;
-use typefuse::fold::{FoldConfig, Origin, RecordFold};
-use typefuse::pipeline::{DedupMode, MapPath};
-use typefuse::ErrorPolicy;
-use typefuse_infer::FuseConfig;
+use typefuse::fold::{Origin, RecordFold};
+use typefuse::pipeline::DedupMode;
+use typefuse::{ErrorPolicy, JobConfig};
 use typefuse_json::testkit::arb_value;
-use typefuse_json::ParserOptions;
-use typefuse_obs::Recorder;
 
 /// A numbered input line; its number travels with it, as through any
 /// partitioning of one input.
 type Line = (u64, String);
 
 fn empty(profile: bool, dedup: DedupMode) -> RecordFold {
-    let config = FoldConfig {
-        map_path: MapPath::Events,
-        dedup,
-        fuse_config: FuseConfig::default(),
-        parser: ParserOptions::default(),
-        policy: ErrorPolicy::skip(),
-        max_line_bytes: None,
-        profile,
-    };
-    RecordFold::new(config, Recorder::disabled())
+    let job = JobConfig::new().dedup(dedup).on_error(ErrorPolicy::skip());
+    RecordFold::new(&job, profile)
 }
 
 fn fold(empty: &RecordFold, lines: &[Line]) -> RecordFold {
