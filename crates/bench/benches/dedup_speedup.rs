@@ -3,8 +3,8 @@
 //! hash-consed into ids, each distinct `schema ⊔ shape` step computed
 //! once and replayed from the memo cache).
 //!
-//! Both fold the same pre-inferred types on one thread — an
-//! [`Incremental`] and a [`DedupAcc`] — so the numbers isolate the
+//! Both fold the same pre-inferred types on one thread — a
+//! plain [`SchemaAcc`] and a [`DedupAcc`] — so the numbers isolate the
 //! Reduce: the Map cost is identical by construction. GitHub is the
 //! high-redundancy profile (hundreds of records per shape: dedup should
 //! win big); Wikidata's entity records are mostly distinct (the dedup
@@ -16,7 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_infer::{infer_type, DedupAcc, FuseConfig, Incremental};
+use typefuse_infer::{infer_type, Acc, DedupAcc, DedupMode, FuseConfig, SchemaAcc};
 use typefuse_types::Type;
 
 fn inferred(profile: Profile, n: usize) -> Vec<Type> {
@@ -24,11 +24,11 @@ fn inferred(profile: Profile, n: usize) -> Vec<Type> {
 }
 
 fn plain(types: &[Type]) -> Type {
-    let mut acc = Incremental::new();
+    let mut acc = SchemaAcc::new(DedupMode::Off, FuseConfig::default());
     for ty in types {
-        acc.absorb_type_ref(ty);
+        acc.absorb(ty);
     }
-    acc.into_schema()
+    acc.schema()
 }
 
 fn dedup(types: &[Type]) -> Type {

@@ -18,5 +18,5 @@ pub mod report;
 pub mod runner;
 pub mod tables;
 
-pub use runner::{run_scale, ScaleConfig, ScaleResult};
+pub use runner::{run_scale, PartitionAcc, ScaleConfig, ScaleResult};
 pub use tables::{Scale, DEFAULT_SCALES};

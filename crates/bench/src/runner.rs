@@ -7,7 +7,8 @@ use std::time::{Duration, Instant};
 
 use typefuse_datagen::{DatasetProfile, Profile};
 use typefuse_engine::Runtime;
-use typefuse_infer::{infer_type, DedupMode, FuseConfig, SchemaAcc};
+use typefuse_infer::{infer_type, Acc, DedupMode, FuseConfig, SchemaAcc};
+use typefuse_json::Value;
 use typefuse_types::Type;
 
 /// Configuration of one scale run.
@@ -78,9 +79,11 @@ impl ScaleConfig {
 }
 
 /// Per-partition accumulator: everything Tables 2–8 need, O(1) memory in
-/// the partition length (plus the distinct-hash set).
+/// the partition length (plus the distinct-hash set). An [`Acc`] over
+/// generated values; merge is commutative.
 #[derive(Debug, Clone)]
-struct PartitionAcc {
+pub struct PartitionAcc {
+    measure_bytes: bool,
     records: u64,
     bytes: u64,
     distinct_hashes: HashSet<u64>,
@@ -93,13 +96,15 @@ struct PartitionAcc {
 }
 
 impl PartitionAcc {
-    fn empty(config: &ScaleConfig) -> Self {
+    /// The empty accumulator of a run under `config`.
+    pub fn empty(config: &ScaleConfig) -> Self {
         let dedup = if config.dedup {
             DedupMode::On
         } else {
             DedupMode::Off
         };
         PartitionAcc {
+            measure_bytes: config.measure_bytes,
             records: 0,
             bytes: 0,
             distinct_hashes: HashSet::new(),
@@ -110,6 +115,71 @@ impl PartitionAcc {
             infer_time: Duration::ZERO,
             fuse_time: Duration::ZERO,
         }
+    }
+
+    /// This state as the result of a run on one worker: its Tables 2–5
+    /// columns and CPU times, with no wall time, partition rows or task
+    /// timings.
+    pub fn result(&self) -> ScaleResult {
+        let schema = self.schema.schema();
+        ScaleResult {
+            workers: 1,
+            records: self.records,
+            bytes: self.bytes,
+            distinct_types: self.distinct_hashes.len(),
+            min_size: if self.records > 0 { self.min_size } else { 0 },
+            max_size: self.max_size,
+            avg_size: self.size_sum as f64 / self.records.max(1) as f64,
+            fused_size: schema.size(),
+            schema,
+            infer_cpu: self.infer_time,
+            fuse_cpu: self.fuse_time,
+            wall: Duration::ZERO,
+            partition_rows: Vec::new(),
+            partition_cpu: Vec::new(),
+            stage: Default::default(),
+        }
+    }
+}
+
+impl Acc for PartitionAcc {
+    type Item<'a> = &'a Value;
+    type Outcome = ();
+
+    fn absorb(&mut self, value: &Value) {
+        if self.measure_bytes {
+            self.bytes += typefuse_json::to_string(value).len() as u64 + 1;
+        }
+        let t0 = Instant::now();
+        let ty = infer_type(value);
+        self.infer_time += t0.elapsed();
+
+        let size = ty.size();
+        self.min_size = self.min_size.min(size);
+        self.max_size = self.max_size.max(size);
+        self.size_sum += size as u64;
+        self.distinct_hashes.insert(type_hash(&ty));
+        self.records += 1;
+
+        let t1 = Instant::now();
+        self.schema.absorb(&ty);
+        self.fuse_time += t1.elapsed();
+    }
+
+    /// Distinct sets union, min/max/sum fold, schemas fuse (the cheap
+    /// final step the paper highlights, timed into `fuse_time`).
+    fn merge(&mut self, other: &PartitionAcc) {
+        self.records += other.records;
+        self.bytes += other.bytes;
+        self.min_size = self.min_size.min(other.min_size);
+        self.max_size = self.max_size.max(other.max_size);
+        self.size_sum += other.size_sum;
+        self.distinct_hashes.extend(&other.distinct_hashes);
+        self.infer_time += other.infer_time;
+        self.fuse_time += other.fuse_time;
+        let t = Instant::now();
+        self.schema.merge(&other.schema);
+        self.fuse_time += t.elapsed();
     }
 }
 
@@ -254,24 +324,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
     let (accs, metrics) = runtime.run_indexed(&ranges, |_, &(start, end)| {
         let mut acc = PartitionAcc::empty(config);
         for index in start..end {
-            let value = config.profile.record(config.seed, index);
-            if config.measure_bytes {
-                acc.bytes += typefuse_json::to_string(&value).len() as u64 + 1;
-            }
-            let t0 = Instant::now();
-            let ty = infer_type(&value);
-            acc.infer_time += t0.elapsed();
-
-            let size = ty.size();
-            acc.min_size = acc.min_size.min(size);
-            acc.max_size = acc.max_size.max(size);
-            acc.size_sum += size as u64;
-            acc.distinct_hashes.insert(type_hash(&ty));
-            acc.records += 1;
-
-            let t1 = Instant::now();
-            acc.schema.absorb_type(&ty);
-            acc.fuse_time += t1.elapsed();
+            acc.absorb(&config.profile.record(config.seed, index));
         }
         acc
     });
@@ -291,48 +344,17 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         accs.iter().map(|a| (a.infer_time, a.fuse_time)).collect();
     let stage = metrics.stage_report("partitions");
 
-    // Merge: distinct sets union, min/max/sum fold, schemas fuse (the
-    // cheap final step the paper highlights).
     let mut merged = PartitionAcc::empty(config);
-    for acc in accs {
-        merged.records += acc.records;
-        merged.bytes += acc.bytes;
-        merged.min_size = merged.min_size.min(acc.min_size);
-        merged.max_size = merged.max_size.max(acc.max_size);
-        merged.size_sum += acc.size_sum;
-        merged.distinct_hashes.extend(&acc.distinct_hashes);
-        merged.infer_time += acc.infer_time;
-        merged.fuse_time += acc.fuse_time;
-        let t = Instant::now();
-        merged.schema.merge(&acc.schema);
-        merged.fuse_time += t.elapsed();
-    }
+    accs.iter().for_each(|acc| merged.merge(acc));
 
-    let schema = merged.schema.schema();
+    let totals = merged.result();
     ScaleResult {
         workers: config.workers.max(1),
-        records: merged.records,
-        bytes: merged.bytes,
-        distinct_types: merged.distinct_hashes.len(),
-        min_size: if merged.records == 0 {
-            0
-        } else {
-            merged.min_size
-        },
-        max_size: merged.max_size,
-        avg_size: if merged.records == 0 {
-            0.0
-        } else {
-            merged.size_sum as f64 / merged.records as f64
-        },
-        fused_size: schema.size(),
-        schema,
-        infer_cpu: merged.infer_time,
-        fuse_cpu: merged.fuse_time,
         wall: wall_start.elapsed(),
         partition_rows,
         partition_cpu,
         stage,
+        ..totals
     }
 }
 

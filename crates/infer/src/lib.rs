@@ -32,12 +32,14 @@
 //!   associativity theorems (5.3–5.5) license to fuse each *distinct*
 //!   shape once instead of every value.
 //!
-//! Every accumulator here — [`Incremental`], [`SchemaAcc`], [`DedupAcc`],
-//! [`ProfileAcc`], and a bare [`Type`](typefuse_types::Type) under
-//! [`fuse_into`] — is a commutative monoid: an identity, an absorb step
-//! and an associative, commutative `merge`. Drivers fold and merge them
+//! Every fold state here — [`Incremental`], [`SchemaAcc`], [`ProfileAcc`]
+//! — and the record fold, error report and bad lines that ride beside
+//! them downstream implement one [`Acc`] trait: an empty value carrying
+//! its configuration, an absorb step and an associative `merge`
+//! ([`Checkpoint`] adds a restart). Drivers fold and merge them
 //! directly; no strategy object stands between an accumulator and the
-//! runtime that reduces it.
+//! runtime that reduces it, and one law suite (`tests/acc_laws.rs`)
+//! holds them all to the monoid and checkpoint laws.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +57,7 @@ pub mod shape;
 pub mod streaming;
 pub mod typer;
 
-pub use acc::{dedup_auto_sample, AutoSample, DedupMode, SchemaAcc};
+pub use acc::{dedup_auto_sample, Acc, Checkpoint, DedupMode, SchemaAcc};
 pub use dedup::{fuse_ids, DedupAcc, FuseCache};
 pub use fuse::{collapse, fuse, fuse_all, fuse_with, kinds_present, ArrayFusion, FuseConfig};
 pub use fuse_inplace::fuse_into;
@@ -63,6 +65,6 @@ pub use incremental::Incremental;
 pub use infer::infer_type;
 pub use maplike::{find_map_like, MapLikeConfig, MapLikeSite};
 pub use obs::{fuse_into_recorded, infer_type_recorded};
-pub use profile::{PathProfile, ProfileAcc, ProfileReport};
+pub use profile::{PathProfile, ProfileAcc, ProfileReport, Walk};
 pub use shape::{shape_signature, ShapeCache};
 pub use typer::{Fact, Observer, Typer};

@@ -207,7 +207,7 @@ fn render(t: &Type, path: &str, sites: &[MapLikeSite]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{infer_type, Incremental};
+    use crate::{infer_type, Acc, Incremental};
     use typefuse_json::{json, Map, Value};
 
     /// A record keyed by ids, all values the same shape.

@@ -53,7 +53,7 @@
 //! in only one side, the other side's record occurrences at the parent
 //! all lacked it, so its first record line is an absence candidate. All
 //! candidates combine by minimum, which is what makes the merge a true
-//! monoid (verified by the `profile_laws` property tests). "Seen in this
+//! monoid (verified by the `acc_laws` property tests). "Seen in this
 //! record" is an epoch stamp on the child edge, bumped per record, never
 //! cleared. Rule 1 visits only the edges not yet noted absent: lines
 //! grow and absence keeps the minimum, so a noted edge cannot move again
@@ -63,6 +63,7 @@
 //! a `Num` at `$.a` does not demote `$.a.b` — matching fusion, where
 //! optionality lives inside the record branch of a union.
 
+use crate::acc::{Acc, Checkpoint};
 use crate::streaming;
 use crate::typer::{Fact, Observer, Typer};
 use std::collections::{BTreeMap, HashMap};
@@ -379,7 +380,7 @@ impl ProfileAcc {
     /// Observe one NDJSON line straight from its text — no `Value` tree
     /// is materialised. A malformed line leaves no trace.
     pub fn absorb_line(&mut self, line: u64, text: &str) {
-        let _ = self.observe_line(line, text.as_bytes(), &ParserOptions::default());
+        let _ = self.absorb((line, Walk::Text(text.as_bytes())));
     }
 
     /// Observe one line's path statistics and hand back its type for the
@@ -586,11 +587,50 @@ impl ProfileAcc {
         }
     }
 
+    /// Finish into the immutable dataset profile beside `schema`, the
+    /// fused schema of the records observed.
+    pub fn finish(self, schema: Type) -> ProfileReport {
+        ProfileReport {
+            records: self.records(),
+            schema,
+            paths: self
+                .nodes
+                .into_iter()
+                .map(|n| (n.path.to_string(), n.profile))
+                .collect(),
+        }
+    }
+}
+
+/// One record as a [`ProfileAcc`] observes it: its text, walked by the
+/// direct typer under default parser options, or its parsed tree.
+#[derive(Debug, Clone, Copy)]
+pub enum Walk<'a> {
+    /// The record's text ([`ProfileAcc::observe_line`]).
+    Text(&'a [u8]),
+    /// The record's value ([`ProfileAcc::observe_value`]).
+    Tree(&'a Value),
+}
+
+/// Items are numbered records; the outcome is the record's type for the
+/// caller to fuse, or the parse error a malformed text leaves no trace
+/// for. Merge is commutative.
+impl Acc for ProfileAcc {
+    type Item<'a> = (u64, Walk<'a>);
+    type Outcome = typefuse_json::Result<Type>;
+
+    fn absorb(&mut self, (line, record): (u64, Walk<'_>)) -> typefuse_json::Result<Type> {
+        match record {
+            Walk::Text(text) => self.observe_line(line, text, &ParserOptions::default()),
+            Walk::Tree(value) => Ok(self.observe_value(line, value)),
+        }
+    }
+
     /// Merge another accumulator. The cross-partition absence rule runs
     /// against both *pre-merge* states: a child path present in only
     /// one side was absent from every record occurrence of its parent
     /// on the other side, whose first record line becomes a candidate.
-    pub fn merge(&mut self, other: &ProfileAcc) {
+    fn merge(&mut self, other: &ProfileAcc) {
         // Paths new to this side land at `arena_len..`.
         let arena_len = self.nodes.len() as u32;
         let ids: Vec<u32> = other.nodes.iter().map(|n| self.node_at(&n.path)).collect();
@@ -617,15 +657,15 @@ impl ProfileAcc {
             }
         }
     }
+}
 
-    /// Serialize the full accumulator state for a crash-recovery
-    /// checkpoint. Every component round-trips exactly: integers as
-    /// decimal strings, histograms via [`LogHistogram::to_compact`] and
-    /// numeric min/max as `f64::to_bits` — so
-    /// [`from_checkpoint_value`](ProfileAcc::from_checkpoint_value)
-    /// restores a `==`-identical accumulator and the resumed fold is
-    /// byte-identical to an uninterrupted one.
-    pub fn checkpoint_value(&self) -> Value {
+impl Checkpoint for ProfileAcc {
+    /// Every component round-trips exactly: integers as decimal
+    /// strings, histograms via [`LogHistogram::to_compact`] and numeric
+    /// min/max as `f64::to_bits` — so `restore` gives back a
+    /// `==`-identical accumulator and the resumed fold is byte-identical
+    /// to an uninterrupted one.
+    fn checkpoint(&self) -> Value {
         use typefuse_json::codec::u64_to_value;
         use typefuse_json::Map;
         let join = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
@@ -663,12 +703,10 @@ impl ProfileAcc {
         Value::Object(obj)
     }
 
-    /// Restore an accumulator serialized by
-    /// [`checkpoint_value`](ProfileAcc::checkpoint_value). Fields a
-    /// checkpoint may carry from before the profile only observed (a
-    /// schema, a record count, a first error) are the fold's and are
-    /// ignored.
-    pub fn from_checkpoint_value(v: &Value) -> Result<Self, String> {
+    /// Fields a checkpoint may carry from before the profile only
+    /// observed (a schema, a record count, a first error) are the fold's
+    /// and are ignored.
+    fn restore(&self, v: &Value) -> Result<Self, String> {
         use typefuse_json::codec::{opt_u64_from_value, u64_from_value};
         let split = |text: &str| -> Result<[u64; KINDS], String> {
             let mut out = [0u64; KINDS];
@@ -692,13 +730,12 @@ impl ProfileAcc {
             Ok((!hist.is_empty()).then(|| Box::new(hist)))
         };
         let mut acc = Self::new();
-        let path_map = v
-            .get("paths")
-            .and_then(Value::as_object)
-            .ok_or_else(|| "profile missing `paths`".to_string())?;
+        let object = |name: &str| v.get(name).and_then(Value::as_object);
+        let path_map = object("paths").ok_or("profile missing `paths`")?;
+        let children = object("children").ok_or("profile missing `children`")?;
         for (path, entry) in path_map.iter() {
             let id = acc.node_at(path);
-            acc.nodes[id as usize].profile = PathProfile {
+            let profile = PathProfile {
                 count: entry
                     .get("count")
                     .ok_or_else(|| "profile path missing `count`".to_string())
@@ -712,11 +749,14 @@ impl ProfileAcc {
                 num_min: opt_u64_from_value(entry.get("num_min"))?.map(f64::from_bits),
                 num_max: opt_u64_from_value(entry.get("num_max"))?.map(f64::from_bits),
             };
+            if profile.kind_counts[KIND_RECORD] > 0 && !children.contains_key(path) {
+                return Err(format!("record path `{path}` has no child index"));
+            }
+            acc.nodes[id as usize].profile = profile;
         }
         // The child indexes come back through the path map (`[]` links
         // the same way, on their first miss).
-        let children = v.get("children").and_then(Value::as_object);
-        for (parent, names) in children.iter().flat_map(|map| map.iter()) {
+        for (parent, names) in children.iter() {
             for name in names.as_array().ok_or("children value is not an array")? {
                 let name = name.as_str().ok_or("child name is not a string")?;
                 let node = |path: &str| {
@@ -724,24 +764,13 @@ impl ProfileAcc {
                     id.ok_or_else(|| format!("child index names unprofiled path `{path}`"))
                 };
                 let (parent, node) = (node(parent)?, node(&format!("{parent}.{name}"))?);
+                if acc.nodes[parent as usize].kids.contains_key(name) {
+                    return Err(format!("child index lists `{name}` twice"));
+                }
                 acc.add_kid(parent, name.into(), node);
             }
         }
         Ok(acc)
-    }
-
-    /// Finish into the immutable dataset profile beside `schema`, the
-    /// fused schema of the records observed.
-    pub fn finish(self, schema: Type) -> ProfileReport {
-        ProfileReport {
-            records: self.records(),
-            schema,
-            paths: self
-                .nodes
-                .into_iter()
-                .map(|n| (n.path.to_string(), n.profile))
-                .collect(),
-        }
     }
 }
 
@@ -946,56 +975,8 @@ mod tests {
         let mut b = ProfileAcc::new();
         b.absorb_line(2, r#"{"a": 2, "b": "x"}"#);
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(report(ab.clone()), report(ba.clone()), "commutative");
-        assert_eq!(report(ab).get("$.b").unwrap().first_absent_line, Some(1));
-    }
-
-    #[test]
-    fn merge_matches_sequential_absorption() {
-        let lines = [
-            r#"{"a": 1, "b": "x"}"#,
-            r#"{"a": null}"#,
-            r#"{"a": 1, "c": [true, {"d": 2}]}"#,
-            r#"{"a": "s", "c": []}"#,
-        ];
-        let sequential = report(acc_of(&lines));
-        for split in 1..lines.len() {
-            let mut left = ProfileAcc::new();
-            for (i, line) in lines[..split].iter().enumerate() {
-                left.absorb_line(i as u64 + 1, line);
-            }
-            let mut right = ProfileAcc::new();
-            for (i, line) in lines[split..].iter().enumerate() {
-                right.absorb_line((split + i) as u64 + 1, line);
-            }
-            left.merge(&right);
-            assert_eq!(report(left), sequential, "split at {split}");
-        }
-    }
-
-    #[test]
-    fn event_and_value_routes_agree() {
-        let lines = [
-            r#"{"a": 1, "b": ["x", {"c": null}], "d": {"e": [[true]]}}"#,
-            r#"[1, "a", {"k": []}]"#,
-            r#""scalar""#,
-            r#"{"a": 2.5}"#,
-        ];
-        let mut via_events = ProfileAcc::new();
-        let mut via_values = ProfileAcc::new();
-        for (i, line) in lines.iter().enumerate() {
-            via_events.absorb_line(i as u64 + 1, line);
-            let value = typefuse_json::parse_value(line).unwrap();
-            via_values.observe_value(i as u64 + 1, &value);
-        }
-        let a = report(via_events);
-        let b = report(via_values);
-        assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
+        a.merge(&b);
+        assert_eq!(report(a).get("$.b").unwrap().first_absent_line, Some(1));
     }
 
     #[test]
@@ -1066,40 +1047,6 @@ mod tests {
         }
         // It parses with the workspace's own parser.
         typefuse_json::parse_value(&json).expect("profile JSON is valid JSON");
-    }
-
-    #[test]
-    fn checkpoint_round_trips_and_resumes_identically() {
-        let lines = [
-            r#"{"a": 1, "b": "x"}"#,
-            r#"{"a": null}"#,
-            "not json at all",
-            r#"{"a": 1, "c": [true, {"d": 2.5}]}"#,
-            r#"{"a": "s", "c": []}"#,
-        ];
-        let full = acc_of(&lines);
-        for cut in 0..lines.len() {
-            let mut before = ProfileAcc::new();
-            for (i, line) in lines[..cut].iter().enumerate() {
-                before.absorb_line(i as u64 + 1, line);
-            }
-            let value = before.checkpoint_value();
-            // Through a real serialize/parse cycle, as on disk.
-            let reparsed = typefuse_json::parse_value(&value.to_string()).unwrap();
-            let mut resumed = ProfileAcc::from_checkpoint_value(&reparsed).unwrap();
-            assert_eq!(resumed, before, "restore at cut {cut} is exact");
-            for (i, line) in lines[cut..].iter().enumerate() {
-                resumed.absorb_line((cut + i) as u64 + 1, line);
-            }
-            assert_eq!(resumed, full, "resume at cut {cut} matches full fold");
-            assert_eq!(
-                report(resumed.clone()).to_json(),
-                report(full.clone()).to_json(),
-                "serialized profile at cut {cut}"
-            );
-        }
-        let empty = typefuse_json::parse_value("{}").unwrap();
-        assert!(ProfileAcc::from_checkpoint_value(&empty).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_infer::{Incremental, ProfileAcc};
+use typefuse_infer::{Checkpoint, Incremental, ProfileAcc};
 use typefuse_json::ParserOptions;
 
 fn fixture(name: &str) -> PathBuf {
@@ -52,14 +52,13 @@ fn report_and_checkpoint_match_the_golden_files() {
             let ty = acc.observe_line(i as u64 + 1, text.as_bytes(), &ParserOptions::default());
             schema.absorb_type(ty.unwrap());
         }
-        let checkpoint = acc.checkpoint_value().to_string();
+        let checkpoint = acc.checkpoint().to_string();
         check(&format!("{}-300.ckpt.json", profile.name()), &checkpoint);
         // The checkpoint restores the state that wrote it.
-        let restored =
-            ProfileAcc::from_checkpoint_value(&typefuse_json::parse_value(&checkpoint).unwrap())
-                .unwrap();
+        let payload = typefuse_json::parse_value(&checkpoint).unwrap();
+        let restored = ProfileAcc::new().restore(&payload).unwrap();
         assert!(restored == acc, "{}: restore is exact", profile.name());
-        assert_eq!(restored.checkpoint_value().to_string(), checkpoint);
+        assert_eq!(restored.checkpoint().to_string(), checkpoint);
         let report = acc.finish(schema.into_schema()).to_json();
         check(&format!("{}-300.profile.json", profile.name()), &report);
     }

@@ -11,7 +11,7 @@
 
 use typefuse::fold::{Origin, RecordFold};
 use typefuse::JobConfig;
-use typefuse_infer::ProfileAcc;
+use typefuse_infer::{Acc, ProfileAcc};
 
 const N: usize = 500;
 
@@ -50,7 +50,7 @@ fn fold_visits(corpus: fn(usize) -> String, n: usize) -> u64 {
     for i in 0..n {
         let line = corpus(i);
         let origin = Origin::Line(i as u64 + 1);
-        fold.absorb_line(origin, line.as_bytes(), false).unwrap();
+        fold.absorb((origin, line.as_bytes(), false)).unwrap();
     }
     assert_eq!(fold.records(), n as u64);
     fold.profile().expect("a profiled fold").absence_visits()

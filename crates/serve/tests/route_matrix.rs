@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 
 use typefuse::datagen::{DatasetProfile, Profile};
 use typefuse::fold::{fold_stream, Origin, RecordFold};
-use typefuse::infer::{fuse_with, infer_type, ArrayFusion, FuseConfig, ProfileAcc};
+use typefuse::infer::{
+    fuse_with, infer_type, Acc, ArrayFusion, Checkpoint, FuseConfig, ProfileAcc,
+};
 use typefuse::pipeline::{DedupMode, MapPath, Source};
 use typefuse::{splits, BadRecord, Error, ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_json::ndjson::trim_ascii_bytes;
@@ -288,7 +290,7 @@ impl Oracle {
     fn report(&self, coords: Coords, keeps_text: bool) -> ErrorReport {
         let mut report = ErrorReport::new();
         for bad in self.bad_records(coords, keeps_text) {
-            report.note(&bad);
+            report.absorb(&bad);
         }
         report
     }
@@ -481,7 +483,8 @@ impl Cell<'_> {
         // A daemon per route and per policy that keeps a source folding,
         // the two routes on opposite corners of dedup × arrays, and the
         // default `auto`, which samples the leading records as batch does
-        // (and restarts its sample when a restart resumes the fold).
+        // (a restart resumes on the route the fold had taken, and samples
+        // afresh if it had not yet switched).
         let corners: &[_] = match self.route {
             MapPath::Events => &[
                 (DedupMode::On, ArrayFusion::PositionalWhenAligned),
@@ -818,9 +821,9 @@ impl Cell<'_> {
         let config = config.recorder(Recorder::disabled());
         let lines: Vec<&[u8]> = lines_of(&self.corpus.bytes).collect();
         let fresh = RecordFold::new(&config, true);
-        let head = fold_over(fresh, 0, &lines[..FIXTURE_CUT]);
+        let head = fold_over(fresh.clone(), 0, &lines[..FIXTURE_CUT]);
         assert!(checkpoint(&head) == current, "{self}: the layout moved");
-        let restored = RecordFold::restore(&config, true, &payload).unwrap();
+        let restored = fresh.restore(&payload).unwrap();
         assert!(checkpoint(&restored) == current, "{self}: restore is exact");
         let resumed = fold_over(restored, FIXTURE_CUT, &lines[FIXTURE_CUT..]);
         let (schema, records, report, profile) = resumed.finish();
@@ -842,15 +845,13 @@ fn read_sidecar(path: &Path) -> Option<String> {
 fn fold_over(mut fold: RecordFold, first_line: usize, lines: &[&[u8]]) -> RecordFold {
     for (i, line) in lines.iter().enumerate() {
         let origin = Origin::Line((first_line + i) as u64 + 1);
-        fold.absorb_line(origin, line, false).unwrap();
+        fold.absorb((origin, line, false)).unwrap();
     }
     fold
 }
 
 fn checkpoint(fold: &RecordFold) -> String {
-    let mut m = Map::new();
-    fold.checkpoint_into(&mut m);
-    Value::Object(m).to_string()
+    fold.checkpoint().to_string()
 }
 
 fn append(path: &Path, bytes: &[u8]) {
@@ -934,21 +935,48 @@ fn github_drivers_agree() {
     datagen(Profile::GitHub, "github", 48).assert_cells_agree();
 }
 
-/// The twitter corpus is the checkpoint fixture's: 100 records, every
-/// 17th replaced by a cut-off one.
-#[test]
-fn twitter_drivers_agree() {
+/// The twitter corpus is the checkpoint fixture's: `records` records,
+/// every 17th replaced by a cut-off one.
+fn twitter(records: usize) -> Vec<u8> {
     let mut bytes = Vec::new();
-    for (i, value) in Profile::Twitter.generate(seed(), 100).enumerate() {
+    for (i, value) in Profile::Twitter.generate(seed(), records).enumerate() {
         match i % 17 {
             5 => bytes.extend_from_slice(br#"{"id": 1, "user": {"name": "#),
             _ => bytes.extend_from_slice(value.to_string().as_bytes()),
         }
         bytes.push(b'\n');
     }
-    let mut corpus = Corpus::new("twitter", bytes, None, &BULK_POLICIES);
+    bytes
+}
+
+#[test]
+fn twitter_drivers_agree() {
+    let mut corpus = Corpus::new("twitter", twitter(100), None, &BULK_POLICIES);
     corpus.fixture = true;
     corpus.assert_cells_agree();
+}
+
+/// The size knob of the key-explosion corpora: they hold `KEYS` and
+/// `4 * KEYS` records.
+const KEYS: usize = 32;
+
+/// One new key per record (ROADMAP item 2's cliff: the schema and the
+/// profile grow a path per line) at two sizes, behind the fixture's
+/// twitter lines so that every driver folds it, the resumed fixture
+/// included.
+#[test]
+fn key_explosion_drivers_agree() {
+    let base = seed() as usize % 1000 * 10_000;
+    for (name, records) in [("key-explosion", KEYS), ("key-explosion-4x", 4 * KEYS)] {
+        let mut bytes = twitter(FIXTURE_CUT);
+        for i in base..base + records {
+            bytes.extend_from_slice(format!("{{\"id\": {i}, \"k{i}\": \"v\"}}\n").as_bytes());
+        }
+        // Skip is the policy every driver runs under, the fixture included.
+        let mut corpus = Corpus::new(name, bytes, None, &[Policy::Skip]);
+        corpus.fixture = true;
+        corpus.assert_cells_agree();
+    }
 }
 
 #[test]

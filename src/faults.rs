@@ -9,7 +9,7 @@
 //! partition yields exactly the schema of the clean subset, regardless
 //! of how the input was partitioned. The [`ErrorPolicy`] on `SchemaJob`
 //! exploits this online: each bad line is judged as it arrives
-//! ([`BadLines::judge`], through the one [`ErrorPolicy::verdict`]), and
+//! ([`BadLines`]' absorb, through the one [`ErrorPolicy::verdict`]), and
 //! a run stops reading at the line that fails the verdict.
 //!
 //! * [`ErrorPolicy::FailFast`] — stop at the earliest bad record
@@ -31,6 +31,7 @@ use typefuse_json::{Map, Value};
 use typefuse_obs::Recorder;
 
 use crate::Error;
+use typefuse_infer::{Acc, Checkpoint};
 pub use typefuse_json::RetryPolicy;
 
 /// How the ingestion pipeline treats records that fail to parse.
@@ -135,11 +136,10 @@ impl BadRecord {
 /// A mergeable, commutative summary of the records a run skipped: how
 /// many, and the earliest.
 ///
-/// `ErrorReport` is a monoid under [`merge`](ErrorReport::merge) with
-/// [`ErrorReport::default`] as identity: counts add and the earliest
-/// record (by input position) wins, so reports are byte-identical across
-/// worker counts and partitionings, exactly like the fused schema
-/// itself. [`note`](ErrorReport::note) and `merge` are O(1).
+/// `ErrorReport` is an [`Acc`] with [`ErrorReport::default`] as identity:
+/// counts add and the earliest record (by input position) wins, so
+/// reports are byte-identical across worker counts and partitionings,
+/// exactly like the fused schema itself. Absorb and merge are O(1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ErrorReport {
     first: Option<BadRecord>,
@@ -152,21 +152,6 @@ impl ErrorReport {
         ErrorReport::default()
     }
 
-    /// Count one bad record, keeping it if it is the earliest so far.
-    pub fn note(&mut self, record: &BadRecord) {
-        self.skipped += 1;
-        self.keep_earliest(record);
-    }
-
-    /// Merge another report into this one. Commutative and associative:
-    /// both operand orders and any grouping yield the same report.
-    pub fn merge(&mut self, other: &ErrorReport) {
-        self.skipped += other.skipped;
-        if let Some(record) = &other.first {
-            self.keep_earliest(record);
-        }
-    }
-
     fn keep_earliest(&mut self, record: &BadRecord) {
         if self
             .first
@@ -177,12 +162,47 @@ impl ErrorReport {
         }
     }
 
-    /// Serialize for a crash-recovery checkpoint: the skip tally and the
-    /// earliest record (in a `records` list of at most one) with its
-    /// exact error (kind + span, via [`typefuse_json::codec`]).
-    /// [`from_checkpoint_value`](ErrorReport::from_checkpoint_value)
-    /// restores a `==`-identical report.
-    pub fn checkpoint_value(&self) -> Value {
+    /// The earliest bad record, if any.
+    pub fn first(&self) -> Option<&BadRecord> {
+        self.first.as_ref()
+    }
+
+    /// Total number of records skipped.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
+    /// Whether no record was skipped.
+    pub fn is_empty(&self) -> bool {
+        self.skipped == 0
+    }
+}
+
+/// Absorb counts one bad record, keeping it if it is the earliest so
+/// far. Merge is commutative: both operand orders and any grouping yield
+/// the same report.
+impl Acc for ErrorReport {
+    type Item<'a> = &'a BadRecord;
+    type Outcome = ();
+
+    fn absorb(&mut self, record: &BadRecord) {
+        self.skipped += 1;
+        self.keep_earliest(record);
+    }
+
+    fn merge(&mut self, other: &ErrorReport) {
+        self.skipped += other.skipped;
+        if let Some(record) = &other.first {
+            self.keep_earliest(record);
+        }
+    }
+}
+
+/// The skip tally and the earliest record (in a `records` list of at
+/// most one) with its exact error (kind + span, via
+/// [`typefuse_json::codec`]).
+impl Checkpoint for ErrorReport {
+    fn checkpoint(&self) -> Value {
         use typefuse_json::codec::{error_to_value, u64_to_value};
         let mut obj = Map::new();
         obj.insert("skipped", u64_to_value(self.skipped));
@@ -203,88 +223,50 @@ impl ErrorReport {
         Value::Object(obj)
     }
 
-    /// Restore a report serialized by
-    /// [`checkpoint_value`](ErrorReport::checkpoint_value). A checkpoint
-    /// that lists more records (older ones kept up to 100 000) restores
-    /// to its earliest.
-    pub fn from_checkpoint_value(v: &Value) -> Result<Self, String> {
+    /// A checkpoint that lists more records (older ones kept up to
+    /// 100 000) restores to its earliest.
+    fn restore(&self, v: &Value) -> Result<Self, String> {
         use typefuse_json::codec::{error_from_value, u64_from_value};
-        let skipped = v
-            .get("skipped")
-            .ok_or_else(|| "report missing `skipped`".to_string())
-            .and_then(u64_from_value)?;
-        let entries = v
-            .get("records")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "report missing `records`".to_string())?;
+        fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, String> {
+            v.get(name).ok_or(format!("report missing `{name}`"))
+        }
+        let entries = field(v, "records")?
+            .as_array()
+            .ok_or("report records not an array")?;
         let mut report = ErrorReport {
             first: None,
-            skipped,
+            skipped: u64_from_value(field(v, "skipped")?)?,
         };
         for entry in entries {
-            let at = entry
-                .get("at")
-                .ok_or_else(|| "bad record missing `at`".to_string())
-                .and_then(u64_from_value)?;
-            let error = entry
-                .get("error")
-                .ok_or_else(|| "bad record missing `error`".to_string())
-                .and_then(error_from_value)?;
+            let at = u64_from_value(field(entry, "at")?)?;
+            let error = error_from_value(field(entry, "error")?)?;
             let text = entry.get("text").and_then(Value::as_str).map(String::from);
             report.keep_earliest(&BadRecord { at, error, text });
         }
         Ok(report)
     }
-
-    /// The earliest bad record, if any.
-    pub fn first(&self) -> Option<&BadRecord> {
-        self.first.as_ref()
-    }
-
-    /// Total number of records skipped.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Whether no record was skipped.
-    pub fn is_empty(&self) -> bool {
-        self.skipped == 0
-    }
 }
 
-/// The bad lines of one fold, judged as they arrive: the
-/// [`ErrorReport`] the verdict reads and, under quarantine, each line's
-/// sidecar entry in input order. A verdict that stops the run stops its
-/// `BadLines` too: no more lines, no more merges, and merging a stopped
-/// one in stops the result — so merged in input order, the entries are
-/// a prefix of an unstopped run's.
+/// The bad lines of one fold, judged as they arrive under the fold's
+/// [`ErrorPolicy`]: the [`ErrorReport`] the verdict reads and, under
+/// quarantine, each line's sidecar entry in input order. A verdict that
+/// stops the run stops its `BadLines` too: no more lines, no more merges,
+/// and merging a stopped one in stops the result — so merged in input
+/// order, the entries are a prefix of an unstopped run's.
 #[derive(Debug, Clone, Default)]
 pub struct BadLines {
+    policy: ErrorPolicy,
     report: ErrorReport,
     sidecar: Vec<u8>,
     stopped: bool,
 }
 
 impl BadLines {
-    /// Judge one bad line under `policy`: note it, render its sidecar
-    /// entry under quarantine, and return the verdict — `Err` once the
-    /// line stops the run.
-    pub fn judge(&mut self, policy: &ErrorPolicy, bad: &BadRecord) -> Result<(), Error> {
-        self.report.note(bad);
-        if policy.keeps_text() {
-            sidecar_line(bad, &mut self.sidecar);
-        }
-        let verdict = policy.verdict(&self.report);
-        self.stopped = verdict.is_err();
-        verdict
-    }
-
-    /// Append the bad lines that follow this fold's.
-    pub fn merge(&mut self, other: &BadLines) {
-        if !self.stopped {
-            self.report.merge(&other.report);
-            self.sidecar.extend_from_slice(&other.sidecar);
-            self.stopped = other.stopped;
+    /// No bad lines yet, judged under `policy`.
+    pub fn new(policy: ErrorPolicy) -> Self {
+        BadLines {
+            policy,
+            ..BadLines::default()
         }
     }
 
@@ -293,29 +275,21 @@ impl BadLines {
         self.stopped
     }
 
+    /// The policy the lines are judged under.
+    pub fn policy(&self) -> &ErrorPolicy {
+        &self.policy
+    }
+
     /// The report the verdict reads.
     pub fn report(&self) -> &ErrorReport {
         &self.report
     }
 
-    /// Resume from a checkpointed report: not stopped, nothing to flush.
-    pub(crate) fn resume(report: ErrorReport) -> Self {
-        BadLines {
-            report,
-            ..BadLines::default()
-        }
-    }
-
     /// Under quarantine, write the entries judged since the last flush to
     /// the sink — a run creates it, a daemon appends once per poll batch —
     /// and count them as `ingest.quarantined`.
-    pub fn flush(
-        &mut self,
-        policy: &ErrorPolicy,
-        append: bool,
-        rec: &Recorder,
-    ) -> std::io::Result<()> {
-        let ErrorPolicy::Quarantine { sink, .. } = policy else {
+    pub fn flush(&mut self, append: bool, rec: &Recorder) -> std::io::Result<()> {
+        let ErrorPolicy::Quarantine { sink, .. } = &self.policy else {
             return Ok(());
         };
         if append && self.sidecar.is_empty() {
@@ -336,12 +310,66 @@ impl BadLines {
 
     /// End a run on its merged lines: create the sidecar, count
     /// `ingest.skipped` (unless failing fast), return the verdict.
-    pub fn settle(&mut self, policy: &ErrorPolicy, rec: &Recorder) -> Result<(), Error> {
-        self.flush(policy, false, rec)?;
-        if !policy.is_fail_fast() {
+    pub fn settle(&mut self, rec: &Recorder) -> Result<(), Error> {
+        self.flush(false, rec)?;
+        if !self.policy.is_fail_fast() {
             rec.add("ingest.skipped", self.report.skipped());
         }
-        policy.verdict(&self.report)
+        self.policy.verdict(&self.report)
+    }
+}
+
+/// Absorb judges one bad line: notes it, renders its sidecar entry under
+/// quarantine, and returns the verdict — `Err` once the line stops the
+/// run. Merge appends the bad lines that follow this fold's: associative,
+/// and not commutative (the sidecar keeps input order).
+impl Acc for BadLines {
+    type Item<'a> = &'a BadRecord;
+    type Outcome = Result<(), Error>;
+
+    fn absorb(&mut self, bad: &BadRecord) -> Result<(), Error> {
+        self.report.absorb(bad);
+        if self.policy.keeps_text() {
+            sidecar_line(bad, &mut self.sidecar);
+        }
+        let verdict = self.policy.verdict(&self.report);
+        self.stopped = verdict.is_err();
+        verdict
+    }
+
+    fn merge(&mut self, other: &BadLines) {
+        if !self.stopped {
+            self.report.merge(&other.report);
+            self.sidecar.extend_from_slice(&other.sidecar);
+            self.stopped = other.stopped;
+        }
+    }
+}
+
+/// The report's checkpoint, with the entries not yet flushed as a
+/// `sidecar` string when there are any. A restored fold is not stopped:
+/// a daemon parks a stopped source by its own status.
+impl Checkpoint for BadLines {
+    fn checkpoint(&self) -> Value {
+        let mut report = self.report.checkpoint();
+        if let (Value::Object(m), false) = (&mut report, self.sidecar.is_empty()) {
+            let pending = String::from_utf8_lossy(&self.sidecar);
+            m.insert("sidecar", Value::from(pending.into_owned()));
+        }
+        report
+    }
+
+    fn restore(&self, v: &Value) -> Result<Self, String> {
+        let sidecar = match v.get("sidecar") {
+            None => Vec::new(),
+            Some(text) => text.as_str().ok_or("sidecar is not a string")?.into(),
+        };
+        Ok(BadLines {
+            policy: self.policy.clone(),
+            report: self.report.restore(v)?,
+            sidecar,
+            stopped: false,
+        })
     }
 }
 
@@ -398,42 +426,8 @@ mod tests {
 
     fn report(records: &[BadRecord]) -> ErrorReport {
         let mut r = ErrorReport::new();
-        records.iter().for_each(|record| r.note(record));
+        records.iter().for_each(|record| r.absorb(record));
         r
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = report(&[bad(5, "{x"), bad(2, "[1,")]);
-        let b = report(&[bad(9, "nul"), bad(1, "}")]);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.skipped(), 4);
-        assert_eq!(ab.first().unwrap().at, 1);
-    }
-
-    #[test]
-    fn merge_is_associative_with_identity() {
-        let a = report(&[bad(3, "{x")]);
-        let b = report(&[bad(1, "}")]);
-        let c = report(&[bad(7, "tru")]);
-
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-
-        let mut with_identity = a.clone();
-        with_identity.merge(&ErrorReport::new());
-        assert_eq!(with_identity, a);
     }
 
     #[test]
@@ -458,28 +452,16 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_value_round_trips_identically() {
-        let mut r = report(&[bad(12, "[1, 2,"), bad(3, "{\"a\": nul}")]);
-        r.note(&BadRecord {
-            at: 40,
-            error: parse_value("}").unwrap_err(),
-            text: None,
-        });
-        let value = r.checkpoint_value();
-        let reparsed = parse_value(&value.to_string()).unwrap();
-        let back = ErrorReport::from_checkpoint_value(&reparsed).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.skipped(), 3);
-        assert!(ErrorReport::from_checkpoint_value(&parse_value("{}").unwrap()).is_err());
-        // An older checkpoint listing many records restores to its earliest.
+    fn an_older_checkpoint_restores_to_its_earliest_record() {
+        // Reports once kept up to 100 000 records; the earliest wins.
         let entry = |at, input| {
-            let value = report(&[bad(at, input)]).checkpoint_value();
+            let value = report(&[bad(at, input)]).checkpoint();
             value.get("records").and_then(Value::as_array).unwrap()[0].clone()
         };
         let mut old = Map::new();
         old.insert("skipped", Value::from("17"));
         old.insert("records", Value::Array(vec![entry(9, "}"), entry(2, "{x")]));
-        let back = ErrorReport::from_checkpoint_value(&Value::Object(old)).unwrap();
+        let back = ErrorReport::new().restore(&Value::Object(old)).unwrap();
         assert_eq!((back.skipped(), back.first().unwrap().at), (17, 2));
     }
 
@@ -488,11 +470,11 @@ mod tests {
         let dir = std::env::temp_dir().join("typefuse-faults-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("quarantine-round-trip.ndjson");
-        let (policy, rec) = (ErrorPolicy::quarantine(&path), Recorder::enabled());
-        let mut lines = BadLines::default();
-        lines.judge(&policy, &bad(3, "{\"a\": nul}")).unwrap();
-        lines.judge(&policy, &bad(12, "[1, 2,")).unwrap();
-        lines.settle(&policy, &rec).unwrap();
+        let rec = Recorder::enabled();
+        let mut lines = BadLines::new(ErrorPolicy::quarantine(&path));
+        lines.absorb(&bad(3, "{\"a\": nul}")).unwrap();
+        lines.absorb(&bad(12, "[1, 2,")).unwrap();
+        lines.settle(&rec).unwrap();
         assert_eq!(rec.counter_value("ingest.quarantined"), 2);
         let back = read_quarantine(&path).unwrap();
         assert_eq!(back.len(), 2);

@@ -30,7 +30,9 @@ use crate::config::JobConfig;
 use crate::error::{Error, IoSite};
 use crate::faults::{BadLines, BadRecord, ErrorPolicy, ErrorReport, RetryPolicy};
 use crate::pipeline::MapPath;
-use typefuse_infer::{streaming, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer};
+use typefuse_infer::{
+    streaming, Acc, Checkpoint, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer,
+};
 use typefuse_json::codec::{u64_from_value, u64_to_value};
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
 use typefuse_json::{ErrorKind, Map, Parser, Position, Value};
@@ -202,8 +204,9 @@ impl LineTyper {
 /// optional profile, the judged [`BadLines`] and a line counter. A record
 /// is fused once, into the schema accumulator, and a bad line is judged
 /// once; the profile only observes the path statistics. Folds merge like
-/// the fusion underneath — associatively and, until a verdict stops one,
-/// commutatively — so any split of the input yields the same state.
+/// the fusion underneath — associatively and, until a verdict stops one
+/// or a quarantine sidecar orders them, commutatively — so any split of
+/// the input yields the same state.
 #[derive(Debug, Clone)]
 pub struct RecordFold {
     typer: LineTyper,
@@ -213,6 +216,10 @@ pub struct RecordFold {
     lines: u64,
 }
 
+/// One raw input line: where it sits, its content without the newline,
+/// and whether the reader truncated it at the line cap.
+pub type Line<'a> = (Origin, &'a [u8], bool);
+
 impl RecordFold {
     /// An empty fold under `job`, carrying a [`ProfileAcc`] beside the
     /// schema when the driver asks for `profile`.
@@ -220,53 +227,10 @@ impl RecordFold {
         RecordFold {
             acc: SchemaAcc::new(job.dedup, job.fuse_config),
             profile: profile.then(ProfileAcc::new),
-            bad: BadLines::default(),
+            bad: BadLines::new(job.error_policy.clone()),
             lines: 0,
             typer: LineTyper::new(job, profile),
         }
-    }
-
-    /// Fold one raw line in. A bad line is judged and comes back; the one
-    /// that fails the verdict stops the fold and comes back as its `Err`,
-    /// as does every line offered after it.
-    pub fn absorb_line(
-        &mut self,
-        origin: Origin,
-        raw: &[u8],
-        truncated: bool,
-    ) -> Result<Absorbed, Error> {
-        if self.bad.stopped() {
-            self.policy().verdict(self.report())?;
-        }
-        self.lines += 1;
-        match self
-            .typer
-            .type_line(origin, raw, truncated, self.profile.as_mut())
-        {
-            Absorbed::Record(ty) => {
-                self.acc.absorb_type(&ty);
-                Ok(Absorbed::Record(()))
-            }
-            Absorbed::Blank => Ok(Absorbed::Blank),
-            Absorbed::Bad(bad) => {
-                self.bad.judge(&self.typer.job.error_policy, &bad)?;
-                Ok(Absorbed::Bad(bad))
-            }
-        }
-    }
-
-    /// Merge the fold of the input that follows this one's (its caches
-    /// stay behind; a stopped fold takes no more, see [`BadLines`]).
-    pub fn merge(&mut self, other: &RecordFold) {
-        if self.bad.stopped() {
-            return;
-        }
-        self.acc.merge(&other.acc);
-        if let (Some(mine), Some(theirs)) = (&mut self.profile, &other.profile) {
-            mine.merge(theirs);
-        }
-        self.bad.merge(&other.bad);
-        self.lines += other.lines;
     }
 
     /// Whether the policy's verdict stopped this fold.
@@ -276,19 +240,17 @@ impl RecordFold {
 
     /// End a run on this (merged) fold: [`BadLines::settle`].
     pub fn settle(&mut self) -> Result<(), Error> {
-        let job = &self.typer.job;
-        self.bad.settle(&job.error_policy, &job.recorder)
+        self.bad.settle(&self.typer.job.recorder)
     }
 
     /// A daemon's poll batch: append to the sidecar ([`BadLines::flush`]).
     pub fn flush_sidecar(&mut self) -> std::io::Result<()> {
-        let job = &self.typer.job;
-        self.bad.flush(&job.error_policy, true, &job.recorder)
+        self.bad.flush(true, &self.typer.job.recorder)
     }
 
     /// The job's error policy.
     pub fn policy(&self) -> &ErrorPolicy {
-        &self.typer.job.error_policy
+        self.bad.policy()
     }
 
     /// The current fused schema.
@@ -315,6 +277,12 @@ impl RecordFold {
     /// The bad records judged so far.
     pub fn report(&self) -> &ErrorReport {
         self.bad.report()
+    }
+
+    /// The bad lines judged so far, with the sidecar entries not yet
+    /// flushed.
+    pub fn bad_lines(&self) -> &BadLines {
+        &self.bad
     }
 
     /// The profile this fold carries, if any.
@@ -344,47 +312,89 @@ impl RecordFold {
 
     /// Take the fold apart once the input is exhausted.
     pub fn finish(self) -> (Type, u64, ErrorReport, Option<ProfileReport>) {
-        let (schema, records) = (self.acc.schema(), self.acc.records());
+        let records = self.acc.records();
+        let schema = self.acc.into_schema();
         let profile = self.profile.map(|p| p.finish(schema.clone()));
         (schema, records, self.bad.report().clone(), profile)
     }
+}
 
-    /// Write the resumable state into a checkpoint object: line count,
-    /// schema (lossless wire form), record count, route, profile and
-    /// report; `u64`s as decimal strings (`typefuse_json::codec`).
-    pub fn checkpoint_into(&self, m: &mut Map) {
-        m.insert("lines", u64_to_value(self.lines));
-        m.insert("dedup", Value::Bool(self.acc.is_dedup()));
-        let schema = typefuse_types::wire::to_wire(&self.schema());
-        m.insert("schema", Value::from(schema));
-        m.insert("records", u64_to_value(self.records()));
-        if let Some(profile) = &self.profile {
-            m.insert("profile", profile.checkpoint_value());
+/// Absorb folds one raw line in. A bad line is judged and comes back; the
+/// one that fails the verdict stops the fold and comes back as its `Err`,
+/// as does every line offered after it. Merge takes the fold of the input
+/// that follows this one's (its caches stay behind; a stopped fold takes
+/// no more, see [`BadLines`]).
+impl Acc for RecordFold {
+    type Item<'a> = Line<'a>;
+    type Outcome = Result<Absorbed, Error>;
+
+    fn absorb(&mut self, (origin, raw, truncated): Line<'_>) -> Result<Absorbed, Error> {
+        if self.bad.stopped() {
+            self.policy().verdict(self.report())?;
         }
-        m.insert("report", self.report().checkpoint_value());
+        self.lines += 1;
+        match self
+            .typer
+            .type_line(origin, raw, truncated, self.profile.as_mut())
+        {
+            Absorbed::Record(ty) => {
+                self.acc.absorb(&ty);
+                Ok(Absorbed::Record(()))
+            }
+            Absorbed::Blank => Ok(Absorbed::Blank),
+            Absorbed::Bad(bad) => {
+                self.bad.absorb(&bad)?;
+                Ok(Absorbed::Bad(bad))
+            }
+        }
     }
 
-    /// Rebuild a fold from a checkpoint object. The job and the
-    /// `profile` choice are *not* persisted: resume under the ones that
-    /// wrote the checkpoint, or the incremental ≡ batch law breaks. Dedup
-    /// interner and shape cache restart cold; schema, profile and report
-    /// resume exactly.
-    pub fn restore(job: &JobConfig, profile: bool, payload: &Value) -> Result<Self, String> {
+    fn merge(&mut self, other: &RecordFold) {
+        if self.bad.stopped() {
+            return;
+        }
+        self.acc.merge(&other.acc);
+        if let (Some(mine), Some(theirs)) = (&mut self.profile, &other.profile) {
+            mine.merge(theirs);
+        }
+        self.bad.merge(&other.bad);
+        self.lines += other.lines;
+    }
+}
+
+/// Its parts' checkpoints put together: the line count, the schema
+/// accumulator's fields, the profile and the report. The job and the
+/// `profile` choice are the empty fold's, *not* the payload's: resume
+/// under the ones that wrote the checkpoint, or the incremental ≡ batch
+/// law breaks. Dedup interner and shape cache restart cold.
+impl Checkpoint for RecordFold {
+    fn checkpoint(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("lines", u64_to_value(self.lines));
+        if let Value::Object(schema) = self.acc.checkpoint() {
+            schema
+                .into_iter()
+                .for_each(|(k, v)| m.insert_unchecked(k, v));
+        }
+        if let Some(profile) = &self.profile {
+            m.insert("profile", profile.checkpoint());
+        }
+        m.insert("report", self.bad.checkpoint());
+        Value::Object(m)
+    }
+
+    fn restore(&self, payload: &Value) -> Result<Self, String> {
         let field = |name: &str| payload.get(name).ok_or(format!("missing {name}"));
-        let schema = typefuse_types::wire::from_wire(
-            field("schema")?.as_str().ok_or("schema is not a string")?,
-        )?;
-        let records = u64_from_value(field("records")?)?;
-        let observed = match profile {
-            true => Some(ProfileAcc::from_checkpoint_value(field("profile")?)?),
-            false => None,
+        let profile = match &self.profile {
+            Some(empty) => Some(empty.restore(field("profile")?)?),
+            None => None,
         };
         Ok(RecordFold {
-            acc: SchemaAcc::resume(job.dedup, job.fuse_config, schema, records),
-            profile: observed,
-            bad: BadLines::resume(ErrorReport::from_checkpoint_value(field("report")?)?),
+            acc: self.acc.restore(payload)?,
+            profile,
+            bad: self.bad.restore(field("report")?)?,
             lines: u64_from_value(field("lines")?)?,
-            typer: LineTyper::new(job, profile),
+            typer: self.typer.clone(),
         })
     }
 }
@@ -405,10 +415,7 @@ pub fn fold_stream<R: BufRead + ?Sized>(
         job.max_line_bytes,
         job.retry,
         rec,
-        |line, bytes, truncated| {
-            fold.absorb_line(Origin::Line(line), bytes, truncated)
-                .is_ok()
-        },
+        |line, bytes, truncated| fold.absorb((Origin::Line(line), bytes, truncated)).is_ok(),
     )?;
     fold.flush_counters();
     fold.settle()?;
@@ -426,8 +433,8 @@ pub fn for_each_value<R: BufRead + ?Sized>(
     job: &JobConfig,
     mut visit: impl FnMut(Value),
 ) -> Result<ErrorReport, Error> {
-    let (rec, policy) = (&job.recorder, &job.error_policy);
-    let (mut bad_lines, mut records) = (BadLines::default(), 0);
+    let rec = &job.recorder;
+    let (mut bad_lines, mut records) = (BadLines::new(job.error_policy.clone()), 0);
     let parse =
         |line: &[u8]| Parser::with_options(line, job.parser_options.clone()).parse_complete();
     for_each_line(
@@ -442,13 +449,13 @@ pub fn for_each_value<R: BufRead + ?Sized>(
                 true
             }
             Absorbed::Blank => true,
-            Absorbed::Bad(bad) => bad_lines.judge(policy, &bad).is_ok(),
+            Absorbed::Bad(bad) => bad_lines.absorb(&bad).is_ok(),
         },
     )?;
     if records > 0 {
         rec.add("json.records", records);
     }
-    bad_lines.settle(policy, rec)?;
+    bad_lines.settle(rec)?;
     Ok(bad_lines.report().clone())
 }
 

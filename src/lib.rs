@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use typefuse_datagen::{DatasetProfile, Profile};
     pub use typefuse_engine::Runtime;
-    pub use typefuse_infer::{fuse, infer_type, Incremental, ProfileReport};
+    pub use typefuse_infer::{fuse, infer_type, Acc, Checkpoint, Incremental, ProfileReport};
     pub use typefuse_json::{parse_value, Value};
     pub use typefuse_obs::{Recorder, RunReport};
     pub use typefuse_query::Pipeline;

@@ -41,11 +41,9 @@ use std::time::{Duration, Instant};
 use crate::config::JobConfig;
 use crate::error::Error;
 use crate::faults::{BadLines, ErrorReport};
-use crate::fold::{for_each_line, Absorbed, LineTyper, Origin, RecordFold};
+use crate::fold::{for_each_line, Absorbed, Line, LineTyper, Origin, RecordFold};
 use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
-use typefuse_infer::{
-    fuse_into, fuse_into_recorded, infer_type_recorded, DedupAcc, ProfileAcc, ProfileReport,
-};
+use typefuse_infer::{infer_type_recorded, Acc, ProfileAcc, ProfileReport, SchemaAcc};
 use typefuse_json::Value;
 use typefuse_obs::{Recorder, RunReport};
 use typefuse_types::intern::FxBuildHasher;
@@ -174,42 +172,24 @@ impl SchemaJob {
             Source::Values(values) => {
                 let numbered: Vec<(u64, &Value)> = (1..).zip(&values).collect();
                 let parts = partition(numbered, self.partitions);
-                let cfg = self.config.fuse_config;
-                let empty = || (Type::Bottom, ProfileAcc::new());
+                let schema = SchemaAcc::new(DedupMode::Off, self.config.fuse_config);
+                let empty = Profiled(schema, ProfileAcc::new());
                 let (acc, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
-                    self.reduce(
-                        &parts,
-                        empty,
-                        |(schema, profile), (line, v)| {
-                            fuse_into(cfg, schema, &profile.observe_value(*line, v));
-                        },
-                        |(schema, profile), (other, theirs)| {
-                            fuse_into(cfg, schema, other);
-                            profile.merge(theirs);
-                        },
-                    )?
+                    self.reduce(&parts, &empty)?
                 };
-                let (schema, profile) = acc.unwrap_or_else(empty);
-                let (profile, errors) = (profile.finish(schema), ErrorReport::new());
+                let Profiled(schema, profile) = acc.unwrap_or(empty);
+                let (profile, errors) = (profile.finish(schema.into_schema()), ErrorReport::new());
                 self.finish_profiled(profile, errors, parts.len(), fold_metrics, wall_start)
             }
             Source::Ndjson(reader) => {
                 let records = partition(self.read_records(reader)?, self.partitions);
-                let empty = || RecordFold::new(&self.config, true);
+                let empty = RecordFold::new(&self.config, true);
                 let (fold, fold_metrics) = {
                     let _span = rec.span("pipeline.profile");
-                    self.reduce(
-                        &records,
-                        empty,
-                        |fold, record| {
-                            let origin = Origin::Line(record.line.into());
-                            let _ = fold.absorb_line(origin, &record.bytes, record.truncated);
-                        },
-                        RecordFold::merge,
-                    )?
+                    self.reduce(&records, &empty)?
                 };
-                let mut fold = fold.unwrap_or_else(empty);
+                let mut fold = fold.unwrap_or(empty);
                 fold.settle()?;
                 let (_, _, report, profile) = fold.finish();
                 let profile = profile.expect("a profiled fold carries a profile");
@@ -302,15 +282,15 @@ impl SchemaJob {
         // materialising driver itself.
         let typed: Vec<Absorbed<Type>> = typed.into_iter().flatten().collect();
         let mut types: Vec<Type> = Vec::new();
-        let (mut bad_lines, policy) = (BadLines::default(), &self.config.error_policy);
+        let mut bad_lines = BadLines::new(self.config.error_policy.clone());
         for outcome in typed {
             match outcome {
                 Absorbed::Record(ty) => types.push(ty),
-                Absorbed::Bad(bad) if bad_lines.judge(policy, &bad).is_err() => break,
+                Absorbed::Bad(bad) if bad_lines.absorb(&bad).is_err() => break,
                 Absorbed::Bad(_) | Absorbed::Blank => {}
             }
         }
-        bad_lines.settle(policy, rec)?;
+        bad_lines.settle(rec)?;
         let report = bad_lines.report().clone();
 
         let records = types.len() as u64;
@@ -353,22 +333,20 @@ impl SchemaJob {
         })
     }
 
-    /// The one Reduce: fold each partition into an accumulator on the
-    /// runtime (`empty` is the identity, `absorb` the step), then merge
-    /// the partials pairwise ([`combine`]). An empty partition would fold
-    /// to the identity and is dropped instead, so `None` means there was
-    /// nothing to fold. The metrics are the partition folds'.
-    fn reduce<T: Sync, A: Send>(
+    /// The one Reduce: fold each partition into a clone of `empty` on the
+    /// runtime, then merge the partials pairwise ([`combine`]). An empty
+    /// partition would fold to the identity and is dropped instead, so
+    /// `None` means there was nothing to fold. The metrics are the
+    /// partition folds'.
+    fn reduce<T: Part<A>, A: Acc + Send + Sync>(
         &self,
         parts: &[Vec<T>],
-        empty: impl Fn() -> A + Sync,
-        absorb: impl Fn(&mut A, &T) + Sync,
-        merge: impl Fn(&mut A, &A) + Sync,
+        empty: &A,
     ) -> Result<(Option<A>, StageMetrics), Error> {
         let (partials, metrics) = self.runtime.try_run_indexed(parts, |_, part: &Vec<T>| {
             (!part.is_empty()).then(|| {
-                let mut acc = empty();
-                part.iter().for_each(|item| absorb(&mut acc, item));
+                let mut acc = empty.clone();
+                part.iter().for_each(|item| _ = acc.absorb(item.item()));
                 acc
             })
         });
@@ -381,7 +359,7 @@ impl SchemaJob {
             &self.runtime,
             partials,
             |mut acc, other| {
-                merge(&mut acc, other);
+                acc.merge(other);
                 acc
             },
             &self.config.recorder,
@@ -390,9 +368,9 @@ impl SchemaJob {
     }
 
     /// The shared tail of every route: type statistics, the Reduce
-    /// (Figure 6: plain in-place fusion of [`Type`]s, or — when
-    /// [`DedupMode`] resolves on — the shape-dedup [`DedupAcc`]), and
-    /// result assembly.
+    /// (Figure 6: a [`SchemaAcc`] on the plain route, or on the
+    /// shape-dedup one when [`DedupMode`] resolves on), and result
+    /// assembly.
     fn finish(
         &self,
         types: Vec<Vec<Type>>,
@@ -416,34 +394,27 @@ impl SchemaJob {
         };
 
         // ---- Reduce phase: fuse (Figure 6). ----------------------------
-        // Both accumulators produce byte-identical schemas; dedup only
-        // changes constants.
-        let use_dedup = match self.config.dedup {
-            DedupMode::On => true,
-            DedupMode::Off => false,
-            DedupMode::Auto => dedup_auto_sample(types.iter().flatten()),
+        // Both routes produce byte-identical schemas; dedup only changes
+        // constants. `auto` is resolved here, once, so no partition
+        // switches route mid-reduce.
+        let mode = match self.config.dedup {
+            DedupMode::Auto if dedup_auto_sample(types.iter().flatten()) => DedupMode::On,
+            DedupMode::Auto => DedupMode::Off,
+            mode => mode,
         };
-        let cfg = self.config.fuse_config;
+        let empty = SchemaAcc::new(mode, self.config.fuse_config).recorded(rec.clone());
         let reduce_start = Instant::now();
         let (fused, reduce_metrics) = {
             let _span = rec.span("pipeline.reduce");
-            if use_dedup {
+            if mode == DedupMode::On {
                 rec.add("infer.dedup", 1);
-                let (acc, metrics) = self.reduce(
-                    &types,
-                    DedupAcc::new,
-                    |acc, ty| _ = acc.absorb_type(cfg, ty),
-                    |acc, other| _ = acc.merge(cfg, other),
-                )?;
-                let schema = acc.map(|acc| {
-                    acc.flush_counters(rec);
-                    acc.schema()
-                });
-                (schema, metrics)
-            } else {
-                let fuse = |acc: &mut Type, ty: &Type| fuse_into_recorded(cfg, acc, ty, rec);
-                self.reduce(&types, || Type::Bottom, fuse, fuse)?
             }
+            let (acc, metrics) = self.reduce(&types, &empty)?;
+            let schema = acc.map(|acc| {
+                acc.flush_counters();
+                acc.into_schema()
+            });
+            (schema, metrics)
         };
         let reduce_time = reduce_start.elapsed();
 
@@ -486,6 +457,48 @@ struct RawRecord {
     line: u32,
     bytes: Vec<u8>,
     truncated: bool,
+}
+
+/// A partition element, as the [`Acc`] a Reduce folds it into takes it.
+trait Part<A: Acc>: Sync {
+    fn item(&self) -> A::Item<'_>;
+}
+
+impl Part<SchemaAcc> for Type {
+    fn item(&self) -> &Type {
+        self
+    }
+}
+
+impl Part<RecordFold> for RawRecord {
+    fn item(&self) -> Line<'_> {
+        (Origin::Line(self.line.into()), &self.bytes, self.truncated)
+    }
+}
+
+impl Part<Profiled> for (u64, &Value) {
+    fn item(&self) -> (u64, &Value) {
+        *self
+    }
+}
+
+/// An in-memory source's profiled fold: the profile walks each numbered
+/// value's tree and the schema fuses the type that walk hands back.
+#[derive(Debug, Clone)]
+struct Profiled(SchemaAcc, ProfileAcc);
+
+impl Acc for Profiled {
+    type Item<'a> = (u64, &'a Value);
+    type Outcome = ();
+
+    fn absorb(&mut self, (line, value): (u64, &Value)) {
+        self.0.absorb(&self.1.observe_value(line, value));
+    }
+
+    fn merge(&mut self, other: &Profiled) {
+        self.0.merge(&other.0);
+        self.1.merge(&other.1);
+    }
 }
 
 /// Distinct-type statistics — the "Inferred types size" columns of

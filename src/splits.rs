@@ -35,6 +35,7 @@ use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
 use crate::fold::{count_lines, Origin, RecordFold};
 use crate::pipeline::SchemaJob;
 use typefuse_engine::Runtime;
+use typefuse_infer::Acc;
 use typefuse_json::ndjson::read_line_bounded;
 use typefuse_json::ParserOptions;
 use typefuse_obs::{span, Recorder};
@@ -212,7 +213,7 @@ pub fn infer_file(path: &Path, job: &SchemaJob) -> Result<FileSchema, Error> {
             rec,
             |offset, line, truncated| {
                 let origin = Origin::Offset(offset);
-                if fold.absorb_line(origin, line, truncated).is_err() {
+                if fold.absorb((origin, line, truncated)).is_err() {
                     stopped.fetch_min(i, Ordering::Relaxed);
                 }
                 // Read on until this range or an earlier one stops.

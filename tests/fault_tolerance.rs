@@ -608,10 +608,10 @@ fn the_verdict_stops_at_the_first_line_past_the_policy_and_a_stop_takes_no_more(
         (budget(1), Some(1)),
         (ErrorPolicy::skip(), None),
     ] {
-        let mut judged = typefuse::faults::BadLines::default();
+        let mut judged = typefuse::faults::BadLines::new(policy.clone());
         let verdicts: Vec<bool> = lines
             .iter()
-            .map(|line| judged.judge(&policy, line).is_ok())
+            .map(|line| judged.absorb(line).is_ok())
             .collect();
         assert_eq!(verdicts.iter().position(|ok| !ok), stop, "{policy:?}");
         assert_eq!(judged.stopped(), stop.is_some(), "{policy:?}");
@@ -624,9 +624,9 @@ fn the_verdict_stops_at_the_first_line_past_the_policy_and_a_stop_takes_no_more(
         max_errors: Some(1),
     };
     let judged = |records: &[BadRecord]| {
-        let mut out = typefuse::faults::BadLines::default();
+        let mut out = typefuse::faults::BadLines::new(policy.clone());
         for record in records {
-            let _ = out.judge(&policy, record);
+            let _ = out.absorb(record);
         }
         out
     };
@@ -643,7 +643,7 @@ fn the_verdict_stops_at_the_first_line_past_the_policy_and_a_stop_takes_no_more(
     assert!(ab.stopped());
     assert_eq!(ab.report(), &before, "nothing follows a stop");
     assert_eq!((before.skipped(), before.first().unwrap().at), (3, 1));
-    let err = ab.settle(&policy, &Recorder::disabled()).unwrap_err();
+    let err = ab.settle(&Recorder::disabled()).unwrap_err();
     let first = lines[0].error.to_string();
     let expected = format!("error budget exceeded: more than 1 bad records; first: {first}");
     assert_eq!(err.to_string(), expected);
@@ -671,40 +671,6 @@ fn bad_record(at: u64, tag: u8) -> BadRecord {
 }
 
 proptest! {
-    /// Merging per-partition reports in any grouping and order yields
-    /// the same report — the property that makes skip deterministic.
-    #[test]
-    fn error_report_merge_is_partition_invariant(
-        entries in prop::collection::vec((0u64..500, 0u8..4), 0..60),
-        split in 1usize..6,
-    ) {
-        // One report built sequentially…
-        let mut sequential = ErrorReport::new();
-        for &(at, tag) in &entries {
-            sequential.note(&bad_record(at, tag));
-        }
-        // …versus the same entries split into `split` chunks, each
-        // merged right-to-left.
-        let chunk = entries.len().div_ceil(split).max(1);
-        let mut partials: Vec<ErrorReport> = entries
-            .chunks(chunk)
-            .map(|part| {
-                let mut r = ErrorReport::new();
-                for &(at, tag) in part {
-                    r.note(&bad_record(at, tag));
-                }
-                r
-            })
-            .collect();
-        partials.reverse();
-        let mut merged = ErrorReport::new();
-        for p in &partials {
-            merged.merge(p);
-        }
-        prop_assert_eq!(&merged, &sequential);
-        prop_assert_eq!(merged.skipped(), entries.len() as u64);
-    }
-
     /// A random corpus with bad lines under Skip yields exactly the
     /// clean subset's schema for any worker count and map path.
     #[test]
