@@ -20,30 +20,18 @@ use typefuse_engine::sim::SimReport;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut max_records: u64 = 100_000;
-    let mut metrics_json: Option<String> = None;
-    let mut dedup = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--dedup" => dedup = true,
             "--max-records" => {
                 max_records = iter
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--max-records needs a number"));
             }
-            "--metrics-json" => {
-                metrics_json = Some(
-                    iter.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                );
-            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: tables [--max-records N] [--metrics-json F] [--dedup] \
-                     [table1 table2 ... table8]"
-                );
+                eprintln!("usage: tables [--max-records N] [table1 table2 ... table8]");
                 return;
             }
             t if t.starts_with("table") => wanted.push(t.to_string()),
@@ -106,32 +94,6 @@ fn main() {
             );
             print_table8_local(max_records.min(200_000));
         }
-    }
-
-    if dedup {
-        print_dedup_comparison(scales.last().expect("scales checked non-empty"));
-    }
-
-    // The machine-readable counterpart of the tables above: one scale
-    // run serialized as the same RunReport struct `typefuse infer
-    // --metrics-json` emits.
-    if let Some(path) = metrics_json {
-        let records = scales.last().expect("scales checked non-empty").records;
-        let mut config =
-            typefuse_bench::ScaleConfig::new(Profile::Twitter, records).measure_bytes();
-        config.dedup = dedup;
-        let result = typefuse_bench::run_scale(&config);
-        let mut report = result.run_report();
-        report
-            .meta
-            .insert("profile".to_string(), Profile::Twitter.to_string());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        println!(
-            "wrote run report ({} records, Twitter profile) to {path}",
-            records
-        );
     }
 }
 
@@ -231,40 +193,12 @@ fn print_sim(title: &str, report: SimReport) {
     println!();
 }
 
-/// `--dedup`: fuse CPU time per profile, plain fold vs shape-dedup
-/// reduce, with an agreement guard (the schemas must match before the
-/// speedup means anything).
-fn print_dedup_comparison(scale: &Scale) {
-    use typefuse_bench::{run_scale, ScaleConfig};
-    println!(
-        "Shape-dedup reduce — fuse CPU time at {} records, plain vs dedup",
-        human_count(scale.records)
-    );
-    let mut t = TextTable::new(vec!["dataset", "fuse plain", "fuse dedup", "speedup"]);
-    for profile in Profile::ALL {
-        let plain = run_scale(&ScaleConfig::new(profile, scale.records));
-        let deduped = run_scale(&ScaleConfig::new(profile, scale.records).dedup());
-        assert_eq!(
-            deduped.schema, plain.schema,
-            "{profile}: dedup reduce diverged from the plain fold"
-        );
-        let speedup = plain.fuse_cpu.as_secs_f64() / deduped.fuse_cpu.as_secs_f64().max(1e-9);
-        t.row(vec![
-            profile.to_string(),
-            human_duration(plain.fuse_cpu),
-            human_duration(deduped.fuse_cpu),
-            format!("{speedup:.1}x"),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
 fn print_table8_local(records: u64) {
     println!(
         "Table 8b — partition-at-a-time processing measured locally ({} NYTimes records, 4 partitions)",
         human_count(records)
     );
-    let (rows, _residual) = tables::table8_local(records);
+    let rows = tables::table8_local(records);
     let mut t = TextTable::new(vec!["partition", "objects", "types", "time"]);
     for (i, (objects, types, time)) in rows.iter().enumerate() {
         t.row(vec![

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table of the paper's
 //! evaluation (Section 6). The heavy lifting lives here so it can be
-//! shared by the `tables` binary, the criterion benches and the harness's
-//! own tests.
+//! shared by the `tables` binary and the golden test that pins its
+//! numbers (`tests/tables_golden.rs`).
 //!
 //! Unlike [`typefuse::pipeline::SchemaJob`], the [`run_scale`] runner is
 //! *streaming*: records are generated, inferred and fused partition by

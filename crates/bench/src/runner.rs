@@ -30,11 +30,6 @@ pub struct ScaleConfig {
     /// Costs roughly as much as parsing; off for the type-statistics
     /// tables.
     pub measure_bytes: bool,
-    /// Reduce over distinct shapes only (hash-consed interning plus
-    /// memoized fusion) instead of fusing every record's type. The
-    /// schema is byte-identical either way; the fuse-time columns show
-    /// the dedup speedup.
-    pub dedup: bool,
 }
 
 impl ScaleConfig {
@@ -49,7 +44,6 @@ impl ScaleConfig {
             workers,
             fuse_config: FuseConfig::default(),
             measure_bytes: false,
-            dedup: false,
         }
     }
 
@@ -68,12 +62,6 @@ impl ScaleConfig {
     /// Builder: measure serialized bytes too.
     pub fn measure_bytes(mut self) -> Self {
         self.measure_bytes = true;
-        self
-    }
-
-    /// Builder: reduce over distinct shapes (see [`ScaleConfig::dedup`]).
-    pub fn dedup(mut self) -> Self {
-        self.dedup = true;
         self
     }
 }
@@ -98,11 +86,6 @@ pub struct PartitionAcc {
 impl PartitionAcc {
     /// The empty accumulator of a run under `config`.
     pub fn empty(config: &ScaleConfig) -> Self {
-        let dedup = if config.dedup {
-            DedupMode::On
-        } else {
-            DedupMode::Off
-        };
         PartitionAcc {
             measure_bytes: config.measure_bytes,
             records: 0,
@@ -111,19 +94,17 @@ impl PartitionAcc {
             min_size: usize::MAX,
             max_size: 0,
             size_sum: 0,
-            schema: SchemaAcc::new(dedup, config.fuse_config),
+            schema: SchemaAcc::new(DedupMode::Off, config.fuse_config),
             infer_time: Duration::ZERO,
             fuse_time: Duration::ZERO,
         }
     }
 
-    /// This state as the result of a run on one worker: its Tables 2–5
-    /// columns and CPU times, with no wall time, partition rows or task
-    /// timings.
+    /// This state as the result of a run: its Tables 2–5 columns and CPU
+    /// times, with no wall time or partition rows.
     pub fn result(&self) -> ScaleResult {
         let schema = self.schema.schema();
         ScaleResult {
-            workers: 1,
             records: self.records,
             bytes: self.bytes,
             distinct_types: self.distinct_hashes.len(),
@@ -136,8 +117,6 @@ impl PartitionAcc {
             fuse_cpu: self.fuse_time,
             wall: Duration::ZERO,
             partition_rows: Vec::new(),
-            partition_cpu: Vec::new(),
-            stage: Default::default(),
         }
     }
 }
@@ -187,8 +166,6 @@ impl Acc for PartitionAcc {
 /// columns of Table 6 and the byte column of Table 1.
 #[derive(Debug, Clone)]
 pub struct ScaleResult {
-    /// Worker threads the run was configured with.
-    pub workers: usize,
     /// Records processed.
     pub records: u64,
     /// Serialized dataset size in bytes (0 unless `measure_bytes`).
@@ -214,12 +191,6 @@ pub struct ScaleResult {
     pub wall: Duration,
     /// Per-partition `(records, distinct, wall)` — the Table 8 rows.
     pub partition_rows: Vec<(u64, usize, Duration)>,
-    /// Per-partition `(infer, fuse)` CPU time, index-aligned with
-    /// `partition_rows` — the per-stage rollup inputs.
-    pub partition_cpu: Vec<(Duration, Duration)>,
-    /// The real task timings from the thread pool: per-task queue wait,
-    /// execute time and worker id, measured by the [`Runtime`].
-    pub stage: typefuse_obs::StageReport,
 }
 
 impl ScaleResult {
@@ -231,69 +202,6 @@ impl ScaleResult {
         } else {
             self.fused_size as f64 / self.avg_size
         }
-    }
-
-    /// Per-partition duration rollups as log₂ histograms, keyed by
-    /// stage name: `partition.execute_ns` / `partition.queue_wait_ns`
-    /// from the pool's task timings, `partition.infer_ns` /
-    /// `partition.fuse_ns` from the runner's own CPU clocks. Quantiles
-    /// (p50/p90/p99) come out of the histogram report.
-    pub fn stage_histograms(
-        &self,
-    ) -> std::collections::BTreeMap<String, typefuse_obs::HistogramReport> {
-        use typefuse_obs::LogHistogram;
-        let mut execute = LogHistogram::new();
-        let mut wait = LogHistogram::new();
-        for task in &self.stage.tasks {
-            execute.record(task.execute_ns);
-            wait.record(task.queue_wait_ns);
-        }
-        let mut infer = LogHistogram::new();
-        let mut fuse = LogHistogram::new();
-        for (i, f) in &self.partition_cpu {
-            infer.record(i.as_nanos() as u64);
-            fuse.record(f.as_nanos() as u64);
-        }
-        let mut out = std::collections::BTreeMap::new();
-        out.insert("partition.execute_ns".to_string(), execute.report());
-        out.insert("partition.queue_wait_ns".to_string(), wait.report());
-        out.insert("partition.infer_ns".to_string(), infer.report());
-        out.insert("partition.fuse_ns".to_string(), fuse.report());
-        out
-    }
-
-    /// Convert to the same [`typefuse_obs::RunReport`] struct the CLI's
-    /// `--metrics-json` emits, so bench output and pipeline output can
-    /// be diffed or post-processed with the same tooling. The
-    /// `partitions` stage carries the pool's real task timings (queue
-    /// wait, execute, worker id), and the per-partition duration
-    /// histograms ride along for quantile rollups.
-    pub fn run_report(&self) -> typefuse_obs::RunReport {
-        let mut report = typefuse_obs::RunReport::default();
-        report.counters.insert("records".to_string(), self.records);
-        if self.bytes > 0 {
-            report.counters.insert("json.bytes".to_string(), self.bytes);
-        }
-        report.stages.push(self.stage.clone());
-        report.histograms = self.stage_histograms();
-        let values = [
-            ("distinct_types", self.distinct_types as f64),
-            ("min_size", self.min_size as f64),
-            ("max_size", self.max_size as f64),
-            ("avg_size", self.avg_size),
-            ("fused_size", self.fused_size as f64),
-            ("compaction_ratio", self.compaction_ratio()),
-            ("infer_cpu_seconds", self.infer_cpu.as_secs_f64()),
-            ("fuse_cpu_seconds", self.fuse_cpu.as_secs_f64()),
-            ("wall_seconds", self.wall.as_secs_f64()),
-        ];
-        for (k, v) in values {
-            report.values.insert(k.to_string(), v);
-        }
-        report
-            .meta
-            .insert("schema".to_string(), self.schema.to_string());
-        report
     }
 }
 
@@ -321,7 +229,7 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
         })
         .collect();
 
-    let (accs, metrics) = runtime.run_indexed(&ranges, |_, &(start, end)| {
+    let (accs, _) = runtime.run_indexed(&ranges, |_, &(start, end)| {
         let mut acc = PartitionAcc::empty(config);
         for index in start..end {
             acc.absorb(&config.profile.record(config.seed, index));
@@ -340,20 +248,14 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleResult {
             )
         })
         .collect();
-    let partition_cpu: Vec<(Duration, Duration)> =
-        accs.iter().map(|a| (a.infer_time, a.fuse_time)).collect();
-    let stage = metrics.stage_report("partitions");
 
     let mut merged = PartitionAcc::empty(config);
     accs.iter().for_each(|acc| merged.merge(acc));
 
     let totals = merged.result();
     ScaleResult {
-        workers: config.workers.max(1),
         wall: wall_start.elapsed(),
         partition_rows,
-        partition_cpu,
-        stage,
         ..totals
     }
 }
@@ -398,18 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_reduce_matches_plain_reduce() {
-        for profile in Profile::ALL {
-            let plain = run_scale(&ScaleConfig::new(profile, 200).partitions(5));
-            let dedup = run_scale(&ScaleConfig::new(profile, 200).partitions(5).dedup());
-            assert_eq!(dedup.schema, plain.schema, "{profile}");
-            assert_eq!(dedup.records, plain.records);
-            assert_eq!(dedup.distinct_types, plain.distinct_types);
-            assert_eq!(dedup.fused_size, plain.fused_size);
-        }
-    }
-
-    #[test]
     fn partition_rows_sum_to_total() {
         let r = run_scale(&ScaleConfig::new(Profile::GitHub, 100).partitions(7));
         assert_eq!(r.partition_rows.len(), 7);
@@ -447,60 +337,6 @@ mod tests {
         );
         assert_eq!(a.schema, b.schema);
         assert_eq!(a.distinct_types, b.distinct_types);
-    }
-
-    #[test]
-    fn run_report_mirrors_the_result() {
-        let r = run_scale(
-            &ScaleConfig::new(Profile::GitHub, 50)
-                .partitions(4)
-                .measure_bytes(),
-        );
-        let report = r.run_report();
-        assert_eq!(report.counters["records"], 50);
-        assert_eq!(report.counters["json.bytes"], r.bytes);
-        assert_eq!(report.stages.len(), 1);
-        assert_eq!(report.stages[0].name, "partitions");
-        assert_eq!(report.stages[0].tasks.len(), 4);
-        assert_eq!(report.histograms["partition.execute_ns"].count, 4);
-        assert_eq!(report.histograms["partition.infer_ns"].count, 4);
-        assert_eq!(report.values["fused_size"], r.fused_size as f64);
-        assert_eq!(report.meta["schema"], r.schema.to_string());
-        // Same shape as the pipeline's report: serializes with the
-        // standard top-level keys.
-        let json = report.to_json();
-        for key in ["\"counters\"", "\"stages\"", "\"values\"", "\"meta\""] {
-            assert!(json.contains(key), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn stage_metrics_cover_every_partition_worker() {
-        let r = run_scale(
-            &ScaleConfig::new(Profile::Twitter, 200)
-                .workers(3)
-                .partitions(8),
-        );
-        assert_eq!(r.workers, 3);
-        assert_eq!(r.stage.tasks.len(), 8);
-        for task in &r.stage.tasks {
-            assert!(task.worker < 3, "worker {} out of pool", task.worker);
-            assert!(task.execute_ns > 0);
-        }
-        let u = typefuse_obs::UtilizationReport::from_stage(&r.stage, r.workers);
-        assert_eq!(u.workers.len(), 3);
-        assert_eq!(u.workers.iter().map(|w| w.tasks).sum::<u64>(), 8);
-        // Each worker's busy intervals are disjoint, so its busy time
-        // is bounded by the stage wall.
-        for w in &u.workers {
-            assert!(
-                w.busy_ns <= u.wall_ns,
-                "worker {} busy {} > wall {}",
-                w.worker,
-                w.busy_ns,
-                u.wall_ns
-            );
-        }
     }
 
     #[test]

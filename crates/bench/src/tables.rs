@@ -128,13 +128,8 @@ pub fn table8_sim(cpu_secs_per_record: f64) -> SimReport {
 /// Table 8, measured leg: process an NYTimes dataset in four isolated
 /// partitions on this machine (objects / distinct types / time per
 /// partition, like the paper's rows), then fuse the four schemas.
-pub fn table8_local(records: u64) -> (Vec<(u64, usize, Duration)>, Duration) {
-    let r = run_scale(&ScaleConfig::new(Profile::NYTimes, records).partitions(4));
-    // Final fusion of per-partition schemas is inside the runner; report
-    // the rows and the (tiny) residual wall overhead.
-    let partial: Duration = r.partition_rows.iter().map(|(_, _, d)| *d).sum();
-    let residual = r.wall.saturating_sub(partial / 4);
-    (r.partition_rows, residual.min(r.wall))
+pub fn table8_local(records: u64) -> Vec<(u64, usize, Duration)> {
+    run_scale(&ScaleConfig::new(Profile::NYTimes, records).partitions(4)).partition_rows
 }
 
 #[cfg(test)]
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn table8_local_rows() {
-        let (rows, _residual) = table8_local(400);
+        let rows = table8_local(400);
         assert_eq!(rows.len(), 4);
         let total: u64 = rows.iter().map(|(n, _, _)| n).sum();
         assert_eq!(total, 400);

@@ -5,6 +5,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use typefuse_obs::json::write_escaped;
 
 /// Serialize a value compactly: `{"a":1,"b":[true,null]}`.
 pub fn to_string(value: &Value) -> String {
@@ -100,35 +101,6 @@ fn write_indent<W: fmt::Write>(w: &mut W, n: usize) -> fmt::Result {
     Ok(())
 }
 
-/// Write a string with RFC 8259 escaping. Only the mandatory escapes are
-/// produced (`"`, `\`, control characters); everything else is emitted as
-/// raw UTF-8.
-fn write_escaped<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
-    w.write_char('"')?;
-    let mut plain_start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape: Option<&str> = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            0x08 => Some("\\b"),
-            0x0c => Some("\\f"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0x00..=0x1f => None, // \uXXXX, handled below
-            _ => continue,
-        };
-        w.write_str(&s[plain_start..i])?;
-        match escape {
-            Some(e) => w.write_str(e)?,
-            None => write!(w, "\\u{:04x}", b)?,
-        }
-        plain_start = i + 1;
-    }
-    w.write_str(&s[plain_start..])?;
-    w.write_char('"')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +124,21 @@ mod tests {
         let v = json!({"s": tricky});
         let text = to_string(&v);
         assert_eq!(parse_value(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn both_writers_escape_every_ascii_char_alike() {
+        let strings = (0u8..0x80)
+            .map(|b| char::from(b).to_string())
+            .chain(["é 😀 ü\u{7f}\u{80}\u{2028}".to_string()]);
+        for s in strings {
+            let mut w = typefuse_obs::JsonWriter::new();
+            w.string(&s);
+            let text = w.finish();
+            assert_eq!(text, to_string(&Value::String(s.clone())), "{s:?}");
+            assert_eq!(parse_value(&text).unwrap(), Value::String(s));
+        }
+        assert_eq!(to_string(&json!("\u{8}\u{c}")), r#""\b\f""#);
     }
 
     #[test]

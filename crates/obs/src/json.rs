@@ -68,7 +68,7 @@ impl JsonWriter {
     /// Write an object key; the following call writes its value.
     pub fn key(&mut self, key: &str) {
         self.before_value();
-        push_escaped(&mut self.out, key);
+        let _ = write_escaped(&mut self.out, key);
         self.out.push(':');
         // The value that follows must not get its own comma.
         if let Some(needs) = self.needs_comma.last_mut() {
@@ -79,7 +79,7 @@ impl JsonWriter {
     /// Write an escaped string value.
     pub fn string(&mut self, value: &str) {
         self.before_value();
-        push_escaped(&mut self.out, value);
+        let _ = write_escaped(&mut self.out, value);
     }
 
     /// Write a boolean literal.
@@ -128,22 +128,34 @@ impl JsonWriter {
     }
 }
 
-fn push_escaped(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Write `s` as a JSON string with RFC 8259 escaping: the mandatory
+/// escapes only (`"`, `\`, control characters, with the short forms
+/// `\b \f \n \r \t`), everything else raw UTF-8. The one escaper of the
+/// workspace: [`JsonWriter`] and `typefuse_json`'s serializer both call it.
+pub fn write_escaped<W: Write>(w: &mut W, s: &str) -> std::fmt::Result {
+    w.write_char('"')?;
+    let mut plain_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape: Option<&str> = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None, // \uXXXX, handled below
+            _ => continue,
+        };
+        w.write_str(&s[plain_start..i])?;
+        match escape {
+            Some(e) => w.write_str(e)?,
+            None => write!(w, "\\u{:04x}", b)?,
         }
+        plain_start = i + 1;
     }
-    out.push('"');
+    w.write_str(&s[plain_start..])?;
+    w.write_char('"')
 }
 
 #[cfg(test)]

@@ -69,10 +69,7 @@ pub use eventlog::{Event, EventLog, Level};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, LogHistogram, BUCKETS};
 pub use json::JsonWriter;
 pub use recorder::{Counter, Gauge, Recorder};
-pub use report::{
-    BucketCount, HistogramReport, RunReport, SpanReport, StageReport, TaskReport,
-    UtilizationReport, WorkerSlice,
-};
+pub use report::{BucketCount, HistogramReport, RunReport, SpanReport, StageReport, TaskReport};
 pub use span::SpanGuard;
 pub use telemetry::{series_key, TelemetryCell, TelemetryHub, TelemetrySnapshot};
 pub use trace::TraceEvent;

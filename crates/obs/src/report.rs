@@ -192,77 +192,6 @@ pub struct StageReport {
     pub tasks: Vec<TaskReport>,
 }
 
-/// Busy rollup for one worker.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WorkerSlice {
-    /// Worker index.
-    pub worker: usize,
-    /// Tasks the worker executed.
-    pub tasks: u64,
-    /// Total nanoseconds the worker spent executing tasks.
-    pub busy_ns: u64,
-    /// Distribution of the queue waits of this worker's tasks.
-    pub queue_wait: HistogramReport,
-}
-
-/// Per-worker utilization of one stage of the engine thread pool, so the
-/// paper's Table 7/8 under-utilisation story can be read off a live run.
-///
-/// Workers that never picked up a task are listed with zero busy time.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct UtilizationReport {
-    /// Wall-clock nanoseconds of the stage (the makespan).
-    pub wall_ns: u64,
-    /// One slice per worker, in worker order, idle workers included.
-    pub workers: Vec<WorkerSlice>,
-}
-
-impl UtilizationReport {
-    /// Build from a stage's task timings. `workers` is the configured
-    /// pool size; a task whose worker id exceeds it still gets a slice,
-    /// so the report never drops work.
-    pub fn from_stage(stage: &StageReport, workers: usize) -> Self {
-        let slots = stage
-            .tasks
-            .iter()
-            .map(|t| t.worker + 1)
-            .max()
-            .unwrap_or(0)
-            .max(workers);
-        let mut slices: Vec<WorkerSlice> = (0..slots)
-            .map(|worker| WorkerSlice {
-                worker,
-                ..WorkerSlice::default()
-            })
-            .collect();
-        let mut waits: Vec<crate::LogHistogram> = vec![crate::LogHistogram::new(); slots];
-        for task in &stage.tasks {
-            let slice = &mut slices[task.worker];
-            slice.tasks += 1;
-            slice.busy_ns += task.execute_ns;
-            waits[task.worker].record(task.queue_wait_ns);
-        }
-        for (slice, wait) in slices.iter_mut().zip(&waits) {
-            slice.queue_wait = wait.report();
-        }
-        UtilizationReport {
-            wall_ns: stage.wall_ns,
-            workers: slices,
-        }
-    }
-
-    /// Mean worker utilization over the stage wall, in `[0, 1]`:
-    /// `total busy / (wall x workers)`. Mirrors the simulator's
-    /// core-utilization formula.
-    pub fn utilization(&self) -> f64 {
-        if self.wall_ns == 0 || self.workers.is_empty() {
-            return 0.0;
-        }
-        let busy: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
-        busy as f64 / (self.wall_ns as f64 * self.workers.len() as f64)
-    }
-}
-
 /// The full structured run report.
 ///
 /// `counters`/`gauges`/`histograms`/`spans` come from
@@ -529,55 +458,5 @@ mod tests {
         for needle in [r#""p50":5.0"#, r#""p90":5.0"#, r#""p99":5.0"#] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-    }
-
-    fn stage_with_two_workers() -> StageReport {
-        StageReport {
-            name: "map".into(),
-            wall_ns: 100,
-            tasks: vec![
-                TaskReport {
-                    partition: 0,
-                    worker: 0,
-                    queue_wait_ns: 5,
-                    execute_ns: 40,
-                },
-                TaskReport {
-                    partition: 1,
-                    worker: 0,
-                    queue_wait_ns: 45,
-                    execute_ns: 30,
-                },
-                TaskReport {
-                    partition: 2,
-                    worker: 1,
-                    queue_wait_ns: 7,
-                    execute_ns: 60,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn utilization_groups_tasks_by_worker_and_lists_idle_slices() {
-        let u = UtilizationReport::from_stage(&stage_with_two_workers(), 4);
-        assert_eq!(u.wall_ns, 100);
-        assert_eq!(u.workers.len(), 4);
-        assert_eq!(u.workers[0].busy_ns, 70);
-        assert_eq!(u.workers[0].tasks, 2);
-        assert_eq!(u.workers[1].busy_ns, 60);
-        assert_eq!(u.workers[2].tasks, 0);
-        let busy = |u: &UtilizationReport| u.workers.iter().map(|w| w.busy_ns).sum::<u64>();
-        assert_eq!(busy(&u), 130);
-        assert_eq!(u.workers.iter().filter(|w| w.tasks == 0).count(), 2);
-        assert!((u.utilization() - 130.0 / 400.0).abs() < 1e-12);
-        assert_eq!(u.workers[0].queue_wait.count, 2);
-        // A worker id beyond the pool size still gets a slice.
-        let mut stage = stage_with_two_workers();
-        stage.tasks[2].worker = 9;
-        let wide = UtilizationReport::from_stage(&stage, 2);
-        assert_eq!(wide.workers.len(), 10);
-        assert_eq!(busy(&wide), 130, "no work dropped");
-        assert_eq!(UtilizationReport::default().utilization(), 0.0);
     }
 }

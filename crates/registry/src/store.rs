@@ -518,6 +518,21 @@ mod tests {
     }
 
     #[test]
+    fn a_log_line_with_a_too_deep_schema_is_corrupt_not_a_crash() {
+        let path = fresh("deep.ndjson");
+        let deep = "[".repeat(20_000) + "Num" + &"]".repeat(20_000);
+        let good = r#"{"name":"a","version":1,"schema":"Num"}"#;
+        let bad = format!(r#"{{"name":"a","version":1,"schema":"{deep}"}}"#);
+        std::fs::write(&path, format!("{bad}\n{good}\n")).unwrap();
+        match Registry::open(&path) {
+            Err(RegistryError::Corrupt { line: 1, message }) => {
+                assert!(message.contains("nests deeper than"), "{message}")
+            }
+            other => panic!("expected a corrupt line 1, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn in_memory_mirrors_on_disk_semantics() {
         let mut reg = Registry::in_memory();
         assert_eq!(

@@ -405,6 +405,30 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        /// A request line comes off a socket: any text, and any one-byte
+        /// change of a valid request, is a request or an `Err`.
+        #[test]
+        fn parse_request_is_total(
+            request in proptest::sample::select(vec![
+                r#"{"op":"schema","source":"s"}"#,
+                r#"{"op":"explain","source":"s","path":"$.a"}"#,
+                r#"{"op":"diff","source":"s","from":1,"to":2}"#,
+                r#"{"op":"metrics","format":"prometheus"}"#,
+                r#"{"op":"watch","interval_ms":250}"#,
+            ]),
+            at in proptest::prelude::any::<proptest::sample::Index>(),
+            byte in 0x20u8..0x7f,
+            noise in "\\PC{0,40}",
+        ) {
+            let mut mutant = request.as_bytes().to_vec();
+            let at = at.index(mutant.len());
+            mutant[at] = byte;
+            let _ = parse_request(std::str::from_utf8(&mutant).expect("ASCII"));
+            let _ = parse_request(&noise);
+        }
+    }
+
     #[test]
     fn error_responses_are_valid_envelopes() {
         let text = error_response("nope");

@@ -20,9 +20,12 @@
 //! equal) empty positional array type — tested in the crate's round-trip
 //! suite. Unions are normalised through [`Type::union`], so a kind clash
 //! in the input (e.g. `Str + Str` is fine, but `{} + {a: Num}` is not) is
-//! reported as an error.
+//! reported as an error. Schemas arrive from files and sockets, so the
+//! parser is total: containers nest at most [`MAX_NESTING`] deep, and
+//! deeper input is a [`NotationError::Syntax`], not a stack overflow.
 
 use crate::ty::{Field, Name, RecordType, Type, TypeError};
+use crate::wire::MAX_NESTING;
 use std::fmt;
 
 /// Errors from the notation parser.
@@ -66,7 +69,11 @@ impl From<TypeError> for NotationError {
 /// assert_eq!(t.to_string(), "{a: Str?, b: Bool + Num}");
 /// ```
 pub fn parse_type(input: &str) -> Result<Type, NotationError> {
-    let mut p = Cursor { input, pos: 0 };
+    let mut p = Cursor {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let t = p.parse_union()?;
     p.skip_ws();
     if p.pos < p.input.len() {
@@ -78,6 +85,9 @@ pub fn parse_type(input: &str) -> Result<Type, NotationError> {
 struct Cursor<'a> {
     input: &'a str,
     pos: usize,
+    /// Unions being parsed: one per open `{`, `[` or `(`, plus the
+    /// outermost.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -86,6 +96,10 @@ impl<'a> Cursor<'a> {
             offset: self.pos,
             message: message.to_string(),
         }
+    }
+
+    fn too_deep(&self) -> NotationError {
+        self.err(&format!("schema nests deeper than {MAX_NESTING} levels"))
     }
 
     fn rest(&self) -> &'a str {
@@ -132,20 +146,45 @@ impl<'a> Cursor<'a> {
         false
     }
 
+    /// Every nested type is a union, so the nesting limit is checked
+    /// here. An error ends the whole parse, so only success unwinds
+    /// `depth`.
     fn parse_union(&mut self) -> Result<Type, NotationError> {
-        let mut addends = vec![self.parse_term()?];
-        while self.eat('+') {
-            addends.push(self.parse_term()?);
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
         }
-        if addends.len() == 1 {
-            Ok(addends.pop().expect("one addend"))
-        } else {
-            Ok(Type::union(addends)?)
+        self.depth += 1;
+        let mut addends = Vec::new();
+        loop {
+            addends.push(self.parse_term()?);
+            if !self.eat('+') {
+                break;
+            }
+        }
+        self.depth -= 1;
+        union_of(addends)
+    }
+
+    // The recursive productions keep their frames small (scalars and
+    // error text are built in leaf calls), so `MAX_NESTING` levels fit a
+    // 2 MiB thread in a debug build.
+    fn parse_term(&mut self) -> Result<Type, NotationError> {
+        self.skip_ws();
+        match self.peek() {
+            Some('{') => self.parse_record(),
+            Some('[') => self.parse_array(),
+            Some('(') => self.parse_group(),
+            _ => self.parse_scalar(),
         }
     }
 
-    fn parse_term(&mut self) -> Result<Type, NotationError> {
-        self.skip_ws();
+    fn parse_group(&mut self) -> Result<Type, NotationError> {
+        self.expect('(')?;
+        let t = self.parse_union();
+        t.and_then(|t| self.expect(')').map(|()| t))
+    }
+
+    fn parse_scalar(&mut self) -> Result<Type, NotationError> {
         if self.eat_word("Null") {
             return Ok(Type::Null);
         }
@@ -162,14 +201,6 @@ impl<'a> Cursor<'a> {
             return Ok(Type::Bottom);
         }
         match self.peek() {
-            Some('{') => self.parse_record(),
-            Some('[') => self.parse_array(),
-            Some('(') => {
-                self.expect('(')?;
-                let t = self.parse_union()?;
-                self.expect(')')?;
-                Ok(t)
-            }
             Some(_) => Err(self.err("expected a type")),
             None => Err(self.err("unexpected end of input")),
         }
@@ -178,22 +209,26 @@ impl<'a> Cursor<'a> {
     fn parse_record(&mut self) -> Result<Type, NotationError> {
         self.expect('{')?;
         let mut fields = Vec::new();
-        if self.eat('}') {
-            return Ok(Type::Record(RecordType::empty()));
-        }
-        loop {
-            let name = self.parse_key()?;
-            self.expect(':')?;
+        while !self.eat('}') {
+            let name = self.parse_field_name(fields.is_empty())?;
             let ty = self.parse_union()?;
-            let optional = self.eat('?');
-            fields.push(Field { name, ty, optional });
-            if self.eat(',') {
-                continue;
-            }
-            self.expect('}')?;
-            break;
+            fields.push(Field {
+                name,
+                ty,
+                optional: self.eat('?'),
+            });
         }
         Ok(Type::Record(RecordType::new(fields)?))
+    }
+
+    /// `key ':'`, after a `,` unless it is the first field.
+    fn parse_field_name(&mut self, first: bool) -> Result<Name, NotationError> {
+        if !first && !self.eat(',') {
+            return Err(self.err("expected `}`"));
+        }
+        let name = self.parse_key()?;
+        self.expect(':')?;
+        Ok(name)
     }
 
     fn parse_key(&mut self) -> Result<Name, NotationError> {
@@ -240,17 +275,32 @@ impl<'a> Cursor<'a> {
         if self.eat(']') {
             return Ok(Type::empty_array());
         }
-        let first = self.parse_union()?;
-        if self.eat('*') {
-            self.expect(']')?;
-            return Ok(Type::star(first));
-        }
-        let mut elems = vec![first];
-        while self.eat(',') {
+        let mut elems = Vec::new();
+        loop {
             elems.push(self.parse_union()?);
+            if !self.eat(',') {
+                break;
+            }
+        }
+        self.close_array(elems)
+    }
+
+    /// `*]` after a single element, else `]`.
+    fn close_array(&mut self, mut elems: Vec<Type>) -> Result<Type, NotationError> {
+        if elems.len() == 1 && self.eat('*') {
+            self.expect(']')?;
+            return Ok(Type::star(elems.pop().expect("one element")));
         }
         self.expect(']')?;
         Ok(Type::Array(crate::ty::ArrayType::new(elems)))
+    }
+}
+
+fn union_of(mut addends: Vec<Type>) -> Result<Type, NotationError> {
+    if addends.len() == 1 {
+        Ok(addends.pop().expect("one addend"))
+    } else {
+        Ok(Type::union(addends)?)
     }
 }
 
