@@ -7,7 +7,6 @@
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
 use typefuse_obs::Recorder;
-use typefuse_types::parse_type;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -25,10 +24,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         Recorder::disabled()
     };
 
-    let schema_text = std::fs::read_to_string(&schema_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {schema_path}: {e}")))?;
-    let schema = parse_type(schema_text.trim())
-        .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?;
+    let schema = crate::read_schema(&schema_path)?;
 
     // Each record is tested as it is read; only the first
     // `max_failures` record numbers are kept, and printed once the input

@@ -4,7 +4,6 @@ use crate::args::ArgStream;
 use crate::cmd_infer::infer_schema;
 use crate::{CliError, CliResult};
 use typefuse_types::diff::diff;
-use typefuse_types::{parse_type, Type};
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let old_input = args
@@ -17,7 +16,10 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     args.finish()?;
 
     let (old, new) = if as_schemas {
-        (load_schema(&old_input)?, load_schema(&new_input)?)
+        (
+            crate::read_schema(&old_input)?,
+            crate::read_schema(&new_input)?,
+        )
     } else {
         (
             infer_schema(Some(&old_input))?,
@@ -39,10 +41,4 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
         "{} structural changes detected",
         changes.len()
     )))
-}
-
-fn load_schema(path: &str) -> Result<Type, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    parse_type(text.trim()).map_err(|e| CliError::runtime(format!("invalid schema in {path}: {e}")))
 }

@@ -4,7 +4,6 @@ use crate::args::ArgStream;
 use crate::{CliError, CliResult};
 use typefuse::JobConfig;
 use typefuse_query::Pipeline;
-use typefuse_types::parse_type;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let input = args.next_positional();
@@ -30,12 +29,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
     // Schema: explicit file, or inferred from the data itself.
     let schema = match &schema_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-            parse_type(text.trim())
-                .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?
-        }
+        Some(path) => crate::read_schema(path)?,
         None => {
             JobConfig::new()
                 .without_type_stats()

@@ -3,7 +3,6 @@
 use crate::args::ArgStream;
 use crate::{CliError, CliResult};
 use typefuse_registry::{CompatMode, Registry};
-use typefuse_types::parse_type;
 
 pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     let action = args.next_positional().ok_or_else(|| {
@@ -32,12 +31,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
 
             // Schema from a file, or inferred from the data input.
             let schema = match schema_path {
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-                    parse_type(text.trim())
-                        .map_err(|e| CliError::runtime(format!("invalid schema: {e}")))?
-                }
+                Some(path) => crate::read_schema(&path)?,
                 None => crate::cmd_infer::infer_schema(input.as_deref())?,
             };
 
@@ -133,6 +127,11 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     }
 }
 
+/// Open the log, saying on stderr what recovering a torn append did.
 fn open(log: &str) -> Result<Registry, CliError> {
-    Registry::open(log).map_err(|e| CliError::runtime(e.to_string()))
+    let registry = Registry::open(log).map_err(|e| CliError::runtime(e.to_string()))?;
+    if let Some(warning) = registry.recovered() {
+        eprintln!("typefuse: {warning}");
+    }
+    Ok(registry)
 }

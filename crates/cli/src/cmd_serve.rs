@@ -95,8 +95,7 @@ pub(crate) fn run(args: &mut ArgStream) -> CliResult {
     // `--listen 127.0.0.1:0` this is the only way to learn the port.
     let mut w = typefuse_obs::JsonWriter::new();
     w.begin_object();
-    w.key("addr");
-    w.string(&daemon.addr().to_string());
+    w.key("addr").string(&daemon.addr().to_string());
     w.end_object();
     println!("{}", typefuse_obs::envelope("listening", &w.finish()));
     std::io::stdout().flush().ok();

@@ -82,6 +82,16 @@ pub(crate) fn ingest_error(e: typefuse::Error) -> CliError {
 
 pub(crate) type CliResult = Result<(), CliError>;
 
+/// Read a schema file in the paper's notation (`--schema`, `--schemas`):
+/// exit 4 when it cannot be read, 3 when it does not parse — never 1,
+/// which `check` and `diff` keep for "does not conform" and "drift".
+pub(crate) fn read_schema(path: &str) -> Result<typefuse_types::Type, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::with_code(format!("cannot read {path}: {e}"), 4))?;
+    typefuse_types::parse_type(text.trim())
+        .map_err(|e| CliError::with_code(format!("invalid schema in {path}: {e}"), 3))
+}
+
 const USAGE: &str = "\
 typefuse — schema inference for massive JSON datasets (EDBT 2017)
 

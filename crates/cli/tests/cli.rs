@@ -220,6 +220,63 @@ fn check_rejects_nonconforming_data() {
     assert!(stderr(&out).contains("record 2"));
 }
 
+/// A schema file that cannot be read exits 4 and one that does not
+/// parse exits 3 — not 1, which means "does not conform" or "drift".
+#[test]
+fn a_broken_schema_file_exits_with_its_own_code() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-broken-schema");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("one.ndjson");
+    std::fs::write(&data, "{\"a\": 1}\n").unwrap();
+    let (data, bad) = (data.to_str().unwrap(), dir.join("bad.schema"));
+    std::fs::write(&bad, "{a Num}\n").unwrap();
+    let bad = bad.to_str().unwrap();
+    let cases: [(&[&str], i32, &str); 4] = [
+        (
+            &["check", data, "--schema", "/nonexistent"],
+            4,
+            "cannot read /nonexistent",
+        ),
+        (&["check", data, "--schema", bad], 3, "invalid schema in"),
+        (&["diff", bad, bad, "--schemas"], 3, "invalid schema in"),
+        (&["diff", data, bad, "--schemas"], 3, "invalid schema in"),
+    ];
+    for (args, code, message) in cases {
+        let out = typefuse(args, None);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+    }
+}
+
+/// `typefuse registry` says on stderr when opening the log dropped a
+/// torn append, and refuses a log whose complete last line is corrupt
+/// without touching it.
+#[test]
+fn registry_commands_report_recovery_and_keep_a_corrupt_log() {
+    let dir = std::env::temp_dir().join("typefuse-cli-test-registry-open");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("reg.ndjson");
+    let good = "{\"name\":\"a\",\"version\":1,\"schema\":\"Num\"}\n";
+    std::fs::write(&log, format!("{good}{{\"name\":\"a\",\"ver")).unwrap();
+    let args = ["registry", "names", "--log", log.to_str().unwrap()];
+    let out = typefuse(&args, None);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), "a\n");
+    assert!(
+        stderr(&out).contains("torn trailing record at line 2"),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(std::fs::read_to_string(&log).unwrap(), good);
+
+    let corrupt = format!("{good}{{\"name\":\"a\",\"version\":2,\"schema\":\"[[[Num\"}}\n");
+    std::fs::write(&log, &corrupt).unwrap();
+    let out = typefuse(&args, None);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+    assert_eq!(std::fs::read_to_string(&log).unwrap(), corrupt);
+}
+
 #[test]
 fn sim_single_placement_idles_nodes() {
     let out = typefuse(&["sim", "--placement", "single", "--blocks", "24"], None);

@@ -20,9 +20,9 @@ use crate::fuse::FuseConfig;
 use crate::obs::fuse_into_recorded;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use typefuse_json::codec::{u64_from_value, u64_to_value};
-use typefuse_json::{Map, Value};
-use typefuse_obs::Recorder;
+use typefuse_json::codec::u64_from_value;
+use typefuse_json::Value;
+use typefuse_obs::{JsonWriter, Recorder};
 use typefuse_types::intern::FxHasher;
 use typefuse_types::wire::{from_wire, to_wire};
 use typefuse_types::Type;
@@ -52,9 +52,20 @@ pub trait Acc: Clone {
 /// An [`Acc`] that survives a restart. The law: `restore(checkpoint(a))`
 /// is `a`, so merging restored states is merging the originals.
 pub trait Checkpoint: Acc {
-    /// The state as a JSON value; `u64`s as decimal strings
-    /// (`typefuse_json::codec`), so they survive any round trip.
-    fn checkpoint(&self) -> Value;
+    /// Write the state's fields into the JSON object `w` has open, with
+    /// no intermediate tree; `u64`s as decimal strings
+    /// ([`JsonWriter::decimal`]), so they survive any round trip.
+    fn write_checkpoint(&self, w: &mut JsonWriter);
+
+    /// The state's payload: one object of
+    /// [`write_checkpoint`](Self::write_checkpoint)'s fields.
+    fn checkpoint(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        self.write_checkpoint(&mut w);
+        w.end_object();
+        w.finish()
+    }
 
     /// Rebuild a state from a [`checkpoint`](Self::checkpoint), called on
     /// an empty value: the configuration is `self`'s, never the
@@ -280,12 +291,13 @@ impl Acc for SchemaAcc {
 /// The schema (lossless wire form), its record count and the route, as
 /// three fields a record fold's checkpoint carries at its top level.
 impl Checkpoint for SchemaAcc {
-    fn checkpoint(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("dedup", Value::Bool(self.is_dedup()));
-        m.insert("schema", Value::from(to_wire(&self.schema())));
-        m.insert("records", u64_to_value(self.records()));
-        Value::Object(m)
+    fn write_checkpoint(&self, w: &mut JsonWriter) {
+        w.key("dedup").bool_value(self.is_dedup());
+        w.key("schema").string(&match &self.route {
+            Route::Plain(schema, ..) => to_wire(schema),
+            Route::Dedup(acc) => to_wire(&acc.schema()),
+        });
+        w.key("records").decimal(self.records());
     }
 
     /// `auto` resumes on the route it had taken; `on` and `off` are the

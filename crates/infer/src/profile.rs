@@ -232,8 +232,7 @@ impl PathProfile {
 
     fn write_json(&self, w: &mut JsonWriter, total: u64) {
         w.begin_object();
-        w.key("count");
-        w.number(self.count);
+        w.key("count").number(self.count);
         w.key("ratio");
         w.float(if total == 0 {
             0.0
@@ -241,24 +240,19 @@ impl PathProfile {
             self.count as f64 / total as f64
         });
         if let Some(line) = self.first_line() {
-            w.key("first_line");
-            w.number(line);
+            w.key("first_line").number(line);
         }
-        w.key("optional");
-        w.bool_value(self.is_optional());
+        w.key("optional").bool_value(self.is_optional());
         if let Some(line) = self.first_absent_line {
-            w.key("first_absent_line");
-            w.number(line);
+            w.key("first_absent_line").number(line);
         }
         w.key("kinds");
         w.begin_object();
         for (kind, count, line) in self.branches() {
             w.key(&kind.to_string());
             w.begin_object();
-            w.key("count");
-            w.number(count);
-            w.key("first_line");
-            w.number(line);
+            w.key("count").number(count);
+            w.key("first_line").number(line);
             w.end_object();
         }
         w.end_object();
@@ -273,10 +267,8 @@ impl PathProfile {
             }
         }
         if let (Some(min), Some(max)) = (self.num_min, self.num_max) {
-            w.key("num_min");
-            w.float(min);
-            w.key("num_max");
-            w.float(max);
+            w.key("num_min").float(min);
+            w.key("num_max").float(max);
         }
         w.end_object();
     }
@@ -665,42 +657,45 @@ impl Checkpoint for ProfileAcc {
     /// min/max as `f64::to_bits` — so `restore` gives back a
     /// `==`-identical accumulator and the resumed fold is byte-identical
     /// to an uninterrupted one.
-    fn checkpoint(&self) -> Value {
-        use typefuse_json::codec::u64_to_value;
-        use typefuse_json::Map;
+    fn write_checkpoint(&self, w: &mut JsonWriter) {
         let join = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let mut obj = Map::new();
-        let mut children = Map::new();
-        let mut paths = Map::new();
-        // The paths are unique and sorted: no key needs looking up.
-        for node in self.sorted() {
-            let p = &node.profile;
-            // Every path that was ever a record lists its keys, `{}` none.
-            if p.kind_counts[KIND_RECORD] > 0 {
-                let names = node.kids.keys().map(|k| Value::from(k.to_string()));
-                children.insert_unchecked(&*node.path, Value::Array(names.collect()));
-            }
-            let mut entry = Map::new();
-            entry.insert("count", u64_to_value(p.count));
-            entry.insert("kinds", Value::from(join(&p.kind_counts)));
-            entry.insert("first", Value::from(join(&p.kind_first_line)));
-            if let Some(line) = p.first_absent_line {
-                entry.insert("absent", u64_to_value(line));
-            }
-            entry.insert("str_len", Value::from(p.str_len().to_compact()));
-            entry.insert("arr_len", Value::from(p.arr_len().to_compact()));
-            entry.insert("rec_width", Value::from(p.rec_width().to_compact()));
-            if let Some(min) = p.num_min {
-                entry.insert("num_min", u64_to_value(min.to_bits()));
-            }
-            if let Some(max) = p.num_max {
-                entry.insert("num_max", u64_to_value(max.to_bits()));
-            }
-            paths.insert_unchecked(&*node.path, Value::Object(entry));
+        let nodes = self.sorted();
+        // Every path that was ever a record lists its keys, `{}` none.
+        w.key("children");
+        w.begin_object();
+        for node in nodes
+            .iter()
+            .filter(|n| n.profile.kind_counts[KIND_RECORD] > 0)
+        {
+            w.key(&node.path);
+            w.begin_array();
+            node.kids.keys().for_each(|k| w.string(k));
+            w.end_array();
         }
-        obj.insert("children", Value::Object(children));
-        obj.insert("paths", Value::Object(paths));
-        Value::Object(obj)
+        w.end_object();
+        w.key("paths");
+        w.begin_object();
+        for node in nodes {
+            let p = &node.profile;
+            w.key(&node.path);
+            w.begin_object();
+            w.key("count").decimal(p.count);
+            w.key("kinds").string(&join(&p.kind_counts));
+            w.key("first").string(&join(&p.kind_first_line));
+            if let Some(line) = p.first_absent_line {
+                w.key("absent").decimal(line);
+            }
+            w.key("str_len").string(&p.str_len().to_compact());
+            w.key("arr_len").string(&p.arr_len().to_compact());
+            w.key("rec_width").string(&p.rec_width().to_compact());
+            for (name, bound) in [("num_min", p.num_min), ("num_max", p.num_max)] {
+                if let Some(bound) = bound {
+                    w.key(name).decimal(bound.to_bits());
+                }
+            }
+            w.end_object();
+        }
+        w.end_object();
     }
 
     /// Fields a checkpoint may carry from before the profile only
@@ -823,10 +818,8 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("records");
-        w.number(self.records);
-        w.key("schema");
-        w.string(&self.schema.to_string());
+        w.key("records").number(self.records);
+        w.key("schema").string(&self.schema.to_string());
         w.key("paths");
         w.begin_object();
         for (path, profile) in &self.paths {

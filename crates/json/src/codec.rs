@@ -9,15 +9,10 @@
 //! which collapses kinds into prose).
 
 use crate::error::{Error, ErrorKind, Position, Span};
-use crate::value::{Map, Value};
+use crate::value::Value;
+use typefuse_obs::JsonWriter;
 
-/// Encode a `u64` exactly (as a decimal string — JSON numbers would
-/// round through `f64` above 2⁵³).
-pub fn u64_to_value(n: u64) -> Value {
-    Value::from(n.to_string())
-}
-
-/// Decode a [`u64_to_value`] encoding.
+/// Decode a `u64` written as a decimal string ([`JsonWriter::decimal`]).
 pub fn u64_from_value(v: &Value) -> Result<u64, String> {
     v.as_str()
         .ok_or_else(|| "expected a decimal string".to_string())?
@@ -33,9 +28,9 @@ pub fn opt_u64_from_value(v: Option<&Value>) -> Result<Option<u64>, String> {
     }
 }
 
-/// Encode a parse [`Error`] losslessly: variant tag, payload, and the
-/// full span.
-pub fn error_to_value(error: &Error) -> Value {
+/// Write a parse [`Error`] losslessly, as an object: variant tag,
+/// payload, and the full span.
+pub fn write_error(w: &mut JsonWriter, error: &Error) {
     let (kind, arg) = match error.kind() {
         ErrorKind::UnexpectedEof => ("UnexpectedEof", None),
         ErrorKind::UnexpectedByte(b) => ("UnexpectedByte", Some(b.to_string())),
@@ -56,19 +51,24 @@ pub fn error_to_value(error: &Error) -> Value {
         ErrorKind::RecordTooLarge(cap) => ("RecordTooLarge", Some(cap.to_string())),
     };
     let span = error.span();
-    let mut obj = Map::new();
-    obj.insert("kind", Value::from(kind));
+    w.begin_object();
+    w.key("kind").string(kind);
     if let Some(arg) = arg {
-        obj.insert("arg", Value::from(arg));
+        w.key("arg").string(&arg);
     }
-    obj.insert("offset", u64_to_value(span.start.offset as u64));
-    obj.insert("line", u64_to_value(u64::from(span.start.line)));
-    obj.insert("col", u64_to_value(u64::from(span.start.column)));
-    obj.insert("end", u64_to_value(span.end as u64));
-    Value::Object(obj)
+    let fields = [
+        ("offset", span.start.offset as u64),
+        ("line", u64::from(span.start.line)),
+        ("col", u64::from(span.start.column)),
+        ("end", span.end as u64),
+    ];
+    for (name, n) in fields {
+        w.key(name).decimal(n);
+    }
+    w.end_object();
 }
 
-/// Decode an [`error_to_value`] encoding back to the exact [`Error`].
+/// Decode a [`write_error`] encoding back to the exact [`Error`].
 pub fn error_from_value(v: &Value) -> Result<Error, String> {
     let kind_name = v
         .get("kind")
@@ -131,15 +131,26 @@ mod tests {
     use super::*;
     use crate::parse_value;
 
+    fn error_text(error: &Error) -> String {
+        let mut w = JsonWriter::new();
+        write_error(&mut w, error);
+        w.finish()
+    }
+
     #[test]
     fn u64_round_trips_above_f64_precision() {
+        let decimal = |n| {
+            let mut w = JsonWriter::new();
+            w.decimal(n);
+            parse_value(&w.finish()).unwrap()
+        };
         for n in [0, 1, u64::MAX, (1 << 53) + 1] {
-            assert_eq!(u64_from_value(&u64_to_value(n)).unwrap(), n);
+            assert_eq!(u64_from_value(&decimal(n)).unwrap(), n);
         }
         assert!(u64_from_value(&Value::from(5)).is_err());
         assert_eq!(opt_u64_from_value(None).unwrap(), None);
         assert_eq!(opt_u64_from_value(Some(&Value::Null)).unwrap(), None);
-        assert_eq!(opt_u64_from_value(Some(&u64_to_value(9))).unwrap(), Some(9));
+        assert_eq!(opt_u64_from_value(Some(&decimal(9))).unwrap(), Some(9));
     }
 
     #[test]
@@ -173,9 +184,7 @@ mod tests {
         ];
         for kind in kinds {
             let original = Error::new(kind, span);
-            let value = error_to_value(&original);
-            // The encoding survives a serialize/parse cycle too.
-            let reparsed = parse_value(&value.to_string()).unwrap();
+            let reparsed = parse_value(&error_text(&original)).unwrap();
             assert_eq!(error_from_value(&reparsed).unwrap(), original);
         }
     }
@@ -184,7 +193,7 @@ mod tests {
     fn real_parser_errors_round_trip() {
         for input in ["{broken", "[1,]", "nul", "{\"a\":1,\"a\":2}"] {
             let original = parse_value(input).unwrap_err();
-            let back = error_from_value(&error_to_value(&original)).unwrap();
+            let back = error_from_value(&parse_value(&error_text(&original)).unwrap()).unwrap();
             assert_eq!(back, original);
         }
     }

@@ -37,12 +37,9 @@ pub const ENVELOPE_VERSION: u64 = 1;
 pub fn envelope(kind: &str, payload_json: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("schema_version");
-    w.number(ENVELOPE_VERSION);
-    w.key("kind");
-    w.string(kind);
-    w.key("payload");
-    w.raw(payload_json);
+    w.key("schema_version").number(ENVELOPE_VERSION);
+    w.key("kind").string(kind);
+    w.key("payload").raw(payload_json);
     w.end_object();
     w.finish()
 }

@@ -94,18 +94,12 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("seq");
-        w.number(self.seq);
-        w.key("ts_ms");
-        w.number(self.unix_ms);
-        w.key("level");
-        w.string(self.level.name());
-        w.key("source");
-        w.string(&self.source);
-        w.key("span");
-        w.string(&self.span);
-        w.key("message");
-        w.string(&self.message);
+        w.key("seq").number(self.seq);
+        w.key("ts_ms").number(self.unix_ms);
+        w.key("level").string(self.level.name());
+        w.key("source").string(&self.source);
+        w.key("span").string(&self.span);
+        w.key("message").string(&self.message);
         w.end_object();
         w.finish()
     }

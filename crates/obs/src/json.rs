@@ -30,6 +30,17 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// A writer over `out`, emptied first, so a caller that writes one
+    /// document after another reuses one allocation ([`finish`](Self::finish)
+    /// hands it back).
+    pub fn with_buffer(mut out: String) -> Self {
+        out.clear();
+        JsonWriter {
+            out,
+            needs_comma: Vec::new(),
+        }
+    }
+
     fn before_value(&mut self) {
         if let Some(needs) = self.needs_comma.last_mut() {
             if *needs {
@@ -65,8 +76,9 @@ impl JsonWriter {
         self.out.push(']');
     }
 
-    /// Write an object key; the following call writes its value.
-    pub fn key(&mut self, key: &str) {
+    /// Write an object key; the following call writes its value
+    /// (`w.key("n").number(1)`).
+    pub fn key(&mut self, key: &str) -> &mut Self {
         self.before_value();
         let _ = write_escaped(&mut self.out, key);
         self.out.push(':');
@@ -74,6 +86,7 @@ impl JsonWriter {
         if let Some(needs) = self.needs_comma.last_mut() {
             *needs = false;
         }
+        self
     }
 
     /// Write an escaped string value.
@@ -92,6 +105,14 @@ impl JsonWriter {
     pub fn number(&mut self, value: u64) {
         self.before_value();
         let _ = write!(self.out, "{value}");
+    }
+
+    /// Write an unsigned integer as a decimal string value: exact for
+    /// every `u64`, where a JSON number reads back through `f64` and
+    /// rounds above 2⁵³.
+    pub fn decimal(&mut self, value: u64) {
+        self.before_value();
+        let _ = write!(self.out, "\"{value}\"");
     }
 
     /// Write a float; non-finite values become `null` since JSON has no
@@ -166,8 +187,7 @@ mod tests {
     fn nested_structures_and_commas() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("a");
-        w.number(1);
+        w.key("a").number(1);
         w.key("b");
         w.begin_array();
         w.number(2);
@@ -175,8 +195,7 @@ mod tests {
         w.begin_object();
         w.end_object();
         w.end_array();
-        w.key("c");
-        w.float(0.5);
+        w.key("c").float(0.5);
         w.end_object();
         assert_eq!(w.finish(), r#"{"a":1,"b":[2,"three",{}],"c":0.5}"#);
     }

@@ -121,32 +121,21 @@ impl HistogramReport {
     /// by [`RunReport::to_json`] and the profiler's report).
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.key("count");
-        w.number(self.count);
-        w.key("sum");
-        w.number(self.sum);
-        w.key("min");
-        w.number(self.min);
-        w.key("max");
-        w.number(self.max);
-        w.key("mean");
-        w.float(self.mean());
-        w.key("p50");
-        w.float(self.p50());
-        w.key("p90");
-        w.float(self.p90());
-        w.key("p99");
-        w.float(self.p99());
+        w.key("count").number(self.count);
+        w.key("sum").number(self.sum);
+        w.key("min").number(self.min);
+        w.key("max").number(self.max);
+        w.key("mean").float(self.mean());
+        w.key("p50").float(self.p50());
+        w.key("p90").float(self.p90());
+        w.key("p99").float(self.p99());
         w.key("buckets");
         w.begin_array();
         for bucket in &self.buckets {
             w.begin_object();
-            w.key("lo");
-            w.number(bucket.lo);
-            w.key("hi");
-            w.number(bucket.hi);
-            w.key("count");
-            w.number(bucket.count);
+            w.key("lo").number(bucket.lo);
+            w.key("hi").number(bucket.hi);
+            w.key("count").number(bucket.count);
             w.end_object();
         }
         w.end_array();
@@ -226,16 +215,14 @@ impl RunReport {
         w.key("counters");
         w.begin_object();
         for (name, value) in &self.counters {
-            w.key(name);
-            w.number(*value);
+            w.key(name).number(*value);
         }
         w.end_object();
 
         w.key("gauges");
         w.begin_object();
         for (name, value) in &self.gauges {
-            w.key(name);
-            w.number(*value);
+            w.key(name).number(*value);
         }
         w.end_object();
 
@@ -252,12 +239,9 @@ impl RunReport {
         for (name, span) in &self.spans {
             w.key(name);
             w.begin_object();
-            w.key("count");
-            w.number(span.count);
-            w.key("total_ns");
-            w.number(span.total_ns);
-            w.key("max_ns");
-            w.number(span.max_ns);
+            w.key("count").number(span.count);
+            w.key("total_ns").number(span.total_ns);
+            w.key("max_ns").number(span.max_ns);
             w.end_object();
         }
         w.end_object();
@@ -266,22 +250,16 @@ impl RunReport {
         w.begin_array();
         for stage in &self.stages {
             w.begin_object();
-            w.key("name");
-            w.string(&stage.name);
-            w.key("wall_ns");
-            w.number(stage.wall_ns);
+            w.key("name").string(&stage.name);
+            w.key("wall_ns").number(stage.wall_ns);
             w.key("tasks");
             w.begin_array();
             for task in &stage.tasks {
                 w.begin_object();
-                w.key("partition");
-                w.number(task.partition as u64);
-                w.key("worker");
-                w.number(task.worker as u64);
-                w.key("queue_wait_ns");
-                w.number(task.queue_wait_ns);
-                w.key("execute_ns");
-                w.number(task.execute_ns);
+                w.key("partition").number(task.partition as u64);
+                w.key("worker").number(task.worker as u64);
+                w.key("queue_wait_ns").number(task.queue_wait_ns);
+                w.key("execute_ns").number(task.execute_ns);
                 w.end_object();
             }
             w.end_array();
@@ -292,16 +270,14 @@ impl RunReport {
         w.key("values");
         w.begin_object();
         for (name, value) in &self.values {
-            w.key(name);
-            w.float(*value);
+            w.key(name).float(*value);
         }
         w.end_object();
 
         w.key("meta");
         w.begin_object();
         for (name, value) in &self.meta {
-            w.key(name);
-            w.string(value);
+            w.key(name).string(value);
         }
         w.end_object();
 

@@ -200,8 +200,7 @@ impl TelemetrySnapshot {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("version");
-        w.number(self.version);
+        w.key("version").number(self.version);
         for (section, map) in [
             ("counters", &self.counters),
             ("gauges", &self.gauges),
@@ -210,8 +209,7 @@ impl TelemetrySnapshot {
             w.key(section);
             w.begin_object();
             for (key, value) in map {
-                w.key(key);
-                w.number(*value);
+                w.key(key).number(*value);
             }
             w.end_object();
         }

@@ -29,25 +29,17 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     w.begin_array();
     for event in events {
         w.begin_object();
-        w.key("name");
-        w.string(&event.name);
-        w.key("cat");
-        w.string("typefuse");
-        w.key("ph");
-        w.string("X");
-        w.key("ts");
-        w.number(event.ts_us);
-        w.key("dur");
-        w.number(event.dur_us);
-        w.key("pid");
-        w.number(1);
-        w.key("tid");
-        w.number(event.tid);
+        w.key("name").string(&event.name);
+        w.key("cat").string("typefuse");
+        w.key("ph").string("X");
+        w.key("ts").number(event.ts_us);
+        w.key("dur").number(event.dur_us);
+        w.key("pid").number(1);
+        w.key("tid").number(event.tid);
         w.end_object();
     }
     w.end_array();
-    w.key("displayTimeUnit");
-    w.string("ms");
+    w.key("displayTimeUnit").string("ms");
     w.end_object();
     w.finish()
 }

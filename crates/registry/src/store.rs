@@ -327,12 +327,13 @@ impl Registry {
 
     /// Open (or create) a registry log at `path`.
     ///
-    /// A malformed *final* record is treated as a torn append (the
-    /// writer died mid-`write`): it is dropped, the log is truncated
-    /// back to the last good record, and [`Registry::recovered`]
-    /// reports what happened. Corruption anywhere *before* the tail
-    /// cannot be a torn append and still fails with
-    /// [`RegistryError::Corrupt`].
+    /// A malformed final record with no newline after it is a torn
+    /// append (the writer writes the line, then `\n`, and died between
+    /// or inside them): it is dropped, the log is truncated back to the
+    /// last good record, and [`Registry::recovered`] reports what
+    /// happened. Any complete (newline-terminated) malformed line, the
+    /// last one included, cannot be a torn append: it fails with
+    /// [`RegistryError::Corrupt`] and leaves the file as it is.
     pub fn open(path: impl AsRef<Path>) -> Result<Registry, RegistryError> {
         let path = path.as_ref().to_path_buf();
         let mut index = Index::default();
@@ -351,9 +352,9 @@ impl Registry {
         let mut line_no = 0usize;
         while pos < data.len() {
             let start = pos;
-            let (raw, next) = match data[pos..].iter().position(|&b| b == b'\n') {
-                Some(i) => (&data[pos..pos + i], pos + i + 1),
-                None => (&data[pos..], data.len()),
+            let (raw, next, complete) = match data[pos..].iter().position(|&b| b == b'\n') {
+                Some(i) => (&data[pos..pos + i], pos + i + 1, true),
+                None => (&data[pos..], data.len(), false),
             };
             line_no += 1;
             pos = next;
@@ -374,8 +375,7 @@ impl Registry {
                 },
                 Err(message) => message,
             };
-            let tail_is_blank = data[pos..].iter().all(|b| b.is_ascii_whitespace());
-            if !tail_is_blank {
+            if complete {
                 return Err(RegistryError::Corrupt {
                     line: line_no,
                     message,

@@ -11,11 +11,14 @@
 //! Steady state appends one frame per dirty interval and fsyncs it — a
 //! crash mid-append leaves a torn *tail*, never a torn prefix, so the
 //! loader scans from the start and keeps the last frame whose length
-//! and checksum verify. Periodically (and on clean shutdown) the file
-//! is compacted to a single frame via write-temp → fsync → atomic
-//! rename, so it never grows without bound and a replacement is all-or
-//! -nothing. The payload itself is [`SourceState::checkpoint_value`]'s
-//! JSON (schema in the exact wire notation, `u64`s as decimal strings).
+//! and checksum verify, parsing only that frame's JSON. Periodically
+//! (and on clean shutdown) the file is compacted to a single frame via
+//! write-temp → fsync → atomic rename, so it never grows without bound
+//! and a replacement is all-or-nothing. The payload itself is the JSON
+//! [`SourceState::write_checkpoint`] streams from the fold state, with
+//! no intermediate tree (schema in the exact wire notation, `u64`s as
+//! decimal strings), into one buffer per source that every tick reuses;
+//! the frame's four parts go to the file straight from it.
 
 use crate::fold::SourceState;
 use std::fs::{File, OpenOptions};
@@ -59,19 +62,18 @@ pub(crate) fn checkpoint_path(dir: &Path, source: &str) -> PathBuf {
     ))
 }
 
-fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(payload.len() + 20);
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv64(payload).to_le_bytes());
-    frame
+/// Write one frame: magic, length, `payload`, checksum.
+fn write_frame(file: &mut File, payload: &[u8]) -> std::io::Result<()> {
+    file.write_all(&MAGIC)?;
+    file.write_all(&(payload.len() as u64).to_le_bytes())?;
+    file.write_all(payload)?;
+    file.write_all(&fnv64(payload).to_le_bytes())
 }
 
 /// Append one fsynced frame.
 pub(crate) fn append_frame(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(&encode_frame(payload))?;
+    write_frame(&mut file, payload)?;
     file.sync_data()
 }
 
@@ -82,7 +84,7 @@ pub(crate) fn rewrite(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(&encode_frame(payload))?;
+        write_frame(&mut file, payload)?;
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -96,16 +98,19 @@ pub(crate) fn rewrite(path: &Path, payload: &[u8]) -> std::io::Result<()> {
 
 /// What the loader found.
 pub(crate) struct Loaded {
-    /// The last valid frame's payload.
+    /// The last usable frame's payload.
     pub(crate) payload: Value,
-    /// `true` when trailing bytes after the last valid frame were
-    /// dropped (a torn append) — worth a warning, not an error.
+    /// `true` when bytes after the frame used were dropped (a torn
+    /// append, or verified frames that are not JSON) — worth a warning,
+    /// not an error.
     pub(crate) torn: bool,
 }
 
-/// Scan every frame; the last one whose length, checksum and JSON all
-/// verify wins. `Ok(None)` means no usable frame (missing file, or a
-/// file with no valid frame — the caller starts fresh).
+/// Scan every frame, checking magic, length and checksum, up to the
+/// first that fails; then parse the last verified frame, falling back
+/// frame by frame to earlier ones whose payload is not JSON. `Ok(None)`
+/// means no usable frame (missing file, or a file with no valid frame —
+/// the caller starts fresh).
 pub(crate) fn load(path: &Path) -> std::io::Result<Option<Loaded>> {
     let mut data = Vec::new();
     match File::open(path) {
@@ -116,8 +121,7 @@ pub(crate) fn load(path: &Path) -> std::io::Result<Option<Loaded>> {
         Err(e) => return Err(e),
     }
     let mut at = 0usize;
-    let mut last: Option<Value> = None;
-    let mut consumed = 0usize;
+    let mut frames = Vec::new();
     while data.len() - at >= MAGIC.len() + 16 {
         if data[at..at + 4] != MAGIC {
             break;
@@ -126,29 +130,25 @@ pub(crate) fn load(path: &Path) -> std::io::Result<Option<Loaded>> {
         if len > MAX_PAYLOAD || (data.len() - at - 20) < len as usize {
             break;
         }
-        let payload = &data[at + 12..at + 12 + len as usize];
+        let payload = at + 12..at + 12 + len as usize;
         let sum = u64::from_le_bytes(
-            data[at + 12 + len as usize..at + 20 + len as usize]
+            data[payload.end..payload.end + 8]
                 .try_into()
                 .expect("8 bytes"),
         );
-        if sum != fnv64(payload) {
+        if sum != fnv64(&data[payload.clone()]) {
             break;
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(value) = parse_value(text) else {
-            break;
-        };
-        at += 20 + len as usize;
-        last = Some(value);
-        consumed = at;
+        at = payload.end + 8;
+        frames.push(payload);
     }
-    Ok(last.map(|payload| Loaded {
-        payload,
-        torn: consumed < data.len(),
-    }))
+    let parsed = frames.iter().rev().enumerate().find_map(|(later, range)| {
+        let text = std::str::from_utf8(&data[range.clone()]).ok()?;
+        let payload = parse_value(text).ok()?;
+        let torn = later > 0 || at < data.len();
+        Some(Loaded { payload, torn })
+    });
+    Ok(parsed)
 }
 
 /// One source's slot in the checkpointer.
@@ -159,6 +159,8 @@ struct Slot {
     /// `ckpt_rev` of the last frame durably written; unchanged state
     /// costs no I/O.
     written_rev: u64,
+    /// The payload buffer, reused across ticks.
+    payload: String,
     appends: u32,
     last_write: Option<Instant>,
     m_bytes: TelemetryCell,
@@ -194,6 +196,7 @@ impl Checkpointer {
                     path: checkpoint_path(dir, &name),
                     state,
                     written_rev: 0,
+                    payload: String::new(),
                     appends: 0,
                     last_write: None,
                     m_bytes: hub.gauge(series("typefuse_source_checkpoint_bytes")),
@@ -222,25 +225,21 @@ impl Checkpointer {
                     .state
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if state.ckpt_rev == slot.written_rev {
-                    None
-                } else {
-                    Some((
-                        state.ckpt_rev,
-                        state.lines(),
-                        typefuse_json::to_string(&state.checkpoint_value()),
-                    ))
-                }
+                (state.ckpt_rev != slot.written_rev).then(|| {
+                    state.write_checkpoint(&mut slot.payload);
+                    (state.ckpt_rev, state.lines())
+                })
             };
-            if let Some((rev, lines, payload)) = snapshot {
+            if let Some((rev, lines)) = snapshot {
+                let payload = slot.payload.as_bytes();
                 let injected = self.fail_budget.load(Ordering::Acquire) > 0
                     && self.fail_budget.fetch_sub(1, Ordering::AcqRel) > 0;
                 let result = if injected {
                     Err(std::io::Error::other("injected checkpoint write failure"))
                 } else if slot.appends >= COMPACT_EVERY {
-                    rewrite(&slot.path, payload.as_bytes())
+                    rewrite(&slot.path, payload)
                 } else {
-                    append_frame(&slot.path, payload.as_bytes())
+                    append_frame(&slot.path, payload)
                 };
                 match result {
                     Ok(()) => {
@@ -279,23 +278,20 @@ impl Checkpointer {
     /// from a single-frame file.
     pub(crate) fn final_sync(&mut self) {
         for slot in &mut self.slots {
-            let (rev, lines, payload) = {
+            let (rev, lines) = {
                 let state = slot
                     .state
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                (
-                    state.ckpt_rev,
-                    state.lines(),
-                    typefuse_json::to_string(&state.checkpoint_value()),
-                )
+                state.write_checkpoint(&mut slot.payload);
+                (state.ckpt_rev, state.lines())
             };
-            match rewrite(&slot.path, payload.as_bytes()) {
+            match rewrite(&slot.path, slot.payload.as_bytes()) {
                 Ok(()) => {
                     slot.written_rev = rev;
                     slot.appends = 0;
                     slot.last_write = Some(Instant::now());
-                    slot.m_bytes.set(payload.len() as u64);
+                    slot.m_bytes.set(slot.payload.len() as u64);
                     slot.m_lines.set(lines);
                 }
                 Err(e) => self.events.log(

@@ -350,8 +350,8 @@ impl Shared {
     fn health_response(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("uptime_ms");
-        w.number(self.started.elapsed().as_millis() as u64);
+        w.key("uptime_ms")
+            .number(self.started.elapsed().as_millis() as u64);
         w.key("records");
         w.number(
             self.sources
@@ -404,10 +404,8 @@ impl Shared {
         self.refresh_daemon_series();
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("content_type");
-        w.string("text/plain; version=0.0.4");
-        w.key("text");
-        w.string(&self.hub.sample().to_prometheus());
+        w.key("content_type").string("text/plain; version=0.0.4");
+        w.key("text").string(&self.hub.sample().to_prometheus());
         w.end_object();
         envelope("prometheus", &w.finish())
     }

@@ -14,8 +14,8 @@ use typefuse::fold::{Absorbed, Origin, RecordFold};
 use typefuse::pipeline::MapPath;
 use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::{Acc, Checkpoint, ShapeCache};
-use typefuse_json::{Map, Value};
-use typefuse_obs::{EventLog, Level, Recorder};
+use typefuse_json::Value;
+use typefuse_obs::{EventLog, JsonWriter, Level, Recorder};
 use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
@@ -203,47 +203,45 @@ impl SourceState {
     }
 
     /// Serialize everything a restart needs to resume this source
-    /// exactly: the fold (schema + record count, profile, error report,
-    /// line count), the tail position, and publish bookkeeping. All
-    /// `u64`s travel as decimal strings (see `typefuse_json::codec`) so
-    /// values above 2^53 survive the JSON round trip.
-    pub(crate) fn checkpoint_value(&self) -> Value {
-        use typefuse_json::codec::u64_to_value;
-        let mut m = Map::new();
-        m.insert("v", Value::from(1i64));
-        m.insert("name", Value::from(self.name.clone()));
-        if let Value::Object(fold) = self.fold.checkpoint() {
-            fold.into_iter().for_each(|(k, v)| m.insert_unchecked(k, v));
-        }
-        m.insert("tail_offset", u64_to_value(self.tail_offset));
-        m.insert("tail_pending", Value::from(to_hex(&self.tail_pending)));
-        m.insert(
-            "tail_pending_overflow",
-            Value::Bool(self.tail_pending_overflow),
-        );
+    /// exactly into `buf`, replacing its contents: the fold (schema +
+    /// record count, profile, error report, line count), the tail
+    /// position, and publish bookkeeping. All `u64`s travel as decimal
+    /// strings so values above 2^53 survive the JSON round trip. The
+    /// checkpointer hands in the same buffer every tick.
+    pub(crate) fn write_checkpoint(&self, buf: &mut String) {
+        let mut w = JsonWriter::with_buffer(std::mem::take(buf));
+        w.begin_object();
+        w.key("v").number(1);
+        w.key("name").string(&self.name);
+        self.fold.write_checkpoint(&mut w);
+        w.key("tail_offset").decimal(self.tail_offset);
+        w.key("tail_pending").string(&to_hex(&self.tail_pending));
+        w.key("tail_pending_overflow")
+            .bool_value(self.tail_pending_overflow);
         if let Some(version) = self.version {
-            m.insert("version", u64_to_value(version));
+            w.key("version").decimal(version);
         }
-        m.insert(
-            "drift",
-            Value::Array(self.drift.iter().map(|d| Value::from(d.clone())).collect()),
-        );
+        w.key("drift");
+        w.begin_array();
+        self.drift.iter().for_each(|alert| w.string(alert));
+        w.end_array();
         if self.drift_total > self.drift.len() as u64 {
-            m.insert("drift_total", u64_to_value(self.drift_total));
+            w.key("drift_total").decimal(self.drift_total);
         }
-        let (status, reason) = match &self.status {
-            SourceStatus::Active => ("active", None),
-            SourceStatus::Closed => ("closed", None),
-            SourceStatus::Failed(reason) => ("failed", Some(reason.clone())),
-        };
-        m.insert("status", Value::from(status));
-        if let Some(reason) = reason {
-            m.insert("status_reason", Value::from(reason));
+        w.key("status");
+        match &self.status {
+            SourceStatus::Active => w.string("active"),
+            SourceStatus::Closed => w.string("closed"),
+            SourceStatus::Failed(reason) => {
+                w.string("failed");
+                w.key("status_reason").string(reason);
+            }
         }
         if let Some(at) = self.last_activity_ms {
-            m.insert("last_activity_ms", u64_to_value(at));
+            w.key("last_activity_ms").decimal(at);
         }
-        Value::Object(m)
+        w.end_object();
+        *buf = w.finish();
     }
 
     /// Rebuild a source from a checkpoint payload. Takes the same job as
@@ -504,7 +502,14 @@ fn unix_ms() -> u64 {
 mod tests {
     use super::*;
     use typefuse::pipeline::DedupMode;
-    use typefuse_json::TailLine;
+    use typefuse_json::{Map, TailLine};
+
+    /// The checkpoint `s` writes, parsed.
+    fn payload(s: &SourceState) -> Value {
+        let mut text = String::new();
+        s.write_checkpoint(&mut text);
+        typefuse_json::parse_value(&text).unwrap()
+    }
 
     fn lines(texts: &[&str]) -> Vec<TailLine> {
         texts
@@ -717,8 +722,8 @@ mod tests {
                     let mut head = state_on(dedup, map_path, policy());
                     head.fold_batch(&lines(&texts[..cut]));
                     head.sync_tail(17, b"{\"part", false);
-                    let payload = head.checkpoint_value();
-                    let mut resumed = restore("s", (dedup, map_path, policy()), &payload).unwrap();
+                    let mut resumed =
+                        restore("s", (dedup, map_path, policy()), &payload(&head)).unwrap();
                     assert_eq!(resumed.tail_offset, 17);
                     assert_eq!(resumed.tail_pending, b"{\"part");
                     assert_eq!(resumed.lines(), head.lines());
@@ -749,7 +754,7 @@ mod tests {
     fn checkpoint_restore_rejects_foreign_and_malformed_payloads() {
         let mut s = state(false, ErrorPolicy::FailFast);
         s.fold_batch(&lines(&[r#"{"a": 1}"#]));
-        let payload = s.checkpoint_value();
+        let written = payload(&s);
         let restore = |name: &str, payload: &Value| {
             restore(
                 name,
@@ -757,12 +762,12 @@ mod tests {
                 payload,
             )
         };
-        match restore("other", &payload) {
+        match restore("other", &written) {
             Err(message) => assert!(message.contains("belongs to source"), "{message}"),
             Ok(_) => panic!("foreign checkpoint accepted"),
         }
         assert!(restore("s", &Value::Object(Map::new())).is_err());
-        assert!(restore("s", &payload).is_ok());
+        assert!(restore("s", &written).is_ok());
     }
 
     #[test]
@@ -782,7 +787,7 @@ mod tests {
         let resumed = restore(
             "s",
             (false, MapPath::Events, ErrorPolicy::FailFast),
-            &s.checkpoint_value(),
+            &payload(&s),
         )
         .unwrap();
         assert_eq!(resumed.status, s.status, "a parked source stays parked");
@@ -835,9 +840,9 @@ mod tests {
         assert_eq!(s.drift_total, DRIFT_ALERTS_KEPT as u64 + 10);
         assert!(s.drift[0].ends_with("+ $.n0011 (new)"), "{}", s.drift[0]);
 
-        let payload = s.checkpoint_value();
+        let written = payload(&s);
         assert_eq!(
-            payload
+            written
                 .get("drift")
                 .and_then(Value::as_array)
                 .unwrap()
@@ -847,7 +852,7 @@ mod tests {
         let restore = |payload: &Value| {
             restore("s", (true, MapPath::Events, ErrorPolicy::FailFast), payload).unwrap()
         };
-        let resumed = restore(&payload);
+        let resumed = restore(&written);
         assert_eq!(
             (&resumed.drift, resumed.drift_total),
             (&s.drift, s.drift_total)
@@ -855,7 +860,7 @@ mod tests {
 
         // A payload from before the list was bounded carries every
         // alert and no total: its tail is kept, its length is the total.
-        let Value::Object(mut unbounded) = payload else {
+        let Value::Object(mut unbounded) = written else {
             panic!("checkpoint payloads are objects")
         };
         let all: Vec<Value> = (0..1000)
@@ -879,7 +884,7 @@ mod tests {
         few.fold_batch(&lines(&[r#"{"a": 1, "b": 2}"#]));
         few.publish(&mut registry, CompatMode::None);
         assert!(few.drift_total > 0);
-        assert!(few.checkpoint_value().get("drift_total").is_none());
+        assert!(payload(&few).get("drift_total").is_none());
     }
 
     #[test]

@@ -171,8 +171,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 pub fn error_response(message: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("message");
-    w.string(message);
+    w.key("message").string(message);
     w.end_object();
     envelope("error", &w.finish())
 }
@@ -181,19 +180,15 @@ pub fn error_response(message: &str) -> String {
 pub(crate) fn schema_response(state: &mut SourceState) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("source");
-    w.string(&state.name);
-    w.key("schema");
-    w.string(state.schema_text());
-    w.key("records");
-    w.number(state.records());
+    w.key("source").string(&state.name);
+    w.key("schema").string(state.schema_text());
+    w.key("records").number(state.records());
     w.key("version");
     match state.version {
         Some(v) => w.number(v),
         None => w.raw("null"),
     }
-    w.key("skipped");
-    w.number(state.report().skipped());
+    w.key("skipped").number(state.report().skipped());
     w.end_object();
     envelope("schema", &w.finish())
 }
@@ -218,16 +213,11 @@ pub(crate) fn explain_response(state: &SourceState, path: &str) -> Result<String
     })?;
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("source");
-    w.string(&state.name);
-    w.key("path");
-    w.string(path);
-    w.key("records");
-    w.number(report.records);
-    w.key("count");
-    w.number(profile.count);
-    w.key("optional");
-    w.bool_value(profile.is_optional());
+    w.key("source").string(&state.name);
+    w.key("path").string(path);
+    w.key("records").number(report.records);
+    w.key("count").number(profile.count);
+    w.key("optional").bool_value(profile.is_optional());
     w.key("first_line");
     match profile.first_line() {
         Some(line) => w.number(line),
@@ -237,12 +227,9 @@ pub(crate) fn explain_response(state: &SourceState, path: &str) -> Result<String
     w.begin_array();
     for (kind, count, first_line) in profile.branches() {
         w.begin_object();
-        w.key("kind");
-        w.string(&kind.to_string());
-        w.key("count");
-        w.number(count);
-        w.key("first_line");
-        w.number(first_line);
+        w.key("kind").string(&kind.to_string());
+        w.key("count").number(count);
+        w.key("first_line").number(first_line);
         w.end_object();
     }
     w.end_array();
@@ -253,14 +240,10 @@ pub(crate) fn explain_response(state: &SourceState, path: &str) -> Result<String
 /// One source's entry in the `health` payload.
 pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
     w.begin_object();
-    w.key("source");
-    w.string(&state.name);
-    w.key("records");
-    w.number(state.records());
-    w.key("skipped");
-    w.number(state.report().skipped());
-    w.key("quarantined");
-    w.number(state.quarantined());
+    w.key("source").string(&state.name);
+    w.key("records").number(state.records());
+    w.key("skipped").number(state.report().skipped());
+    w.key("quarantined").number(state.quarantined());
     w.key("version");
     match state.version {
         Some(v) => w.number(v),
@@ -278,8 +261,7 @@ pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
     }
     w.end_array();
     if state.drift_total > state.drift.len() as u64 {
-        w.key("drift_total");
-        w.number(state.drift_total);
+        w.key("drift_total").number(state.drift_total);
     }
     w.key("status");
     match &state.status {
@@ -301,12 +283,9 @@ pub(crate) fn diff_response(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.key("source");
-    w.string(source);
-    w.key("from");
-    w.number(from);
-    w.key("to");
-    w.number(to);
+    w.key("source").string(source);
+    w.key("from").number(from);
+    w.key("to").number(to);
     w.key("changes");
     w.begin_array();
     for change in changes {

@@ -633,3 +633,115 @@ fn a_checkpoint_file_written_before_the_fold_kernel_resumes_byte_identically() {
     std::fs::remove_file(&feed).ok();
     std::fs::remove_dir_all(&ckpt).ok();
 }
+
+/// The single frame a clean shutdown left in `dir`: its file and payload.
+fn only_frame(dir: &Path) -> (PathBuf, Vec<u8>) {
+    let file = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "ckpt"))
+        .expect("checkpoint written");
+    let data = std::fs::read(&file).unwrap();
+    assert_eq!(&data[..4], b"TFC1");
+    let len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
+    assert_eq!(data.len(), 20 + len, "one frame after a clean shutdown");
+    (file, data[12..12 + len].to_vec())
+}
+
+/// `fixtures/source-events.ckpt.json` is the payload a daemon wrote on
+/// clean shutdown (`last_activity_ms` zeroed) when every checkpoint was
+/// still built as a `Value` tree and serialized: a profiled source under
+/// `--on-error skip` with a skipped line, two versions and their drift
+/// alert, and half a line pending at the tail. Re-bless with
+/// `TYPEFUSE_BLESS=1` only when the format is meant to change.
+#[test]
+fn the_source_checkpoint_payload_matches_the_golden_file() {
+    let feed = temp_path("golden.ndjson");
+    let ckpt = fresh_dir("golden-ckpt");
+    std::fs::write(&feed, "{\"id\": 1, \"tags\": [\"a\"]}\nnot json\n").unwrap();
+    let job = JobConfig::new().on_error(typefuse::ErrorPolicy::skip());
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(job)
+            .watch_file("events", &feed)
+            .checkpoint_dir(&ckpt),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    client.wait_for_records("events", 1);
+    append(&feed, "{\"id\": 2, \"name\": \"x\\ty\"}\n{\"partial\": ");
+    client.wait_for_records("events", 2);
+    daemon.shutdown();
+
+    let (_, payload) = only_frame(&ckpt);
+    let mut payload = String::from_utf8(payload).unwrap();
+    let key = "\"last_activity_ms\":\"";
+    let at = payload.find(key).expect("activity stamped") + key.len();
+    let end = at + payload[at..].find('"').unwrap();
+    payload.replace_range(at..end, "0");
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/source-events.ckpt.json");
+    if std::env::var_os("TYPEFUSE_BLESS").is_some() {
+        std::fs::write(&golden, &payload).unwrap();
+    }
+    assert_eq!(payload, std::fs::read_to_string(&golden).unwrap());
+    std::fs::remove_file(&feed).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}
+
+/// A frame whose checksum verifies but whose payload is not JSON (a
+/// writer bug, not a torn write) is passed over for the frame before it.
+#[test]
+fn a_verified_last_frame_that_is_not_json_falls_back_to_the_frame_before() {
+    let feed = temp_path("badjson.ndjson");
+    let ckpt = fresh_dir("badjson-ckpt");
+    std::fs::write(&feed, "{\"k\":1}\n{\"k\":2}\n").unwrap();
+    let config = |recorder: &Recorder| {
+        fast(
+            ServeConfig::new()
+                .job(JobConfig::new().recorder(recorder.clone()))
+                .watch_file("events", &feed)
+                .checkpoint_dir(&ckpt),
+        )
+    };
+    let daemon = Daemon::start(config(&Recorder::disabled())).unwrap();
+    Client::connect(daemon.addr()).wait_for_records("events", 2);
+    daemon.shutdown();
+
+    let (file, _) = only_frame(&ckpt);
+    let bad = br#"{"v":1,"name":"#;
+    let sum = bad.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+    });
+    let mut frame = b"TFC1".to_vec();
+    frame.extend_from_slice(&(bad.len() as u64).to_le_bytes());
+    frame.extend_from_slice(bad);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&file)
+        .unwrap()
+        .write_all(&frame)
+        .unwrap();
+    append(&feed, "{\"k\":3}\n");
+
+    let recorder = Recorder::enabled();
+    let daemon = Daemon::start(config(&recorder)).unwrap();
+    let env = Client::connect(daemon.addr())
+        .wait_for_records("events", 3)
+        .payload;
+    assert_eq!(
+        env.get("schema").and_then(Value::as_str).unwrap(),
+        batch_schema(&feed)
+    );
+    let counters = recorder.snapshot().counters;
+    assert_eq!(counters["serve.checkpoint_torn"], 1);
+    assert_eq!(counters["serve.checkpoint_resumed"], 1);
+    assert_eq!(
+        counters["ingest.records"], 1,
+        "resumed from the first frame"
+    );
+    daemon.shutdown();
+    std::fs::remove_file(&feed).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}

@@ -28,7 +28,7 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use typefuse_json::{Map, Value};
-use typefuse_obs::Recorder;
+use typefuse_obs::{JsonWriter, Recorder};
 
 use crate::Error;
 use typefuse_infer::{Acc, Checkpoint};
@@ -202,25 +202,21 @@ impl Acc for ErrorReport {
 /// most one) with its exact error (kind + span, via
 /// [`typefuse_json::codec`]).
 impl Checkpoint for ErrorReport {
-    fn checkpoint(&self) -> Value {
-        use typefuse_json::codec::{error_to_value, u64_to_value};
-        let mut obj = Map::new();
-        obj.insert("skipped", u64_to_value(self.skipped));
-        let records: Vec<Value> = self
-            .first
-            .iter()
-            .map(|bad| {
-                let mut entry = Map::new();
-                entry.insert("at", u64_to_value(bad.at));
-                entry.insert("error", error_to_value(&bad.error));
-                if let Some(text) = &bad.text {
-                    entry.insert("text", Value::from(text.clone()));
-                }
-                Value::Object(entry)
-            })
-            .collect();
-        obj.insert("records", Value::Array(records));
-        Value::Object(obj)
+    fn write_checkpoint(&self, w: &mut JsonWriter) {
+        w.key("skipped").decimal(self.skipped);
+        w.key("records");
+        w.begin_array();
+        if let Some(bad) = &self.first {
+            w.begin_object();
+            w.key("at").decimal(bad.at);
+            w.key("error");
+            typefuse_json::codec::write_error(w, &bad.error);
+            if let Some(text) = &bad.text {
+                w.key("text").string(text);
+            }
+            w.end_object();
+        }
+        w.end_array();
     }
 
     /// A checkpoint that lists more records (older ones kept up to
@@ -350,13 +346,12 @@ impl Acc for BadLines {
 /// `sidecar` string when there are any. A restored fold is not stopped:
 /// a daemon parks a stopped source by its own status.
 impl Checkpoint for BadLines {
-    fn checkpoint(&self) -> Value {
-        let mut report = self.report.checkpoint();
-        if let (Value::Object(m), false) = (&mut report, self.sidecar.is_empty()) {
-            let pending = String::from_utf8_lossy(&self.sidecar);
-            m.insert("sidecar", Value::from(pending.into_owned()));
+    fn write_checkpoint(&self, w: &mut JsonWriter) {
+        self.report.write_checkpoint(w);
+        if !self.sidecar.is_empty() {
+            w.key("sidecar")
+                .string(&String::from_utf8_lossy(&self.sidecar));
         }
-        report
     }
 
     fn restore(&self, v: &Value) -> Result<Self, String> {
@@ -455,7 +450,7 @@ mod tests {
     fn an_older_checkpoint_restores_to_its_earliest_record() {
         // Reports once kept up to 100 000 records; the earliest wins.
         let entry = |at, input| {
-            let value = report(&[bad(at, input)]).checkpoint();
+            let value = parse_value(&report(&[bad(at, input)]).checkpoint()).unwrap();
             value.get("records").and_then(Value::as_array).unwrap()[0].clone()
         };
         let mut old = Map::new();

@@ -33,10 +33,10 @@ use crate::pipeline::MapPath;
 use typefuse_infer::{
     streaming, Acc, Checkpoint, ProfileAcc, ProfileReport, SchemaAcc, ShapeCache, Typer,
 };
-use typefuse_json::codec::{u64_from_value, u64_to_value};
+use typefuse_json::codec::u64_from_value;
 use typefuse_json::ndjson::{read_line_bounded, trim_ascii_bytes};
-use typefuse_json::{ErrorKind, Map, Parser, Position, Value};
-use typefuse_obs::{Counter, Recorder};
+use typefuse_json::{ErrorKind, Parser, Position, Value};
+use typefuse_obs::{Counter, JsonWriter, Recorder};
 use typefuse_types::Type;
 
 /// Where a line sits in its input: what errors are re-anchored at and
@@ -368,19 +368,19 @@ impl Acc for RecordFold {
 /// under the ones that wrote the checkpoint, or the incremental ≡ batch
 /// law breaks. Dedup interner and shape cache restart cold.
 impl Checkpoint for RecordFold {
-    fn checkpoint(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("lines", u64_to_value(self.lines));
-        if let Value::Object(schema) = self.acc.checkpoint() {
-            schema
-                .into_iter()
-                .for_each(|(k, v)| m.insert_unchecked(k, v));
-        }
+    fn write_checkpoint(&self, w: &mut JsonWriter) {
+        w.key("lines").decimal(self.lines);
+        self.acc.write_checkpoint(w);
         if let Some(profile) = &self.profile {
-            m.insert("profile", profile.checkpoint());
+            w.key("profile");
+            w.begin_object();
+            profile.write_checkpoint(w);
+            w.end_object();
         }
-        m.insert("report", self.bad.checkpoint());
-        Value::Object(m)
+        w.key("report");
+        w.begin_object();
+        self.bad.write_checkpoint(w);
+        w.end_object();
     }
 
     fn restore(&self, payload: &Value) -> Result<Self, String> {
