@@ -311,6 +311,9 @@ pub struct Registry {
     path: Option<PathBuf>,
     index: Index,
     recovered: Option<String>,
+    /// Where a torn trailing record found by `open` starts: the first
+    /// append cuts the log back to it.
+    torn_at: Option<u64>,
 }
 
 impl Registry {
@@ -322,22 +325,25 @@ impl Registry {
             path: None,
             index: Index::default(),
             recovered: None,
+            torn_at: None,
         }
     }
 
     /// Open (or create) a registry log at `path`.
     ///
     /// A malformed final record with no newline after it is a torn
-    /// append (the writer writes the line, then `\n`, and died between
-    /// or inside them): it is dropped, the log is truncated back to the
-    /// last good record, and [`Registry::recovered`] reports what
-    /// happened. Any complete (newline-terminated) malformed line, the
+    /// append (the writer died inside its one write of the record and
+    /// its `\n`): it is dropped from the index, [`Registry::recovered`]
+    /// reports it, and the first [`publish`](Registry::publish) that
+    /// appends cuts the log back to the last good record before it
+    /// writes. Opening never writes, so a reader leaves the log as it
+    /// found it. Any complete (newline-terminated) malformed line, the
     /// last one included, cannot be a torn append: it fails with
-    /// [`RegistryError::Corrupt`] and leaves the file as it is.
+    /// [`RegistryError::Corrupt`].
     pub fn open(path: impl AsRef<Path>) -> Result<Registry, RegistryError> {
         let path = path.as_ref().to_path_buf();
         let mut index = Index::default();
-        let mut recovered = None;
+        let (mut recovered, mut torn_at) = (None, None);
         let mut data = Vec::new();
         match std::fs::File::open(&path) {
             Ok(mut file) => {
@@ -347,7 +353,7 @@ impl Registry {
             Err(e) => return Err(e.into()),
         }
         // Byte-accurate line scan (rather than BufRead::lines) so a
-        // torn tail can be truncated away at its exact start offset.
+        // torn tail can be cut away at its exact start offset.
         let mut pos = 0usize;
         let mut line_no = 0usize;
         while pos < data.len() {
@@ -381,15 +387,12 @@ impl Registry {
                     message,
                 });
             }
-            // Torn final record: drop it and truncate the log so the
-            // next append starts at a clean boundary.
-            OpenOptions::new()
-                .write(true)
-                .open(&path)?
-                .set_len(start as u64)?;
+            // Torn final record: drop it; the next append starts at
+            // the clean boundary before it.
+            torn_at = Some(start as u64);
             recovered = Some(format!(
                 "registry log recovered: dropped torn trailing record at line {line_no} \
-                 ({message}); truncated to {start} bytes"
+                 ({message}); the next publish truncates the log to {start} bytes"
             ));
             break;
         }
@@ -397,12 +400,13 @@ impl Registry {
             path: Some(path),
             index,
             recovered,
+            torn_at,
         })
     }
 
-    /// What `open` did to recover the log, if anything: a description
-    /// of the torn trailing record it dropped, or `None` when the log
-    /// loaded cleanly.
+    /// What `open` recovered from, if anything: a description of the
+    /// torn trailing record it dropped, or `None` when the log loaded
+    /// cleanly.
     pub fn recovered(&self) -> Option<&str> {
         self.recovered.as_deref()
     }
@@ -443,10 +447,10 @@ impl Registry {
         schema: Type,
         mode: CompatMode,
     ) -> Result<PublishOutcome, RegistryError> {
-        let path = self.path.as_deref();
+        let (path, torn_at) = (self.path.as_deref(), &mut self.torn_at);
         self.index
             .publish(name, schema, mode, |version, schema| match path {
-                Some(path) => append(path, name, version, schema),
+                Some(path) => append(path, torn_at, name, version, schema),
                 None => Ok(()),
             })
     }
@@ -464,15 +468,27 @@ impl Registry {
     }
 }
 
-fn append(path: &Path, name: &str, version: u64, schema: &Type) -> Result<(), RegistryError> {
+/// Append one record and its `\n` in one write, first cutting off the
+/// torn trailing record `open` found, if any.
+fn append(
+    path: &Path,
+    torn_at: &mut Option<u64>,
+    name: &str,
+    version: u64,
+    schema: &Type,
+) -> Result<(), RegistryError> {
     let mut m = Map::new();
     m.insert("name", name.to_string());
     m.insert("version", version as i64);
     m.insert("schema", schema.to_string());
-    let line = typefuse_json::to_string(&Value::Object(m));
+    let mut line = typefuse_json::to_string(&Value::Object(m));
+    line.push('\n');
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    if let Some(len) = *torn_at {
+        file.set_len(len)?;
+        *torn_at = None;
+    }
     file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
     Ok(())
 }
 
@@ -738,19 +754,18 @@ mod tests {
         let cut = full.len() - 7;
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let reg = Registry::open(&path).unwrap();
+        let mut reg = Registry::open(&path).unwrap();
         let warning = reg.recovered().expect("recovery reported");
         assert!(warning.contains("torn trailing record"), "{warning}");
         assert_eq!(reg.latest("a").unwrap().version, 1, "v2 was torn away");
-        // The file itself was truncated back to the last good record…
-        let kept = std::fs::read(&path).unwrap();
-        assert!(kept.len() < cut);
-        assert!(kept.ends_with(b"\n"));
-        // …so the next open is clean and the next publish appends at a
-        // record boundary.
-        let mut reg = Registry::open(&path).unwrap();
-        assert!(reg.recovered().is_none());
+        assert_eq!(std::fs::read(&path).unwrap(), &full[..cut], "open wrote");
+        // The first publish truncates the file back to the last good
+        // record and appends at that record boundary…
         reg.publish("a", t("{x: Str}"), CompatMode::None).unwrap();
+        let kept = std::fs::read(&path).unwrap();
+        assert_eq!(kept, full, "the torn v2 is replaced by a whole one");
+        assert!(kept.ends_with(b"\n"));
+        // …so the next open is clean.
         let reg = Registry::open(&path).unwrap();
         assert!(reg.recovered().is_none());
         assert_eq!(reg.latest("a").unwrap().version, 2);
@@ -760,10 +775,12 @@ mod tests {
     fn lone_torn_record_recovers_to_an_empty_registry() {
         let path = fresh("lone-torn.ndjson");
         std::fs::write(&path, "{\"name\":\"a\",\"ver").unwrap();
-        let reg = Registry::open(&path).unwrap();
+        let mut reg = Registry::open(&path).unwrap();
         assert!(reg.recovered().is_some());
         assert!(reg.names().is_empty());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        reg.publish("a", t("Num"), CompatMode::None).unwrap();
+        let log = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(log.len() - log.lines().next().unwrap().len(), 1, "{log}");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! What `Registry::open` does with a bad last line of its log.
 //!
-//! `append` writes a line and then its `\n`, so only a final fragment
-//! with no newline after it can be a torn append: that one is dropped,
-//! the log truncated back to the last good record and the recovery
-//! reported. A complete bad line is corruption, wherever it sits: the
-//! open fails and the file keeps every byte.
+//! `append` writes a line and its `\n` in one write, so only a final
+//! fragment with no newline after it can be a torn append: that one is
+//! dropped and the recovery reported, and the first publish truncates
+//! the log back to the last good record; opening writes nothing. A
+//! complete bad line is corruption, wherever it sits: the open fails
+//! and the file keeps every byte.
 
 use std::path::PathBuf;
-use typefuse_registry::{Registry, RegistryError};
+use typefuse_registry::{CompatMode, Registry, RegistryError};
+use typefuse_types::Type;
 
 const GOOD: &str = "{\"name\":\"a\",\"version\":1,\"schema\":\"Num\"}\n";
 
@@ -38,14 +40,21 @@ fn a_complete_bad_final_line_is_corrupt_and_leaves_the_log_untouched() {
 
 #[test]
 fn an_unterminated_final_fragment_is_a_torn_append_and_is_truncated() {
-    let path = log_with("torn.ndjson", &format!("{GOOD}{{\"name\":\"a\",\"vers"));
-    let registry = Registry::open(&path).unwrap();
+    let torn = format!("{GOOD}{{\"name\":\"a\",\"vers");
+    let path = log_with("torn.ndjson", &torn);
+    let mut registry = Registry::open(&path).unwrap();
     let warning = registry.recovered().expect("the recovery is reported");
     assert!(
         warning.contains("torn trailing record at line 2"),
         "{warning}"
     );
     assert_eq!(registry.names(), ["a"]);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), GOOD);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), torn);
+    registry.publish("b", Type::Num, CompatMode::None).unwrap();
+    let b = "{\"name\":\"b\",\"version\":1,\"schema\":\"Num\"}\n";
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        format!("{GOOD}{b}")
+    );
     assert!(Registry::open(&path).unwrap().recovered().is_none());
 }

@@ -21,10 +21,11 @@
 //! the frame's four parts go to the file straight from it.
 
 use crate::fold::SourceState;
+use crate::lock;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use typefuse_json::{parse_value, Value};
@@ -177,24 +178,25 @@ pub(crate) struct Checkpointer {
     events: EventLog,
     /// Chaos hook: fail this many upcoming writes with an injected I/O
     /// error (the write is retried on the next tick).
-    fail_budget: Arc<AtomicU32>,
+    fail_budget: u32,
 }
 
 impl Checkpointer {
     pub(crate) fn new(
         dir: &Path,
-        sources: impl Iterator<Item = (String, Arc<Mutex<SourceState>>)>,
+        sources: &BTreeMap<String, Arc<Mutex<SourceState>>>,
         hub: &TelemetryHub,
         recorder: Recorder,
         events: EventLog,
         inject_failures: u32,
     ) -> Self {
         let slots = sources
+            .iter()
             .map(|(name, state)| {
-                let series = |metric: &str| series_key(metric, &[("source", &name)]);
+                let series = |metric: &str| series_key(metric, &[("source", name)]);
                 Slot {
-                    path: checkpoint_path(dir, &name),
-                    state,
+                    path: checkpoint_path(dir, name),
+                    state: Arc::clone(state),
                     written_rev: 0,
                     payload: String::new(),
                     appends: 0,
@@ -202,7 +204,7 @@ impl Checkpointer {
                     m_bytes: hub.gauge(series("typefuse_source_checkpoint_bytes")),
                     m_lines: hub.gauge(series("typefuse_source_checkpoint_lines")),
                     m_age: hub.approx_gauge(series("typefuse_source_checkpoint_age_ms")),
-                    name,
+                    name: name.clone(),
                 }
             })
             .collect();
@@ -210,50 +212,24 @@ impl Checkpointer {
             slots,
             recorder,
             events,
-            fail_budget: Arc::new(AtomicU32::new(inject_failures)),
+            fail_budget: inject_failures,
         }
     }
 
-    /// Take one dirty snapshot per source and append it. Serialization
-    /// happens under the source mutex (so the tail offset and the
-    /// folded schema are one consistent cut); the fsync happens after
-    /// the lock is dropped.
+    /// Take one dirty snapshot per source and append it (every
+    /// [`COMPACT_EVERY`] appends, compact instead).
     pub(crate) fn tick(&mut self) {
         for slot in &mut self.slots {
-            let snapshot = {
-                let state = slot
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                (state.ckpt_rev != slot.written_rev).then(|| {
-                    state.write_checkpoint(&mut slot.payload);
-                    (state.ckpt_rev, state.lines())
-                })
-            };
-            if let Some((rev, lines)) = snapshot {
-                let payload = slot.payload.as_bytes();
-                let injected = self.fail_budget.load(Ordering::Acquire) > 0
-                    && self.fail_budget.fetch_sub(1, Ordering::AcqRel) > 0;
+            if let Some(cut) = slot.snapshot(false) {
+                let injected = self.fail_budget > 0;
+                self.fail_budget = self.fail_budget.saturating_sub(1);
                 let result = if injected {
                     Err(std::io::Error::other("injected checkpoint write failure"))
-                } else if slot.appends >= COMPACT_EVERY {
-                    rewrite(&slot.path, payload)
                 } else {
-                    append_frame(&slot.path, payload)
+                    slot.write(slot.appends >= COMPACT_EVERY, cut)
                 };
                 match result {
-                    Ok(()) => {
-                        slot.written_rev = rev;
-                        slot.appends = if slot.appends >= COMPACT_EVERY {
-                            0
-                        } else {
-                            slot.appends + 1
-                        };
-                        slot.last_write = Some(Instant::now());
-                        slot.m_bytes.set(payload.len() as u64);
-                        slot.m_lines.set(lines);
-                        self.recorder.add("serve.checkpoints", 1);
-                    }
+                    Ok(()) => self.recorder.add("serve.checkpoints", 1),
                     Err(e) => {
                         self.recorder.add("serve.checkpoint_failures", 1);
                         self.events.log(
@@ -278,30 +254,46 @@ impl Checkpointer {
     /// from a single-frame file.
     pub(crate) fn final_sync(&mut self) {
         for slot in &mut self.slots {
-            let (rev, lines) = {
-                let state = slot
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state.write_checkpoint(&mut slot.payload);
-                (state.ckpt_rev, state.lines())
-            };
-            match rewrite(&slot.path, slot.payload.as_bytes()) {
-                Ok(()) => {
-                    slot.written_rev = rev;
-                    slot.appends = 0;
-                    slot.last_write = Some(Instant::now());
-                    slot.m_bytes.set(slot.payload.len() as u64);
-                    slot.m_lines.set(lines);
-                }
-                Err(e) => self.events.log(
-                    Level::Warn,
-                    &slot.name,
-                    "checkpoint",
-                    format!("final checkpoint failed: {e}"),
-                ),
+            let cut = slot
+                .snapshot(true)
+                .expect("a forced snapshot is always taken");
+            if let Err(e) = slot.write(true, cut) {
+                let message = format!("final checkpoint failed: {e}");
+                self.events
+                    .log(Level::Warn, &slot.name, "checkpoint", message);
             }
         }
+    }
+}
+
+impl Slot {
+    /// Serialise the source into the payload buffer when it changed
+    /// since the last durable write, or when `force`d: under the source
+    /// mutex, so the tail offset and the folded schema are one
+    /// consistent cut. Returns the cut's revision and line count.
+    fn snapshot(&mut self, force: bool) -> Option<(u64, u64)> {
+        let state = lock(&self.state);
+        (force || state.ckpt_rev != self.written_rev).then(|| {
+            state.write_checkpoint(&mut self.payload);
+            (state.ckpt_rev, state.lines())
+        })
+    }
+
+    /// Write the payload as one frame, after the source lock is dropped:
+    /// appended, or `compact`ing the file to that one frame.
+    fn write(&mut self, compact: bool, (rev, lines): (u64, u64)) -> std::io::Result<()> {
+        let payload = self.payload.as_bytes();
+        if compact {
+            rewrite(&self.path, payload)?;
+        } else {
+            append_frame(&self.path, payload)?;
+        }
+        self.written_rev = rev;
+        self.appends = if compact { 0 } else { self.appends + 1 };
+        self.last_write = Some(Instant::now());
+        self.m_bytes.set(payload.len() as u64);
+        self.m_lines.set(lines);
+        Ok(())
     }
 }
 

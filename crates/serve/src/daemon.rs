@@ -3,33 +3,37 @@
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::fold::SourceState;
+use crate::lock;
 use crate::protocol::{self, MetricsFormat, Request};
 use crate::supervisor::{
     sliced_sleep, spawn_supervised, spawn_ticker, Exit, Supervised, SupervisorCells,
     SupervisorPolicy,
 };
+use crate::tail::SourceTail;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typefuse::JobConfig;
-use typefuse_json::{TailLine, TailReader, TailStatus};
-use typefuse_obs::{envelope, series_key, EventLog, JsonWriter, Level, Recorder, TelemetryHub};
+use typefuse_obs::{
+    envelope, series_key, EventLog, JsonWriter, Level, Recorder, TelemetryCell, TelemetryHub,
+};
 use typefuse_registry::{CompatMode, Registry};
 
 /// Sliding window over which `typefuse_source_records_per_sec` averages.
 const RATE_WINDOW: Duration = Duration::from_secs(5);
 
-/// What one poll of a watched file, or of one producer connection,
-/// reads before its lines are folded: a daemon started on a large
-/// backlog, or fed faster than it folds, holds one haul in memory, not
-/// all of it, and serves the partial fold between hauls.
-const HAUL_BUDGET_BYTES: usize = 8 << 20;
+/// How many events the in-memory ring retains.
+const EVENT_CAPACITY: usize = 1024;
+
+/// Write timeout on session sockets, bounding how long a slow or
+/// stalled client can pin a session (or watch) thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Where a source's NDJSON bytes come from.
 #[derive(Debug, Clone)]
@@ -95,8 +99,6 @@ pub struct ServeConfig {
     pub log_sink: Option<PathBuf>,
     /// Minimum event level retained by the event log.
     pub log_level: Level,
-    /// How many events the in-memory ring retains.
-    pub event_capacity: usize,
     /// Open a Chrome-trace span per poll fold and protocol request.
     /// Off by default: a resident daemon would grow the trace buffer
     /// without bound; the CLI enables it only under `--trace-json`.
@@ -112,9 +114,6 @@ pub struct ServeConfig {
     /// Close a session that has not sent a request for this long;
     /// `None` keeps idle sessions open forever.
     pub session_idle: Option<Duration>,
-    /// Write timeout on session sockets, bounding how long a slow or
-    /// stalled client can pin a session (or watch) thread.
-    pub write_timeout: Option<Duration>,
     /// Poller restart/backoff/breaker thresholds.
     pub supervisor: SupervisorPolicy,
     /// Fault injection (tests only).
@@ -132,13 +131,11 @@ impl Default for ServeConfig {
             sources: Vec::new(),
             log_sink: None,
             log_level: Level::Info,
-            event_capacity: 1024,
             trace_spans: false,
             checkpoint_dir: None,
             checkpoint_interval: Duration::from_millis(1000),
             max_sessions: 256,
             session_idle: None,
-            write_timeout: Some(Duration::from_secs(10)),
             supervisor: SupervisorPolicy::default(),
             chaos: ChaosConfig::default(),
         }
@@ -213,12 +210,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set how many events the in-memory ring retains.
-    pub fn event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
-    }
-
     /// Open Chrome-trace spans for poll folds and protocol requests.
     pub fn trace_spans(mut self, on: bool) -> Self {
         self.trace_spans = on;
@@ -249,12 +240,6 @@ impl ServeConfig {
         self
     }
 
-    /// Bound how long a write to a slow client may block.
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = Some(timeout);
-        self
-    }
-
     /// Set poller restart/backoff/breaker thresholds.
     pub fn supervisor(mut self, policy: SupervisorPolicy) -> Self {
         self.supervisor = policy;
@@ -279,9 +264,10 @@ struct Shared {
     compat: CompatMode,
     max_sessions: usize,
     session_idle: Option<Duration>,
-    write_timeout: Option<Duration>,
     sources: BTreeMap<String, Arc<Mutex<SourceState>>>,
     registry: Mutex<Registry>,
+    registry_versions: TelemetryCell,
+    registry_shapes: TelemetryCell,
 }
 
 /// How the session loop delivers a response: one envelope, or a
@@ -303,29 +289,18 @@ impl Shared {
     /// Route one parsed request to its reply.
     fn respond(&self, request: &Request) -> Reply {
         let result = match request {
-            Request::Schema { source } => self.source(source).map(|s| {
-                protocol::schema_response(
-                    &mut s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-                )
-            }),
-            Request::Profile { source } => self.source(source).and_then(|s| {
-                protocol::profile_response(
-                    &s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-                )
-            }),
-            Request::Explain { source, path } => self.source(source).and_then(|s| {
-                protocol::explain_response(
-                    &s.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-                    path,
-                )
-            }),
+            Request::Schema { source } => self
+                .source(source)
+                .map(|s| protocol::schema_response(&mut lock(s))),
+            Request::Profile { source } => self
+                .source(source)
+                .and_then(|s| protocol::profile_response(&lock(s))),
+            Request::Explain { source, path } => self
+                .source(source)
+                .and_then(|s| protocol::explain_response(&lock(s), path)),
             Request::Health => Ok(self.health_response()),
             Request::Diff { source, from, to } => self.source(source).and_then(|_| {
-                let registry = self
-                    .registry
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                registry
+                lock(&self.registry)
                     .diff(source, *from, *to)
                     .map(|changes| protocol::diff_response(source, *from, *to, &changes))
                     .map_err(|e| e.to_string())
@@ -347,35 +322,39 @@ impl Shared {
         Reply::One(result.unwrap_or_else(|message| protocol::error_response(&message)))
     }
 
+    /// The `health` envelope. Each source is locked once, so the total
+    /// is the sum of the entries listed beside it.
     fn health_response(&self) -> String {
+        let mut records = 0;
+        let mut sources = JsonWriter::new();
+        sources.begin_array();
+        for state in self.sources.values() {
+            let state = lock(state);
+            records += state.records();
+            protocol::write_source_health(&mut sources, &state);
+        }
+        sources.end_array();
         let mut w = JsonWriter::new();
         w.begin_object();
         w.key("uptime_ms")
             .number(self.started.elapsed().as_millis() as u64);
-        w.key("records");
-        w.number(
-            self.sources
-                .values()
-                .map(|s| {
-                    s.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .records()
-                })
-                .sum::<u64>(),
-        );
-        w.key("sources");
-        w.begin_array();
-        for state in self.sources.values() {
-            protocol::write_source_health(
-                &mut w,
-                &state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-        }
-        w.end_array();
+        w.key("records").number(records);
+        w.key("sources").raw(&sources.finish());
         w.end_object();
         envelope("health", &w.finish())
+    }
+
+    /// Publish `state`'s schema to the registry, and the registry's size
+    /// when that made a new version.
+    fn publish(&self, state: &mut SourceState) {
+        let mut registry = lock(&self.registry);
+        let before = state.version;
+        state.publish(&mut registry, self.compat);
+        if state.version != before {
+            let stats = registry.stats();
+            self.registry_versions.set(stats.versions);
+            self.registry_shapes.set(stats.shapes);
+        }
     }
 
     /// Refresh the daemon-level series a sample should carry: uptime
@@ -411,33 +390,15 @@ impl Shared {
     }
 }
 
-/// The tailing end of one source, owned by its poller incarnation.
-enum SourceTail {
-    /// A file that may not exist yet; reopened each tick until it does.
-    PendingFile(PathBuf),
-    /// An open growing file / FIFO, keeping the path so the poller can
-    /// stat it for tail lag and rotation detection.
-    File(PathBuf, TailReader<std::fs::File>),
-    /// A TCP listener plus every live producer connection.
-    Tcp {
-        listener: TcpListener,
-        conns: Vec<TailReader<TcpStream>>,
-        /// Bytes consumed by connections that have since closed.
-        closed_bytes: u64,
-    },
-}
-
 /// A running `typefuse serve` daemon.
 pub struct Daemon {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     shared: Arc<Shared>,
     pollers: Vec<Supervised>,
-    checkpointer: Option<Arc<Mutex<Checkpointer>>>,
-    checkpoint_task: Option<Supervised>,
+    /// The checkpointer's ticker, and the checkpointer for the final sync.
+    checkpoint: Option<(Supervised, Arc<Mutex<Checkpointer>>)>,
     accept: Option<JoinHandle<()>>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    recorder: Recorder,
 }
 
 impl Daemon {
@@ -449,14 +410,14 @@ impl Daemon {
         let recorder = config.job.recorder.clone();
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
 
         let events = match &config.log_sink {
-            Some(path) => EventLog::with_sink(config.event_capacity, config.log_level, path)
-                .map_err(|e| {
+            Some(path) => {
+                EventLog::with_sink(EVENT_CAPACITY, config.log_level, path).map_err(|e| {
                     std::io::Error::other(format!("cannot open event log sink {path:?}: {e}"))
-                })?,
-            None => EventLog::new(config.event_capacity, config.log_level),
+                })?
+            }
+            None => EventLog::new(EVENT_CAPACITY, config.log_level),
         };
         events.log(
             Level::Info,
@@ -486,7 +447,7 @@ impl Daemon {
         }
         let mut sources = BTreeMap::new();
         for spec in &config.sources {
-            let state = load_or_new_state(spec, &config, &events);
+            let state = load_or_new_state(spec, &config, &events, &hub);
             if sources
                 .insert(spec.name.clone(), Arc::new(Mutex::new(state)))
                 .is_some()
@@ -499,73 +460,56 @@ impl Daemon {
         }
 
         let shared = Arc::new(Shared {
-            stop: Arc::clone(&stop),
+            stop: Arc::new(AtomicBool::new(false)),
             started: Instant::now(),
             recorder: recorder.clone(),
-            hub,
             events,
             trace_spans: config.trace_spans,
             compat: config.compat,
             max_sessions: config.max_sessions,
             session_idle: config.session_idle,
-            write_timeout: config.write_timeout,
             sources,
             registry: Mutex::new(registry),
+            registry_versions: hub.gauge("typefuse_registry_versions"),
+            registry_shapes: hub.gauge("typefuse_registry_shapes"),
+            hub,
         });
 
         let mut pollers = Vec::new();
         for spec in &config.sources {
-            pollers.push(spawn_source_poller(
-                spec,
-                &config,
-                Arc::clone(&shared),
-                Arc::clone(&stop),
-            )?);
+            pollers.push(spawn_source_poller(spec, &config, Arc::clone(&shared))?);
         }
 
-        let mut checkpointer = None;
-        let mut checkpoint_task = None;
-        if let Some(dir) = &config.checkpoint_dir {
+        let checkpoint = config.checkpoint_dir.as_ref().map(|dir| {
             let cp = Arc::new(Mutex::new(Checkpointer::new(
                 dir,
-                shared
-                    .sources
-                    .iter()
-                    .map(|(name, state)| (name.clone(), Arc::clone(state))),
+                &shared.sources,
                 &shared.hub,
                 recorder.clone(),
                 shared.events.clone(),
                 config.chaos.checkpoint_write_failures,
             )));
             let tick_cp = Arc::clone(&cp);
-            checkpoint_task = Some(spawn_ticker(
+            let task = spawn_ticker(
                 "checkpoint",
                 config.checkpoint_interval,
-                Arc::clone(&stop),
+                Arc::clone(&shared.stop),
                 recorder.clone(),
                 move || tick_cp.lock().expect("checkpointer lock").tick(),
-            ));
-            checkpointer = Some(cp);
-        }
+            );
+            (task, cp)
+        });
 
         let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = spawn_accept_loop(
-            listener,
-            Arc::clone(&shared),
-            Arc::clone(&stop),
-            Arc::clone(&sessions),
-        );
+        let accept = spawn_accept_loop(listener, Arc::clone(&shared), Arc::clone(&sessions));
 
         Ok(Daemon {
             addr,
-            stop,
             shared,
             pollers,
-            checkpointer,
-            checkpoint_task,
+            checkpoint,
             accept: Some(accept),
             sessions,
-            recorder,
         })
     }
 
@@ -574,21 +518,10 @@ impl Daemon {
         self.addr
     }
 
-    /// The daemon's shared recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
     /// The current `health` envelope, rendered without a protocol
     /// round-trip — the same payload a connected client would get.
     pub fn health_json(&self) -> String {
         self.shared.health_response()
-    }
-
-    /// The current `telemetry` snapshot envelope, rendered without a
-    /// protocol round-trip (samples the hub: bumps the version).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics_response()
     }
 
     /// The daemon's live telemetry hub.
@@ -604,12 +537,12 @@ impl Daemon {
     /// Whether a stop has been requested (by [`Daemon::stop`] or a
     /// protocol `shutdown`).
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.shared.stop.load(Ordering::Acquire)
     }
 
     /// Request a stop without waiting.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
     }
 
     /// Block until a stop is requested.
@@ -637,10 +570,8 @@ impl Daemon {
         for poller in self.pollers.drain(..) {
             poller.join();
         }
-        if let Some(task) = self.checkpoint_task.take() {
+        if let Some((task, cp)) = self.checkpoint.take() {
             task.join();
-        }
-        if let Some(cp) = self.checkpointer.take() {
             cp.lock().expect("checkpointer lock").final_sync();
         }
     }
@@ -650,441 +581,151 @@ impl Daemon {
 /// configured and loadable, start fresh otherwise. Never fails — a
 /// corrupt or unusable checkpoint degrades to a cold start with a
 /// warning, because refusing to serve is the worse failure.
-fn load_or_new_state(spec: &SourceSpec, config: &ServeConfig, events: &EventLog) -> SourceState {
+fn load_or_new_state(
+    spec: &SourceSpec,
+    config: &ServeConfig,
+    events: &EventLog,
+    hub: &TelemetryHub,
+) -> SourceState {
+    let state = resume(spec, config, events).unwrap_or_else(|why| {
+        if let Some(why) = why {
+            let message = format!("{why}; starting fresh from byte 0");
+            events.log(Level::Warn, &spec.name, "checkpoint", message);
+        }
+        SourceState::new(&spec.name, &config.job, events.clone())
+    });
+    state.export_to(hub)
+}
+
+/// The source's state as its checkpoint left it, or why it cannot be
+/// resumed (`None`: there is no checkpoint to resume, and nothing to
+/// warn about).
+fn resume(
+    spec: &SourceSpec,
+    config: &ServeConfig,
+    events: &EventLog,
+) -> Result<SourceState, Option<String>> {
     let (job, recorder) = (&config.job, &config.job.recorder);
-    let fresh = || SourceState::new(&spec.name, job, events.clone());
-    let Some(dir) = &config.checkpoint_dir else {
-        return fresh();
-    };
+    let dir = config.checkpoint_dir.as_ref().ok_or(None)?;
     let path = checkpoint::checkpoint_path(dir, &spec.name);
-    match checkpoint::load(&path) {
-        Ok(Some(loaded)) => {
-            if loaded.torn {
-                recorder.add("serve.checkpoint_torn", 1);
-                events.log(
-                    Level::Warn,
-                    &spec.name,
-                    "checkpoint",
-                    "torn checkpoint tail: resuming from the last good frame",
-                );
-            }
-            match SourceState::restore(&spec.name, job, events.clone(), &loaded.payload) {
-                Ok(state) => {
-                    recorder.add("serve.checkpoint_resumed", 1);
-                    events.log(
-                        Level::Info,
-                        &spec.name,
-                        "checkpoint",
-                        format!(
-                            "resumed from checkpoint: {} records, line {}, offset {}",
-                            state.records(),
-                            state.lines(),
-                            state.tail_offset
-                        ),
-                    );
-                    state
-                }
-                Err(e) => {
-                    events.log(
-                        Level::Warn,
-                        &spec.name,
-                        "checkpoint",
-                        format!("unusable checkpoint ({e}); starting fresh from byte 0"),
-                    );
-                    fresh()
-                }
-            }
+    let loaded = match checkpoint::load(&path) {
+        Ok(Some(loaded)) => loaded,
+        Ok(None) if path.exists() => {
+            recorder.add("serve.checkpoint_torn", 1);
+            return Err(Some("checkpoint file has no valid frame".to_string()));
         }
-        Ok(None) => {
-            if path.exists() {
-                recorder.add("serve.checkpoint_torn", 1);
-                events.log(
-                    Level::Warn,
-                    &spec.name,
-                    "checkpoint",
-                    "checkpoint file has no valid frame; starting fresh from byte 0",
-                );
-            }
-            fresh()
-        }
-        Err(e) => {
-            events.log(
-                Level::Warn,
-                &spec.name,
-                "checkpoint",
-                format!("cannot read checkpoint: {e}; starting fresh from byte 0"),
-            );
-            fresh()
-        }
-    }
-}
-
-/// Open a file source honoring the tail-resume position in `state`:
-/// seek to the remembered offset and restore the carried partial line.
-/// A file shorter than the remembered offset was rotated or truncated
-/// out from under us — reset to byte 0 with a warning (the fused
-/// schema is kept; fusion is idempotent, so re-reading a recreated
-/// file only re-confirms it).
-fn open_file_tail(
-    path: &Path,
-    state: &Arc<Mutex<SourceState>>,
-    job: &JobConfig,
-    events: &EventLog,
-) -> std::io::Result<SourceTail> {
-    let recorder = &job.recorder;
-    let len = match std::fs::metadata(path) {
-        Ok(metadata) => metadata.len(),
-        // Not-yet-created files are watched, not fatal: keep trying.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(SourceTail::PendingFile(path.to_path_buf()))
-        }
-        Err(e) => return Err(e),
+        Ok(None) => return Err(None),
+        Err(e) => return Err(Some(format!("cannot read checkpoint: {e}"))),
     };
-    let (offset, pending, overflow, lines) = {
-        let mut state = state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if len < state.tail_offset {
-            recorder.add("serve.rotations", 1);
-            events.log(
-                Level::Warn,
-                &state.name,
-                "ingest",
-                format!(
-                    "source file shrank below the resume offset ({len} < {}): \
-                     rotation assumed, re-reading from byte 0",
-                    state.tail_offset
-                ),
-            );
-            state.sync_tail(0, &[], false);
-        }
-        (
-            state.tail_offset,
-            state.tail_pending.clone(),
-            state.tail_pending_overflow,
+    if loaded.torn {
+        recorder.add("serve.checkpoint_torn", 1);
+        events.log(
+            Level::Warn,
+            &spec.name,
+            "checkpoint",
+            "torn checkpoint tail: resuming from the last good frame",
+        );
+    }
+    let state = SourceState::restore(&spec.name, job, events.clone(), &loaded.payload)
+        .map_err(|e| Some(format!("unusable checkpoint ({e})")))?;
+    recorder.add("serve.checkpoint_resumed", 1);
+    events.log(
+        Level::Info,
+        &spec.name,
+        "checkpoint",
+        format!(
+            "resumed from checkpoint: {} records, line {}, offset {}",
+            state.records(),
             state.lines(),
-        )
-    };
-    let mut file = std::fs::File::open(path)?;
-    if offset > 0 {
-        file.seek(SeekFrom::Start(offset))?;
-    }
-    let mut tail = TailReader::new(file)
-        .with_haul_budget(HAUL_BUDGET_BYTES)
-        .with_retry(job.retry)
-        .with_recorder(recorder.clone())
-        .with_resume_state(pending, overflow, offset, lines);
-    if let Some(cap) = job.max_line_bytes {
-        tail = tail.with_max_line_bytes(cap);
-    }
-    Ok(SourceTail::File(path.to_path_buf(), tail))
-}
-
-fn build_tail(
-    input: &SourceInput,
-    state: &Arc<Mutex<SourceState>>,
-    job: &JobConfig,
-    events: &EventLog,
-) -> std::io::Result<SourceTail> {
-    match input {
-        SourceInput::File(path) => open_file_tail(path, state, job, events),
-        SourceInput::Tcp(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            Ok(SourceTail::Tcp {
-                listener,
-                conns: Vec::new(),
-                closed_bytes: 0,
-            })
-        }
-    }
+            state.tail_offset
+        ),
+    );
+    Ok(state)
 }
 
 /// Spawn the supervised poller for one source. Each incarnation
-/// reopens the input from the shared state's resume position, folds
-/// new lines, mirrors the tail position back into the state (for the
-/// checkpointer), publishes snapshots and records drift. A crash —
-/// fatal read error or a panic anywhere in the loop — ends the
+/// reopens the input from the shared state's resume position, then
+/// loops: poll the tail; fold what it brought, mirror the tail position,
+/// publish and export under one lock of the state; check the injected
+/// fault; update the rate window; sleep unless the tail is behind. A
+/// crash — fatal read error or a panic anywhere in the loop — ends the
 /// incarnation and the supervisor restarts it with backoff; repeated
 /// crashes trip the per-source breaker.
 fn spawn_source_poller(
     spec: &SourceSpec,
     config: &ServeConfig,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
 ) -> std::io::Result<Supervised> {
-    let recorder = shared.recorder.clone();
-    let events = shared.events.clone();
-    let job = config.job.clone();
     let state = Arc::clone(shared.source(&spec.name).expect("source registered"));
-    let compat = shared.compat;
-    let poll_recorder = recorder.clone();
-    let name = spec.name.clone();
-    let trace_spans = shared.trace_spans;
-    let poll_interval = config.poll_interval;
+    let (source, job, hub) = (spec.clone(), config.job.clone(), shared.hub.clone());
+    let open = move |state: &Mutex<SourceState>| SourceTail::open(&source, state, &job, &hub);
+    // Probe the input once so a misconfigured source (unbindable TCP
+    // address, unreadable file) still fails `Daemon::start`.
+    let mut initial = Some(open(&state)?);
 
-    // Hot-path telemetry handles, hoisted out of the poll loop.
-    let source_series = |metric: &str| series_key(metric, &[("source", &spec.name)]);
-    let m_records = shared.hub.counter(source_series("typefuse_source_records"));
-    let m_skipped = shared.hub.gauge(source_series("typefuse_source_skipped"));
-    let m_quarantined = shared
-        .hub
-        .gauge(source_series("typefuse_source_quarantined"));
-    let m_offset = shared
-        .hub
-        .gauge(source_series("typefuse_source_offset_bytes"));
-    let m_lag = shared.hub.gauge(source_series("typefuse_source_lag_bytes"));
-    let m_shapes = shared
-        .hub
-        .gauge(source_series("typefuse_source_distinct_shapes"));
-    let m_version = shared.hub.gauge(source_series("typefuse_source_version"));
-    let m_publish_skipped = shared
-        .hub
-        .gauge(source_series("typefuse_source_publish_skipped"));
-    let m_publish_us = shared
-        .hub
-        .approx_gauge(source_series("typefuse_source_publish_us"));
-    let m_registry_versions = shared.hub.gauge("typefuse_registry_versions");
-    let m_registry_shapes = shared.hub.gauge("typefuse_registry_shapes");
-    let m_shape_hits = shared
-        .hub
-        .gauge(source_series("typefuse_source_shape_hits"));
-    let m_shape_misses = shared
-        .hub
-        .gauge(source_series("typefuse_source_shape_misses"));
+    let series = |metric: &str| series_key(metric, &[("source", &spec.name)]);
     let m_rate = shared
         .hub
-        .approx_gauge(source_series("typefuse_source_records_per_sec"));
+        .approx_gauge(series("typefuse_source_records_per_sec"));
     let cells = SupervisorCells {
-        breaker: shared.hub.gauge(source_series("typefuse_source_breaker")),
-        restarts: shared
-            .hub
-            .counter(source_series("typefuse_source_restarts")),
+        breaker: shared.hub.gauge(series("typefuse_source_breaker")),
+        restarts: shared.hub.counter(series("typefuse_source_restarts")),
         total_restarts: shared.hub.counter("typefuse_supervisor_restarts_total"),
     };
     let mut window: VecDeque<(Instant, u64)> = VecDeque::new();
-
-    // Probe the input once so a misconfigured source (unbindable TCP
-    // address, unreadable file) still fails `Daemon::start`.
-    let mut initial = Some(build_tail(&spec.input, &state, &job, &events)?);
-
-    let chaos = config
+    let mut chaos = config
         .chaos
         .poller_panic
         .clone()
         .filter(|p| p.source == spec.name);
-    let chaos_budget = Arc::new(AtomicU32::new(chaos.as_ref().map_or(0, |p| p.times)));
-
-    let input = spec.input.clone();
-    let group_stop = Arc::clone(&stop);
-    let incarnation_shared = Arc::clone(&shared);
-    let incarnation_events = events.clone();
-    let trip_state = Arc::clone(&state);
+    let (stop, trip_state) = (Arc::clone(&shared.stop), Arc::clone(&state));
+    let (recorder, events) = (shared.recorder.clone(), shared.events.clone());
+    let (fold_span, poll_interval) = (format!("serve.fold.{}", spec.name), config.poll_interval);
 
     let incarnation = move |own: &AtomicBool| -> Exit {
-        let stopped = || group_stop.load(Ordering::Acquire) || own.load(Ordering::Acquire);
-        let mut tail = match initial.take() {
-            Some(tail) => tail,
-            None => match build_tail(&input, &state, &job, &incarnation_events) {
-                Ok(tail) => tail,
-                Err(e) => return Exit::Crash(format!("cannot reopen source: {e}")),
-            },
-        };
-        let publish = |state: &mut SourceState| {
-            let mut registry = incarnation_shared
-                .registry
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let before = state.version;
-            state.publish(&mut registry, compat);
-            if state.version != before {
-                let stats = registry.stats();
-                m_registry_versions.set(stats.versions);
-                m_registry_shapes.set(stats.shapes);
-            }
+        let stopped = || shared.stop.load(Ordering::Acquire) || own.load(Ordering::Acquire);
+        let mut tail = match initial.take().map_or_else(|| open(&state), Ok) {
+            Ok(tail) => tail,
+            Err(e) => return Exit::Crash(format!("cannot reopen source: {e}")),
         };
         // Re-publish a restored schema so a fresh (in-memory) registry
         // sees it before any new record arrives; idempotent when the
         // registry already holds it.
         {
-            let mut state = state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut state = lock(&state);
             if state.records() > 0 && state.is_active() {
-                publish(&mut state);
+                shared.publish(&mut state);
             }
         }
-        let mut last_synced_offset = u64::MAX;
         loop {
             if stopped() {
                 return Exit::Stop;
             }
-
-            // Rotation check: the file shrinking below what we already
-            // read means it was replaced or truncated — reopen at 0.
-            let mut file_len = None;
-            if let SourceTail::File(path, reader) = &tail {
-                let len = std::fs::metadata(path).map(|m| m.len()).ok();
-                file_len = len;
-                if len.is_some_and(|len| len < reader.bytes_read()) {
-                    poll_recorder.add("serve.rotations", 1);
-                    incarnation_events.log(
-                        Level::Warn,
-                        &name,
-                        "ingest",
-                        format!(
-                            "source file shrank ({} < {}): rotation assumed, \
-                             re-reading from byte 0",
-                            len.unwrap_or(0),
-                            reader.bytes_read()
-                        ),
-                    );
-                    {
-                        let mut state = state
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        state.sync_tail(0, &[], false);
-                    }
-                    let path = path.clone();
-                    tail = match open_file_tail(&path, &state, &job, &incarnation_events) {
-                        Ok(tail) => tail,
-                        Err(e) => return Exit::Crash(format!("cannot reopen rotated file: {e}")),
-                    };
-                    last_synced_offset = u64::MAX;
-                    file_len = None;
-                }
-            }
-
-            let mut lines: Vec<TailLine> = Vec::new();
-            // A poll that stopped on its haul budget left bytes unread.
-            let mut behind = false;
-            match &mut tail {
-                SourceTail::PendingFile(path) => {
-                    let path = path.clone();
-                    match open_file_tail(&path, &state, &job, &incarnation_events) {
-                        Ok(opened) => tail = opened,
-                        Err(e) => return Exit::Crash(format!("cannot open source: {e}")),
-                    }
-                    sliced_sleep(poll_interval, &stopped);
-                    continue;
-                }
-                SourceTail::File(_, reader) => {
-                    if let Err(e) = reader.poll(&mut lines) {
-                        return Exit::Crash(format!("read error: {e}"));
-                    }
-                }
-                SourceTail::Tcp {
-                    listener,
-                    conns,
-                    closed_bytes,
-                } => {
-                    // Adopt any new producer connections.
-                    loop {
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                if conn.set_nonblocking(true).is_ok() {
-                                    poll_recorder.add("ingest.connections", 1);
-                                    conns.push(make_file_tail_tcp(conn, &job));
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    }
-                    conns.retain_mut(|conn| match conn.poll(&mut lines) {
-                        Ok(TailStatus::Idle) => true,
-                        Ok(TailStatus::Budget) => {
-                            behind = true;
-                            true
-                        }
-                        Ok(TailStatus::Closed) => {
-                            // Flush an unterminated final record.
-                            if let Some(last) = conn.take_pending() {
-                                lines.push(last);
-                            }
-                            *closed_bytes += conn.bytes_read();
-                            false
-                        }
-                        Err(_) => {
-                            *closed_bytes += conn.bytes_read();
-                            false
-                        }
-                    });
-                }
-            }
-
-            // Tail position: how far we've read and how far behind the
-            // input we are (files only — a TCP source has no length).
-            match &tail {
-                SourceTail::PendingFile(_) => {}
-                SourceTail::File(_, reader) => {
-                    let offset = reader.bytes_read();
-                    let lag = file_len.unwrap_or(offset).saturating_sub(offset);
-                    m_offset.set(offset);
-                    m_lag.set(lag);
-                    behind = lag > 0;
-                }
-                SourceTail::Tcp {
-                    conns,
-                    closed_bytes,
-                    ..
-                } => {
-                    m_offset.set(closed_bytes + conns.iter().map(|c| c.bytes_read()).sum::<u64>());
-                }
-            }
-
+            let mut lines = Vec::new();
+            let behind = match tail.poll(&state, &mut lines) {
+                Ok(behind) => behind,
+                Err(reason) => return Exit::Crash(reason),
+            };
             let absorbed = if lines.is_empty() {
-                // No complete line, but the reader may still have
-                // consumed bytes into its partial-line carry — keep the
-                // checkpointable position current.
-                if let SourceTail::File(_, reader) = &tail {
-                    if reader.bytes_read() != last_synced_offset {
-                        let mut state = state
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        state.sync_tail(
-                            reader.bytes_read(),
-                            reader.pending(),
-                            reader.pending_overflow(),
-                        );
-                        last_synced_offset = reader.bytes_read();
-                    }
+                if tail.moved() {
+                    tail.sync(&mut lock(&state));
                 }
                 0
             } else {
-                let mut state = state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let _span = trace_spans.then(|| poll_recorder.span(format!("serve.fold.{name}")));
+                let mut state = lock(&state);
+                let _span = shared
+                    .trace_spans
+                    .then(|| shared.recorder.span(fold_span.clone()));
                 let absorbed = state.fold_batch(&lines);
                 let folded = Instant::now();
                 // Pair the folded schema with the exact tail position
                 // it covers, under the same lock the checkpointer
                 // serializes under.
-                match &tail {
-                    SourceTail::File(_, reader) => {
-                        state.sync_tail(
-                            reader.bytes_read(),
-                            reader.pending(),
-                            reader.pending_overflow(),
-                        );
-                        last_synced_offset = reader.bytes_read();
-                    }
-                    SourceTail::Tcp { .. } => state.mark_dirty(),
-                    SourceTail::PendingFile(_) => {}
-                }
+                tail.sync(&mut state);
                 if absorbed > 0 {
-                    publish(&mut state);
+                    shared.publish(&mut state);
                 }
-                m_records.add(absorbed);
-                m_skipped.set(state.report().skipped());
-                m_quarantined.set(state.quarantined());
-                m_shapes.set(state.distinct_shapes());
-                m_version.set(state.version.unwrap_or(0));
-                m_shape_hits.set(state.shape_hits());
-                m_shape_misses.set(state.shape_misses());
-                m_publish_skipped.set(state.publish_skipped);
-                m_publish_us.set(folded.elapsed().as_micros() as u64);
+                state.export(absorbed, folded);
                 if !state.is_active() {
                     return Exit::Stop;
                 }
@@ -1098,15 +739,9 @@ fn spawn_source_poller(
             // trigger satisfied re-crashes each incarnation until the
             // budget drains — which is how the breaker tests exercise
             // repeated failures.
-            if let Some(panic_at) = &chaos {
-                if chaos_budget.load(Ordering::Acquire) > 0
-                    && state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .records()
-                        >= panic_at.at_records
-                {
-                    chaos_budget.fetch_sub(1, Ordering::AcqRel);
+            if let Some(panic_at) = chaos.as_mut().filter(|p| p.times > 0) {
+                if lock(&state).records() >= panic_at.at_records {
+                    panic_at.times -= 1;
                     panic!(
                         "chaos: injected poller panic at record {}",
                         panic_at.at_records
@@ -1144,26 +779,9 @@ fn spawn_source_poller(
         recorder,
         events,
         cells,
-        move |alert| {
-            trip_state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .fail(alert);
-        },
+        move |alert| lock(&trip_state).fail(alert),
         incarnation,
     ))
-}
-
-fn make_file_tail_tcp(conn: TcpStream, job: &JobConfig) -> TailReader<TcpStream> {
-    let mut tail = TailReader::new(conn)
-        .with_haul_budget(HAUL_BUDGET_BYTES)
-        .with_retry(job.retry)
-        .with_recorder(job.recorder.clone())
-        .close_on_eof();
-    if let Some(cap) = job.max_line_bytes {
-        tail = tail.with_max_line_bytes(cap);
-    }
-    tail
 }
 
 /// Accept protocol connections until stopped; each session runs on its
@@ -1173,7 +791,6 @@ fn make_file_tail_tcp(conn: TcpStream, job: &JobConfig) -> TailReader<TcpStream>
 fn spawn_accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
     sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> JoinHandle<()> {
     let m_sessions = shared.hub.counter("typefuse_sessions_total");
@@ -1181,15 +798,16 @@ fn spawn_accept_loop(
     std::thread::Builder::new()
         .name("serve-accept".to_string())
         .spawn(move || {
-            while !stop.load(Ordering::Acquire) {
+            let stopped = || shared.stop.load(Ordering::Acquire);
+            while !stopped() {
                 let (mut stream, _) = match listener.accept() {
                     Ok(accepted) => accepted,
                     Err(_) => continue,
                 };
-                if stop.load(Ordering::Acquire) {
+                if stopped() {
                     break;
                 }
-                let _ = stream.set_write_timeout(shared.write_timeout);
+                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                 // Responses and `watch` snapshots are whole messages:
                 // nothing to coalesce, so never wait for an ACK to send.
                 let _ = stream.set_nodelay(true);
@@ -1202,22 +820,12 @@ fn spawn_accept_loop(
                 if at_capacity {
                     shared.recorder.add("serve.sessions_rejected", 1);
                     m_rejected.add(1);
-                    shared.events.log(
-                        Level::Warn,
-                        "daemon",
-                        "session",
-                        format!(
-                            "session limit reached ({}); rejecting connection",
-                            shared.max_sessions
-                        ),
-                    );
-                    let _ = write_line(
-                        &mut stream,
-                        &protocol::error_response(&format!(
-                            "session limit reached ({})",
-                            shared.max_sessions
-                        )),
-                    );
+                    let limit = format!("session limit reached ({})", shared.max_sessions);
+                    let rejecting = format!("{limit}; rejecting connection");
+                    shared
+                        .events
+                        .log(Level::Warn, "daemon", "session", rejecting);
+                    let _ = write_line(&mut stream, &protocol::error_response(&limit));
                     continue;
                 }
                 shared.recorder.add("serve.sessions", 1);
@@ -1338,20 +946,11 @@ fn run_session(stream: TcpStream, shared: &Shared) {
 /// interval. Ends when the client disconnects (write fails) or the
 /// daemon stops; the interval sleep is sliced so shutdown stays fast.
 fn run_watch(writer: &mut TcpStream, shared: &Shared, interval: Duration) {
-    loop {
-        if write_line(writer, &shared.metrics_response()).is_err() {
+    let stopped = || shared.stop.load(Ordering::Acquire);
+    while write_line(writer, &shared.metrics_response()).is_ok() {
+        sliced_sleep(interval, &stopped);
+        if stopped() {
             return;
-        }
-        let deadline = Instant::now() + interval;
-        loop {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(20)));
         }
     }
 }

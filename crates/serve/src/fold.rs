@@ -10,12 +10,15 @@
 //! inference cost once per distinct shape, not once per record.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 use typefuse::fold::{Absorbed, Origin, RecordFold};
 use typefuse::pipeline::MapPath;
 use typefuse::{ErrorPolicy, ErrorReport, JobConfig};
 use typefuse_infer::{Acc, Checkpoint, ShapeCache};
 use typefuse_json::Value;
-use typefuse_obs::{EventLog, JsonWriter, Level, Recorder};
+use typefuse_obs::{
+    series_key, EventLog, JsonWriter, Level, Recorder, TelemetryCell, TelemetryHub,
+};
 use typefuse_registry::{CompatMode, Registry};
 use typefuse_types::diff::SchemaChange;
 use typefuse_types::Type;
@@ -86,6 +89,22 @@ pub(crate) struct SourceState {
     events: EventLog,
     /// The per-source record counter's name, `ingest.records.<name>`.
     records_key: String,
+    /// The `typefuse_source_*` series a haul moves, once registered on
+    /// the daemon's hub by [`SourceState::export_to`].
+    series: Option<Series>,
+}
+
+/// The telemetry cells [`SourceState::export`] sets after every haul.
+struct Series {
+    records: TelemetryCell,
+    skipped: TelemetryCell,
+    quarantined: TelemetryCell,
+    shapes: TelemetryCell,
+    version: TelemetryCell,
+    shape_hits: TelemetryCell,
+    shape_misses: TelemetryCell,
+    publish_skipped: TelemetryCell,
+    publish_us: TelemetryCell,
 }
 
 impl SourceState {
@@ -116,7 +135,43 @@ impl SourceState {
             recorder,
             events,
             records_key: format!("ingest.records.{name}"),
+            series: None,
         }
+    }
+
+    /// Register this source's `typefuse_source_*` series on `hub`.
+    pub(crate) fn export_to(mut self, hub: &TelemetryHub) -> Self {
+        let key = |metric: &str| series_key(metric, &[("source", &self.name)]);
+        self.series = Some(Series {
+            records: hub.counter(key("typefuse_source_records")),
+            skipped: hub.gauge(key("typefuse_source_skipped")),
+            quarantined: hub.gauge(key("typefuse_source_quarantined")),
+            shapes: hub.gauge(key("typefuse_source_distinct_shapes")),
+            version: hub.gauge(key("typefuse_source_version")),
+            shape_hits: hub.gauge(key("typefuse_source_shape_hits")),
+            shape_misses: hub.gauge(key("typefuse_source_shape_misses")),
+            publish_skipped: hub.gauge(key("typefuse_source_publish_skipped")),
+            publish_us: hub.approx_gauge(key("typefuse_source_publish_us")),
+        });
+        self
+    }
+
+    /// Bring the registered series up to date at the end of a haul that
+    /// absorbed `absorbed` records, after its publish; `folded` is when
+    /// its fold ended, so `typefuse_source_publish_us` times the rest.
+    pub(crate) fn export(&self, absorbed: u64, folded: Instant) {
+        let Some(series) = &self.series else {
+            return;
+        };
+        series.records.add(absorbed);
+        series.skipped.set(self.report().skipped());
+        series.quarantined.set(self.quarantined());
+        series.shapes.set(self.fold.distinct_shapes());
+        series.version.set(self.version.unwrap_or(0));
+        series.shape_hits.set(self.shape_hits());
+        series.shape_misses.set(self.shape_misses());
+        series.publish_skipped.set(self.publish_skipped);
+        series.publish_us.set(folded.elapsed().as_micros() as u64);
     }
 
     /// The current fused schema.
@@ -165,12 +220,6 @@ impl SourceState {
         })
     }
 
-    /// Distinct interned shapes held by the dedup accumulator (0 on the
-    /// plain route, which does not track shapes).
-    pub(crate) fn distinct_shapes(&self) -> u64 {
-        self.fold.distinct_shapes()
-    }
-
     pub(crate) fn is_active(&self) -> bool {
         matches!(self.status, SourceStatus::Active)
     }
@@ -200,6 +249,25 @@ impl SourceState {
     /// producers cannot be resumed by offset).
     pub(crate) fn mark_dirty(&mut self) {
         self.ckpt_rev += 1;
+    }
+
+    /// Forget the tail position of a file that was rotated out from
+    /// under it (`len` is what the path holds now, `read` how far it was
+    /// read), so the next open reads the new file from byte 0. The fused
+    /// schema is kept: fusion is idempotent, so re-reading a recreated
+    /// file only re-confirms it.
+    pub(crate) fn rewind(&mut self, len: u64, read: u64) {
+        self.recorder.add("serve.rotations", 1);
+        self.events.log(
+            Level::Warn,
+            &self.name,
+            "ingest",
+            format!(
+                "source file replaced or shrunk (length {len}, read {read}): \
+                 rotation assumed, re-reading from byte 0"
+            ),
+        );
+        self.sync_tail(0, &[], false);
     }
 
     /// Serialize everything a restart needs to resume this source

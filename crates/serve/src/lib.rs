@@ -53,7 +53,17 @@ mod daemon;
 mod fold;
 pub mod protocol;
 mod supervisor;
+mod tail;
 
 pub use daemon::{ChaosConfig, Daemon, PollerPanic, ServeConfig, SourceInput, SourceSpec};
 pub use fold::SourceStatus;
 pub use supervisor::SupervisorPolicy;
+
+/// Lock a source's state or the registry even if a poller panicked
+/// while holding it: the supervisor restarts that poller from the state
+/// as it stands, and the other sources and the protocol keep serving.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

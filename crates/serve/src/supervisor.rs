@@ -87,12 +87,9 @@ pub(crate) struct Supervised {
 
 impl Supervised {
     /// Stop and wait for the thread (a poller's current incarnation
-    /// included).
-    pub(crate) fn join(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    /// included), as dropping the handle does.
+    pub(crate) fn join(self) {
+        drop(self);
     }
 }
 

@@ -455,6 +455,105 @@ fn recreated_smaller_source_file_is_reread_from_byte_zero() {
 }
 
 #[test]
+fn a_source_file_replaced_by_a_longer_one_is_reread_from_byte_zero() {
+    let feed = temp_path("replace.ndjson");
+    let old = "{\"r\":1}\n{\"r\":2}\n";
+    std::fs::write(&feed, old).unwrap();
+
+    let recorder = Recorder::enabled();
+    let daemon = Daemon::start(fast(
+        ServeConfig::new()
+            .job(JobConfig::new().recorder(recorder.clone()))
+            .watch_file("events", &feed),
+    ))
+    .unwrap();
+    let mut client = Client::connect(daemon.addr());
+    client.wait_for_records("events", 2);
+
+    // Rotate to a file longer than what was read: the length rule
+    // cannot see it, only the path now naming another file.
+    std::fs::remove_file(&feed).unwrap();
+    let new: String = (3..8)
+        .map(|r| format!("{{\"r\":{r},\"tag\":\"{}\"}}\n", "t".repeat(24)))
+        .collect();
+    std::fs::write(&feed, &new).unwrap();
+    let served = client.wait_for_records("events", 7).payload;
+    assert!(recorder.snapshot().counters["serve.rotations"] >= 1);
+    let both = JobConfig::new()
+        .build()
+        .run_ndjson(format!("{old}{new}").as_bytes())
+        .unwrap();
+    assert_eq!(
+        served.get("schema").and_then(Value::as_str),
+        Some(both.schema.to_string().as_str())
+    );
+
+    daemon.shutdown();
+    std::fs::remove_file(&feed).ok();
+}
+
+#[test]
+fn a_source_file_replaced_while_the_daemon_is_down_is_reread_on_resume() {
+    let feed = temp_path("down-rotate.ndjson");
+    let ckpt = fresh_dir("down-rotate-ckpt");
+    let old = "{\"id\":1,\"tag\":\"aaaaaaaaaaaa\"}\n{\"id\":2,\"tag\":\"bbbbbbbbbbbb\"}\n";
+    std::fs::write(&feed, old).unwrap();
+    let start = |recorder: &Recorder| {
+        Daemon::start(fast(
+            ServeConfig::new()
+                .job(JobConfig::new().recorder(recorder.clone()))
+                .watch_file("events", &feed)
+                .checkpoint_dir(&ckpt),
+        ))
+        .unwrap()
+    };
+    let daemon = start(&Recorder::enabled());
+    Client::connect(daemon.addr()).wait_for_records("events", 2);
+    daemon.shutdown();
+
+    // Replaced by a shorter file while the daemon is down: the
+    // checkpointed offset lies past its end.
+    std::fs::remove_file(&feed).unwrap();
+    let new = "{\"id\":3,\"new\":true}\n";
+    std::fs::write(&feed, new).unwrap();
+
+    let recorder = Recorder::enabled();
+    let daemon = start(&recorder);
+    let served = Client::connect(daemon.addr())
+        .wait_for_records("events", 3)
+        .payload;
+    let counters = recorder.snapshot().counters;
+    assert_eq!(counters["serve.checkpoint_resumed"], 1);
+    assert_eq!(counters["serve.rotations"], 1);
+    assert_eq!(counters["ingest.records"], 1, "the new file, from byte 0");
+    let warnings: Vec<String> = daemon
+        .events()
+        .recent(64)
+        .into_iter()
+        .map(|e| e.message)
+        .filter(|m| m.contains("rotation assumed"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(
+        warnings[0].contains("re-reading from byte 0"),
+        "{warnings:?}"
+    );
+    // The fold kept what it had and added the new file's records.
+    let both = JobConfig::new()
+        .build()
+        .run_ndjson(format!("{old}{new}").as_bytes())
+        .unwrap();
+    assert_eq!(
+        served.get("schema").and_then(Value::as_str),
+        Some(both.schema.to_string().as_str())
+    );
+
+    daemon.shutdown();
+    std::fs::remove_file(&feed).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}
+
+#[test]
 fn injected_checkpoint_write_failures_are_retried_until_durable() {
     let feed = temp_path("ckptfail.ndjson");
     let ckpt = fresh_dir("ckptfail-ckpt");
