@@ -12,10 +12,10 @@
 #![forbid(unsafe_code)]
 
 use typefuse_bench::report::{human_count, human_duration, TextTable};
+use typefuse_bench::sim::SimReport;
 use typefuse_bench::tables;
 use typefuse_bench::{Scale, DEFAULT_SCALES};
 use typefuse_datagen::Profile;
-use typefuse_engine::sim::SimReport;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

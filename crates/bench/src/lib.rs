@@ -10,12 +10,16 @@
 //! partition without ever materialising the dataset, so the paper's
 //! 1M-record scale fits in a laptop's memory. This mirrors what Spark
 //! does — the RDD of values never lives in one place either.
+//!
+//! Tables 7 and 8 are cluster phenomena; [`sim`] is the deterministic
+//! cluster simulator that reproduces them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
 pub mod runner;
+pub mod sim;
 pub mod tables;
 
 pub use runner::{run_scale, PartitionAcc, ScaleConfig, ScaleResult};

@@ -5,8 +5,8 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
+use typefuse::engine::{available_workers, Runtime};
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_engine::Runtime;
 use typefuse_infer::{infer_type, Acc, DedupMode, FuseConfig, SchemaAcc};
 use typefuse_json::Value;
 use typefuse_types::Type;
@@ -35,7 +35,7 @@ pub struct ScaleConfig {
 impl ScaleConfig {
     /// Defaults for a profile at a record count.
     pub fn new(profile: Profile, records: u64) -> Self {
-        let workers = typefuse_engine::runtime::available_workers();
+        let workers = available_workers();
         ScaleConfig {
             profile,
             seed: 20170321,

@@ -3,9 +3,9 @@
 //! records them.
 
 use crate::runner::{run_scale, ScaleConfig, ScaleResult};
+use crate::sim::{simulate, ClusterSpec, Placement, SimReport, Workload};
 use std::time::Duration;
 use typefuse_datagen::Profile;
-use typefuse_engine::sim::{simulate, ClusterSpec, Placement, SimReport, Workload};
 
 /// A record-count scale with its paper-style label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,10 +13,10 @@
 
 use std::fmt::Write;
 use std::path::PathBuf;
+use typefuse_bench::sim::SimReport;
 use typefuse_bench::tables::{self, Scale};
 use typefuse_bench::{run_scale, ScaleConfig, ScaleResult};
 use typefuse_datagen::{DatasetProfile, Profile};
-use typefuse_engine::sim::SimReport;
 use typefuse_infer::{ArrayFusion, FuseConfig};
 
 /// 1K and 10K: the two paper scales a debug build runs in seconds.

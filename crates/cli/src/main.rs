@@ -6,7 +6,6 @@
 //! typefuse generate --profile twitter --records 10000 | typefuse infer -
 //! typefuse stats data.ndjson
 //! typefuse check --schema schema.txt data.ndjson
-//! typefuse sim --placement single --blocks 24
 //! typefuse serve --watch events=/var/log/events.ndjson --listen 127.0.0.1:7411
 //! typefuse help
 //! ```
@@ -22,7 +21,6 @@ mod cmd_infer;
 mod cmd_query;
 mod cmd_registry;
 mod cmd_serve;
-mod cmd_sim;
 mod cmd_stats;
 mod cmd_watch;
 mod job_args;
@@ -199,7 +197,7 @@ COMMANDS:
         --listen ADDR      protocol address (default: 127.0.0.1:7411;
                            port 0 picks an ephemeral port, reported in
                            the first stdout line)
-        --watch NAME=PATH  tail a growing NDJSON file or FIFO
+        --watch NAME=PATH  tail a growing NDJSON regular file
                            (repeatable; the file may not exist yet)
         --tcp-source NAME=ADDR  accept NDJSON-producing TCP connections
                            (repeatable)
@@ -238,13 +236,6 @@ COMMANDS:
                            the daemon stops)
         --raw              print the telemetry envelopes verbatim
 
-    sim                  simulate the 6-node cluster experiment
-        --placement P      single | spread   (default: single)
-        --blocks N         number of input blocks (default: 176)
-        --block-mb M       block size in MB (default: 128)
-        --records-per-block N  (default: 7000)
-        --relaxed          allow non-local tasks (network reads)
-
     help                 print this message
 
 EXIT CODES:
@@ -272,7 +263,6 @@ fn main() -> ExitCode {
         "registry" => cmd_registry::run(&mut args),
         "serve" => cmd_serve::run(&mut args),
         "watch" => cmd_watch::run(&mut args),
-        "sim" => cmd_sim::run(&mut args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())

@@ -279,32 +279,10 @@ fn registry_commands_report_recovery_and_keep_a_corrupt_log() {
 }
 
 #[test]
-fn sim_single_placement_idles_nodes() {
-    let out = typefuse(&["sim", "--placement", "single", "--blocks", "24"], None);
-    assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("busy nodes   2 of 6"), "output: {text}");
-}
-
-#[test]
-fn sim_spread_placement_uses_all_nodes() {
-    let out = typefuse(&["sim", "--placement", "spread", "--blocks", "24"], None);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("busy nodes   6 of 6"));
-}
-
-#[test]
-fn sim_rejects_unknown_placement() {
-    let out = typefuse(&["sim", "--placement", "everywhere"], None);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
 fn unexpected_argument_is_reported() {
     const GONE_FLAG: &str = concat!("--sequential", "-reduce");
     for (args, flag) in [
         (["stats", "-", "--bogus"], "--bogus"),
-        (["sim", "--report-json", "x"], "--report-json"),
         // A flag that no longer exists (it picked the combine's topology).
         (["infer", "-", GONE_FLAG], GONE_FLAG),
     ] {

@@ -38,7 +38,8 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Where a source's NDJSON bytes come from.
 #[derive(Debug, Clone)]
 pub enum SourceInput {
-    /// A growing file or FIFO, tailed from the start.
+    /// A growing regular file, tailed from the start. Pipes and sockets
+    /// are refused; stream them through a [`SourceInput::Tcp`] source.
     File(PathBuf),
     /// A TCP listener address; every accepted connection streams NDJSON
     /// into the source.
@@ -179,7 +180,7 @@ impl ServeConfig {
         self
     }
 
-    /// Watch a growing NDJSON file (or FIFO) as a named source.
+    /// Watch a growing NDJSON regular file as a named source.
     pub fn watch_file(mut self, name: impl Into<String>, path: impl Into<PathBuf>) -> Self {
         self.sources.push(SourceSpec {
             name: name.into(),

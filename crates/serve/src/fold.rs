@@ -38,9 +38,6 @@ pub(crate) const DRIFT_ALERTS_KEPT: usize = 256;
 pub enum SourceStatus {
     /// Folding normally.
     Active,
-    /// The input reported a permanent close (TCP sources only report
-    /// per-connection closes; a file source never closes).
-    Closed,
     /// The source stopped folding: fail-fast hit a bad record, the
     /// error budget ran out, or input I/O failed permanently.
     Failed(String),
@@ -299,7 +296,6 @@ impl SourceState {
         w.key("status");
         match &self.status {
             SourceStatus::Active => w.string("active"),
-            SourceStatus::Closed => w.string("closed"),
             SourceStatus::Failed(reason) => {
                 w.string("failed");
                 w.key("status_reason").string(reason);
@@ -374,7 +370,6 @@ impl SourceState {
             .collect::<Result<VecDeque<String>, String>>()?;
         let status = match payload.get("status").and_then(Value::as_str) {
             Some("active") => SourceStatus::Active,
-            Some("closed") => SourceStatus::Closed,
             Some("failed") => SourceStatus::Failed(
                 payload
                     .get("status_reason")

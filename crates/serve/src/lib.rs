@@ -12,7 +12,7 @@
 //! type a batch run over all bytes would produce. This crate turns that
 //! law into a service:
 //!
-//! * **Sources** — growing NDJSON files/FIFOs ([`SourceInput::File`])
+//! * **Sources** — growing NDJSON files ([`SourceInput::File`])
 //!   and TCP listeners ([`SourceInput::Tcp`]) are tailed with
 //!   [`typefuse_json::TailReader`]; each source folds new records into
 //!   a warm accumulator (the shape-dedup interner when dedup is on, a

@@ -266,7 +266,6 @@ pub(crate) fn write_source_health(w: &mut JsonWriter, state: &SourceState) {
     w.key("status");
     match &state.status {
         SourceStatus::Active => w.string("active"),
-        SourceStatus::Closed => w.string("closed"),
         SourceStatus::Failed(reason) => {
             w.string(&format!("failed: {reason}"));
         }

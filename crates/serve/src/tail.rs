@@ -49,7 +49,7 @@ pub(crate) struct SourceTail {
 }
 
 enum Input {
-    /// A watched file or FIFO, and its reader once the path exists.
+    /// A watched regular file, and its reader once the path exists.
     File(PathBuf, Option<OpenFile>),
     /// A TCP listener plus every live producer connection.
     Tcp {
@@ -88,14 +88,33 @@ fn rotated(now: &Metadata, read: u64, open: Option<FileId>) -> bool {
     now.len() < read || open.is_some_and(|id| id != file_id(now))
 }
 
+/// Why a watched path that is not a regular file is refused: a FIFO
+/// blocks the open until a writer attaches, and its length of 0 would
+/// fire the rotation rule on every poll.
+fn not_regular(path: &Path) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!(
+            "{} is not a regular file; a watched path must be one \
+             (stream pipes and sockets through --tcp-source)",
+            path.display()
+        ),
+    )
+}
+
 /// Open the watched file at the position `state` resumes from: seek to
 /// the remembered offset and restore the carried partial line. `None`
-/// while the path does not exist.
+/// while the path does not exist; an error if it is not a regular file.
 fn open_file(
     path: &Path,
     state: &Mutex<SourceState>,
     job: &JobConfig,
 ) -> std::io::Result<Option<OpenFile>> {
+    match std::fs::metadata(path) {
+        Ok(meta) if !meta.is_file() => return Err(not_regular(path)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        _ => {}
+    }
     let mut file = match File::open(path) {
         Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -167,6 +186,9 @@ impl SourceTail {
             Input::File(path, open) => {
                 // Stat before the read: the lag is what the read left.
                 let meta = std::fs::metadata(&*path).ok();
+                if meta.as_ref().is_some_and(|meta| !meta.is_file()) {
+                    return Err(not_regular(path).to_string());
+                }
                 if let (Some(meta), Some(file)) = (&meta, &*open) {
                     let read = file.reader.bytes_read();
                     if rotated(meta, read, Some(file.id)) {

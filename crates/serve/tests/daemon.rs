@@ -430,6 +430,31 @@ fn watched_file_may_not_exist_yet_and_quarantine_collects_bad_records() {
     std::fs::remove_file(&sink).ok();
 }
 
+/// A FIFO would block the open until a writer attaches; the daemon
+/// refuses it up front instead, naming the path and the alternative.
+#[cfg(unix)]
+#[test]
+fn a_watched_fifo_is_refused_at_start_not_waited_on() {
+    let path = temp_path("events.fifo");
+    std::fs::remove_file(&path).ok();
+    let made = std::process::Command::new("mkfifo").arg(&path).status();
+    assert!(made.unwrap().success());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let watched = path.clone();
+    std::thread::spawn(move || {
+        let started = Daemon::start(fast(ServeConfig::new().watch_file("pipe", watched)));
+        tx.send(started.map(Daemon::shutdown).map_err(|e| e.to_string()))
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("Daemon::start returns instead of blocking in the open");
+    let err = outcome.expect_err("a FIFO is not a watchable file");
+    let named = err.contains(&path.display().to_string());
+    assert!(named && err.contains("--tcp-source"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn shape_route_answers_profile_and_explain_with_the_reason_not_an_empty_report() {
     let path = temp_path("shape.ndjson");

@@ -17,9 +17,9 @@
 //! assert_eq!(result.schema.to_string(), "{a: Num}");
 //! ```
 
+use crate::engine::Runtime;
 use crate::faults::ErrorPolicy;
 use crate::pipeline::{DedupMode, MapPath, SchemaJob};
-use typefuse_engine::Runtime;
 use typefuse_infer::FuseConfig;
 use typefuse_json::{ParserOptions, RetryPolicy};
 use typefuse_obs::Recorder;
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn default_build_derives_workers_and_partitions_from_the_machine() {
         let built = JobConfig::new().build();
-        let workers = typefuse_engine::runtime::available_workers();
+        let workers = crate::engine::available_workers();
         assert_eq!(built.runtime.workers(), workers);
         assert_eq!(built.partitions, workers * 4);
         // The job reads every other setting from the configuration.

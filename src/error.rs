@@ -101,7 +101,7 @@ pub enum Error {
     },
     /// A worker thread panicked; the run was isolated and aborted
     /// cleanly instead of tearing down the process.
-    Worker(typefuse_engine::WorkerPanic),
+    Worker(crate::engine::WorkerPanic),
 }
 
 impl Error {
@@ -180,8 +180,8 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl From<typefuse_engine::WorkerPanic> for Error {
-    fn from(p: typefuse_engine::WorkerPanic) -> Self {
+impl From<crate::engine::WorkerPanic> for Error {
+    fn from(p: crate::engine::WorkerPanic) -> Self {
         Error::Worker(p)
     }
 }
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn worker_panics_convert() {
-        let err = Error::from(typefuse_engine::WorkerPanic {
+        let err = Error::from(crate::engine::WorkerPanic {
             partition: 2,
             message: "boom".into(),
             panics: 1,

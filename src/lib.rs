@@ -10,8 +10,8 @@
 //! * [`types`] — the paper's type language (Figure 3): records with
 //!   optional fields, positional and starred arrays, kind-unique unions.
 //! * [`infer`] — type inference (Figure 4) and type fusion (Figure 6).
-//! * [`engine`] — the parallel map/reduce engine and cluster simulator
-//!   standing in for Spark.
+//! * [`engine`] — the parallel map/reduce runtime standing in for Spark
+//!   (a module of this crate; the rest are re-exported crates).
 //! * [`datagen`] — synthetic dataset generators matching the structural
 //!   profiles of the paper's four evaluation datasets.
 //! * [`obs`] — zero-dependency observability: mergeable counters,
@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod fold;
@@ -49,7 +50,6 @@ pub use error::{Error, IoSite};
 pub use faults::{BadRecord, ErrorPolicy, ErrorReport, RetryPolicy};
 
 pub use typefuse_datagen as datagen;
-pub use typefuse_engine as engine;
 pub use typefuse_infer as infer;
 pub use typefuse_json as json;
 pub use typefuse_obs as obs;
@@ -65,13 +65,13 @@ pub struct ReadmeDoctests;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use crate::config::JobConfig;
+    pub use crate::engine::Runtime;
     pub use crate::error::Error;
     pub use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
     pub use crate::pipeline::{
         DedupMode, MapPath, ProfiledResult, SchemaJob, SchemaResult, Source,
     };
     pub use typefuse_datagen::{DatasetProfile, Profile};
-    pub use typefuse_engine::Runtime;
     pub use typefuse_infer::{fuse, infer_type, Acc, Checkpoint, Incremental, ProfileReport};
     pub use typefuse_json::{parse_value, Value};
     pub use typefuse_obs::{Recorder, RunReport};

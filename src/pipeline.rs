@@ -39,13 +39,13 @@ use std::io::BufRead;
 use std::time::{Duration, Instant};
 
 use crate::config::JobConfig;
+use crate::engine::{combine, Runtime, WorkerPanic};
 use crate::error::Error;
 use crate::faults::{BadLines, ErrorReport};
 use crate::fold::{for_each_line, Absorbed, Line, LineTyper, Origin, RecordFold};
-use typefuse_engine::{combine, Runtime, StageMetrics, WorkerPanic};
 use typefuse_infer::{infer_type_recorded, Acc, ProfileAcc, ProfileReport, SchemaAcc};
 use typefuse_json::Value;
-use typefuse_obs::{Recorder, RunReport};
+use typefuse_obs::{Recorder, RunReport, StageReport};
 use typefuse_types::intern::FxBuildHasher;
 use typefuse_types::Type;
 
@@ -174,26 +174,26 @@ impl SchemaJob {
                 let parts = partition(numbered, self.partitions);
                 let schema = SchemaAcc::new(DedupMode::Off, self.config.fuse_config);
                 let empty = Profiled(schema, ProfileAcc::new());
-                let (acc, fold_metrics) = {
+                let (acc, fold_stage) = {
                     let _span = rec.span("pipeline.profile");
-                    self.reduce(&parts, &empty)?
+                    self.reduce("profile.local_fold", &parts, &empty)?
                 };
                 let Profiled(schema, profile) = acc.unwrap_or(empty);
                 let (profile, errors) = (profile.finish(schema.into_schema()), ErrorReport::new());
-                self.finish_profiled(profile, errors, parts.len(), fold_metrics, wall_start)
+                self.finish_profiled(profile, errors, parts.len(), fold_stage, wall_start)
             }
             Source::Ndjson(reader) => {
                 let records = partition(self.read_records(reader)?, self.partitions);
                 let empty = RecordFold::new(&self.config, true);
-                let (fold, fold_metrics) = {
+                let (fold, fold_stage) = {
                     let _span = rec.span("pipeline.profile");
-                    self.reduce(&records, &empty)?
+                    self.reduce("profile.local_fold", &records, &empty)?
                 };
                 let mut fold = fold.unwrap_or(empty);
                 fold.settle()?;
                 let (_, _, report, profile) = fold.finish();
                 let profile = profile.expect("a profiled fold carries a profile");
-                self.finish_profiled(profile, report, records.len(), fold_metrics, wall_start)
+                self.finish_profiled(profile, report, records.len(), fold_stage, wall_start)
             }
         }
     }
@@ -204,7 +204,7 @@ impl SchemaJob {
         profile: ProfileReport,
         errors: ErrorReport,
         partitions: usize,
-        fold_metrics: StageMetrics,
+        fold_stage: StageReport,
         wall_start: Instant,
     ) -> Result<ProfiledResult, Error> {
         let records = profile.records;
@@ -214,7 +214,7 @@ impl SchemaJob {
             records,
             partitions,
             wall: wall_start.elapsed(),
-            fold_metrics,
+            fold_stage,
             errors,
         })
     }
@@ -225,18 +225,16 @@ impl SchemaJob {
         let wall_start = Instant::now();
         let rec = &self.config.recorder;
         let map_start = Instant::now();
-        let (types, map_metrics) = {
+        let (types, map_stage) = {
             let _span = rec.span("pipeline.map");
-            self.runtime
-                .try_run_indexed(&parts, |_, part: &Vec<Value>| {
-                    let infer = |v| infer_type_recorded(v, rec);
-                    part.iter().map(infer).collect::<Vec<Type>>()
-                })
+            self.stage("map", &parts, |part: &Vec<Value>| {
+                let infer = |v| infer_type_recorded(v, rec);
+                part.iter().map(infer).collect::<Vec<Type>>()
+            })?
         };
-        let types = self.surface_worker(types)?;
         let records = parts.iter().map(Vec::len).sum::<usize>() as u64;
         let (errors, map_time) = (ErrorReport::new(), map_start.elapsed());
-        self.finish(types, records, errors, wall_start, map_time, map_metrics)
+        self.finish(types, records, errors, wall_start, map_time, map_stage)
     }
 
     /// The text route for every Map path: read lines (retry, line-size
@@ -253,26 +251,24 @@ impl SchemaJob {
 
         let map_start = Instant::now();
         let chaos = self.config.chaos_panic_at;
-        let (typed, map_metrics) = {
+        let (typed, map_stage) = {
             let _span = rec.span("pipeline.map");
-            self.runtime
-                .try_run_indexed(&records, |_, part: &Vec<RawRecord>| {
-                    let mut typer = LineTyper::new(&self.config, false);
-                    let out: Vec<Absorbed<Type>> = part
-                        .iter()
-                        .map(|record| {
-                            if chaos == Some(record.line) {
-                                panic!("injected chaos panic at line {}", record.line);
-                            }
-                            let origin = Origin::Line(record.line.into());
-                            typer.type_line(origin, &record.bytes, record.truncated, None)
-                        })
-                        .collect();
-                    typer.flush_counters();
-                    out
-                })
+            self.stage("map", &records, |part: &Vec<RawRecord>| {
+                let mut typer = LineTyper::new(&self.config, false);
+                let out: Vec<Absorbed<Type>> = part
+                    .iter()
+                    .map(|record| {
+                        if chaos == Some(record.line) {
+                            panic!("injected chaos panic at line {}", record.line);
+                        }
+                        let origin = Origin::Line(record.line.into());
+                        typer.type_line(origin, &record.bytes, record.truncated, None)
+                    })
+                    .collect();
+                typer.flush_counters();
+                out
+            })?
         };
-        let typed = self.surface_worker(typed)?;
         let map_time = map_start.elapsed();
 
         // Split the outcomes into clean types and bad lines, judging each
@@ -295,7 +291,7 @@ impl SchemaJob {
 
         let records = types.len() as u64;
         let types = partition(types, self.partitions);
-        self.finish(types, records, report, wall_start, map_time, map_metrics)
+        self.finish(types, records, report, wall_start, map_time, map_stage)
     }
 
     /// Read the raw lines of a text source under a `pipeline.read` span
@@ -333,28 +329,37 @@ impl SchemaJob {
         })
     }
 
+    /// Run one task per item on the runtime, as the stage `name` of the
+    /// run report; an isolated worker panic is counted and surfaced.
+    fn stage<T: Sync, R: Send>(
+        &self,
+        name: &str,
+        items: &[T],
+        task: impl Fn(&T) -> R + Sync,
+    ) -> Result<(Vec<R>, StageReport), Error> {
+        let (outcome, mut stage) = self.runtime.try_run_indexed(items, |_, item| task(item));
+        stage.name = name.to_string();
+        Ok((self.surface_worker(outcome)?, stage))
+    }
+
     /// The one Reduce: fold each partition into a clone of `empty` on the
-    /// runtime, then merge the partials pairwise ([`combine`]). An empty
-    /// partition would fold to the identity and is dropped instead, so
-    /// `None` means there was nothing to fold. The metrics are the
-    /// partition folds'.
+    /// runtime, as the stage `name`, then merge the partials pairwise
+    /// ([`combine`]). An empty partition would fold to the identity and
+    /// is dropped instead, so `None` means there was nothing to fold.
     fn reduce<T: Part<A>, A: Acc + Send + Sync>(
         &self,
+        name: &str,
         parts: &[Vec<T>],
         empty: &A,
-    ) -> Result<(Option<A>, StageMetrics), Error> {
-        let (partials, metrics) = self.runtime.try_run_indexed(parts, |_, part: &Vec<T>| {
+    ) -> Result<(Option<A>, StageReport), Error> {
+        let (partials, stage) = self.stage(name, parts, |part: &Vec<T>| {
             (!part.is_empty()).then(|| {
                 let mut acc = empty.clone();
                 part.iter().for_each(|item| _ = acc.absorb(item.item()));
                 acc
             })
-        });
-        let partials = self
-            .surface_worker(partials)?
-            .into_iter()
-            .flatten()
-            .collect();
+        })?;
+        let partials = partials.into_iter().flatten().collect();
         let merged = combine(
             &self.runtime,
             partials,
@@ -364,7 +369,7 @@ impl SchemaJob {
             },
             &self.config.recorder,
         );
-        Ok((self.surface_worker(merged)?, metrics))
+        Ok((self.surface_worker(merged)?, stage))
     }
 
     /// The shared tail of every route: type statistics, the Reduce
@@ -378,7 +383,7 @@ impl SchemaJob {
         errors: ErrorReport,
         wall_start: Instant,
         map_time: Duration,
-        map_metrics: StageMetrics,
+        map_stage: StageReport,
     ) -> Result<SchemaResult, Error> {
         let rec = &self.config.recorder;
 
@@ -404,17 +409,17 @@ impl SchemaJob {
         };
         let empty = SchemaAcc::new(mode, self.config.fuse_config).recorded(rec.clone());
         let reduce_start = Instant::now();
-        let (fused, reduce_metrics) = {
+        let (fused, reduce_stage) = {
             let _span = rec.span("pipeline.reduce");
             if mode == DedupMode::On {
                 rec.add("infer.dedup", 1);
             }
-            let (acc, metrics) = self.reduce(&types, &empty)?;
+            let (acc, stage) = self.reduce("reduce.local_fold", &types, &empty)?;
             let schema = acc.map(|acc| {
                 acc.flush_counters();
                 acc.into_schema()
             });
-            (schema, metrics)
+            (schema, stage)
         };
         let reduce_time = reduce_start.elapsed();
 
@@ -430,8 +435,8 @@ impl SchemaJob {
             map_time,
             reduce_time,
             wall: wall_start.elapsed(),
-            map_metrics,
-            reduce_metrics,
+            map_stage,
+            reduce_stage,
         })
     }
 }
@@ -564,10 +569,11 @@ pub struct SchemaResult {
     pub reduce_time: Duration,
     /// Total wall time including statistics collection.
     pub wall: Duration,
-    /// Per-partition metrics of the Map phase.
-    pub map_metrics: StageMetrics,
-    /// Per-partition metrics of the partition-local fold.
-    pub reduce_metrics: StageMetrics,
+    /// Per-partition timings of the Map phase, as the `map` stage.
+    pub map_stage: StageReport,
+    /// Per-partition timings of the partition-local fold, as the
+    /// `reduce.local_fold` stage.
+    pub reduce_stage: StageReport,
 }
 
 impl SchemaResult {
@@ -592,10 +598,8 @@ impl SchemaResult {
     pub fn run_report(&self, recorder: &Recorder) -> RunReport {
         let mut report = recorder.snapshot();
         report.counters.insert("records".to_string(), self.records);
-        report.stages.push(self.map_metrics.stage_report("map"));
-        report
-            .stages
-            .push(self.reduce_metrics.stage_report("reduce.local_fold"));
+        report.stages.push(self.map_stage.clone());
+        report.stages.push(self.reduce_stage.clone());
         report
             .values
             .insert("wall_seconds".to_string(), self.wall.as_secs_f64());
@@ -632,8 +636,9 @@ pub struct ProfiledResult {
     pub partitions: usize,
     /// Total wall time.
     pub wall: Duration,
-    /// Per-partition metrics of the profiled fold.
-    pub fold_metrics: StageMetrics,
+    /// Per-partition timings of the profiled fold, as the
+    /// `profile.local_fold` stage.
+    pub fold_stage: StageReport,
     /// The bad records a lenient [`ErrorPolicy`](crate::ErrorPolicy) skipped (text sources
     /// only; they leave no trace in the profile).
     pub errors: ErrorReport,
@@ -646,9 +651,7 @@ impl ProfiledResult {
     pub fn run_report(&self, recorder: &Recorder) -> RunReport {
         let mut report = recorder.snapshot();
         report.counters.insert("records".to_string(), self.records);
-        report
-            .stages
-            .push(self.fold_metrics.stage_report("profile.local_fold"));
+        report.stages.push(self.fold_stage.clone());
         report
             .values
             .insert("wall_seconds".to_string(), self.wall.as_secs_f64());

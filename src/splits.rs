@@ -30,11 +30,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::config::JobConfig;
+use crate::engine::Runtime;
 use crate::error::{Error, IoSite};
 use crate::faults::{ErrorPolicy, ErrorReport, RetryPolicy};
 use crate::fold::{count_lines, Origin, RecordFold};
 use crate::pipeline::SchemaJob;
-use typefuse_engine::Runtime;
 use typefuse_infer::Acc;
 use typefuse_json::ndjson::read_line_bounded;
 use typefuse_json::ParserOptions;
